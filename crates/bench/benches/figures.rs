@@ -1,39 +1,19 @@
-//! One criterion benchmark per figure runner (at reduced corpus scale):
+//! One criterion benchmark per `run_all` section (at reduced corpus scale):
 //! regenerating each exhibit is itself a measured, repeatable operation.
 
 #![forbid(unsafe_code)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vroom::experiment as exp;
+use vroom::experiment::{run_sections, RUN_ALL_SECTIONS};
 use vroom::ExperimentConfig;
 
 fn figure_benches(c: &mut Criterion) {
     let cfg = ExperimentConfig::quick(4);
     let mut group = c.benchmark_group("figures");
     group.sample_size(10);
-    macro_rules! bench_fig {
-        ($name:literal, $f:expr) => {
-            group.bench_function($name, |b| b.iter(|| black_box($f(&cfg))));
-        };
+    for id in RUN_ALL_SECTIONS {
+        group.bench_function(id, |b| b.iter(|| black_box(run_sections(&cfg, &[id]))));
     }
-    bench_fig!("fig01", exp::fig01);
-    bench_fig!("fig02", exp::fig02);
-    bench_fig!("fig03", exp::fig03);
-    bench_fig!("fig04", exp::fig04);
-    bench_fig!("fig07", exp::fig07);
-    bench_fig!("fig09", exp::fig09);
-    bench_fig!("fig11", exp::fig11);
-    bench_fig!("fig13", exp::fig13);
-    bench_fig!("fig14", exp::fig14);
-    bench_fig!("fig15", exp::fig15);
-    bench_fig!("fig16", exp::fig16);
-    bench_fig!("fig17", exp::fig17);
-    bench_fig!("fig18", exp::fig18);
-    bench_fig!("fig19", exp::fig19);
-    bench_fig!("fig20", exp::fig20);
-    bench_fig!("fig21", exp::fig21);
-    bench_fig!("incr_deploy", exp::incremental_deployment);
-    bench_fig!("t100_top400", exp::top400_sample);
     group.finish();
 }
 

@@ -1,5 +1,5 @@
-//! `vroom-bench` — the perf-trajectory harness. Unlike the figure binaries
-//! (which regenerate the paper's tables), this binary measures *this repo's
+//! `vroom-bench` — the perf-trajectory harness. Unlike `run_all` (which
+//! regenerates the paper's tables), this binary measures *this repo's
 //! own* hot paths so optimisation work leaves a committed record:
 //!
 //! ```sh

@@ -2,13 +2,13 @@
 //! and generated corpora.
 
 use crate::config::*;
-use crate::engine::BrowserEngine;
+use crate::engine::{BrowserEngine, EngineScratch};
 use crate::metrics::LoadResult;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vroom_html::{ExecMode, ResourceKind, Url};
 use vroom_intern::UrlTable;
-use vroom_net::NetworkProfile;
+use vroom_net::{FaultPlan, NetworkProfile};
 use vroom_pages::{LoadContext, Page, PageGenerator, Resource, SiteProfile, Stability};
 use vroom_sim::SimDuration;
 
@@ -474,4 +474,51 @@ fn faster_cpu_reduces_plt_on_cpu_bound_loads() {
         },
     );
     assert!(fast.plt < slow.plt);
+}
+
+#[test]
+fn reused_scratch_matches_fresh_scratch_across_dissimilar_loads() {
+    // One scratch carried through loads that differ in everything the
+    // scratch buffers are sized by — site, page size, fetch policy, hint
+    // tables, fault timers — must give each load exactly what a fresh
+    // scratch gives it.
+    let ctx = LoadContext::reference();
+    let news = PageGenerator::new(SiteProfile::news(), 43).snapshot(&ctx);
+    let sports = PageGenerator::new(SiteProfile::sports(), 44).snapshot(&ctx);
+    let small = fig5_page();
+    let (urls, server) = oracle_hints(&news);
+    let staged = LoadConfig {
+        urls: Arc::new(urls),
+        server,
+        fetch_policy: FetchPolicy::VroomStaged,
+        ..LoadConfig::default()
+    };
+    let faulted = LoadConfig {
+        fault: FaultPlan::from_seed(9, 0.9),
+        ..staged.clone()
+    };
+    assert!(faulted.fault.is_active());
+    let loads = [
+        (&news, &staged),
+        (&small, &LoadConfig::http2_baseline()),
+        (&sports, &LoadConfig::http2_baseline()),
+        (&news, &faulted),
+        (&small, &staged),
+        (&sports, &LoadConfig::http1_baseline()),
+        (&news, &staged),
+    ];
+    let mut scratch = EngineScratch::default();
+    for (i, (page, cfg)) in loads.into_iter().enumerate() {
+        let reused = BrowserEngine::load_with_scratch(page, &lte(), cfg, &mut scratch);
+        assert_eq!(
+            reused,
+            load(page, cfg),
+            "load {i} diverged on a reused scratch"
+        );
+    }
+    assert_ne!(
+        load(&news, &faulted),
+        load(&news, &staged),
+        "the fault plan must actually perturb the load"
+    );
 }

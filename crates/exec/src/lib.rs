@@ -2,11 +2,14 @@
 //!
 //! The simulation made every per-site load a pure function of
 //! `(site, ctx, seeds)` (DESIGN.md §2a); this crate turns that purity into
-//! wall-clock speed without giving up byte-identical output. The one
-//! primitive, [`par_map_indexed`], fans a slice out over a bounded pool of
-//! `std` threads and collects each result into the slot of its *input*
-//! index, so the returned `Vec` — and therefore everything rendered from
-//! it — is identical for any worker count and any completion order.
+//! wall-clock speed without giving up byte-identical output. Two entry
+//! points share one claim loop and one slot collector:
+//! [`par_map_indexed`] fans a borrowed slice out over scoped `std` threads
+//! spawned for the call, and [`Pool::dispatch`] fans an owned `Vec` out
+//! over long-lived workers. Both collect each result into the slot of its
+//! *input* index, so the returned `Vec` — and therefore everything
+//! rendered from it — is identical for any worker count and any completion
+//! order.
 //!
 //! Output invariance argument, in three steps:
 //!  1. the mapped closure is pure (enforced by `vroom-lint`'s `sim-purity`
@@ -23,6 +26,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+use crossbeam::channel::{Receiver, Sender};
 
 /// The worker count to use when the user asked for "as fast as the
 /// hardware allows": the machine's available parallelism, `1` when that
@@ -52,42 +57,61 @@ where
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    let workers = workers.min(items.len());
-    let chunk = claim_chunk(items.len(), workers);
+    let n = items.len();
+    let workers = workers.min(n);
+    let chunk = claim_chunk(n, workers);
     let next = AtomicUsize::new(0);
     let (tx, rx) = crossbeam::channel::unbounded::<(usize, T)>();
     // vroom-lint: allow(sim-purity) -- the workspace's single sanctioned thread pool: workers race only for *indices*; results land in input-index slots, so output is schedule-invariant
     std::thread::scope(|scope| {
-        {
-            // Scope the original sender to this block: each worker owns a
-            // clone, and the last sender hanging up is what ends the
-            // collection loop below.
-            let tx = tx;
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, f) = (&next, &f);
-                scope.spawn(move || loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(items.len()) {
-                        if tx.send((i, f(i, &items[i]))).is_err() {
-                            return; // receiver gone: a sibling panicked mid-collect
-                        }
-                    }
-                });
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let (next, f) = (&next, &f);
+            scope.spawn(move || claim_loop(n, chunk, next, &tx, |i| f(i, &items[i])));
+        }
+        // The original sender hangs up here: the last worker's clone
+        // dropping is what ends the collection.
+        drop(tx);
+        collect_slots(n, rx)
+    })
+}
+
+/// One worker's share of a fan-out: claim `chunk` indices of `0..n` at a
+/// time off the shared counter and send each `(index, f(index))` until
+/// the indices run out. Stops early when the receiver is gone (a sibling
+/// panicked mid-collect).
+fn claim_loop<T>(
+    n: usize,
+    chunk: usize,
+    next: &AtomicUsize,
+    tx: &Sender<(usize, T)>,
+    mut f: impl FnMut(usize) -> T,
+) {
+    loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            return;
+        }
+        for i in start..(start + chunk).min(n) {
+            if tx.send((i, f(i))).is_err() {
+                return;
             }
         }
-        let mut slots: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
-        for (i, value) in rx {
-            slots[i] = Some(value);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index produced exactly once"))
-            .collect()
-    })
+    }
+}
+
+/// Place each `(index, value)` the workers send into its input-index slot,
+/// so the result order is independent of completion order. Panics unless
+/// every index in `0..n` arrived.
+fn collect_slots<T>(n: usize, rx: Receiver<(usize, T)>) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (i, value) in rx {
+        slots[i] = Some(value);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every index produced exactly once"))
+        .collect()
 }
 
 /// Indices-per-claim for the work-stealing counter: large enough to
@@ -111,7 +135,7 @@ type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
 /// the per-item work is sub-millisecond. `Pool` keeps the threads (and each
 /// thread's `S`, built once via `Default`) alive across calls.
 ///
-/// [`Pool::run`] has the same output contract as [`par_map_indexed`]:
+/// [`Pool::dispatch`] has the same output contract as [`par_map_indexed`]:
 /// results land in input-index slots, so the returned `Vec` is
 /// byte-identical for any worker count and any completion order. The
 /// scratch state is *per worker*, never shared and never migrated between
@@ -119,11 +143,11 @@ type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
 /// observationally pure (buffer reuse), which `vroom-lint`'s `sim-purity`
 /// rule and the pool-vs-sequential proptests both police.
 ///
-/// `run` returns only after every worker has acknowledged completing its
-/// jobs, and workers acknowledge *after* dropping the job closure — so any
-/// `Arc` the caller moved into `f` is guaranteed to have its borrowed
-/// worker clones released by the time `run` returns. Callers exploit this
-/// as a barrier: `Arc::get_mut` on shared state succeeds between calls.
+/// `dispatch` returns only after every worker has acknowledged completing
+/// its job, and workers acknowledge *after* dropping the job closure — so
+/// any `Arc` the caller moved into `f` is guaranteed to have its worker
+/// clones released by the time `dispatch` returns. Callers exploit this as
+/// a barrier: `Arc::get_mut` on shared state succeeds between calls.
 pub struct Pool<S> {
     senders: Vec<crossbeam::channel::Sender<Job<S>>>,
     ack_rx: crossbeam::channel::Receiver<()>,
@@ -149,7 +173,7 @@ impl<S: Default + 'static> Pool<S> {
                     job(&mut state);
                     // The job closure (and every Arc it captured) is dropped
                     // by the call above; only then acknowledge, so the
-                    // caller's post-`run` `Arc::get_mut` barrier holds.
+                    // caller's post-`dispatch` `Arc::get_mut` barrier holds.
                     let _ = ack_tx.send(());
                 }
             }));
@@ -160,11 +184,6 @@ impl<S: Default + 'static> Pool<S> {
             ack_rx,
             handles,
         }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.senders.len()
     }
 
     /// Map `f` over `items` on the pool, returning results in input order.
@@ -184,7 +203,6 @@ impl<S: Default + 'static> Pool<S> {
         let chunk = claim_chunk(n, self.senders.len());
         let shared = Arc::new((items, AtomicUsize::new(0), f));
         let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, T)>();
-        let mut dispatched = 0usize;
         for sender in &self.senders {
             // vroom-lint: allow(hot-path-alloc) -- one refcount bump per worker per fan-out; the items are shared, never copied
             let shared = Arc::clone(&shared);
@@ -192,43 +210,22 @@ impl<S: Default + 'static> Pool<S> {
             let res_tx = res_tx.clone();
             let job: Job<S> = Box::new(move |state| {
                 let (items, next, f) = &*shared;
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(items.len()) {
-                        if res_tx.send((i, f(state, i, &items[i]))).is_err() {
-                            return; // receiver gone: a sibling job panicked
-                        }
-                    }
-                }
+                claim_loop(n, chunk, next, &res_tx, |i| f(state, i, &items[i]));
             });
             sender.send(job).expect("pool worker thread alive");
-            dispatched += 1;
         }
         drop(res_tx);
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for (i, value) in res_rx {
-            slots[i] = Some(value);
-        }
-        // A panicked job never acks, so fail on missing results *before*
-        // blocking on the barrier.
-        assert!(
-            slots.iter().all(Option::is_some),
-            "every index produced exactly once"
-        );
-        // Ack barrier: one acknowledgement per dispatched job, sent after
-        // the job (and its Arc clones) dropped.
-        for _ in 0..dispatched {
+        // A panicked job never acks, so the collector fails on its missing
+        // results *before* the barrier below could block.
+        let out = collect_slots(n, res_rx);
+        // Ack barrier: one acknowledgement per job, sent after the job (and
+        // its Arc clones) dropped.
+        for _ in &self.senders {
             self.ack_rx
                 .recv()
                 .expect("pool worker acknowledged its job");
         }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index produced exactly once"))
-            .collect()
+        out
     }
 }
 
@@ -311,8 +308,8 @@ mod tests {
             .map(|(i, x)| i as u64 * 1000 + x * 3)
             .collect();
         for workers in [0, 1, 2, 3, 8] {
+            // `Pool::new(0)` clamps to one worker, or nothing would run.
             let pool: Pool<()> = Pool::new(workers);
-            assert_eq!(pool.workers(), workers.max(1));
             let got = pool.dispatch(items.clone(), |_, i, x| i as u64 * 1000 + x * 3);
             assert_eq!(got, reference, "workers={workers}");
         }
@@ -364,7 +361,7 @@ mod tests {
         let got = pool.dispatch(vec![0usize, 1, 2], move |_, _, &i| captured[i]);
         assert_eq!(got, vec![1, 2, 3]);
         // The barrier guarantees every worker's clone of `captured` is
-        // dropped before `run` returns: ours is the only reference left.
+        // dropped before `dispatch` returns: ours is the only reference left.
         let mut data = data;
         assert!(Arc::get_mut(&mut data).is_some());
     }

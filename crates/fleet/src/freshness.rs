@@ -29,6 +29,7 @@
 use std::collections::BTreeMap;
 
 use vroom_browser::metrics::percentile_sorted;
+use vroom_browser::EngineScratch;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::json::Value;
 use vroom_net::{FaultPlan, NetworkProfile};
@@ -37,7 +38,7 @@ use vroom_server::batch::{commit_pass_at, run_pass};
 use vroom_server::freshness::{hint_quality_by_age, CALIBRATED_TTL_HOURS};
 use vroom_server::store::{EvictionPolicy, HintStore, ShardedStore};
 
-use crate::{load_client, mix, ClientSpec, FleetConfig, FleetScratch, FLEET_BASE_HOURS};
+use crate::{load_client, mix, ClientSpec, FleetConfig, FLEET_BASE_HOURS};
 
 /// Configuration of one freshness sweep.
 #[derive(Debug, Clone)]
@@ -441,7 +442,7 @@ fn run_cell(
         } else {
             FaultPlan::none()
         };
-        let mut scratch = FleetScratch::default();
+        let mut scratch = EngineScratch::default();
         load_client(
             &cfg.profile,
             policy,

@@ -23,8 +23,8 @@
 //!   origin count as reuses (a counter model: reuse does not alter the
 //!   simulated load itself).
 //! * **Parallel execution** — batches fan resolver passes and client loads
-//!   over [`vroom_exec::par_map_indexed`], so the report is byte-identical
-//!   at any worker count.
+//!   over a persistent [`vroom_exec::Pool`], so the report is
+//!   byte-identical at any worker count.
 //!
 //! Determinism argument: batch membership and batch order are pure
 //! functions of the seed; resolver passes are pure and committed in a fixed
@@ -536,15 +536,6 @@ pub struct FleetRun {
     pub outcomes: Vec<ClientOutcome>,
 }
 
-/// Per-worker scratch state a [`Pool`] worker keeps alive across the many
-/// client loads it runs: the browser engine's internal buffers. Reuse is
-/// observationally pure — a recycled scratch produces byte-identical
-/// results to a fresh one (pinned by the pipelined-vs-reference proptest).
-#[derive(Default)]
-pub struct FleetScratch {
-    engine: EngineScratch,
-}
-
 /// Wall-clock time spent in each stage of a fleet run, in seconds.
 /// Populated only when [`run_fleet_instrumented`] is given a clock; all
 /// zeros otherwise. Purely diagnostic: none of it feeds the report.
@@ -562,20 +553,19 @@ pub struct FleetStageTiming {
     pub account_s: f64,
 }
 
-/// One unit of work in the combined per-batch fan-out: a client load of
-/// the current batch, or a prefetched resolver pass for the next batch.
+/// One unit of work in a fan-out: a client load of the current batch, or a
+/// resolver pass for `(site, bucket)`.
 enum FleetWork {
     Load(ClientSpec),
-    Pass { site: usize, bucket: i64 },
+    Pass((usize, i64)),
 }
 
 enum FleetDone {
     Load(Box<ClientOutcome>),
-    Pass(PassOutput),
+    Pass((usize, i64), PassOutput),
 }
 
-/// Mutable cross-batch accounting state, shared by the pipelined
-/// implementation and the unpipelined reference.
+/// Mutable cross-batch accounting state of the fleet loop.
 #[derive(Default)]
 struct FleetAccum {
     /// The hour bucket each site's store entries were last resolved at.
@@ -601,8 +591,8 @@ impl FleetAccum {
     /// newest pass win for a site admitted at two buckets.
     ///
     /// Depends only on `last_pass`, which commits alone update — that is
-    /// what lets the pipelined path compute batch k+1's arrival admissions
-    /// during batch k's load phase.
+    /// what lets the loop compute batch k+1's arrival admissions during
+    /// batch k's load phase.
     fn arrivals_needed(
         &self,
         batch: &[ClientSpec],
@@ -782,12 +772,22 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
 /// (both pure in the frozen shared state), so resolver work hides behind
 /// load work instead of serializing with it. Commits stay sequential, in
 /// batch order, between fan-outs; refresh admissions (which depend on the
-/// previous batch's outcomes) are never prefetched. The report is
-/// byte-identical to [`run_fleet_unpipelined`], which the fleet proptests
-/// pin.
+/// previous batch's outcomes) are never prefetched.
 pub fn run_fleet_instrumented(
     cfg: &FleetConfig,
     clock: Option<&dyn Fn() -> f64>,
+) -> (FleetRun, FleetStageTiming) {
+    run_fleet_loop(cfg, clock, true)
+}
+
+/// The fleet loop. With `prefetch` off, no pass is overlapped with the
+/// previous batch's loads: every admitted pass runs in the batch's own
+/// dedicated pass fan-out. That is the unpipelined reference the crate's
+/// proptest pins byte-identical to the prefetching loop.
+fn run_fleet_loop(
+    cfg: &FleetConfig,
+    clock: Option<&dyn Fn() -> f64>,
+    prefetch: bool,
 ) -> (FleetRun, FleetStageTiming) {
     let (cfg, clamped_from) = cfg.validated();
     let cfg = &cfg;
@@ -799,7 +799,11 @@ pub fn run_fleet_instrumented(
     let store = Arc::new(ShardedStore::new(cfg.shards));
     let mut urls = Arc::new(UrlTable::new());
     let (batches, window) = plan_batches(cfg);
-    let pool: Pool<FleetScratch> = Pool::new(cfg.workers);
+    // Each worker keeps one engine scratch alive across the many loads it
+    // runs. Reuse is observationally pure — a recycled scratch produces
+    // byte-identical results to a fresh one (pinned by the browser engine's
+    // scratch-reuse test).
+    let pool: Pool<EngineScratch> = Pool::new(cfg.workers);
 
     let mut accum = FleetAccum::default();
     let mut timing = FleetStageTiming::default();
@@ -828,16 +832,12 @@ pub fn run_fleet_instrumented(
         // Run whatever this batch needs that no previous fan-out prefetched:
         // the cold start (first batch) and refresh admissions.
         let t0 = now();
-        let missing: Vec<(usize, i64)> = needed
+        let missing: Vec<FleetWork> = needed
             .iter()
             .filter(|key| !prefetched.contains_key(key))
-            .copied()
+            .map(|&key| FleetWork::Pass(key))
             .collect();
-        if !missing.is_empty() {
-            for (key, out) in run_passes_on_pool(&pool, cfg, &corpus, missing) {
-                prefetched.insert(key, out);
-            }
-        }
+        fan_out(&pool, cfg, &corpus, &urls, &store, missing, &mut prefetched);
         let t1 = now();
         timing.pass_s += t1 - t0;
 
@@ -860,73 +860,20 @@ pub fn run_fleet_instrumented(
         // frozen above) plus the next batch's arrival-driven passes (pure —
         // they read neither store nor table). Passes lead so the expensive
         // items never straggle behind the claim counter.
-        let next_arrivals: Vec<(usize, i64)> = match batches.get(bi + 1) {
-            Some(next) => accum
-                .arrivals_needed(next, cfg.policy)
-                .into_iter()
-                .collect(),
-            // vroom-lint: allow(hot-path-alloc) -- Vec::new is allocation-free
-            None => Vec::new(),
-        };
         // vroom-lint: allow(hot-path-alloc) -- one work list per batch, amortized across its items
-        let mut work: Vec<FleetWork> = Vec::with_capacity(next_arrivals.len() + batch.len());
-        work.extend(
-            next_arrivals
-                .iter()
-                .map(|&(site, bucket)| FleetWork::Pass { site, bucket }),
-        );
+        let mut work: Vec<FleetWork> = Vec::with_capacity(batch.len());
+        if let Some(next) = batches.get(bi + 1).filter(|_| prefetch) {
+            work.extend(
+                accum
+                    .arrivals_needed(next, cfg.policy)
+                    .into_iter()
+                    .map(FleetWork::Pass),
+            );
+        }
         work.extend(batch.iter().map(|&spec| FleetWork::Load(spec)));
-
-        let shared_corpus = Arc::clone(&corpus);
-        let shared_urls = Arc::clone(&urls);
-        let shared_store = Arc::clone(&store);
-        // vroom-lint: allow(hot-path-alloc) -- one profile clone per batch for the 'static closure
-        let profile = cfg.profile.clone();
-        let (policy, faults, server_seed) = (cfg.policy, cfg.faults, cfg.server_seed);
-        let done = pool.dispatch(work, move |scratch, _, item| match *item {
-            FleetWork::Pass { site, bucket } => FleetDone::Pass(run_pass(
-                &shared_corpus.sites[site],
-                bucket as f64,
-                DeviceClass::PhoneLarge,
-                server_seed,
-            )),
-            FleetWork::Load(ref spec) => {
-                let plan = match &faults {
-                    Some(f) => f.plan_for(spec.id as u64),
-                    None => FaultPlan::none(),
-                };
-                FleetDone::Load(Box::new(load_client(
-                    &profile,
-                    policy,
-                    spec,
-                    &shared_corpus.sites[spec.site],
-                    &shared_urls,
-                    shared_store.as_ref(),
-                    &plan,
-                    scratch,
-                )))
-            }
-        });
+        let batch_outcomes = fan_out(&pool, cfg, &corpus, &urls, &store, work, &mut prefetched);
         let t3 = now();
         timing.load_s += t3 - t2;
-
-        let mut done = done.into_iter();
-        for &key in &next_arrivals {
-            match done.next() {
-                Some(FleetDone::Pass(out)) => {
-                    prefetched.insert(key, out);
-                }
-                _ => unreachable!("pass results lead the fan-out, in input order"),
-            }
-        }
-        let batch_outcomes: Vec<ClientOutcome> = done
-            .map(|d| match d {
-                FleetDone::Load(outcome) => *outcome,
-                FleetDone::Pass(_) => {
-                    unreachable!("load results trail the fan-out, in input order")
-                }
-            })
-            .collect();
 
         accum.account_batch(cfg, &corpus, &store, &mut urls, batch, batch_outcomes);
         timing.account_s += now() - t3;
@@ -937,103 +884,59 @@ pub fn run_fleet_instrumented(
     (run, timing)
 }
 
-/// Fan a set of resolver passes over the pool. Pure per item; each key is
-/// returned alongside its output, in input order.
-fn run_passes_on_pool(
-    pool: &Pool<FleetScratch>,
+/// Fan `work` out over the pool. Resolver passes are pure and land in
+/// `prefetched` under their `(site, bucket)` key; client outcomes come back
+/// in input order.
+fn fan_out(
+    pool: &Pool<EngineScratch>,
     cfg: &FleetConfig,
     corpus: &Arc<Corpus>,
-    keys: Vec<(usize, i64)>,
-) -> Vec<((usize, i64), PassOutput)> {
-    let shared_corpus = Arc::clone(corpus);
-    let server_seed = cfg.server_seed;
-    pool.dispatch(keys, move |_, _, &(site, bucket)| {
-        (
+    urls: &Arc<UrlTable>,
+    store: &Arc<ShardedStore>,
+    work: Vec<FleetWork>,
+    prefetched: &mut BTreeMap<(usize, i64), PassOutput>,
+) -> Vec<ClientOutcome> {
+    let (corpus, urls, store) = (Arc::clone(corpus), Arc::clone(urls), Arc::clone(store));
+    // vroom-lint: allow(hot-path-alloc) -- one profile clone per fan-out for the 'static closure
+    let profile = cfg.profile.clone();
+    let (policy, faults, server_seed) = (cfg.policy, cfg.faults, cfg.server_seed);
+    let done = pool.dispatch(work, move |scratch, _, item| match *item {
+        FleetWork::Pass((site, bucket)) => FleetDone::Pass(
             (site, bucket),
-            run_pass(
-                &shared_corpus.sites[site],
-                bucket as f64,
-                DeviceClass::PhoneLarge,
-                server_seed,
-            ),
-        )
-    })
-}
-
-/// The unpipelined reference implementation: two spawn/join fan-outs per
-/// batch on [`vroom_exec::par_map_indexed`], a fresh engine scratch per
-/// load, no cross-batch overlap — the executable specification the
-/// pipelined [`run_fleet`] must (and, per the fleet proptests, does)
-/// reproduce byte-for-byte at every worker count.
-pub fn run_fleet_unpipelined(cfg: &FleetConfig) -> FleetRun {
-    let (cfg, clamped_from) = cfg.validated();
-    let cfg = &cfg;
-    let corpus = Corpus::news_and_sports_capped(cfg.corpus_seed, Some(cfg.sites.max(1)));
-    let store = ShardedStore::new(cfg.shards);
-    let mut urls = Arc::new(UrlTable::new());
-    let (batches, window) = plan_batches(cfg);
-
-    let mut accum = FleetAccum::default();
-
-    for batch in &batches {
-        let batch_bucket = batch
-            .iter()
-            .map(|s| s.bucket())
-            .min()
-            .unwrap_or(FLEET_BASE_HOURS as i64);
-
-        if let EvictionPolicy::Ttl(h) = cfg.policy {
-            store.evict_resolved_before(batch_bucket - h as i64);
-        }
-
-        let mut needed = accum.arrivals_needed(batch, cfg.policy);
-        for &site in &accum.pending_refresh {
-            needed.insert((site, batch_bucket));
-        }
-        accum.pending_refresh.clear();
-        let needed: Vec<(usize, i64)> = needed.into_iter().collect();
-
-        // The expensive half fans out; the cheap commits stay sequential.
-        let passes = vroom_exec::par_map_indexed(&needed, cfg.workers, |_, &(site, bucket)| {
             run_pass(
                 &corpus.sites[site],
                 bucket as f64,
                 DeviceClass::PhoneLarge,
-                cfg.server_seed,
-            )
-        });
-        for (&(site, bucket), pass) in needed.iter().zip(&passes) {
-            let table =
-                Arc::get_mut(&mut urls).expect("no table refs outstanding between fan-outs");
-            commit_pass_at(pass, &store, table, bucket);
-            accum.committed(site, bucket);
-        }
-
-        // Load phase: the store is frozen (no writes until the next batch),
-        // so every client's load is a pure function of its spec and the
-        // shared state committed above.
-        let batch_outcomes = vroom_exec::par_map_indexed(batch, cfg.workers, |_, spec| {
-            let plan = match &cfg.faults {
+                server_seed,
+            ),
+        ),
+        FleetWork::Load(ref spec) => {
+            let plan = match &faults {
                 Some(f) => f.plan_for(spec.id as u64),
                 None => FaultPlan::none(),
             };
-            let mut scratch = FleetScratch::default();
-            load_client(
-                &cfg.profile,
-                cfg.policy,
+            FleetDone::Load(Box::new(load_client(
+                &profile,
+                policy,
                 spec,
                 &corpus.sites[spec.site],
                 &urls,
                 &store,
                 &plan,
-                &mut scratch,
-            )
-        });
-
-        accum.account_batch(cfg, &corpus, &store, &mut urls, batch, batch_outcomes);
+                scratch,
+            )))
+        }
+    });
+    let mut outcomes = Vec::with_capacity(done.len());
+    for d in done {
+        match d {
+            FleetDone::Pass(key, out) => {
+                prefetched.insert(key, out);
+            }
+            FleetDone::Load(outcome) => outcomes.push(*outcome),
+        }
     }
-
-    accum.finish(cfg, clamped_from, &store, window, batches.len() as u64)
+    outcomes
 }
 
 /// One client's load against the shared server state. Pure in the shared
@@ -1055,9 +958,9 @@ fn load_client(
     spec: &ClientSpec,
     site: &PageGenerator,
     urls: &Arc<UrlTable>,
-    store: &dyn HintStore,
+    store: &ShardedStore,
     plan: &FaultPlan,
-    scratch: &mut FleetScratch,
+    scratch: &mut EngineScratch,
 ) -> ClientOutcome {
     let ctx = spec.ctx();
     let page = site.snapshot_arc(&ctx);
@@ -1121,7 +1024,7 @@ fn load_client(
         apply_fault_plan(&mut load_cfg, plan);
     }
 
-    let result = BrowserEngine::load_with_scratch(&page, profile, &load_cfg, &mut scratch.engine);
+    let result = BrowserEngine::load_with_scratch(&page, profile, &load_cfg, scratch);
     let origins: Vec<String> = page
         .resources
         .iter()
@@ -1145,6 +1048,7 @@ fn load_client(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn client_derivation_is_deterministic_and_in_range() {
@@ -1220,5 +1124,68 @@ mod tests {
         assert!(!off.plan_for(0).is_active());
         let nobody = FleetFaults { one_in: 0, ..f };
         assert!(!nobody.plan_for(0).is_active());
+    }
+
+    /// The byte-comparable projections of a run: the text report and the
+    /// deterministic metrics tree of `BENCH_fleet.json`.
+    fn fingerprints(run: &FleetRun) -> (String, String) {
+        (run.report.render(), run.report.to_json_value().to_pretty())
+    }
+
+    fn policy_of(sel: u8) -> EvictionPolicy {
+        match sel % 3 {
+            0 => EvictionPolicy::Never,
+            1 => EvictionPolicy::Ttl(2),
+            _ => EvictionPolicy::RefreshOnMiss(2),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Prefetching batch k+1's resolver passes during batch k's loads
+        /// is byte-identical to running every pass in its own batch's pass
+        /// fan-out, at every worker count, with and without fault
+        /// injection, under every eviction policy.
+        #[test]
+        fn prefetch_on_equals_prefetch_off(
+            clients in 1usize..=50,
+            sites in 1usize..=4,
+            seed in any::<u64>(),
+            policy_sel in 0u8..3,
+            faulted in any::<bool>(),
+            fault_seed in any::<u64>(),
+            fault_one_in in 1u64..4,
+        ) {
+            let mut cfg = FleetConfig::quick(clients, sites);
+            cfg.seed = seed;
+            cfg.policy = policy_of(policy_sel);
+            if cfg.policy != EvictionPolicy::Never {
+                cfg.span_hours = 3;
+                cfg.learn_from_loads = true;
+            }
+            cfg.faults = faulted.then_some(FleetFaults {
+                seed: fault_seed,
+                severity: 0.7,
+                one_in: fault_one_in,
+            });
+            for workers in [1usize, 2, 8] {
+                cfg.workers = workers;
+                let on = run_fleet_loop(&cfg, None, true).0;
+                let off = run_fleet_loop(&cfg, None, false).0;
+                prop_assert_eq!(
+                    fingerprints(&on),
+                    fingerprints(&off),
+                    "report diverged at workers={}",
+                    workers
+                );
+                prop_assert_eq!(
+                    &on.outcomes,
+                    &off.outcomes,
+                    "outcomes diverged at workers={}",
+                    workers
+                );
+            }
+        }
     }
 }

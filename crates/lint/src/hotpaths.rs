@@ -2,13 +2,14 @@
 //!
 //! Roots are declared in a checked-in `lint-hotpaths.toml` at the workspace
 //! root so the set is reviewable in diffs. The parser handles exactly the
-//! subset of TOML the file uses — two sections of `"key" = ["value", ...]`
-//! lines — because the workspace vendors no TOML crate. The compiled-in
-//! [`Default`] mirrors the checked-in file (a unit test keeps them in sync)
-//! so in-memory analyses (fixtures, library tests) see the same roots
-//! without touching the filesystem.
+//! subset of TOML the file uses — three sections of `"key" = ["value", ...]`
+//! lines — because the workspace vendors no TOML crate. [`Default`] is that
+//! same file compiled in, so in-memory analyses (fixtures, library tests)
+//! see the same roots without touching the filesystem.
 
 use std::path::Path;
+
+use crate::parse::FileSummary;
 
 /// Workspace-root-relative name of the config file.
 pub const HOTPATHS_FILE: &str = "lint-hotpaths.toml";
@@ -30,54 +31,39 @@ pub struct HotPathConfig {
 }
 
 impl Default for HotPathConfig {
+    /// The checked-in `lint-hotpaths.toml`, compiled in.
     fn default() -> Self {
-        let root = |path: &str, fns: &[&str]| {
-            (
-                path.to_string(),
-                fns.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-            )
+        parse(include_str!("../../../lint-hotpaths.toml"))
+            .expect("the checked-in lint-hotpaths.toml parses")
+    }
+}
+
+impl HotPathConfig {
+    /// Check that every `[roots]` and `[lock_roots]` entry names a fn
+    /// defined in its file. Root selection matches by (path, name), so a
+    /// renamed or deleted fn would otherwise drop out of its rule without a
+    /// word.
+    pub fn check_roots(&self, summaries: &[FileSummary]) -> Result<(), String> {
+        let defined = |path: &str, name: &str| {
+            summaries
+                .iter()
+                .any(|s| s.path == path && s.fns.iter().any(|f| f.name == name))
         };
-        HotPathConfig {
-            roots: vec![
-                root("crates/browser/src/engine.rs", &["load"]),
-                root(
-                    "crates/fleet/src/lib.rs",
-                    &["load_client", "run_fleet_instrumented"],
-                ),
-                root("crates/hpack/src/decoder.rs", &["decode"]),
-                root("crates/hpack/src/encoder.rs", &["encode", "encode_into"]),
-                root(
-                    "crates/http2/src/conn.rs",
-                    &["push_promise", "recv", "send_data", "send_header_block"],
-                ),
-                root("crates/http2/src/frame.rs", &["decode", "encode"]),
-                root("crates/net/src/replay.rs", &["lookup_id"]),
-                root(
-                    "crates/server/src/wire.rs",
-                    &["handle_request", "serve_connection"],
-                ),
-            ],
-            exempt: vec![
-                "crates/bench/".to_string(),
-                "crates/html/".to_string(),
-                "crates/intern/".to_string(),
-                "crates/lint/".to_string(),
-                "crates/pages/".to_string(),
-                "crates/server/src/resolve.rs".to_string(),
-                "crates/vroom/".to_string(),
-            ],
-            lock_roots: vec![
-                root("crates/browser/src/engine.rs", &["load"]),
-                root(
-                    "crates/fleet/src/lib.rs",
-                    &["load_client", "run_fleet", "run_fleet_instrumented"],
-                ),
-                root("crates/server/src/batch.rs", &["commit_pass"]),
-                root(
-                    "crates/server/src/wire.rs",
-                    &["handle_request", "serve_connection"],
-                ),
-            ],
+        let mut dangling = Vec::new();
+        for (section, entries) in [("roots", &self.roots), ("lock_roots", &self.lock_roots)] {
+            for (path, fns) in entries {
+                for name in fns.iter().filter(|n| !defined(path, n)) {
+                    dangling.push(format!("[{section}] \"{path}\" = `{name}`"));
+                }
+            }
+        }
+        if dangling.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "{HOTPATHS_FILE}: root(s) naming no fn in their file: {}",
+                dangling.join(", ")
+            ))
         }
     }
 }
@@ -245,13 +231,35 @@ mod tests {
 
     #[test]
     fn checked_in_file_matches_compiled_in_default() {
-        // The defaults exist so in-memory runs (fixtures, tests) agree with
-        // filesystem runs; drift between the two would make `cargo run -p
-        // vroom-lint` and the fixture suite disagree about reachability.
+        // In-memory runs (fixtures, tests) and filesystem runs must agree
+        // about reachability: the file read now is the one compiled in.
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
             .join(HOTPATHS_FILE);
         let text = std::fs::read_to_string(&path).expect("checked-in lint-hotpaths.toml");
         assert_eq!(parse(&text).unwrap(), HotPathConfig::default());
+    }
+
+    #[test]
+    fn dangling_roots_are_config_errors() {
+        let summaries = [crate::parse::summarize_source(
+            "crates/a/src/x.rs",
+            "pub fn f() {}\npub fn g() { f(); }\n",
+        )];
+        let cfg = parse(
+            "[roots]\n\"crates/a/src/x.rs\" = [\"f\"]\n\
+             [lock_roots]\n\"crates/a/src/x.rs\" = [\"g\"]\n",
+        )
+        .unwrap();
+        assert_eq!(cfg.check_roots(&summaries), Ok(()));
+        let gone = parse("[lock_roots]\n\"crates/a/src/x.rs\" = [\"g\", \"commit\"]\n").unwrap();
+        let err = gone.check_roots(&summaries).unwrap_err();
+        assert!(
+            err.contains("[lock_roots]") && err.contains("`commit`"),
+            "{err}"
+        );
+        assert!(!err.contains("`g`"), "{err}");
+        let wrong_file = parse("[roots]\n\"crates/a/src/y.rs\" = [\"f\"]\n").unwrap();
+        assert!(wrong_file.check_roots(&summaries).is_err());
     }
 }

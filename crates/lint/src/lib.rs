@@ -71,6 +71,24 @@ impl Report {
     }
 }
 
+/// Why a lint run produced no report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Error {
+    /// The checked-in configuration is malformed or names code that does
+    /// not exist — a usage error, like a bad flag.
+    Config(String),
+    /// The workspace could not be read or the baseline written.
+    Run(String),
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Error::Config(e) | Error::Run(e) => f.write_str(e),
+        }
+    }
+}
+
 /// Analysis options. `Default` is a cold, cache-free run — what the
 /// library tests and `analyze` use; the CLI opts into the cache.
 #[derive(Debug, Default)]
@@ -127,17 +145,15 @@ fn summarize_workspace(files: &[SourceFile], opts: &Options) -> Vec<FileSummary>
 
 /// Lint the workspace rooted at (or above) `start`, reconciling against the
 /// checked-in baseline if present. Cache-free; see [`analyze_with`].
-pub fn analyze(start: &Path) -> Result<Report, String> {
+pub fn analyze(start: &Path) -> Result<Report, Error> {
     analyze_with(start, &Options::default())
 }
 
 /// Lint the workspace with explicit [`Options`].
-pub fn analyze_with(start: &Path, opts: &Options) -> Result<Report, String> {
-    let root = source::workspace_root(start)
-        .ok_or_else(|| format!("no workspace Cargo.toml above {}", start.display()))?;
-    let files = source::collect_sources(&root).map_err(|e| format!("walking workspace: {e}"))?;
-    let hot = hotpaths::load(&root)?;
+pub fn analyze_with(start: &Path, opts: &Options) -> Result<Report, Error> {
+    let (root, files, hot) = load_workspace(start)?;
     let summaries = summarize_workspace(&files, opts);
+    hot.check_roots(&summaries).map_err(Error::Config)?;
     let mut violations = violations_of(&summaries, &hot);
     if let Some(keep) = &opts.rules {
         violations.retain(|v| keep.contains(&v.rule));
@@ -146,8 +162,8 @@ pub fn analyze_with(start: &Path, opts: &Options) -> Result<Report, String> {
     let baseline_path = root.join(baseline::BASELINE_FILE);
     let mut entries = if baseline_path.is_file() {
         let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-        baseline::parse(&text)?
+            .map_err(|e| Error::Run(format!("reading {}: {e}", baseline_path.display())))?;
+        baseline::parse(&text).map_err(Error::Run)?
     } else {
         Vec::new()
     };
@@ -167,15 +183,25 @@ pub fn analyze_with(start: &Path, opts: &Options) -> Result<Report, String> {
 }
 
 /// Regenerate the baseline from the current tree and return its contents.
-pub fn update_baseline(start: &Path) -> Result<String, String> {
-    let root = source::workspace_root(start)
-        .ok_or_else(|| format!("no workspace Cargo.toml above {}", start.display()))?;
-    let files = source::collect_sources(&root).map_err(|e| format!("walking workspace: {e}"))?;
-    let hot = hotpaths::load(&root)?;
+pub fn update_baseline(start: &Path) -> Result<String, Error> {
+    let (root, files, hot) = load_workspace(start)?;
     let summaries: Vec<FileSummary> = files.iter().map(parse::summarize).collect();
+    hot.check_roots(&summaries).map_err(Error::Config)?;
     let violations = violations_of(&summaries, &hot);
     let text = baseline::render(&violations);
     std::fs::write(root.join(baseline::BASELINE_FILE), &text)
-        .map_err(|e| format!("writing baseline: {e}"))?;
+        .map_err(|e| Error::Run(format!("writing baseline: {e}")))?;
     Ok(text)
+}
+
+/// The workspace root above `start`, its sources, and its hot-path config.
+fn load_workspace(
+    start: &Path,
+) -> Result<(PathBuf, Vec<SourceFile>, hotpaths::HotPathConfig), Error> {
+    let root = source::workspace_root(start)
+        .ok_or_else(|| Error::Run(format!("no workspace Cargo.toml above {}", start.display())))?;
+    let files = source::collect_sources(&root)
+        .map_err(|e| Error::Run(format!("walking workspace: {e}")))?;
+    let hot = hotpaths::load(&root).map_err(Error::Config)?;
+    Ok((root, files, hot))
 }

@@ -11,6 +11,9 @@
 //!   the current tree (use only to record that debt shrank).
 //! * `vroom-lint --check-baseline` — like the default, but also exit 1 on
 //!   stale baseline entries, keeping the ratchet honest in CI.
+//!
+//! A malformed `lint-hotpaths.toml`, or one whose roots name a fn that does
+//! not exist, exits 2 like a bad flag.
 
 #![forbid(unsafe_code)]
 
@@ -98,10 +101,7 @@ fn main() -> ExitCode {
                 println!("vroom-lint: wrote lint-baseline.txt ({entries} entries)");
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("vroom-lint: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => failure(&e),
         };
     }
 
@@ -150,9 +150,16 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
         }
-        Err(e) => {
-            eprintln!("vroom-lint: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => failure(&e),
+    }
+}
+
+/// Report a run that produced no report: exit 2 for configuration errors,
+/// 1 for everything else.
+fn failure(e: &vroom_lint::Error) -> ExitCode {
+    eprintln!("vroom-lint: {e}");
+    match e {
+        vroom_lint::Error::Config(_) => ExitCode::from(2),
+        vroom_lint::Error::Run(_) => ExitCode::FAILURE,
     }
 }

@@ -643,7 +643,7 @@ fn lock_safety(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) {
             message: format!(
                 "lock acquisition ({}) inside a loop reachable from `{}`{}; loop depth {}, \
                  rank {} of {total} — hoist the acquisition out of the loop or batch the \
-                 guarded work (`get_many`/`put_many`) so the lock is taken once per pass",
+                 guarded work (`get_fresh_many`/`put_many_at`) so the lock is taken once per pass",
                 fd.detail,
                 fd.root,
                 fd.via,

@@ -70,27 +70,8 @@ pub fn evaluate(
     strategy: Strategy,
     server_seed: u64,
 ) -> Accuracy {
-    let load_a = generator.snapshot(ctx);
-    let load_b = generator.snapshot(&ctx.back_to_back(ctx.nonce ^ 0xB2B));
-
-    let scope_a = scope(&load_a);
-    let urls_b: BTreeSet<&Url> = scope(&load_b).iter().map(|r| &r.url).collect();
-    let predictable: BTreeSet<&Url> = scope_a
-        .iter()
-        .filter(|r| urls_b.contains(&r.url))
-        .map(|r| &r.url)
-        .collect();
-
     let input = ResolverInput::new(generator, ctx.hours, ctx.device, server_seed);
-    let mut urls = UrlTable::new();
-    let deps = resolve(&input, &load_a, strategy, &mut urls);
-    let server_set: BTreeSet<&Url> = urls
-        .lookup(&load_a.url)
-        .and_then(|id| deps.hints.get(&id))
-        .map(|hs| hs.iter().map(|h| urls.get(h.url)).collect())
-        .unwrap_or_default();
-
-    score(&scope_a, &predictable, &server_set)
+    evaluate_with(&input, ctx, None, strategy)
 }
 
 /// Evaluate hints that were resolved `age_hours` before the client's load:
@@ -107,17 +88,6 @@ pub fn evaluate_aged(
     server_seed: u64,
     age_hours: u64,
 ) -> Accuracy {
-    let load_a = generator.snapshot(ctx);
-    let load_b = generator.snapshot(&ctx.back_to_back(ctx.nonce ^ 0xB2B));
-
-    let scope_a = scope(&load_a);
-    let urls_b: BTreeSet<&Url> = scope(&load_b).iter().map(|r| &r.url).collect();
-    let predictable: BTreeSet<&Url> = scope_a
-        .iter()
-        .filter(|r| urls_b.contains(&r.url))
-        .map(|r| &r.url)
-        .collect();
-
     // The server's copy at resolution time, quantized the way the batch
     // path quantizes passes (same bucket, same crawler nonce derivation).
     let bucket = crate::batch::hour_bucket(ctx.hours - age_hours as f64) as f64;
@@ -128,10 +98,37 @@ pub fn evaluate_aged(
         nonce: crate::batch::mix(server_seed, 0xBA7C4 ^ bucket as u64),
     });
     let input = ResolverInput::new(generator, bucket, ctx.device, server_seed);
+    evaluate_with(&input, ctx, Some(&server_page), strategy)
+}
+
+/// The scorer behind [`evaluate`] and [`evaluate_aged`], for callers that
+/// tune the resolver (e.g. its crawl window): resolve the root-HTML hints
+/// of `served` (`None` = the client's own load at `ctx`) with `input`, and
+/// score them against the predictable subset of the client's load.
+pub fn evaluate_with(
+    input: &ResolverInput,
+    ctx: &LoadContext,
+    served: Option<&Page>,
+    strategy: Strategy,
+) -> Accuracy {
+    let load_a = input.generator.snapshot(ctx);
+    let load_b = input
+        .generator
+        .snapshot(&ctx.back_to_back(ctx.nonce ^ 0xB2B));
+
+    let scope_a = scope(&load_a);
+    let urls_b: BTreeSet<&Url> = scope(&load_b).iter().map(|r| &r.url).collect();
+    let predictable: BTreeSet<&Url> = scope_a
+        .iter()
+        .filter(|r| urls_b.contains(&r.url))
+        .map(|r| &r.url)
+        .collect();
+
+    let served = served.unwrap_or(&load_a);
     let mut urls = UrlTable::new();
-    let deps = resolve(&input, &server_page, strategy, &mut urls);
+    let deps = resolve(input, served, strategy, &mut urls);
     let server_set: BTreeSet<&Url> = urls
-        .lookup(&server_page.url)
+        .lookup(&served.url)
         .and_then(|id| deps.hints.get(&id))
         .map(|hs| hs.iter().map(|h| urls.get(h.url)).collect())
         .unwrap_or_default();

@@ -13,9 +13,10 @@
 //!   `x-semi-important` / `x-unimportant`),
 //! * [`push_policy`] — which local dependencies to PUSH (§4.3),
 //! * [`device`] — device-type equivalence classes (§4.1.2, Fig 9),
-//! * [`store`] — the shared hint store behind the fleet serving path: a
-//!   [`store::HintStore`] trait with unsharded (reference) and sharded
-//!   (production) implementations plus logical contention counters,
+//! * [`store`] — the shared hint store behind the fleet serving path: the
+//!   [`store::HintStore`] trait, its one [`store::ShardedStore`]
+//!   implementation (one shard is the single-lock layout), and logical
+//!   contention counters,
 //! * [`batch`] — batched resolution: one pure resolver pass per
 //!   (page, hour, device) shared by every client in a batch window,
 //! * [`freshness`] — the hint-freshness loop: observed-load feedback into
@@ -38,7 +39,7 @@ pub mod store;
 pub mod wire;
 
 pub use accuracy::{evaluate, evaluate_aged, Accuracy};
-pub use batch::{commit_pass, commit_pass_at, hour_bucket, run_pass, PassOutput};
+pub use batch::{commit_pass_at, hour_bucket, run_pass, PassOutput};
 pub use clusters::{cluster_pages, PageTypeClusters};
 pub use freshness::{
     hint_quality_by_age, observed_pass, CALIBRATED_TTL_HOURS, PERSISTENCE_1H, PERSISTENCE_1WEEK,
@@ -46,7 +47,5 @@ pub use freshness::{
 pub use hints::{attach_hints, parse_hints};
 pub use push_policy::{select_pushes, PushPolicy};
 pub use resolve::{resolve, ResolvedDeps, ResolverInput, Strategy, CRAWLER_USER};
-pub use store::{
-    EvictionPolicy, FreshRead, FreshnessStats, HintStore, ShardStats, ShardedStore, UnshardedStore,
-};
+pub use store::{EvictionPolicy, FreshRead, FreshnessStats, HintStore, ShardStats, ShardedStore};
 pub use wire::{MonotonicClock, WireClient, WireClock, WireFaults, WireServer, WireSite};

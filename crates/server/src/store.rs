@@ -5,25 +5,19 @@
 //! them consults the same dependency metadata. The store is therefore
 //! read-mostly: resolver passes write an HTML's hint list once per
 //! freshness window, then thousands of loads read it. [`HintStore`] is the
-//! trait boundary between the serving path and the storage layout, with two
-//! implementations:
-//!
-//! * [`UnshardedStore`] — one map behind one lock. The semantic reference:
-//!   simple, obviously correct, and the model the sharded store must match
-//!   (the fleet proptests pin sharded == unsharded for arbitrary op
-//!   interleavings).
-//! * [`ShardedStore`] — `N` independent shards, each a `RwLock` over its
-//!   own map, routed by [`UrlId::shard`] (a pure function of the id value,
-//!   so routing is stable as the intern table grows and entries never
-//!   migrate). Readers on different shards never contend; writers block
-//!   only their own shard.
+//! trait boundary between the serving path and the storage layout; its one
+//! implementation is [`ShardedStore`] — `N` independent shards, each a
+//! `RwLock` over its own map, routed by [`UrlId::shard`] (a pure function of
+//! the id value, so routing is stable as the intern table grows and entries
+//! never migrate). Readers on different shards never contend; writers block
+//! only their own shard. `ShardedStore::new(1)` is the single-lock layout;
+//! the fleet proptests pin every shard count to a plain ordered-map model.
 //!
 //! Every entry is versioned with the hour bucket it was resolved at, and
 //! reads classify entries through an [`EvictionPolicy`]:
 //!
 //! * [`EvictionPolicy::Never`] — age is ignored; byte-identical to the
-//!   pre-freshness store (the legacy `get`/`put` API is defined as the
-//!   versioned API at bucket 0 under `Never`).
+//!   pre-freshness store.
 //! * [`EvictionPolicy::Ttl`] — an entry older than the TTL is logically
 //!   evicted at read time: the read counts as stale and returns a miss.
 //!   Physical removal is a separate, sequential [`evict_resolved_before`]
@@ -34,29 +28,29 @@
 //!
 //! [`evict_resolved_before`]: HintStore::evict_resolved_before
 //!
-//! Both implementations keep per-shard access counters (reads, hits,
-//! writes, entries) plus freshness counters (stale classifications,
-//! evictions). The counters are *logical*: every operation bumps its
-//! shard's counter exactly once, so totals are a pure function of the
-//! workload — identical at any worker count or scheduling — even though the
-//! increments themselves race. That property is what lets the fleet report
-//! shard "contention" figures while staying byte-deterministic.
+//! Each shard keeps access counters (reads, hits, writes, entries) plus
+//! freshness counters (stale classifications, evictions). The counters are
+//! *logical*: every operation bumps its shard's counter exactly once, so
+//! totals are a pure function of the workload — identical at any worker
+//! count or scheduling — even though the increments themselves race. That
+//! property is what lets the fleet report shard "contention" figures while
+//! staying byte-deterministic.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use vroom_browser::config::Hint;
 use vroom_intern::UrlId;
 
-/// Logical access counters for one shard (the whole store, when unsharded).
+/// Logical access counters for one shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// `get` calls routed to this shard.
+    /// Reads routed to this shard.
     pub reads: u64,
-    /// `get` calls that found an entry.
+    /// Reads that served an entry (fresh or stale).
     pub hits: u64,
-    /// `put` calls routed to this shard.
+    /// Writes routed to this shard.
     pub writes: u64,
     /// Live entries.
     pub entries: u64,
@@ -132,14 +126,6 @@ pub enum FreshRead {
 }
 
 impl FreshRead {
-    /// The served hints, if any (fresh or stale).
-    pub fn hints(&self) -> Option<&Arc<Vec<Hint>>> {
-        match self {
-            FreshRead::Miss => None,
-            FreshRead::Fresh { hints, .. } | FreshRead::Stale { hints, .. } => Some(hints),
-        }
-    }
-
     /// Consume into the served hints, if any.
     pub fn into_hints(self) -> Option<Arc<Vec<Hint>>> {
         match self {
@@ -158,9 +144,7 @@ impl FreshRead {
 type Entry = (Arc<Vec<Hint>>, i64);
 
 /// Classify one looked-up entry under `policy` at `now_bucket`. Returns the
-/// read plus whether it counts as a hit and whether it counts as stale —
-/// the single definition both layouts share, so sharded == unsharded is an
-/// identity rather than a re-derivation.
+/// read plus whether it counts as a hit and whether it counts as stale.
 fn classify(
     found: Option<&Entry>,
     now_bucket: i64,
@@ -198,45 +182,10 @@ fn classify(
 /// Shared dependency-hint storage, keyed by the interned URL of the HTML
 /// response that carries the hints.
 ///
-/// Values are `Arc`-shared: a `get` hands back a reference-counted handle,
+/// Values are `Arc`-shared: a read hands back a reference-counted handle,
 /// never a copy of the hint list, so concurrent readers share one
 /// allocation.
-///
-/// The legacy unversioned API (`get`/`put`/`get_many`/`put_many`) is
-/// defined in terms of the versioned one at bucket 0 under
-/// [`EvictionPolicy::Never`] — same counter bumps, same results.
 pub trait HintStore: Send + Sync {
-    /// The hints stored for `key`, if any. Counts one read (plus one hit on
-    /// success) against the key's shard.
-    fn get(&self, key: UrlId) -> Option<Arc<Vec<Hint>>> {
-        self.get_fresh(key, 0, EvictionPolicy::Never).into_hints()
-    }
-
-    /// Store (or replace) the hints for `key`. Counts one write against the
-    /// key's shard.
-    fn put(&self, key: UrlId, hints: Vec<Hint>) {
-        self.put_at(key, hints, 0);
-    }
-
-    /// The hints for each of `keys`, in input order. Logically identical to
-    /// one [`get`](Self::get) per key — same counter bumps, same results —
-    /// but a batching implementation takes each touched shard's lock once
-    /// for the whole slice instead of once per key.
-    fn get_many(&self, keys: &[UrlId]) -> Vec<Option<Arc<Vec<Hint>>>> {
-        self.get_fresh_many(keys, 0, EvictionPolicy::Never)
-            .into_iter()
-            .map(FreshRead::into_hints)
-            .collect()
-    }
-
-    /// Store every `(key, hints)` pair. Logically identical to one
-    /// [`put`](Self::put) per pair in order — same counters, and duplicate
-    /// keys resolve last-write-wins — with the same batched-locking
-    /// opportunity as [`get_many`](Self::get_many).
-    fn put_many(&self, entries: Vec<(UrlId, Vec<Hint>)>) {
-        self.put_many_at(entries, 0);
-    }
-
     /// Policy-aware read: the hints for `key` classified by age relative to
     /// `now_bucket`. Counts one read; a hit only when the policy serves the
     /// entry; one stale count when the entry is past its window.
@@ -247,25 +196,21 @@ pub trait HintStore: Send + Sync {
     fn put_at(&self, key: UrlId, hints: Vec<Hint>, bucket: i64);
 
     /// Policy-aware batched read, in input order. Logically identical to
-    /// one [`get_fresh`](Self::get_fresh) per key.
+    /// one [`get_fresh`](Self::get_fresh) per key — same counter bumps,
+    /// same results — but each touched shard's lock is taken once for the
+    /// whole slice instead of once per key.
     fn get_fresh_many(
         &self,
         keys: &[UrlId],
         now_bucket: i64,
         policy: EvictionPolicy,
-    ) -> Vec<FreshRead> {
-        keys.iter()
-            .map(|&k| self.get_fresh(k, now_bucket, policy))
-            .collect()
-    }
+    ) -> Vec<FreshRead>;
 
     /// Versioned batched write. Logically identical to one
-    /// [`put_at`](Self::put_at) per pair in order.
-    fn put_many_at(&self, entries: Vec<(UrlId, Vec<Hint>)>, bucket: i64) {
-        for (k, h) in entries {
-            self.put_at(k, h, bucket);
-        }
-    }
+    /// [`put_at`](Self::put_at) per pair in order — same counters, and
+    /// duplicate keys resolve last-write-wins — with the same batched
+    /// locking as [`get_fresh_many`](Self::get_fresh_many).
+    fn put_many_at(&self, entries: Vec<(UrlId, Vec<Hint>)>, bucket: i64);
 
     /// Physically remove every entry resolved before `min_bucket`,
     /// returning how many were removed. Call sequentially between batches
@@ -273,23 +218,16 @@ pub trait HintStore: Send + Sync {
     /// shrinks the maps.
     fn evict_resolved_before(&self, min_bucket: i64) -> u64;
 
-    /// Per-shard counters, in shard order (a single entry when unsharded).
+    /// Per-shard counters, in shard order.
     fn shard_stats(&self) -> Vec<ShardStats>;
 
     /// Per-shard freshness counters, parallel to
     /// [`shard_stats`](Self::shard_stats).
     fn freshness_stats(&self) -> Vec<FreshnessStats>;
 
-    /// The full contents, merged across shards into one ordered map — the
-    /// canonical form the equivalence proptests compare.
-    fn snapshot(&self) -> BTreeMap<UrlId, Arc<Vec<Hint>>> {
-        self.snapshot_versioned()
-            .into_iter()
-            .map(|(k, (h, _))| (k, h))
-            .collect()
-    }
-
-    /// The full contents with each entry's resolution bucket.
+    /// The full contents with each entry's resolution bucket, merged
+    /// across shards into one ordered map — the canonical form the
+    /// equivalence proptests compare.
     fn snapshot_versioned(&self) -> BTreeMap<UrlId, (Arc<Vec<Hint>>, i64)>;
 
     /// Total live entries across every shard.
@@ -308,109 +246,6 @@ pub trait HintStore: Send + Sync {
 /// unlocking, so a poisoned lock is safe to keep using.
 fn unpoison<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
     r.unwrap_or_else(|e| e.into_inner())
-}
-
-/// The single-lock reference implementation.
-#[derive(Debug, Default)]
-pub struct UnshardedStore {
-    map: Mutex<BTreeMap<UrlId, Entry>>,
-    reads: AtomicU64,
-    hits: AtomicU64,
-    writes: AtomicU64,
-    stale: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl UnshardedStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl HintStore for UnshardedStore {
-    fn get_fresh(&self, key: UrlId, now_bucket: i64, policy: EvictionPolicy) -> FreshRead {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        let (read, hit, stale) = {
-            let map = unpoison(self.map.lock());
-            classify(map.get(&key), now_bucket, policy)
-        };
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if stale {
-            self.stale.fetch_add(1, Ordering::Relaxed);
-        }
-        read
-    }
-
-    fn put_at(&self, key: UrlId, hints: Vec<Hint>, bucket: i64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        unpoison(self.map.lock()).insert(key, (Arc::new(hints), bucket));
-    }
-
-    fn get_fresh_many(
-        &self,
-        keys: &[UrlId],
-        now_bucket: i64,
-        policy: EvictionPolicy,
-    ) -> Vec<FreshRead> {
-        self.reads.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let mut out = Vec::with_capacity(keys.len());
-        let mut hits = 0u64;
-        let mut stale = 0u64;
-        let map = unpoison(self.map.lock());
-        for k in keys {
-            let (read, hit, is_stale) = classify(map.get(k), now_bucket, policy);
-            hits += hit as u64;
-            stale += is_stale as u64;
-            out.push(read);
-        }
-        drop(map);
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.stale.fetch_add(stale, Ordering::Relaxed);
-        out
-    }
-
-    fn put_many_at(&self, entries: Vec<(UrlId, Vec<Hint>)>, bucket: i64) {
-        self.writes
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let mut map = unpoison(self.map.lock());
-        for (k, h) in entries {
-            map.insert(k, (Arc::new(h), bucket));
-        }
-    }
-
-    fn evict_resolved_before(&self, min_bucket: i64) -> u64 {
-        let removed = {
-            let mut map = unpoison(self.map.lock());
-            let before = map.len();
-            map.retain(|_, (_, b)| *b >= min_bucket);
-            (before - map.len()) as u64
-        };
-        self.evictions.fetch_add(removed, Ordering::Relaxed);
-        removed
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        vec![ShardStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            entries: unpoison(self.map.lock()).len() as u64,
-        }]
-    }
-
-    fn freshness_stats(&self) -> Vec<FreshnessStats> {
-        vec![FreshnessStats {
-            stale: self.stale.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }]
-    }
-
-    fn snapshot_versioned(&self) -> BTreeMap<UrlId, Entry> {
-        unpoison(self.map.lock()).clone()
-    }
 }
 
 /// One shard: an independent map plus its logical counters.
@@ -444,40 +279,21 @@ impl ShardedStore {
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
-
-    /// The shard `key` routes to. `UrlId::shard` returns a value < len by
-    /// construction (proven by the routing proptest); the checked lookup
-    /// keeps the serving path panic-free regardless.
-    fn shard_of(&self, key: UrlId) -> Option<&Shard> {
-        self.shards.get(key.shard(self.shards.len()))
-    }
 }
 
+/// The per-key operations are the batched ones over a single key, so the
+/// store has one read path and one write path. Shard indices come from
+/// `UrlId::shard`, which is `< len` by construction (proven by the routing
+/// proptest); the checked lookups keep the serving path panic-free
+/// regardless.
 impl HintStore for ShardedStore {
     fn get_fresh(&self, key: UrlId, now_bucket: i64, policy: EvictionPolicy) -> FreshRead {
-        let Some(shard) = self.shard_of(key) else {
-            return FreshRead::Miss;
-        };
-        shard.reads.fetch_add(1, Ordering::Relaxed);
-        let (read, hit, stale) = {
-            let map = unpoison(shard.map.read());
-            classify(map.get(&key), now_bucket, policy)
-        };
-        if hit {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if stale {
-            shard.stale.fetch_add(1, Ordering::Relaxed);
-        }
-        read
+        let mut read = self.get_fresh_many(&[key], now_bucket, policy);
+        read.pop().unwrap_or(FreshRead::Miss)
     }
 
     fn put_at(&self, key: UrlId, hints: Vec<Hint>, bucket: i64) {
-        let Some(shard) = self.shard_of(key) else {
-            return;
-        };
-        shard.writes.fetch_add(1, Ordering::Relaxed);
-        unpoison(shard.map.write()).insert(key, (Arc::new(hints), bucket));
+        self.put_many_at(vec![(key, hints)], bucket);
     }
 
     fn get_fresh_many(
@@ -611,24 +427,26 @@ mod tests {
         (0..n).map(|i| UrlId::from_index(i as usize)).collect()
     }
 
+    /// An age-blind read at bucket 0.
+    fn get(store: &ShardedStore, key: UrlId) -> Option<Arc<Vec<Hint>>> {
+        store.get_fresh(key, 0, EvictionPolicy::Never).into_hints()
+    }
+
     #[test]
     fn put_get_roundtrip_both_layouts() {
-        let stores: [Box<dyn HintStore>; 2] = [
-            Box::new(UnshardedStore::new()),
-            Box::new(ShardedStore::new(4)),
-        ];
-        for store in stores {
+        // One shard is the single-lock layout; four is the sharded one.
+        for store in [ShardedStore::new(1), ShardedStore::new(4)] {
             let k = UrlId::from_index(3);
-            assert!(store.get(k).is_none());
-            store.put(k, vec![hint(7, 0), hint(8, 2)]);
-            let got = store.get(k).expect("stored entry");
+            assert!(get(&store, k).is_none());
+            store.put_at(k, vec![hint(7, 0), hint(8, 2)], 0);
+            let got = get(&store, k).expect("stored entry");
             assert_eq!(got.len(), 2);
             assert_eq!(got[0], hint(7, 0));
             assert_eq!(store.len(), 1);
             // Replacement keeps one live entry.
-            store.put(k, vec![hint(9, 1)]);
+            store.put_at(k, vec![hint(9, 1)], 0);
             assert_eq!(store.len(), 1);
-            assert_eq!(store.get(k).expect("replaced")[0], hint(9, 1));
+            assert_eq!(get(&store, k).expect("replaced")[0], hint(9, 1));
         }
     }
 
@@ -636,10 +454,10 @@ mod tests {
     fn counters_are_logical_access_counts() {
         let store = ShardedStore::new(8);
         for &k in keys(16).iter() {
-            store.put(k, vec![hint(0, 0)]);
+            store.put_at(k, vec![hint(0, 0)], 0);
         }
         for &k in keys(32).iter() {
-            let _ = store.get(k); // 16 hits, 16 misses
+            let _ = get(&store, k); // 16 hits, 16 misses
         }
         let stats = store.shard_stats();
         assert_eq!(stats.len(), 8);
@@ -648,11 +466,10 @@ mod tests {
         assert_eq!(total(|s| s.reads), 32);
         assert_eq!(total(|s| s.hits), 16);
         assert_eq!(total(|s| s.entries), 16);
-        // The legacy API never classifies anything stale or evicts.
+        // Age-blind reads never classify anything stale or evict.
         let fresh = store.freshness_stats();
         assert_eq!(fresh.len(), 8);
-        assert_eq!(fresh.iter().map(|f| f.stale).sum::<u64>(), 0);
-        assert_eq!(fresh.iter().map(|f| f.evictions).sum::<u64>(), 0);
+        assert_eq!(fresh_total(&store), FreshnessStats::default());
         // Fibonacci routing actually spreads the dense low ids.
         let populated = stats.iter().filter(|s| s.entries > 0).count();
         assert!(populated >= 4, "16 keys landed on only {populated} shards");
@@ -661,21 +478,22 @@ mod tests {
     #[test]
     fn snapshot_merges_shards_into_the_unsharded_view() {
         let sharded = ShardedStore::new(5);
-        let reference = UnshardedStore::new();
+        let single = ShardedStore::new(1);
         for &k in keys(20).iter() {
             let hints = vec![hint(k.index() as u32, (k.index() % 3) as u8)];
-            sharded.put(k, hints.clone());
-            reference.put(k, hints);
+            let bucket = 2000 + k.index() as i64 % 4;
+            sharded.put_at(k, hints.clone(), bucket);
+            single.put_at(k, hints, bucket);
         }
-        assert_eq!(sharded.snapshot(), reference.snapshot());
-        assert_eq!(sharded.snapshot_versioned(), reference.snapshot_versioned());
+        assert_eq!(sharded.snapshot_versioned(), single.snapshot_versioned());
+        assert_eq!(sharded.snapshot_versioned().len(), 20);
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
         let store = ShardedStore::new(0);
         assert_eq!(store.shard_count(), 1);
-        store.put(UrlId::from_index(0), vec![hint(1, 0)]);
+        store.put_at(UrlId::from_index(0), vec![hint(1, 0)], 0);
         assert_eq!(store.len(), 1);
     }
 
@@ -683,18 +501,15 @@ mod tests {
     fn shared_value_is_refcounted_not_copied() {
         let store = ShardedStore::new(2);
         let k = UrlId::from_index(1);
-        store.put(k, vec![hint(2, 0)]);
-        let a = store.get(k).expect("entry");
-        let b = store.get(k).expect("entry");
+        store.put_at(k, vec![hint(2, 0)], 0);
+        let a = get(&store, k).expect("entry");
+        let b = get(&store, k).expect("entry");
         assert!(Arc::ptr_eq(&a, &b), "readers share one allocation");
     }
 
     #[test]
     fn ttl_classifies_by_age_and_never_ignores_it() {
-        for store in [
-            Box::new(UnshardedStore::new()) as Box<dyn HintStore>,
-            Box::new(ShardedStore::new(4)),
-        ] {
+        for store in [ShardedStore::new(1), ShardedStore::new(4)] {
             let k = UrlId::from_index(5);
             store.put_at(k, vec![hint(1, 0)], 2000);
             // Within the window: fresh, with the age reported.
@@ -713,24 +528,20 @@ mod tests {
                 other => panic!("expected fresh, got {other:?}"),
             }
             let stats = store.shard_stats();
-            let fresh = store.freshness_stats();
             assert_eq!(stats.iter().map(|s| s.reads).sum::<u64>(), 3);
             assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), 2);
-            assert_eq!(fresh.iter().map(|f| f.stale).sum::<u64>(), 1);
+            assert_eq!(fresh_total(&store).stale, 1);
             // Logical eviction does not shrink the map; the sweep does.
             assert_eq!(store.len(), 1);
             assert_eq!(store.evict_resolved_before(2001), 1);
             assert_eq!(store.len(), 0);
-            assert_eq!(fresh_total(&*store).evictions, 1);
+            assert_eq!(fresh_total(&store).evictions, 1);
         }
     }
 
     #[test]
     fn refresh_on_miss_serves_stale_and_flags_it() {
-        for store in [
-            Box::new(UnshardedStore::new()) as Box<dyn HintStore>,
-            Box::new(ShardedStore::new(4)),
-        ] {
+        for store in [ShardedStore::new(1), ShardedStore::new(4)] {
             let k = UrlId::from_index(9);
             store.put_at(k, vec![hint(3, 1)], 100);
             let read = store.get_fresh(k, 105, EvictionPolicy::RefreshOnMiss(2));
@@ -745,7 +556,7 @@ mod tests {
             // Stale serves still count as hits — the load got its hints.
             let stats = store.shard_stats();
             assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), 1);
-            assert_eq!(fresh_total(&*store).stale, 1);
+            assert_eq!(fresh_total(&store).stale, 1);
             // Re-resolving at the current bucket makes it fresh again.
             store.put_at(k, vec![hint(4, 0)], 105);
             assert!(!store
@@ -773,34 +584,37 @@ mod tests {
 
     #[test]
     fn batched_fresh_reads_match_per_key_reads() {
-        let sharded = ShardedStore::new(4);
-        let reference = UnshardedStore::new();
-        for (i, &k) in keys(12).iter().enumerate() {
-            sharded.put_at(k, vec![hint(i as u32, 0)], 2000 + i as i64 % 3);
-            reference.put_at(k, vec![hint(i as u32, 0)], 2000 + i as i64 % 3);
+        let batched = ShardedStore::new(4);
+        let per_key = ShardedStore::new(4);
+        let entries: Vec<(UrlId, Vec<Hint>)> = keys(12)
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (k, vec![hint(i as u32, 0)]))
+            .collect();
+        for (k, h) in entries.clone() {
+            per_key.put_at(k, h, 2001);
         }
+        batched.put_many_at(entries, 2001);
+        assert_eq!(batched.snapshot_versioned(), per_key.snapshot_versioned());
         let probe = keys(16);
-        for policy in [
-            EvictionPolicy::Never,
-            EvictionPolicy::Ttl(1),
-            EvictionPolicy::RefreshOnMiss(1),
+        for (now, policy) in [
+            (2001, EvictionPolicy::Never),
+            (2003, EvictionPolicy::Ttl(1)),
+            (2003, EvictionPolicy::RefreshOnMiss(1)),
         ] {
-            let a = sharded.get_fresh_many(&probe, 2002, policy);
-            let b = reference.get_fresh_many(&probe, 2002, policy);
-            let c: Vec<FreshRead> = probe
+            let a = batched.get_fresh_many(&probe, now, policy);
+            let b: Vec<FreshRead> = probe
                 .iter()
-                .map(|&k| reference.get_fresh(k, 2002, policy))
+                .map(|&k| per_key.get_fresh(k, now, policy))
                 .collect();
             assert_eq!(a, b);
-            assert_eq!(b, c);
         }
-        assert_eq!(
-            fresh_total(&sharded).stale,
-            fresh_total(&reference).stale / 2
-        );
+        assert_eq!(batched.shard_stats(), per_key.shard_stats());
+        assert_eq!(batched.freshness_stats(), per_key.freshness_stats());
+        assert_eq!(fresh_total(&batched).stale, 24);
     }
 
-    fn fresh_total(store: &dyn HintStore) -> FreshnessStats {
+    fn fresh_total(store: &ShardedStore) -> FreshnessStats {
         store
             .freshness_stats()
             .iter()

@@ -11,7 +11,8 @@ use crate::stats::Cdf;
 use vroom_browser::BrowserEngine;
 use vroom_net::NetworkProfile;
 use vroom_pages::{Corpus, LoadContext};
-use vroom_server::resolve::{resolve, ResolverInput, Strategy};
+use vroom_server::accuracy::evaluate_with;
+use vroom_server::resolve::{ResolverInput, Strategy};
 use vroom_sim::SimDuration;
 
 /// Median PLT of a system over a (capped) News+Sports corpus on a profile.
@@ -21,21 +22,11 @@ fn median_plt(
     profile: &NetworkProfile,
     system: System,
 ) -> f64 {
-    let n = cfg.max_sites.unwrap_or(corpus.len()).min(corpus.len());
-    let values: Vec<f64> = corpus.sites[..n]
-        .iter()
-        .enumerate()
-        .map(|(i, site)| {
-            let ctx = LoadContext {
-                hours: cfg.ctx.hours + i as f64 * 0.01,
-                nonce: cfg.ctx.nonce ^ (i as u64) << 8,
-                ..cfg.ctx
-            };
-            run_load(site, &ctx, profile, system, cfg.server_seed)
-                .plt
-                .as_secs_f64()
-        })
-        .collect();
+    let values = cfg.for_each_site(corpus, |i, site| {
+        run_load(site, &cfg.site_ctx(i), profile, system, cfg.server_seed)
+            .plt
+            .as_secs_f64()
+    });
     Cdf::new(values).median()
 }
 
@@ -89,7 +80,6 @@ pub fn ablation_rtt(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, String) {
 /// the bottleneck.
 pub fn ablation_cpu(cfg: &ExperimentConfig) -> (Vec<(f64, f64, f64)>, String) {
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let n = cfg.max_sites.unwrap_or(ns.len()).min(ns.len());
     let mut rows = Vec::new();
     let mut table = String::from(
         "# Ablation: Vroom vs HTTP/2 across device CPU speeds (1.0 = Nexus-6-class)\n",
@@ -99,24 +89,24 @@ pub fn ablation_cpu(cfg: &ExperimentConfig) -> (Vec<(f64, f64, f64)>, String) {
         "slowdown", "HTTP/2 s", "Vroom s", "gain"
     ));
     for factor in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let mut h2v = Vec::new();
-        let mut vrv = Vec::new();
-        for (i, site) in ns.sites[..n].iter().enumerate() {
-            let ctx = LoadContext {
-                hours: cfg.ctx.hours + i as f64 * 0.01,
-                ..cfg.ctx
-            };
-            let page = site.snapshot(&ctx);
-            for (system, acc) in [(System::Http2, &mut h2v), (System::Vroom, &mut vrv)] {
-                let mut lc = build_config(system, site, &page, &ctx, cfg.server_seed);
-                lc.cpu_factor = factor;
-                acc.push(
+        let (h2v, vrv): (Vec<f64>, Vec<f64>) = cfg
+            .for_each_site(&ns, |i, site| {
+                let ctx = LoadContext {
+                    hours: cfg.ctx.hours + i as f64 * 0.01,
+                    ..cfg.ctx
+                };
+                let page = site.snapshot(&ctx);
+                let plt = |system| {
+                    let mut lc = build_config(system, site, &page, &ctx, cfg.server_seed);
+                    lc.cpu_factor = factor;
                     BrowserEngine::load(&page, &cfg.profile, &lc)
                         .plt
-                        .as_secs_f64(),
-                );
-            }
-        }
+                        .as_secs_f64()
+                };
+                (plt(System::Http2), plt(System::Vroom))
+            })
+            .into_iter()
+            .unzip();
         let h2 = Cdf::new(h2v).median();
         let vr = Cdf::new(vrv).median();
         table.push_str(&format!(
@@ -155,30 +145,11 @@ pub fn ablation_history_window(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)
                 user_id: 100 + (i as u64 % 4) * 101,
                 ..cfg.ctx
             };
-            let load_a = site.snapshot(&ctx);
-            let load_b = site.snapshot(&ctx.back_to_back(ctx.nonce ^ 0xB2B));
-            let scope = |p: &vroom_pages::Page| -> std::collections::BTreeSet<vroom_html::Url> {
-                p.resources
-                    .iter()
-                    .filter(|r| r.id != 0 && r.iframe_root.is_none())
-                    .map(|r| r.url.clone())
-                    .collect()
-            };
-            let sa = scope(&load_a);
-            let sb = scope(&load_b);
-            let predictable: std::collections::BTreeSet<_> = sa.intersection(&sb).collect();
             let mut input = ResolverInput::new(site, ctx.hours, ctx.device, cfg.server_seed);
             input.crawl_offsets = window.to_vec();
-            let mut urls = vroom_intern::UrlTable::new();
-            let deps = resolve(&input, &load_a, Strategy::Vroom, &mut urls);
-            let html_id = urls.lookup(&load_a.url).expect("root html url interned");
-            let server: std::collections::BTreeSet<_> = deps.hints[&html_id]
-                .iter()
-                .map(|h| urls.get(h.url).clone())
-                .collect();
-            let denom = predictable.len().max(1) as f64;
-            fns.push(predictable.iter().filter(|u| !server.contains(**u)).count() as f64 / denom);
-            fps.push(server.iter().filter(|u| !predictable.contains(u)).count() as f64 / denom);
+            let acc = evaluate_with(&input, &ctx, None, Strategy::Vroom);
+            fns.push(acc.false_negative);
+            fps.push(acc.false_positive);
         }
         let (mfn, mfp) = (Cdf::new(fns).median(), Cdf::new(fps).median());
         table.push_str(&format!(

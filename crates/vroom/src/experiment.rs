@@ -67,7 +67,7 @@ impl ExperimentConfig {
 
     /// Per-site load context (each site is measured at a slightly different
     /// wall-clock minute, like a real crawl).
-    fn site_ctx(&self, i: usize) -> LoadContext {
+    pub(crate) fn site_ctx(&self, i: usize) -> LoadContext {
         LoadContext {
             hours: self.ctx.hours + (i as f64) * 0.01,
             nonce: self.ctx.nonce ^ (i as u64) << 8,
@@ -78,7 +78,7 @@ impl ExperimentConfig {
     /// The shared site map every figure runner goes through: evaluate `f`
     /// on each configured site of `corpus`, across `self.workers` threads,
     /// returning results in site order regardless of completion order.
-    fn for_each_site<T: Send>(
+    pub(crate) fn for_each_site<T: Send>(
         &self,
         corpus: &Corpus,
         f: impl Fn(usize, &PageGenerator) -> T + Sync,
@@ -915,6 +915,16 @@ pub const RUN_ALL_SECTIONS: [&str; 18] = [
     "fig16", "fig17", "fig18", "fig19", "fig20", "fig21", "incr", "t100",
 ];
 
+/// The ablation sweeps (DESIGN.md §5): runnable by id through
+/// [`run_sections`], but not part of the full report.
+pub const ABLATION_SECTIONS: [&str; 5] = [
+    "ablation_bandwidth",
+    "ablation_rtt",
+    "ablation_cpu",
+    "ablation_history",
+    "ablation_hybrid",
+];
+
 /// One section's rendered table.
 fn run_section(cfg: &ExperimentConfig, id: &str) -> String {
     match id {
@@ -936,20 +946,31 @@ fn run_section(cfg: &ExperimentConfig, id: &str) -> String {
         "fig21" => fig21(cfg).1,
         "incr" => incremental_deployment(cfg).3,
         "t100" => top400_sample(cfg).2,
+        "ablation_bandwidth" => crate::ablation::ablation_bandwidth(cfg).1,
+        "ablation_rtt" => crate::ablation::ablation_rtt(cfg).1,
+        "ablation_cpu" => crate::ablation::ablation_cpu(cfg).1,
+        "ablation_history" => crate::ablation::ablation_history_window(cfg).1,
+        "ablation_hybrid" => crate::ablation::ablation_hybrid(cfg).3,
         other => format!("unknown section {other}\n"),
     }
 }
 
 /// Every table and figure in one string — the contents of
-/// `results/run_all.txt`. Independent sections are evaluated concurrently
-/// through the same pool as the per-site maps (each section additionally
-/// parallelizes across its own sites), and concatenated in presentation
-/// order, so the report is byte-identical for every worker count.
+/// `results/run_all.txt`.
 pub fn run_all_report(cfg: &ExperimentConfig) -> String {
-    let tables =
-        vroom_exec::par_map_indexed(&RUN_ALL_SECTIONS, cfg.workers, |_, id| run_section(cfg, id));
+    run_sections(cfg, &RUN_ALL_SECTIONS)
+}
+
+/// The sections `ids` (from [`RUN_ALL_SECTIONS`] and
+/// [`ABLATION_SECTIONS`]), each framed by a `==== id ====` line, in the
+/// order given. Independent sections are evaluated concurrently through the
+/// same executor as the per-site maps (each section additionally
+/// parallelizes across its own sites) and concatenated in input order, so
+/// the output is byte-identical for every worker count.
+pub fn run_sections(cfg: &ExperimentConfig, ids: &[&str]) -> String {
+    let tables = vroom_exec::par_map_indexed(ids, cfg.workers, |_, id| run_section(cfg, id));
     let mut out = String::new();
-    for (id, table) in RUN_ALL_SECTIONS.iter().zip(tables) {
+    for (id, table) in ids.iter().zip(tables) {
         out.push_str(&format!("==== {id} ====\n{table}\n"));
     }
     out

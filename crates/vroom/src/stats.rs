@@ -1,5 +1,5 @@
 //! Distribution helpers for per-site metrics: CDFs, percentiles, and plain
-//! text rendering for the figure binaries.
+//! text rendering for the `run_all` report sections.
 
 use std::fmt;
 

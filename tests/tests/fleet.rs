@@ -1,21 +1,21 @@
 //! Fleet determinism tier: the fleet-scale serving simulation — shared
 //! sharded hint store, batched resolver passes, parallel client loads — is
 //! byte-identical at any worker count and across repeated runs, and the
-//! sharded store is observationally equal to the single-lock reference for
-//! arbitrary operation sequences.
+//! sharded store agrees with a plain ordered-map model of its specification
+//! for arbitrary operation sequences at every shard count.
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use vroom_browser::config::Hint;
-use vroom_fleet::{
-    run_fleet, run_fleet_unpipelined, run_freshness, FleetConfig, FleetFaults, FleetRun,
-    FreshnessConfig,
-};
+use vroom_fleet::{run_fleet, run_freshness, FleetConfig, FleetRun, FreshnessConfig};
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::json::Value;
-use vroom_server::store::{EvictionPolicy, FreshRead, HintStore, ShardedStore, UnshardedStore};
+use vroom_server::store::{EvictionPolicy, FreshRead, HintStore, ShardedStore};
 
 /// The two byte-comparable projections of a run: the text report and the
 /// deterministic metrics tree of `BENCH_fleet.json` (timings excluded by
@@ -243,60 +243,6 @@ fn legacy_fleet_metrics_match_the_committed_bench_baseline() {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined execution == unpipelined reference
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The pipelined fleet — persistent pool, per-worker scratch reuse,
-    /// batch k+1's resolver passes overlapped with batch k's loads — is
-    /// byte-identical to the two-fan-outs-per-batch reference at every
-    /// worker count, with and without fault injection, under every
-    /// eviction policy.
-    #[test]
-    fn pipelined_fleet_equals_unpipelined_reference(
-        clients in 1usize..=50,
-        sites in 1usize..=4,
-        seed in any::<u64>(),
-        policy_sel in 0u8..3,
-        faulted in any::<bool>(),
-        fault_seed in any::<u64>(),
-        fault_one_in in 1u64..4,
-    ) {
-        let mut cfg = FleetConfig::quick(clients, sites);
-        cfg.seed = seed;
-        cfg.policy = policy_of(policy_sel);
-        if cfg.policy != EvictionPolicy::Never {
-            cfg.span_hours = 3;
-            cfg.learn_from_loads = true;
-        }
-        cfg.faults = faulted.then_some(FleetFaults {
-            seed: fault_seed,
-            severity: 0.7,
-            one_in: fault_one_in,
-        });
-        for workers in [1usize, 2, 8] {
-            cfg.workers = workers;
-            let pipelined = run_fleet(&cfg);
-            let reference = run_fleet_unpipelined(&cfg);
-            prop_assert_eq!(
-                fingerprints(&pipelined),
-                fingerprints(&reference),
-                "report diverged at workers={}",
-                workers
-            );
-            prop_assert_eq!(
-                &pipelined.outcomes,
-                &reference.outcomes,
-                "outcomes diverged at workers={}",
-                workers
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Freshness sweep (speedup vs hint age)
 // ---------------------------------------------------------------------------
 
@@ -381,40 +327,6 @@ fn speedup_decays_with_age_and_ttl_beats_never_past_the_ttl() {
 // Sharded hint store properties
 // ---------------------------------------------------------------------------
 
-/// One store operation: `put` with a derived hint list, or `get`.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Put { key: u32, tier: u8, hints: u8 },
-    Get { key: u32 },
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u32..64, 0u8..3, 0u8..6).prop_map(|(key, tier, hints)| Op::Put { key, tier, hints }),
-        (0u32..96).prop_map(|key| Op::Get { key }),
-    ]
-}
-
-fn apply(ops: &[Op], store: &dyn HintStore) {
-    for op in ops {
-        match *op {
-            Op::Put { key, tier, hints } => store.put(
-                UrlId::from_index(key as usize),
-                (0..hints)
-                    .map(|i| Hint {
-                        url: UrlId::from_index((key + u32::from(i) + 1) as usize),
-                        tier,
-                        size_hint: u64::from(key) * 100 + u64::from(i),
-                    })
-                    .collect(),
-            ),
-            Op::Get { key } => {
-                let _ = store.get(UrlId::from_index(key as usize));
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -439,31 +351,6 @@ proptest! {
             }
             routed.push((id, shard));
         }
-    }
-
-    /// For an arbitrary operation sequence, the sharded store's merged
-    /// contents equal the single-lock reference exactly, and the logical
-    /// counter totals match — sharding changes layout, never semantics.
-    #[test]
-    fn sharded_store_equals_unsharded_reference(
-        ops in proptest::collection::vec(arb_op(), 0..120),
-        shards in 1usize..24,
-    ) {
-        let sharded = ShardedStore::new(shards);
-        let reference = UnshardedStore::new();
-        apply(&ops, &sharded);
-        apply(&ops, &reference);
-        prop_assert_eq!(sharded.snapshot(), reference.snapshot());
-        prop_assert_eq!(sharded.len(), reference.len());
-        let totals = |stats: &[vroom_server::store::ShardStats]| {
-            stats.iter().fold((0u64, 0u64, 0u64), |(r, h, w), s| {
-                (r + s.reads, h + s.hits, w + s.writes)
-            })
-        };
-        prop_assert_eq!(
-            totals(&sharded.shard_stats()),
-            totals(&reference.shard_stats())
-        );
     }
 }
 
@@ -522,116 +409,112 @@ fn policy_of(sel: u8) -> EvictionPolicy {
     }
 }
 
-/// Apply the sequence, returning every read's classification so the two
-/// stores can be compared observation-by-observation, not just end-state.
-fn apply_versioned(ops: &[VersionedOp], store: &dyn HintStore) -> Vec<FreshRead> {
-    let mut reads = Vec::new();
-    for op in ops {
-        match *op {
-            VersionedOp::PutAt {
-                key,
-                tier,
-                hints,
-                bucket,
-            } => store.put_at(
-                UrlId::from_index(key as usize),
-                (0..hints)
-                    .map(|i| Hint {
-                        url: UrlId::from_index((key + u32::from(i) + 1) as usize),
-                        tier,
-                        size_hint: u64::from(key) * 100 + u64::from(i),
-                    })
-                    .collect(),
-                bucket,
-            ),
-            VersionedOp::GetFresh { key, now, policy } => {
-                reads.push(store.get_fresh(
-                    UrlId::from_index(key as usize),
-                    now,
-                    policy_of(policy),
-                ));
-            }
-            VersionedOp::Evict { min_bucket } => {
-                let _ = store.evict_resolved_before(min_bucket);
-            }
-        }
+/// The store's specification: one ordered map of `(hints, bucket)` and the
+/// five logical counters, with the eviction rules written out directly.
+#[derive(Default)]
+struct ModelStore {
+    map: BTreeMap<UrlId, (Arc<Vec<Hint>>, i64)>,
+    reads: u64,
+    hits: u64,
+    writes: u64,
+    stale: u64,
+    evictions: u64,
+}
+
+impl ModelStore {
+    fn put_at(&mut self, key: UrlId, hints: Vec<Hint>, bucket: i64) {
+        self.writes += 1;
+        self.map.insert(key, (Arc::new(hints), bucket));
     }
-    reads
+
+    fn get_fresh(&mut self, key: UrlId, now: i64, policy: EvictionPolicy) -> FreshRead {
+        self.reads += 1;
+        let Some((hints, bucket)) = self.map.get(&key) else {
+            return FreshRead::Miss;
+        };
+        let (hints, age_hours) = (Arc::clone(hints), (now - bucket).max(0) as u64);
+        let read = match policy {
+            EvictionPolicy::Ttl(h) if age_hours > h => {
+                self.stale += 1;
+                return FreshRead::Miss;
+            }
+            EvictionPolicy::RefreshOnMiss(h) if age_hours > h => {
+                self.stale += 1;
+                FreshRead::Stale { hints, age_hours }
+            }
+            _ => FreshRead::Fresh { hints, age_hours },
+        };
+        self.hits += 1;
+        read
+    }
+
+    fn evict_resolved_before(&mut self, min_bucket: i64) {
+        let before = self.map.len();
+        self.map.retain(|_, (_, b)| *b >= min_bucket);
+        self.evictions += (before - self.map.len()) as u64;
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// For arbitrary versioned operation sequences under every eviction
-    /// policy, the sharded store and the single-lock reference agree on
-    /// every read classification, the versioned contents, the logical
-    /// counters, and the freshness counters.
+    /// policy, the sharded store at any shard count agrees with the model
+    /// on every read as it happens, on the versioned contents, and on the
+    /// read/hit/write/stale/eviction totals.
     #[test]
     fn versioned_sharded_store_equals_unsharded_reference(
         ops in proptest::collection::vec(arb_versioned_op(), 0..120),
         shards in 1usize..24,
     ) {
-        let sharded = ShardedStore::new(shards);
-        let reference = UnshardedStore::new();
-        let reads_s = apply_versioned(&ops, &sharded);
-        let reads_u = apply_versioned(&ops, &reference);
-        prop_assert_eq!(reads_s, reads_u, "read-by-read classification");
-        prop_assert_eq!(sharded.snapshot_versioned(), reference.snapshot_versioned());
-        prop_assert_eq!(sharded.len(), reference.len());
-        let totals = |stats: &[vroom_server::store::ShardStats]| {
-            stats.iter().fold((0u64, 0u64, 0u64), |(r, h, w), s| {
-                (r + s.reads, h + s.hits, w + s.writes)
-            })
-        };
-        prop_assert_eq!(
-            totals(&sharded.shard_stats()),
-            totals(&reference.shard_stats())
-        );
-        let fresh_totals = |stats: &[vroom_server::store::FreshnessStats]| {
-            stats.iter().fold((0u64, 0u64), |(s, e), f| {
-                (s + f.stale, e + f.evictions)
-            })
-        };
-        prop_assert_eq!(
-            fresh_totals(&sharded.freshness_stats()),
-            fresh_totals(&reference.freshness_stats())
-        );
-    }
-
-    /// The legacy API is the versioned API at bucket 0 under `Never`: for
-    /// any op sequence, a store driven through `put`/`get` equals one
-    /// driven through `put_at(.., 0)`/`get_fresh(.., 0, Never)`.
-    #[test]
-    fn legacy_api_is_versioned_api_at_bucket_zero(
-        ops in proptest::collection::vec(arb_op(), 0..80),
-    ) {
-        let legacy = ShardedStore::new(8);
-        let versioned = ShardedStore::new(8);
-        apply(&ops, &legacy);
+        let store = ShardedStore::new(shards);
+        let mut model = ModelStore::default();
         for op in &ops {
             match *op {
-                Op::Put { key, tier, hints } => versioned.put_at(
-                    UrlId::from_index(key as usize),
-                    (0..hints)
+                VersionedOp::PutAt { key, tier, hints, bucket } => {
+                    let key = UrlId::from_index(key as usize);
+                    let hints: Vec<Hint> = (0..hints)
                         .map(|i| Hint {
-                            url: UrlId::from_index((key + u32::from(i) + 1) as usize),
+                            url: UrlId::from_index(key.index() + usize::from(i) + 1),
                             tier,
-                            size_hint: u64::from(key) * 100 + u64::from(i),
+                            size_hint: key.index() as u64 * 100 + u64::from(i),
                         })
-                        .collect(),
-                    0,
-                ),
-                Op::Get { key } => {
-                    let _ = versioned.get_fresh(
-                        UrlId::from_index(key as usize),
-                        0,
-                        EvictionPolicy::Never,
+                        .collect();
+                    store.put_at(key, hints.clone(), bucket);
+                    model.put_at(key, hints, bucket);
+                }
+                VersionedOp::GetFresh { key, now, policy } => {
+                    let key = UrlId::from_index(key as usize);
+                    let policy = policy_of(policy);
+                    prop_assert_eq!(
+                        store.get_fresh(key, now, policy),
+                        model.get_fresh(key, now, policy),
+                        "read of {:?} at {} under {:?}",
+                        key,
+                        now,
+                        policy
                     );
+                }
+                VersionedOp::Evict { min_bucket } => {
+                    store.evict_resolved_before(min_bucket);
+                    model.evict_resolved_before(min_bucket);
                 }
             }
         }
-        prop_assert_eq!(legacy.snapshot_versioned(), versioned.snapshot_versioned());
-        prop_assert_eq!(legacy.shard_stats(), versioned.shard_stats());
-        prop_assert_eq!(legacy.freshness_stats(), versioned.freshness_stats());
+        prop_assert_eq!(store.snapshot_versioned(), model.map.clone());
+        prop_assert_eq!(store.len(), model.map.len());
+        let stats = store.shard_stats();
+        let fresh = store.freshness_stats();
+        let sum = |f: &dyn Fn(usize) -> u64| (0..stats.len()).map(f).sum::<u64>();
+        prop_assert_eq!(
+            (
+                sum(&|i| stats[i].reads),
+                sum(&|i| stats[i].hits),
+                sum(&|i| stats[i].writes),
+                sum(&|i| fresh[i].stale),
+                sum(&|i| fresh[i].evictions),
+            ),
+            (model.reads, model.hits, model.writes, model.stale, model.evictions)
+        );
     }
 }
