@@ -11,7 +11,7 @@
 use crate::error::{ConnectionError, ErrorCode};
 use crate::frame::{self, Frame, FrameCodec, PrioritySpec};
 use crate::headers::{Request, Response};
-use crate::settings::Settings;
+use crate::settings::{Settings, DEFAULT_INITIAL_WINDOW_SIZE};
 use crate::stream::{Stream, StreamState};
 use bytes::{Bytes, BytesMut};
 use std::collections::{HashMap, VecDeque};
@@ -157,8 +157,10 @@ impl Connection {
             streams: HashMap::new(),
             next_local_stream: if role == Role::Client { 1 } else { 2 },
             highest_peer_stream: 0,
-            conn_send: crate::flow::FlowWindow::new(crate::settings::DEFAULT_INITIAL_WINDOW_SIZE),
-            conn_recv: crate::flow::FlowWindow::new(crate::settings::DEFAULT_INITIAL_WINDOW_SIZE),
+            conn_send: crate::flow::FlowWindow::new(DEFAULT_INITIAL_WINDOW_SIZE),
+            conn_recv: crate::flow::FlowWindow::new(
+                local.initial_window_size.max(DEFAULT_INITIAL_WINDOW_SIZE),
+            ),
             events: VecDeque::new(),
             preface_remaining: 0,
             cont: None,
@@ -171,12 +173,28 @@ impl Connection {
         }
     }
 
+    /// Queue our SETTINGS, then the stream-0 WINDOW_UPDATE that opens the
+    /// connection window to match the announced stream window. No setting
+    /// can raise the connection window past the RFC's 65,535 bytes
+    /// (§6.9.2), so without the update every stream would share 64 KiB of
+    /// credit however large its own window.
     fn queue_settings(&mut self) {
         Frame::Settings {
             ack: false,
             entries: self.local.to_entries(),
         }
         .encode(&mut self.out);
+        let increment = self
+            .local
+            .initial_window_size
+            .saturating_sub(DEFAULT_INITIAL_WINDOW_SIZE);
+        if increment > 0 {
+            Frame::WindowUpdate {
+                stream_id: 0,
+                increment,
+            }
+            .encode(&mut self.out);
+        }
     }
 
     /// Our announced settings.

@@ -229,6 +229,78 @@ fn flow_control_blocks_and_window_update_releases() {
 }
 
 #[test]
+fn vroom_client_opens_the_connection_window() {
+    let (mut client, mut server) = handshake();
+    drain(&mut client);
+    drain(&mut server);
+
+    let sid = client
+        .send_request(&Request::get("a.com", "/big"), true)
+        .unwrap();
+    pump(&mut client, &mut server);
+    drain(&mut server);
+    assert!(
+        server.send_capacity(sid) > 65_535,
+        "credit is not capped by the RFC's initial connection window"
+    );
+
+    // A 1 MiB body goes out in one call: no WINDOW_UPDATE round trip.
+    server.send_response(sid, &Response::ok(), false).unwrap();
+    let body = vec![0x5au8; 1 << 20];
+    assert_eq!(server.send_data(sid, &body, true).unwrap(), body.len());
+    pump(&mut client, &mut server);
+    let got: usize = drain(&mut client)
+        .iter()
+        .filter_map(|e| match e {
+            Event::Data { data, .. } => Some(data.len()),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(got, body.len());
+    assert_eq!(client.stream_state(sid), Some(StreamState::Closed));
+}
+
+#[test]
+fn default_window_clients_send_no_connection_window_update() {
+    // Preface, then an empty SETTINGS frame.
+    let mut default_bytes = PREFACE.to_vec();
+    default_bytes.extend_from_slice(&[0, 0, 0, 0x4, 0, 0, 0, 0, 0]);
+    assert_eq!(
+        Connection::client(Settings::default()).take_output(),
+        default_bytes
+    );
+
+    // Preface, then SETTINGS carrying INITIAL_WINDOW_SIZE = 100.
+    let small = Settings {
+        initial_window_size: 100,
+        ..Settings::default()
+    };
+    let mut small_bytes = PREFACE.to_vec();
+    small_bytes.extend_from_slice(&[0, 0, 6, 0x4, 0, 0, 0, 0, 0, 0, 0x4, 0, 0, 0, 100]);
+    assert_eq!(Connection::client(small).take_output(), small_bytes);
+}
+
+#[test]
+fn roomy_window_client_follows_settings_with_one_connection_update() {
+    let settings = Settings::vroom_client();
+    let mut expected = bytes::BytesMut::from(PREFACE);
+    Frame::Settings {
+        ack: false,
+        entries: settings.to_entries(),
+    }
+    .encode(&mut expected);
+    Frame::WindowUpdate {
+        stream_id: 0,
+        increment: settings.initial_window_size - 65_535,
+    }
+    .encode(&mut expected);
+    assert_eq!(
+        Connection::client(settings).take_output(),
+        expected.freeze()
+    );
+}
+
+#[test]
 fn large_header_block_splits_into_continuation() {
     let (mut client, mut server) = handshake();
     drain(&mut client);

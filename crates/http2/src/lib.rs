@@ -9,7 +9,11 @@
 //!
 //! * the complete frame codec — all ten frame types, padding, priority
 //!   fields, size validation ([`frame`]),
-//! * connection and stream flow control with signed windows ([`flow`]),
+//! * connection and stream flow control with signed windows ([`flow`]);
+//!   a connection's receive window starts equal to its local initial
+//!   stream window (never below the RFC's 65,535), opened by a stream-0
+//!   WINDOW_UPDATE queued right after SETTINGS, so a large stream window
+//!   is not capped by a 64 KiB connection window shared by every stream,
 //! * typed settings ([`settings`]),
 //! * the per-stream state machine ([`stream`]),
 //! * a sans-IO [`Connection`] that pairs a byte-in/byte-out interface with

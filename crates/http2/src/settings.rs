@@ -60,6 +60,11 @@ impl Default for Settings {
 impl Settings {
     /// Settings suitable for a Vroom client: push enabled, roomy windows so
     /// that the access link (not flow control) is the bottleneck.
+    ///
+    /// Both windows are opened to 2^31 − 1: the stream window by the
+    /// `INITIAL_WINDOW_SIZE` entry, and the connection window by the
+    /// stream-0 WINDOW_UPDATE that [`Connection`](crate::Connection) queues
+    /// after SETTINGS whenever the initial window exceeds 65,535.
     pub fn vroom_client() -> Self {
         Settings {
             enable_push: true,

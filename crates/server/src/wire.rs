@@ -25,7 +25,8 @@ use vroom_net::{ReplayStore, RetryBudget};
 
 /// Injectable wall clock for the wire path's timeout logic.
 ///
-/// The real-wire server genuinely measures socket idle time, but routing
+/// The real-wire server genuinely measures socket idle time and how long
+/// a stream has waited for flow-control credit, but routing
 /// every read through this trait keeps the workspace's wall-clock ban
 /// auditable: exactly one implementation touches `Instant`, and tests can
 /// substitute a fake clock to exercise timeouts without sleeping.
@@ -110,33 +111,31 @@ impl WireServer {
     }
 
     /// Bind a loopback port and serve `site` until stopped, timing idleness
-    /// with an injected clock.
+    /// and blocked streams with an injected clock.
     pub fn start_with_clock(
         site: WireSite,
         clock: Arc<dyn WireClock>,
     ) -> std::io::Result<WireServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();
         let handle = std::thread::spawn(move || {
             let mut workers = Vec::new();
-            while !flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let site = site.clone();
-                        let flag = flag.clone();
-                        let clock = clock.clone();
-                        workers.push(std::thread::spawn(move || {
-                            let _ = serve_connection(stream, site, flag, clock);
-                        }));
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            // Blocks in accept; shutdown wakes it with a self-connect.
+            for stream in listener.incoming() {
+                if flag.load(Ordering::Relaxed) {
+                    break;
                 }
+                let Ok(stream) = stream else {
+                    break;
+                };
+                let site = site.clone();
+                let flag = flag.clone();
+                let clock = clock.clone();
+                workers.push(std::thread::spawn(move || {
+                    let _ = serve_connection(stream, site, flag, clock);
+                }));
             }
             for w in workers {
                 let _ = w.join();
@@ -154,18 +153,20 @@ impl WireServer {
         self.addr
     }
 
-    /// Stop accepting and join the accept loop.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    /// Stop accepting, then join the accept loop and every connection
+    /// thread. Dropping the server does the same.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for WireServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        // Wake the blocked accept. A failed connect means the accept loop
+        // has already exited, or that its backlog is full and its next
+        // accept returns at once; either way the join below returns.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -177,11 +178,9 @@ impl Drop for WireServer {
 struct PendingBody {
     data: SharedBytes,
     offset: usize,
-    /// Consecutive zero-progress send attempts, charged against the
-    /// connection's retry budget.
-    stalls: u32,
-    /// Earliest time the next attempt may run (capped exponential backoff).
-    next_attempt: Duration,
+    /// When the stream's credit last fell to zero; `None` while it has
+    /// credit.
+    blocked_since: Option<Duration>,
 }
 
 impl PendingBody {
@@ -189,8 +188,7 @@ impl PendingBody {
         PendingBody {
             data,
             offset,
-            stalls: 0,
-            next_attempt: Duration::ZERO,
+            blocked_since: None,
         }
     }
 }
@@ -201,29 +199,47 @@ fn serve_connection(
     shutdown: Arc<AtomicBool>,
     clock: Arc<dyn WireClock>,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(20)))?;
+    let poll = Duration::from_millis(20);
+    stream.set_read_timeout(Some(poll))?;
+    // Writes time out like reads, so a peer that stops reading holds
+    // neither this loop nor the join in `WireServer::stop`.
+    stream.set_write_timeout(Some(poll))?;
     stream.set_nodelay(true)?;
+    let timed_out = |e: &std::io::Error| {
+        matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        )
+    };
     let mut conn = Connection::server(Settings::default());
     let retry = RetryBudget::standard();
     let mut pending: BTreeMap<u32, PendingBody> = BTreeMap::new();
+    // Output the socket has not taken yet; it goes out before newer frames.
+    let mut unsent = conn.take_output();
     let mut buf = [0u8; 16 * 1024];
     let idle_limit = Duration::from_secs(10);
     let mut last_activity = clock.elapsed();
 
-    loop {
+    'serve: loop {
         if shutdown.load(Ordering::Relaxed)
             || clock.elapsed().saturating_sub(last_activity) > idle_limit
         {
             conn.goaway(ErrorCode::NoError, "server shutting down");
-            let out = conn.take_output();
-            let _ = stream.write_all(&out);
-            return Ok(());
+            break;
         }
-        // Flush pending output.
-        let out = conn.take_output();
-        if !out.is_empty() {
-            stream.write_all(&out)?;
-            last_activity = clock.elapsed();
+        // Flush output until the socket stops taking it.
+        if unsent.is_empty() {
+            unsent = conn.take_output();
+        }
+        while !unsent.is_empty() {
+            match stream.write(&unsent) {
+                Ok(n) => {
+                    let _ = unsent.split_to(n);
+                    last_activity = clock.elapsed();
+                }
+                Err(ref e) if timed_out(e) => break,
+                Err(e) => return Err(e),
+            }
         }
         // Read what's available.
         match stream.read(&mut buf) {
@@ -231,14 +247,10 @@ fn serve_connection(
             Ok(n) => {
                 last_activity = clock.elapsed();
                 if conn.recv(buf.get(..n).unwrap_or_default()).is_err() {
-                    let out = conn.take_output();
-                    let _ = stream.write_all(&out);
-                    return Ok(());
+                    break;
                 }
             }
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
+            Err(ref e) if timed_out(e) => {}
             Err(e) => return Err(e),
         }
         // Handle protocol events.
@@ -253,51 +265,47 @@ fn serve_connection(
                         conn.reset_stream(stream_id, ErrorCode::ProtocolError);
                     }
                 }
-                Event::Goaway { .. } => {
-                    let out = conn.take_output();
-                    let _ = stream.write_all(&out);
-                    return Ok(());
+                Event::StreamReset { stream_id, .. } => {
+                    pending.remove(&stream_id);
                 }
+                Event::Goaway { .. } => break 'serve,
                 _ => {}
             }
         }
-        // Retry flow-blocked bodies under the connection's retry budget:
-        // consecutive zero-progress attempts back off exponentially, and a
-        // stream whose budget is exhausted is reset rather than polled
-        // forever against a peer that never opens its window.
+        // Send pending bodies on credit, as far as the stream and connection
+        // windows allow. A stream is blocked only while its credit is zero;
+        // one blocked for longer than the connection budget's timeout is
+        // reset, so a peer that never opens its window cannot pin a body
+        // here forever.
         let now = clock.elapsed();
-        let ids: Vec<u32> = pending.keys().copied().collect();
-        for id in ids {
-            let Some(body) = pending.get_mut(&id) else {
-                continue;
-            };
-            if body.next_attempt > now {
-                continue;
+        let RetryBudget { timeout, .. } = retry;
+        let blocked_limit = Duration::from_nanos(timeout.as_nanos());
+        pending.retain(|&id, body| {
+            if conn.send_capacity(id) == 0 {
+                let since = *body.blocked_since.get_or_insert(now);
+                if now.saturating_sub(since) <= blocked_limit {
+                    return true;
+                }
+                conn.reset_stream(id, ErrorCode::FlowControlError);
+                return false;
             }
+            body.blocked_since = None;
             let rest = body.data.get(body.offset..).unwrap_or_default();
             match conn.send_data(id, rest, true) {
-                Ok(0) => {
-                    body.stalls += 1;
-                    if retry.allows(body.stalls) {
-                        body.next_attempt = now + retry.backoff_std(body.stalls);
-                    } else {
-                        conn.reset_stream(id, ErrorCode::FlowControlError);
-                        pending.remove(&id);
-                    }
-                }
                 Ok(sent) => {
-                    body.stalls = 0;
                     body.offset += sent;
-                    if body.offset >= body.data.len() {
-                        pending.remove(&id);
-                    }
+                    body.offset < body.data.len()
                 }
-                Err(_) => {
-                    pending.remove(&id);
-                }
+                Err(_) => false,
             }
-        }
+        });
     }
+    // Best effort on the way out: the untaken output, then the final
+    // frames (a GOAWAY).
+    if stream.write_all(&unsent).is_ok() {
+        let _ = stream.write_all(&conn.take_output());
+    }
+    Ok(())
 }
 
 fn handle_request(

@@ -118,5 +118,8 @@ fn main() {
         "\ndone: {total} resources over one real HTTP/2 connection in {:?}",
         t0.elapsed()
     );
+    // Streams the server reset (and the client fetched again); a healthy
+    // serving path resets none.
+    println!("resets: {}", client.resets_seen());
     server.stop();
 }

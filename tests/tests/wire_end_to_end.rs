@@ -5,16 +5,20 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use vroom_browser::config::Hint;
 use vroom_html::{ResourceKind, Url};
+use vroom_http2::{Connection, ErrorCode, Event, Request, Settings};
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::{RecordedResponse, ReplayStore, RetryBudget};
 use vroom_pages::{render_html, LoadContext, Page, PageGenerator, SiteProfile};
 use vroom_server::online::scan_served_html;
-use vroom_server::wire::{WireClient, WireFaults, WireServer, WireSite};
+use vroom_server::wire::{WireClient, WireClock, WireFaults, WireServer, WireSite};
 use vroom_server::{parse_hints, PushPolicy};
 
 /// Record a page into a replay store (the Mahimahi "record" phase), with
@@ -167,9 +171,9 @@ fn unknown_urls_get_404_over_the_wire() {
 }
 
 #[test]
-fn large_bodies_cross_flow_control_boundaries() {
-    // A body much larger than the 64 KiB default connection window forces
-    // WINDOW_UPDATE roundtrips through the real stack.
+fn large_bodies_arrive_whole_over_many_data_frames() {
+    // A 700 KB body leaves as dozens of max-frame-size (16 KiB) DATA
+    // frames and must reassemble to exactly its recorded length.
     let url = Url::https("big.example", "/huge.jpg");
     let mut store = ReplayStore::new();
     store.record(
@@ -255,4 +259,225 @@ fn concurrent_requests_multiplex_on_one_connection() {
     let responses = client.run(Duration::from_secs(15)).expect("io");
     assert_eq!(responses.len(), targets.len());
     server.stop();
+}
+
+/// Drive a raw client connection over TCP, collecting its events until
+/// one satisfies `stop`. Panics if the server stays silent for 10 s.
+fn pump_until(
+    sock: &mut TcpStream,
+    conn: &mut Connection,
+    mut stop: impl FnMut(&Event) -> bool,
+) -> Vec<Event> {
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut seen = Vec::new();
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        sock.write_all(&conn.take_output()).expect("write");
+        let n = sock.read(&mut buf).expect("server answered in time");
+        assert!(n > 0, "server closed the connection");
+        conn.recv(&buf[..n]).expect("well-formed frames");
+        while let Some(ev) = conn.poll_event() {
+            let done = stop(&ev);
+            seen.push(ev);
+            if done {
+                return seen;
+            }
+        }
+    }
+}
+
+#[test]
+fn default_window_peer_gets_every_body_without_resets() {
+    // A peer on `Settings::default()` keeps the RFC's 64 KiB connection
+    // window, shared by every response and push. Most bodies must wait for
+    // its WINDOW_UPDATEs; they are sent as the credit arrives, never reset.
+    let page = small_page();
+    let recorded = record(&page);
+    let server = start_server(&page, PushPolicy::HighPriorityLocal);
+    let mut sock = TcpStream::connect(server.addr()).expect("connect");
+    let mut conn = Connection::client(Settings::default());
+    let mut bodies: BTreeMap<u32, (Url, Vec<u8>)> = BTreeMap::new();
+    for r in page
+        .resources
+        .iter()
+        .filter(|r| r.url.host == page.url.host)
+    {
+        let req = Request::get(r.url.host.as_str(), r.url.path.as_str());
+        let sid = conn.send_request(&req, true).expect("request");
+        bodies.insert(sid, (r.url.clone(), Vec::new()));
+    }
+    let mut open: BTreeSet<u32> = bodies.keys().copied().collect();
+    let mut resets = 0;
+    pump_until(&mut sock, &mut conn, |ev| {
+        match ev {
+            Event::PushPromise {
+                promised_stream_id,
+                fields,
+                ..
+            } => {
+                let req = Request::from_fields(fields).expect("promised request");
+                let url = Url::https(req.authority.as_str(), req.path.as_str());
+                bodies.insert(*promised_stream_id, (url, Vec::new()));
+                open.insert(*promised_stream_id);
+            }
+            Event::Headers {
+                stream_id,
+                end_stream: true,
+                ..
+            } => {
+                open.remove(stream_id);
+            }
+            Event::Data {
+                stream_id,
+                data,
+                end_stream,
+            } => {
+                if let Some((_, body)) = bodies.get_mut(stream_id) {
+                    body.extend_from_slice(data);
+                }
+                if *end_stream {
+                    open.remove(stream_id);
+                }
+            }
+            Event::StreamReset { stream_id, .. } => {
+                resets += 1;
+                open.remove(stream_id);
+            }
+            _ => {}
+        }
+        open.is_empty()
+    });
+    assert_eq!(resets, 0, "no stream was reset");
+    assert!(bodies.keys().any(|id| id % 2 == 0), "the root pushed");
+    let total: usize = bodies.values().map(|(_, b)| b.len()).sum();
+    assert!(total > 65_535, "the bodies outgrow the connection window");
+    for (url, body) in bodies.values() {
+        let want = recorded.lookup(url).map(RecordedResponse::body_bytes);
+        assert_eq!(want.as_deref(), Some(body.as_slice()), "{url} is complete");
+    }
+    server.stop();
+}
+
+/// A clock the test sets by hand.
+#[derive(Default)]
+struct FakeClock(AtomicU64);
+
+impl FakeClock {
+    fn set(&self, t: Duration) {
+        self.0.store(t.as_nanos() as u64, Ordering::SeqCst);
+    }
+}
+
+impl WireClock for FakeClock {
+    fn elapsed(&self) -> Duration {
+        Duration::from_nanos(self.0.load(Ordering::SeqCst))
+    }
+}
+
+#[test]
+fn stream_blocked_past_the_budget_timeout_is_reset() {
+    let url = Url::https("stuck.example", "/never.js");
+    let mut store = ReplayStore::new();
+    store.record(
+        url.clone(),
+        RecordedResponse::synthetic(ResourceKind::Js, 10_000),
+    );
+    let site = WireSite {
+        store: Arc::new(store),
+        hints: Arc::new(BTreeMap::new()),
+        push: PushPolicy::None,
+        domain: "stuck.example".into(),
+        faults: Default::default(),
+    };
+    let clock = Arc::new(FakeClock::default());
+    let server = WireServer::start_with_clock(site, clock.clone()).expect("bind");
+    let mut sock = TcpStream::connect(server.addr()).expect("connect");
+    // The peer announces a zero stream window and never opens it.
+    let mut conn = Connection::client(Settings {
+        initial_window_size: 0,
+        ..Settings::default()
+    });
+    let sid = conn
+        .send_request(&Request::get("stuck.example", "/never.js"), true)
+        .expect("request");
+    pump_until(
+        &mut sock,
+        &mut conn,
+        |ev| matches!(ev, Event::Headers { stream_id, .. } if *stream_id == sid),
+    );
+
+    // Keep the connection alive with a PING every 5 s of clock time, under
+    // the server's 10 s idle limit. The stream has been blocked since time
+    // 0, and nothing is reset until it has been blocked past the timeout.
+    let timeout = Duration::from_nanos(RetryBudget::standard().timeout.as_nanos());
+    let step = Duration::from_secs(5);
+    let mut now = Duration::ZERO;
+    while now + step <= timeout {
+        now += step;
+        clock.set(now);
+        let payload = now.as_secs().to_be_bytes();
+        conn.ping(payload);
+        let seen = pump_until(
+            &mut sock,
+            &mut conn,
+            |ev| matches!(ev, Event::PingAcked(p) if *p == payload),
+        );
+        assert!(
+            !seen.iter().any(|e| matches!(e, Event::StreamReset { .. })),
+            "reset after only {now:?} blocked"
+        );
+    }
+    clock.set(now + step);
+    let seen = pump_until(&mut sock, &mut conn, |ev| {
+        matches!(ev, Event::StreamReset { .. })
+    });
+    assert!(matches!(
+        seen.last(),
+        Some(Event::StreamReset { stream_id, code: ErrorCode::FlowControlError }) if *stream_id == sid
+    ));
+    server.stop();
+}
+
+#[test]
+fn stop_returns_while_a_peer_has_stopped_reading() {
+    // With the vroom client's open windows, a 16 MB body can never fit in
+    // the loopback socket buffers of a peer that stops reading: the
+    // server's write stays blocked, and shutdown must not wait on it.
+    let url = Url::https("big.example", "/huge.bin");
+    let mut store = ReplayStore::new();
+    store.record(
+        url.clone(),
+        RecordedResponse::synthetic(ResourceKind::Media, 16 << 20),
+    );
+    let site = WireSite {
+        store: Arc::new(store),
+        hints: Arc::new(BTreeMap::new()),
+        push: PushPolicy::None,
+        domain: "big.example".into(),
+        faults: Default::default(),
+    };
+    let server = WireServer::start(site).expect("bind");
+    let mut sock = TcpStream::connect(server.addr()).expect("connect");
+    let mut conn = Connection::client(Settings::vroom_client());
+    let sid = conn
+        .send_request(&Request::get("big.example", "/huge.bin"), true)
+        .expect("request");
+    // The response headers leave in the same write as the body, so once
+    // they arrive the server is writing the body; then the peer stops.
+    pump_until(
+        &mut sock,
+        &mut conn,
+        |ev| matches!(ev, Event::Headers { stream_id, .. } if *stream_id == sid),
+    );
+    let (stopped, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = stopped.send(());
+    });
+    assert!(
+        done.recv_timeout(Duration::from_secs(10)).is_ok(),
+        "stop hung on a connection whose peer stopped reading"
+    );
+    drop(sock);
 }
