@@ -269,6 +269,38 @@ struct Flight {
     truncated: bool,
 }
 
+/// Build the page's children index into the recycled `start`/`ids`
+/// buffers. Once per load, it replaces a whole-page scan per processed
+/// resource.
+fn children_index(
+    page: &Page,
+    mut start: Vec<usize>,
+    mut ids: Vec<ResourceId>,
+) -> (Vec<usize>, Vec<ResourceId>) {
+    start.clear();
+    start.resize(page.len() + 1, 0);
+    for p in page.resources.iter().filter_map(|r| r.parent) {
+        start[p] += 1;
+    }
+    // Running sums: `start[p]` becomes the end of p's range.
+    let mut total = 0;
+    for s in &mut start {
+        total += *s;
+        *s = total;
+    }
+    ids.clear();
+    ids.resize(total, 0);
+    // Filling backwards moves each `start[p]` down to its range's
+    // beginning and leaves every range in resource order.
+    for r in page.resources.iter().rev() {
+        if let Some(p) = r.parent {
+            start[p] -= 1;
+            ids[start[p]] = r.id;
+        }
+    }
+    (start, ids)
+}
+
 /// The engine: loads one page under one configuration.
 pub struct BrowserEngine;
 
@@ -313,7 +345,9 @@ impl EngineScratch {
 #[derive(Default)]
 pub struct EngineScratch {
     res_uid: Vec<Option<UrlId>>,
-    uid_to_res: Vec<Option<ResourceId>>,
+    uid_to_res: Vec<(UrlId, ResourceId)>,
+    child_start: Vec<usize>,
+    child_ids: Vec<ResourceId>,
     warm: Vec<Option<crate::config::CacheEntry>>,
     res_domains: Vec<SharedStr>,
     rstate: Vec<RState>,
@@ -336,10 +370,17 @@ struct Sim<'a> {
     /// Interned id of each resource's URL in `cfg.urls` (`None` when the
     /// config never interned it — baselines with no hints or pushes).
     res_uid: Vec<Option<UrlId>>,
-    /// Reverse map: interned id → resource. For duplicate resource URLs the
-    /// later resource wins, matching the old `BTreeMap<Url, ResourceId>`
-    /// collect semantics.
-    uid_to_res: Vec<Option<ResourceId>>,
+    /// Reverse map: the page's resolved `(interned id, resource)` pairs,
+    /// sorted, looked up by binary search in [`Sim::res_of`]. Sized by the
+    /// page, not by the shared intern table, so a load's setup cost does not
+    /// grow with the table. For duplicate resource URLs the later resource
+    /// wins.
+    uid_to_res: Vec<(UrlId, ResourceId)>,
+    /// Children index in CSR form: the children of resource `id` are
+    /// `child_ids[child_start[id]..child_start[id + 1]]`, in resource order
+    /// (the order [`Page::children`] yields them in).
+    child_start: Vec<usize>,
+    child_ids: Vec<ResourceId>,
     /// Warm-cache entry per resource, resolved once at construction.
     warm: Vec<Option<crate::config::CacheEntry>>,
     /// Each resource's host, deduplicated at construction so domain keys
@@ -412,12 +453,20 @@ impl<'a> Sim<'a> {
         res_uid.extend(page.resources.iter().map(|r| cfg.urls.lookup(&r.url)));
         let mut uid_to_res = std::mem::take(&mut scratch.uid_to_res);
         uid_to_res.clear();
-        uid_to_res.resize(cfg.urls.len(), None);
-        for r in &page.resources {
-            if let Some(uid) = res_uid[r.id] {
-                uid_to_res[uid.index()] = Some(r.id);
-            }
-        }
+        uid_to_res.extend(
+            res_uid
+                .iter()
+                .enumerate()
+                .filter_map(|(id, uid)| uid.map(|uid| (uid, id))),
+        );
+        // Pairs are distinct (one per resource), so the unstable sort is
+        // deterministic; duplicates of one id end in resource order.
+        uid_to_res.sort_unstable();
+        let (child_start, child_ids) = children_index(
+            page,
+            std::mem::take(&mut scratch.child_start),
+            std::mem::take(&mut scratch.child_ids),
+        );
         let mut warm = std::mem::take(&mut scratch.warm);
         warm.clear();
         warm.extend(
@@ -470,6 +519,8 @@ impl<'a> Sim<'a> {
             link_tick_at: None,
             res_uid,
             uid_to_res,
+            child_start,
+            child_ids,
             warm,
             res_domains,
             rstate,
@@ -575,6 +626,8 @@ impl<'a> Sim<'a> {
     fn stash(&mut self, scratch: &mut EngineScratch) {
         scratch.res_uid = std::mem::take(&mut self.res_uid);
         scratch.uid_to_res = std::mem::take(&mut self.uid_to_res);
+        scratch.child_start = std::mem::take(&mut self.child_start);
+        scratch.child_ids = std::mem::take(&mut self.child_ids);
         scratch.warm = std::mem::take(&mut self.warm);
         scratch.res_domains = std::mem::take(&mut self.res_domains);
         scratch.rstate = std::mem::take(&mut self.rstate);
@@ -630,6 +683,28 @@ impl<'a> Sim<'a> {
         self.request(Target::Real(id));
     }
 
+    /// The children of `id`, in resource order, from the per-load index.
+    fn children_of(&self, id: ResourceId) -> &[ResourceId] {
+        &self.child_ids[self.child_start[id]..self.child_start[id + 1]]
+    }
+
+    /// Discover every child of a resource that has just been processed.
+    fn discover_children(&mut self, id: ResourceId) {
+        for k in self.child_start[id]..self.child_start[id + 1] {
+            self.discover(self.child_ids[k]);
+        }
+    }
+
+    /// The page resource an interned URL names, if any; the later resource
+    /// wins a duplicate URL.
+    fn res_of(&self, uid: UrlId) -> Option<ResourceId> {
+        let end = self.uid_to_res.partition_point(|&(u, _)| u <= uid);
+        match end.checked_sub(1).map(|i| self.uid_to_res[i]) {
+            Some((u, id)) if u == uid => Some(id),
+            _ => None,
+        }
+    }
+
     /// A `Discover` event for a URL the client already learned via hints:
     /// the document now *demands* it, overriding any staging.
     fn parser_demands(&mut self, id: ResourceId) {
@@ -641,7 +716,7 @@ impl<'a> Sim<'a> {
     /// Handle a hint list arriving with an HTML response.
     fn on_hints(&mut self, hints: &[Hint]) {
         for h in hints.iter() {
-            let target = match self.uid_to_res.get(h.url.index()).copied().flatten() {
+            let target = match self.res_of(h.url) {
                 Some(id) => {
                     if self.rstate[id].discovered.is_none() {
                         self.rstate[id].discovered = Some(self.now);
@@ -938,10 +1013,7 @@ impl<'a> Sim<'a> {
             self.note_settled(id);
             if !self.cfg.upfront_all {
                 // Children become discoverable without CPU work.
-                let children: Vec<ResourceId> = self.page.children(id).map(|c| c.id).collect();
-                for c in children {
-                    self.discover(c);
-                }
+                self.discover_children(id);
             }
             self.check_done();
             return;
@@ -1008,8 +1080,13 @@ impl<'a> Sim<'a> {
     // ------------------------------------------------------------- HTML parse
 
     fn build_parse_plan(&mut self, html_id: ResourceId) {
-        let r = &self.page.resources[html_id];
-        let mut children: Vec<&vroom_pages::Resource> = self.page.children(html_id).collect();
+        let page = self.page;
+        let r = &page.resources[html_id];
+        let mut children: Vec<&vroom_pages::Resource> = self
+            .children_of(html_id)
+            .iter()
+            .map(|&c| &page.resources[c])
+            .collect();
         children.sort_by(|a, b| {
             a.discovery_frac
                 .total_cmp(&b.discovery_frac)
@@ -1288,10 +1365,7 @@ impl<'a> Sim<'a> {
                 self.rstate[id].processed = Some(self.now);
                 self.note_settled(id);
                 // Children of scripts are discovered when execution finishes.
-                let children: Vec<ResourceId> = self.page.children(id).map(|c| c.id).collect();
-                for c in children {
-                    self.discover(c);
-                }
+                self.discover_children(id);
                 if let Some(html) = resumes {
                     self.continue_parse(html);
                 }
@@ -1300,10 +1374,7 @@ impl<'a> Sim<'a> {
             Task::ParseCss { id } => {
                 self.rstate[id].processed = Some(self.now);
                 self.note_settled(id);
-                let children: Vec<ResourceId> = self.page.children(id).map(|c| c.id).collect();
-                for c in children {
-                    self.discover(c);
-                }
+                self.discover_children(id);
                 self.paint(id);
                 self.on_css_processed();
                 self.check_done();
@@ -1311,10 +1382,7 @@ impl<'a> Sim<'a> {
             Task::Decode { id } => {
                 self.rstate[id].processed = Some(self.now);
                 self.note_settled(id);
-                let children: Vec<ResourceId> = self.page.children(id).map(|c| c.id).collect();
-                for c in children {
-                    self.discover(c);
-                }
+                self.discover_children(id);
                 self.paint(id);
                 self.check_done();
             }
@@ -1882,7 +1950,7 @@ impl<'a> Sim<'a> {
                         self.domains[dom].name,
                         "push must be same-domain"
                     );
-                    let push_target = match self.uid_to_res.get(p.url.index()).copied().flatten() {
+                    let push_target = match self.res_of(p.url) {
                         Some(id) => {
                             if self.rstate[id].fetched.is_some()
                                 || self.rstate[id].in_flight
@@ -2003,10 +2071,7 @@ impl<'a> Sim<'a> {
             Ev::DecodeDone { id } => {
                 self.rstate[id].processed = Some(self.now);
                 self.note_settled(id);
-                let children: Vec<ResourceId> = self.page.children(id).map(|c| c.id).collect();
-                for c in children {
-                    self.discover(c);
-                }
+                self.discover_children(id);
                 self.paint(id);
                 self.check_done();
             }

@@ -119,7 +119,11 @@ fn load(page: &Page, cfg: &LoadConfig) -> LoadResult {
 /// from the server resolver; tests use the oracle). Returns the intern table
 /// the model's ids resolve against alongside the model itself.
 fn oracle_hints(page: &Page) -> (UrlTable, ServerModel) {
-    let mut urls = UrlTable::new();
+    oracle_hints_into(page, UrlTable::new())
+}
+
+/// [`oracle_hints`], interned after whatever `urls` already holds.
+fn oracle_hints_into(page: &Page, mut urls: UrlTable) -> (UrlTable, ServerModel) {
     let mut hints: Vec<Hint> = page
         .resources
         .iter()
@@ -498,9 +502,23 @@ fn reused_scratch_matches_fresh_scratch_across_dissimilar_loads() {
         ..staged.clone()
     };
     assert!(faulted.fault.is_active());
+    // The same hints behind ~50k unrelated URLs of a long-lived shared
+    // table: the page's ids are large, and the table dwarfs the page.
+    let mut padding = UrlTable::new();
+    for i in 0..50_000 {
+        padding.intern(Url::https("unrelated.example", format!("/pad/{i}")));
+    }
+    let (urls, server) = oracle_hints_into(&news, padding);
+    let padded = LoadConfig {
+        urls: Arc::new(urls),
+        server,
+        fetch_policy: FetchPolicy::VroomStaged,
+        ..LoadConfig::default()
+    };
     let loads = [
         (&news, &staged),
         (&small, &LoadConfig::http2_baseline()),
+        (&news, &padded),
         (&sports, &LoadConfig::http2_baseline()),
         (&news, &faulted),
         (&small, &staged),
@@ -521,4 +539,64 @@ fn reused_scratch_matches_fresh_scratch_across_dissimilar_loads() {
         load(&news, &staged),
         "the fault plan must actually perturb the load"
     );
+    assert_eq!(
+        load(&news, &padded),
+        load(&news, &staged),
+        "the size of the shared URL table must not change a load"
+    );
+}
+
+#[test]
+fn duplicate_url_hints_and_pushes_target_the_later_resource() {
+    // Built directly: `Page::validate` rejects duplicate URLs, but the
+    // engine still has to pick one resource per URL, and the later one
+    // wins. Resource 4 (discovered by foo.js) takes hero.jpg's URL.
+    let mut page = fig5_page();
+    page.resources[4].url = page.resources[3].url.clone();
+    let shared = page.resources[3].url.clone();
+
+    let mut urls = UrlTable::new();
+    let root = urls.intern(page.url.clone());
+    let hint = Hint {
+        url: urls.intern(shared),
+        tier: 0,
+        size_hint: 80_000,
+    };
+    let mut hinted = ServerModel::default();
+    hinted.hints.insert(root, Arc::new(vec![hint]));
+    let urls = Arc::new(urls);
+    let hints = load(
+        &page,
+        &LoadConfig {
+            urls: Arc::clone(&urls),
+            server: hinted,
+            ..LoadConfig::default()
+        },
+    );
+    let base = load(&page, &LoadConfig::http2_baseline());
+    // foo.js reveals resource 4 only after it runs; the hint reveals it
+    // with the root's headers, before foo.js has even been fetched.
+    assert!(base.resources[4].discovered > base.resources[2].fetched);
+    assert!(hints.resources[4].discovered < hints.resources[2].fetched);
+    assert_eq!(
+        hints.resources[3].discovered, base.resources[3].discovered,
+        "the earlier resource is left to the parser"
+    );
+
+    let mut pushing = ServerModel::default();
+    pushing.pushes.insert(root, vec![hint]);
+    let pushed = load(
+        &page,
+        &LoadConfig {
+            urls,
+            server: pushing,
+            ordered_responses: true,
+            ..LoadConfig::default()
+        },
+    );
+    assert!(
+        pushed.resources[4].pushed,
+        "the push lands on the later resource"
+    );
+    assert!(!pushed.resources[3].pushed);
 }

@@ -443,11 +443,14 @@ fn run_cell(
             FaultPlan::none()
         };
         let mut scratch = EngineScratch::default();
+        // Every cell loads the same population, so the memo serves each
+        // client's page to all cells after the first.
+        let page = corpus.sites[spec.site].snapshot_arc(&spec.ctx());
         load_client(
             &cfg.profile,
             policy,
             spec,
-            &corpus.sites[spec.site],
+            &page,
             &urls,
             &store,
             &plan,

@@ -48,10 +48,11 @@ use vroom_browser::config::{FetchPolicy, LoadConfig, ServerModel};
 use vroom_browser::metrics::percentile_sorted;
 use vroom_browser::{BrowserEngine, EngineScratch, LoadResult};
 use vroom_exec::Pool;
+use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::json::Value;
 use vroom_net::{FaultPlan, NetworkProfile};
-use vroom_pages::{Corpus, DeviceClass, LoadContext, PageGenerator};
+use vroom_pages::{Corpus, DeviceClass, LoadContext, Page};
 use vroom_server::batch::{commit_pass_at, run_pass, PassOutput};
 use vroom_server::freshness::observed_pass;
 use vroom_server::push_policy::{select_pushes, PushPolicy};
@@ -556,12 +557,18 @@ pub struct FleetStageTiming {
 /// One unit of work in a fan-out: a client load of the current batch, or a
 /// resolver pass for `(site, bucket)`.
 enum FleetWork {
-    Load(ClientSpec),
+    /// A client load. `keep_page` hands the load's page back to the caller:
+    /// set for each site's first load of a batch when the fleet learns from
+    /// loads. Every other page is freed on its worker.
+    Load {
+        spec: ClientSpec,
+        keep_page: bool,
+    },
     Pass((usize, i64)),
 }
 
 enum FleetDone {
-    Load(Box<ClientOutcome>),
+    Load(Box<(ClientOutcome, Option<Page>)>),
     Pass((usize, i64), PassOutput),
 }
 
@@ -623,26 +630,21 @@ impl FleetAccum {
 
     /// Sequential post-batch accounting, in arrival order: the origin
     /// pool models per-origin connection reuse across the fleet, stale
-    /// serves admit refresh passes, and (when enabled) each site's
-    /// first observed load of the batch is committed back to the store.
+    /// serves admit refresh passes, and each load that came back with its
+    /// page (a site's first load of the batch, when learning) is committed
+    /// back to the store.
     fn account_batch(
         &mut self,
-        cfg: &FleetConfig,
-        corpus: &Corpus,
         store: &ShardedStore,
         urls: &mut Arc<UrlTable>,
         batch: &[ClientSpec],
-        batch_outcomes: Vec<ClientOutcome>,
+        batch_outcomes: Vec<(ClientOutcome, Option<Page>)>,
     ) {
-        let mut learned: BTreeSet<usize> = BTreeSet::new();
-        for (spec, outcome) in batch.iter().zip(batch_outcomes) {
+        for (spec, (outcome, page)) in batch.iter().zip(batch_outcomes) {
             if outcome.hint_stale > 0 {
                 self.pending_refresh.insert(outcome.site);
             }
-            if cfg.learn_from_loads && learned.insert(spec.site) {
-                // The page is memoized per (site, context): this re-borrow
-                // is the same snapshot the load itself used.
-                let page = corpus.sites[spec.site].snapshot_arc(&spec.ctx());
+            if let Some(page) = page {
                 let observed = observed_pass(&page, &outcome.result);
                 if !observed.entries.is_empty() {
                     let table =
@@ -870,12 +872,18 @@ fn run_fleet_loop(
                     .map(FleetWork::Pass),
             );
         }
-        work.extend(batch.iter().map(|&spec| FleetWork::Load(spec)));
+        // Learning reads each site's first load of the batch, so exactly
+        // those loads keep their pages.
+        let mut learned: BTreeSet<usize> = BTreeSet::new();
+        work.extend(batch.iter().map(|&spec| FleetWork::Load {
+            spec,
+            keep_page: cfg.learn_from_loads && learned.insert(spec.site),
+        }));
         let batch_outcomes = fan_out(&pool, cfg, &corpus, &urls, &store, work, &mut prefetched);
         let t3 = now();
         timing.load_s += t3 - t2;
 
-        accum.account_batch(cfg, &corpus, &store, &mut urls, batch, batch_outcomes);
+        accum.account_batch(&store, &mut urls, batch, batch_outcomes);
         timing.account_s += now() - t3;
     }
     debug_assert!(prefetched.is_empty(), "every prefetched pass is consumed");
@@ -886,7 +894,7 @@ fn run_fleet_loop(
 
 /// Fan `work` out over the pool. Resolver passes are pure and land in
 /// `prefetched` under their `(site, bucket)` key; client outcomes come back
-/// in input order.
+/// in input order, each with its page if the work item kept it.
 fn fan_out(
     pool: &Pool<EngineScratch>,
     cfg: &FleetConfig,
@@ -895,7 +903,7 @@ fn fan_out(
     store: &Arc<ShardedStore>,
     work: Vec<FleetWork>,
     prefetched: &mut BTreeMap<(usize, i64), PassOutput>,
-) -> Vec<ClientOutcome> {
+) -> Vec<(ClientOutcome, Option<Page>)> {
     let (corpus, urls, store) = (Arc::clone(corpus), Arc::clone(urls), Arc::clone(store));
     // vroom-lint: allow(hot-path-alloc) -- one profile clone per fan-out for the 'static closure
     let profile = cfg.profile.clone();
@@ -910,21 +918,20 @@ fn fan_out(
                 server_seed,
             ),
         ),
-        FleetWork::Load(ref spec) => {
+        FleetWork::Load {
+            ref spec,
+            keep_page,
+        } => {
             let plan = match &faults {
                 Some(f) => f.plan_for(spec.id as u64),
                 None => FaultPlan::none(),
             };
-            FleetDone::Load(Box::new(load_client(
-                &profile,
-                policy,
-                spec,
-                &corpus.sites[spec.site],
-                &urls,
-                &store,
-                &plan,
-                scratch,
-            )))
+            // A client's `(hours, user, device, nonce)` context is unique to
+            // it, so its page is built directly: a memo lookup could never
+            // hit, and the memo would only hold dead pages.
+            let page = corpus.sites[spec.site].snapshot(&spec.ctx());
+            let outcome = load_client(&profile, policy, spec, &page, &urls, &store, &plan, scratch);
+            FleetDone::Load(Box::new((outcome, keep_page.then_some(page))))
         }
     });
     let mut outcomes = Vec::with_capacity(done.len());
@@ -933,17 +940,17 @@ fn fan_out(
             FleetDone::Pass(key, out) => {
                 prefetched.insert(key, out);
             }
-            FleetDone::Load(outcome) => outcomes.push(*outcome),
+            FleetDone::Load(done) => outcomes.push(*done),
         }
     }
     outcomes
 }
 
-/// One client's load against the shared server state. Pure in the shared
-/// state: only reads `urls` and `store` (read locks + logical counters).
-/// Store reads are classified by `policy` at the client's own hour bucket;
-/// a stale serve still feeds the load (old hints beat none) but is counted
-/// so the caller can admit a refresh.
+/// One client's load of `page` against the shared server state. Pure in
+/// the shared state: only reads `urls` and `store` (read locks + logical
+/// counters). Store reads are classified by `policy` at the client's own
+/// hour bucket; a stale serve still feeds the load (old hints beat none)
+/// but is counted so the caller can admit a refresh.
 ///
 /// The load resolves hints against the *shared* intern table directly: the
 /// store files hint lists under shared-table ids, and the engine only ever
@@ -956,17 +963,14 @@ fn load_client(
     profile: &NetworkProfile,
     policy: EvictionPolicy,
     spec: &ClientSpec,
-    site: &PageGenerator,
+    page: &Page,
     urls: &Arc<UrlTable>,
     store: &ShardedStore,
     plan: &FaultPlan,
     scratch: &mut EngineScratch,
 ) -> ClientOutcome {
-    let ctx = spec.ctx();
-    let page = site.snapshot_arc(&ctx);
-
     let mut load_cfg = LoadConfig::http2_baseline();
-    load_cfg.cpu_factor = ctx.device.cpu_factor();
+    load_cfg.cpu_factor = spec.device.cpu_factor();
     load_cfg.fetch_policy = FetchPolicy::VroomStaged;
     load_cfg.ordered_responses = true;
 
@@ -980,7 +984,7 @@ fn load_client(
     let mut hint_stale = 0u64;
     let mut htmls = vec![&page.url];
     htmls.extend(
-        embedded_htmls(&page)
+        embedded_htmls(page)
             .into_iter()
             .map(|f| &page.resources[f].url),
     );
@@ -1024,14 +1028,16 @@ fn load_client(
         apply_fault_plan(&mut load_cfg, plan);
     }
 
-    let result = BrowserEngine::load_with_scratch(&page, profile, &load_cfg, scratch);
-    let origins: Vec<String> = page
-        .resources
-        .iter()
-        .map(|r| r.url.origin())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
+    let result = BrowserEngine::load_with_scratch(page, profile, &load_cfg, scratch);
+    // One origin string per distinct (scheme, host) pair, not per resource.
+    let mut distinct: Vec<&Url> = Vec::new();
+    for r in &page.resources {
+        if !distinct.iter().any(|u| u.same_origin(&r.url)) {
+            distinct.push(&r.url);
+        }
+    }
+    let mut origins: Vec<String> = distinct.iter().map(|u| u.origin()).collect();
+    origins.sort_unstable();
     ClientOutcome {
         id: spec.id,
         site: spec.site,

@@ -11,6 +11,7 @@
 //! iframes.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use crate::dynamics::LoadContext;
@@ -238,12 +239,12 @@ impl PageGenerator {
         h.finish()
     }
 
-    /// The site's first-party domain.
+    /// The site's first-party domain, lower-cased like every URL host.
     pub fn first_party(&self) -> &str {
         &self.domains[0]
     }
 
-    /// All domains the page pulls from (first-party first).
+    /// All domains the page pulls from (first-party first), lower-cased.
     pub fn all_domains(&self) -> &[String] {
         &self.domains
     }
@@ -258,9 +259,38 @@ impl PageGenerator {
         self.nodes.is_empty()
     }
 
-    /// Materialize the page as loaded in `ctx`.
+    /// Materialize the page as loaded in `ctx`: a direct build that
+    /// neither reads nor fills the memo. A fleet client's context is unique
+    /// to it, so its load uses this path and frees the page when done.
     pub fn snapshot(&self, ctx: &LoadContext) -> Page {
-        (*self.snapshot_arc(ctx)).clone()
+        // One path buffer serves every URL of the page.
+        let mut path = String::with_capacity(64);
+        let resources: Vec<Resource> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(id, n)| Resource {
+                id,
+                url: self.node_url(id, n, ctx, &mut path),
+                kind: n.kind,
+                size: n.size,
+                cpu_cost: n.cpu_cost.mul_f64(self.profile.cpu_scale),
+                parent: n.parent,
+                discovery_frac: n.discovery_frac,
+                exec: n.exec,
+                iframe_root: n.iframe_root,
+                above_fold: n.above_fold,
+                visual_weight: n.visual_weight,
+                max_age: n.max_age,
+                stability: n.stability,
+                via_markup: n.via_markup,
+            })
+            .collect();
+        Page {
+            // vroom-lint: allow(hot-path-alloc) -- the page's own copy of its root URL, one per snapshot
+            url: resources[0].url.clone(),
+            resources,
+        }
     }
 
     /// [`snapshot`](Self::snapshot), memoized and shared. Repeated loads of
@@ -279,69 +309,76 @@ impl PageGenerator {
         // concurrent load of this generator. Racing builders may both
         // materialize, but the function is pure — whichever insert lands
         // last stores an identical page.
-        let page = Arc::new(self.materialize(ctx));
-        let mut cache = self.snap_cache.0.lock().expect("snapshot cache poisoned");
-        if cache.len() >= SNAP_CACHE_CAP {
+        let page = Arc::new(self.snapshot(ctx));
+        let evicted = {
+            let mut cache = self.snap_cache.0.lock().expect("snapshot cache poisoned");
             // Deterministic eviction; which entries survive a parallel sweep
             // is timing-dependent, but that only shifts hit rates, never
             // page bytes.
-            cache.pop_first();
-        }
-        cache.insert(key, Arc::clone(&page));
+            let evicted = if cache.len() >= SNAP_CACHE_CAP {
+                cache.pop_first()
+            } else {
+                None
+            };
+            cache.insert(key, Arc::clone(&page));
+            evicted
+        };
+        // Freeing the evicted page (hundreds of strings when this was its
+        // last reference) waits until the guard is gone.
+        drop(evicted);
         page
     }
 
-    fn materialize(&self, ctx: &LoadContext) -> Page {
-        let resources: Vec<Resource> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(id, n)| Resource {
-                id,
-                url: self.node_url(id, n, ctx),
-                kind: n.kind,
-                size: n.size,
-                cpu_cost: n.cpu_cost.mul_f64(self.profile.cpu_scale),
-                parent: n.parent,
-                discovery_frac: n.discovery_frac,
-                exec: n.exec,
-                iframe_root: n.iframe_root,
-                above_fold: n.above_fold,
-                visual_weight: n.visual_weight,
-                max_age: n.max_age,
-                stability: n.stability,
-                via_markup: n.via_markup,
-            })
-            .collect();
-        Page {
-            url: resources[0].url.clone(),
-            resources,
+    /// Node `id`'s URL in `ctx`. The path is written into the page's shared
+    /// `path` buffer; scheme, host and path are then allocated once each,
+    /// at exact size, as the snapshot's own strings. Hosts were lower-cased
+    /// when the generator was built.
+    fn node_url(
+        &self,
+        id: ResourceId,
+        n: &NodeTemplate,
+        ctx: &LoadContext,
+        path: &mut String,
+    ) -> Url {
+        path.clear();
+        if id == 0 {
+            path.push('/');
+        } else {
+            self.write_path(id, n, ctx, path);
+        }
+        Url {
+            // vroom-lint: allow(hot-path-alloc) -- the snapshot's own scheme string, one per URL
+            scheme: String::from("https"),
+            // vroom-lint: allow(hot-path-alloc) -- the snapshot's own host string, one per URL
+            host: self.domains[n.domain_idx].clone(),
+            // vroom-lint: allow(hot-path-alloc) -- the snapshot's own path string, copied out of the reused buffer at exact size
+            path: String::from(path.as_str()),
         }
     }
 
-    fn node_url(&self, id: ResourceId, n: &NodeTemplate, ctx: &LoadContext) -> Url {
-        let domain = &self.domains[n.domain_idx];
-        if id == 0 {
-            return Url::https(domain.clone(), "/");
-        }
-        let mut path = format!("/{}/{}", n.kind_dir(), n.slug);
-        match n.stability {
-            Stability::Stable => {}
+    /// Append a non-root node's path: `/{dir}/{slug}`, the stability
+    /// class's suffix, the extension, then the query string, if any.
+    fn write_path(&self, id: ResourceId, n: &NodeTemplate, ctx: &LoadContext, path: &mut String) {
+        path.push('/');
+        path.push_str(n.kind_dir());
+        path.push('/');
+        path.push_str(&n.slug);
+        // (key, token, hex digits) of a query string, written last so the
+        // extension stays ahead of it. Writing to a `String` cannot fail,
+        // so the `write!` results are dropped.
+        let query = match n.stability {
+            Stability::Stable => None,
             Stability::HourlyFlux => {
                 // The slug rotates when the content epoch rolls over; phase
                 // is per-node so rotations are spread over time.
                 let phase = mix(self.site_seed, id as u64) as f64 / u64::MAX as f64;
                 let epoch = ((ctx.hours / n.lifetime_hours) + phase).floor() as i64;
-                path = format!("/{}/{}-v{}", n.kind_dir(), n.slug, epoch);
+                let _ = write!(path, "-v{epoch}");
+                None
             }
             Stability::PerLoadRandom => {
                 let token = mix(mix(self.site_seed, id as u64), ctx.nonce);
-                path = format!(
-                    "/{}/{}?cb={:012x}",
-                    n.kind_dir(),
-                    n.slug,
-                    token & 0xffff_ffff_ffff
-                );
+                Some(("cb", token & 0xffff_ffff_ffff, 12))
             }
             Stability::UserPersonalized => {
                 // Cookie-driven *and* session-fresh: rotates hourly, so a
@@ -352,29 +389,25 @@ impl PageGenerator {
                     mix(self.site_seed, id as u64),
                     ctx.user_id ^ ((ctx.hours.floor() as u64) << 32),
                 );
-                path = format!("/{}/{}?u={:08x}", n.kind_dir(), n.slug, token & 0xffff_ffff);
+                Some(("u", token & 0xffff_ffff, 8))
             }
             Stability::DevicePersonalized => {
                 if n.device_exact {
-                    path = format!(
-                        "/{}/{}-dpr{}",
-                        n.kind_dir(),
-                        n.slug,
-                        (ctx.device.dpr() * 10.0) as u32
-                    );
+                    let _ = write!(path, "-dpr{}", (ctx.device.dpr() * 10.0) as u32);
                 } else {
-                    path = format!("/{}/{}-{}", n.kind_dir(), n.slug, ctx.device.bucket());
+                    path.push('-');
+                    path.push_str(ctx.device.bucket());
                 }
+                None
             }
+        };
+        if !n.ext.is_empty() {
+            path.push('.');
+            path.push_str(n.ext);
         }
-        if !n.ext.is_empty() && !path.contains('?') {
-            path = format!("{path}.{}", n.ext);
-        } else if !n.ext.is_empty() {
-            // Keep the extension ahead of the query string.
-            let (p, q) = path.split_once('?').expect("query checked");
-            path = format!("{p}.{}?{q}", n.ext);
+        if let Some((key, token, digits)) = query {
+            let _ = write!(path, "?{key}={token:0digits$x}");
         }
-        Url::https(domain.clone(), path)
     }
 }
 
@@ -425,18 +458,27 @@ impl Builder {
 
     fn build(mut self) -> PageGenerator {
         // Domains: first-party + its CDN + third parties.
+        // vroom-lint: allow(hot-path-alloc) -- once per generator, at corpus construction
         let site = format!("{}{}.com", self.profile.category, self.site_seed & 0xffff);
-        self.domains.push(site.clone());
-        self.domains.push(format!("cdn.{site}"));
+        // vroom-lint: allow(hot-path-alloc) -- once per generator, at corpus construction
+        let cdn = format!("cdn.{site}");
+        self.domains.push(site);
+        self.domains.push(cdn);
         let n_third = self.rng.range_usize(
             self.profile.third_party_domains.0,
             self.profile.third_party_domains.1,
         );
         for i in 0..n_third {
+            // vroom-lint: allow(hot-path-alloc) -- one per third-party domain, at corpus construction
             self.domains.push(format!(
                 "tp{i}-{:x}.net",
                 mix(self.site_seed, i as u64) & 0xffff
             ));
+        }
+        // URL hosts are lower-case. Lowering them here, once, lets every
+        // snapshot copy them as they are.
+        for d in &mut self.domains {
+            d.make_ascii_lowercase();
         }
 
         self.build_root();
@@ -444,6 +486,7 @@ impl Builder {
         self.build_iframes();
 
         PageGenerator {
+            // vroom-lint: allow(hot-path-alloc) -- once per generator, at corpus construction
             url: Url::https(self.domains[0].clone(), "/"),
             profile: self.profile,
             site_seed: self.site_seed,
@@ -455,6 +498,7 @@ impl Builder {
 
     fn slug(&mut self, prefix: &str) -> String {
         self.slug_counter += 1;
+        // vroom-lint: allow(hot-path-alloc) -- one per node, at corpus construction
         format!("{prefix}{:03}", self.slug_counter)
     }
 
@@ -1076,6 +1120,138 @@ mod tests {
             assert!(!subtree.is_empty(), "iframe {} has content", f.id);
             assert!(subtree.iter().all(|r| r.hint_tier() == 2));
         }
+    }
+
+    /// The generator's domain names as first formatted, before hosts were
+    /// lower-cased at build time.
+    fn reference_domains(g: &PageGenerator) -> Vec<String> {
+        let site = format!("{}{}.com", g.profile.category, g.site_seed & 0xffff);
+        let mut domains = vec![site.clone(), format!("cdn.{site}")];
+        domains.extend(
+            (0..g.domains.len() - 2)
+                .map(|i| format!("tp{i}-{:x}.net", mix(g.site_seed, i as u64) & 0xffff)),
+        );
+        domains
+    }
+
+    /// The reference URL builder: a chain of `format!`s per URL, with
+    /// `Url::https` lower-casing the host. The generator's one-pass builder
+    /// must match it byte for byte.
+    fn reference_url(g: &PageGenerator, domains: &[String], id: usize, ctx: &LoadContext) -> Url {
+        let n = &g.nodes[id];
+        let domain = &domains[n.domain_idx];
+        if id == 0 {
+            return Url::https(domain.clone(), "/");
+        }
+        let mut path = format!("/{}/{}", n.kind_dir(), n.slug);
+        match n.stability {
+            Stability::Stable => {}
+            Stability::HourlyFlux => {
+                let phase = mix(g.site_seed, id as u64) as f64 / u64::MAX as f64;
+                let epoch = ((ctx.hours / n.lifetime_hours) + phase).floor() as i64;
+                path = format!("/{}/{}-v{}", n.kind_dir(), n.slug, epoch);
+            }
+            Stability::PerLoadRandom => {
+                let token = mix(mix(g.site_seed, id as u64), ctx.nonce);
+                path = format!(
+                    "/{}/{}?cb={:012x}",
+                    n.kind_dir(),
+                    n.slug,
+                    token & 0xffff_ffff_ffff
+                );
+            }
+            Stability::UserPersonalized => {
+                let token = mix(
+                    mix(g.site_seed, id as u64),
+                    ctx.user_id ^ ((ctx.hours.floor() as u64) << 32),
+                );
+                path = format!("/{}/{}?u={:08x}", n.kind_dir(), n.slug, token & 0xffff_ffff);
+            }
+            Stability::DevicePersonalized => {
+                if n.device_exact {
+                    path = format!(
+                        "/{}/{}-dpr{}",
+                        n.kind_dir(),
+                        n.slug,
+                        (ctx.device.dpr() * 10.0) as u32
+                    );
+                } else {
+                    path = format!("/{}/{}-{}", n.kind_dir(), n.slug, ctx.device.bucket());
+                }
+            }
+        }
+        if !n.ext.is_empty() && !path.contains('?') {
+            path = format!("{path}.{}", n.ext);
+        } else if !n.ext.is_empty() {
+            let (p, q) = path.split_once('?').expect("query checked");
+            path = format!("{p}.{}?{q}", n.ext);
+        }
+        Url::https(domain.clone(), path)
+    }
+
+    /// A custom profile whose category is not lower-case.
+    fn upper_case_profile() -> SiteProfile {
+        SiteProfile {
+            category: "BigNews".into(),
+            ..SiteProfile::news()
+        }
+    }
+
+    #[test]
+    fn url_builder_matches_the_format_chain_reference() {
+        let profiles = [
+            SiteProfile::news(),
+            SiteProfile::sports(),
+            SiteProfile::top100(),
+            SiteProfile::top400(),
+            upper_case_profile(),
+        ];
+        let loads = [
+            (1000.0, 7, 42),
+            (0.0, 0, 0),
+            (2000.75, u64::MAX, 0xDEAD_BEEF),
+            (-30.5, 1 << 40, u64::MAX),
+        ];
+        let mut forms = std::collections::HashSet::new();
+        for profile in profiles {
+            for seed in [5, 0x1234, 0xFFFF_0042] {
+                let g = PageGenerator::new(profile.clone(), seed);
+                let domains = reference_domains(&g);
+                for device in DeviceClass::all() {
+                    for (hours, user_id, nonce) in loads {
+                        let ctx = LoadContext {
+                            hours,
+                            user_id,
+                            device,
+                            nonce,
+                        };
+                        let page = g.snapshot(&ctx);
+                        assert_eq!(page.url, reference_url(&g, &domains, 0, &ctx));
+                        for r in &page.resources {
+                            let want = reference_url(&g, &domains, r.id, &ctx);
+                            assert_eq!(r.url, want, "{} node {}", profile.category, r.id);
+                            // Each string is allocated at its exact size.
+                            for part in [&r.url.scheme, &r.url.host, &r.url.path] {
+                                assert_eq!(part.capacity(), part.len());
+                            }
+                            forms.insert((r.stability, g.nodes[r.id].device_exact));
+                        }
+                    }
+                }
+            }
+        }
+        for form in [
+            (Stability::Stable, false),
+            (Stability::HourlyFlux, false),
+            (Stability::PerLoadRandom, false),
+            (Stability::UserPersonalized, false),
+            (Stability::DevicePersonalized, false),
+            (Stability::DevicePersonalized, true),
+        ] {
+            assert!(forms.contains(&form), "no {form:?} URL was checked");
+        }
+        let page = PageGenerator::new(upper_case_profile(), 5).snapshot(&ctx());
+        assert_eq!(page.url.host, "bignews5.com");
     }
 
     #[test]
