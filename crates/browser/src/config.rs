@@ -16,25 +16,13 @@ use vroom_sim::SimDuration;
 /// The HTTP version in use between the client and every server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HttpVersion {
-    /// HTTP/1.1: up to `conns_per_domain` parallel connections, one
-    /// outstanding response per connection.
-    H1 {
-        /// Browser connection pool size per domain (6 in practice).
-        conns_per_domain: usize,
-    },
+    /// HTTP/1.1: up to six parallel connections per domain (the browser
+    /// pool size in practice), one outstanding response per connection.
+    H1,
     /// HTTP/2: one multiplexed connection per domain; the server returns
     /// complete responses in request order (the paper's modified Mahimahi,
     /// §5.1) and may push.
     H2,
-}
-
-impl HttpVersion {
-    /// Standard HTTP/1.1 with six connections per domain.
-    pub fn h1() -> Self {
-        HttpVersion::H1 {
-            conns_per_domain: 6,
-        }
-    }
 }
 
 /// One dependency hint attached to an HTML response (a parsed `Link
@@ -122,17 +110,12 @@ pub struct LoadConfig {
     pub fetch_policy: FetchPolicy,
     /// CPU slowdown factor relative to the reference device (1.0 = Nexus-6).
     pub cpu_factor: f64,
-    /// Network-bound lower bound: all URLs known at t = 0, no evaluation.
-    pub upfront_all: bool,
-    /// Skip all CPU work (used with `upfront_all` for the network bound).
-    pub disable_processing: bool,
+    /// Network-bound lower bound: all URLs known at t = 0 and no CPU work.
+    pub network_bound: bool,
     /// CPU-bound lower bound: every fetch completes instantly.
     pub zero_network: bool,
     /// Warm HTTP cache.
     pub warm_cache: BTreeMap<Url, CacheEntry>,
-    /// Cost of one scheduler stage transition on the client CPU — the
-    /// JavaScript `response_handler` of §5.2 runs on the single JS thread.
-    pub stage_transition_cost: SimDuration,
     /// HTTP/2 servers return complete responses in request order — the
     /// paper's Mahimahi modification (§5.1) that Vroom relies on to deliver
     /// resources in processing order. Stock HTTP/2 multiplexes instead
@@ -162,11 +145,9 @@ impl Default for LoadConfig {
             server: ServerModel::default(),
             fetch_policy: FetchPolicy::OnDiscovery,
             cpu_factor: 1.0,
-            upfront_all: false,
-            disable_processing: false,
+            network_bound: false,
             zero_network: false,
             warm_cache: BTreeMap::new(),
-            stage_transition_cost: SimDuration::from_millis(5),
             ordered_responses: false,
             fine_grained_dependencies: false,
             fault: FaultPlan::none(),
@@ -179,7 +160,7 @@ impl LoadConfig {
     /// Plain HTTP/1.1 load — the paper's "loads from web" status quo.
     pub fn http1_baseline() -> Self {
         LoadConfig {
-            http: HttpVersion::h1(),
+            http: HttpVersion::H1,
             ..Default::default()
         }
     }
@@ -213,6 +194,6 @@ mod tests {
         let c = LoadConfig::default();
         assert_eq!(c.http, HttpVersion::H2);
         assert_eq!(c.fetch_policy, FetchPolicy::OnDiscovery);
-        assert!(!c.zero_network && !c.upfront_all);
+        assert!(!c.zero_network && !c.network_bound);
     }
 }

@@ -177,6 +177,13 @@ struct RState {
 /// TCP initial congestion window (10 MSS, RFC 6928).
 const INITIAL_CWND: f64 = 14_600.0;
 
+/// HTTP/1.1 browser connection pool size per domain.
+const H1_CONNS_PER_DOMAIN: usize = 6;
+
+/// Client CPU cost of one scheduler stage transition — the JavaScript
+/// `response_handler` of §5.2 runs on the single JS thread.
+const STAGE_TRANSITION_COST: SimDuration = SimDuration::from_millis(5);
+
 struct Conn {
     ready: bool,
     /// HTTP/1.1: the one response this connection is carrying.
@@ -563,7 +570,7 @@ impl<'a> Sim<'a> {
 
     fn run_load(mut self, scratch: &mut EngineScratch) -> LoadResult {
         // Kick off: root (and, for the network-bound bound, everything).
-        if self.cfg.upfront_all {
+        if self.cfg.network_bound {
             for id in 0..self.page.len() {
                 self.discover(id);
             }
@@ -598,7 +605,7 @@ impl<'a> Sim<'a> {
                     let settled = st.discovered.is_none()
                         || st.failed
                         || (st.fetched.is_some()
-                            && (st.processed.is_some() || self.cfg.disable_processing));
+                            && (st.processed.is_some() || self.cfg.network_bound));
                     !settled && *id < usize::MAX
                 })
                 .map(|(id, st)| {
@@ -780,7 +787,7 @@ impl<'a> Sim<'a> {
         let fire_at = match &self.cpu.running {
             Some((_, end)) => *end,
             None => self.now,
-        } + self.cfg.stage_transition_cost;
+        } + STAGE_TRANSITION_COST;
         self.queue.schedule(fire_at, Ev::StageOpen { tier: next });
     }
 
@@ -873,10 +880,6 @@ impl<'a> Sim<'a> {
         }
 
         let domain = self.domain_of(&target);
-        let h1_limit = match self.cfg.http {
-            HttpVersion::H1 { conns_per_domain } => Some(conns_per_domain),
-            HttpVersion::H2 => None,
-        };
         let dom = match self.domain_index.get(&domain) {
             Some(&i) => i,
             None => {
@@ -899,8 +902,8 @@ impl<'a> Sim<'a> {
         ds.dns_started = true;
         self.network_pending += 1;
 
-        match h1_limit {
-            None => {
+        match self.cfg.http {
+            HttpVersion::H2 => {
                 // HTTP/2: one connection per domain.
                 if ds.conns.is_empty() {
                     ds.conns.push(Conn::new());
@@ -929,12 +932,12 @@ impl<'a> Sim<'a> {
                     );
                 }
             }
-            Some(limit) => {
+            HttpVersion::H1 => {
                 ds.pending.push_back(target);
                 // Open another connection if all are busy/unready and we
                 // have headroom.
                 let free = ds.conns.iter().any(|c| c.ready && !c.busy);
-                if !free && ds.conns.len() < limit {
+                if !free && ds.conns.len() < H1_CONNS_PER_DOMAIN {
                     ds.conns.push(Conn::new());
                     let conn = ds.conns.len() - 1;
                     self.queue.schedule(
@@ -1008,13 +1011,10 @@ impl<'a> Sim<'a> {
         }
         self.note_settled(id);
 
-        if self.cfg.disable_processing {
+        if self.cfg.network_bound {
+            // Every resource was discovered at t = 0; none is processed.
             self.rstate[id].processed = Some(self.now);
             self.note_settled(id);
-            if !self.cfg.upfront_all {
-                // Children become discoverable without CPU work.
-                self.discover_children(id);
-            }
             self.check_done();
             return;
         }
@@ -1448,7 +1448,7 @@ impl<'a> Sim<'a> {
             return;
         }
         let processed_ok = st.processed.is_some()
-            || self.cfg.disable_processing
+            || self.cfg.network_bound
             || !self.page.resources[id].needs_processing_for_onload();
         if st.fetched.is_some() && processed_ok {
             st.settled = true;
@@ -1482,7 +1482,7 @@ impl<'a> Sim<'a> {
             }
             let fetched = st.fetched.is_some();
             let processed = st.processed.is_some()
-                || self.cfg.disable_processing
+                || self.cfg.network_bound
                 || !self.page.resources[id].needs_processing_for_onload();
             fetched && processed
         });
@@ -1648,7 +1648,7 @@ impl<'a> Sim<'a> {
         }
         c.sending = false;
         c.busy = false;
-        if matches!(self.cfg.http, HttpVersion::H1 { .. }) {
+        if self.cfg.http == HttpVersion::H1 {
             self.h1_dispatch(dom);
         } else {
             self.start_next_response(dom, conn);
@@ -1901,7 +1901,7 @@ impl<'a> Sim<'a> {
                             );
                         }
                     }
-                    HttpVersion::H1 { .. } => {
+                    HttpVersion::H1 => {
                         self.h1_dispatch(dom);
                     }
                 }
@@ -1935,8 +1935,7 @@ impl<'a> Sim<'a> {
                         }
                     }
                 }
-                let ordered =
-                    self.cfg.ordered_responses || matches!(self.cfg.http, HttpVersion::H1 { .. });
+                let ordered = self.cfg.ordered_responses || self.cfg.http == HttpVersion::H1;
                 if ordered {
                     self.domains[dom].conns[conn]
                         .response_queue
@@ -1989,8 +1988,7 @@ impl<'a> Sim<'a> {
                         }
                     }
                     self.network_pending += 1;
-                    let ordered = self.cfg.ordered_responses
-                        || matches!(self.cfg.http, HttpVersion::H1 { .. });
+                    let ordered = self.cfg.ordered_responses || self.cfg.http == HttpVersion::H1;
                     if ordered {
                         self.domains[dom].conns[conn]
                             .response_queue

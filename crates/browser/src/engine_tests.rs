@@ -190,8 +190,7 @@ fn cpu_bound_lower_bound_tracks_total_cpu() {
 fn network_bound_lower_bound_tracks_bytes_over_bandwidth() {
     let page = fig5_page();
     let cfg = LoadConfig {
-        upfront_all: true,
-        disable_processing: true,
+        network_bound: true,
         ..LoadConfig::default()
     };
     let r = load(&page, &cfg);

@@ -37,8 +37,9 @@ use vroom_pages::{Corpus, DeviceClass, LoadContext};
 use vroom_server::batch::{commit_pass_at, run_pass};
 use vroom_server::freshness::{hint_quality_by_age, CALIBRATED_TTL_HOURS};
 use vroom_server::store::{EvictionPolicy, HintStore, ShardedStore};
+use vroom_sim::mix;
 
-use crate::{load_client, mix, ClientSpec, FleetConfig, FLEET_BASE_HOURS};
+use crate::{load_client, ClientSpec, FleetConfig, FLEET_BASE_HOURS};
 
 /// Configuration of one freshness sweep.
 #[derive(Debug, Clone)]

@@ -58,6 +58,7 @@ use vroom_server::freshness::observed_pass;
 use vroom_server::push_policy::{select_pushes, PushPolicy};
 use vroom_server::resolve::embedded_htmls;
 use vroom_server::store::{EvictionPolicy, HintStore, ShardStats, ShardedStore};
+use vroom_sim::mix;
 
 pub mod freshness;
 
@@ -194,14 +195,6 @@ impl FleetConfig {
             (self.clone(), 0)
         }
     }
-}
-
-/// splitmix-style hash used for every per-client derivation.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// One client's derived parameters — a pure function of (fleet seed, id).

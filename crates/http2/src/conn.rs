@@ -197,24 +197,9 @@ impl Connection {
         }
     }
 
-    /// Our announced settings.
-    pub fn local_settings(&self) -> &Settings {
-        &self.local
-    }
-
-    /// The peer's last announced settings.
-    pub fn peer_settings(&self) -> &Settings {
-        &self.peer
-    }
-
     /// Whether the peer has acknowledged our SETTINGS.
     pub fn settings_acked(&self) -> bool {
         self.local_settings_acked
-    }
-
-    /// Whether GOAWAY has been received.
-    pub fn is_closing(&self) -> bool {
-        self.goaway_received || self.goaway_sent
     }
 
     /// State of a stream, if known.
@@ -236,11 +221,6 @@ impl Connection {
     /// Drain bytes to write to the transport.
     pub fn take_output(&mut self) -> Bytes {
         self.out.split().freeze()
-    }
-
-    /// Whether output bytes are pending.
-    pub fn wants_write(&self) -> bool {
-        !self.out.is_empty()
     }
 
     /// Pop the next protocol event.

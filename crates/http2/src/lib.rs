@@ -62,7 +62,6 @@ pub mod conn;
 pub mod error;
 pub mod flow;
 pub mod frame;
-pub mod h1;
 pub mod headers;
 pub mod settings;
 pub mod stream;

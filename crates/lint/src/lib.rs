@@ -12,18 +12,16 @@
 //!
 //! 1. [`lexer`] blanks comments and literals while preserving byte
 //!    positions, and collects per-line waivers;
-//! 2. [`parse`] builds one [`parse::FileSummary`] per file — fns with
-//!    their call and effect sites, enums, and protocol matches — plus the
-//!    per-file rule findings ([`rules`]);
-//! 3. [`cache`] optionally replays summaries for unchanged files (keyed by
-//!    content hash; behaviorally invisible);
-//! 4. [`callgraph`] links the summaries into a conservative workspace call
+//! 2. [`parse`] builds one [`parse::FileSummary`] per file, from source on
+//!    every run — fns with their call and effect sites, enums, and protocol
+//!    matches — plus the per-file rule findings ([`rules`]);
+//! 3. [`callgraph`] links the summaries into a conservative workspace call
 //!    graph (over-approximating on every ambiguity);
-//! 5. [`reach`] walks it for the interprocedural rule families —
+//! 4. [`reach`] walks it for the interprocedural rule families —
 //!    `sim-purity`, `panic-reachable`, `hot-path-alloc`,
 //!    `protocol-exhaustive`, and the `lock-safety` triple (`lock-order`,
 //!    `blocking-under-lock`, `lock-in-hot-loop`);
-//! 6. [`baseline`] reconciles findings against the checked-in ratchet, and
+//! 5. [`baseline`] reconciles findings against the checked-in ratchet, and
 //!    [`sarif`] renders the report as canonical SARIF JSON.
 //!
 //! Escape hatches are explicit and audited: a line can carry
@@ -34,7 +32,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod hotpaths;
 pub mod lexer;
@@ -89,12 +86,9 @@ impl std::fmt::Display for Error {
     }
 }
 
-/// Analysis options. `Default` is a cold, cache-free run — what the
-/// library tests and `analyze` use; the CLI opts into the cache.
+/// Analysis options. `Default` reports every rule.
 #[derive(Debug, Default)]
 pub struct Options {
-    /// Read/write an incremental summary cache at this path.
-    pub cache: Option<PathBuf>,
     /// Restrict reporting to these rule ids (expanded from `--rules`
     /// families by [`rules::resolve_rule_filter`]). Applies to baseline
     /// entries too — other families' debt must not read as stale when the
@@ -117,44 +111,15 @@ fn violations_of(summaries: &[FileSummary], hot: &hotpaths::HotPathConfig) -> Ve
     out
 }
 
-/// Summarize every workspace file, consulting (and refreshing) the cache
-/// when one is configured.
-fn summarize_workspace(files: &[SourceFile], opts: &Options) -> Vec<FileSummary> {
-    let Some(cache_path) = &opts.cache else {
-        return files.iter().map(parse::summarize).collect();
-    };
-    let mut cache = cache::Cache::load(cache_path);
-    let mut summaries = Vec::with_capacity(files.len());
-    for file in files {
-        let hash = cache::content_hash(&file.source);
-        let summary = match cache.lookup(&file.path, &hash) {
-            Some(hit) => hit,
-            None => {
-                let fresh = parse::summarize(file);
-                cache.record(hash, fresh.clone());
-                fresh
-            }
-        };
-        summaries.push(summary);
-    }
-    let live: Vec<&str> = files.iter().map(|f| f.path.as_str()).collect();
-    cache.retain_paths(&live);
-    cache.store(cache_path);
-    summaries
-}
-
 /// Lint the workspace rooted at (or above) `start`, reconciling against the
-/// checked-in baseline if present. Cache-free; see [`analyze_with`].
+/// checked-in baseline if present.
 pub fn analyze(start: &Path) -> Result<Report, Error> {
     analyze_with(start, &Options::default())
 }
 
 /// Lint the workspace with explicit [`Options`].
 pub fn analyze_with(start: &Path, opts: &Options) -> Result<Report, Error> {
-    let (root, files, hot) = load_workspace(start)?;
-    let summaries = summarize_workspace(&files, opts);
-    hot.check_roots(&summaries).map_err(Error::Config)?;
-    let mut violations = violations_of(&summaries, &hot);
+    let (root, files_scanned, mut violations) = lint_workspace(start)?;
     if let Some(keep) = &opts.rules {
         violations.retain(|v| keep.contains(&v.rule));
     }
@@ -178,30 +143,28 @@ pub fn analyze_with(start: &Path, opts: &Options) -> Result<Report, Error> {
         new_violations,
         stale_entries,
         raw_count,
-        files_scanned: files.len(),
+        files_scanned,
     })
 }
 
 /// Regenerate the baseline from the current tree and return its contents.
 pub fn update_baseline(start: &Path) -> Result<String, Error> {
-    let (root, files, hot) = load_workspace(start)?;
-    let summaries: Vec<FileSummary> = files.iter().map(parse::summarize).collect();
-    hot.check_roots(&summaries).map_err(Error::Config)?;
-    let violations = violations_of(&summaries, &hot);
+    let (root, _, violations) = lint_workspace(start)?;
     let text = baseline::render(&violations);
     std::fs::write(root.join(baseline::BASELINE_FILE), &text)
         .map_err(|e| Error::Run(format!("writing baseline: {e}")))?;
     Ok(text)
 }
 
-/// The workspace root above `start`, its sources, and its hot-path config.
-fn load_workspace(
-    start: &Path,
-) -> Result<(PathBuf, Vec<SourceFile>, hotpaths::HotPathConfig), Error> {
+/// Summarize every source file of the workspace above `start` and return
+/// its root, the number of files scanned, and every raw violation.
+fn lint_workspace(start: &Path) -> Result<(PathBuf, usize, Vec<Violation>), Error> {
     let root = source::workspace_root(start)
         .ok_or_else(|| Error::Run(format!("no workspace Cargo.toml above {}", start.display())))?;
     let files = source::collect_sources(&root)
         .map_err(|e| Error::Run(format!("walking workspace: {e}")))?;
     let hot = hotpaths::load(&root).map_err(Error::Config)?;
-    Ok((root, files, hot))
+    let summaries: Vec<FileSummary> = files.iter().map(parse::summarize).collect();
+    hot.check_roots(&summaries).map_err(Error::Config)?;
+    Ok((root, files.len(), violations_of(&summaries, &hot)))
 }

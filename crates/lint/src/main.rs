@@ -2,9 +2,7 @@
 //!
 //! * `vroom-lint` — lint; exit 1 if violations beyond the baseline exist.
 //! * `vroom-lint --format json` — emit a SARIF 2.1.0 report on stdout
-//!   (stable, sorted, byte-identical across cold and cached runs).
-//! * `vroom-lint --no-cache` — skip the incremental summary cache
-//!   (`target/vroom-lint-cache.json`); the default run uses it.
+//!   (stable and sorted: the same tree always renders the same bytes).
 //! * `vroom-lint --rules lock-safety` — restrict the run to one or more
 //!   comma-separated rule families (or bare rule ids); unknown names exit 2.
 //! * `vroom-lint --update-baseline` — regenerate `lint-baseline.txt` from
@@ -24,7 +22,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut update = false;
     let mut check_baseline = false;
-    let mut no_cache = false;
     let mut json = false;
     let mut rules: Option<Vec<&'static str>> = None;
     let parse_rules = |spec: Option<&str>| -> Result<Vec<&'static str>, String> {
@@ -36,7 +33,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--update-baseline" => update = true,
             "--check-baseline" => check_baseline = true,
-            "--no-cache" => no_cache = true,
             "--rules" => match parse_rules(iter.next().map(String::as_str)) {
                 Ok(r) => rules = Some(r),
                 Err(e) => {
@@ -68,15 +64,14 @@ fn main() -> ExitCode {
                 println!(
                     "vroom-lint: call-graph determinism & protocol-invariant checks\n\
                      \n\
-                     USAGE: vroom-lint [--format json|text] [--no-cache] [--rules <list>]\n\
+                     USAGE: vroom-lint [--format json|text] [--rules <list>]\n\
                      \u{20}                 [--update-baseline | --check-baseline]\n\
                      \n\
-                     Default mode lints the workspace and fails on violations not covered by\n\
-                     lint-baseline.txt. --format json writes a SARIF 2.1.0 report to stdout.\n\
+                     Default mode parses every workspace file from source, lints it, and fails\n\
+                     on violations not covered by lint-baseline.txt.\n\
+                     --format json writes a SARIF 2.1.0 report to stdout.\n\
                      --rules restricts the run to a comma-separated list of rule families\n\
                      (e.g. `lock-safety`) or bare rule ids; unknown names exit 2.\n\
-                     --no-cache forces a cold run (the default keeps an incremental summary\n\
-                     cache in target/vroom-lint-cache.json; cached runs are byte-identical).\n\
                      --check-baseline additionally fails when baseline entries are stale\n\
                      (debt was paid down but the file was not regenerated).\n\
                      --update-baseline rewrites lint-baseline.txt from the current tree."
@@ -105,17 +100,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let opts = vroom_lint::Options {
-        cache: if no_cache {
-            None
-        } else {
-            vroom_lint::source::workspace_root(&cwd)
-                .map(|root| root.join("target").join("vroom-lint-cache.json"))
-        },
-        rules,
-    };
-
-    match vroom_lint::analyze_with(&cwd, &opts) {
+    match vroom_lint::analyze_with(&cwd, &vroom_lint::Options { rules }) {
         Ok(report) => {
             if json {
                 print!("{}", vroom_lint::sarif::render(&report));

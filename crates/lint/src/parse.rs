@@ -2,8 +2,8 @@
 //!
 //! Produces one [`FileSummary`] per source file: the functions it defines
 //! (with their call sites and effect sites), the enums it declares, and the
-//! `match` expressions that scrutinize enum variants. Summaries are the unit
-//! of incremental caching ([`crate::cache`]) and the input to the workspace
+//! `match` expressions that scrutinize enum variants. Every run builds each
+//! file's summary from source; summaries are the input to the workspace
 //! call graph ([`crate::callgraph`]) and the reachability rules
 //! ([`crate::reach`]).
 //!
@@ -29,25 +29,6 @@ pub enum CallKind {
     /// `Type::assoc(..)` / `module::helper(..)` — resolved through the
     /// qualifying path segment.
     Qualified,
-}
-
-impl CallKind {
-    pub fn tag(self) -> &'static str {
-        match self {
-            CallKind::Free => "free",
-            CallKind::Method => "method",
-            CallKind::Qualified => "qualified",
-        }
-    }
-
-    pub fn from_tag(tag: &str) -> Option<CallKind> {
-        match tag {
-            "free" => Some(CallKind::Free),
-            "method" => Some(CallKind::Method),
-            "qualified" => Some(CallKind::Qualified),
-            _ => None,
-        }
-    }
 }
 
 /// One call expression inside a function body.
@@ -177,7 +158,7 @@ impl EffectKind {
         }
     }
 
-    /// Human name used in diagnostics and the cache encoding.
+    /// Human name used in diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             EffectKind::WallClock => "wall-clock read",
@@ -202,34 +183,6 @@ impl EffectKind {
             EffectKind::Blocking(BlockKind::ChannelRecv) => "blocking channel-recv",
             EffectKind::Blocking(BlockKind::ChannelSend) => "blocking channel-send",
             EffectKind::Blocking(BlockKind::ThreadJoin) => "blocking thread-join",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<EffectKind> {
-        match name {
-            "wall-clock read" => Some(EffectKind::WallClock),
-            "ambient randomness" => Some(EffectKind::Randomness),
-            "filesystem access" => Some(EffectKind::Fs),
-            "network access" => Some(EffectKind::Net),
-            "unordered iteration" => Some(EffectKind::UnorderedIter),
-            "thread spawn" => Some(EffectKind::ThreadSpawn),
-            "panic site" => Some(EffectKind::Panic),
-            "alloc clone" => Some(EffectKind::Alloc(AllocKind::Clone)),
-            "alloc to_vec" => Some(EffectKind::Alloc(AllocKind::ToVec)),
-            "alloc to_owned" => Some(EffectKind::Alloc(AllocKind::ToOwned)),
-            "alloc to_string" => Some(EffectKind::Alloc(AllocKind::ToString)),
-            "alloc string-from" => Some(EffectKind::Alloc(AllocKind::StringFrom)),
-            "alloc format" => Some(EffectKind::Alloc(AllocKind::Format)),
-            "alloc concat" => Some(EffectKind::Alloc(AllocKind::Concat)),
-            "alloc join" => Some(EffectKind::Alloc(AllocKind::Join)),
-            "alloc copy-from-slice" => Some(EffectKind::Alloc(AllocKind::CopyFromSlice)),
-            "alloc vec-new" => Some(EffectKind::Alloc(AllocKind::VecNew)),
-            "alloc with-capacity" => Some(EffectKind::Alloc(AllocKind::WithCapacity)),
-            "blocking sleep" => Some(EffectKind::Blocking(BlockKind::Sleep)),
-            "blocking channel-recv" => Some(EffectKind::Blocking(BlockKind::ChannelRecv)),
-            "blocking channel-send" => Some(EffectKind::Blocking(BlockKind::ChannelSend)),
-            "blocking thread-join" => Some(EffectKind::Blocking(BlockKind::ThreadJoin)),
-            _ => None,
         }
     }
 
@@ -284,15 +237,6 @@ impl LockOp {
             LockOp::Lock => "lock",
             LockOp::Read => "read",
             LockOp::Write => "write",
-        }
-    }
-
-    pub fn from_label(s: &str) -> Option<LockOp> {
-        match s {
-            "lock" => Some(LockOp::Lock),
-            "read" => Some(LockOp::Read),
-            "write" => Some(LockOp::Write),
-            _ => None,
         }
     }
 }
@@ -399,8 +343,7 @@ pub struct FileSummary {
     /// `use path::Real as Alias;` renames, as (alias, real) pairs — lets
     /// the call graph resolve `Alias::assoc(..)` through the real type.
     pub aliases: Vec<(String, String)>,
-    /// Per-file rule violations ([`rules::check_file`]), cached alongside
-    /// the structural summary so a cache hit skips the whole file.
+    /// Per-file rule violations ([`rules::check_file`]).
     pub local: Vec<Violation>,
 }
 
@@ -2159,8 +2102,11 @@ mod tests {
         assert_eq!(alloc.loop_depth, 2);
     }
 
+    /// Each alloc kind has its own diagnostic name: the names order effect
+    /// sites that share a position, and tell findings apart in messages.
     #[test]
     fn alloc_effect_names_roundtrip() {
+        let mut names = Vec::new();
         for ak in [
             AllocKind::Clone,
             AllocKind::ToVec,
@@ -2175,9 +2121,13 @@ mod tests {
             AllocKind::WithCapacity,
         ] {
             let kind = EffectKind::Alloc(ak);
-            assert_eq!(EffectKind::from_name(kind.name()), Some(kind));
+            assert!(kind.name().starts_with("alloc "), "{}", kind.name());
             assert_eq!(kind.rule(), "hot-path-alloc");
+            names.push(kind.name());
         }
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 11, "{names:?}");
     }
 
     #[test]

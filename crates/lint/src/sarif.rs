@@ -2,8 +2,7 @@
 //!
 //! Built on `vroom_net::json::Value`, whose `BTreeMap`-backed objects and
 //! stable pretty-printer make the output canonical: same findings, same
-//! bytes — which is what lets the cache-determinism test compare cold and
-//! cached runs byte-for-byte, and what keeps CI artifact diffs readable.
+//! bytes — which is what keeps CI artifact diffs readable.
 
 use crate::rules::{self, Violation};
 use crate::Report;

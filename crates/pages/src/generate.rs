@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use crate::dynamics::LoadContext;
 use crate::model::{Page, Resource, ResourceId, Stability};
 use vroom_html::{ExecMode, ResourceKind, Url};
-use vroom_sim::{Rng, SimDuration};
+use vroom_sim::{mix, Rng, SimDuration};
 
 /// Tunable statistics for one site category.
 #[derive(Debug, Clone)]
@@ -244,11 +244,6 @@ impl PageGenerator {
         &self.domains[0]
     }
 
-    /// All domains the page pulls from (first-party first), lower-cased.
-    pub fn all_domains(&self) -> &[String] {
-        &self.domains
-    }
-
     /// Number of resources in every snapshot.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -424,14 +419,6 @@ impl NodeTemplate {
             ResourceKind::Other => "misc",
         }
     }
-}
-
-/// SplitMix-style mixing for stable per-(seed, id) tokens.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 struct Builder {

@@ -95,7 +95,7 @@ pub fn evaluate_aged(
         hours: bucket,
         user_id: CRAWLER_USER,
         device: ctx.device,
-        nonce: crate::batch::mix(server_seed, 0xBA7C4 ^ bucket as u64),
+        nonce: vroom_sim::mix(server_seed, 0xBA7C4 ^ bucket as u64),
     });
     let input = ResolverInput::new(generator, bucket, ctx.device, server_seed);
     evaluate_with(&input, ctx, Some(&server_page), strategy)

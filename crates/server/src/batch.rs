@@ -26,6 +26,7 @@
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, PageGenerator};
+use vroom_sim::mix;
 
 use crate::resolve::{resolve, ResolverInput, Strategy, CRAWLER_USER};
 use crate::store::HintStore;
@@ -48,13 +49,6 @@ impl PassOutput {
     pub fn hint_count(&self) -> usize {
         self.entries.iter().map(|(_, h)| h.len()).sum()
     }
-}
-
-pub(crate) fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Quantize a wall-clock hour to the resolution-freshness bucket shared by

@@ -19,6 +19,7 @@ use vroom_browser::config::Hint;
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator, ResourceId};
+use vroom_sim::mix;
 
 /// The server's crawler identity (its own cookie jar).
 pub const CRAWLER_USER: u64 = 0xC4A3_11E4;
@@ -92,13 +93,6 @@ impl<'g> ResolverInput<'g> {
             .map(|&k| self.generator.snapshot_arc(&self.crawl_ctx(k)))
             .collect()
     }
-}
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut x = a ^ b.wrapping_mul(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// The dependency lists a deployment returns, keyed by the interned URL of

@@ -1,9 +1,12 @@
-//! `vroom-sim` — the deterministic discrete-event simulation kernel
-//! underpinning the Vroom reproduction.
+//! `vroom-sim` — the deterministic discrete-event primitives underpinning
+//! the Vroom reproduction.
 //!
-//! Everything in the workspace that models time — the cellular link, the
-//! mobile browser's CPU, server think time — runs on this kernel. Design
-//! rules, borrowed from smoltcp's sans-IO philosophy:
+//! The crate provides three things: integer-nanosecond time ([`SimTime`],
+//! [`SimDuration`]), a stable-ordered event queue ([`EventQueue`]), and a
+//! seeded PRNG ([`Rng`]). It has no driver loop: the browser engine pops
+//! its own [`EventQueue`], and the cellular link model is polled with the
+//! current [`SimTime`]. Design rules, borrowed from smoltcp's sans-IO
+//! philosophy:
 //!
 //! * **Explicit clocks.** No wall-clock reads anywhere; state machines are
 //!   polled with a [`SimTime`].
@@ -15,12 +18,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Actor, Context, Engine, RunOutcome};
 pub use queue::{EventId, EventQueue};
-pub use rng::Rng;
+pub use rng::{mix, Rng};
 pub use time::{SimDuration, SimTime};

@@ -13,13 +13,23 @@ pub struct Rng {
     s: [u64; 4],
 }
 
+/// SplitMix64's finalizer over `a ^ b·φ`: a stable, well-mixed hash of a
+/// `(seed, id)` pair, used wherever a value must be a pure function of a
+/// seed and an index (page tokens, crawl and client derivations).
+/// `#[inline]` because page generation calls it per dynamic URL from
+/// another crate.
+#[inline]
+pub fn mix(a: u64, b: u64) -> u64 {
+    let mut x = a ^ b.wrapping_mul(0x9E3779B97F4A7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
+    x ^ (x >> 31)
+}
+
 /// SplitMix64 step, used for seeding and for deriving child seeds.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    mix(*state, 0)
 }
 
 impl Rng {

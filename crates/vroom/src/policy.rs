@@ -99,7 +99,7 @@ pub fn build_config(
     let mut cfg = LoadConfig::http2_baseline();
     match system {
         System::Http1 => {
-            cfg.http = HttpVersion::h1();
+            cfg.http = HttpVersion::H1;
             return cfg;
         }
         System::Http2 => return cfg,
@@ -108,8 +108,7 @@ pub fn build_config(
             return cfg;
         }
         System::NetworkBound => {
-            cfg.upfront_all = true;
-            cfg.disable_processing = true;
+            cfg.network_bound = true;
             return cfg;
         }
         System::CpuBound => {
@@ -377,7 +376,7 @@ mod tests {
     fn lower_bound_configs() {
         let (generator, ctx, page) = setup();
         let net = build_config(System::NetworkBound, &generator, &page, &ctx, 1);
-        assert!(net.upfront_all && net.disable_processing);
+        assert!(net.network_bound);
         let cpu = build_config(System::CpuBound, &generator, &page, &ctx, 1);
         assert!(cpu.zero_network);
     }
