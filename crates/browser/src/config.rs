@@ -3,14 +3,14 @@
 //!
 //! The browser engine is policy-agnostic; the Vroom core crate builds
 //! [`LoadConfig`]s for each of the paper's systems (HTTP/1.1, HTTP/2
-//! baseline, push-only variants, Polaris-like reprioritization, full Vroom,
-//! and the lower bounds).
+//! baseline, push-only variants, Polaris-like fine-grained dependency
+//! tracking, full Vroom, and the lower bounds).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
-use vroom_net::fault::{FaultPlan, RetryBudget};
+use vroom_net::fault::FaultPlan;
 use vroom_sim::SimDuration;
 
 /// The HTTP version in use between the client and every server.
@@ -19,9 +19,9 @@ pub enum HttpVersion {
     /// HTTP/1.1: up to six parallel connections per domain (the browser
     /// pool size in practice), one outstanding response per connection.
     H1,
-    /// HTTP/2: one multiplexed connection per domain; the server returns
-    /// complete responses in request order (the paper's modified Mahimahi,
-    /// §5.1) and may push.
+    /// HTTP/2: one multiplexed connection per domain; the server may push,
+    /// and returns complete responses in request order only when
+    /// [`LoadConfig::ordered_responses`] is set (Vroom's modified server).
     H2,
 }
 
@@ -63,17 +63,13 @@ pub struct ServerModel {
 /// How the client schedules requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchPolicy {
-    /// Request every known URL as soon as it is known (baselines and the
-    /// "Push All, Fetch ASAP" strawman).
+    /// Request every known URL as soon as it is known (baselines, Polaris
+    /// and the "Push All, Fetch ASAP" strawman).
     OnDiscovery,
     /// Vroom's staged scheduler (§4.3/§5.2): fetch hint tier 0 first (in
     /// hint order), tier 1 once tier 0 has drained, then tier 2.
     /// Parser-discovered resources are requested on discovery regardless.
     VroomStaged,
-    /// Polaris-style: the client knows the page's dependency *structure* up
-    /// front and prioritizes queued requests by longest descendant chain,
-    /// but each URL still becomes requestable only on discovery.
-    PolarisChain,
 }
 
 /// A warm-cache entry for a URL.
@@ -123,18 +119,18 @@ pub struct LoadConfig {
     pub ordered_responses: bool,
     /// Polaris-style fine-grained dependency tracking: false parser/script
     /// ordering constraints are lifted (scripts do not stall document
-    /// parsing). Implied by [`FetchPolicy::PolarisChain`]; settable
-    /// independently to build the Vroom+Polaris hybrid the paper's §6.1
-    /// sketches as future work.
+    /// parsing). Set alone it is Polaris; with
+    /// [`FetchPolicy::VroomStaged`] it is the Vroom+Polaris hybrid the
+    /// paper's §6.1 sketches as future work.
     pub fine_grained_dependencies: bool,
     /// Injected fault schedule. Inactive plans keep the engine on its
     /// fault-free fast path: no timers, no extra events, byte-identical
-    /// behaviour to an engine without fault support.
+    /// behaviour to an engine without fault support. While a plan is
+    /// active, every fetch runs under the engine's fixed
+    /// `RetryBudget::standard()` (per-request timeout, capped backoff);
+    /// the simulated network cannot fail spontaneously, so fault-free
+    /// loads never time out by construction.
     pub fault: FaultPlan,
-    /// Per-request timeout / capped-backoff / retry budget. Only armed
-    /// while `fault` is active — the simulated network cannot fail
-    /// spontaneously, so fault-free loads never time out by construction.
-    pub retry: RetryBudget,
 }
 
 impl Default for LoadConfig {
@@ -151,7 +147,6 @@ impl Default for LoadConfig {
             ordered_responses: false,
             fine_grained_dependencies: false,
             fault: FaultPlan::none(),
-            retry: RetryBudget::standard(),
         }
     }
 }

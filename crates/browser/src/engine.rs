@@ -11,8 +11,10 @@
 //! * **parser blocking** — synchronous scripts halt HTML parsing until they
 //!   are fetched and executed, and scripts wait on earlier stylesheets;
 //! * **a shared access link** — all responses contend for the one cellular
-//!   downlink (fluid fair share), and each server returns complete responses
-//!   in request order per connection (the paper's modified Mahimahi, §5.1);
+//!   downlink, each in-flight response taking an equal fluid share;
+//!   HTTP/1.1 connections and Vroom's modified server (the paper's modified
+//!   Mahimahi, §5.1) return complete responses in request order per
+//!   connection, while stock HTTP/2 servers multiplex them;
 //! * **connection realism** — DNS/TCP/TLS setup per domain,
 //!   six-connections-per-domain HTTP/1.1 vs one multiplexed HTTP/2
 //!   connection, HTTP/2 server push.
@@ -22,6 +24,7 @@ use crate::metrics::{LoadResult, ResourceTiming};
 use std::collections::{BTreeMap, VecDeque};
 use vroom_html::{ExecMode, ResourceKind};
 use vroom_intern::{SharedStr, UrlId};
+use vroom_net::fault::RetryBudget;
 use vroom_net::link::{SharedLink, TransferId};
 use vroom_net::profiles::NetworkProfile;
 use vroom_pages::{Page, ResourceId};
@@ -168,9 +171,8 @@ struct RState {
     first_requested: Option<SimTime>,
     /// Retry budget exhausted; onload degrades around this resource.
     failed: bool,
-    /// Bookkeeping for the fault-free onload fast path: this resource has
-    /// been counted settled (fetched + processed as far as onload cares).
-    /// Never read on faulted loads, which keep the authoritative scan.
+    /// Counted in `Sim::settled_cnt`: onload no longer waits on this
+    /// discovered resource (see [`Sim::check_done`]).
     settled: bool,
 }
 
@@ -183,6 +185,11 @@ const H1_CONNS_PER_DOMAIN: usize = 6;
 /// Client CPU cost of one scheduler stage transition — the JavaScript
 /// `response_handler` of §5.2 runs on the single JS thread.
 const STAGE_TRANSITION_COST: SimDuration = SimDuration::from_millis(5);
+
+/// Per-request timeout, capped backoff and attempt budget. Armed only
+/// while a fault plan is active: the simulated network cannot fail
+/// spontaneously, so fault-free loads never time out by construction.
+const RETRY: RetryBudget = RetryBudget::standard();
 
 struct Conn {
     ready: bool,
@@ -266,9 +273,9 @@ impl Cpu {
 struct Flight {
     dom: usize,
     conn: usize,
-    /// Unordered (multiplexed) path: the target delivered on completion.
-    /// `None` on the ordered path, where the connection queue's head is
-    /// the target.
+    /// Multiplexed serving: the target delivered on completion. `None`
+    /// under ordered serving, where the connection queue's head is the
+    /// target.
     direct: Option<Target>,
     /// Slow-start tail added to the delivery.
     penalty: SimDuration,
@@ -415,13 +422,15 @@ struct Sim<'a> {
     /// Whether the configured fault plan can inject anything; caches
     /// `cfg.fault.is_active()` so the fault-free fast path stays cheap.
     fault_active: bool,
-    /// Discovered resources so far — with `settled_cnt`, the O(1) onload
-    /// gate for fault-free loads (see [`Sim::check_done`]).
+    /// Whether each connection returns complete responses in request order
+    /// (HTTP/1.1, or Vroom's modified server) rather than multiplexing
+    /// them. Fixed for the whole load.
+    ordered: bool,
+    /// Discovered resources so far — with `settled_cnt`, the onload gate
+    /// (see [`Sim::check_done`]).
     discovered_cnt: usize,
-    /// Discovered resources already fetched and processed as far as onload
-    /// cares. `settled_cnt == discovered_cnt` iff every discovered resource
-    /// has settled, which on a fault-free load is exactly the old full-scan
-    /// onload condition (no resource can fail without a fault plan).
+    /// Discovered resources onload no longer waits on: fetched and
+    /// processed, failed, or orphaned below a failed ancestor.
     settled_cnt: usize,
     /// Accounting.
     last_event: SimTime,
@@ -545,6 +554,7 @@ impl<'a> Sim<'a> {
             current_stage: 0,
             stage_kick_queued: false,
             fault_active,
+            ordered: cfg.ordered_responses || cfg.http == HttpVersion::H1,
             discovered_cnt: 0,
             settled_cnt: 0,
             last_event: SimTime::ZERO,
@@ -601,13 +611,7 @@ impl<'a> Sim<'a> {
             self.rstate
                 .iter()
                 .enumerate()
-                .filter(|(id, st)| {
-                    let settled = st.discovered.is_none()
-                        || st.failed
-                        || (st.fetched.is_some()
-                            && (st.processed.is_some() || self.cfg.network_bound));
-                    !settled && *id < usize::MAX
-                })
+                .filter(|(_, st)| st.discovered.is_some() && !st.settled)
                 .map(|(id, st)| {
                     // vroom-lint: allow(hot-path-alloc) -- stall diagnostic: renders only when the load deadlocks and the assert fires
                     format!(
@@ -671,15 +675,31 @@ impl<'a> Sim<'a> {
 
     // ------------------------------------------------------------- discovery
 
-    fn discover(&mut self, id: ResourceId) {
+    /// Mark `id` discovered now, once; returns whether it was new. A
+    /// resource discovered below a failed ancestor settles at once: nothing
+    /// will ever process it. `timed` discoveries count toward the
+    /// discovery-time metrics.
+    fn mark_discovered(&mut self, id: ResourceId, timed: bool) -> bool {
         if self.rstate[id].discovered.is_some() {
-            return;
+            return false;
         }
         self.rstate[id].discovered = Some(self.now);
         self.discovered_cnt += 1;
-        self.discovery_all = self.discovery_all.max(self.now);
-        if self.page.resources[id].needs_processing() {
-            self.discovery_high = self.discovery_high.max(self.now);
+        if self.ancestor_failed(id) {
+            self.settle(id);
+        }
+        if timed {
+            self.discovery_all = self.discovery_all.max(self.now);
+            if self.page.resources[id].needs_processing() {
+                self.discovery_high = self.discovery_high.max(self.now);
+            }
+        }
+        true
+    }
+
+    fn discover(&mut self, id: ResourceId) {
+        if !self.mark_discovered(id, true) {
+            return;
         }
         // The browser itself fetches whatever the document demands the
         // moment the parser/script encounters it — Vroom's JS scheduler can
@@ -725,14 +745,7 @@ impl<'a> Sim<'a> {
         for h in hints.iter() {
             let target = match self.res_of(h.url) {
                 Some(id) => {
-                    if self.rstate[id].discovered.is_none() {
-                        self.rstate[id].discovered = Some(self.now);
-                        self.discovered_cnt += 1;
-                        self.discovery_all = self.discovery_all.max(self.now);
-                        if self.page.resources[id].needs_processing() {
-                            self.discovery_high = self.discovery_high.max(self.now);
-                        }
-                    }
+                    self.mark_discovered(id, true);
                     if self.rstate[id].requested.is_some() || self.rstate[id].fetched.is_some() {
                         continue;
                     }
@@ -744,9 +757,7 @@ impl<'a> Sim<'a> {
                 },
             };
             match self.cfg.fetch_policy {
-                FetchPolicy::OnDiscovery | FetchPolicy::PolarisChain => {
-                    self.request(target);
-                }
+                FetchPolicy::OnDiscovery => self.request(target),
                 FetchPolicy::VroomStaged => {
                     let tier = h.tier.min(2);
                     if tier <= self.current_stage {
@@ -868,13 +879,7 @@ impl<'a> Sim<'a> {
                 self.finish_fetch(Target::Real(id));
                 return;
             }
-            if self.fault_active {
-                st.attempts += 1;
-                let attempt = st.attempts;
-                let deadline = self.now + self.cfg.retry.timeout;
-                self.queue
-                    .schedule(deadline, Ev::FetchTimeout { id, attempt });
-            }
+            self.start_attempt(id);
         } else if self.cfg.zero_network {
             return; // nothing to waste when the network is free
         }
@@ -955,7 +960,20 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// H1: move pending requests onto free connections, best-first.
+    /// Under an active fault plan, count a new fetch attempt for `id` and
+    /// arm its timeout.
+    fn start_attempt(&mut self, id: ResourceId) {
+        if !self.fault_active {
+            return;
+        }
+        let st = &mut self.rstate[id];
+        st.attempts += 1;
+        let attempt = st.attempts;
+        self.queue
+            .schedule(self.now + RETRY.timeout, Ev::FetchTimeout { id, attempt });
+    }
+
+    /// H1: move pending requests onto free connections in request order.
     fn h1_dispatch(&mut self, dom: usize) {
         let name = self.domains[dom].name.share();
         loop {
@@ -963,22 +981,9 @@ impl<'a> Sim<'a> {
             let Some(conn_idx) = ds.conns.iter().position(|c| c.ready && !c.busy) else {
                 return;
             };
-            if ds.pending.is_empty() {
+            let Some(target) = ds.pending.pop_front() else {
                 return;
-            }
-            // Polaris: longest dependency chain first.
-            let pick = if self.cfg.fetch_policy == FetchPolicy::PolarisChain {
-                let page = self.page;
-                (0..ds.pending.len())
-                    .max_by_key(|&i| match &ds.pending[i] {
-                        Target::Real(id) => page.chain_length(*id) + 1,
-                        Target::Waste { .. } => 0,
-                    })
-                    .unwrap_or(0)
-            } else {
-                0
             };
-            let target = ds.pending.remove(pick).expect("non-empty");
             ds.conns[conn_idx].busy = true;
             let epoch = ds.conns[conn_idx].epoch;
             let ow = self.profile.latency.one_way(&name);
@@ -1032,8 +1037,7 @@ impl<'a> Sim<'a> {
                     // position (except under Polaris, whose fine-grained
                     // dependency tracking decouples them). Dynamically
                     // loaded scripts (parent is a script) run when fetched.
-                    let parser_owned = self.cfg.fetch_policy != FetchPolicy::PolarisChain
-                        && !self.cfg.fine_grained_dependencies
+                    let parser_owned = !self.cfg.fine_grained_dependencies
                         && r.via_markup
                         && r.parent
                             .map(|p| self.page.resources[p].kind == ResourceKind::Html)
@@ -1100,8 +1104,7 @@ impl<'a> Sim<'a> {
         // Polaris's fine-grained dependency tracking removes false
         // parser/script ordering constraints: the client keeps discovering
         // the rest of the document while scripts are in flight.
-        let parser_blocking_scripts = self.cfg.fetch_policy != FetchPolicy::PolarisChain
-            && !self.cfg.fine_grained_dependencies;
+        let parser_blocking_scripts = !self.cfg.fine_grained_dependencies;
         for c in &children {
             let is_blocking_script = parser_blocking_scripts
                 && c.kind == ResourceKind::Js
@@ -1391,13 +1394,6 @@ impl<'a> Sim<'a> {
     }
 
     fn on_stage_open(&mut self, tier: u8) {
-        if std::env::var("VROOM_DEBUG_STAGES").is_ok() {
-            eprintln!(
-                "STAGE {tier} opens at {} ({} targets)",
-                self.now,
-                self.staged[tier as usize].len()
-            );
-        }
         self.stage_kick_queued = false;
         self.current_stage = tier;
         self.stage_outstanding.clear();
@@ -1438,55 +1434,45 @@ impl<'a> Sim<'a> {
         false
     }
 
-    /// Mark `id` settled (counted toward the O(1) onload gate) once it is
-    /// fetched and either processed or exempt from processing. Idempotent:
-    /// call it after every `fetched`/`processed` transition; the `settled`
-    /// flag guarantees each resource is counted exactly once.
-    fn note_settled(&mut self, id: ResourceId) {
+    /// Count `id` settled, once: onload stops waiting on it.
+    fn settle(&mut self, id: ResourceId) {
         let st = &mut self.rstate[id];
-        if st.settled {
-            return;
-        }
-        let processed_ok = st.processed.is_some()
-            || self.cfg.network_bound
-            || !self.page.resources[id].needs_processing_for_onload();
-        if st.fetched.is_some() && processed_ok {
+        if !st.settled {
             st.settled = true;
             self.settled_cnt += 1;
         }
     }
 
+    /// Settle `id` if it is fetched and processed (the network-bound load
+    /// processes nothing). Call it after every `fetched`/`processed`
+    /// transition.
+    fn note_settled(&mut self, id: ResourceId) {
+        let st = &self.rstate[id];
+        if st.fetched.is_some() && (st.processed.is_some() || self.cfg.network_bound) {
+            self.settle(id);
+        }
+    }
+
+    /// Settle every discovered descendant of the failed resource `id`:
+    /// orphaned, even if a push delivered its bytes, because nothing will
+    /// ever execute it.
+    fn settle_orphans(&mut self, id: ResourceId) {
+        for k in self.child_start[id]..self.child_start[id + 1] {
+            let child = self.child_ids[k];
+            if self.rstate[child].discovered.is_some() {
+                self.settle(child);
+            }
+            self.settle_orphans(child);
+        }
+    }
+
+    /// Onload fires once every discovered resource has settled. A resource
+    /// the load never surfaced (e.g. the child of a failed script) cannot
+    /// gate it; neither can one whose retry budget is spent — real
+    /// browsers fire onload around failed subresources — nor one orphaned
+    /// below a failed ancestor.
     fn check_done(&mut self) {
-        if self.finished {
-            return;
-        }
-        // Fault-free loads can never mark a resource `failed` (failures are
-        // only reachable through fault-plan events), so the full scan below
-        // collapses to "every discovered resource settled" — two counters.
-        if !self.fault_active {
-            if self.settled_cnt == self.discovered_cnt {
-                self.finished = true;
-                self.plt = self.now;
-            }
-            return;
-        }
-        let all_done = self.rstate.iter().enumerate().all(|(id, st)| {
-            // A resource the load never surfaced (e.g. the child of a
-            // failed script) cannot gate onload; neither can a resource
-            // whose retry budget is spent — real browsers fire onload
-            // around failed subresources. A resource below a failed
-            // document is orphaned even if a push delivered its bytes:
-            // nothing will ever execute it.
-            if st.discovered.is_none() || st.failed || self.ancestor_failed(id) {
-                return true;
-            }
-            let fetched = st.fetched.is_some();
-            let processed = st.processed.is_some()
-                || self.cfg.network_bound
-                || !self.page.resources[id].needs_processing_for_onload();
-            fetched && processed
-        });
-        if all_done {
+        if !self.finished && self.settled_cnt == self.discovered_cnt {
             self.finished = true;
             self.plt = self.now;
         }
@@ -1532,72 +1518,58 @@ impl<'a> Sim<'a> {
         }
     }
 
+    /// The server has `target`'s response ready on `conn`. Ordered serving
+    /// queues it behind the connection's earlier responses (the caller
+    /// then calls [`Sim::start_next_response`]); multiplexed serving — stock
+    /// HTTP/2 — puts it on the link at once as a transfer of its own.
+    fn enqueue_response(&mut self, dom: usize, conn: usize, target: Target) {
+        if self.ordered {
+            self.domains[dom].conns[conn]
+                .response_queue
+                .push_back(target);
+        } else {
+            self.start_response(dom, conn, target);
+        }
+    }
+
+    /// Ordered serving: put the connection's queue head on the link unless
+    /// a response is already sending.
     fn start_next_response(&mut self, dom: usize, conn: usize) {
         let c = &mut self.domains[dom].conns[conn];
         if c.sending {
             return;
         }
-        let Some(head) = c.response_queue.front() else {
+        let Some(&head) = c.response_queue.front() else {
             return;
         };
-        let head = *head;
-        let (size, truncated) = self.faulted_size(&head);
+        c.sending = true;
+        self.start_response(dom, conn, head);
+    }
+
+    /// Start `target`'s response on the link: injected truncation, the
+    /// connection's slow-start tail, and the header hints one propagation
+    /// delay later.
+    fn start_response(&mut self, dom: usize, conn: usize, target: Target) {
+        let (size, truncated) = self.faulted_size(&target);
         let name = self.domains[dom].name.share();
         let rtt = self.profile.latency.rtt(&name);
-        let penalty = {
-            let c = &mut self.domains[dom].conns[conn];
-            c.sending = true;
-            c.slow_start_penalty(size, rtt)
-        };
+        let penalty = self.domains[dom].conns[conn].slow_start_penalty(size, rtt);
         let (tid, completed) = self.link.start(self.now, size);
         self.transfers.push((
             tid,
             Flight {
                 dom,
                 conn,
-                direct: None,
+                direct: (!self.ordered).then_some(target),
                 penalty,
                 truncated,
             },
         ));
-        // Headers (and their hints) reach the client one propagation delay
-        // after the response starts.
-        if self.headers_carry_hints(&head) {
-            let ow = self.profile.latency.one_way(&name);
-            self.queue
-                .schedule(self.now + ow, Ev::HeadersArrive { target: head });
-        }
-        self.on_link_completions(completed);
-        self.reschedule_link_tick();
-    }
-
-    /// Multiplexed (unordered) HTTP/2: each response is its own transfer,
-    /// all sharing the link concurrently — stock server behaviour, as
-    /// opposed to the ordered serving Vroom's modified replay server uses.
-    fn start_response_unordered(&mut self, dom: usize, conn: usize, target: Target) {
-        let (size, truncated) = self.faulted_size(&target);
-        let name = self.domains[dom].name.share();
-        let rtt = self.profile.latency.rtt(&name);
-        let penalty = {
-            let c = &mut self.domains[dom].conns[conn];
-            c.slow_start_penalty(size, rtt)
-        };
-        let (tid, completed) = self.link.start(self.now, size);
         if self.headers_carry_hints(&target) {
             let ow = self.profile.latency.one_way(&name);
             self.queue
                 .schedule(self.now + ow, Ev::HeadersArrive { target });
         }
-        self.transfers.push((
-            tid,
-            Flight {
-                dom,
-                conn,
-                direct: Some(target),
-                penalty,
-                truncated,
-            },
-        ));
         self.on_link_completions(completed);
         self.reschedule_link_tick();
     }
@@ -1625,7 +1597,7 @@ impl<'a> Sim<'a> {
                 }
             };
             if let Some(target) = direct {
-                // Unordered path: nothing queued on the connection.
+                // Multiplexed: nothing queued on the connection.
                 self.queue.schedule(self.now + ow, deliver(target));
                 continue;
             }
@@ -1674,9 +1646,9 @@ impl<'a> Sim<'a> {
         st.first_requested = st.first_requested.or(st.requested);
         st.requested = None;
         st.in_flight = false;
-        if self.cfg.retry.allows(st.attempts) {
+        if RETRY.allows(st.attempts) {
             st.retrying = true;
-            let backoff = self.cfg.retry.backoff(st.attempts);
+            let backoff = RETRY.backoff(st.attempts);
             self.retries += 1;
             self.queue.schedule(self.now + backoff, Ev::Retry { id });
         } else {
@@ -1687,14 +1659,17 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Retry budget exhausted: settle the resource as failed and unblock
-    /// anything that was waiting on it so the load still terminates.
+    /// Retry budget exhausted: settle the resource and its discovered
+    /// descendants, and unblock anything that was waiting on it so the load
+    /// still terminates.
     fn mark_failed(&mut self, id: ResourceId) {
         let st = &mut self.rstate[id];
         if st.failed || st.fetched.is_some() {
             return;
         }
         st.failed = true;
+        self.settle(id);
+        self.settle_orphans(id);
         if let Some(html) = self.blocking_parser_of(id) {
             self.try_unblock_parser(html);
         }
@@ -1935,14 +1910,7 @@ impl<'a> Sim<'a> {
                         }
                     }
                 }
-                let ordered = self.cfg.ordered_responses || self.cfg.http == HttpVersion::H1;
-                if ordered {
-                    self.domains[dom].conns[conn]
-                        .response_queue
-                        .push_back(target);
-                } else {
-                    self.start_response_unordered(dom, conn, target);
-                }
+                self.enqueue_response(dom, conn, target);
                 for p in to_push {
                     debug_assert_eq!(
                         self.cfg.urls.get(p.url).host,
@@ -1961,14 +1929,14 @@ impl<'a> Sim<'a> {
                             if self.warm[id].map(|e| e.fresh()).unwrap_or(false) {
                                 continue;
                             }
+                            // A push reveals the URL but records no
+                            // discovery time.
+                            self.mark_discovered(id, false);
                             let st = &mut self.rstate[id];
                             st.in_flight = true;
                             st.pushed = true;
-                            if st.discovered.is_none() {
-                                st.discovered = Some(self.now);
-                                self.discovered_cnt += 1;
-                            }
                             st.requested = Some(self.now);
+                            self.start_attempt(id);
                             Target::Real(id)
                         }
                         None => Target::Waste {
@@ -1976,26 +1944,8 @@ impl<'a> Sim<'a> {
                             size: p.size_hint,
                         },
                     };
-                    if self.fault_active {
-                        if let Target::Real(id) = &push_target {
-                            let id = *id;
-                            self.rstate[id].attempts += 1;
-                            let attempt = self.rstate[id].attempts;
-                            self.queue.schedule(
-                                self.now + self.cfg.retry.timeout,
-                                Ev::FetchTimeout { id, attempt },
-                            );
-                        }
-                    }
                     self.network_pending += 1;
-                    let ordered = self.cfg.ordered_responses || self.cfg.http == HttpVersion::H1;
-                    if ordered {
-                        self.domains[dom].conns[conn]
-                            .response_queue
-                            .push_back(push_target);
-                    } else {
-                        self.start_response_unordered(dom, conn, push_target);
-                    }
+                    self.enqueue_response(dom, conn, push_target);
                 }
                 self.start_next_response(dom, conn);
             }
@@ -2146,18 +2096,5 @@ impl<'a> Sim<'a> {
             failed_resources,
             resources,
         }
-    }
-}
-
-/// Extension: whether onload waits for this resource to be processed.
-trait OnloadExt {
-    fn needs_processing_for_onload(&self) -> bool;
-}
-
-impl OnloadExt for vroom_pages::Resource {
-    fn needs_processing_for_onload(&self) -> bool {
-        // Everything that is processed at all gates onload in our model:
-        // decodes are cheap, parses/execs are not.
-        true
     }
 }

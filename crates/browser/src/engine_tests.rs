@@ -406,7 +406,7 @@ fn polaris_discovers_earlier_than_h2_baseline() {
     let polaris = load(
         &page,
         &LoadConfig {
-            fetch_policy: FetchPolicy::PolarisChain,
+            fine_grained_dependencies: true,
             ..LoadConfig::default()
         },
     );

@@ -60,7 +60,7 @@ pub struct RetryBudget {
 impl RetryBudget {
     /// The default browser budget: three attempts, generous timeout,
     /// 250 ms initial backoff capped at 4 s.
-    pub fn standard() -> Self {
+    pub const fn standard() -> Self {
         RetryBudget {
             max_attempts: 3,
             timeout: SimDuration::from_secs(20),

@@ -4,9 +4,9 @@
 //! page load contends for, and contention on it is the mechanism behind the
 //! paper's key scheduling results (Figs 11, 18, 19): naive "push all, fetch
 //! ASAP" delays exactly the resources the CPU is waiting for. We model the
-//! link as a fluid pipe of fixed capacity shared among active transfers in
-//! proportion to their weights (equal by default) — the classic processor-
-//! sharing approximation of many TCP flows on one bottleneck.
+//! link as a fluid pipe of fixed capacity shared equally among active
+//! transfers — the classic processor-sharing approximation of many TCP
+//! flows on one bottleneck.
 //!
 //! The model is exact between membership changes: callers must
 //! [`advance`](SharedLink::advance) the link to the current time before
@@ -38,7 +38,6 @@ pub struct CapacityWindow {
 struct Transfer {
     id: TransferId,
     remaining_bits: f64,
-    weight: f64,
 }
 
 /// A shared bottleneck link.
@@ -57,15 +56,6 @@ pub struct SharedLink {
     next_id: u64,
     /// Sorted, disjoint capacity-degradation windows (fault injection).
     schedule: Vec<CapacityWindow>,
-    /// How many active transfers have a weight other than 1.0. When zero —
-    /// the overwhelmingly common case; the browser engine never weights —
-    /// every transfer's share divisor is the same value, so the per-transfer
-    /// divisions in `advance`/`next_completion` collapse to one. The fast
-    /// path is bitwise-identical to the general one: multiplying by a unit
-    /// weight is exact, and dividing by a shared positive divisor is
-    /// monotone, so the minimum over quotients is the quotient of the
-    /// minimum.
-    nonunit_weights: usize,
 }
 
 impl SharedLink {
@@ -78,7 +68,6 @@ impl SharedLink {
             last_advance: SimTime::ZERO,
             next_id: 0,
             schedule: Vec::new(),
-            nonunit_weights: 0,
         }
     }
 
@@ -93,7 +82,6 @@ impl SharedLink {
         self.last_advance = SimTime::ZERO;
         self.next_id = 0;
         self.schedule.clear();
-        self.nonunit_weights = 0;
     }
 
     /// Install a capacity-degradation schedule (fault injection). Windows
@@ -140,12 +128,8 @@ impl SharedLink {
         // swept at the top of each round, in id order (the vector's order),
         // for determinism.
         loop {
-            let nonunit = &mut self.nonunit_weights;
             self.transfers.retain(|tr| {
                 if tr.remaining_bits <= 1e-3 {
-                    if tr.weight != 1.0 {
-                        *nonunit -= 1;
-                    }
                     completed.push(tr.id);
                     false
                 } else {
@@ -165,41 +149,16 @@ impl SharedLink {
                 t = seg_end;
                 continue;
             }
-            let capacity = self.bits_per_sec * factor;
             let interval = (seg_end - t).as_secs_f64();
-            let (first_dt, dt);
-            if self.nonunit_weights == 0 {
-                // Unit-weight fast path: one shared rate, one division.
-                let total_weight = self.transfers.len() as f64;
-                let rate = capacity / total_weight;
-                let min_rem = self
-                    .transfers
-                    .iter()
-                    .map(|tr| tr.remaining_bits)
-                    .fold(f64::INFINITY, f64::min);
-                first_dt = min_rem / rate;
-                dt = first_dt.min(interval).max(0.0);
-                for tr in &mut self.transfers {
-                    tr.remaining_bits = (tr.remaining_bits - rate * dt).max(0.0);
-                    if tr.remaining_bits < 1e-3 {
-                        tr.remaining_bits = 0.0;
-                    }
-                }
-            } else {
-                let total_weight: f64 = self.transfers.iter().map(|x| x.weight).sum();
-                // Earliest finisher at current shares.
-                first_dt = self
-                    .transfers
-                    .iter()
-                    .map(|tr| tr.remaining_bits / (capacity * tr.weight / total_weight))
-                    .fold(f64::INFINITY, f64::min);
-                dt = first_dt.min(interval).max(0.0);
-                for tr in &mut self.transfers {
-                    let rate = capacity * tr.weight / total_weight;
-                    tr.remaining_bits = (tr.remaining_bits - rate * dt).max(0.0);
-                    if tr.remaining_bits < 1e-3 {
-                        tr.remaining_bits = 0.0;
-                    }
+            // Equal shares: one rate for every transfer, and the earliest
+            // finisher is the one with the least left.
+            let rate = self.bits_per_sec * factor / self.transfers.len() as f64;
+            let first_dt = self.least_remaining_bits() / rate;
+            let dt = first_dt.min(interval).max(0.0);
+            for tr in &mut self.transfers {
+                tr.remaining_bits = (tr.remaining_bits - rate * dt).max(0.0);
+                if tr.remaining_bits < 1e-3 {
+                    tr.remaining_bits = 0.0;
                 }
             }
             if first_dt >= interval {
@@ -213,19 +172,8 @@ impl SharedLink {
     }
 
     /// Begin a transfer of `bytes` at time `now` (the link is advanced
-    /// first). Weight 1.0.
+    /// first).
     pub fn start(&mut self, now: SimTime, bytes: u64) -> (TransferId, Vec<TransferId>) {
-        self.start_weighted(now, bytes, 1.0)
-    }
-
-    /// Begin a weighted transfer. Higher weight ⇒ larger share.
-    pub fn start_weighted(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        weight: f64,
-    ) -> (TransferId, Vec<TransferId>) {
-        assert!(weight > 0.0);
         let completed = self.advance(now);
         let id = TransferId(self.next_id);
         self.next_id += 1;
@@ -234,11 +182,7 @@ impl SharedLink {
             id,
             // A zero-byte transfer still takes one "tick"; give it a bit.
             remaining_bits: ((bytes * 8).max(1)) as f64,
-            weight,
         });
-        if weight != 1.0 {
-            self.nonunit_weights += 1;
-        }
         (id, completed)
     }
 
@@ -246,9 +190,6 @@ impl SharedLink {
     pub fn cancel(&mut self, id: TransferId) -> bool {
         match self.transfers.binary_search_by_key(&id, |t| t.id) {
             Ok(i) => {
-                if self.transfers[i].weight != 1.0 {
-                    self.nonunit_weights -= 1;
-                }
                 self.transfers.remove(i);
                 true
             }
@@ -268,23 +209,8 @@ impl SharedLink {
         // shifts. `need` is its remaining time at full capacity — walk the
         // schedule until that much effective (factor-weighted) time has
         // accumulated.
-        let mut need = if self.nonunit_weights == 0 {
-            // Unit-weight fast path (see `nonunit_weights`): shared divisor,
-            // single division — bitwise-identical to the general reduction.
-            let total_weight = self.transfers.len() as f64;
-            let min_rem = self
-                .transfers
-                .iter()
-                .map(|tr| tr.remaining_bits)
-                .fold(f64::INFINITY, f64::min);
-            min_rem / (self.bits_per_sec / total_weight)
-        } else {
-            let total_weight: f64 = self.transfers.iter().map(|x| x.weight).sum();
-            self.transfers
-                .iter()
-                .map(|tr| tr.remaining_bits / (self.bits_per_sec * tr.weight / total_weight))
-                .fold(f64::INFINITY, f64::min)
-        };
+        let mut need =
+            self.least_remaining_bits() / (self.bits_per_sec / self.transfers.len() as f64);
         let mut t = now;
         let mut elapsed = 0.0f64;
         let dt = loop {
@@ -306,6 +232,14 @@ impl SharedLink {
         // loop at one instant forever.
         let ns = ((dt * 1e9).ceil() as u64).max(1);
         Some(now + SimDuration::from_nanos(ns))
+    }
+
+    /// Bits left on the transfer closest to done (infinite when idle).
+    fn least_remaining_bits(&self) -> f64 {
+        self.transfers
+            .iter()
+            .map(|tr| tr.remaining_bits)
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// Remaining bytes of a transfer (diagnostics).
@@ -388,17 +322,6 @@ mod tests {
         let done2 = link.next_completion(done1).unwrap();
         assert_eq!(done2.as_millis(), 1250);
         assert_eq!(link.remaining_bytes(b2), Some(750_000));
-    }
-
-    #[test]
-    fn weights_bias_shares() {
-        let mut link = mbps(8); // 1 MB/s
-        let (hi, _) = link.start_weighted(SimTime::ZERO, 750_000, 3.0);
-        let (lo, _) = link.start_weighted(SimTime::ZERO, 250_000, 1.0);
-        // hi gets 0.75 MB/s, lo 0.25 MB/s: both done at t=1.0 s.
-        let completed = link.advance(secs(1.0));
-        assert_eq!(completed.len(), 2);
-        let _ = (hi, lo);
     }
 
     #[test]

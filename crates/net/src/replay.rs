@@ -164,14 +164,6 @@ impl ReplayStore {
         self.len() == 0
     }
 
-    /// All recorded URLs for a domain, in URL sort order.
-    pub fn urls_for_domain<'a>(&'a self, domain: &'a str) -> impl Iterator<Item = &'a Url> {
-        self.urls
-            .iter_sorted()
-            .filter(move |(u, id)| u.host == domain && self.lookup_id(*id).is_some())
-            .map(|(u, _)| u)
-    }
-
     /// Overlay the recorded RTTs onto a latency model (the paper's replay
     /// shaping: cellular delay + recorded per-server RTT).
     pub fn apply_rtts(&self, latency: &mut LatencyModel) {
@@ -365,8 +357,6 @@ mod tests {
         let html = store.lookup(&Url::https("news.com", "/")).unwrap();
         assert_eq!(html.kind, ResourceKind::Html);
         assert!(html.body.is_some());
-        assert_eq!(store.urls_for_domain("news.com").count(), 2);
-        assert_eq!(store.urls_for_domain("cdn.net").count(), 1);
         assert!(store.lookup(&Url::https("news.com", "/missing")).is_none());
     }
 
@@ -386,7 +376,6 @@ mod tests {
         let extra = store.urls_mut().intern(Url::https("news.com", "/hinted"));
         assert!(store.lookup_id(extra).is_none());
         assert_eq!(store.len(), 3, "unrecorded ids don't count");
-        assert_eq!(store.urls_for_domain("news.com").count(), 2);
         assert!(!store.to_json().contains("/hinted"));
     }
 

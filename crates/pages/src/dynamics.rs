@@ -95,16 +95,6 @@ impl LoadContext {
             ..*self
         }
     }
-
-    /// Same load as seen by a different user.
-    pub fn as_user(&self, user_id: u64) -> Self {
-        LoadContext { user_id, ..*self }
-    }
-
-    /// Same load on a different device.
-    pub fn on_device(&self, device: DeviceClass) -> Self {
-        LoadContext { device, ..*self }
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +119,5 @@ mod tests {
         assert_eq!(c.back_to_back(9).nonce, 9);
         assert_eq!(c.back_to_back(9).hours, c.hours);
         assert_eq!(c.later(24.0, 1).hours, c.hours + 24.0);
-        assert_eq!(c.as_user(5).user_id, 5);
-        assert_eq!(c.on_device(DeviceClass::Tablet).device, DeviceClass::Tablet);
     }
 }

@@ -165,15 +165,6 @@ impl Page {
         d
     }
 
-    /// Length of the longest descendant chain below a resource (Polaris-style
-    /// criticality metric).
-    pub fn chain_length(&self, id: ResourceId) -> usize {
-        self.children(id)
-            .map(|c| 1 + self.chain_length(c.id))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Sanity-check structural invariants; used by generator tests.
     pub fn validate(&self) -> Result<(), String> {
         if self.resources.is_empty() {
@@ -288,7 +279,6 @@ mod tests {
         assert_eq!(p.len(), 6);
         assert_eq!(p.children(0).count(), 3);
         assert_eq!(p.depth(5), 2);
-        assert_eq!(p.chain_length(0), 2);
         assert_eq!(p.total_bytes(), 6000);
         assert_eq!(p.total_cpu().as_millis(), 60);
         assert_eq!(p.domains(), vec!["a.com", "b.com", "c.com"]);

@@ -159,12 +159,6 @@ impl<E> EventQueue<E> {
         self.pending.remove(id.0)
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Pop the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.skip_cancelled();
@@ -242,15 +236,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((t(2), "b")));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn next_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(2), "b");
-        q.cancel(a);
-        assert_eq!(q.next_time(), Some(t(2)));
     }
 
     #[test]

@@ -146,15 +146,6 @@ impl Rng {
         median * (sigma * self.normal()).exp()
     }
 
-    /// Bounded Pareto draw in `[lo, hi]` with shape `alpha` (heavy tail).
-    pub fn pareto(&mut self, lo: f64, hi: f64, alpha: f64) -> f64 {
-        assert!(lo > 0.0 && hi > lo && alpha > 0.0);
-        let u = self.f64();
-        let la = lo.powf(alpha);
-        let ha = hi.powf(alpha);
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
     /// Zipf-distributed rank in `[0, n)` with exponent `s`, by inverse CDF
     /// over precomputed weights. Suitable for small `n` (domain popularity).
     pub fn zipf(&mut self, n: usize, s: f64) -> usize {
@@ -263,15 +254,6 @@ mod tests {
         xs.sort_by(f64::total_cmp);
         let med = xs[xs.len() / 2];
         assert!((med / 100.0 - 1.0).abs() < 0.1, "median {med}");
-    }
-
-    #[test]
-    fn pareto_bounded() {
-        let mut rng = Rng::new(7);
-        for _ in 0..5000 {
-            let v = rng.pareto(10.0, 1000.0, 1.2);
-            assert!((10.0..=1000.0 + 1e-9).contains(&v), "{v}");
-        }
     }
 
     #[test]

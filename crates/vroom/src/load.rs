@@ -15,8 +15,7 @@ pub fn run_load(
     server_seed: u64,
 ) -> LoadResult {
     let page = generator.snapshot_arc(ctx);
-    let mut cfg = build_config(system, generator, &page, ctx, server_seed);
-    cfg.cpu_factor = ctx.device.cpu_factor();
+    let cfg = build_config(system, generator, &page, ctx, server_seed);
     BrowserEngine::load(&page, profile, &cfg)
 }
 
@@ -37,7 +36,6 @@ pub fn run_load_warm(
     let prior = generator.snapshot_arc(&prior_ctx);
     let page = generator.snapshot_arc(ctx);
     let mut cfg = build_config(system, generator, &page, ctx, server_seed);
-    cfg.cpu_factor = ctx.device.cpu_factor();
     cfg.warm_cache = cache_from_prior_load(&prior, age_hours);
     BrowserEngine::load(&page, profile, &cfg)
 }
@@ -57,7 +55,6 @@ pub fn run_load_faulted(
 ) -> LoadResult {
     let page = generator.snapshot_arc(ctx);
     let mut cfg = build_config(system, generator, &page, ctx, server_seed);
-    cfg.cpu_factor = ctx.device.cpu_factor();
     apply_fault_plan(&mut cfg, plan);
     BrowserEngine::load(&page, profile, &cfg)
 }

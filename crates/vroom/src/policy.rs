@@ -25,7 +25,8 @@ pub enum System {
     Http2,
     /// First party pushes all static content it hosts; no hints (Fig 3).
     PushAllStatic,
-    /// Polaris-style client-side reprioritization (Figs 2/14).
+    /// Polaris-style fine-grained dependency tracking on the client
+    /// (Figs 2/14): scripts no longer stall document parsing.
     PolarisLike,
     /// Full Vroom: hints + high-priority local push + staged scheduling +
     /// ordered serving (§4, §5).
@@ -88,7 +89,8 @@ impl System {
     }
 }
 
-/// Build the browser configuration for loading `page` under `system`.
+/// Build the browser configuration for loading `page` under `system` on
+/// the device `ctx` names.
 pub fn build_config(
     system: System,
     generator: &PageGenerator,
@@ -96,7 +98,10 @@ pub fn build_config(
     ctx: &LoadContext,
     server_seed: u64,
 ) -> LoadConfig {
-    let mut cfg = LoadConfig::http2_baseline();
+    let mut cfg = LoadConfig {
+        cpu_factor: ctx.device.cpu_factor(),
+        ..LoadConfig::http2_baseline()
+    };
     match system {
         System::Http1 => {
             cfg.http = HttpVersion::H1;
@@ -104,7 +109,7 @@ pub fn build_config(
         }
         System::Http2 => return cfg,
         System::PolarisLike => {
-            cfg.fetch_policy = FetchPolicy::PolarisChain;
+            cfg.fine_grained_dependencies = true;
             return cfg;
         }
         System::NetworkBound => {

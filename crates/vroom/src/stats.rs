@@ -91,16 +91,6 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// Fraction of samples at or below `x` (an empty distribution has no
-    /// samples below anything).
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let count = self.sorted.iter().filter(|&&v| v <= x).count();
-        count as f64 / self.sorted.len() as f64
-    }
 }
 
 /// Render several named CDF series as an aligned text table
@@ -174,14 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_below() {
-        let cdf = Cdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cdf.fraction_below(2.5), 0.5);
-        assert_eq!(cdf.fraction_below(0.0), 0.0);
-        assert_eq!(cdf.fraction_below(10.0), 1.0);
-    }
-
-    #[test]
     fn points_are_monotone() {
         let cdf = Cdf::new((0..100).map(|i| (i * 7 % 31) as f64).collect());
         let pts = cdf.points(11);
@@ -210,7 +192,6 @@ mod tests {
         assert_eq!(empty.len(), 0);
         assert!(empty.median().is_nan());
         assert!(empty.points(11).is_empty());
-        assert_eq!(empty.fraction_below(1.0), 0.0);
 
         let full = Cdf::new(vec![1.0, 2.0, 3.0]);
         let mixed = render_cdf_table("Fig X", &[("gone", &empty), ("there", &full)], "s");

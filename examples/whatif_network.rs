@@ -92,10 +92,8 @@ fn main() {
         "cpu slow×", "HTTP/2 s", "Vroom s", "gain"
     );
     for factor in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        // Scale via a custom context device-speed knob: reuse cpu_factor by
-        // overriding through policy::build_config's default (run_load uses
-        // the device's factor; emulate by adjusting profile? simplest:
-        // temporarily construct LoadConfig directly).
+        // build_config sets the context device's CPU factor; override it
+        // with the swept one.
         let page = site.snapshot(&ctx);
         let mut base = vroom::build_config(System::Http2, &site, &page, &ctx, 7);
         base.cpu_factor = factor;

@@ -225,3 +225,48 @@ fn degraded_loads_report_failures_instead_of_hanging() {
         }
     }
 }
+
+/// Pins three faulted loads whose onload rests on the orphan rules: a
+/// failed resource settles together with each of its discovered
+/// descendants, and a resource first discovered below a failed ancestor
+/// settles at discovery. Without the first rule the first two loads stall;
+/// without the second the third fires onload at a different time.
+#[test]
+fn onload_settles_around_failed_and_orphaned_resources() {
+    let ctx = LoadContext::reference();
+    let lte = NetworkProfile::lte();
+    let a = Corpus::small(2026, 6);
+    let b = Corpus::small(7, 12);
+    let cases = [
+        (
+            &a.sites[0],
+            FaultPlan::from_seed(0xc31b9, 0.7),
+            System::PushAllFetchAsap,
+            8_924_033_253,
+            1,
+        ),
+        (
+            &a.sites[0],
+            FaultPlan::from_seed(0xc31b9, 1.0),
+            System::VroomStaleDeps,
+            11_162_390_285,
+            1,
+        ),
+        (
+            &b.sites[11],
+            FaultPlan::from_seed(348, 1.0),
+            System::VroomPolarisHybrid,
+            5_822_343_593,
+            3,
+        ),
+    ];
+    for (i, (site, plan, system, plt_ns, failed)) in cases.into_iter().enumerate() {
+        let r = run_load_faulted(site, &ctx, &lte, system, 11, &plan);
+        assert_eq!(
+            (r.plt.as_nanos(), r.failed_resources),
+            (plt_ns, failed),
+            "case {i}: {}",
+            system.label(),
+        );
+    }
+}
