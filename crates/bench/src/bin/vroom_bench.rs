@@ -489,16 +489,9 @@ fn freshness_json(
     config.insert("seed".into(), Value::Int(cfg.seed));
     config.insert("max_age_hours".into(), Value::Int(cfg.max_age_hours));
     config.insert("ttl_hours".into(), Value::Int(cfg.ttl_hours));
-    // Integral corruption (0.0) must land as an Int so the parsed baseline
-    // compares equal to the in-memory value in the gate.
-    let corruption = round3(cfg.hint_corruption);
     config.insert(
         "hint_corruption".into(),
-        if corruption.fract() == 0.0 {
-            Value::Int(corruption as u64)
-        } else {
-            Value::Float(corruption)
-        },
+        Value::Float(round3(cfg.hint_corruption)),
     );
     let mut timing = BTreeMap::new();
     timing.insert("wall_ms".into(), Value::Float(round3(wall_ms)));
@@ -560,8 +553,10 @@ fn load_fleet_baseline(path: &str) -> Result<FleetBaseline, CliError> {
 
 /// The fleet CI gate. Deterministic sections must match exactly — the fleet
 /// is byte-identical by construction, so *any* drift in `config` or
-/// `metrics` is a correctness failure, not noise. Throughput may wobble
-/// with the machine: only a slowdown beyond `tolerance_pct` fails.
+/// `metrics` is a correctness failure, not noise. They are compared as
+/// canonical bytes, not parsed trees: the codec prints `Float(1500.0)` as
+/// `1500`, which parses back as `Int(1500)`. Throughput may wobble with the
+/// machine: only a slowdown beyond `tolerance_pct` fails.
 fn check_fleet_gate(
     baseline: &FleetBaseline,
     fresh: &Value,
@@ -575,11 +570,8 @@ fn check_fleet_gate(
         let got = fresh
             .get(name)
             .ok_or_else(|| CliError::from(format!("fresh run is missing {name:?}")))?;
-        if got != want {
-            let mut want_s = String::new();
-            want.write_pretty_into(&mut want_s);
-            let mut got_s = String::new();
-            got.write_pretty_into(&mut got_s);
+        let (want_s, got_s) = (want.to_pretty(), got.to_pretty());
+        if got_s != want_s {
             return Err(format!(
                 "fleet {name} drifted from the committed baseline at {path} — \
                  deterministic output must match exactly (regenerate the baseline \
@@ -1055,6 +1047,32 @@ mod tests {
         assert_eq!(err.exit_code, 1);
         assert!(err.message.contains("metrics drifted"), "{}", err.message);
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn fleet_gate_compares_canonical_bytes() {
+        // A whole-millisecond percentile is emitted as `Float(1500.0)`,
+        // printed as `1500`, and read back from the committed file as
+        // `Int(1500)`: the same bytes, so the gate must pass.
+        let tree = |p50: &str| {
+            Value::parse(&format!(
+                r#"{{"config": {{"clients": 10}},
+                     "metrics": {{"onload_p50_ms": {p50}}},
+                     "timing": {{"loads_per_sec": 100.0}}}}"#
+            ))
+            .expect("fixture parses")
+        };
+        let path = temp_path("fleet-canonical");
+        std::fs::write(&path, tree("1500").to_pretty()).expect("write fixture");
+        let baseline = load_fleet_baseline(path.to_str().unwrap()).expect("valid baseline");
+        let _ = std::fs::remove_file(path);
+        let fresh = tree("1500.0");
+        assert_ne!(
+            fresh.get("metrics"),
+            Some(&baseline.metrics),
+            "trees differ"
+        );
+        assert!(check_fleet_gate(&baseline, &fresh, 25.0).is_ok());
     }
 
     #[test]

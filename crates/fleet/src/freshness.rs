@@ -219,18 +219,7 @@ impl FreshnessReport {
     /// The deterministic metrics as a canonical-codec JSON tree — the
     /// `metrics` object of `BENCH_freshness.json`.
     pub fn to_json_value(&self) -> Value {
-        // An integral float (e.g. a speedup of exactly 1.0) must be emitted
-        // as an Int: the canonical codec prints `1.0` as `1` and parses `1`
-        // back as Int, so a Float here would never compare equal to its own
-        // round trip — and the CI gate compares parsed values.
-        let num = |x: f64| {
-            let r = (x * 1e3).round() / 1e3;
-            if r >= 0.0 && r.fract() == 0.0 && r <= u64::MAX as f64 {
-                Value::Int(r as u64)
-            } else {
-                Value::Float(r)
-            }
-        };
+        let num = |x: f64| Value::Float((x * 1e3).round() / 1e3);
         let mut m = BTreeMap::new();
         m.insert("clients_per_cell".into(), Value::Int(self.clients_per_cell));
         m.insert("sites".into(), Value::Int(self.sites));

@@ -4,10 +4,9 @@
 //! root so the set is reviewable in diffs. The parser handles exactly the
 //! subset of TOML the file uses — three sections of `"key" = ["value", ...]`
 //! lines — because the workspace vendors no TOML crate. [`Default`] is that
-//! same file compiled in, so in-memory analyses (fixtures, library tests)
-//! see the same roots without touching the filesystem.
-
-use std::path::Path;
+//! file compiled in, and it is the only copy any analysis reads: workspace
+//! runs, fixtures and library tests all see the same roots. A malformed
+//! file panics there, so every lint test fails on it.
 
 use crate::parse::FileSummary;
 
@@ -15,7 +14,7 @@ use crate::parse::FileSummary;
 pub const HOTPATHS_FILE: &str = "lint-hotpaths.toml";
 
 /// Roots and exemptions for `hot-path-alloc` reachability.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct HotPathConfig {
     /// `(file path, fn names)` — every listed fn defined in that file is a
     /// reachability root.
@@ -66,20 +65,6 @@ impl HotPathConfig {
             ))
         }
     }
-}
-
-/// Load the config from `<root>/lint-hotpaths.toml`, falling back to the
-/// compiled-in default when the file does not exist. A file that exists but
-/// cannot be read or parsed is an error — silent fallback would quietly
-/// turn the rule off.
-pub fn load(root: &Path) -> Result<HotPathConfig, String> {
-    let path = root.join(HOTPATHS_FILE);
-    if !path.is_file() {
-        return Ok(HotPathConfig::default());
-    }
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Parse the `lint-hotpaths.toml` dialect: `#` comments, `[roots]` /
@@ -227,17 +212,6 @@ mod tests {
             parse("[exempt]\nother = [\"x\"]\n").is_err(),
             "unknown exempt key"
         );
-    }
-
-    #[test]
-    fn checked_in_file_matches_compiled_in_default() {
-        // In-memory runs (fixtures, tests) and filesystem runs must agree
-        // about reachability: the file read now is the one compiled in.
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(HOTPATHS_FILE);
-        let text = std::fs::read_to_string(&path).expect("checked-in lint-hotpaths.toml");
-        assert_eq!(parse(&text).unwrap(), HotPathConfig::default());
     }
 
     #[test]

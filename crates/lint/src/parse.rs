@@ -148,7 +148,7 @@ pub enum EffectKind {
 }
 
 impl EffectKind {
-    /// The rule id a waiver/baseline entry references for this effect.
+    /// The rule id a waiver references for this effect.
     pub fn rule(self) -> &'static str {
         match self {
             EffectKind::Panic => "panic-reachable",
@@ -206,7 +206,7 @@ pub struct EffectSite {
     /// What triggered it (`Instant::now`, `.unwrap()`, `buf[`, ...).
     pub detail: String,
     /// Original (unlexed) source line, trimmed — becomes the diagnostic
-    /// snippet, which the baseline keys on.
+    /// snippet.
     pub snippet: String,
     /// A per-call-site waiver covers this line for the effect's rule.
     pub waived: bool,
@@ -263,7 +263,7 @@ pub struct LockSite {
     /// 1-based line of the acquisition.
     pub line: usize,
     /// Original (unlexed) source line, trimmed — becomes the diagnostic
-    /// snippet, which the baseline keys on.
+    /// snippet.
     pub snippet: String,
     /// Syntactic loop bodies enclosing the acquisition — the
     /// `lock-in-hot-loop` ranking weight.

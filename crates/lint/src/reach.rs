@@ -8,7 +8,7 @@
 //! coverage is judged by explicit variant references — so none of the
 //! families can miss a violation that its lexical definitions cover.
 //! The cost is occasional false positives, paid down with per-call-site
-//! waivers or the ratchet baseline.
+//! waivers.
 
 use crate::callgraph::Graph;
 use crate::hotpaths::HotPathConfig;
@@ -56,13 +56,8 @@ const PURITY_KINDS: [EffectKind; 6] = [
     EffectKind::ThreadSpawn,
 ];
 
-/// Run all interprocedural rules with the compiled-in hot-path roots.
-pub fn semantic_violations(summaries: &[FileSummary]) -> Vec<Violation> {
-    semantic_violations_with(summaries, &HotPathConfig::default())
-}
-
 /// Run all interprocedural rules over the workspace summaries.
-pub fn semantic_violations_with(summaries: &[FileSummary], hot: &HotPathConfig) -> Vec<Violation> {
+pub fn semantic_violations(summaries: &[FileSummary], hot: &HotPathConfig) -> Vec<Violation> {
     let graph = Graph::build(summaries);
     let mut out = Vec::new();
     sim_purity(&graph, &mut out);
@@ -146,8 +141,7 @@ fn panic_reachable(graph: &Graph, out: &mut Vec<Violation>) {
                 line: e.line,
                 message: format!(
                     "{} can panic and is reachable from the wire server accept path \
-                     (`{root}`{via}); return a typed error instead (ratcheted: \
-                     pre-existing sites are baselined, new ones are rejected)",
+                     (`{root}`{via}); return a typed error instead",
                     e.detail,
                 ),
                 snippet: e.snippet.clone(),
@@ -746,7 +740,7 @@ mod tests {
     fn analyze(files: &[(&str, &str)]) -> Vec<Violation> {
         let summaries: Vec<FileSummary> =
             files.iter().map(|(p, s)| summarize_source(p, s)).collect();
-        semantic_violations(&summaries)
+        semantic_violations(&summaries, &HotPathConfig::default())
     }
 
     #[test]

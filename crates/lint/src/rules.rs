@@ -12,7 +12,7 @@ use crate::source::SourceFile;
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule id (what waivers and the baseline reference).
+    /// Stable rule id (what waivers reference).
     pub rule: &'static str,
     /// Repo-relative path with forward slashes.
     pub path: String,
@@ -20,15 +20,14 @@ pub struct Violation {
     pub line: usize,
     /// Explanation with a suggested fix.
     pub message: String,
-    /// The offending source line, trimmed (baseline matching keys on this,
-    /// so entries survive unrelated line-number drift).
+    /// The offending source line, trimmed (the SARIF region snippet).
     pub snippet: String,
 }
 
 /// All rule ids, in reporting order. The first seven are interprocedural
 /// (driven by the call graph in [`crate::reach`]); the rest are per-file.
 /// `lock-order`, `blocking-under-lock` and `lock-in-hot-loop` together form
-/// the `lock-safety` family (`--rules lock-safety` selects all three).
+/// the `lock-safety` family.
 pub const RULE_IDS: [&str; 14] = [
     "sim-purity",
     "panic-reachable",
@@ -46,46 +45,6 @@ pub const RULE_IDS: [&str; 14] = [
     "waiver-syntax",
 ];
 
-/// Aggregate family names accepted by `--rules`, expanded to rule ids.
-pub const RULE_FAMILIES: [(&str, &[&str]); 1] = [(
-    "lock-safety",
-    &["lock-order", "blocking-under-lock", "lock-in-hot-loop"],
-)];
-
-/// Expand a `--rules` argument: comma-separated family names from
-/// [`RULE_FAMILIES`] or bare rule ids from [`RULE_IDS`]. Unknown tokens are
-/// an error (the CLI exits 2) — a typo must not silently lint nothing.
-pub fn resolve_rule_filter(spec: &str) -> Result<Vec<&'static str>, String> {
-    let mut out: Vec<&'static str> = Vec::new();
-    for tok in spec.split(',') {
-        let tok = tok.trim();
-        if tok.is_empty() {
-            continue;
-        }
-        if let Some((_, members)) = RULE_FAMILIES.iter().find(|(f, _)| *f == tok) {
-            out.extend(members.iter().copied());
-        } else if let Some(id) = RULE_IDS.iter().find(|r| **r == tok) {
-            out.push(id);
-        } else {
-            return Err(format!(
-                "unknown rule family `{tok}` (families: {}; rules: {})",
-                RULE_FAMILIES
-                    .iter()
-                    .map(|(f, _)| *f)
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                RULE_IDS.join(", "),
-            ));
-        }
-    }
-    if out.is_empty() {
-        return Err("--rules needs at least one family or rule id".to_string());
-    }
-    out.sort_unstable();
-    out.dedup();
-    Ok(out)
-}
-
 /// One-line rule descriptions, keyed by id (used by the SARIF driver block).
 pub fn rule_description(rule: &str) -> &'static str {
     match rule {
@@ -95,7 +54,7 @@ pub fn rule_description(rule: &str) -> &'static str {
         }
         "panic-reachable" => {
             "panic/unwrap/expect/indexing sites reachable from the wire server \
-             accept loop must return typed errors (ratcheted)"
+             accept loop must return typed errors"
         }
         "protocol-exhaustive" => {
             "matches on protocol enums in crates/http2 must enumerate every \
@@ -123,7 +82,7 @@ pub fn rule_description(rule: &str) -> &'static str {
         }
         "ambient-randomness" => "randomness must come from the seeded vroom_sim::Rng",
         "forbid-unsafe" => "unsafe code is banned workspace-wide",
-        "unwrap" => "unwrap/expect ratchet in protocol crates",
+        "unwrap" => "unwrap/expect in non-test protocol crate code",
         "float-eq" => "exact float comparison in metrics code",
         "sort-partial-cmp" => {
             "sort/min/max comparators built on partial_cmp panic (or lie) on \
@@ -138,7 +97,7 @@ pub fn rule_description(rule: &str) -> &'static str {
 /// Crates whose code runs inside the deterministic simulation path.
 const SIM_PATH_CRATES: [&str; 5] = ["sim", "browser", "server", "net", "vroom"];
 
-/// Crates whose non-test protocol code is held to the unwrap/expect ratchet.
+/// Crates whose non-test protocol code may not call `.unwrap()`/`.expect(`.
 const PROTOCOL_CRATES: [&str; 3] = ["http2", "hpack", "server"];
 
 /// Run every rule against one file.
@@ -196,7 +155,7 @@ pub fn check_file(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Violation>) {
     ambient_randomness(file, lexed, &mut report);
     forbid_unsafe(file, lexed, &mut report);
     if crate_name.is_some_and(|c| PROTOCOL_CRATES.contains(&c)) && !file.is_test_file() {
-        unwrap_ratchet(lexed, &test_lines, &mut report);
+        unwrap_in_protocol_code(lexed, &test_lines, &mut report);
     }
     if crate_name.is_some_and(|c| PROTOCOL_CRATES.contains(&c) || SIM_PATH_CRATES.contains(&c))
         && !file.is_test_file()
@@ -323,9 +282,8 @@ fn forbid_unsafe(
     }
 }
 
-/// Rule `unwrap`: ratchet on `.unwrap()` / `.expect(` in non-test protocol
-/// code. Pre-existing debt lives in the baseline; new ones fail.
-fn unwrap_ratchet(
+/// Rule `unwrap`: no `.unwrap()` / `.expect(` in non-test protocol code.
+fn unwrap_in_protocol_code(
     lexed: &Lexed,
     test_lines: &[bool],
     report: &mut impl FnMut(&'static str, usize, String),
@@ -341,8 +299,7 @@ fn unwrap_ratchet(
                     line,
                     format!(
                         "{needle} in protocol code can panic a connection; \
-                         return a protocol error instead (ratcheted: pre-existing \
-                         sites are baselined, new ones are rejected)"
+                         return a protocol error instead"
                     ),
                 );
             }
@@ -383,8 +340,7 @@ fn retry_budget(
                 format!(
                     "bare retry loop: `{}` inside a loop with no RetryBudget/backoff in \
                      sight can spin forever against a faulted peer; thread a \
-                     vroom_net::RetryBudget through it (ratcheted: pre-existing sites \
-                     are baselined, new ones are rejected)",
+                     vroom_net::RetryBudget through it",
                     needle.trim_end_matches('(')
                 ),
             );

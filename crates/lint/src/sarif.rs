@@ -38,19 +38,7 @@ pub fn render(report: &Report) -> String {
         })
         .collect();
 
-    let results: Vec<Value> = report.new_violations.iter().map(result_of).collect();
-
-    let stale: Vec<Value> = report
-        .stale_entries
-        .iter()
-        .map(|e| {
-            obj(vec![
-                ("rule", s(e.rule.as_str())),
-                ("path", s(e.path.as_str())),
-                ("snippet", s(e.snippet.as_str())),
-            ])
-        })
-        .collect();
+    let results: Vec<Value> = report.violations.iter().map(result_of).collect();
 
     let run = obj(vec![
         (
@@ -68,11 +56,10 @@ pub fn render(report: &Report) -> String {
         ("results", Value::Array(results)),
         (
             "properties",
-            obj(vec![
-                ("filesScanned", Value::Int(report.files_scanned as u64)),
-                ("rawFindings", Value::Int(report.raw_count as u64)),
-                ("staleBaselineEntries", Value::Array(stale)),
-            ]),
+            obj(vec![(
+                "filesScanned",
+                Value::Int(report.files_scanned as u64),
+            )]),
         ),
     ]);
 
@@ -120,7 +107,7 @@ mod tests {
 
     fn sample_report() -> Report {
         Report {
-            new_violations: vec![
+            violations: vec![
                 Violation {
                     rule: "sim-purity",
                     path: "crates/net/src/x.rs".into(),
@@ -136,8 +123,6 @@ mod tests {
                     snippet: "x.unwrap()".into(),
                 },
             ],
-            stale_entries: vec![],
-            raw_count: 2,
             files_scanned: 5,
         }
     }

@@ -104,62 +104,64 @@ fn hot_path_alloc_rank_orders_loop_over_once() {
     assert!(once.message.contains("encode"), "{}", once.message);
 }
 
-/// `--rules` is the CI contract for gating a single family: an unknown name
-/// must exit 2 (usage error, distinct from exit 1 = findings), and a valid
-/// family must run the full pipeline filtered to it. An unknown flag is a
-/// usage error too, so a CI step passing a retired flag fails loudly.
+/// The CLI's exit codes: 0 on the clean workspace, 2 on a usage or
+/// configuration error. The retired flags (`--rules` and the baseline pair)
+/// are unknown flags, so a CI step still passing one fails loudly instead
+/// of linting something else.
 #[test]
-fn rules_flag_exit_codes() {
+fn cli_exit_codes() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .unwrap()
         .parent()
         .unwrap()
         .to_path_buf();
-    let run = |args: &[&str]| {
+    let run = |dir: &Path, args: &[&str]| {
         std::process::Command::new(env!("CARGO_BIN_EXE_vroom-lint"))
             .args(args)
-            .current_dir(&root)
+            .current_dir(dir)
             .output()
             .expect("spawn vroom-lint")
     };
 
-    let bad = run(&["--rules", "no-such-family"]);
-    assert_eq!(
-        bad.status.code(),
-        Some(2),
-        "unknown family is a usage error"
-    );
-    let err = String::from_utf8_lossy(&bad.stderr);
+    let usage_errors: [&[&str]; 5] = [
+        &["--rules", "lock-safety"],
+        &["--check-baseline"],
+        &["--update-baseline"],
+        &["--bogus"],
+        &["--format", "yaml"],
+    ];
+    for args in usage_errors {
+        let out = run(&root, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} is a usage error");
+        assert!(err.contains(args[0]), "usage error names the flag: {err}");
+    }
+
+    // A hot-path root naming no fn is a configuration error. An empty
+    // workspace defines none of the compiled-in roots.
+    let empty = std::env::temp_dir().join(format!("vroom-lint-empty-{}", std::process::id()));
+    fs::create_dir_all(&empty).expect("create temp workspace");
+    fs::write(empty.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+    let dangling = run(&empty, &[]);
+    let _ = fs::remove_dir_all(&empty);
+    assert_eq!(dangling.status.code(), Some(2), "dangling roots exit 2");
     assert!(
-        err.contains("no-such-family") && err.contains("lock-safety"),
-        "usage error names the bad token and the real families: {err}"
+        String::from_utf8_lossy(&dangling.stderr).contains("lint-hotpaths.toml"),
+        "config error names the file"
     );
 
-    let missing = run(&["--rules"]);
-    assert_eq!(
-        missing.status.code(),
-        Some(2),
-        "missing list is a usage error"
-    );
-
-    let bogus = run(&["--bogus"]);
-    assert_eq!(
-        bogus.status.code(),
-        Some(2),
-        "unknown flag is a usage error"
-    );
-    assert!(
-        String::from_utf8_lossy(&bogus.stderr).contains("--bogus"),
-        "usage error names the bad flag"
-    );
-
-    let ok = run(&["--rules", "lock-safety"]);
+    let ok = run(&root, &[]);
+    let out = String::from_utf8_lossy(&ok.stdout);
     assert_eq!(
         ok.status.code(),
         Some(0),
-        "lock-safety must be clean on the workspace itself: {}{}",
-        String::from_utf8_lossy(&ok.stdout),
-        String::from_utf8_lossy(&ok.stderr)
+        "the workspace lints clean: {out}"
+    );
+    assert!(
+        out.lines()
+            .last()
+            .is_some_and(|l| l.starts_with("vroom-lint: ") && l.ends_with(" files, 0 finding(s)")),
+        "summary line: {out}"
     );
 }

@@ -28,7 +28,6 @@
 
 pub mod accuracy;
 pub mod batch;
-pub mod clusters;
 pub mod device;
 pub mod freshness;
 pub mod hints;
@@ -40,7 +39,6 @@ pub mod wire;
 
 pub use accuracy::{evaluate, evaluate_aged, Accuracy};
 pub use batch::{commit_pass_at, hour_bucket, run_pass, PassOutput};
-pub use clusters::{cluster_pages, PageTypeClusters};
 pub use freshness::{
     hint_quality_by_age, observed_pass, CALIBRATED_TTL_HOURS, PERSISTENCE_1H, PERSISTENCE_1WEEK,
 };

@@ -459,12 +459,6 @@ impl WireClient {
         })
     }
 
-    /// Replace the deadline clock (tests can inject a fake).
-    pub fn with_clock(mut self, clock: Arc<dyn WireClock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// Replace the retry budget.
     pub fn with_retry(mut self, retry: RetryBudget) -> Self {
         self.retry = retry;

@@ -276,7 +276,37 @@ fn freshness_sweep_is_byte_identical_across_worker_counts_and_runs() {
     ignore = "full freshness sweep is release-only; CI runs it"
 )]
 fn speedup_decays_with_age_and_ttl_beats_never_past_the_ttl() {
-    let r = run_freshness(&FreshnessConfig::default());
+    let cfg = FreshnessConfig::default();
+    let r = run_freshness(&cfg);
+    // The committed BENCH_freshness.json is this default sweep: its `config`
+    // names the default and its `metrics` are the report's bytes.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_freshness.json");
+    let text = std::fs::read_to_string(path).expect("committed BENCH_freshness.json");
+    let committed = Value::parse(&text).expect("baseline parses");
+    let section = |name: &str| {
+        committed
+            .get(name)
+            .unwrap_or_else(|| panic!("baseline has no {name} section"))
+            .to_pretty()
+    };
+    let config = Value::Object(BTreeMap::from([
+        ("clients".to_string(), Value::Int(cfg.clients as u64)),
+        ("sites".to_string(), Value::Int(cfg.sites as u64)),
+        ("shards".to_string(), Value::Int(cfg.shards as u64)),
+        ("seed".to_string(), Value::Int(cfg.seed)),
+        ("max_age_hours".to_string(), Value::Int(cfg.max_age_hours)),
+        ("ttl_hours".to_string(), Value::Int(cfg.ttl_hours)),
+        (
+            "hint_corruption".to_string(),
+            Value::Float(cfg.hint_corruption),
+        ),
+    ]));
+    assert_eq!(section("config"), config.to_pretty(), "committed config");
+    assert_eq!(
+        section("metrics"),
+        r.to_json_value().to_pretty(),
+        "the default sweep must reproduce the committed metrics exactly"
+    );
     let cell = |age: u64, policy: &str| {
         r.cells
             .iter()

@@ -7,7 +7,7 @@
 
 use std::path::Path;
 use vroom_lint::source::SourceFile;
-use vroom_lint::{analyze, analyze_sources, baseline};
+use vroom_lint::{analyze, analyze_sources};
 
 fn file(path: &str, source: &str) -> SourceFile {
     SourceFile {
@@ -20,27 +20,21 @@ fn rules_of(v: &[vroom_lint::rules::Violation]) -> Vec<&'static str> {
     v.iter().map(|x| x.rule).collect()
 }
 
-/// The workspace itself must lint clean: no violations beyond the checked-in
-/// ratchet baseline, and no stale baseline entries (debt that was paid down
-/// must be recorded by regenerating `lint-baseline.txt`).
+/// The workspace itself must lint clean: any finding fails, exactly as it
+/// fails the `vroom-lint` CLI.
 #[test]
-fn workspace_is_clean_and_baseline_is_fresh() {
+fn workspace_is_clean() {
     let report = analyze(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("lint run");
     assert!(report.files_scanned > 50, "walker found the workspace");
     assert!(
-        report.new_violations.is_empty(),
-        "new lint violations:\n{}",
+        report.is_clean(),
+        "lint violations:\n{}",
         report
-            .new_violations
+            .violations
             .iter()
             .map(|v| format!("  {}:{}: {}: {}", v.path, v.line, v.rule, v.message))
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        report.stale_entries.is_empty(),
-        "stale baseline entries (regenerate with `cargo run -p vroom-lint -- --update-baseline`):\n{:#?}",
-        report.stale_entries
     );
 }
 
@@ -118,37 +112,20 @@ fn introduced_protocol_catch_all_is_caught() {
     assert_eq!(v[0].line, 4);
 }
 
-/// New `.unwrap()` in protocol code fails even though the baseline tolerates
-/// the pre-existing sites: baseline matching is exact on (rule, path, line
-/// content).
+/// A new `.unwrap()` in protocol code is a finding, and each copy is its
+/// own finding: nothing absorbs identical lines.
 #[test]
 fn unwrap_ratchet_rejects_new_sites_but_honors_baseline() {
     let src = "#![forbid(unsafe_code)]\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
     let violations = analyze_sources(&[file("crates/http2/src/novel.rs", src)]);
     assert_eq!(rules_of(&violations), vec!["unwrap"]);
 
-    // Baseline the site → reconcile absorbs it; a second copy stays new.
-    let entries = baseline::parse(&baseline::render(&violations)).expect("well-formed");
     let twice = analyze_sources(&[file(
         "crates/http2/src/novel.rs",
         "#![forbid(unsafe_code)]\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\nfn g(x: Option<u8>) -> u8 { x.unwrap() }\n",
     )]);
-    assert_eq!(twice.len(), 2);
-    let r = baseline::reconcile(twice, &entries);
-    assert_eq!(r.new_violations.len(), 1, "one absorbed, one new");
-    assert!(r.stale_entries.is_empty());
-}
-
-/// When the debt disappears, the baseline entry turns stale — the
-/// `--check-baseline` mode (and the tier-1 test above) forces regeneration.
-#[test]
-fn paid_down_debt_surfaces_as_stale() {
-    let entries =
-        baseline::parse("unwrap\tcrates/http2/src/gone.rs\tx.unwrap();\n").expect("parse");
-    let r = baseline::reconcile(Vec::new(), &entries);
-    assert!(r.new_violations.is_empty());
-    assert_eq!(r.stale_entries.len(), 1);
-    assert_eq!(r.stale_entries[0].path, "crates/http2/src/gone.rs");
+    assert_eq!(rules_of(&twice), vec!["unwrap", "unwrap"]);
+    assert_eq!((twice[0].line, twice[1].line), (2, 3));
 }
 
 /// A loop that issues requests with no retry budget anywhere in scope is a
