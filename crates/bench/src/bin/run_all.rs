@@ -1,7 +1,6 @@
 //! Regenerates every table and figure in one run — the source of
 //! EXPERIMENTS.md. `--sites N` caps corpus sizes for a quick pass;
-//! `--workers N` (or `VROOM_WORKERS`) sets the parallelism of the
-//! deterministic executor; `--only fig13,ablation_rtt` prints just those
+//! `--workers N` sets the parallelism of the deterministic executor; `--only fig13,ablation_rtt` prints just those
 //! sections, framed as in the full report. Stdout is byte-identical for
 //! every worker count; timing goes to stderr only.
 

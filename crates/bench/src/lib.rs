@@ -14,9 +14,9 @@ pub const USAGE: &str = "usage: run_all [OPTIONS]
                 full corpus sizes)
   --seed S      corpus seed (default: 7)
   --workers N   worker threads for the deterministic executor (N >= 1;
-                1 = sequential, no pool; default: $VROOM_WORKERS if set,
-                else the machine's available parallelism). Output is
-                byte-identical for every worker count.
+                1 = sequential, no pool; default: the machine's available
+                parallelism). Output is byte-identical for every worker
+                count.
   --only IDS    print only these comma-separated sections, in the order
                 given: the report's fig01..fig21, incr and t100, plus the
                 ablations ablation_bandwidth, ablation_rtt, ablation_cpu,
@@ -36,8 +36,7 @@ pub struct Args {
 /// [`USAGE`] to stderr and exits with status 2.
 pub fn args_from_env() -> Args {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let env_workers = std::env::var("VROOM_WORKERS").ok();
-    match parse_args(&args, env_workers.as_deref()) {
+    match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("error: {message}");
@@ -47,14 +46,14 @@ pub fn args_from_env() -> Args {
     }
 }
 
-/// The pure core of [`args_from_env`]: `args` excludes the binary name;
-/// `env_workers` is the value of `VROOM_WORKERS`, if set. Precedence for
-/// the worker count: `--workers` flag, then env var, then available
-/// parallelism.
-pub fn parse_args(args: &[String], env_workers: Option<&str>) -> Result<Args, String> {
-    let mut cfg = ExperimentConfig::default();
+/// The pure core of [`args_from_env`]: `args` excludes the binary name.
+/// The worker count defaults to the machine's available parallelism.
+pub fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut cfg = ExperimentConfig {
+        workers: vroom_exec::available_workers(),
+        ..ExperimentConfig::default()
+    };
     let mut sections = RUN_ALL_SECTIONS.to_vec();
-    let mut workers_flag: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -79,7 +78,7 @@ pub fn parse_args(args: &[String], env_workers: Option<&str>) -> Result<Args, St
                 if n == 0 {
                     return Err("--workers must be >= 1 (1 = sequential)".into());
                 }
-                workers_flag = Some(n);
+                cfg.workers = n;
             }
             "--only" => {
                 sections = parse_sections(value(i)?)?;
@@ -93,17 +92,6 @@ pub fn parse_args(args: &[String], env_workers: Option<&str>) -> Result<Args, St
         }
         i += 2;
     }
-    cfg.workers = match (workers_flag, env_workers) {
-        (Some(n), _) => n,
-        (None, Some(env)) => {
-            let n: usize = parse_number("VROOM_WORKERS", env)?;
-            if n == 0 {
-                return Err("VROOM_WORKERS must be >= 1 (1 = sequential)".into());
-            }
-            n
-        }
-        (None, None) => vroom_exec::available_workers(),
-    };
     Ok(Args { cfg, sections })
 }
 
@@ -141,7 +129,7 @@ mod tests {
 
     #[test]
     fn defaults_use_available_parallelism() {
-        let Args { cfg, sections } = parse_args(&[], None).unwrap();
+        let Args { cfg, sections } = parse_args(&[]).unwrap();
         assert_eq!(sections, RUN_ALL_SECTIONS);
         assert_eq!(cfg.max_sites, None);
         assert_eq!(cfg.corpus_seed, 7);
@@ -150,33 +138,26 @@ mod tests {
 
     #[test]
     fn flags_parse_and_flag_beats_env() {
-        let cfg = parse_args(
-            &args(&["--sites", "4", "--seed", "11", "--workers", "8"]),
-            Some("3"),
-        )
-        .unwrap()
-        .cfg;
+        let cfg = parse_args(&args(&["--sites", "4", "--seed", "11", "--workers", "8"]))
+            .unwrap()
+            .cfg;
         assert_eq!(cfg.max_sites, Some(4));
         assert_eq!(cfg.corpus_seed, 11);
         assert_eq!(cfg.workers, 8);
-        let cfg = parse_args(&[], Some("3")).unwrap().cfg;
-        assert_eq!(cfg.workers, 3);
     }
 
     #[test]
     fn zero_and_malformed_inputs_are_rejected() {
-        assert!(parse_args(&args(&["--sites", "0"]), None).is_err());
-        assert!(parse_args(&args(&["--workers", "0"]), None).is_err());
-        assert!(parse_args(&args(&["--sites", "many"]), None).is_err());
-        assert!(parse_args(&args(&["--sites"]), None).is_err());
-        assert!(parse_args(&args(&["--frobnicate", "1"]), None).is_err());
-        assert!(parse_args(&[], Some("0")).is_err());
-        assert!(parse_args(&[], Some("lots")).is_err());
+        assert!(parse_args(&args(&["--sites", "0"])).is_err());
+        assert!(parse_args(&args(&["--workers", "0"])).is_err());
+        assert!(parse_args(&args(&["--sites", "many"])).is_err());
+        assert!(parse_args(&args(&["--sites"])).is_err());
+        assert!(parse_args(&args(&["--frobnicate", "1"])).is_err());
     }
 
     #[test]
     fn only_selects_report_and_ablation_sections_in_order() {
-        let parsed = parse_args(&args(&["--only", "ablation_rtt,fig13,t100"]), None).unwrap();
+        let parsed = parse_args(&args(&["--only", "ablation_rtt,fig13,t100"])).unwrap();
         assert_eq!(parsed.sections, vec!["ablation_rtt", "fig13", "t100"]);
     }
 }

@@ -216,19 +216,6 @@ impl DynamicTable {
     }
 }
 
-/// Resolve a combined 1-based HPACK index against static + dynamic tables.
-pub fn resolve(table: &DynamicTable, index: usize) -> Option<(&str, &str)> {
-    if index == 0 {
-        None
-    } else if let Some(&(n, v)) = STATIC_TABLE.get(index - 1) {
-        Some((n, v))
-    } else {
-        table
-            .get(index - STATIC_TABLE.len())
-            .map(|e| (e.name.as_str(), e.value.as_str()))
-    }
-}
-
 /// The static table as `SharedStr`s, built once per process so indexed
 /// fields resolve to refcount bumps rather than fresh allocations.
 fn static_shared() -> &'static [(SharedStr, SharedStr)] {
@@ -241,8 +228,9 @@ fn static_shared() -> &'static [(SharedStr, SharedStr)] {
     })
 }
 
-/// Like [`resolve`], but returns owned handles sharing the table's storage:
-/// no header bytes are copied on either the static or the dynamic path.
+/// Resolve a combined 1-based HPACK index against static + dynamic tables,
+/// as owned handles sharing the table's storage: no header bytes are copied
+/// on either the static or the dynamic path.
 pub fn resolve_shared(table: &DynamicTable, index: usize) -> Option<(SharedStr, SharedStr)> {
     if index == 0 {
         return None;
@@ -341,16 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn combined_resolution() {
-        let mut t = DynamicTable::new(4096);
-        t.insert("x-vroom".into(), "1".into());
-        assert_eq!(resolve(&t, 2), Some((":method", "GET")));
-        assert_eq!(resolve(&t, 62), Some(("x-vroom", "1")));
-        assert_eq!(resolve(&t, 0), None);
-        assert_eq!(resolve(&t, 63), None);
-    }
-
-    #[test]
     fn resolve_shared_shares_table_storage() {
         let mut t = DynamicTable::new(4096);
         t.insert("x-vroom".into(), "1".into());
@@ -362,7 +340,8 @@ mod tests {
             t.get(1).unwrap().name.as_str().as_ptr(),
             "dynamic hit shares the entry's bytes"
         );
-        assert_eq!(resolve_shared(&t, 2).unwrap().0, ":method");
+        let (n, v) = resolve_shared(&t, 2).unwrap();
+        assert_eq!((n.as_str(), v.as_str()), (":method", "GET"));
         assert_eq!(resolve_shared(&t, 0), None);
         assert_eq!(resolve_shared(&t, 63), None);
     }

@@ -190,39 +190,30 @@ impl Frame {
                 data,
                 end_stream,
                 ..
-            } => {
-                let f = if *end_stream { flags::END_STREAM } else { 0 };
-                put_header(out, data.len(), FrameType::Data, f, *stream_id);
-                out.extend_from_slice(data);
-            }
+            } => encode_data_raw(out, *stream_id, data, *end_stream),
             Frame::Headers {
                 stream_id,
                 fragment,
                 end_stream,
                 end_headers,
-                priority,
+                priority: None,
+            } => encode_headers_raw(out, *stream_id, fragment, *end_stream, *end_headers),
+            Frame::Headers {
+                stream_id,
+                fragment,
+                end_stream,
+                end_headers,
+                priority: Some(p),
             } => {
-                let mut f = 0;
+                let mut f = flags::PRIORITY;
                 if *end_stream {
                     f |= flags::END_STREAM;
                 }
                 if *end_headers {
                     f |= flags::END_HEADERS;
                 }
-                if priority.is_some() {
-                    f |= flags::PRIORITY;
-                }
-                let extra = if priority.is_some() { 5 } else { 0 };
-                put_header(
-                    out,
-                    fragment.len() + extra,
-                    FrameType::Headers,
-                    f,
-                    *stream_id,
-                );
-                if let Some(p) = priority {
-                    put_priority(out, p);
-                }
+                put_header(out, fragment.len() + 5, FrameType::Headers, f, *stream_id);
+                put_priority(out, p);
                 out.extend_from_slice(fragment);
             }
             Frame::Priority { stream_id, spec } => {
@@ -284,19 +275,17 @@ impl Frame {
                 stream_id,
                 fragment,
                 end_headers,
-            } => {
-                let f = if *end_headers { flags::END_HEADERS } else { 0 };
-                put_header(out, fragment.len(), FrameType::Continuation, f, *stream_id);
-                out.extend_from_slice(fragment);
-            }
+            } => encode_continuation_raw(out, *stream_id, fragment, *end_headers),
         }
     }
 }
 
 /// Emit a DATA frame for `data` directly into `out`: one copy into the
 /// send buffer, no intermediate `Bytes` allocation. The hot send paths use
-/// these raw emitters; [`Frame::encode`] remains for control frames and for
-/// re-encoding decoded frames.
+/// these raw emitters, and [`Frame::encode`] calls them for the DATA,
+/// CONTINUATION and unprioritized HEADERS layouts; it keeps its own code
+/// for control frames, prioritized HEADERS and PUSH_PROMISE, whose raw
+/// emitter always sets END_HEADERS.
 pub fn encode_data_raw(out: &mut BytesMut, stream_id: u32, data: &[u8], end_stream: bool) {
     let f = if end_stream { flags::END_STREAM } else { 0 };
     put_header(out, data.len(), FrameType::Data, f, stream_id);

@@ -26,15 +26,13 @@ const SIM_ROOT_PREFIXES: [&str; 2] = ["crates/sim/src/", "crates/vroom/src/"];
 const WIRE_ROOT_FILE: &str = "crates/server/src/wire.rs";
 
 /// Files outside the simulator where wall-clock effects are the *product*,
-/// not a leak: `crates/bench` (the perf-trajectory harness) and the vendored
-/// criterion stand-in it drives time real executions by design, and
-/// `crates/intern` is allocation machinery that never advances simulated
-/// time. Call resolution is name-based and conservative, so a sim root can
-/// appear to reach these files through any same-named method; they are
-/// excluded from sim-purity diagnostics by definition site rather than
-/// waived line by line.
-const SIM_PURITY_EXEMPT_PREFIXES: [&str; 3] =
-    ["crates/bench/", "crates/intern/", "vendor/criterion/"];
+/// not a leak: `crates/bench` (the perf-trajectory harness) times real
+/// executions by design, and `crates/intern` is allocation machinery that
+/// never advances simulated time. Call resolution is name-based and
+/// conservative, so a sim root can appear to reach these files through any
+/// same-named method; they are excluded from sim-purity diagnostics by
+/// definition site rather than waived line by line.
+const SIM_PURITY_EXEMPT_PREFIXES: [&str; 2] = ["crates/bench/", "crates/intern/"];
 
 /// Enums whose matches in `crates/http2` must be exhaustive without
 /// catch-alls. `ErrorCode` is the reproduction's name for the paper's

@@ -17,15 +17,11 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Top 50 News + Top 50 Sports landing pages.
-    pub fn news_and_sports(seed: u64) -> Corpus {
-        Self::news_and_sports_capped(seed, None)
-    }
-
-    /// [`news_and_sports`](Self::news_and_sports), building only the first
-    /// `cap` generators. Per-site seeds are independent, so a capped corpus
-    /// is exactly the prefix of the full one — experiment configurations
-    /// that only read `max_sites` sites skip constructing the other ~96.
+    /// Top 50 News + Top 50 Sports landing pages, or only the first `cap`
+    /// of them (`None` builds all). Per-site seeds are independent, so a
+    /// capped corpus is exactly the prefix of the full one — experiment
+    /// configurations that only read `max_sites` sites skip constructing
+    /// the other ~96. The other corpora cap the same way.
     pub fn news_and_sports_capped(seed: u64, cap: Option<usize>) -> Corpus {
         let n = cap.unwrap_or(100).min(100) as u64;
         let mut sites = Vec::new();
@@ -45,11 +41,6 @@ impl Corpus {
     }
 
     /// The Alexa US Top 100.
-    pub fn top100(seed: u64) -> Corpus {
-        Self::top100_capped(seed, None)
-    }
-
-    /// Prefix-capped [`top100`](Self::top100).
     pub fn top100_capped(seed: u64, cap: Option<usize>) -> Corpus {
         let n = cap.unwrap_or(100).min(100) as u64;
         let sites = (0..n)
@@ -62,11 +53,6 @@ impl Corpus {
     }
 
     /// 100 random sites from the Alexa top 400.
-    pub fn top400_sample(seed: u64) -> Corpus {
-        Self::top400_sample_capped(seed, None)
-    }
-
-    /// Prefix-capped [`top400_sample`](Self::top400_sample).
     pub fn top400_sample_capped(seed: u64, cap: Option<usize>) -> Corpus {
         let n = cap.unwrap_or(100).min(100) as u64;
         let sites = (0..n)
@@ -80,11 +66,6 @@ impl Corpus {
 
     /// 265 pages drawn from News/Sports sites, a mix of page types
     /// (landing pages, articles, game results) — the §6.2 accuracy corpus.
-    pub fn accuracy_pages(seed: u64) -> Corpus {
-        Self::accuracy_pages_capped(seed, None)
-    }
-
-    /// Prefix-capped [`accuracy_pages`](Self::accuracy_pages).
     pub fn accuracy_pages_capped(seed: u64, cap: Option<usize>) -> Corpus {
         let n = cap.unwrap_or(265).min(265) as u64;
         let mut sites = Vec::new();
@@ -131,16 +112,16 @@ mod tests {
 
     #[test]
     fn corpora_have_paper_sizes() {
-        assert_eq!(Corpus::news_and_sports(1).len(), 100);
-        assert_eq!(Corpus::top100(1).len(), 100);
-        assert_eq!(Corpus::top400_sample(1).len(), 100);
-        assert_eq!(Corpus::accuracy_pages(1).len(), 265);
+        assert_eq!(Corpus::news_and_sports_capped(1, None).len(), 100);
+        assert_eq!(Corpus::top100_capped(1, None).len(), 100);
+        assert_eq!(Corpus::top400_sample_capped(1, None).len(), 100);
+        assert_eq!(Corpus::accuracy_pages_capped(1, None).len(), 265);
     }
 
     #[test]
     fn sites_are_distinct_and_deterministic() {
-        let a = Corpus::news_and_sports(7);
-        let b = Corpus::news_and_sports(7);
+        let a = Corpus::news_and_sports_capped(7, None);
+        let b = Corpus::news_and_sports_capped(7, None);
         let ctx = LoadContext::reference();
         let pa = a.sites[3].snapshot(&ctx);
         let pb = b.sites[3].snapshot(&ctx);

@@ -6,6 +6,10 @@
 //! vroom-cli page    [--category news] [--seed 42]
 //! vroom-cli hints   [--category news] [--seed 42]
 //! ```
+//!
+//! `vroom-cli help` (the default command) prints the usage line. A
+//! malformed or unknown flag, an unknown name, or an unknown command prints
+//! `error: …` and the usage line to stderr and exits 2.
 
 #![forbid(unsafe_code)]
 
@@ -13,6 +17,10 @@ use vroom::{lower_bound_plt, run_load, System};
 use vroom_net::NetworkProfile;
 use vroom_pages::{LoadContext, PageGenerator, SiteProfile};
 use vroom_server::resolve::{resolve, ResolverInput, Strategy};
+
+const USAGE: &str = "usage: vroom-cli <load|compare|page|hints> \
+                     [--category news|sports|top100|top400] [--seed N] \
+                     [--system vroom|http2|...] [--network lte|3g|...]";
 
 struct Args {
     command: String,
@@ -22,35 +30,44 @@ struct Args {
     network: String,
 }
 
+/// Parse the process arguments; on malformed input, report it with
+/// [`usage_error`].
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut args = Args {
-        command: argv.get(1).cloned().unwrap_or_else(|| "help".into()),
+        command: argv.first().cloned().unwrap_or_else(|| "help".into()),
         category: "news".into(),
         seed: 42,
         system: "vroom".into(),
         network: "lte".into(),
     };
-    let mut i = 2;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--category" => args.category = argv.get(i + 1).cloned().expect("--category NAME"),
+    for pair in argv.get(1..).unwrap_or_default().chunks(2) {
+        let (flag, value) = (pair[0].as_str(), pair.get(1));
+        let name = || {
+            value
+                .cloned()
+                .unwrap_or_else(|| usage_error(&format!("{flag} takes a name")))
+        };
+        match flag {
+            "--category" => args.category = name(),
             "--seed" => {
-                args.seed = argv
-                    .get(i + 1)
+                args.seed = value
                     .and_then(|s| s.parse().ok())
-                    .expect("--seed N")
+                    .unwrap_or_else(|| usage_error("--seed takes a number"))
             }
-            "--system" => args.system = argv.get(i + 1).cloned().expect("--system NAME"),
-            "--network" => args.network = argv.get(i + 1).cloned().expect("--network NAME"),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            "--system" => args.system = name(),
+            "--network" => args.network = name(),
+            other => usage_error(&format!("unknown flag {other}")),
         }
-        i += 2;
     }
     args
+}
+
+/// Print `message` and the usage line to stderr, then exit 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn profile_of(name: &str) -> SiteProfile {
@@ -59,10 +76,9 @@ fn profile_of(name: &str) -> SiteProfile {
         "sports" => SiteProfile::sports(),
         "top100" => SiteProfile::top100(),
         "top400" => SiteProfile::top400(),
-        other => {
-            eprintln!("unknown category {other} (news|sports|top100|top400)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown category {other} (news|sports|top100|top400)"
+        )),
     }
 }
 
@@ -74,10 +90,9 @@ fn network_of(name: &str) -> NetworkProfile {
         "2g" => NetworkProfile::two_g(),
         "wifi" => NetworkProfile::wifi(),
         "usb" => NetworkProfile::usb_tether(),
-        other => {
-            eprintln!("unknown network {other} (lte|lte-congested|3g|2g|wifi|usb)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown network {other} (lte|lte-congested|3g|2g|wifi|usb)"
+        )),
     }
 }
 
@@ -93,10 +108,7 @@ fn system_of(name: &str) -> System {
         "push-all" => System::PushAllNoHints,
         "push-asap" => System::PushAllFetchAsap,
         "hybrid" => System::VroomPolarisHybrid,
-        other => {
-            eprintln!("unknown system {other}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown system {other}")),
     }
 }
 
@@ -183,12 +195,7 @@ fn main() {
                 }
             }
         }
-        _ => {
-            println!(
-                "usage: vroom-cli <load|compare|page|hints> \
-                 [--category news|sports|top100|top400] [--seed N] \
-                 [--system vroom|http2|...] [--network lte|3g|...]"
-            );
-        }
+        "help" => println!("{USAGE}"),
+        other => usage_error(&format!("unknown command {other:?}")),
     }
 }

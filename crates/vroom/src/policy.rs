@@ -8,7 +8,7 @@
 //! figures.
 
 use std::collections::BTreeMap;
-use vroom_browser::config::{CacheEntry, FetchPolicy, Hint, HttpVersion, LoadConfig, ServerModel};
+use vroom_browser::config::{CacheEntry, FetchPolicy, HttpVersion, LoadConfig, ServerModel};
 use vroom_html::Url;
 use vroom_intern::UrlTable;
 use vroom_net::FaultPlan;
@@ -207,11 +207,6 @@ pub fn cache_from_prior_load(prior: &Page, age_hours: f64) -> BTreeMap<Url, Cach
         .collect()
 }
 
-/// Hints present in a config, flattened (diagnostics/tests).
-pub fn all_hints(cfg: &LoadConfig) -> Vec<&Hint> {
-    cfg.server.hints.values().flat_map(|v| v.iter()).collect()
-}
-
 /// Hint-corruption rate at or above which the client stops trusting the
 /// server's dependency metadata entirely: the whole hint set and push set
 /// are discarded and the load degrades to a plain (discovery-driven) HTTP/2
@@ -359,8 +354,11 @@ mod tests {
         let (generator, ctx, page) = setup();
         let cfg = build_config(System::VroomStaleDeps, &generator, &page, &ctx, 1);
         let current = page.url_set();
-        let stale = all_hints(&cfg)
-            .iter()
+        let stale = cfg
+            .server
+            .hints
+            .values()
+            .flat_map(|hints| hints.iter())
             .filter(|h| !current.contains(cfg.urls.get(h.url)))
             .count();
         assert!(stale > 0, "a previous load must contain stale URLs");
