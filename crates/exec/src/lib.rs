@@ -9,21 +9,24 @@
 //! over long-lived workers. Both collect each result into the slot of its
 //! *input* index, so the returned `Vec` — and therefore everything
 //! rendered from it — is identical for any worker count and any completion
-//! order.
+//! order. Both run a fan-out of at most one item on the calling thread.
 //!
 //! Output invariance argument, in three steps:
 //!  1. the mapped closure is pure (enforced by `vroom-lint`'s `sim-purity`
 //!     rule, which keeps analyzing closure bodies passed through here);
 //!  2. results are placed by input index, not arrival order, so scheduling
 //!     cannot permute them;
-//!  3. `workers <= 1` bypasses threads entirely and the result is defined
-//!     to equal that sequential reference.
+//!  3. `workers <= 1` (and any fan-out of at most one item) bypasses
+//!     threads entirely and the result is defined to equal that sequential
+//!     reference.
+//!
 //! Hence `par_map_indexed(items, w, f) == par_map_indexed(items, 1, f)`
 //! for every `w` — the property the proptest in `tests/tests/parallel.rs`
 //! and the `run_all` golden byte-identity test both pin down.
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -143,20 +146,28 @@ type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
 /// observationally pure (buffer reuse), which `vroom-lint`'s `sim-purity`
 /// rule and the pool-vs-sequential proptests both police.
 ///
+/// A fan-out of one item runs on the calling thread against a scratch the
+/// pool keeps for its caller, as [`par_map_indexed`] runs one item inline:
+/// with nothing to run in parallel, waking every worker and waiting for
+/// every ack is pure overhead.
+///
 /// `dispatch` returns only after every worker has acknowledged completing
 /// its job, and workers acknowledge *after* dropping the job closure — so
 /// any `Arc` the caller moved into `f` is guaranteed to have its worker
-/// clones released by the time `dispatch` returns. Callers exploit this as
-/// a barrier: `Arc::get_mut` on shared state succeeds between calls.
+/// clones released by the time `dispatch` returns. The inline path drops
+/// `f` before returning too. Callers exploit this as a barrier:
+/// `Arc::get_mut` on shared state succeeds between calls.
 pub struct Pool<S> {
     senders: Vec<crossbeam::channel::Sender<Job<S>>>,
     ack_rx: crossbeam::channel::Receiver<()>,
     handles: Vec<std::thread::JoinHandle<()>>,
+    /// The calling thread's scratch, for one-item fan-outs.
+    local: RefCell<S>,
 }
 
 impl<S: Default + 'static> Pool<S> {
     /// Spawn a pool of `workers.max(1)` long-lived threads, each owning a
-    /// fresh `S::default()` scratch.
+    /// fresh `S::default()` scratch, plus one more scratch for the caller.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let (ack_tx, ack_rx) = crossbeam::channel::unbounded::<()>();
@@ -183,13 +194,15 @@ impl<S: Default + 'static> Pool<S> {
             senders,
             ack_rx,
             handles,
+            local: RefCell::default(),
         }
     }
 
     /// Map `f` over `items` on the pool, returning results in input order.
     /// `f` receives `(&mut scratch, index, &item)` exactly once per item;
-    /// which worker's scratch an item sees is schedule-dependent, so `f`
-    /// must be pure modulo scratch reuse (see the type-level docs).
+    /// which scratch an item sees is schedule-dependent (a worker's, or the
+    /// caller's for a one-item fan-out), so `f` must be pure modulo scratch
+    /// reuse (see the type-level docs).
     pub fn dispatch<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send + Sync + 'static,
@@ -197,8 +210,15 @@ impl<S: Default + 'static> Pool<S> {
         F: Fn(&mut S, usize, &I) -> T + Send + Sync + 'static,
     {
         let n = items.len();
-        if n == 0 {
-            return Vec::new();
+        if n <= 1 {
+            let out = {
+                let mut local = self.local.borrow_mut();
+                items.iter().map(|item| f(&mut local, 0, item)).collect()
+            };
+            // The closure and every `Arc` it captured are gone before the
+            // caller sees the result: the same barrier as the worker acks.
+            drop(f);
+            return out;
         }
         let chunk = claim_chunk(n, self.senders.len());
         let shared = Arc::new((items, AtomicUsize::new(0), f));
@@ -349,8 +369,34 @@ mod tests {
                 *x
             });
         }
-        let counts = pool.dispatch(vec![()], |s, _, _| s.0);
-        assert_eq!(counts, vec![200]);
+        let counts = pool.dispatch(vec![(), ()], |s, _, _| s.0);
+        assert_eq!(counts, vec![200, 200]);
+    }
+
+    #[test]
+    fn one_item_dispatches_run_inline_on_the_callers_scratch() {
+        #[derive(Default)]
+        struct Counter(u64);
+        let pool: Pool<Counter> = Pool::new(4);
+        let caller = std::thread::current().id();
+        for round in 0..20u64 {
+            let got = pool.dispatch(vec![round], move |s, i, x| {
+                s.0 += 1;
+                (i, x * 2, std::thread::current().id() == caller)
+            });
+            assert_eq!(got, vec![(0, round * 2, true)]);
+        }
+        // Every one-item run saw the same scratch: the caller's.
+        assert_eq!(pool.dispatch(vec![()], |s, _, _| s.0), vec![20]);
+        // A wider fan-out runs on the workers and leaves that scratch alone.
+        pool.dispatch((0..8u64).collect::<Vec<_>>(), |s, _, _| s.0 += 1);
+        assert_eq!(pool.dispatch(vec![()], |s, _, _| s.0), vec![20]);
+        // The inline path keeps the `Arc::get_mut` barrier.
+        let data = Arc::new(7u64);
+        let captured = Arc::clone(&data);
+        assert_eq!(pool.dispatch(vec![()], move |_, _, _| *captured), vec![7]);
+        let mut data = data;
+        assert!(Arc::get_mut(&mut data).is_some());
     }
 
     #[test]

@@ -9,9 +9,12 @@
 //!   Ids are dense `u32`s handed out in insertion order, so two runs that
 //!   intern the same URLs in the same order assign identical ids: the table
 //!   is as deterministic as the code that fills it. Resolution (`id → Url`)
-//!   is a `Vec` index; interning and reverse lookup are one `BTreeMap`
-//!   probe. The table also caches each URL's origin string (`scheme://host`),
-//!   which `Url::origin()` otherwise re-allocates on every call.
+//!   is a `Vec` index. Interning and reverse lookup hash the URL once with a
+//!   fixed-key hash and probe an open-addressing index whose slots hold an
+//!   id and a 32-bit hash tag; only a slot whose tag matches is compared as
+//!   a URL, so a hit costs one URL comparison, however large the table.
+//!   Each URL is stored once, in id order. [`UrlTable::intern_ref`] clones
+//!   a borrowed URL only when it is new.
 //! * [`SharedBytes`] / [`SharedStr`] — `Arc`-backed immutable buffers in the
 //!   style of the `bytes` crate: cloning is a reference-count bump, never a
 //!   byte copy.
@@ -21,10 +24,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use vroom_html::Url;
 
@@ -74,20 +78,86 @@ impl fmt::Display for UrlId {
 ///
 /// Ids are handed out in insertion order and never change, so any two
 /// identically-ordered fills produce identical ids — the property the
-/// simulator's determinism suite pins down.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// simulator's determinism suite pins down. The hash index only finds
+/// ids; nothing iterates it, so its layout can never reach an output.
+/// Equality and `Debug` look at the URL sequence alone, never at which
+/// lazily rendered strings happen to exist yet.
+///
+/// The hash key is fixed, so URLs chosen to collide could lengthen probe
+/// chains. Only URLs the program generates or records are interned; a URL
+/// from outside (a wire request path) is only looked up, which walks one
+/// run of the table's own slots.
+#[derive(Clone, Default)]
 pub struct UrlTable {
-    urls: Vec<Url>,
-    /// Cached `scheme://host` per id, built once at intern time.
-    origins: Vec<SharedStr>,
-    /// Cached full rendering per id, built once at intern time.
-    full: Vec<SharedStr>,
-    /// Cached host per id, deduplicated so every URL on a domain shares
-    /// one allocation.
-    hosts: Vec<SharedStr>,
-    /// Distinct hosts seen so far, for the dedup in `intern`.
-    host_index: BTreeMap<String, SharedStr>,
-    index: BTreeMap<Url, UrlId>,
+    /// Every interned URL, in id order.
+    entries: Vec<Entry>,
+    /// Distinct hosts seen so far, for the dedup in `push`.
+    hosts: BTreeSet<SharedStr>,
+    /// Open-addressing index over `entries` with linear probing: a power of
+    /// two long and at most half full, so every probe ends at an empty slot.
+    index: Vec<Slot>,
+}
+
+/// One interned URL and the strings derived from it.
+#[derive(Clone)]
+struct Entry {
+    url: Url,
+    /// The URL's host, shared by every URL on the domain.
+    host: SharedStr,
+    /// The full rendering, built on the first `full_url` call.
+    full: OnceLock<SharedStr>,
+}
+
+/// One index slot: empty, or an id with the tag of its URL's hash.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// `id + 1`; `0` marks an empty slot.
+    id_plus_one: u32,
+    tag: u32,
+}
+
+impl Slot {
+    fn new(id: UrlId, tag: u32) -> Self {
+        Slot {
+            id_plus_one: id
+                .0
+                .checked_add(1)
+                .expect("fewer than u32::MAX interned urls"),
+            tag,
+        }
+    }
+
+    fn id(self) -> Option<UrlId> {
+        self.id_plus_one.checked_sub(1).map(UrlId)
+    }
+}
+
+/// Index length of the first growth.
+const MIN_SLOTS: usize = 16;
+
+/// The 32-bit hash tag of a URL. `DefaultHasher::new()` has a fixed key,
+/// so a table's layout depends only on the URLs interned into it, never
+/// on the process. The low bits pick the home slot; all 32 bits filter
+/// probes.
+fn tag_of(url: &Url) -> u32 {
+    let mut h = std::hash::DefaultHasher::new();
+    url.hash(&mut h);
+    let h = h.finish();
+    (h ^ (h >> 32)) as u32
+}
+
+/// Put `slot` in the first empty slot at or after its home position.
+/// Total: `get_mut` ends the walk on an empty index instead of panicking.
+fn place(index: &mut [Slot], slot: Slot) {
+    let mask = index.len().wrapping_sub(1);
+    let mut pos = slot.tag as usize & mask;
+    while let Some(s) = index.get_mut(pos) {
+        if s.id().is_none() {
+            *s = slot;
+            return;
+        }
+        pos = (pos + 1) & mask;
+    }
 }
 
 impl UrlTable {
@@ -99,54 +169,95 @@ impl UrlTable {
     /// Intern a URL, returning its id. Re-interning an already-known URL
     /// returns the existing id (the table never holds duplicates).
     pub fn intern(&mut self, url: Url) -> UrlId {
-        if let Some(&id) = self.index.get(&url) {
-            return id;
-        }
-        let id = UrlId::from_index(self.urls.len());
-        self.origins.push(SharedStr::from(url.origin()));
-        self.full.push(SharedStr::from(url.to_string()));
-        let host = self
-            .host_index
-            .entry(url.host.clone())
-            .or_insert_with(|| SharedStr::from(url.host.as_str()))
-            .share();
-        self.hosts.push(host);
-        self.index.insert(url.clone(), id);
-        self.urls.push(url);
-        id
+        let tag = tag_of(&url);
+        self.find(&url, tag).unwrap_or_else(|| self.push(url, tag))
+    }
+
+    /// [`UrlTable::intern`] for a borrowed URL: clones it only when it is
+    /// new, so re-interning a known URL allocates nothing.
+    pub fn intern_ref(&mut self, url: &Url) -> UrlId {
+        let tag = tag_of(url);
+        self.find(url, tag)
+            .unwrap_or_else(|| self.push(url.clone(), tag))
     }
 
     /// The id of an already-interned URL, if any. Read-only: never mutates
     /// the table, so shared (`Arc`) tables can serve lookups concurrently.
     pub fn lookup(&self, url: &Url) -> Option<UrlId> {
-        self.index.get(url).copied()
+        self.find(url, tag_of(url))
+    }
+
+    /// Walk the probe sequence of `tag` to the slot holding `url`, or to
+    /// the first empty slot (a miss).
+    fn find(&self, url: &Url, tag: u32) -> Option<UrlId> {
+        let mask = self.index.len().wrapping_sub(1);
+        let mut pos = tag as usize & mask;
+        loop {
+            let slot = self.index.get(pos)?;
+            let id = slot.id()?;
+            if slot.tag == tag && self.url(id) == Some(url) {
+                return Some(id);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// Append a URL known to be absent, growing the index first if the new
+    /// entry would fill more than half of it.
+    fn push(&mut self, url: Url, tag: u32) -> UrlId {
+        let id = UrlId::from_index(self.entries.len());
+        if (self.entries.len() + 1) * 2 > self.index.len() {
+            self.grow();
+        }
+        place(&mut self.index, Slot::new(id, tag));
+        let host = match self.hosts.get(url.host.as_str()) {
+            Some(host) => host.share(),
+            None => {
+                let host = SharedStr::from(url.host.as_str());
+                self.hosts.insert(host.share());
+                host
+            }
+        };
+        self.entries.push(Entry {
+            url,
+            host,
+            full: OnceLock::new(),
+        });
+        id
+    }
+
+    /// Double the index and re-place every id, rehashing from the URLs in
+    /// id order.
+    fn grow(&mut self) {
+        let mut index = vec![Slot::default(); (self.index.len() * 2).max(MIN_SLOTS)];
+        for (id, url) in self.iter() {
+            place(&mut index, Slot::new(id, tag_of(url)));
+        }
+        self.index = index;
     }
 
     /// Resolve an id to its URL. Panics on an id from a different table;
     /// use [`UrlTable::url`] where a foreign id is possible.
     pub fn get(&self, id: UrlId) -> &Url {
         // vroom-lint: allow(panic-reachable) -- documented contract: panics only on a foreign id; wire paths use the total `url` API
-        &self.urls[id.index()]
+        &self.entries[id.index()].url
     }
 
     /// Total resolution of an id to its URL (`None` for foreign ids).
     pub fn url(&self, id: UrlId) -> Option<&Url> {
-        self.urls.get(id.index())
+        self.entries.get(id.index()).map(|e| &e.url)
     }
 
-    /// The cached origin string (`scheme://host`) of an interned URL —
-    /// equal to `self.get(id).origin()` without the per-call allocation.
-    pub fn origin(&self, id: UrlId) -> &str {
-        &self.origins[id.index()]
-    }
-
-    /// The cached full rendering of an interned URL — equal to
-    /// `self.get(id).to_string()` without the per-call allocation. Returns
-    /// the shared string so callers can [`SharedStr::share`] it into
-    /// headers without copying.
+    /// The full rendering of an interned URL — equal to
+    /// `self.get(id).to_string()`, rendered on the first call and shared
+    /// after. Returns the shared string so callers can
+    /// [`SharedStr::share`] it into headers without copying.
     pub fn full_url(&self, id: UrlId) -> &SharedStr {
         // vroom-lint: allow(panic-reachable) -- documented contract: panics only on a foreign id; wire paths use the total `url` API
-        &self.full[id.index()]
+        let entry = &self.entries[id.index()];
+        entry
+            .full
+            .get_or_init(|| SharedStr::from(entry.url.to_string()))
     }
 
     /// The cached host of an interned URL. Every URL on a domain shares one
@@ -154,31 +265,46 @@ impl UrlTable {
     /// maps and events without copying.
     pub fn host(&self, id: UrlId) -> &SharedStr {
         // vroom-lint: allow(panic-reachable) -- documented contract: panics only on a foreign id; wire paths use the total `url` API
-        &self.hosts[id.index()]
+        &self.entries[id.index()].host
     }
 
     /// Number of interned URLs.
     pub fn len(&self) -> usize {
-        self.urls.len()
+        self.entries.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.urls.is_empty()
+        self.entries.is_empty()
     }
 
     /// Iterate `(id, url)` in insertion (id) order.
     pub fn iter(&self) -> impl Iterator<Item = (UrlId, &Url)> {
-        self.urls
+        self.entries
             .iter()
             .enumerate()
-            .map(|(i, u)| (UrlId::from_index(i), u))
+            .map(|(i, e)| (UrlId::from_index(i), &e.url))
     }
 
     /// Iterate `(url, id)` in URL sort order — for canonical serialization,
-    /// which must not depend on intern order.
+    /// which must not depend on intern order. Sorts on every call.
     pub fn iter_sorted(&self) -> impl Iterator<Item = (&Url, UrlId)> {
-        self.index.iter().map(|(u, &id)| (u, id))
+        let mut sorted: Vec<(&Url, UrlId)> = self.iter().map(|(id, url)| (url, id)).collect();
+        // URLs are unique, so the order is total.
+        sorted.sort_unstable();
+        sorted.into_iter()
+    }
+}
+
+impl PartialEq for UrlTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().map(|(_, u)| u).eq(other.iter().map(|(_, u)| u))
+    }
+}
+
+impl fmt::Debug for UrlTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter().map(|(_, u)| u)).finish()
     }
 }
 
@@ -422,18 +548,6 @@ mod tests {
         assert!(z < a, "ids follow insertion order");
         let sorted: Vec<&Url> = t.iter_sorted().map(|(u, _)| u).collect();
         assert_eq!(sorted[0].host, "a.com", "sorted iteration is by URL");
-    }
-
-    #[test]
-    fn origin_is_cached_and_matches_url_origin() {
-        let mut t = UrlTable::new();
-        let id = t.intern(Url::https("News.Example.com", "/a/b?q=1"));
-        assert_eq!(t.origin(id), t.get(id).origin());
-        assert_eq!(t.origin(id), "https://news.example.com");
-        // Same origin pointer across calls: no per-call allocation.
-        let p1 = t.origin(id).as_ptr();
-        let p2 = t.origin(id).as_ptr();
-        assert_eq!(p1, p2);
     }
 
     #[test]

@@ -23,12 +23,14 @@
 //! URLs are exactly what Vroom never hints, so sharing costs no hint the
 //! per-client resolver would have kept.
 
+use std::sync::Arc;
+
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
-use vroom_pages::{DeviceClass, LoadContext, PageGenerator};
+use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator};
 use vroom_sim::mix;
 
-use crate::resolve::{resolve, ResolverInput, Strategy, CRAWLER_USER};
+use crate::resolve::{resolve, ResolvedDeps, ResolverInput, Strategy, CRAWLER_USER};
 use crate::store::HintStore;
 
 /// One resolved hint target, table-free: `(url, tier, size_hint)`.
@@ -67,27 +69,41 @@ pub fn run_pass(
     server_seed: u64,
 ) -> PassOutput {
     let bucket = hour_bucket(hours) as f64;
-    // The server's own current copy of the page: crawler cookie jar, a
-    // nonce derived from (seed, bucket) so every pass in the bucket renders
-    // the same bytes.
-    let server_page = generator.snapshot_arc(&LoadContext {
+    let page = server_page(generator, bucket, device, server_seed);
+    let input = ResolverInput::new(generator, bucket, device, server_seed);
+    let mut scratch = UrlTable::new();
+    let resolved = resolve(&input, &page, Strategy::Vroom, &mut scratch);
+    pass_output(&page, &resolved, &scratch)
+}
+
+/// The server's own current copy of the page: crawler cookie jar, a nonce
+/// derived from (seed, bucket) so every pass in the bucket renders the
+/// same bytes.
+pub(crate) fn server_page(
+    generator: &PageGenerator,
+    bucket: f64,
+    device: DeviceClass,
+    server_seed: u64,
+) -> Arc<Page> {
+    generator.snapshot_arc(&LoadContext {
         hours: bucket,
         user_id: CRAWLER_USER,
         device,
         nonce: mix(server_seed, 0xBA7C4 ^ bucket as u64),
-    });
-    let input = ResolverInput::new(generator, bucket, device, server_seed);
-    let mut scratch = UrlTable::new();
-    let resolved = resolve(&input, &server_page, Strategy::Vroom, &mut scratch);
-    // Emit in document order (root, then iframes by resource id), not id
-    // order, so the commit sequence is independent of intern history.
+    })
+}
+
+/// The table-free form of `resolved`, whose ids resolve against `scratch`:
+/// entries in document order (root, then iframes by resource id), not id
+/// order, so the commit sequence is independent of intern history.
+pub(crate) fn pass_output(page: &Page, resolved: &ResolvedDeps, scratch: &UrlTable) -> PassOutput {
     let mut order: Vec<UrlId> = Vec::with_capacity(resolved.hints.len());
-    if let Some(root) = scratch.lookup(&server_page.url) {
+    if let Some(root) = scratch.lookup(&page.url) {
         if resolved.hints.contains_key(&root) {
             order.push(root);
         }
     }
-    for r in &server_page.resources {
+    for r in &page.resources {
         if let Some(id) = scratch.lookup(&r.url) {
             if resolved.hints.contains_key(&id) && !order.contains(&id) {
                 order.push(id);
@@ -116,7 +132,8 @@ pub fn run_pass(
 /// `bucket` the pass was resolved at — the input to the store's eviction
 /// policies. Returns the store keys written, in entry order. Call
 /// sequentially (the shared table needs `&mut`); the commit is cheap —
-/// interning and refcounted inserts only.
+/// one hash probe per URL, which clones the URL only the first time the
+/// table sees it, and one batched store write.
 pub fn commit_pass_at(
     output: &PassOutput,
     store: &dyn HintStore,
@@ -130,13 +147,11 @@ pub fn commit_pass_at(
     let mut written = Vec::with_capacity(output.entries.len());
     let mut batch = Vec::with_capacity(output.entries.len());
     for (html, targets) in &output.entries {
-        // vroom-lint: allow(hot-path-alloc) -- interning takes ownership; one clone per entry, once per pass commit
-        let key = urls.intern(html.clone());
+        let key = urls.intern_ref(html);
         let hints = targets
             .iter()
             .map(|(url, tier, size_hint)| vroom_browser::config::Hint {
-                // vroom-lint: allow(hot-path-alloc) -- interning takes ownership; one clone per entry, once per pass commit
-                url: urls.intern(url.clone()),
+                url: urls.intern_ref(url),
                 tier: *tier,
                 size_hint: *size_hint,
             })

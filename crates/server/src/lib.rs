@@ -37,6 +37,9 @@ pub mod resolve;
 pub mod store;
 pub mod wire;
 
+#[cfg(test)]
+mod resolve_tests;
+
 pub use accuracy::{evaluate, evaluate_aged, Accuracy};
 pub use batch::{commit_pass_at, hour_bucket, run_pass, PassOutput};
 pub use freshness::{

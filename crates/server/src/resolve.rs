@@ -73,7 +73,7 @@ impl<'g> ResolverInput<'g> {
     }
 
     /// The crawl context for the load `k` hours ago.
-    fn crawl_ctx(&self, k: u64) -> LoadContext {
+    pub(crate) fn crawl_ctx(&self, k: u64) -> LoadContext {
         LoadContext {
             hours: self.hours - k as f64,
             user_id: CRAWLER_USER,
@@ -112,9 +112,9 @@ pub struct ResolvedDeps {
 /// document (see `vroom_pages::render`).
 ///
 /// Every URL in the result — HTML keys and hint targets — is interned into
-/// `urls`; resolution works on strings internally (the offline intersection
-/// is set algebra over crawled URLs) and converts to ids only once, when the
-/// final ordered hint lists are emitted.
+/// `urls`; resolution works on borrowed URLs internally (the offline
+/// intersection is set algebra over crawled URLs) and converts to ids only
+/// once, when the final ordered hint lists are emitted.
 pub fn resolve(
     input: &ResolverInput<'_>,
     client_page: &Page,
@@ -123,37 +123,27 @@ pub fn resolve(
 ) -> ResolvedDeps {
     let mut out = ResolvedDeps::default();
     match strategy {
-        Strategy::Vroom => {
+        Strategy::Vroom | Strategy::OfflineOnly => {
+            let online = strategy == Strategy::Vroom;
             let offline = input.offline_loads();
-            // Root HTML: offline ∪ online, excluding iframe-derived deps.
-            let mut hints =
-                offline_intersection_scoped(&offline, |r| r.iframe_root.is_none() && r.id != 0);
-            merge_online(&mut hints, client_page, 0);
+            let crawls = Crawls::new(&offline);
+            // Root HTML: offline (∪ online), excluding iframe-derived deps.
+            let mut hints = crawls.intersection(|r| r.iframe_root.is_none() && r.id != 0);
+            if online {
+                merge_online(&mut hints, client_page, 0);
+            }
             out.hints
-                .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
+                .insert(urls.intern_ref(&client_page.url), finish(hints, urls));
 
             // Each iframe HTML: its own domain resolves its subtree the same
             // way (paper Fig 10: the ad server returns the red envelope).
             for frame in embedded_htmls(client_page) {
-                let mut fh =
-                    offline_intersection_scoped(&offline, |r| r.iframe_root == Some(frame));
-                merge_online(&mut fh, client_page, frame);
+                let mut fh = crawls.intersection(|r| r.iframe_root == Some(frame));
+                if online {
+                    merge_online(&mut fh, client_page, frame);
+                }
                 out.hints.insert(
-                    urls.intern(client_page.resources[frame].url.clone()),
-                    finish(fh, urls),
-                );
-            }
-        }
-        Strategy::OfflineOnly => {
-            let offline = input.offline_loads();
-            let hints =
-                offline_intersection_scoped(&offline, |r| r.iframe_root.is_none() && r.id != 0);
-            out.hints
-                .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
-            for frame in embedded_htmls(client_page) {
-                let fh = offline_intersection_scoped(&offline, |r| r.iframe_root == Some(frame));
-                out.hints.insert(
-                    urls.intern(client_page.resources[frame].url.clone()),
+                    urls.intern_ref(&client_page.resources[frame].url),
                     finish(fh, urls),
                 );
             }
@@ -167,23 +157,13 @@ pub fn resolve(
                 device: input.device,
                 nonce: mix(input.server_seed, 0xF8E5),
             });
-            let hints: Vec<(u8, Url, u64, ResourceId)> = fresh
-                .resources
-                .iter()
-                .filter(|r| r.iframe_root.is_none() && r.id != 0)
-                .map(|r| (r.hint_tier(), r.url.clone(), r.size, r.id))
-                .collect();
+            let hints = candidates(&fresh.resources, |r| r.iframe_root.is_none() && r.id != 0);
             out.hints
-                .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
+                .insert(urls.intern_ref(&client_page.url), finish(hints, urls));
             for frame in embedded_htmls(client_page) {
-                let fh: Vec<(u8, Url, u64, ResourceId)> = fresh
-                    .resources
-                    .iter()
-                    .filter(|r| r.iframe_root == Some(frame))
-                    .map(|r| (r.hint_tier(), r.url.clone(), r.size, r.id))
-                    .collect();
+                let fh = candidates(&fresh.resources, |r| r.iframe_root == Some(frame));
                 out.hints.insert(
-                    urls.intern(client_page.resources[frame].url.clone()),
+                    urls.intern_ref(&client_page.resources[frame].url),
                     finish(fh, urls),
                 );
             }
@@ -192,48 +172,77 @@ pub fn resolve(
             // Everything from a single load an hour ago — including
             // iframe-derived and per-load-random URLs. The Fig 17 strawman.
             let prev = input.generator.snapshot_arc(&input.crawl_ctx(1));
-            let hints: Vec<(u8, Url, u64, ResourceId)> = prev
-                .resources
-                .iter()
-                .filter(|r| r.id != 0)
-                .map(|r| (r.hint_tier(), r.url.clone(), r.size, r.id))
-                .collect();
+            let hints = candidates(&prev.resources, |r| r.id != 0);
             out.hints
-                .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
+                .insert(urls.intern_ref(&client_page.url), finish(hints, urls));
         }
     }
     out
 }
 
-/// URLs present in *all* offline loads, within the scope `keep` (evaluated
-/// on the first load's resources; node identity is positional, but matching
-/// is by URL — a rotated URL simply fails the intersection).
-fn offline_intersection_scoped(
-    loads: &[Arc<Page>],
+/// One hint candidate before interning: `(tier, url, size, document
+/// position)`, borrowing its URL from the page it was read from.
+type Candidate<'p> = (u8, &'p Url, u64, ResourceId);
+
+/// The candidate form of one resource.
+fn candidate(r: &vroom_pages::Resource) -> Candidate<'_> {
+    (r.hint_tier(), &r.url, r.size, r.id)
+}
+
+/// Every resource within the scope `keep`, in document order.
+fn candidates(
+    resources: &[vroom_pages::Resource],
     keep: impl Fn(&vroom_pages::Resource) -> bool,
-) -> Vec<(u8, Url, u64, ResourceId)> {
-    let later: Vec<BTreeSet<&Url>> = loads[1..]
-        .iter()
-        .map(|p| p.resources.iter().map(|r| &r.url).collect())
-        .collect();
-    loads[0]
-        .resources
+) -> Vec<Candidate<'_>> {
+    resources
         .iter()
         .filter(|r| keep(r))
-        .filter(|r| later.iter().all(|set| set.contains(&r.url)))
-        .map(|r| (r.hint_tier(), r.url.clone(), r.size, r.id))
+        .map(candidate)
         .collect()
 }
 
-/// Add the markup-visible children of `html_id` from the served bytes.
-fn merge_online(
-    hints: &mut Vec<(u8, Url, u64, ResourceId)>,
-    client_page: &Page,
-    html_id: ResourceId,
-) {
+/// The server's offline crawls, with the URL set of every crawl after the
+/// first built once per [`resolve`] call and shared by the root and every
+/// iframe scope.
+struct Crawls<'p> {
+    /// The first crawl's resources: the candidates, in document order.
+    first: &'p [vroom_pages::Resource],
+    later: Vec<BTreeSet<&'p Url>>,
+}
+
+impl<'p> Crawls<'p> {
+    fn new(loads: &'p [Arc<Page>]) -> Self {
+        let mut loads = loads.iter();
+        let first = loads
+            .next()
+            .map(|p| p.resources.as_slice())
+            .unwrap_or_default();
+        Crawls {
+            first,
+            later: loads
+                .map(|p| p.resources.iter().map(|r| &r.url).collect())
+                .collect(),
+        }
+    }
+
+    /// URLs present in *all* offline loads, within the scope `keep`
+    /// (evaluated on the first load's resources; node identity is
+    /// positional, but matching is by URL — a rotated URL simply fails the
+    /// intersection).
+    fn intersection(&self, keep: impl Fn(&vroom_pages::Resource) -> bool) -> Vec<Candidate<'p>> {
+        candidates(self.first, |r| {
+            keep(r) && self.later.iter().all(|set| set.contains(&r.url))
+        })
+    }
+}
+
+/// Add the markup-visible children of `html_id` from the served bytes,
+/// skipping URLs already hinted.
+fn merge_online<'p>(hints: &mut Vec<Candidate<'p>>, client_page: &'p Page, html_id: ResourceId) {
+    let mut seen: BTreeSet<&Url> = hints.iter().map(|h| h.1).collect();
     for child in client_page.children(html_id) {
-        if child.via_markup && !hints.iter().any(|(_, u, _, _)| *u == child.url) {
-            hints.push((child.hint_tier(), child.url.clone(), child.size, child.id));
+        if child.via_markup && seen.insert(&child.url) {
+            hints.push(candidate(child));
         }
     }
 }
@@ -241,14 +250,14 @@ fn merge_online(
 /// Order by (tier, document position) — the order the client must process
 /// them (§5.1) — and convert to wire hints. Sorting and dedup happen on the
 /// real URLs *before* interning, so the emitted order (and therefore the
-/// client's staged fetch order) is byte-for-byte what it was pre-interning.
-fn finish(mut hints: Vec<(u8, Url, u64, ResourceId)>, urls: &mut UrlTable) -> Vec<Hint> {
-    hints.sort_by(|a, b| a.0.cmp(&b.0).then(a.3.cmp(&b.3)).then(a.1.cmp(&b.1)));
+/// client's staged fetch order) does not depend on intern history.
+fn finish(mut hints: Vec<Candidate<'_>>, urls: &mut UrlTable) -> Vec<Hint> {
+    hints.sort_by(|a, b| a.0.cmp(&b.0).then(a.3.cmp(&b.3)).then(a.1.cmp(b.1)));
     hints.dedup_by(|a, b| a.1 == b.1);
     hints
         .into_iter()
         .map(|(tier, url, size, _)| Hint {
-            url: urls.intern(url),
+            url: urls.intern_ref(url),
             tier,
             size_hint: size,
         })

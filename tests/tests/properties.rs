@@ -218,9 +218,8 @@ fn arb_url() -> impl Strategy<Value = vroom_html::Url> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `UrlTable` intern → resolve is the identity on arbitrary URLs, the
-    /// reverse index agrees, and the cached origin equals the allocating
-    /// `Url::origin()`.
+    /// `UrlTable` intern → resolve is the identity on arbitrary URLs and
+    /// the reverse index agrees.
     #[test]
     fn url_table_intern_resolve_round_trips(urls in proptest::collection::vec(arb_url(), 1..40)) {
         let mut table = vroom_intern::UrlTable::new();
@@ -231,7 +230,6 @@ proptest! {
             prop_assert_eq!(table.get(id), u);
             prop_assert_eq!(table.url(id), Some(u));
             prop_assert_eq!(table.lookup(u), Some(id));
-            prop_assert_eq!(table.origin(id), u.origin());
         }
     }
 
@@ -249,5 +247,82 @@ proptest! {
         let (tb, ids_b) = fill();
         prop_assert_eq!(ids_a, ids_b, "same insertion order must mint the same ids");
         prop_assert_eq!(ta, tb);
+    }
+}
+
+/// One step driven through a `UrlTable` and its reference oracle.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Intern(vroom_html::Url),
+    InternRef(vroom_html::Url),
+    Lookup(vroom_html::Url),
+}
+
+/// URLs on three hosts that differ only in path or query, so most share a
+/// host with many others and a lookup often misses by one character.
+fn arb_clustered_url() -> impl Strategy<Value = vroom_html::Url> {
+    (
+        prop_oneof![Just("http"), Just("https")],
+        0u8..3,
+        0u16..80,
+        prop_oneof![Just(None), (0u8..6).prop_map(Some)],
+    )
+        .prop_map(|(scheme, host, path, query)| {
+            let mut p = format!("/static/{path}.js");
+            if let Some(q) = query {
+                p.push_str(&format!("?v={q}"));
+            }
+            vroom_html::Url::new(scheme, format!("cdn{host}.example.com"), p)
+        })
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        arb_clustered_url().prop_map(TableOp::Intern),
+        arb_clustered_url().prop_map(TableOp::InternRef),
+        arb_clustered_url().prop_map(TableOp::Lookup),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The hash-indexed `UrlTable` agrees with a `BTreeMap` oracle on every
+    /// step of an interleaved intern, intern-by-reference and lookup
+    /// sequence: the same ids, the same hits and misses, and the same
+    /// sorted iteration; its rendered strings equal the URL's own. The
+    /// longest sequences intern about 700 distinct URLs, which grows the
+    /// index from 16 to 2048 slots.
+    #[test]
+    fn url_table_matches_btreemap_oracle(ops in proptest::collection::vec(arb_table_op(), 0..1200)) {
+        use vroom_intern::UrlId;
+        let mut table = vroom_intern::UrlTable::new();
+        let mut oracle: std::collections::BTreeMap<vroom_html::Url, UrlId> =
+            std::collections::BTreeMap::new();
+        for op in &ops {
+            match op {
+                TableOp::Intern(u) | TableOp::InternRef(u) => {
+                    let fresh = UrlId::from_index(oracle.len());
+                    let want = *oracle.entry(u.clone()).or_insert(fresh);
+                    let got = match op {
+                        TableOp::Intern(_) => table.intern(u.clone()),
+                        _ => table.intern_ref(u),
+                    };
+                    prop_assert_eq!(got, want, "id of {}", u);
+                    prop_assert_eq!(table.len(), oracle.len(), "hit or miss on {}", u);
+                }
+                TableOp::Lookup(u) => {
+                    prop_assert_eq!(table.lookup(u), oracle.get(u).copied(), "lookup of {}", u);
+                }
+            }
+        }
+        let sorted: Vec<(&vroom_html::Url, UrlId)> = table.iter_sorted().collect();
+        let want: Vec<(&vroom_html::Url, UrlId)> = oracle.iter().map(|(u, &id)| (u, id)).collect();
+        prop_assert_eq!(sorted, want);
+        for (u, &id) in &oracle {
+            prop_assert_eq!(table.get(id), u);
+            prop_assert_eq!(table.full_url(id).as_str(), u.to_string());
+            prop_assert_eq!(table.host(id).as_str(), u.host.as_str());
+        }
     }
 }
