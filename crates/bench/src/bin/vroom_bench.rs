@@ -50,7 +50,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use bytes::BytesMut;
 use vroom::experiment::run_all_report;
 use vroom::{run_load, ExperimentConfig, System};
 use vroom_browser::metrics::quartiles;
@@ -721,7 +720,7 @@ fn run_micro(samples: u64) -> Vec<BenchStats> {
     // per-response framing work of the zero-copy wire path.
     let fragment = Encoder::new().encode(&headers);
     let payload = [0xa5u8; 1024];
-    let mut buf = BytesMut::with_capacity(32 * 1024);
+    let mut buf = Vec::with_capacity(32 * 1024);
     out.push(bench("h2_frame_assemble", samples, 1_000, || {
         buf.clear();
         vroom_http2::frame::encode_headers_raw(&mut buf, 1, &fragment, false, true);

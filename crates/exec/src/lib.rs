@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// The worker count to use when the user asked for "as fast as the
 /// hardware allows": the machine's available parallelism, `1` when that
@@ -64,7 +64,7 @@ where
     let workers = workers.min(n);
     let chunk = claim_chunk(n, workers);
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, T)>();
+    let (tx, rx) = channel::<(usize, T)>();
     // vroom-lint: allow(sim-purity) -- the workspace's single sanctioned thread pool: workers race only for *indices*; results land in input-index slots, so output is schedule-invariant
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -158,8 +158,8 @@ type Job<S> = Box<dyn FnOnce(&mut S) + Send>;
 /// `f` before returning too. Callers exploit this as a barrier:
 /// `Arc::get_mut` on shared state succeeds between calls.
 pub struct Pool<S> {
-    senders: Vec<crossbeam::channel::Sender<Job<S>>>,
-    ack_rx: crossbeam::channel::Receiver<()>,
+    senders: Vec<Sender<Job<S>>>,
+    ack_rx: Receiver<()>,
     handles: Vec<std::thread::JoinHandle<()>>,
     /// The calling thread's scratch, for one-item fan-outs.
     local: RefCell<S>,
@@ -170,11 +170,11 @@ impl<S: Default + 'static> Pool<S> {
     /// fresh `S::default()` scratch, plus one more scratch for the caller.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let (ack_tx, ack_rx) = crossbeam::channel::unbounded::<()>();
+        let (ack_tx, ack_rx) = channel::<()>();
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = crossbeam::channel::unbounded::<Job<S>>();
+            let (tx, rx) = channel::<Job<S>>();
             // vroom-lint: allow(hot-path-alloc) -- one channel handle per worker, once at pool construction
             let ack_tx = ack_tx.clone();
             // vroom-lint: allow(sim-purity) -- the pool's worker threads: jobs race only for indices; results land in input-index slots (see Pool docs)
@@ -222,7 +222,7 @@ impl<S: Default + 'static> Pool<S> {
         }
         let chunk = claim_chunk(n, self.senders.len());
         let shared = Arc::new((items, AtomicUsize::new(0), f));
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, T)>();
+        let (res_tx, res_rx) = channel::<(usize, T)>();
         for sender in &self.senders {
             // vroom-lint: allow(hot-path-alloc) -- one refcount bump per worker per fan-out; the items are shared, never copied
             let shared = Arc::clone(&shared);

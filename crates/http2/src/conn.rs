@@ -4,7 +4,7 @@
 //! feed received bytes in with [`Connection::recv`], drain wire bytes out
 //! with [`Connection::take_output`], and consume protocol [`Event`]s with
 //! [`Connection::poll_event`]. The same state machine therefore runs over
-//! real TCP sockets (see `vroom-server`'s wire module), in-memory pipes
+//! real TCP sockets (see `vroom-server`'s wire module), in-memory buffers
 //! (tests), or not at all (the discrete-event simulator uses the header
 //! types only).
 
@@ -13,7 +13,6 @@ use crate::frame::{self, Frame, FrameCodec, PrioritySpec};
 use crate::headers::{Request, Response};
 use crate::settings::{Settings, DEFAULT_INITIAL_WINDOW_SIZE};
 use crate::stream::{Stream, StreamState};
-use bytes::{Bytes, BytesMut};
 use std::collections::{HashMap, VecDeque};
 use vroom_hpack::HeaderField;
 
@@ -47,7 +46,7 @@ pub enum Event {
         /// Stream carrying the data.
         stream_id: u32,
         /// The bytes (padding already stripped).
-        data: Bytes,
+        data: Vec<u8>,
         /// Whether the peer half-closed the stream.
         end_stream: bool,
     },
@@ -101,8 +100,10 @@ pub struct Connection {
     codec: FrameCodec,
     hpack_enc: vroom_hpack::Encoder,
     hpack_dec: vroom_hpack::Decoder,
-    recv_buf: BytesMut,
-    out: BytesMut,
+    /// Received bytes not yet decoded: the incomplete tail of the last
+    /// `recv`.
+    recv_buf: Vec<u8>,
+    out: Vec<u8>,
     streams: HashMap<u32, Stream>,
     next_local_stream: u32,
     highest_peer_stream: u32,
@@ -152,8 +153,8 @@ impl Connection {
             codec,
             hpack_enc: vroom_hpack::Encoder::new(),
             hpack_dec,
-            recv_buf: BytesMut::new(),
-            out: BytesMut::new(),
+            recv_buf: Vec::new(),
+            out: Vec::new(),
             streams: HashMap::new(),
             next_local_stream: if role == Role::Client { 1 } else { 2 },
             highest_peer_stream: 0,
@@ -219,8 +220,8 @@ impl Connection {
     }
 
     /// Drain bytes to write to the transport.
-    pub fn take_output(&mut self) -> Bytes {
-        self.out.split().freeze()
+    pub fn take_output(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.out)
     }
 
     /// Pop the next protocol event.
@@ -232,8 +233,16 @@ impl Connection {
     /// queued in the output buffer and the error returned; the connection
     /// is then unusable except for draining output.
     pub fn recv(&mut self, data: &[u8]) -> Result<(), ConnectionError> {
-        self.recv_buf.extend_from_slice(data);
-        match self.process() {
+        // The buffer leaves `self` while its frames are handled, so the
+        // decoder reads it in place; the consumed prefix is drained once.
+        let mut buf = std::mem::take(&mut self.recv_buf);
+        buf.extend_from_slice(data);
+        let mut rest = buf.as_slice();
+        let res = self.process(&mut rest);
+        let consumed = buf.len() - rest.len();
+        buf.drain(..consumed);
+        self.recv_buf = buf;
+        match res {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.queue_goaway(e.code, &e.reason);
@@ -242,25 +251,31 @@ impl Connection {
         }
     }
 
-    fn process(&mut self) -> Result<(), ConnectionError> {
+    /// Consume the preface, then every complete frame, from the front of
+    /// `rest`.
+    fn process(&mut self, rest: &mut &[u8]) -> Result<(), ConnectionError> {
         if self.preface_remaining > 0 {
-            let take = self.preface_remaining.min(self.recv_buf.len());
             let offset = PREFACE.len() - self.preface_remaining;
-            let got = self.recv_buf.get(..take).unwrap_or_default();
-            let want = PREFACE.get(offset..offset + take).unwrap_or_default();
-            if got != want {
+            let (got, tail) = rest.split_at(self.preface_remaining.min(rest.len()));
+            if PREFACE.get(offset..offset + got.len()) != Some(got) {
                 return Err(ConnectionError::protocol("bad connection preface"));
             }
-            let _ = self.recv_buf.split_to(take);
-            self.preface_remaining -= take;
+            *rest = tail;
+            self.preface_remaining -= got.len();
             if self.preface_remaining > 0 {
                 return Ok(());
             }
         }
-        while let Some(frame) = self.codec.decode(&mut self.recv_buf)? {
-            self.handle_frame(frame)?;
+        loop {
+            let (used, frame) = self.codec.decode(rest)?;
+            if used == 0 {
+                return Ok(());
+            }
+            *rest = rest.get(used..).unwrap_or_default();
+            if let Some(frame) = frame {
+                self.handle_frame(frame)?;
+            }
         }
-        Ok(())
     }
 
     fn handle_frame(&mut self, frame: Frame) -> Result<(), ConnectionError> {
@@ -454,7 +469,7 @@ impl Connection {
     fn handle_data(
         &mut self,
         stream_id: u32,
-        data: Bytes,
+        data: Vec<u8>,
         end_stream: bool,
         pad_len: u32,
     ) -> Result<(), ConnectionError> {
@@ -623,7 +638,7 @@ impl Connection {
             last_stream_id: self.highest_peer_stream,
             code,
             // vroom-lint: allow(hot-path-alloc) -- cold shutdown path: at most one GOAWAY per connection lifetime
-            debug: Bytes::copy_from_slice(reason.as_bytes()),
+            debug: reason.as_bytes().to_vec(),
         }
         .encode(&mut self.out);
     }
@@ -718,7 +733,7 @@ impl Connection {
         self.enc_buf.clear();
         self.hpack_enc.encode_into(&fields, &mut self.enc_buf);
         // PUSH_PROMISE fragments are small; we do not split them.
-        frame::encode_push_promise_raw(&mut self.out, stream_id, promised, &self.enc_buf);
+        frame::encode_push_promise_raw(&mut self.out, stream_id, promised, &self.enc_buf, true);
         Ok(promised)
     }
 

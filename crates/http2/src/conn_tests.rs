@@ -283,7 +283,7 @@ fn default_window_clients_send_no_connection_window_update() {
 #[test]
 fn roomy_window_client_follows_settings_with_one_connection_update() {
     let settings = Settings::vroom_client();
-    let mut expected = bytes::BytesMut::from(PREFACE);
+    let mut expected = PREFACE.to_vec();
     Frame::Settings {
         ack: false,
         entries: settings.to_entries(),
@@ -294,10 +294,7 @@ fn roomy_window_client_follows_settings_with_one_connection_update() {
         increment: settings.initial_window_size - 65_535,
     }
     .encode(&mut expected);
-    assert_eq!(
-        Connection::client(settings).take_output(),
-        expected.freeze()
-    );
+    assert_eq!(Connection::client(settings).take_output(), expected);
 }
 
 #[test]
@@ -340,11 +337,10 @@ fn interleaved_frame_inside_header_block_is_protocol_error() {
     let (mut client, mut server) = handshake();
     drain(&mut server);
     // Hand-craft: HEADERS without END_HEADERS, then a PING.
-    use bytes::BytesMut;
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     Frame::Headers {
         stream_id: 1,
-        fragment: bytes::Bytes::from_static(&[0x82]),
+        fragment: vec![0x82],
         end_stream: false,
         end_headers: false,
         priority: None,

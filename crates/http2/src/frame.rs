@@ -1,12 +1,11 @@
 //! HTTP/2 frame layer (RFC 7540 §4, §6): the 9-octet frame header, all ten
 //! frame types, padding, and priority fields.
 //!
-//! The codec is sans-IO: [`FrameCodec::decode`] consumes from a `BytesMut`
-//! receive buffer and returns at most one frame; [`encode`](Frame::encode)
-//! appends wire bytes to a send buffer.
+//! The codec is sans-IO: [`FrameCodec::decode`] reads at most one frame
+//! from the front of a byte slice and reports how many bytes it consumed;
+//! [`encode`](Frame::encode) appends wire bytes to a send buffer.
 
 use crate::error::{ConnectionError, ErrorCode};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Frame type codes (RFC 7540 §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +78,7 @@ pub enum Frame {
         /// Stream the data belongs to.
         stream_id: u32,
         /// Body bytes, padding removed.
-        data: Bytes,
+        data: Vec<u8>,
         /// Whether END_STREAM was set.
         end_stream: bool,
         /// Number of padding octets (0 when the frame was not padded);
@@ -91,7 +90,7 @@ pub enum Frame {
         /// Stream being opened / continued.
         stream_id: u32,
         /// HPACK fragment.
-        fragment: Bytes,
+        fragment: Vec<u8>,
         /// Whether END_STREAM was set.
         end_stream: bool,
         /// Whether END_HEADERS was set.
@@ -128,7 +127,7 @@ pub enum Frame {
         /// Even-numbered stream reserved for the pushed response.
         promised_stream_id: u32,
         /// HPACK fragment of the synthesized request headers.
-        fragment: Bytes,
+        fragment: Vec<u8>,
         /// Whether END_HEADERS was set.
         end_headers: bool,
     },
@@ -146,7 +145,7 @@ pub enum Frame {
         /// Reason.
         code: ErrorCode,
         /// Optional debug data.
-        debug: Bytes,
+        debug: Vec<u8>,
     },
     /// WINDOW_UPDATE (§6.9). `stream_id` 0 targets the connection window.
     WindowUpdate {
@@ -160,7 +159,7 @@ pub enum Frame {
         /// Stream whose header block continues.
         stream_id: u32,
         /// HPACK fragment.
-        fragment: Bytes,
+        fragment: Vec<u8>,
         /// Whether END_HEADERS was set.
         end_headers: bool,
     },
@@ -183,7 +182,7 @@ impl Frame {
 
     /// Serialize onto `out`. Frames are emitted unpadded (padding is parsed
     /// on receive but never generated — same choice as most implementations).
-    pub fn encode(&self, out: &mut BytesMut) {
+    pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Data {
                 stream_id,
@@ -222,14 +221,14 @@ impl Frame {
             }
             Frame::RstStream { stream_id, code } => {
                 put_header(out, 4, FrameType::RstStream, 0, *stream_id);
-                out.put_u32(*code as u32);
+                out.extend_from_slice(&(*code as u32).to_be_bytes());
             }
             Frame::Settings { ack, entries } => {
                 let f = if *ack { flags::ACK } else { 0 };
                 put_header(out, entries.len() * 6, FrameType::Settings, f, 0);
                 for &(id, value) in entries {
-                    out.put_u16(id);
-                    out.put_u32(value);
+                    out.extend_from_slice(&id.to_be_bytes());
+                    out.extend_from_slice(&value.to_be_bytes());
                 }
             }
             Frame::PushPromise {
@@ -237,18 +236,13 @@ impl Frame {
                 promised_stream_id,
                 fragment,
                 end_headers,
-            } => {
-                let f = if *end_headers { flags::END_HEADERS } else { 0 };
-                put_header(
-                    out,
-                    fragment.len() + 4,
-                    FrameType::PushPromise,
-                    f,
-                    *stream_id,
-                );
-                out.put_u32(promised_stream_id & 0x7fff_ffff);
-                out.extend_from_slice(fragment);
-            }
+            } => encode_push_promise_raw(
+                out,
+                *stream_id,
+                *promised_stream_id,
+                fragment,
+                *end_headers,
+            ),
             Frame::Ping { ack, payload } => {
                 let f = if *ack { flags::ACK } else { 0 };
                 put_header(out, 8, FrameType::Ping, f, 0);
@@ -260,8 +254,8 @@ impl Frame {
                 debug,
             } => {
                 put_header(out, 8 + debug.len(), FrameType::Goaway, 0, 0);
-                out.put_u32(last_stream_id & 0x7fff_ffff);
-                out.put_u32(*code as u32);
+                out.extend_from_slice(&(last_stream_id & 0x7fff_ffff).to_be_bytes());
+                out.extend_from_slice(&(*code as u32).to_be_bytes());
                 out.extend_from_slice(debug);
             }
             Frame::WindowUpdate {
@@ -269,7 +263,7 @@ impl Frame {
                 increment,
             } => {
                 put_header(out, 4, FrameType::WindowUpdate, 0, *stream_id);
-                out.put_u32(increment & 0x7fff_ffff);
+                out.extend_from_slice(&(increment & 0x7fff_ffff).to_be_bytes());
             }
             Frame::Continuation {
                 stream_id,
@@ -281,12 +275,11 @@ impl Frame {
 }
 
 /// Emit a DATA frame for `data` directly into `out`: one copy into the
-/// send buffer, no intermediate `Bytes` allocation. The hot send paths use
+/// send buffer, no intermediate payload allocation. The hot send paths use
 /// these raw emitters, and [`Frame::encode`] calls them for the DATA,
-/// CONTINUATION and unprioritized HEADERS layouts; it keeps its own code
-/// for control frames, prioritized HEADERS and PUSH_PROMISE, whose raw
-/// emitter always sets END_HEADERS.
-pub fn encode_data_raw(out: &mut BytesMut, stream_id: u32, data: &[u8], end_stream: bool) {
+/// CONTINUATION, PUSH_PROMISE and unprioritized HEADERS layouts, so each
+/// of those layouts has one encoder.
+pub fn encode_data_raw(out: &mut Vec<u8>, stream_id: u32, data: &[u8], end_stream: bool) {
     let f = if end_stream { flags::END_STREAM } else { 0 };
     put_header(out, data.len(), FrameType::Data, f, stream_id);
     out.extend_from_slice(data);
@@ -295,7 +288,7 @@ pub fn encode_data_raw(out: &mut BytesMut, stream_id: u32, data: &[u8], end_stre
 /// Emit a HEADERS frame carrying `fragment` directly into `out` (no
 /// priority fields — we never send prioritized HEADERS).
 pub fn encode_headers_raw(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     stream_id: u32,
     fragment: &[u8],
     end_stream: bool,
@@ -314,7 +307,7 @@ pub fn encode_headers_raw(
 
 /// Emit a CONTINUATION frame carrying `fragment` directly into `out`.
 pub fn encode_continuation_raw(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     stream_id: u32,
     fragment: &[u8],
     end_headers: bool,
@@ -324,39 +317,43 @@ pub fn encode_continuation_raw(
     out.extend_from_slice(fragment);
 }
 
-/// Emit a complete (END_HEADERS) PUSH_PROMISE frame directly into `out`.
+/// Emit a PUSH_PROMISE frame carrying `fragment` directly into `out`.
 pub fn encode_push_promise_raw(
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
     stream_id: u32,
     promised_stream_id: u32,
     fragment: &[u8],
+    end_headers: bool,
 ) {
+    let f = if end_headers { flags::END_HEADERS } else { 0 };
     put_header(
         out,
         fragment.len() + 4,
         FrameType::PushPromise,
-        flags::END_HEADERS,
+        f,
         stream_id,
     );
-    out.put_u32(promised_stream_id & 0x7fff_ffff);
+    out.extend_from_slice(&(promised_stream_id & 0x7fff_ffff).to_be_bytes());
     out.extend_from_slice(fragment);
 }
 
-fn put_header(out: &mut BytesMut, len: usize, ty: FrameType, flags: u8, stream_id: u32) {
+fn put_header(out: &mut Vec<u8>, len: usize, ty: FrameType, flags: u8, stream_id: u32) {
     debug_assert!(len < 1 << 24, "frame too large: {len}");
-    out.put_u8((len >> 16) as u8);
-    out.put_u8((len >> 8) as u8);
-    out.put_u8(len as u8);
-    out.put_u8(ty as u8);
-    out.put_u8(flags);
-    out.put_u32(stream_id & 0x7fff_ffff);
+    out.extend_from_slice(&[
+        (len >> 16) as u8,
+        (len >> 8) as u8,
+        len as u8,
+        ty as u8,
+        flags,
+    ]);
+    out.extend_from_slice(&(stream_id & 0x7fff_ffff).to_be_bytes());
 }
 
-fn put_priority(out: &mut BytesMut, p: &PrioritySpec) {
+fn put_priority(out: &mut Vec<u8>, p: &PrioritySpec) {
     let dep = (p.depends_on & 0x7fff_ffff) | if p.exclusive { 0x8000_0000 } else { 0 };
-    out.put_u32(dep);
+    out.extend_from_slice(&dep.to_be_bytes());
     debug_assert!((1..=256).contains(&p.weight));
-    out.put_u8((p.weight - 1) as u8);
+    out.push((p.weight - 1) as u8);
 }
 
 /// Incremental frame decoder with a configurable max frame size.
@@ -377,88 +374,92 @@ impl Default for FrameCodec {
 impl FrameCodec {
     /// Try to decode a single frame from the front of `buf`.
     ///
-    /// Returns `Ok(None)` if the buffer does not yet hold a complete frame
-    /// (bytes are left untouched); on success the frame's bytes are consumed.
-    /// Unknown frame types are consumed and skipped (RFC 7540 §4.1: "ignored
-    /// and discarded") — represented as `Ok(None)` with bytes consumed, so
-    /// callers should loop.
-    pub fn decode(&self, buf: &mut BytesMut) -> Result<Option<Frame>, ConnectionError> {
-        let Some(&[l0, l1, l2, ty, fl, s0, s1, s2, s3]) = buf.get(..9) else {
-            return Ok(None); // incomplete 9-byte header
+    /// Returns how many bytes of `buf` the frame took, and the frame:
+    /// `(0, None)` when `buf` does not yet hold a complete frame. A frame
+    /// of unknown type is consumed and discarded (RFC 7540 §4.1: "ignored
+    /// and discarded") as `(n, None)` with `n > 0`. Callers loop, advancing
+    /// past the consumed bytes, until the count is 0. Each payload field
+    /// is one copy of its slice of `buf`.
+    pub fn decode(&self, buf: &[u8]) -> Result<(usize, Option<Frame>), ConnectionError> {
+        let Some((&[l0, l1, l2, ty, fl, s0, s1, s2, s3], rest)) = buf.split_first_chunk::<9>()
+        else {
+            return Ok((0, None)); // incomplete 9-byte header
         };
-        let len = ((l0 as usize) << 16) | ((l1 as usize) << 8) | l2 as usize;
-        if len as u32 > self.max_frame_size {
+        let len = u32::from_be_bytes([0, l0, l1, l2]);
+        if len > self.max_frame_size {
             // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
             return Err(ConnectionError::frame_size(format!(
                 "frame of {len} bytes exceeds max {}",
                 self.max_frame_size
             )));
         }
-        if buf.len() < 9 + len {
-            return Ok(None);
-        }
+        let len = len as usize;
+        let Some(payload) = rest.get(..len) else {
+            return Ok((0, None));
+        };
+        let consumed = 9 + len;
         let stream_id = u32::from_be_bytes([s0, s1, s2, s3]) & 0x7fff_ffff;
-        buf.advance(9);
-        let mut payload = buf.split_to(len).freeze();
 
         let frame = match ty {
             0x0 => {
                 if stream_id == 0 {
                     return Err(ConnectionError::protocol("DATA on stream 0"));
                 }
-                let pad = strip_padding(&mut payload, fl, len)?;
+                let (data, pad_len) = strip_padding(payload, fl)?;
                 Frame::Data {
                     stream_id,
-                    data: payload,
+                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    data: data.to_vec(),
                     end_stream: fl & flags::END_STREAM != 0,
-                    pad_len: pad,
+                    pad_len,
                 }
             }
             0x1 => {
                 if stream_id == 0 {
                     return Err(ConnectionError::protocol("HEADERS on stream 0"));
                 }
-                strip_padding(&mut payload, fl, len)?;
-                let priority = if fl & flags::PRIORITY != 0 {
-                    if payload.len() < 5 {
+                let (block, _) = strip_padding(payload, fl)?;
+                let (priority, fragment) = if fl & flags::PRIORITY != 0 {
+                    let Some((spec, fragment)) = block.split_first_chunk::<5>() else {
                         return Err(ConnectionError::frame_size("HEADERS priority truncated"));
-                    }
-                    Some(take_priority(&mut payload))
+                    };
+                    (Some(priority_from(spec)), fragment)
                 } else {
-                    None
+                    (None, block)
                 };
                 Frame::Headers {
                     stream_id,
-                    fragment: payload,
+                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    fragment: fragment.to_vec(),
                     end_stream: fl & flags::END_STREAM != 0,
                     end_headers: fl & flags::END_HEADERS != 0,
                     priority,
                 }
             }
             0x2 => {
-                if len != 5 {
+                let Ok(spec) = <&[u8; 5]>::try_from(payload) else {
                     // PRIORITY size error is a *stream* error per spec, but
                     // we simplify to connection-level (we never send these).
                     return Err(ConnectionError::frame_size("PRIORITY length != 5"));
-                }
+                };
                 if stream_id == 0 {
                     return Err(ConnectionError::protocol("PRIORITY on stream 0"));
                 }
                 Frame::Priority {
                     stream_id,
-                    spec: take_priority(&mut payload),
+                    spec: priority_from(spec),
                 }
             }
             0x3 => {
-                if len != 4 {
+                let Ok(code) = <[u8; 4]>::try_from(payload) else {
                     return Err(ConnectionError::frame_size("RST_STREAM length != 4"));
-                }
+                };
                 if stream_id == 0 {
                     return Err(ConnectionError::protocol("RST_STREAM on stream 0"));
                 }
                 Frame::RstStream {
                     stream_id,
-                    code: ErrorCode::from_wire(payload.get_u32()),
+                    code: ErrorCode::from_wire(u32::from_be_bytes(code)),
                 }
             }
             0x4 => {
@@ -469,65 +470,69 @@ impl FrameCodec {
                 if ack && len != 0 {
                     return Err(ConnectionError::frame_size("SETTINGS ack with payload"));
                 }
-                if !len.is_multiple_of(6) {
+                let (entries, []) = payload.as_chunks::<6>() else {
                     return Err(ConnectionError::frame_size("SETTINGS length % 6 != 0"));
-                }
-                let mut entries = Vec::with_capacity(len / 6);
-                while payload.remaining() >= 6 {
-                    entries.push((payload.get_u16(), payload.get_u32()));
-                }
+                };
+                let entries = entries
+                    .iter()
+                    .map(|&[i0, i1, v0, v1, v2, v3]| {
+                        (
+                            u16::from_be_bytes([i0, i1]),
+                            u32::from_be_bytes([v0, v1, v2, v3]),
+                        )
+                    })
+                    .collect();
                 Frame::Settings { ack, entries }
             }
             0x5 => {
                 if stream_id == 0 {
                     return Err(ConnectionError::protocol("PUSH_PROMISE on stream 0"));
                 }
-                strip_padding(&mut payload, fl, len)?;
-                if payload.len() < 4 {
+                let (block, _) = strip_padding(payload, fl)?;
+                let Some((promised, fragment)) = block.split_first_chunk::<4>() else {
                     return Err(ConnectionError::frame_size("PUSH_PROMISE truncated"));
-                }
-                let promised = payload.get_u32() & 0x7fff_ffff;
+                };
                 Frame::PushPromise {
                     stream_id,
-                    promised_stream_id: promised,
-                    fragment: payload,
+                    promised_stream_id: u32::from_be_bytes(*promised) & 0x7fff_ffff,
+                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    fragment: fragment.to_vec(),
                     end_headers: fl & flags::END_HEADERS != 0,
                 }
             }
             0x6 => {
-                if len != 8 {
+                let Ok(payload) = <[u8; 8]>::try_from(payload) else {
                     return Err(ConnectionError::frame_size("PING length != 8"));
-                }
+                };
                 if stream_id != 0 {
                     return Err(ConnectionError::protocol("PING on stream != 0"));
                 }
-                let mut p = [0u8; 8];
-                payload.copy_to_slice(&mut p);
                 Frame::Ping {
                     ack: fl & flags::ACK != 0,
-                    payload: p,
+                    payload,
                 }
             }
             0x7 => {
-                if len < 8 {
+                let Some((&[a0, a1, a2, a3, c0, c1, c2, c3], debug)) =
+                    payload.split_first_chunk::<8>()
+                else {
                     return Err(ConnectionError::frame_size("GOAWAY too short"));
-                }
+                };
                 if stream_id != 0 {
                     return Err(ConnectionError::protocol("GOAWAY on stream != 0"));
                 }
-                let last = payload.get_u32() & 0x7fff_ffff;
-                let code = ErrorCode::from_wire(payload.get_u32());
                 Frame::Goaway {
-                    last_stream_id: last,
-                    code,
-                    debug: payload,
+                    last_stream_id: u32::from_be_bytes([a0, a1, a2, a3]) & 0x7fff_ffff,
+                    code: ErrorCode::from_wire(u32::from_be_bytes([c0, c1, c2, c3])),
+                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    debug: debug.to_vec(),
                 }
             }
             0x8 => {
-                if len != 4 {
+                let Ok(increment) = <[u8; 4]>::try_from(payload) else {
                     return Err(ConnectionError::frame_size("WINDOW_UPDATE length != 4"));
-                }
-                let increment = payload.get_u32() & 0x7fff_ffff;
+                };
+                let increment = u32::from_be_bytes(increment) & 0x7fff_ffff;
                 if increment == 0 {
                     return Err(ConnectionError::protocol("WINDOW_UPDATE of 0"));
                 }
@@ -542,51 +547,48 @@ impl FrameCodec {
                 }
                 Frame::Continuation {
                     stream_id,
-                    fragment: payload,
+                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    fragment: payload.to_vec(),
                     end_headers: fl & flags::END_HEADERS != 0,
                 }
             }
-            _ => {
-                // Unknown type: ignore (already consumed). Caller loops.
-                return self.decode(buf);
-            }
+            // Unknown type: consumed and discarded; the caller's loop moves
+            // on to the next frame.
+            _ => return Ok((consumed, None)),
         };
-        Ok(Some(frame))
+        Ok((consumed, Some(frame)))
     }
 }
 
-fn take_priority(payload: &mut Bytes) -> PrioritySpec {
-    let dep = payload.get_u32();
-    let weight = payload.get_u8() as u16 + 1;
+fn priority_from(&[d0, d1, d2, d3, weight]: &[u8; 5]) -> PrioritySpec {
+    let dep = u32::from_be_bytes([d0, d1, d2, d3]);
     PrioritySpec {
         depends_on: dep & 0x7fff_ffff,
         exclusive: dep & 0x8000_0000 != 0,
-        weight,
+        weight: weight as u16 + 1,
     }
 }
 
 /// If PADDED is set, strip the pad-length octet and trailing padding.
-/// Returns total padding octets (pad length + 1) for flow accounting.
-fn strip_padding(payload: &mut Bytes, fl: u8, frame_len: usize) -> Result<u32, ConnectionError> {
+/// Returns what is left of the payload, and the padding octets (pad length
+/// + 1) for flow accounting.
+fn strip_padding(payload: &[u8], fl: u8) -> Result<(&[u8], u32), ConnectionError> {
     if fl & flags::PADDED == 0 {
-        return Ok(0);
+        return Ok((payload, 0));
     }
-    if payload.is_empty() {
+    let Some((&pad, rest)) = payload.split_first() else {
         return Err(ConnectionError::frame_size(
             "PADDED frame without pad length",
         ));
-    }
-    let pad = payload.get_u8() as usize;
-    if pad >= frame_len {
+    };
+    let Some(body) = rest
+        .len()
+        .checked_sub(pad as usize)
+        .and_then(|n| rest.get(..n))
+    else {
         return Err(ConnectionError::protocol("padding exceeds frame payload"));
-    }
-    if pad > payload.len() {
-        return Err(ConnectionError::protocol(
-            "padding exceeds remaining payload",
-        ));
-    }
-    payload.truncate(payload.len() - pad);
-    Ok(pad as u32 + 1)
+    };
+    Ok((body, pad as u32 + 1))
 }
 
 #[cfg(test)]
@@ -594,22 +596,21 @@ mod tests {
     use super::*;
 
     fn roundtrip(frame: Frame) -> Frame {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         frame.encode(&mut buf);
-        let codec = FrameCodec::default();
-        let got = codec.decode(&mut buf).unwrap().expect("complete frame");
-        assert!(buf.is_empty(), "no leftover bytes");
-        got
+        let (used, got) = FrameCodec::default().decode(&buf).unwrap();
+        assert_eq!(used, buf.len(), "no leftover bytes");
+        got.expect("complete frame")
     }
 
     #[test]
     fn raw_emitters_match_frame_encode() {
-        let mut via_frame = BytesMut::new();
-        let mut via_raw = BytesMut::new();
+        let mut via_frame = Vec::new();
+        let mut via_raw = Vec::new();
 
         Frame::Data {
             stream_id: 3,
-            data: Bytes::from_static(b"body"),
+            data: b"body".to_vec(),
             end_stream: true,
             pad_len: 0,
         }
@@ -618,7 +619,7 @@ mod tests {
 
         Frame::Headers {
             stream_id: 5,
-            fragment: Bytes::from_static(&[0x82, 0x86]),
+            fragment: vec![0x82, 0x86],
             end_stream: false,
             end_headers: true,
             priority: None,
@@ -628,29 +629,31 @@ mod tests {
 
         Frame::Continuation {
             stream_id: 5,
-            fragment: Bytes::from_static(&[0x84]),
+            fragment: vec![0x84],
             end_headers: false,
         }
         .encode(&mut via_frame);
         encode_continuation_raw(&mut via_raw, 5, &[0x84], false);
 
-        Frame::PushPromise {
-            stream_id: 1,
-            promised_stream_id: 2,
-            fragment: Bytes::from_static(&[0x82]),
-            end_headers: true,
+        for end_headers in [true, false] {
+            Frame::PushPromise {
+                stream_id: 1,
+                promised_stream_id: 2,
+                fragment: vec![0x82],
+                end_headers,
+            }
+            .encode(&mut via_frame);
+            encode_push_promise_raw(&mut via_raw, 1, 2, &[0x82], end_headers);
         }
-        .encode(&mut via_frame);
-        encode_push_promise_raw(&mut via_raw, 1, 2, &[0x82]);
 
-        assert_eq!(&via_raw[..], &via_frame[..]);
+        assert_eq!(via_raw, via_frame);
     }
 
     #[test]
     fn data_roundtrip() {
         let f = Frame::Data {
             stream_id: 3,
-            data: Bytes::from_static(b"hello"),
+            data: b"hello".to_vec(),
             end_stream: true,
             pad_len: 0,
         };
@@ -661,7 +664,7 @@ mod tests {
     fn headers_roundtrip_with_priority() {
         let f = Frame::Headers {
             stream_id: 5,
-            fragment: Bytes::from_static(&[0x82, 0x86]),
+            fragment: vec![0x82, 0x86],
             end_stream: false,
             end_headers: true,
             priority: Some(PrioritySpec {
@@ -695,7 +698,7 @@ mod tests {
             Frame::PushPromise {
                 stream_id: 1,
                 promised_stream_id: 2,
-                fragment: Bytes::from_static(&[0x82]),
+                fragment: vec![0x82],
                 end_headers: true,
             },
             Frame::Ping {
@@ -705,7 +708,7 @@ mod tests {
             Frame::Goaway {
                 last_stream_id: 11,
                 code: ErrorCode::NoError,
-                debug: Bytes::from_static(b"bye"),
+                debug: b"bye".to_vec(),
             },
             Frame::WindowUpdate {
                 stream_id: 0,
@@ -713,7 +716,7 @@ mod tests {
             },
             Frame::Continuation {
                 stream_id: 3,
-                fragment: Bytes::from_static(&[0x84]),
+                fragment: vec![0x84],
                 end_headers: true,
             },
         ];
@@ -728,19 +731,18 @@ mod tests {
             ack: false,
             payload: [7; 8],
         };
-        let mut full = BytesMut::new();
+        let mut full = Vec::new();
         f.encode(&mut full);
         let codec = FrameCodec::default();
         for cut in 0..full.len() {
-            let mut partial = BytesMut::from(&full[..cut]);
-            assert_eq!(codec.decode(&mut partial).unwrap(), None, "cut={cut}");
-            assert_eq!(partial.len(), cut, "bytes must not be consumed");
+            // Nothing consumed: the caller keeps every byte for the next read.
+            assert_eq!(codec.decode(&full[..cut]).unwrap(), (0, None), "cut={cut}");
         }
     }
 
     #[test]
     fn two_frames_back_to_back() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Frame::Ping {
             ack: false,
             payload: [1; 8],
@@ -752,39 +754,34 @@ mod tests {
         }
         .encode(&mut buf);
         let codec = FrameCodec::default();
-        assert!(matches!(
-            codec.decode(&mut buf).unwrap(),
-            Some(Frame::Ping { .. })
-        ));
-        assert!(matches!(
-            codec.decode(&mut buf).unwrap(),
-            Some(Frame::WindowUpdate { .. })
-        ));
-        assert!(codec.decode(&mut buf).unwrap().is_none());
+        let (first, ping) = codec.decode(&buf).unwrap();
+        assert!(matches!(ping, Some(Frame::Ping { .. })));
+        let (second, update) = codec.decode(&buf[first..]).unwrap();
+        assert!(matches!(update, Some(Frame::WindowUpdate { .. })));
+        assert_eq!(first + second, buf.len());
+        assert_eq!(codec.decode(&buf[first + second..]).unwrap(), (0, None));
     }
 
     #[test]
     fn padded_data_parses_and_counts_padding() {
         // Hand-build: DATA, stream 1, PADDED, pad len 3, body "ab", 3 pad.
-        let mut buf = BytesMut::new();
         let payload_len = 1 + 2 + 3;
-        buf.put_u8(0);
-        buf.put_u8(0);
-        buf.put_u8(payload_len as u8);
-        buf.put_u8(0x0); // DATA
-        buf.put_u8(flags::PADDED | flags::END_STREAM);
-        buf.put_u32(1);
-        buf.put_u8(3); // pad length
+        let mut buf = vec![0, 0, payload_len, 0x0, flags::PADDED | flags::END_STREAM];
+        buf.extend_from_slice(&1u32.to_be_bytes());
+        buf.push(3); // pad length
         buf.extend_from_slice(b"ab");
         buf.extend_from_slice(&[0, 0, 0]);
         let codec = FrameCodec::default();
-        match codec.decode(&mut buf).unwrap().unwrap() {
-            Frame::Data {
-                data,
-                pad_len,
-                end_stream,
-                ..
-            } => {
+        match codec.decode(&buf).unwrap() {
+            (
+                15,
+                Some(Frame::Data {
+                    data,
+                    pad_len,
+                    end_stream,
+                    ..
+                }),
+            ) => {
                 assert_eq!(&data[..], b"ab");
                 assert_eq!(pad_len, 4, "3 pad octets + 1 length octet");
                 assert!(end_stream);
@@ -795,100 +792,75 @@ mod tests {
 
     #[test]
     fn padding_longer_than_payload_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0);
-        buf.put_u8(0);
-        buf.put_u8(2);
-        buf.put_u8(0x0);
-        buf.put_u8(flags::PADDED);
-        buf.put_u32(1);
-        buf.put_u8(200); // pad 200 > frame
-        buf.put_u8(0);
+        // DATA, stream 1, PADDED, pad 200 > frame.
+        let buf = [0, 0, 2, 0x0, flags::PADDED, 0, 0, 0, 1, 200, 0];
         let codec = FrameCodec::default();
-        assert!(codec.decode(&mut buf).is_err());
+        assert!(codec.decode(&buf).is_err());
     }
 
     #[test]
     fn oversized_frame_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0xff);
-        buf.put_u8(0xff);
-        buf.put_u8(0xff); // 16 MiB - 1
-        buf.put_u8(0x0);
-        buf.put_u8(0);
-        buf.put_u32(1);
+        // 16 MiB - 1 bytes of DATA on stream 1.
+        let buf = [0xff, 0xff, 0xff, 0x0, 0, 0, 0, 0, 1];
         let codec = FrameCodec::default();
-        let err = codec.decode(&mut buf).unwrap_err();
+        let err = codec.decode(&buf).unwrap_err();
         assert_eq!(err.code, ErrorCode::FrameSizeError);
     }
 
     #[test]
     fn unknown_frame_type_skipped() {
-        let mut buf = BytesMut::new();
-        // Unknown type 0xBE with 2-byte payload, then a valid PING.
-        buf.put_u8(0);
-        buf.put_u8(0);
-        buf.put_u8(2);
-        buf.put_u8(0xbe);
-        buf.put_u8(0);
-        buf.put_u32(1);
-        buf.extend_from_slice(&[1, 2]);
+        // 100,000 empty frames of unknown type 0xBE, one with a 2-byte
+        // payload, then a valid PING. Each unknown frame is consumed
+        // without a frame, and the caller's loop moves on: skipping them
+        // costs no stack, however many arrive in one read.
+        let mut buf = Vec::new();
+        for _ in 0..100_000 {
+            buf.extend_from_slice(&[0, 0, 0, 0xbe, 0, 0, 0, 0, 1]);
+        }
+        buf.extend_from_slice(&[0, 0, 2, 0xbe, 0, 0, 0, 0, 1, 1, 2]);
         Frame::Ping {
             ack: true,
             payload: [9; 8],
         }
         .encode(&mut buf);
         let codec = FrameCodec::default();
-        assert!(matches!(
-            codec.decode(&mut buf).unwrap(),
-            Some(Frame::Ping { ack: true, .. })
-        ));
+        let mut pos = 0;
+        let mut frames = Vec::new();
+        loop {
+            let (used, frame) = codec.decode(&buf[pos..]).unwrap();
+            if used == 0 {
+                break;
+            }
+            pos += used;
+            frames.extend(frame);
+        }
+        assert_eq!(pos, buf.len(), "every frame consumed");
+        assert!(matches!(frames.as_slice(), [Frame::Ping { ack: true, .. }]));
     }
 
     #[test]
     fn data_on_stream_zero_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0);
-        buf.put_u8(0);
-        buf.put_u8(0);
-        buf.put_u8(0x0);
-        buf.put_u8(0);
-        buf.put_u32(0);
+        let buf = [0, 0, 0, 0x0, 0, 0, 0, 0, 0];
         let codec = FrameCodec::default();
         assert_eq!(
-            codec.decode(&mut buf).unwrap_err().code,
+            codec.decode(&buf).unwrap_err().code,
             ErrorCode::ProtocolError
         );
     }
 
     #[test]
     fn window_update_zero_increment_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0);
-        buf.put_u8(0);
-        buf.put_u8(4);
-        buf.put_u8(0x8);
-        buf.put_u8(0);
-        buf.put_u32(1);
-        buf.put_u32(0);
+        let buf = [0, 0, 4, 0x8, 0, 0, 0, 0, 1, 0, 0, 0, 0];
         let codec = FrameCodec::default();
-        assert!(codec.decode(&mut buf).is_err());
+        assert!(codec.decode(&buf).is_err());
     }
 
     #[test]
     fn settings_ack_with_payload_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0);
-        buf.put_u8(0);
-        buf.put_u8(6);
-        buf.put_u8(0x4);
-        buf.put_u8(flags::ACK);
-        buf.put_u32(0);
-        buf.put_u16(1);
-        buf.put_u32(0);
+        let buf = [0, 0, 6, 0x4, flags::ACK, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0];
         let codec = FrameCodec::default();
         assert_eq!(
-            codec.decode(&mut buf).unwrap_err().code,
+            codec.decode(&buf).unwrap_err().code,
             ErrorCode::FrameSizeError
         );
     }

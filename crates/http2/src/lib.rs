@@ -18,7 +18,7 @@
 //! * the per-stream state machine ([`stream`]),
 //! * a sans-IO [`Connection`] that pairs a byte-in/byte-out interface with
 //!   a protocol-event queue ([`conn`]) — the same state machine runs over
-//!   real TCP, in-memory pipes, or inside tests,
+//!   real TCP or inside tests,
 //! * request/response header typing with pseudo-header validation and the
 //!   Vroom hint headers ([`headers`]).
 //!
@@ -79,7 +79,6 @@ mod conn_tests;
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bytes::BytesMut;
     use proptest::prelude::*;
 
     fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -91,7 +90,7 @@ mod proptests {
             )
                 .prop_map(|(id, data, fin)| Frame::Data {
                     stream_id: id * 2 - 1,
-                    data: bytes::Bytes::from(data),
+                    data,
                     end_stream: fin,
                     pad_len: 0,
                 }),
@@ -103,7 +102,7 @@ mod proptests {
             )
                 .prop_map(|(id, frag, fin, eh)| Frame::Headers {
                     stream_id: id,
-                    fragment: bytes::Bytes::from(frag),
+                    fragment: frag,
                     end_stream: fin,
                     end_headers: eh,
                     priority: None,
@@ -126,7 +125,7 @@ mod proptests {
                 |(last, debug)| Frame::Goaway {
                     last_stream_id: last,
                     code: ErrorCode::NoError,
-                    debug: bytes::Bytes::from(debug),
+                    debug,
                 }
             ),
         ]
@@ -136,12 +135,12 @@ mod proptests {
         /// Every frame round-trips through the codec byte-exactly.
         #[test]
         fn frame_roundtrip(frame in arb_frame()) {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             frame.encode(&mut buf);
             let codec = FrameCodec::default();
-            let got = codec.decode(&mut buf).unwrap().expect("complete frame");
-            prop_assert_eq!(got, frame);
-            prop_assert!(buf.is_empty());
+            let (used, got) = codec.decode(&buf).unwrap();
+            prop_assert_eq!(got.expect("complete frame"), frame);
+            prop_assert_eq!(used, buf.len());
         }
 
         /// Sequences of frames decode in order from one buffer, even when
@@ -151,24 +150,29 @@ mod proptests {
             frames in proptest::collection::vec(arb_frame(), 1..8),
             cuts in proptest::collection::vec(1usize..64, 0..32),
         ) {
-            let mut wire = BytesMut::new();
+            let mut wire = Vec::new();
             for f in &frames {
                 f.encode(&mut wire);
             }
             let codec = FrameCodec::default();
-            let mut feed = BytesMut::new();
+            let mut feed = Vec::new();
             let mut out = Vec::new();
             let mut pos = 0;
             let mut cut_iter = cuts.iter().copied().cycle();
-            let wire = wire.freeze();
             while pos < wire.len() {
                 let n = cut_iter.next().unwrap_or(16).min(wire.len() - pos);
                 feed.extend_from_slice(&wire[pos..pos + n]);
                 pos += n;
-                while let Some(f) = codec.decode(&mut feed).unwrap() {
-                    out.push(f);
+                loop {
+                    let (used, f) = codec.decode(&feed).unwrap();
+                    if used == 0 {
+                        break;
+                    }
+                    feed.drain(..used);
+                    out.extend(f);
                 }
             }
+            prop_assert!(feed.is_empty());
             prop_assert_eq!(out, frames);
         }
 
@@ -176,11 +180,11 @@ mod proptests {
         #[test]
         fn codec_is_total(garbage in proptest::collection::vec(any::<u8>(), 0..1024)) {
             let codec = FrameCodec::default();
-            let mut buf = BytesMut::from(&garbage[..]);
+            let mut buf = garbage.as_slice();
             for _ in 0..64 {
-                match codec.decode(&mut buf) {
-                    Ok(Some(_)) => continue,
-                    Ok(None) | Err(_) => break,
+                match codec.decode(buf) {
+                    Ok((used, _)) if used > 0 => buf = &buf[used..],
+                    Ok(_) | Err(_) => break,
                 }
             }
         }

@@ -7,9 +7,7 @@
 //!   bandwidth-contention mechanism behind the paper's scheduling results,
 //! * [`latency`] — cellular + per-domain wired RTTs and handshake costs,
 //! * [`profiles`] — named presets (LTE, 3G, 2G, WiFi, USB-tether),
-//! * [`replay`] — a Mahimahi-style serializable record/replay store,
-//! * [`pipe`] — an in-memory duplex transport for running the real
-//!   `vroom-http2` state machine without sockets.
+//! * [`replay`] — a Mahimahi-style serializable record/replay store.
 
 #![forbid(unsafe_code)]
 
@@ -17,7 +15,6 @@ pub mod fault;
 pub mod json;
 pub mod latency;
 pub mod link;
-pub mod pipe;
 pub mod profiles;
 pub mod replay;
 

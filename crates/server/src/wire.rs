@@ -234,7 +234,7 @@ fn serve_connection(
         while !unsent.is_empty() {
             match stream.write(&unsent) {
                 Ok(n) => {
-                    let _ = unsent.split_to(n);
+                    unsent.drain(..n);
                     last_activity = clock.elapsed();
                 }
                 Err(ref e) if timed_out(e) => break,

@@ -1,43 +1,54 @@
 //! Protocol-level integration: the sans-IO HTTP/2 connection driven over
-//! the in-memory pipe transport across real threads — exercising the same
+//! a loopback TCP socket pair across real threads — exercising the same
 //! state machine the wire server uses, under concurrency.
 
 #![forbid(unsafe_code)]
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 use vroom_http2::{Connection, ErrorCode, Event, Request, Response, Settings};
-use vroom_net::pipe::{self, Read};
 use vroom_net::RetryBudget;
 
-/// Drive a connection over a pipe end until `done` says stop.
+/// A connected loopback socket pair: `(client end, server end)`, each
+/// with a 5 ms read timeout.
+fn loopback_pair() -> (TcpStream, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let client = TcpStream::connect(listener.local_addr().expect("local addr")).expect("connect");
+    let (server, _) = listener.accept().expect("accept");
+    for end in [&client, &server] {
+        end.set_read_timeout(Some(Duration::from_millis(5)))
+            .expect("set read timeout");
+        end.set_nodelay(true).expect("set nodelay");
+    }
+    (client, server)
+}
+
+/// Drive a connection over a socket until `done` says stop.
 fn pump_until<F: FnMut(&mut Connection) -> bool>(
     conn: &mut Connection,
-    end: &mut pipe::PipeEnd,
+    end: &mut TcpStream,
     mut done: F,
     deadline: Duration,
 ) {
-    // Watchdog for a real in-memory pipe pump; the test asserts on bytes,
-    // not time, so this wall-clock read is outside the sim-purity roots.
+    // Watchdog for a real loopback pump; the test asserts on bytes, not
+    // time, so this wall-clock read is outside the sim-purity roots.
     let start = std::time::Instant::now();
+    let mut buf = [0u8; 16 * 1024];
     while start.elapsed() < deadline {
-        let out = conn.take_output();
-        if !out.is_empty() {
-            end.send(&out);
-        }
-        match end.read_timeout(Duration::from_millis(5)) {
-            Read::Data(bytes) => {
-                conn.recv(&bytes).expect("protocol error");
+        end.write_all(&conn.take_output()).expect("write");
+        match end.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => {
+                conn.recv(&buf[..n]).expect("protocol error");
             }
-            Read::Closed => break,
-            Read::Empty => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => panic!("read failed: {e}"),
         }
         if done(conn) {
             // Flush any final output (acks, window updates).
-            let out = conn.take_output();
-            if !out.is_empty() {
-                end.send(&out);
-            }
+            end.write_all(&conn.take_output()).expect("write");
             return;
         }
     }
@@ -46,7 +57,11 @@ fn pump_until<F: FnMut(&mut Connection) -> bool>(
 
 #[test]
 fn threaded_client_server_over_pipe() {
-    let (mut client_end, mut server_end) = pipe::pair();
+    // The server thread works on a clone of its socket, and the test keeps
+    // the original open until the client is done: a socket closed with
+    // unread bytes (the client's last WINDOW_UPDATEs) resets the connection.
+    let (mut client_end, server_sock) = loopback_pair();
+    let mut server_end = server_sock.try_clone().expect("clone socket");
 
     let server = thread::spawn(move || {
         let mut conn = Connection::server(Settings::default());
@@ -91,7 +106,7 @@ fn threaded_client_server_over_pipe() {
                 } = ev
                 {
                     if end_stream {
-                        bodies.push(String::from_utf8(data.to_vec()).unwrap());
+                        bodies.push(String::from_utf8(data).unwrap());
                     }
                 }
             }
@@ -112,7 +127,8 @@ fn threaded_client_server_over_pipe() {
 /// the client recovers by re-requesting within its retry budget.
 #[test]
 fn truncated_stream_resets_and_client_retries() {
-    let (mut client_end, mut server_end) = pipe::pair();
+    let (mut client_end, server_sock) = loopback_pair();
+    let mut server_end = server_sock.try_clone().expect("clone socket");
     const BODY: &[u8] = b"the complete resource body, all thirty-nine";
 
     let server = thread::spawn(move || {
