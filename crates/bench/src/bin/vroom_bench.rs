@@ -36,7 +36,8 @@
 //! store), times it, and writes `BENCH_fleet.json` with three sections:
 //! `config` (the run parameters), `metrics` (the deterministic
 //! [`vroom_fleet::FleetReport`] — byte-identical at any worker count), and
-//! `timing` (wall-clock throughput, the only machine-dependent part).
+//! `timing` (wall-clock throughput and the process's peak RSS, the only
+//! machine-dependent part).
 //! `--check-against` requires the baseline's `config` and `metrics` to match
 //! the fresh run *exactly* (any drift in deterministic output is a bug, not
 //! noise) and gates `timing.loads_per_sec` within `--tolerance` percent
@@ -263,6 +264,7 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
     let (run, stages) = vroom_fleet::run_fleet_instrumented(&cfg, Some(&clock));
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let loads_per_sec = cfg.clients as f64 / (wall_ms / 1e3).max(1e-9);
+    let peak_rss_mb = peak_rss_mb();
 
     print!("{}", run.report.render());
     println!(
@@ -276,8 +278,30 @@ fn fleet_cmd(args: &[String]) -> Result<(), CliError> {
         stages.load_s * 1e3,
         stages.account_s * 1e3
     );
-    let json = fleet_json(&cfg, &run.report, wall_ms, loads_per_sec, &stages);
+    println!("memory: peak RSS {peak_rss_mb:.2} MB");
+    let json = fleet_json(
+        &cfg,
+        &run.report,
+        wall_ms,
+        loads_per_sec,
+        peak_rss_mb,
+        &stages,
+    );
     gate.write_and_check("BENCH_fleet.json", &json)
+}
+
+/// This process's peak resident set size (`VmHWM` in `/proc/self/status`)
+/// in MB, or 0 where that file is missing.
+fn peak_rss_mb() -> f64 {
+    let kib = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|v| v.split_whitespace().next()?.parse::<u64>().ok())
+        })
+        .unwrap_or(0);
+    kib as f64 / 1024.0
 }
 
 /// The three-section `BENCH_fleet.json` tree: `config` and `metrics` are
@@ -288,6 +312,7 @@ fn fleet_json(
     report: &vroom_fleet::FleetReport,
     wall_ms: f64,
     loads_per_sec: f64,
+    peak_rss_mb: f64,
     stages: &vroom_fleet::FleetStageTiming,
 ) -> Value {
     let mut config = vec![
@@ -321,6 +346,9 @@ fn fleet_json(
         ("commit_ms", ms(stages.commit_s)),
         ("load_ms", ms(stages.load_s)),
         ("account_ms", ms(stages.account_s)),
+        // The whole process's peak, set-up included; CI holds a 16x larger
+        // fleet to 1.25x of the default run's.
+        ("peak_rss_mb", Value::Float(round3(peak_rss_mb))),
     ]);
     object([
         ("schema", Value::Str("vroom-bench-fleet/1".into())),
@@ -1071,7 +1099,7 @@ mod tests {
         let report = vroom_fleet::run_fleet(&vroom_fleet::FleetConfig::quick(4, 1)).report;
         let stages = vroom_fleet::FleetStageTiming::default();
         let legacy = vroom_fleet::FleetConfig::quick(4, 1);
-        let Value::Object(root) = fleet_json(&legacy, &report, 1.0, 1.0, &stages) else {
+        let Value::Object(root) = fleet_json(&legacy, &report, 1.0, 1.0, 1.0, &stages) else {
             panic!("fleet json is an object");
         };
         let Some(Value::Object(config)) = root.get("config") else {
@@ -1082,7 +1110,7 @@ mod tests {
 
         let mut fresh = vroom_fleet::FleetConfig::quick(4, 1);
         fresh.policy = vroom_server::EvictionPolicy::Ttl(1);
-        let Value::Object(root) = fleet_json(&fresh, &report, 1.0, 1.0, &stages) else {
+        let Value::Object(root) = fleet_json(&fresh, &report, 1.0, 1.0, 1.0, &stages) else {
             panic!("fleet json is an object");
         };
         let Some(Value::Object(config)) = root.get("config") else {

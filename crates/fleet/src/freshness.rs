@@ -28,7 +28,6 @@
 
 use std::collections::BTreeMap;
 
-use vroom_browser::metrics::percentile_sorted;
 use vroom_browser::EngineScratch;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::json::Value;
@@ -39,7 +38,7 @@ use vroom_server::freshness::{hint_quality_by_age, CALIBRATED_TTL_HOURS};
 use vroom_server::store::{EvictionPolicy, HintStore, ShardedStore};
 use vroom_sim::mix;
 
-use crate::{load_client, ClientSpec, FleetConfig, FLEET_BASE_HOURS};
+use crate::{load_client, ClientSpec, FleetConfig, OutcomeTally, FLEET_BASE_HOURS};
 
 /// Configuration of one freshness sweep.
 #[derive(Debug, Clone)]
@@ -448,27 +447,27 @@ fn run_cell(
         )
     });
 
-    let mut onloads: Vec<f64> = outcomes
-        .iter()
-        .map(|o| o.result.plt.as_secs_f64() * 1e3)
-        .collect();
-    onloads.sort_by(f64::total_cmp);
+    let mut tally = OutcomeTally::with_clients(outcomes.len());
+    for o in &outcomes {
+        tally.add(o);
+    }
+    let (onload_p50_ms, onload_p99_ms) = tally.onload_p50_p99();
     let fresh = store.freshness_stats();
     FreshnessCell {
         age_hours: setup.map_or(0, |(_, a)| a),
         policy: policy.label(),
-        onload_p50_ms: percentile_sorted(&onloads, 0.50),
-        onload_p99_ms: percentile_sorted(&onloads, 0.99),
+        onload_p50_ms,
+        onload_p99_ms,
         speedup_p50: 0.0,
         speedup_p99: 0.0,
-        hint_hits: outcomes.iter().map(|o| o.hint_hits).sum(),
-        hint_misses: outcomes.iter().map(|o| o.hint_misses).sum(),
-        stale_served: outcomes.iter().map(|o| o.hint_stale).sum(),
+        hint_hits: tally.hint_hits,
+        hint_misses: tally.hint_misses,
+        stale_served: tally.hint_stale,
         stale_reads: fresh.iter().map(|f| f.stale).sum(),
         evictions: fresh.iter().map(|f| f.evictions).sum(),
         resolver_passes,
         refresh_passes,
-        wasted_bytes: outcomes.iter().map(|o| o.result.wasted_bytes).sum(),
+        wasted_bytes: tally.wasted_bytes,
     }
 }
 

@@ -25,6 +25,12 @@
 //! * **Parallel execution** — batches fan resolver passes and client loads
 //!   over a persistent [`vroom_exec::Pool`], so the report is
 //!   byte-identical at any worker count.
+//! * **Bounded memory** — the run keeps a compact arrival index (one `u32`
+//!   per client) and derives each batch's clients from it when the batch
+//!   is due. Each client's outcome is folded into the report's running
+//!   tally when its batch ends, handed to the caller's sink
+//!   ([`run_fleet_observed`]), and dropped. What stays per client is the
+//!   index entry and one `f64` onload sample.
 //!
 //! Determinism argument: batch membership and batch order are pure
 //! functions of the seed; resolver passes are pure and committed in a fixed
@@ -520,14 +526,12 @@ impl FleetReport {
     }
 }
 
-/// A finished fleet run: the aggregate report plus every client's outcome
-/// (in client-id order, for per-client assertions in the test tier).
+/// A finished fleet run. Client outcomes are not kept: a caller that needs
+/// them passes a sink to [`run_fleet_observed`].
 #[derive(Debug, Clone)]
 pub struct FleetRun {
     /// Aggregate, deterministic report.
     pub report: FleetReport,
-    /// Per-client outcomes, sorted by client id.
-    pub outcomes: Vec<ClientOutcome>,
 }
 
 /// Wall-clock time spent in each stage of a fleet run, in seconds.
@@ -565,6 +569,67 @@ enum FleetDone {
     Pass((usize, i64), PassOutput),
 }
 
+/// What a report needs from its clients' outcomes, folded one outcome at
+/// a time: the sums it prints and one onload sample per client. Neither
+/// depends on the order outcomes arrive in. The sums are `u64`, and the
+/// samples are sorted with `total_cmp`, a total order, before any
+/// percentile is read. So the fold yields the report that keeping every
+/// outcome to the end would.
+#[derive(Debug, Default)]
+struct OutcomeTally {
+    /// Onload per client (simulated ms), in arrival order until
+    /// [`OutcomeTally::onload_p50_p99`] sorts them.
+    onloads_ms: Vec<f64>,
+    hint_hits: u64,
+    hint_misses: u64,
+    hint_stale: u64,
+    faulted: u64,
+    failed_loads: u64,
+    failed_resources: u64,
+    retries: u64,
+    rst_streams: u64,
+    goaways: u64,
+    timeouts: u64,
+    useful_bytes: u64,
+    wasted_bytes: u64,
+}
+
+impl OutcomeTally {
+    /// An empty tally with room for `clients` onload samples.
+    fn with_clients(clients: usize) -> OutcomeTally {
+        OutcomeTally {
+            onloads_ms: Vec::with_capacity(clients),
+            ..OutcomeTally::default()
+        }
+    }
+
+    fn add(&mut self, o: &ClientOutcome) {
+        let r = &o.result;
+        self.onloads_ms.push(r.plt.as_secs_f64() * 1e3);
+        self.hint_hits += o.hint_hits;
+        self.hint_misses += o.hint_misses;
+        self.hint_stale += o.hint_stale;
+        self.faulted += o.faulted as u64;
+        self.failed_loads += (r.failed_resources > 0) as u64;
+        self.failed_resources += r.failed_resources as u64;
+        self.retries += r.retries as u64;
+        self.rst_streams += r.rst_streams as u64;
+        self.goaways += r.goaways as u64;
+        self.timeouts += r.timeouts as u64;
+        self.useful_bytes += r.useful_bytes;
+        self.wasted_bytes += r.wasted_bytes;
+    }
+
+    /// Median and 99th-percentile onload (simulated ms).
+    fn onload_p50_p99(&mut self) -> (f64, f64) {
+        self.onloads_ms.sort_by(f64::total_cmp);
+        (
+            percentile_sorted(&self.onloads_ms, 0.50),
+            percentile_sorted(&self.onloads_ms, 0.99),
+        )
+    }
+}
+
 /// Mutable cross-batch accounting state of the fleet loop.
 #[derive(Default)]
 struct FleetAccum {
@@ -578,7 +643,7 @@ struct FleetAccum {
     warm_origins: BTreeSet<String>,
     origins_opened: u64,
     origin_reuses: u64,
-    outcomes: Vec<ClientOutcome>,
+    tally: OutcomeTally,
 }
 
 impl FleetAccum {
@@ -625,13 +690,15 @@ impl FleetAccum {
     /// pool models per-origin connection reuse across the fleet, stale
     /// serves admit refresh passes, and each load that came back with its
     /// page (a site's first load of the batch, when learning) is committed
-    /// back to the store.
+    /// back to the store. Then the outcome is folded into the tally and
+    /// handed to `on_outcome`, which owns it from there.
     fn account_batch(
         &mut self,
         store: &ShardedStore,
         urls: &mut Arc<UrlTable>,
         batch: &[ClientSpec],
         batch_outcomes: Vec<(ClientOutcome, Option<Page>)>,
+        on_outcome: &mut dyn FnMut(ClientOutcome),
     ) {
         for (spec, (outcome, page)) in batch.iter().zip(batch_outcomes) {
             if outcome.hint_stale > 0 {
@@ -655,7 +722,8 @@ impl FleetAccum {
                     self.origins_opened += 1;
                 }
             }
-            self.outcomes.push(outcome);
+            self.tally.add(&outcome);
+            on_outcome(outcome);
         }
     }
 
@@ -668,16 +736,8 @@ impl FleetAccum {
         window: u64,
         batches: u64,
     ) -> FleetRun {
-        self.outcomes.sort_by_key(|o| o.id);
-        let outcomes = self.outcomes;
-
-        let mut onloads: Vec<f64> = outcomes
-            .iter()
-            .map(|o| o.result.plt.as_secs_f64() * 1e3)
-            .collect();
-        onloads.sort_by(f64::total_cmp);
-
-        let sum = |f: &dyn Fn(&ClientOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
+        let (onload_p50_ms, onload_p99_ms) = self.tally.onload_p50_p99();
+        let t = &self.tally;
         // The freshness section only exists when the freshness machinery
         // was in play: a legacy run's report stays byte-identical.
         let freshness = (cfg.policy != EvictionPolicy::Never
@@ -690,7 +750,7 @@ impl FleetAccum {
                     policy: cfg.policy.label(),
                     span_hours: cfg.span_hours,
                     stale_reads: fresh.iter().map(|f| f.stale).sum(),
-                    stale_served: sum(&|o| o.hint_stale),
+                    stale_served: t.hint_stale,
                     evictions: fresh.iter().map(|f| f.evictions).sum(),
                     refresh_passes: self.refresh_passes,
                     observed_commits: self.observed_commits,
@@ -706,52 +766,40 @@ impl FleetAccum {
             resolver_passes: self.resolver_passes,
             store_entries: store.len() as u64,
             shard_stats: store.shard_stats(),
-            hint_hits: sum(&|o| o.hint_hits),
-            hint_misses: sum(&|o| o.hint_misses),
+            hint_hits: t.hint_hits,
+            hint_misses: t.hint_misses,
             origins_opened: self.origins_opened,
             origin_reuses: self.origin_reuses,
-            onload_p50_ms: percentile_sorted(&onloads, 0.50),
-            onload_p99_ms: percentile_sorted(&onloads, 0.99),
-            faulted_clients: sum(&|o| o.faulted as u64),
-            failed_loads: sum(&|o| (o.result.failed_resources > 0) as u64),
-            failed_resources: sum(&|o| o.result.failed_resources as u64),
-            retries: sum(&|o| o.result.retries as u64),
-            rst_streams: sum(&|o| o.result.rst_streams as u64),
-            goaways: sum(&|o| o.result.goaways as u64),
-            timeouts: sum(&|o| o.result.timeouts as u64),
-            useful_bytes: sum(&|o| o.result.useful_bytes),
-            wasted_bytes: sum(&|o| o.result.wasted_bytes),
+            onload_p50_ms,
+            onload_p99_ms,
+            faulted_clients: t.faulted,
+            failed_loads: t.failed_loads,
+            failed_resources: t.failed_resources,
+            retries: t.retries,
+            rst_streams: t.rst_streams,
+            goaways: t.goaways,
+            timeouts: t.timeouts,
+            useful_bytes: t.useful_bytes,
+            wasted_bytes: t.wasted_bytes,
             freshness,
         };
-        FleetRun { report, outcomes }
+        FleetRun { report }
     }
 }
 
-/// Derive, sort, and window the fleet's clients.
-fn plan_batches(cfg: &FleetConfig) -> (Vec<Vec<ClientSpec>>, u64) {
-    // Derive and order clients by virtual arrival (ties by id).
-    let mut specs: Vec<ClientSpec> = (0..cfg.clients)
-        .map(|id| ClientSpec::derive(cfg, id))
-        .collect();
-    specs.sort_by_key(|s| (s.arrival_total_ms(), s.id));
-
-    // Partition into batch windows (over total arrival time, so a span
-    // across hour buckets yields per-bucket arrival clusters).
-    let window = cfg.batch_window_ms.max(1);
-    let mut batches: Vec<Vec<ClientSpec>> = Vec::new();
-    for spec in specs {
-        let bucket = spec.arrival_total_ms() / window;
-        match batches.last_mut() {
-            Some(last) if last[0].arrival_total_ms() / window == bucket => last.push(spec),
-            _ => batches.push(vec![spec]),
-        }
-    }
-    (batches, window)
+/// Client ids sorted by `(arrival_total_ms, id)`: the fleet's arrival
+/// order in four bytes per client. A batch's [`ClientSpec`]s are derived
+/// again from these ids when the batch is due. The sort re-derives its key
+/// at each comparison, a few hashes, instead of holding a key per client.
+fn arrival_order(cfg: &FleetConfig) -> Vec<u32> {
+    let clients = u32::try_from(cfg.clients).expect("a fleet has at most u32::MAX clients");
+    let mut order: Vec<u32> = (0..clients).collect();
+    order.sort_unstable_by_key(|&id| (ClientSpec::derive(cfg, id as usize).arrival_total_ms(), id));
+    order
 }
 
-/// Run the fleet. Deterministic: the returned report and outcomes are
-/// byte-identical for any `cfg.workers` and across repeated runs with the
-/// same config.
+/// Run the fleet. Deterministic: the returned report is byte-identical for
+/// any `cfg.workers` and across repeated runs with the same config.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
     run_fleet_instrumented(cfg, None).0
 }
@@ -772,7 +820,19 @@ pub fn run_fleet_instrumented(
     cfg: &FleetConfig,
     clock: Option<&dyn Fn() -> f64>,
 ) -> (FleetRun, FleetStageTiming) {
-    run_fleet_loop(cfg, clock, true)
+    run_fleet_observed(cfg, clock, &mut |_| {})
+}
+
+/// [`run_fleet_instrumented`] that hands each client's outcome to
+/// `on_outcome` once its batch is accounted. Outcomes arrive in arrival
+/// order, every client exactly once; the run keeps none of them. This is
+/// how the test tier checks per-client results.
+pub fn run_fleet_observed(
+    cfg: &FleetConfig,
+    clock: Option<&dyn Fn() -> f64>,
+    on_outcome: &mut dyn FnMut(ClientOutcome),
+) -> (FleetRun, FleetStageTiming) {
+    run_fleet_loop(cfg, clock, true, on_outcome)
 }
 
 /// The fleet loop. With `prefetch` off, no pass is overlapped with the
@@ -783,6 +843,7 @@ fn run_fleet_loop(
     cfg: &FleetConfig,
     clock: Option<&dyn Fn() -> f64>,
     prefetch: bool,
+    on_outcome: &mut dyn FnMut(ClientOutcome),
 ) -> (FleetRun, FleetStageTiming) {
     let (cfg, clamped_from) = cfg.validated();
     let cfg = &cfg;
@@ -793,19 +854,35 @@ fn run_fleet_loop(
     ));
     let store = Arc::new(ShardedStore::new(cfg.shards));
     let mut urls = Arc::new(UrlTable::new());
-    let (batches, window) = plan_batches(cfg);
+    let window = cfg.batch_window_ms.max(1);
+    let order = arrival_order(cfg);
     // Each worker keeps one engine scratch alive across the many loads it
     // runs. Reuse is observationally pure — a recycled scratch produces
     // byte-identical results to a fresh one (pinned by the browser engine's
     // scratch-reuse test).
     let pool: Pool<EngineScratch> = Pool::new(cfg.workers);
 
-    let mut accum = FleetAccum::default();
+    let mut accum = FleetAccum {
+        tally: OutcomeTally::with_clients(cfg.clients),
+        ..FleetAccum::default()
+    };
     let mut timing = FleetStageTiming::default();
     // Passes computed ahead of their batch by a previous combined fan-out.
     let mut prefetched: BTreeMap<(usize, i64), PassOutput> = BTreeMap::new();
 
-    for (bi, batch) in batches.iter().enumerate() {
+    // Batch windows are over total arrival time, so a span across hour
+    // buckets yields per-bucket arrival clusters. Each batch is derived
+    // once: peeking for the prefetch derives the next batch, and the next
+    // iteration takes that same `Vec`.
+    let derive = |id: &u32| ClientSpec::derive(cfg, *id as usize);
+    let window_of = |id: &u32| derive(id).arrival_total_ms() / window;
+    let mut batches = order
+        .chunk_by(|a, b| window_of(a) == window_of(b))
+        .map(|ids| ids.iter().map(derive).collect::<Vec<_>>())
+        .peekable();
+    let mut batch_count = 0;
+    while let Some(batch) = batches.next() {
+        batch_count += 1;
         let batch_bucket = batch
             .iter()
             .map(|s| s.bucket())
@@ -818,7 +895,7 @@ fn run_fleet_loop(
             store.evict_resolved_before(batch_bucket - h as i64);
         }
 
-        let mut needed = accum.arrivals_needed(batch, cfg.policy);
+        let mut needed = accum.arrivals_needed(&batch, cfg.policy);
         for &site in &accum.pending_refresh {
             needed.insert((site, batch_bucket));
         }
@@ -857,7 +934,7 @@ fn run_fleet_loop(
         // items never straggle behind the claim counter.
         // vroom-lint: allow(hot-path-alloc) -- one work list per batch, amortized across its items
         let mut work: Vec<FleetWork> = Vec::with_capacity(batch.len());
-        if let Some(next) = batches.get(bi + 1).filter(|_| prefetch) {
+        if let Some(next) = batches.peek().filter(|_| prefetch) {
             work.extend(
                 accum
                     .arrivals_needed(next, cfg.policy)
@@ -876,12 +953,12 @@ fn run_fleet_loop(
         let t3 = now();
         timing.load_s += t3 - t2;
 
-        accum.account_batch(&store, &mut urls, batch, batch_outcomes);
+        accum.account_batch(&store, &mut urls, &batch, batch_outcomes, on_outcome);
         timing.account_s += now() - t3;
     }
     debug_assert!(prefetched.is_empty(), "every prefetched pass is consumed");
 
-    let run = accum.finish(cfg, clamped_from, &store, window, batches.len() as u64);
+    let run = accum.finish(cfg, clamped_from, &store, window, batch_count);
     (run, timing)
 }
 
@@ -1088,10 +1165,20 @@ mod tests {
     }
 
     #[test]
-    fn fleet_outcomes_are_in_client_id_order() {
-        let run = run_fleet(&FleetConfig::quick(25, 2));
-        let ids: Vec<usize> = run.outcomes.iter().map(|o| o.id).collect();
-        assert_eq!(ids, (0..25).collect::<Vec<_>>());
+    fn sink_sees_every_client_once_in_arrival_order() {
+        for span_hours in [0, 3] {
+            let cfg = FleetConfig {
+                span_hours,
+                ..FleetConfig::quick(60, 2)
+            };
+            let mut want: Vec<(u64, usize)> = (0..cfg.clients)
+                .map(|id| (ClientSpec::derive(&cfg, id).arrival_total_ms(), id))
+                .collect();
+            want.sort_unstable();
+            let mut ids = Vec::new();
+            run_fleet_observed(&cfg, None, &mut |o| ids.push(o.id));
+            assert_eq!(ids, want.iter().map(|&(_, id)| id).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -1139,8 +1226,86 @@ mod tests {
         }
     }
 
+    /// The report as the fleet built it when it kept every outcome to the
+    /// end of the run: sort the outcomes by id, sum each counter over them,
+    /// and sort their onloads for the percentiles. `streamed` supplies the
+    /// fields no outcome feeds (store, passes, origins).
+    fn report_from_outcomes(
+        streamed: &FleetReport,
+        mut outcomes: Vec<ClientOutcome>,
+    ) -> FleetReport {
+        outcomes.sort_by_key(|o| o.id);
+        let mut onloads: Vec<f64> = outcomes
+            .iter()
+            .map(|o| o.result.plt.as_secs_f64() * 1e3)
+            .collect();
+        onloads.sort_by(f64::total_cmp);
+        let sum = |f: &dyn Fn(&ClientOutcome) -> u64| outcomes.iter().map(f).sum::<u64>();
+        FleetReport {
+            clients: outcomes.len() as u64,
+            hint_hits: sum(&|o| o.hint_hits),
+            hint_misses: sum(&|o| o.hint_misses),
+            onload_p50_ms: percentile_sorted(&onloads, 0.50),
+            onload_p99_ms: percentile_sorted(&onloads, 0.99),
+            faulted_clients: sum(&|o| o.faulted as u64),
+            failed_loads: sum(&|o| (o.result.failed_resources > 0) as u64),
+            failed_resources: sum(&|o| o.result.failed_resources as u64),
+            retries: sum(&|o| o.result.retries as u64),
+            rst_streams: sum(&|o| o.result.rst_streams as u64),
+            goaways: sum(&|o| o.result.goaways as u64),
+            timeouts: sum(&|o| o.result.timeouts as u64),
+            useful_bytes: sum(&|o| o.result.useful_bytes),
+            wasted_bytes: sum(&|o| o.result.wasted_bytes),
+            freshness: streamed.freshness.clone().map(|f| FleetFreshness {
+                stale_served: sum(&|o| o.hint_stale),
+                ..f
+            }),
+            ..streamed.clone()
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The report folded batch by batch equals, byte for byte, the
+        /// report built from every outcome at the end, at every worker
+        /// count, under every eviction policy, with arrivals in one hour
+        /// or spread over several, with and without learning and faults.
+        #[test]
+        fn streamed_report_equals_the_report_from_kept_outcomes(
+            clients in 1usize..=50,
+            sites in 1usize..=4,
+            seed in any::<u64>(),
+            policy_sel in 0u8..3,
+            span_hours in 0u64..=3,
+            learn in any::<bool>(),
+            faulted in any::<bool>(),
+            fault_seed in any::<u64>(),
+            fault_one_in in 1u64..4,
+        ) {
+            let mut cfg = FleetConfig::quick(clients, sites);
+            cfg.seed = seed;
+            cfg.policy = policy_of(policy_sel);
+            cfg.span_hours = span_hours;
+            cfg.learn_from_loads = learn;
+            cfg.faults = faulted.then_some(FleetFaults {
+                seed: fault_seed,
+                severity: 0.7,
+                one_in: fault_one_in,
+            });
+            for workers in [1usize, 2, 8] {
+                cfg.workers = workers;
+                let mut seen = Vec::new();
+                let run = run_fleet_observed(&cfg, None, &mut |o| seen.push(o)).0;
+                let reference = report_from_outcomes(&run.report, seen);
+                prop_assert_eq!(
+                    fingerprints(&run),
+                    fingerprints(&FleetRun { report: reference }),
+                    "streamed report diverged at workers={}",
+                    workers
+                );
+            }
+        }
 
         /// Prefetching batch k+1's resolver passes during batch k's loads
         /// is byte-identical to running every pass in its own batch's pass
@@ -1170,8 +1335,9 @@ mod tests {
             });
             for workers in [1usize, 2, 8] {
                 cfg.workers = workers;
-                let on = run_fleet_loop(&cfg, None, true).0;
-                let off = run_fleet_loop(&cfg, None, false).0;
+                let (mut on_seen, mut off_seen) = (Vec::new(), Vec::new());
+                let on = run_fleet_observed(&cfg, None, &mut |o| on_seen.push(o)).0;
+                let off = run_fleet_loop(&cfg, None, false, &mut |o| off_seen.push(o)).0;
                 prop_assert_eq!(
                     fingerprints(&on),
                     fingerprints(&off),
@@ -1179,8 +1345,8 @@ mod tests {
                     workers
                 );
                 prop_assert_eq!(
-                    &on.outcomes,
-                    &off.outcomes,
+                    &on_seen,
+                    &off_seen,
                     "outcomes diverged at workers={}",
                     workers
                 );

@@ -104,9 +104,18 @@ pub struct Connection {
     /// `recv`.
     recv_buf: Vec<u8>,
     out: Vec<u8>,
+    /// Streams not yet closed. A stream is dropped from the map when it
+    /// closes; [`Connection::forgotten`] still knows it from the id
+    /// high-water marks below, so a closed stream costs no memory.
     streams: HashMap<u32, Stream>,
     next_local_stream: u32,
+    /// Highest stream id the peer opened (servers), refused ones included.
     highest_peer_stream: u32,
+    /// Highest stream id the peer promised (clients).
+    highest_promised: u32,
+    /// Peer-initiated streams in `streams`, checked against our
+    /// `max_concurrent_streams`.
+    open_peer_streams: u32,
     conn_send: crate::flow::FlowWindow,
     conn_recv: crate::flow::FlowWindow,
     events: VecDeque<Event>,
@@ -158,6 +167,8 @@ impl Connection {
             streams: HashMap::new(),
             next_local_stream: if role == Role::Client { 1 } else { 2 },
             highest_peer_stream: 0,
+            highest_promised: 0,
+            open_peer_streams: 0,
             conn_send: crate::flow::FlowWindow::new(DEFAULT_INITIAL_WINDOW_SIZE),
             conn_recv: crate::flow::FlowWindow::new(
                 local.initial_window_size.max(DEFAULT_INITIAL_WINDOW_SIZE),
@@ -203,13 +214,88 @@ impl Connection {
         self.local_settings_acked
     }
 
-    /// State of a stream, if known.
+    /// State of a stream, if known. A stream that closed reads `Closed`.
     pub fn stream_state(&self, id: u32) -> Option<StreamState> {
-        self.streams.get(&id).map(|s| s.state)
+        match self.streams.get(&id) {
+            Some(s) => Some(s.state),
+            None => self.forgotten(id).then_some(StreamState::Closed),
+        }
+    }
+
+    /// The highest stream id the peer has used: opened (servers, refused
+    /// ones included) or promised (clients).
+    fn peer_high_water(&self) -> u32 {
+        match self.role {
+            Role::Server => self.highest_peer_stream,
+            Role::Client => self.highest_promised,
+        }
+    }
+
+    /// Whether `id` is a peer stream id the peer has not used yet.
+    fn idle_peer_stream(&self, id: u32) -> bool {
+        !self.is_local_stream(id) && id > self.peer_high_water()
+    }
+
+    /// Whether `id` names a stream that was opened, reserved or refused and
+    /// is no longer in the map: it has closed. Each side uses its ids in
+    /// increasing order, so every id of a parity at or below that parity's
+    /// high-water mark was used.
+    fn forgotten(&self, id: u32) -> bool {
+        let used = if self.is_local_stream(id) {
+            id < self.next_local_stream
+        } else {
+            id <= self.peer_high_water()
+        };
+        id != 0 && used && !self.streams.contains_key(&id)
+    }
+
+    /// Drop stream `id` from the map if it has closed.
+    fn forget_if_closed(&mut self, id: u32) {
+        if self
+            .streams
+            .get(&id)
+            .is_some_and(|s| s.state == StreamState::Closed)
+        {
+            self.streams.remove(&id);
+            if !self.is_local_stream(id) {
+                self.open_peer_streams -= 1;
+            }
+        }
+    }
+
+    /// The error for a send on stream `id` that is not in the map: the
+    /// STREAM_CLOSED error `closed` for a stream that has closed, as for one
+    /// the map holds in a state that cannot send, and PROTOCOL_ERROR
+    /// `unknown` for an id never used.
+    fn missing_stream(
+        &self,
+        id: u32,
+        unknown: &'static str,
+        closed: &'static str,
+    ) -> ConnectionError {
+        if self.forgotten(id) {
+            ConnectionError::new(ErrorCode::StreamClosed, closed)
+        } else {
+            ConnectionError::protocol(unknown)
+        }
+    }
+
+    /// Insert a new stream; the count of open peer streams follows.
+    fn open_stream(&mut self, id: u32, state: StreamState) -> &mut Stream {
+        if !self.is_local_stream(id) {
+            self.open_peer_streams += 1;
+        }
+        let s = Stream::new(
+            id,
+            state,
+            self.peer.initial_window_size,
+            self.local.initial_window_size,
+        );
+        self.streams.entry(id).insert_entry(s).into_mut()
     }
 
     /// Bytes currently sendable on a stream (min of stream and connection
-    /// windows).
+    /// windows); 0 once the stream has closed.
     pub fn send_capacity(&self, stream_id: u32) -> u32 {
         let stream = self
             .streams
@@ -349,15 +435,13 @@ impl Connection {
                 // Advisory only; the Vroom stack schedules at a higher layer.
             }
             Frame::RstStream { stream_id, code } => {
-                if stream_id > self.highest_peer_stream
-                    && !self.is_local_stream(stream_id)
-                    && !self.streams.contains_key(&stream_id)
-                {
+                if self.idle_peer_stream(stream_id) {
                     return Err(ConnectionError::protocol("RST_STREAM on idle stream"));
                 }
                 if let Some(s) = self.streams.get_mut(&stream_id) {
                     s.on_reset();
                 }
+                self.forget_if_closed(stream_id);
                 self.events
                     .push_back(Event::StreamReset { stream_id, code });
             }
@@ -478,7 +562,7 @@ impl Connection {
         self.conn_recv.try_consume(flow_len)?;
 
         let Some(s) = self.streams.get_mut(&stream_id) else {
-            if stream_id > self.highest_peer_stream && !self.is_local_stream(stream_id) {
+            if self.idle_peer_stream(stream_id) {
                 return Err(ConnectionError::protocol("DATA on idle stream"));
             }
             // Closed-and-forgotten stream: replenish and reset.
@@ -504,6 +588,7 @@ impl Connection {
             .encode(&mut self.out);
         }
         self.replenish_connection(flow_len);
+        self.forget_if_closed(stream_id);
         self.events.push_back(Event::Data {
             stream_id,
             data,
@@ -539,19 +624,12 @@ impl Connection {
         let fields = self.hpack_dec.decode(fragment)?;
 
         if let Some(promised_id) = promised {
-            if promised_id % 2 != 0 || promised_id <= self.highest_promised() {
+            if promised_id % 2 != 0 || promised_id <= self.highest_promised {
                 return Err(ConnectionError::protocol("bad promised stream id"));
             }
             // Reserve the pushed stream (remote).
-            self.streams.insert(
-                promised_id,
-                Stream::new(
-                    promised_id,
-                    StreamState::ReservedRemote,
-                    self.peer.initial_window_size,
-                    self.local.initial_window_size,
-                ),
-            );
+            self.highest_promised = promised_id;
+            self.open_stream(promised_id, StreamState::ReservedRemote);
             self.events.push_back(Event::PushPromise {
                 stream_id,
                 promised_stream_id: promised_id,
@@ -560,69 +638,45 @@ impl Connection {
             return Ok(());
         }
 
-        let is_new = !self.streams.contains_key(&stream_id);
-        if is_new {
-            if self.is_local_stream(stream_id) {
+        if self.forgotten(stream_id) {
+            return Err(ConnectionError::new(
+                ErrorCode::StreamClosed,
                 // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                return Err(ConnectionError::protocol(format!(
-                    "peer opened stream {stream_id} with our parity"
-                )));
-            }
-            if stream_id <= self.highest_peer_stream {
-                return Err(ConnectionError::new(
-                    ErrorCode::StreamClosed,
-                    "HEADERS on old stream id",
-                ));
-            }
-            if self.role == Role::Client {
-                return Err(ConnectionError::protocol("server opened a non-push stream"));
-            }
-            if let Some(max) = self.local.max_concurrent_streams {
-                let open_peer = self
-                    .streams
-                    .values()
-                    .filter(|s| !self.is_local_stream(s.id) && s.state != StreamState::Closed)
-                    .count() as u32;
-                if open_peer >= max {
+                format!("HEADERS on closed stream {stream_id}"),
+            ));
+        }
+        let s = match self.streams.get_mut(&stream_id) {
+            Some(s) => s,
+            None => {
+                if self.is_local_stream(stream_id) {
+                    // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
+                    return Err(ConnectionError::protocol(format!(
+                        "peer opened stream {stream_id} with our parity"
+                    )));
+                }
+                if self.role == Role::Client {
+                    return Err(ConnectionError::protocol("server opened a non-push stream"));
+                }
+                self.highest_peer_stream = stream_id;
+                if self
+                    .local
+                    .max_concurrent_streams
+                    .is_some_and(|max| self.open_peer_streams >= max)
+                {
                     self.queue_rst(stream_id, ErrorCode::RefusedStream);
-                    self.highest_peer_stream = stream_id;
                     return Ok(());
                 }
+                self.open_stream(stream_id, StreamState::Idle)
             }
-            self.highest_peer_stream = stream_id;
-            self.streams.insert(
-                stream_id,
-                Stream::new(
-                    stream_id,
-                    StreamState::Idle,
-                    self.peer.initial_window_size,
-                    self.local.initial_window_size,
-                ),
-            );
-        }
-        let Some(s) = self.streams.get_mut(&stream_id) else {
-            return Err(ConnectionError::new(
-                ErrorCode::InternalError,
-                // vroom-lint: allow(hot-path-alloc) -- cold internal-error path: the stream map was just checked
-                format!("stream {stream_id} vanished during header processing"),
-            ));
         };
         s.on_recv_headers(end_stream)?;
+        self.forget_if_closed(stream_id);
         self.events.push_back(Event::Headers {
             stream_id,
             fields,
             end_stream,
         });
         Ok(())
-    }
-
-    fn highest_promised(&self) -> u32 {
-        self.streams
-            .keys()
-            .filter(|id| *id % 2 == 0)
-            .copied()
-            .max()
-            .unwrap_or(0)
     }
 
     fn queue_rst(&mut self, stream_id: u32, code: ErrorCode) {
@@ -661,14 +715,8 @@ impl Connection {
         }
         let id = self.next_local_stream;
         self.next_local_stream += 2;
-        let mut s = Stream::new(
-            id,
-            StreamState::Idle,
-            self.peer.initial_window_size,
-            self.local.initial_window_size,
-        );
-        s.on_send_headers(end_stream);
-        self.streams.insert(id, s);
+        self.open_stream(id, StreamState::Idle)
+            .on_send_headers(end_stream);
         self.send_header_block(id, &request.to_fields(), end_stream);
         Ok(id)
     }
@@ -681,10 +729,13 @@ impl Connection {
         end_stream: bool,
     ) -> Result<(), ConnectionError> {
         assert_eq!(self.role, Role::Server, "only servers send responses");
-        let s = self
-            .streams
-            .get_mut(&stream_id)
-            .ok_or_else(|| ConnectionError::protocol("response on unknown stream"))?;
+        let Some(s) = self.streams.get_mut(&stream_id) else {
+            return Err(self.missing_stream(
+                stream_id,
+                "response on unknown stream",
+                "response on unwritable stream",
+            ));
+        };
         if !s.can_send() {
             return Err(ConnectionError::new(
                 ErrorCode::StreamClosed,
@@ -693,6 +744,7 @@ impl Connection {
         }
         s.on_send_headers(end_stream);
         self.send_header_block(stream_id, &response.to_fields(), end_stream);
+        self.forget_if_closed(stream_id);
         Ok(())
     }
 
@@ -708,10 +760,13 @@ impl Connection {
         if !self.peer.enable_push {
             return Err(ConnectionError::protocol("peer disabled push"));
         }
-        let parent = self
-            .streams
-            .get(&stream_id)
-            .ok_or_else(|| ConnectionError::protocol("push on unknown stream"))?;
+        let Some(parent) = self.streams.get(&stream_id) else {
+            return Err(self.missing_stream(
+                stream_id,
+                "push on unknown stream",
+                "push on closed stream",
+            ));
+        };
         if !parent.can_recv() && !parent.can_send() {
             return Err(ConnectionError::new(
                 ErrorCode::StreamClosed,
@@ -720,15 +775,7 @@ impl Connection {
         }
         let promised = self.next_local_stream;
         self.next_local_stream += 2;
-        self.streams.insert(
-            promised,
-            Stream::new(
-                promised,
-                StreamState::ReservedLocal,
-                self.peer.initial_window_size,
-                self.local.initial_window_size,
-            ),
-        );
+        self.open_stream(promised, StreamState::ReservedLocal);
         let fields = request.to_fields();
         self.enc_buf.clear();
         self.hpack_enc.encode_into(&fields, &mut self.enc_buf);
@@ -767,10 +814,13 @@ impl Connection {
         data: &[u8],
         end_stream: bool,
     ) -> Result<usize, ConnectionError> {
-        let s = self
-            .streams
-            .get_mut(&stream_id)
-            .ok_or_else(|| ConnectionError::protocol("data on unknown stream"))?;
+        let Some(s) = self.streams.get_mut(&stream_id) else {
+            return Err(self.missing_stream(
+                stream_id,
+                "data on unknown stream",
+                "data on unwritable stream",
+            ));
+        };
         if !s.can_send() || s.state == StreamState::ReservedLocal {
             return Err(ConnectionError::new(
                 ErrorCode::StreamClosed,
@@ -785,6 +835,7 @@ impl Connection {
             if end_stream {
                 frame::encode_data_raw(&mut self.out, stream_id, &[], true);
                 s.on_send_end_stream();
+                self.forget_if_closed(stream_id);
             }
             return Ok(0);
         }
@@ -808,6 +859,7 @@ impl Connection {
                 s.on_send_end_stream();
             }
         }
+        self.forget_if_closed(stream_id);
         Ok(sent)
     }
 
@@ -816,6 +868,7 @@ impl Connection {
         if let Some(s) = self.streams.get_mut(&stream_id) {
             s.on_reset();
         }
+        self.forget_if_closed(stream_id);
         self.queue_rst(stream_id, code);
     }
 

@@ -523,3 +523,89 @@ fn max_concurrent_streams_refuses_excess() {
         |e| matches!(e, Event::StreamReset { code, .. } if *code == ErrorCode::RefusedStream)
     ));
 }
+
+#[test]
+fn closed_streams_are_forgotten_on_a_long_lived_connection() {
+    let mut client = Connection::client(Settings::vroom_client());
+    let mut server = Connection::server(Settings {
+        max_concurrent_streams: Some(256),
+        ..Settings::default()
+    });
+    pump(&mut client, &mut server);
+    drain(&mut client);
+    drain(&mut server);
+
+    let mut last = 0;
+    for i in 0..20_000 {
+        let sid = client
+            .send_request(&Request::get("a.com", format!("/r{i}")), true)
+            .unwrap();
+        pump(&mut client, &mut server);
+        assert!(drain(&mut server)
+            .iter()
+            .any(|e| matches!(e, Event::Headers { stream_id, .. } if *stream_id == sid)));
+        server.send_response(sid, &Response::ok(), false).unwrap();
+        server.send_data(sid, b"ok", true).unwrap();
+        pump(&mut client, &mut server);
+        assert!(drain(&mut client).iter().any(
+            |e| matches!(e, Event::Data { stream_id, end_stream: true, .. } if *stream_id == sid)
+        ));
+        last = sid;
+    }
+    // Only the streams still open are kept, and a forgotten one still reads
+    // as closed.
+    let tracked = |conn: &Connection| {
+        let debug = format!("{conn:?}");
+        let count = debug
+            .split("streams: ")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.trim().parse::<usize>().ok());
+        count.expect("Debug names the stream count")
+    };
+    assert!(tracked(&server) <= 2, "{server:?}");
+    assert!(tracked(&client) <= 2, "{client:?}");
+    for id in [1, last] {
+        assert_eq!(server.stream_state(id), Some(StreamState::Closed));
+        assert_eq!(client.stream_state(id), Some(StreamState::Closed));
+    }
+    assert_eq!(server.stream_state(last + 2), None, "never opened");
+
+    // A forgotten stream still gets a closed stream's errors and frames.
+    let err = server.send_response(1, &Response::ok(), true).unwrap_err();
+    assert_eq!(err.code, ErrorCode::StreamClosed);
+    let err = server.send_data(1, b"late", true).unwrap_err();
+    assert_eq!(err.code, ErrorCode::StreamClosed);
+    let err = server
+        .send_response(last + 2, &Response::ok(), true)
+        .unwrap_err();
+    assert_eq!(
+        err.code,
+        ErrorCode::ProtocolError,
+        "an unused id is unknown"
+    );
+    let mut late_data = Vec::new();
+    frame::encode_data_raw(&mut late_data, 1, b"late", false);
+    server.recv(&late_data).unwrap();
+    let out = server.take_output();
+    let (mut rest, mut frames) = (out.as_slice(), Vec::new());
+    loop {
+        let (used, f) = FrameCodec::default().decode(rest).unwrap();
+        if used == 0 {
+            break;
+        }
+        rest = &rest[used..];
+        frames.extend(f);
+    }
+    assert!(frames.iter().any(|f| matches!(
+        f,
+        Frame::RstStream {
+            stream_id: 1,
+            code: ErrorCode::StreamClosed
+        }
+    )));
+    let mut late_headers = Vec::new();
+    frame::encode_headers_raw(&mut late_headers, 1, &[], true, true);
+    let err = server.recv(&late_headers).unwrap_err();
+    assert_eq!(err.code, ErrorCode::StreamClosed);
+}

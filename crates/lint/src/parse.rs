@@ -901,8 +901,10 @@ const ALLOC_NEEDLES: [(&str, AllocKind); 11] = [
 ];
 
 /// Keywords that can directly precede a `[` that is *not* an index
-/// expression (`&mut [u8]`, `x as [u8; 2]`, ...).
-const NON_INDEX_WORDS: [&str; 8] = ["mut", "ref", "as", "dyn", "in", "return", "const", "static"];
+/// expression (`&mut [u8]`, `x as [u8; 2]`, `let [a, b] = pair`, ...).
+const NON_INDEX_WORDS: [&str; 9] = [
+    "mut", "ref", "as", "dyn", "in", "return", "const", "static", "let",
+];
 
 fn effect_sites(code: &str, lines: &LineMap) -> Vec<RawEffect> {
     let loops = loop_spans(code);

@@ -870,6 +870,27 @@ mod tests {
     }
 
     #[test]
+    fn array_destructuring_is_not_indexing() {
+        let v = analyze(&[
+            (
+                "crates/server/src/wire.rs",
+                "pub fn serve() { put_header(&mut Vec::new(), 0); }\n",
+            ),
+            (
+                "crates/http2/src/frame.rs",
+                "pub fn put_header(buf: &mut Vec<u8>, len: usize) -> u8 {\n\
+                 \u{20}   let [_, a, b, c] = (len as u32).to_be_bytes();\n\
+                 \u{20}   buf.extend_from_slice(&[a, b, c]);\n\
+                 \u{20}   buf[0]\n\
+                 }\n",
+            ),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "panic-reachable");
+        assert_eq!(v[0].line, 4, "only `buf[0]` indexes");
+    }
+
+    #[test]
     fn panic_outside_wire_reach_is_clean() {
         let v = analyze(&[(
             "crates/pages/src/model.rs",

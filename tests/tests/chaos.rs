@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 
 use vroom::{run_load, run_load_faulted, System};
-use vroom_fleet::{run_fleet, FleetConfig, FleetFaults};
+use vroom_fleet::{run_fleet_observed, ClientOutcome, FleetConfig, FleetFaults, FleetReport};
 use vroom_net::{FaultPlan, NetworkProfile};
 use vroom_pages::{Corpus, LoadContext};
 use vroom_sim::SimDuration;
@@ -149,6 +149,14 @@ fn fleet_cfg(faults: Option<FleetFaults>) -> FleetConfig {
     }
 }
 
+/// Run the fleet and collect every client outcome its sink is handed, in
+/// arrival order.
+fn observe(cfg: &FleetConfig) -> (FleetReport, Vec<ClientOutcome>) {
+    let mut outcomes = Vec::new();
+    let run = run_fleet_observed(cfg, None, &mut |o| outcomes.push(o)).0;
+    (run.report, outcomes)
+}
+
 /// A fleet under an active plan terminates, and degradation is strictly
 /// per-client: clients the plan was not dealt to are byte-identical to
 /// their outcomes in a fault-free run — faults never bleed through the
@@ -160,12 +168,13 @@ fn faulted_fleet_terminates_and_faults_stay_per_client() {
         severity: 0.9,
         one_in: 2,
     };
-    let faulted = run_fleet(&fleet_cfg(Some(faults)));
-    let clean = run_fleet(&fleet_cfg(None));
+    let (faulted, faulted_outcomes) = observe(&fleet_cfg(Some(faults)));
+    let (clean, clean_outcomes) = observe(&fleet_cfg(None));
 
-    assert_eq!(faulted.report.faulted_clients, 24, "every even client");
+    assert_eq!(faulted.faulted_clients, 24, "every even client");
+    assert_eq!(faulted_outcomes.len(), clean_outcomes.len());
     let mut hit = 0usize;
-    for (f, c) in faulted.outcomes.iter().zip(&clean.outcomes) {
+    for (f, c) in faulted_outcomes.iter().zip(&clean_outcomes) {
         assert!(
             f.result.plt < TERMINATION_BOUND,
             "client {} did not terminate promptly: plt {}",
@@ -183,25 +192,25 @@ fn faulted_fleet_terminates_and_faults_stay_per_client() {
     assert!(hit > 0, "an active 0.9-severity plan must perturb someone");
     // The shared server state is fault-independent: resolver passes and
     // store contents are driven by arrivals, not by client-side faults.
-    assert_eq!(faulted.report.resolver_passes, clean.report.resolver_passes);
-    assert_eq!(faulted.report.store_entries, clean.report.store_entries);
-    assert_eq!(faulted.report.shard_stats, clean.report.shard_stats);
+    assert_eq!(faulted.resolver_passes, clean.resolver_passes);
+    assert_eq!(faulted.store_entries, clean.store_entries);
+    assert_eq!(faulted.shard_stats, clean.shard_stats);
 }
 
 /// An inactive fleet fault configuration (severity 0) is byte-identical to
 /// no fault configuration at all — report and every outcome.
 #[test]
 fn inactive_fleet_fault_plan_is_byte_identical() {
-    let inactive = run_fleet(&fleet_cfg(Some(FleetFaults {
+    let (inactive, inactive_outcomes) = observe(&fleet_cfg(Some(FleetFaults {
         seed: 0xC4A05,
         severity: 0.0,
         one_in: 1,
     })));
-    let clean = run_fleet(&fleet_cfg(None));
-    assert_eq!(inactive.report, clean.report);
-    assert_eq!(inactive.outcomes, clean.outcomes);
-    assert_eq!(inactive.report.faulted_clients, 0);
-    assert_eq!(inactive.report.render(), clean.report.render());
+    let (clean, clean_outcomes) = observe(&fleet_cfg(None));
+    assert_eq!(inactive, clean);
+    assert_eq!(inactive_outcomes, clean_outcomes);
+    assert_eq!(inactive.faulted_clients, 0);
+    assert_eq!(inactive.render(), clean.render());
 }
 
 #[test]

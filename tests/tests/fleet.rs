@@ -11,7 +11,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vroom_browser::config::Hint;
-use vroom_fleet::{run_fleet, run_freshness, FleetConfig, FleetRun, FreshnessConfig};
+use vroom_fleet::{
+    run_fleet, run_fleet_observed, run_freshness, ClientOutcome, FleetConfig, FleetRun,
+    FreshnessConfig,
+};
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::json::Value;
@@ -26,28 +29,36 @@ fn fingerprints(run: &FleetRun) -> (String, String) {
     (run.report.render(), json)
 }
 
+/// Run the fleet and collect every client outcome its sink is handed, in
+/// arrival order.
+fn observe(cfg: &FleetConfig) -> (FleetRun, Vec<ClientOutcome>) {
+    let mut outcomes = Vec::new();
+    let run = run_fleet_observed(cfg, None, &mut |o| outcomes.push(o)).0;
+    (run, outcomes)
+}
+
 fn assert_identical_at_all_widths(mut cfg: FleetConfig) {
     cfg.workers = 1;
-    let reference = run_fleet(&cfg);
+    let (reference, ref_outcomes) = observe(&cfg);
     let (ref_render, ref_json) = fingerprints(&reference);
     assert!(ref_render.starts_with("==== fleet ===="));
     for workers in [2, 8] {
         cfg.workers = workers;
-        let got = run_fleet(&cfg);
+        let (got, outcomes) = observe(&cfg);
         let (render, json) = fingerprints(&got);
         assert_eq!(ref_render, render, "report diverged at workers={workers}");
         assert_eq!(ref_json, json, "metrics diverged at workers={workers}");
         assert_eq!(
-            reference.outcomes, got.outcomes,
+            ref_outcomes, outcomes,
             "per-client outcomes diverged at workers={workers}"
         );
     }
     // Same seed, second run: nothing hidden (allocator state, map order,
     // shard scheduling) may leak into the output.
     cfg.workers = 1;
-    let again = run_fleet(&cfg);
+    let (again, again_outcomes) = observe(&cfg);
     assert_eq!(fingerprints(&again), (ref_render, ref_json));
-    assert_eq!(again.outcomes, reference.outcomes);
+    assert_eq!(again_outcomes, ref_outcomes);
 }
 
 #[test]
@@ -86,14 +97,14 @@ fn different_seeds_produce_different_fleets() {
 #[test]
 fn shard_count_changes_layout_but_not_semantics() {
     let base = FleetConfig::quick(60, 3);
-    let one = run_fleet(&FleetConfig {
+    let (one, one_outcomes) = observe(&FleetConfig {
         shards: 1,
         ..base.clone()
     });
-    let many = run_fleet(&FleetConfig { shards: 32, ..base });
+    let (many, many_outcomes) = observe(&FleetConfig { shards: 32, ..base });
     // Shard layout is invisible to clients: every load-derived number
     // matches; only the per-shard breakdown differs.
-    assert_eq!(one.outcomes, many.outcomes);
+    assert_eq!(one_outcomes, many_outcomes);
     assert_eq!(one.report.store_entries, many.report.store_entries);
     assert_eq!(one.report.hint_hits, many.report.hint_hits);
     assert_eq!(one.report.onload_p50_ms, many.report.onload_p50_ms);
@@ -161,7 +172,7 @@ fn oversized_arrival_span_is_clamped_and_surfaced() {
     // A 2-hour arrival span used to silently break one-pass-per-site
     // batching (clients claimed an hour their context did not live in);
     // now it clamps to one bucket and says so in the report.
-    let run = run_fleet(&FleetConfig {
+    let (run, outcomes) = observe(&FleetConfig {
         arrival_span_ms: 7_200_000,
         ..FleetConfig::quick(40, 3)
     });
@@ -172,7 +183,8 @@ fn oversized_arrival_span_is_clamped_and_surfaced() {
     assert!(r
         .render()
         .contains("warning: arrival span clamped 7200000 -> 3600000 ms"));
-    for o in &run.outcomes {
+    assert_eq!(outcomes.len(), 40);
+    for o in &outcomes {
         assert!(o.arrival_ms < 3_600_000, "arrivals stay inside one bucket");
     }
 }
