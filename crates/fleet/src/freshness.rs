@@ -32,8 +32,8 @@ use vroom_browser::EngineScratch;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::json::Value;
 use vroom_net::{FaultPlan, NetworkProfile};
-use vroom_pages::{Corpus, DeviceClass, LoadContext};
-use vroom_server::batch::{commit_pass_at, run_pass};
+use vroom_pages::{Corpus, DeviceClass, LoadContext, Page};
+use vroom_server::batch::{commit_pass_at, run_pass, PassOutput};
 use vroom_server::freshness::{hint_quality_by_age, CALIBRATED_TTL_HOURS};
 use vroom_server::store::{EvictionPolicy, HintStore, ShardedStore};
 use vroom_sim::mix;
@@ -295,12 +295,33 @@ pub fn run_freshness(cfg: &FreshnessConfig) -> FreshnessReport {
     let specs: Vec<ClientSpec> = (0..cfg.clients)
         .map(|id| ClientSpec::derive(&fleet_cfg, id))
         .collect();
+    // Every cell loads this same population, so its pages are built once.
+    let pages = vroom_exec::par_map_indexed(&specs, cfg.workers, |_, spec| {
+        corpus.sites[spec.site].snapshot(&spec.ctx())
+    });
+    // The passes are pure, and every cell of one age commits the same ones
+    // (a refresh re-resolves at the serving hour: age 0's passes), so each
+    // site's pass at each age runs once for the whole sweep.
+    let now = FLEET_BASE_HOURS as i64;
+    let passes: Vec<Vec<PassOutput>> = (0..=cfg.max_age_hours)
+        .map(|age| {
+            vroom_exec::par_map_indexed(&corpus.sites, cfg.workers, |_, site| {
+                let resolved_at = now - age as i64;
+                run_pass(
+                    site,
+                    resolved_at as f64,
+                    DeviceClass::PhoneLarge,
+                    cfg.server_seed,
+                )
+            })
+        })
+        .collect();
 
-    let baseline = run_cell(cfg, &corpus, &specs, None);
+    let baseline = run_cell(cfg, &specs, &pages, &passes, None);
     let mut cells = Vec::new();
     for age in 0..=cfg.max_age_hours {
         for policy in policies(cfg.ttl_hours) {
-            let mut cell = run_cell(cfg, &corpus, &specs, Some((policy, age)));
+            let mut cell = run_cell(cfg, &specs, &pages, &passes, Some((policy, age)));
             cell.speedup_p50 = baseline.onload_p50_ms / cell.onload_p50_ms;
             cell.speedup_p99 = baseline.onload_p99_ms / cell.onload_p99_ms;
             cells.push(cell);
@@ -360,11 +381,14 @@ pub fn run_freshness(cfg: &FreshnessConfig) -> FreshnessReport {
 
 /// One cell: a fresh store populated with `age`-hour-old passes (none for
 /// the baseline), then the whole client population loaded at the serving
-/// hour. Speedups are zeroed — the caller fills them in from the baseline.
+/// hour, `pages[i]` being the page of `specs[i]` and `passes[age][s]` site
+/// `s`'s pass resolved `age` hours before it. Speedups are zeroed — the
+/// caller fills them in from the baseline.
 fn run_cell(
     cfg: &FreshnessConfig,
-    corpus: &Corpus,
     specs: &[ClientSpec],
+    pages: &[Page],
+    passes: &[Vec<PassOutput>],
     setup: Option<(EvictionPolicy, u64)>,
 ) -> FreshnessCell {
     let store = ShardedStore::new(cfg.shards);
@@ -378,17 +402,8 @@ fn run_cell(
         // The crawler ran `age` buckets before the serving hour: commit the
         // passes versioned at that bucket and let the policy judge them.
         let resolved_at = now - age as i64;
-        let idx: Vec<usize> = (0..corpus.sites.len()).collect();
-        let passes = vroom_exec::par_map_indexed(&idx, cfg.workers, |_, &s| {
-            run_pass(
-                &corpus.sites[s],
-                resolved_at as f64,
-                DeviceClass::PhoneLarge,
-                cfg.server_seed,
-            )
-        });
         let mut roots: Vec<Option<UrlId>> = Vec::new();
-        for pass in &passes {
+        for pass in &passes[age as usize] {
             let keys = commit_pass_at(pass, &store, &mut urls, resolved_at);
             roots.push(keys.first().copied());
             resolver_passes += 1;
@@ -404,13 +419,7 @@ fn run_cell(
             for (s, root) in roots.iter().enumerate() {
                 let Some(root) = *root else { continue };
                 if store.get_fresh(root, now, policy).is_stale() {
-                    let pass = run_pass(
-                        &corpus.sites[s],
-                        now as f64,
-                        DeviceClass::PhoneLarge,
-                        cfg.server_seed,
-                    );
-                    commit_pass_at(&pass, &store, &mut urls, now);
+                    commit_pass_at(&passes[0][s], &store, &mut urls, now);
                     resolver_passes += 1;
                     refresh_passes += 1;
                 }
@@ -422,7 +431,7 @@ fn run_cell(
     // skips the corruption plan (it has no hints to corrupt, and a clean
     // denominator keeps speedups interpretable).
     let urls = std::sync::Arc::new(urls);
-    let outcomes = vroom_exec::par_map_indexed(specs, cfg.workers, |_, spec| {
+    let outcomes = vroom_exec::par_map_indexed(specs, cfg.workers, |i, spec| {
         let plan = if setup.is_some() && cfg.hint_corruption > 0.0 {
             FaultPlan::hint_corruption_only(
                 mix(cfg.seed ^ 0x0F41_77C5, spec.id as u64),
@@ -432,14 +441,11 @@ fn run_cell(
             FaultPlan::none()
         };
         let mut scratch = EngineScratch::default();
-        // Every cell loads the same population, so the memo serves each
-        // client's page to all cells after the first.
-        let page = corpus.sites[spec.site].snapshot_arc(&spec.ctx());
         load_client(
             &cfg.profile,
             policy,
             spec,
-            &page,
+            &pages[i],
             &urls,
             &store,
             &plan,

@@ -997,8 +997,7 @@ fn fan_out(
                 None => FaultPlan::none(),
             };
             // A client's `(hours, user, device, nonce)` context is unique to
-            // it, so its page is built directly: a memo lookup could never
-            // hit, and the memo would only hold dead pages.
+            // it: the page is built for this load alone and freed after it.
             let page = corpus.sites[spec.site].snapshot(&spec.ctx());
             let outcome = load_client(&profile, policy, spec, &page, &urls, &store, &plan, scratch);
             FleetDone::Load(Box::new((outcome, keep_page.then_some(page))))

@@ -10,9 +10,8 @@
 //! persistence over an hour/week, multi-domain structure with third-party
 //! iframes.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::dynamics::LoadContext;
 use crate::model::{Page, Resource, ResourceId, Stability};
@@ -173,39 +172,6 @@ struct NodeTemplate {
     device_exact: bool,
 }
 
-/// A snapshot is a pure function of the generator and these four context
-/// fields, so they key the memo cache. `hours` enters as raw bits: two
-/// contexts are the same load iff they are bit-identical.
-type SnapKey = (u64, u64, u8, u64);
-
-fn snap_key(ctx: &LoadContext) -> SnapKey {
-    (
-        ctx.hours.to_bits(),
-        ctx.user_id,
-        ctx.device as u8,
-        ctx.nonce,
-    )
-}
-
-/// Entries retained in the snapshot memo. Sweeps over hours/nonce mint
-/// unbounded distinct contexts; the bound keeps a long `run_all` from
-/// holding every page it ever materialized.
-const SNAP_CACHE_CAP: usize = 64;
-
-/// Memo of materialized snapshots. Purely an evaluation-order cache of
-/// a pure function: a hit returns a page identical to regeneration, so
-/// results never depend on cache state (or on which thread warmed it).
-#[derive(Debug, Default)]
-struct SnapCache(Mutex<BTreeMap<SnapKey, Arc<Page>>>);
-
-impl Clone for SnapCache {
-    /// Cloned generators start cold: an empty copy only shifts hit
-    /// rates, never page bytes.
-    fn clone(&self) -> Self {
-        SnapCache::default()
-    }
-}
-
 /// Deterministic per-site page generator.
 #[derive(Debug, Clone)]
 pub struct PageGenerator {
@@ -215,7 +181,6 @@ pub struct PageGenerator {
     site_seed: u64,
     domains: Vec<String>,
     nodes: Vec<NodeTemplate>,
-    snap_cache: SnapCache,
 }
 
 impl PageGenerator {
@@ -254,9 +219,10 @@ impl PageGenerator {
         self.nodes.is_empty()
     }
 
-    /// Materialize the page as loaded in `ctx`: a direct build that
-    /// neither reads nor fills the memo. A fleet client's context is unique
-    /// to it, so its load uses this path and frees the page when done.
+    /// Materialize the page as loaded in `ctx`. The build is a pure
+    /// function of the generator and the context, and the one way a page
+    /// is made: nothing is cached, so the caller owns the page and frees it
+    /// when done.
     pub fn snapshot(&self, ctx: &LoadContext) -> Page {
         // One path buffer serves every URL of the page.
         let mut path = String::with_capacity(64);
@@ -288,40 +254,11 @@ impl PageGenerator {
         }
     }
 
-    /// [`snapshot`](Self::snapshot), memoized and shared. Repeated loads of
-    /// the same context — the resolver's offline crawls, warm-cache priors,
-    /// every system compared against the same page — rematerialize nothing.
+    /// [`snapshot`](Self::snapshot) behind an `Arc`. It builds a new page on
+    /// every call: code that loads one context more than once holds the
+    /// page itself (`ResolverInput::offline_loads`, `vroom::load::SiteLoad`).
     pub fn snapshot_arc(&self, ctx: &LoadContext) -> Arc<Page> {
-        let key = snap_key(ctx);
-        {
-            let cache = self.snap_cache.0.lock().expect("snapshot cache poisoned");
-            if let Some(hit) = cache.get(&key) {
-                return Arc::clone(hit);
-            }
-        }
-        // Materialize outside the lock: the page build is the expensive
-        // step, and holding the memo guard across it would serialize every
-        // concurrent load of this generator. Racing builders may both
-        // materialize, but the function is pure — whichever insert lands
-        // last stores an identical page.
-        let page = Arc::new(self.snapshot(ctx));
-        let evicted = {
-            let mut cache = self.snap_cache.0.lock().expect("snapshot cache poisoned");
-            // Deterministic eviction; which entries survive a parallel sweep
-            // is timing-dependent, but that only shifts hit rates, never
-            // page bytes.
-            let evicted = if cache.len() >= SNAP_CACHE_CAP {
-                cache.pop_first()
-            } else {
-                None
-            };
-            cache.insert(key, Arc::clone(&page));
-            evicted
-        };
-        // Freeing the evicted page (hundreds of strings when this was its
-        // last reference) waits until the guard is gone.
-        drop(evicted);
-        page
+        Arc::new(self.snapshot(ctx))
     }
 
     /// Node `id`'s URL in `ctx`. The path is written into the page's shared
@@ -479,7 +416,6 @@ impl Builder {
             site_seed: self.site_seed,
             domains: self.domains,
             nodes: self.nodes,
-            snap_cache: SnapCache::default(),
         }
     }
 

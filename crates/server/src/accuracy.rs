@@ -111,9 +111,9 @@ pub fn evaluate_with(
     served: Option<&Page>,
     strategy: Strategy,
 ) -> Accuracy {
-    let load_a = input.generator.snapshot(ctx);
+    let load_a = input.generator().snapshot(ctx);
     let load_b = input
-        .generator
+        .generator()
         .snapshot(&ctx.back_to_back(ctx.nonce ^ 0xB2B));
 
     let scope_a = scope(&load_a);

@@ -23,8 +23,6 @@
 //! URLs are exactly what Vroom never hints, so sharing costs no hint the
 //! per-client resolver would have kept.
 
-use std::sync::Arc;
-
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator};
@@ -84,8 +82,8 @@ pub(crate) fn server_page(
     bucket: f64,
     device: DeviceClass,
     server_seed: u64,
-) -> Arc<Page> {
-    generator.snapshot_arc(&LoadContext {
+) -> Page {
+    generator.snapshot(&LoadContext {
         hours: bucket,
         user_id: CRAWLER_USER,
         device,

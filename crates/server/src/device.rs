@@ -5,13 +5,13 @@
 //! their loads produce: devices whose stable sets have high
 //! intersection-over-union share one class (and one crawl).
 
-use crate::resolve::ResolverInput;
+use crate::resolve::{Crawls, ResolverInput};
 use std::collections::BTreeSet;
 use vroom_html::Url;
 use vroom_pages::{DeviceClass, PageGenerator};
 
 /// Stable set of a page as crawled on a given device: URLs present in all
-/// three recent hourly loads.
+/// three recent hourly loads, by the resolver's own offline intersection.
 pub fn stable_set(
     generator: &PageGenerator,
     hours: f64,
@@ -19,16 +19,10 @@ pub fn stable_set(
     server_seed: u64,
 ) -> BTreeSet<Url> {
     let input = ResolverInput::new(generator, hours, device, server_seed);
-    let loads = input.offline_loads();
-    let later: Vec<BTreeSet<&Url>> = loads[1..]
-        .iter()
-        .map(|p| p.resources.iter().map(|r| &r.url).collect())
-        .collect();
-    loads[0]
-        .resources
-        .iter()
-        .filter(|r| later.iter().all(|set| set.contains(&r.url)))
-        .map(|r| r.url.clone())
+    Crawls::new(input.offline_loads())
+        .intersection(|_| true)
+        .into_iter()
+        .map(|(_, url, _, _)| url.clone())
         .collect()
 }
 

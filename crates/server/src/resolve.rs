@@ -14,7 +14,7 @@
 //! peeks at the client's load or at the generator's stability labels.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::OnceLock;
 use vroom_browser::config::Hint;
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
@@ -40,36 +40,61 @@ pub enum Strategy {
 /// What the server knows when a request arrives: its own site (it can crawl
 /// itself), the wall-clock time, and the client's device class (from the
 /// user agent). It does *not* know the client's nonce or cookie contents.
+///
+/// The input owns the crawls it resolves against: they are built on the
+/// first call that needs them and dropped with the input, so every
+/// resolution through one input reads the same pages. Its fields are fixed
+/// at construction for that reason.
 pub struct ResolverInput<'g> {
     /// The site being served.
-    pub generator: &'g PageGenerator,
+    generator: &'g PageGenerator,
     /// Wall-clock hours at request time.
-    pub hours: f64,
+    hours: f64,
     /// Device class inferred from the request's user agent.
-    pub device: DeviceClass,
+    device: DeviceClass,
     /// Seed for the server's own crawl nonces.
-    pub server_seed: u64,
-    /// How many hours back each offline crawl happened. The paper's
-    /// implementation intersects the loads gathered 1, 2, and 3 hours
-    /// before the request (§6.1); the history-window ablation sweeps this.
-    pub crawl_offsets: Vec<u64>,
+    server_seed: u64,
+    /// How many hours back each offline crawl happened.
+    crawl_offsets: Vec<u64>,
+    /// The crawls, one per offset, built by the first `offline_loads`.
+    crawls: OnceLock<Vec<Page>>,
 }
 
 impl<'g> ResolverInput<'g> {
-    /// The standard configuration: hourly crawls, 3-hour window.
+    /// The standard configuration: the paper's implementation intersects
+    /// the hourly crawls gathered 1, 2, and 3 hours before the request
+    /// (§4.1.2 / §6.1).
     pub fn new(
         generator: &'g PageGenerator,
         hours: f64,
         device: DeviceClass,
         server_seed: u64,
     ) -> Self {
+        Self::with_crawl_offsets(generator, hours, device, server_seed, vec![1, 2, 3])
+    }
+
+    /// Resolve against the crawls `crawl_offsets` hours before the
+    /// request, in that order (the history-window ablation sweeps this).
+    pub fn with_crawl_offsets(
+        generator: &'g PageGenerator,
+        hours: f64,
+        device: DeviceClass,
+        server_seed: u64,
+        crawl_offsets: Vec<u64>,
+    ) -> Self {
         ResolverInput {
             generator,
             hours,
             device,
             server_seed,
-            crawl_offsets: vec![1, 2, 3],
+            crawl_offsets,
+            crawls: OnceLock::new(),
         }
+    }
+
+    /// The site being served.
+    pub fn generator(&self) -> &'g PageGenerator {
+        self.generator
     }
 
     /// The crawl context for the load `k` hours ago.
@@ -82,16 +107,27 @@ impl<'g> ResolverInput<'g> {
         }
     }
 
-    /// The server's recent offline loads (1, 2, and 3 hours ago by default
-    /// — the implementation's hourly crawl, §4.1.2 / §6.1). Shared out of
-    /// the generator's snapshot memo: the crawl contexts are pure functions
-    /// of (site, hours, device, seed), so every load this hour reuses the
-    /// same three materialized pages.
-    pub fn offline_loads(&self) -> Vec<Arc<Page>> {
-        self.crawl_offsets
-            .iter()
-            .map(|&k| self.generator.snapshot_arc(&self.crawl_ctx(k)))
-            .collect()
+    /// The context of the on-the-fly server-side load `OnlineOnly`
+    /// resolves against: now, with the crawler's own cookies and nonce.
+    pub(crate) fn fresh_ctx(&self) -> LoadContext {
+        LoadContext {
+            hours: self.hours,
+            user_id: CRAWLER_USER,
+            device: self.device,
+            nonce: mix(self.server_seed, 0xF8E5),
+        }
+    }
+
+    /// The server's recent offline loads, one per crawl offset, in offset
+    /// order. Built on the first call and kept: later calls, and every
+    /// strategy resolved through this input, read the same pages.
+    pub fn offline_loads(&self) -> &[Page] {
+        self.crawls.get_or_init(|| {
+            self.crawl_offsets
+                .iter()
+                .map(|&k| self.generator.snapshot(&self.crawl_ctx(k)))
+                .collect()
+        })
     }
 }
 
@@ -125,8 +161,7 @@ pub fn resolve(
     match strategy {
         Strategy::Vroom | Strategy::OfflineOnly => {
             let online = strategy == Strategy::Vroom;
-            let offline = input.offline_loads();
-            let crawls = Crawls::new(&offline);
+            let crawls = Crawls::new(input.offline_loads());
             // Root HTML: offline (∪ online), excluding iframe-derived deps.
             let mut hints = crawls.intersection(|r| r.iframe_root.is_none() && r.id != 0);
             if online {
@@ -151,12 +186,7 @@ pub fn resolve(
         Strategy::OnlineOnly => {
             // One fresh server-side load right now, with the crawler's own
             // cookies and nonce.
-            let fresh = input.generator.snapshot_arc(&LoadContext {
-                hours: input.hours,
-                user_id: CRAWLER_USER,
-                device: input.device,
-                nonce: mix(input.server_seed, 0xF8E5),
-            });
+            let fresh = input.generator.snapshot(&input.fresh_ctx());
             let hints = candidates(&fresh.resources, |r| r.iframe_root.is_none() && r.id != 0);
             out.hints
                 .insert(urls.intern_ref(&client_page.url), finish(hints, urls));
@@ -171,7 +201,7 @@ pub fn resolve(
         Strategy::PreviousLoad => {
             // Everything from a single load an hour ago — including
             // iframe-derived and per-load-random URLs. The Fig 17 strawman.
-            let prev = input.generator.snapshot_arc(&input.crawl_ctx(1));
+            let prev = input.generator.snapshot(&input.crawl_ctx(1));
             let hints = candidates(&prev.resources, |r| r.id != 0);
             out.hints
                 .insert(urls.intern_ref(&client_page.url), finish(hints, urls));
@@ -204,14 +234,14 @@ fn candidates(
 /// The server's offline crawls, with the URL set of every crawl after the
 /// first built once per [`resolve`] call and shared by the root and every
 /// iframe scope.
-struct Crawls<'p> {
+pub(crate) struct Crawls<'p> {
     /// The first crawl's resources: the candidates, in document order.
     first: &'p [vroom_pages::Resource],
     later: Vec<BTreeSet<&'p Url>>,
 }
 
 impl<'p> Crawls<'p> {
-    fn new(loads: &'p [Arc<Page>]) -> Self {
+    pub(crate) fn new(loads: &'p [Page]) -> Self {
         let mut loads = loads.iter();
         let first = loads
             .next()
@@ -229,7 +259,10 @@ impl<'p> Crawls<'p> {
     /// (evaluated on the first load's resources; node identity is
     /// positional, but matching is by URL — a rotated URL simply fails the
     /// intersection).
-    fn intersection(&self, keep: impl Fn(&vroom_pages::Resource) -> bool) -> Vec<Candidate<'p>> {
+    pub(crate) fn intersection(
+        &self,
+        keep: impl Fn(&vroom_pages::Resource) -> bool,
+    ) -> Vec<Candidate<'p>> {
         candidates(self.first, |r| {
             keep(r) && self.later.iter().all(|set| set.contains(&r.url))
         })
@@ -449,6 +482,36 @@ mod tests {
         assert!(
             !bad.is_empty(),
             "the fresh crawl's own nonce must produce mismatched random URLs"
+        );
+    }
+
+    #[test]
+    fn offline_loads_are_built_once_over_the_constructor_window() {
+        let (generator, ctx, _) = setup();
+        let urls =
+            |page: &Page| -> Vec<Url> { page.resources.iter().map(|r| r.url.clone()).collect() };
+        let windowed =
+            ResolverInput::with_crawl_offsets(&generator, ctx.hours, ctx.device, 555, vec![1, 4]);
+        let first = windowed.offline_loads();
+        assert_eq!(
+            windowed.offline_loads().as_ptr(),
+            first.as_ptr(),
+            "a second call reads the pages the first one built"
+        );
+        assert_eq!(first.len(), 2, "one crawl per offset");
+        for (page, k) in first.iter().zip([1u64, 4]) {
+            let crawl = generator.snapshot(&LoadContext {
+                hours: ctx.hours - k as f64,
+                user_id: CRAWLER_USER,
+                device: ctx.device,
+                nonce: mix(555, 0x0F_F11E ^ k),
+            });
+            assert_eq!(urls(page), urls(&crawl), "the crawl {k} hours back");
+        }
+        assert_eq!(
+            input(&generator, &ctx).offline_loads().len(),
+            3,
+            "the default window is the hourly crawls 1, 2 and 3 hours back"
         );
     }
 

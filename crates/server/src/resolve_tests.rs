@@ -8,18 +8,14 @@
 //! minted into the caller's table.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use vroom_browser::config::Hint;
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator, ResourceId, SiteProfile};
-use vroom_sim::mix;
 
 use crate::batch::{commit_pass_at, hour_bucket, pass_output, run_pass, server_page, PassOutput};
-use crate::resolve::{
-    embedded_htmls, resolve, ResolvedDeps, ResolverInput, Strategy, CRAWLER_USER,
-};
+use crate::resolve::{embedded_htmls, resolve, ResolvedDeps, ResolverInput, Strategy};
 use crate::store::{HintStore, ShardedStore};
 
 fn reference_resolve(
@@ -33,13 +29,12 @@ fn reference_resolve(
         Strategy::Vroom => {
             let offline = input.offline_loads();
             let mut hints =
-                offline_intersection_scoped(&offline, |r| r.iframe_root.is_none() && r.id != 0);
+                offline_intersection_scoped(offline, |r| r.iframe_root.is_none() && r.id != 0);
             merge_online(&mut hints, client_page, 0);
             out.hints
                 .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
             for frame in embedded_htmls(client_page) {
-                let mut fh =
-                    offline_intersection_scoped(&offline, |r| r.iframe_root == Some(frame));
+                let mut fh = offline_intersection_scoped(offline, |r| r.iframe_root == Some(frame));
                 merge_online(&mut fh, client_page, frame);
                 out.hints.insert(
                     urls.intern(client_page.resources[frame].url.clone()),
@@ -50,11 +45,11 @@ fn reference_resolve(
         Strategy::OfflineOnly => {
             let offline = input.offline_loads();
             let hints =
-                offline_intersection_scoped(&offline, |r| r.iframe_root.is_none() && r.id != 0);
+                offline_intersection_scoped(offline, |r| r.iframe_root.is_none() && r.id != 0);
             out.hints
                 .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
             for frame in embedded_htmls(client_page) {
-                let fh = offline_intersection_scoped(&offline, |r| r.iframe_root == Some(frame));
+                let fh = offline_intersection_scoped(offline, |r| r.iframe_root == Some(frame));
                 out.hints.insert(
                     urls.intern(client_page.resources[frame].url.clone()),
                     finish(fh, urls),
@@ -62,12 +57,7 @@ fn reference_resolve(
             }
         }
         Strategy::OnlineOnly => {
-            let fresh = input.generator.snapshot_arc(&LoadContext {
-                hours: input.hours,
-                user_id: CRAWLER_USER,
-                device: input.device,
-                nonce: mix(input.server_seed, 0xF8E5),
-            });
+            let fresh = input.generator().snapshot(&input.fresh_ctx());
             let hints: Vec<(u8, Url, u64, ResourceId)> = fresh
                 .resources
                 .iter()
@@ -90,7 +80,7 @@ fn reference_resolve(
             }
         }
         Strategy::PreviousLoad => {
-            let prev = input.generator.snapshot_arc(&input.crawl_ctx(1));
+            let prev = input.generator().snapshot(&input.crawl_ctx(1));
             let hints: Vec<(u8, Url, u64, ResourceId)> = prev
                 .resources
                 .iter()
@@ -105,7 +95,7 @@ fn reference_resolve(
 }
 
 fn offline_intersection_scoped(
-    loads: &[Arc<Page>],
+    loads: &[Page],
     keep: impl Fn(&vroom_pages::Resource) -> bool,
 ) -> Vec<(u8, Url, u64, ResourceId)> {
     let later: Vec<BTreeSet<&Url>> = loads[1..]

@@ -4,8 +4,7 @@
 //! necessary"), device CPU speed, the offline crawl window, and the
 //! Vroom+Polaris hybrid (§6.1's future-work note).
 
-use crate::experiment::ExperimentConfig;
-use crate::load::run_load;
+use crate::experiment::{ExperimentConfig, Run};
 use crate::policy::{build_config, System};
 use crate::stats::Cdf;
 use vroom_browser::BrowserEngine;
@@ -15,19 +14,19 @@ use vroom_server::accuracy::evaluate_with;
 use vroom_server::resolve::{ResolverInput, Strategy};
 use vroom_sim::SimDuration;
 
-/// Median PLT of a system over a (capped) News+Sports corpus on a profile.
-fn median_plt(
+/// Median PLT per system over a (capped) News+Sports corpus on a profile.
+fn median_plts<const N: usize>(
     cfg: &ExperimentConfig,
     corpus: &Corpus,
     profile: &NetworkProfile,
-    system: System,
-) -> f64 {
-    let values = cfg.for_each_site(corpus, |i, site| {
-        run_load(site, &cfg.site_ctx(i), profile, system, cfg.server_seed)
-            .plt
-            .as_secs_f64()
-    });
-    Cdf::new(values).median()
+    systems: [System; N],
+) -> [f64; N] {
+    let cfg = ExperimentConfig {
+        profile: profile.clone(),
+        ..cfg.clone()
+    };
+    cfg.site_columns(corpus, systems.map(Run::Cold), |r| r.plt.as_secs_f64())
+        .map(|plts| Cdf::new(plts).median())
 }
 
 /// Sweep the downlink bandwidth: where does Vroom's edge over HTTP/2 peak?
@@ -42,8 +41,7 @@ pub fn ablation_bandwidth(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, Stri
     ));
     for mbps in [1u64, 2, 5, 10, 20, 50] {
         let profile = NetworkProfile::lte().with_downlink(mbps * 1_000_000);
-        let h2 = median_plt(cfg, &ns, &profile, System::Http2);
-        let vr = median_plt(cfg, &ns, &profile, System::Vroom);
+        let [h2, vr] = median_plts(cfg, &ns, &profile, [System::Http2, System::Vroom]);
         table.push_str(&format!(
             "{mbps:>10} {h2:>10.2} {vr:>10.2} {:>7.0}%\n",
             (1.0 - vr / h2) * 100.0
@@ -65,8 +63,7 @@ pub fn ablation_rtt(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, String) {
     ));
     for rtt in [20u64, 50, 100, 200, 400] {
         let profile = NetworkProfile::lte().with_cellular_rtt(SimDuration::from_millis(rtt));
-        let h2 = median_plt(cfg, &ns, &profile, System::Http2);
-        let vr = median_plt(cfg, &ns, &profile, System::Vroom);
+        let [h2, vr] = median_plts(cfg, &ns, &profile, [System::Http2, System::Vroom]);
         table.push_str(&format!(
             "{rtt:>10} {h2:>10.2} {vr:>10.2} {:>7.0}%\n",
             (1.0 - vr / h2) * 100.0
@@ -88,25 +85,28 @@ pub fn ablation_cpu(cfg: &ExperimentConfig) -> (Vec<(f64, f64, f64)>, String) {
         "{:>10} {:>10} {:>10} {:>8}\n",
         "slowdown", "HTTP/2 s", "Vroom s", "gain"
     ));
-    for factor in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let (h2v, vrv): (Vec<f64>, Vec<f64>) = cfg
-            .for_each_site(&ns, |i, site| {
-                let ctx = LoadContext {
-                    hours: cfg.ctx.hours + i as f64 * 0.01,
-                    ..cfg.ctx
-                };
-                let page = site.snapshot(&ctx);
-                let plt = |system| {
-                    let mut lc = build_config(system, site, &page, &ctx, cfg.server_seed);
-                    lc.cpu_factor = factor;
-                    BrowserEngine::load(&page, &cfg.profile, &lc)
-                        .plt
-                        .as_secs_f64()
-                };
-                (plt(System::Http2), plt(System::Vroom))
-            })
-            .into_iter()
-            .unzip();
+    let factors = [0.25, 0.5, 1.0, 2.0, 4.0];
+    // One page and one resolver input per site serve every factor.
+    let per_site = cfg.for_each_site(&ns, |i, site| {
+        let ctx = LoadContext {
+            hours: cfg.ctx.hours + i as f64 * 0.01,
+            ..cfg.ctx
+        };
+        let page = site.snapshot(&ctx);
+        let input = ResolverInput::new(site, ctx.hours, ctx.device, cfg.server_seed);
+        factors.map(|factor| {
+            let plt = |system| {
+                let mut lc = build_config(system, &input, &page, &ctx);
+                lc.cpu_factor = factor;
+                BrowserEngine::load(&page, &cfg.profile, &lc)
+                    .plt
+                    .as_secs_f64()
+            };
+            (plt(System::Http2), plt(System::Vroom))
+        })
+    });
+    for (k, factor) in factors.into_iter().enumerate() {
+        let (h2v, vrv): (Vec<f64>, Vec<f64>) = per_site.iter().map(|plts| plts[k]).unzip();
         let h2 = Cdf::new(h2v).median();
         let vr = Cdf::new(vrv).median();
         table.push_str(&format!(
@@ -145,8 +145,13 @@ pub fn ablation_history_window(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)
                 user_id: 100 + (i as u64 % 4) * 101,
                 ..cfg.ctx
             };
-            let mut input = ResolverInput::new(site, ctx.hours, ctx.device, cfg.server_seed);
-            input.crawl_offsets = window.to_vec();
+            let input = ResolverInput::with_crawl_offsets(
+                site,
+                ctx.hours,
+                ctx.device,
+                cfg.server_seed,
+                window.to_vec(),
+            );
             let acc = evaluate_with(&input, &ctx, None, Strategy::Vroom);
             fns.push(acc.false_negative);
             fps.push(acc.false_positive);
@@ -165,9 +170,12 @@ pub fn ablation_history_window(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)
 /// dependency tracking.
 pub fn ablation_hybrid(cfg: &ExperimentConfig) -> (f64, f64, f64, String) {
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let vroom = median_plt(cfg, &ns, &cfg.profile, System::Vroom);
-    let polaris = median_plt(cfg, &ns, &cfg.profile, System::PolarisLike);
-    let hybrid = median_plt(cfg, &ns, &cfg.profile, System::VroomPolarisHybrid);
+    let systems = [
+        System::Vroom,
+        System::PolarisLike,
+        System::VroomPolarisHybrid,
+    ];
+    let [vroom, polaris, hybrid] = median_plts(cfg, &ns, &cfg.profile, systems);
     let table = format!(
         "# Future work (§6.1): combining Vroom and Polaris\n\
          Polaris:          {polaris:.2}s median PLT\n\

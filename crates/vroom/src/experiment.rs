@@ -6,16 +6,19 @@
 //! a deterministic parallel map (`vroom_exec::par_map_indexed`): per-site
 //! loads are pure functions of `(site, ctx, seeds)` and results are
 //! collected by input index, so tables are byte-identical for any worker
-//! count (DESIGN.md §2d).
+//! count (DESIGN.md §2d). Figures that compare systems on one corpus go
+//! through `ExperimentConfig::site_columns`, which builds each site's
+//! page and crawls once (one [`SiteLoad`]) for all of its systems.
 
-use crate::load::{run_load, run_load_faulted, run_load_warm};
+use crate::load::SiteLoad;
 use crate::policy::System;
 use crate::stats::{quartiles, render_cdf_table, render_quartile_table, Cdf, Quartiles};
+use vroom_browser::LoadResult;
 use vroom_net::{FaultPlan, NetworkProfile};
 use vroom_pages::{Corpus, DeviceClass, LoadContext, PageGenerator};
-use vroom_server::accuracy::evaluate;
+use vroom_server::accuracy::evaluate_with;
 use vroom_server::device::{iou, stable_set};
-use vroom_server::resolve::Strategy;
+use vroom_server::resolve::{ResolverInput, Strategy};
 
 /// Shared experiment parameters.
 #[derive(Debug, Clone)]
@@ -85,6 +88,70 @@ impl ExperimentConfig {
     ) -> Vec<T> {
         vroom_exec::par_map_indexed(self.sites(corpus), self.workers, f)
     }
+
+    /// `metric` of each of `runs` on every configured site of `corpus`:
+    /// one column per run, each in site order. A site's page and crawls
+    /// are built once, in one [`SiteLoad`] that serves all of its runs.
+    pub(crate) fn site_columns<T: Send, const N: usize>(
+        &self,
+        corpus: &Corpus,
+        runs: [Run; N],
+        metric: impl Fn(&LoadResult) -> T + Sync,
+    ) -> [Vec<T>; N] {
+        let rows = self.for_each_site(corpus, |i, generator| {
+            let site = SiteLoad::new(generator, &self.site_ctx(i), self.server_seed);
+            runs.map(|run| metric(&run.load(&site, self, i)))
+        });
+        let mut columns: [Vec<T>; N] = std::array::from_fn(|_| Vec::with_capacity(rows.len()));
+        for row in rows {
+            for (column, value) in columns.iter_mut().zip(row) {
+                column.push(value);
+            }
+        }
+        columns
+    }
+}
+
+/// One column of [`ExperimentConfig::site_columns`]: which load of each
+/// site it measures.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Run {
+    /// A cold load under the system.
+    Cold(System),
+    /// A cold load whose hints the fault layer corrupts at this rate, with
+    /// a plan seeded per site.
+    Corrupted(System, f64),
+    /// A warm load, its cache seeded by a load this many hours earlier.
+    Warm(System, f64),
+}
+
+impl Run {
+    /// This run's load of `site`, the `i`th site of the corpus.
+    fn load(self, site: &SiteLoad, cfg: &ExperimentConfig, i: usize) -> LoadResult {
+        match self {
+            Run::Cold(system) => site.run(&cfg.profile, system),
+            Run::Corrupted(system, fraction) => {
+                let plan = FaultPlan::hint_corruption_only(cfg.server_seed ^ (i as u64), fraction);
+                site.run_faulted(&cfg.profile, system, &plan)
+            }
+            Run::Warm(system, age_hours) => site.run_warm(&cfg.profile, system, age_hours),
+        }
+    }
+}
+
+/// A load's PLT in seconds.
+fn plt_s(r: &LoadResult) -> f64 {
+    r.plt.as_secs_f64()
+}
+
+/// One PLT CDF (seconds) per system over a corpus, in the order given.
+fn plt_cdfs<const N: usize>(
+    cfg: &ExperimentConfig,
+    corpus: &Corpus,
+    systems: [System; N],
+) -> [Cdf; N] {
+    cfg.site_columns(corpus, systems.map(Run::Cold), plt_s)
+        .map(Cdf::new)
 }
 
 /// A CDF per system over a corpus.
@@ -104,21 +171,6 @@ impl SystemCdfs {
     }
 }
 
-/// PLT in seconds per site for a system.
-fn plt_cdf(cfg: &ExperimentConfig, corpus: &Corpus, system: System) -> Cdf {
-    Cdf::new(cfg.for_each_site(corpus, |i, site| {
-        run_load(
-            site,
-            &cfg.site_ctx(i),
-            &cfg.profile,
-            system,
-            cfg.server_seed,
-        )
-        .plt
-        .as_secs_f64()
-    }))
-}
-
 /// Entries retained in the bound-load memo: enough for every corpus a
 /// `run_all` touches plus test configs, without letting sweeps grow it
 /// unboundedly.
@@ -127,12 +179,12 @@ const BOUND_MEMO_CAP: usize = 16;
 /// Per-site `(network-bound, CPU-bound)` PLT seconds over a corpus,
 /// memoized process-wide. Five exhibits (Figs 2, 13, 17, 18, 19) need the
 /// §2 lower bound over News+Sports with identical arguments, and the
-/// network-bound load is by far the most expensive system to simulate
-/// (its upfront flood maximizes link contention): without sharing, the
-/// bound alone costs more than every other series combined. The values
-/// are pure functions of the key, so a hit returns exactly what
-/// recomputation would — tables never depend on cache state or on which
-/// section warmed it.
+/// network-bound load is the most expensive system to simulate (its
+/// upfront flood maximizes link contention): recomputing the bound in
+/// each exhibit made `run_all --workers 2` about 5 % slower on a 2-vCPU
+/// VM (1.375 s against 1.310 s). The values are pure functions of the
+/// key, so a hit returns exactly what recomputation would — tables never
+/// depend on cache state or on which section warmed it.
 fn bound_plts(cfg: &ExperimentConfig, corpus: &Corpus) -> Vec<(f64, f64)> {
     use std::collections::hash_map::DefaultHasher;
     use std::collections::BTreeMap;
@@ -157,22 +209,9 @@ fn bound_plts(cfg: &ExperimentConfig, corpus: &Corpus) -> Vec<(f64, f64)> {
     }
     // Compute outside the lock so parallel sections don't serialize on a
     // miss; a racing duplicate computes the identical vector.
-    let pairs = cfg.for_each_site(corpus, |i, site| {
-        let ctx = cfg.site_ctx(i);
-        let net = run_load(
-            site,
-            &ctx,
-            &cfg.profile,
-            System::NetworkBound,
-            cfg.server_seed,
-        )
-        .plt
-        .as_secs_f64();
-        let cpu = run_load(site, &ctx, &cfg.profile, System::CpuBound, cfg.server_seed)
-            .plt
-            .as_secs_f64();
-        (net, cpu)
-    });
+    let bounds = [System::NetworkBound, System::CpuBound].map(Run::Cold);
+    let [net, cpu] = cfg.site_columns(corpus, bounds, plt_s);
+    let pairs: Vec<(f64, f64)> = net.into_iter().zip(cpu).collect();
     let mut cache = memo.lock().expect("bound memo poisoned");
     if cache.len() >= BOUND_MEMO_CAP {
         cache.pop_first();
@@ -197,8 +236,8 @@ fn lower_bound_cdf(cfg: &ExperimentConfig, corpus: &Corpus) -> Cdf {
 pub fn fig01(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
     let top = Corpus::top100_capped(cfg.corpus_seed, cfg.max_sites);
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let top_cdf = plt_cdf(cfg, &top, System::Http1);
-    let ns_cdf = plt_cdf(cfg, &ns, System::Http1);
+    let [top_cdf] = plt_cdfs(cfg, &top, [System::Http1]);
+    let [ns_cdf] = plt_cdfs(cfg, &ns, [System::Http1]);
     let table = render_cdf_table(
         "Figure 1: Page load times on today's mobile web",
         &[("Top 100 Overall", &top_cdf), ("News+Sports", &ns_cdf)],
@@ -219,7 +258,7 @@ pub fn fig02(cfg: &ExperimentConfig) -> (Vec<(String, Cdf)>, String) {
     let net = Cdf::new(pairs.iter().map(|&(net, _)| net).collect());
     let cpu = Cdf::new(pairs.iter().map(|&(_, cpu)| cpu).collect());
     let bound = Cdf::new(pairs.iter().map(|&(net, cpu)| cpu.max(net)).collect());
-    let web = plt_cdf(cfg, &ns, System::Http1);
+    let [web] = plt_cdfs(cfg, &ns, [System::Http1]);
     let table = render_cdf_table(
         "Figure 2: Potential from full CPU/network utilization",
         &[
@@ -246,14 +285,11 @@ pub fn fig02(cfg: &ExperimentConfig) -> (Vec<(String, Cdf)>, String) {
 /// Fig 3: what universal HTTP/2 adoption would buy.
 pub fn fig03(cfg: &ExperimentConfig) -> (SystemCdfs, String) {
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let series = vec![
-        (System::Http2, plt_cdf(cfg, &ns, System::Http2)),
-        (
-            System::PushAllStatic,
-            plt_cdf(cfg, &ns, System::PushAllStatic),
-        ),
-        (System::Http1, plt_cdf(cfg, &ns, System::Http1)),
-    ];
+    let systems = [System::Http2, System::PushAllStatic, System::Http1];
+    let series: Vec<(System, Cdf)> = systems
+        .into_iter()
+        .zip(plt_cdfs(cfg, &ns, systems))
+        .collect();
     let table = render_cdf_table(
         "Figure 3: Estimated benefit of global HTTP/2 adoption",
         &series
@@ -271,20 +307,10 @@ pub fn fig03(cfg: &ExperimentConfig) -> (SystemCdfs, String) {
 /// HTTP/2 (plus Vroom's reduction, §6.1).
 pub fn fig04(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let frac = |system: System| {
-        Cdf::new(cfg.for_each_site(&ns, |i, site| {
-            run_load(
-                site,
-                &cfg.site_ctx(i),
-                &cfg.profile,
-                system,
-                cfg.server_seed,
-            )
-            .network_wait_frac()
-        }))
-    };
-    let h2 = frac(System::Http2);
-    let vroom = frac(System::Vroom);
+    let runs = [System::Http2, System::Vroom].map(Run::Cold);
+    let [h2, vroom] = cfg
+        .site_columns(&ns, runs, LoadResult::network_wait_frac)
+        .map(Cdf::new);
     let mut table = render_cdf_table(
         "Figure 4: Fraction of load spent waiting on network (HTTP/2)",
         &[("HTTP/2 Baseline", &h2), ("Vroom", &vroom)],
@@ -356,12 +382,12 @@ pub fn fig09(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
 pub fn fig11(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)>, String) {
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
     let site = &ns.sites[0]; // a eurosport-like popular sports/news page
-    let ctx = cfg.site_ctx(0);
-    let page = site.snapshot(&ctx);
+    let load = SiteLoad::new(site, &cfg.site_ctx(0), cfg.server_seed);
+    let page = load.page();
     // One site, three systems: fan the independent loads over the pool.
     let systems = [System::Http2, System::PushAllFetchAsap, System::Vroom];
     let mut loads = vroom_exec::par_map_indexed(&systems, cfg.workers, |_, system| {
-        run_load(site, &ctx, &cfg.profile, *system, cfg.server_seed)
+        load.run(&cfg.profile, *system)
     })
     .into_iter();
     let (base, asap, vroom) = (
@@ -425,21 +451,14 @@ pub fn fig13(cfg: &ExperimentConfig) -> (Fig13, String) {
     let mut plt: Vec<(String, Cdf)> = vec![("Lower Bound".into(), lower_bound_cdf(cfg, &ns))];
     let mut aft: Vec<(String, Cdf)> = Vec::new();
     let mut si: Vec<(String, Cdf)> = Vec::new();
-    for system in systems {
+    let columns = cfg.site_columns(&ns, systems.map(Run::Cold), |r| {
+        (r.plt.as_secs_f64(), r.aft.as_secs_f64(), r.speed_index)
+    });
+    for (system, column) in systems.iter().zip(columns) {
         let mut plts = Vec::new();
         let mut afts = Vec::new();
         let mut sis = Vec::new();
-        let per_site = cfg.for_each_site(&ns, |i, site| {
-            let r = run_load(
-                site,
-                &cfg.site_ctx(i),
-                &cfg.profile,
-                system,
-                cfg.server_seed,
-            );
-            (r.plt.as_secs_f64(), r.aft.as_secs_f64(), r.speed_index)
-        });
-        for (p, a, s) in per_site {
+        for (p, a, s) in column {
             plts.push(p);
             afts.push(a);
             sis.push(s);
@@ -480,10 +499,11 @@ pub fn fig13(cfg: &ExperimentConfig) -> (Fig13, String) {
 /// Fig 14: Vroom vs Polaris.
 pub fn fig14(cfg: &ExperimentConfig) -> (SystemCdfs, String) {
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let series = vec![
-        (System::Vroom, plt_cdf(cfg, &ns, System::Vroom)),
-        (System::PolarisLike, plt_cdf(cfg, &ns, System::PolarisLike)),
-    ];
+    let systems = [System::Vroom, System::PolarisLike];
+    let series: Vec<(System, Cdf)> = systems
+        .into_iter()
+        .zip(plt_cdfs(cfg, &ns, systems))
+        .collect();
     let table = render_cdf_table(
         "Figure 14: Vroom vs Polaris",
         &series
@@ -500,10 +520,9 @@ pub fn fig14(cfg: &ExperimentConfig) -> (SystemCdfs, String) {
 /// Fig 15: above-the-fold completion on one Fox-News-like page.
 pub fn fig15(cfg: &ExperimentConfig) -> (f64, f64, String) {
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let site = &ns.sites[1];
-    let ctx = cfg.site_ctx(1);
-    let vroom = run_load(site, &ctx, &cfg.profile, System::Vroom, cfg.server_seed);
-    let h2 = run_load(site, &ctx, &cfg.profile, System::Http2, cfg.server_seed);
+    let load = SiteLoad::new(&ns.sites[1], &cfg.site_ctx(1), cfg.server_seed);
+    let vroom = load.run(&cfg.profile, System::Vroom);
+    let h2 = load.run(&cfg.profile, System::Http2);
     let (v, h) = (vroom.aft.as_secs_f64(), h2.aft.as_secs_f64());
     let table = format!(
         "# Figure 15: Above-the-fold rendering completion, single News site\n\
@@ -537,9 +556,9 @@ pub fn fig16(cfg: &ExperimentConfig) -> (Fig16, String) {
     let mut fa = Vec::new();
     let mut fh = Vec::new();
     let per_site = cfg.for_each_site(&ns, |i, site| {
-        let ctx = cfg.site_ctx(i);
-        let base = run_load(site, &ctx, &cfg.profile, System::Http2, cfg.server_seed);
-        let vroom = run_load(site, &ctx, &cfg.profile, System::Vroom, cfg.server_seed);
+        let load = SiteLoad::new(site, &cfg.site_ctx(i), cfg.server_seed);
+        let base = load.run(&cfg.profile, System::Http2);
+        let vroom = load.run(&cfg.profile, System::Vroom);
         let imp = |v: vroom_sim::SimDuration, b: vroom_sim::SimDuration| {
             1.0 - v.as_secs_f64() / b.as_secs_f64().max(1e-9)
         };
@@ -584,21 +603,6 @@ pub fn fig16(cfg: &ExperimentConfig) -> (Fig16, String) {
 
 // ---------------------------------------------------- Figures 17, 18, 19
 
-fn plt_quartiles(cfg: &ExperimentConfig, corpus: &Corpus, system: System) -> Quartiles {
-    let values = cfg.for_each_site(corpus, |i, site| {
-        run_load(
-            site,
-            &cfg.site_ctx(i),
-            &cfg.profile,
-            system,
-            cfg.server_seed,
-        )
-        .plt
-        .as_secs_f64()
-    });
-    quartiles(&values)
-}
-
 fn lower_bound_quartiles(cfg: &ExperimentConfig, corpus: &Corpus) -> Quartiles {
     let values: Vec<f64> = bound_plts(cfg, corpus)
         .iter()
@@ -607,60 +611,51 @@ fn lower_bound_quartiles(cfg: &ExperimentConfig, corpus: &Corpus) -> Quartiles {
     quartiles(&values)
 }
 
+/// The rows of a Fig 17–19 table over News+Sports: the §2 lower bound,
+/// then the PLT quartiles of each `(label, run)`.
+fn bound_and_plt_quartiles<const N: usize>(
+    cfg: &ExperimentConfig,
+    series: [(String, Run); N],
+) -> Vec<(String, Quartiles)> {
+    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
+    let columns = cfg.site_columns(&ns, series.each_ref().map(|(_, run)| *run), plt_s);
+    let mut rows = vec![("Lower Bound".to_string(), lower_bound_quartiles(cfg, &ns))];
+    rows.extend(
+        series
+            .into_iter()
+            .zip(columns)
+            .map(|((label, _), column)| (label, quartiles(&column))),
+    );
+    rows
+}
+
+/// A system's label and its cold load, as one Fig 17–19 row.
+fn cold_row(system: System) -> (String, Run) {
+    (system.label().to_string(), Run::Cold(system))
+}
+
 /// Fraction of hints the Fig 17 corruption row degrades — chosen below
 /// the policy's discard threshold so the client still follows the
 /// (partially wrong) metadata, exactly like trusting an aged crawl.
 pub const FIG17_CORRUPTION: f64 = 0.30;
 
-/// PLT quartiles for `system` with per-site hint corruption injected
-/// through the fault layer — staleness driven by the corruption knob
-/// rather than by mutating resolver output ad hoc.
-fn corrupted_hint_quartiles(
-    cfg: &ExperimentConfig,
-    corpus: &Corpus,
-    system: System,
-    fraction: f64,
-) -> Quartiles {
-    let values = cfg.for_each_site(corpus, |i, site| {
-        let plan = FaultPlan::hint_corruption_only(cfg.server_seed ^ (i as u64), fraction);
-        run_load_faulted(
-            site,
-            &cfg.site_ctx(i),
-            &cfg.profile,
-            system,
-            cfg.server_seed,
-            &plan,
-        )
-        .plt
-        .as_secs_f64()
-    });
-    quartiles(&values)
-}
-
 /// Fig 17: the cost of inaccurate dependencies. Two staleness models side
 /// by side: hints from a whole prior crawl (the paper's setup) and hints
-/// corrupted in place by the fault layer's knob (same trust, aged data).
+/// corrupted in place by the fault layer's knob (same trust, aged data),
+/// with a per-site plan.
 pub fn fig17(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let rows = vec![
-        ("Lower Bound".to_string(), lower_bound_quartiles(cfg, &ns)),
-        (
-            System::Vroom.label().to_string(),
-            plt_quartiles(cfg, &ns, System::Vroom),
-        ),
-        (
-            System::VroomStaleDeps.label().to_string(),
-            plt_quartiles(cfg, &ns, System::VroomStaleDeps),
-        ),
-        (
-            format!("Vroom ({:.0}% Corrupted Hints)", FIG17_CORRUPTION * 100.0),
-            corrupted_hint_quartiles(cfg, &ns, System::Vroom, FIG17_CORRUPTION),
-        ),
-        (
-            System::Http2.label().to_string(),
-            plt_quartiles(cfg, &ns, System::Http2),
-        ),
-    ];
+    let rows = bound_and_plt_quartiles(
+        cfg,
+        [
+            cold_row(System::Vroom),
+            cold_row(System::VroomStaleDeps),
+            (
+                format!("Vroom ({:.0}% Corrupted Hints)", FIG17_CORRUPTION * 100.0),
+                Run::Corrupted(System::Vroom, FIG17_CORRUPTION),
+            ),
+            cold_row(System::Http2),
+        ],
+    );
     let table = render_quartile_table(
         "Figure 17: Utility of accurate dependency inference",
         &rows
@@ -674,22 +669,14 @@ pub fn fig17(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
 
 /// Fig 18: push alone is not enough.
 pub fn fig18(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let rows = vec![
-        ("Lower Bound".to_string(), lower_bound_quartiles(cfg, &ns)),
-        (
-            System::Vroom.label().to_string(),
-            plt_quartiles(cfg, &ns, System::Vroom),
-        ),
-        (
-            System::PushHighPriorityNoHints.label().to_string(),
-            plt_quartiles(cfg, &ns, System::PushHighPriorityNoHints),
-        ),
-        (
-            System::PushAllNoHints.label().to_string(),
-            plt_quartiles(cfg, &ns, System::PushAllNoHints),
-        ),
-    ];
+    let rows = bound_and_plt_quartiles(
+        cfg,
+        [
+            cold_row(System::Vroom),
+            cold_row(System::PushHighPriorityNoHints),
+            cold_row(System::PushAllNoHints),
+        ],
+    );
     let table = render_quartile_table(
         "Figure 18: Combining PUSH with dependency hints",
         &rows
@@ -703,22 +690,14 @@ pub fn fig18(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
 
 /// Fig 19: scheduling matters.
 pub fn fig19(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let rows = vec![
-        ("Lower Bound".to_string(), lower_bound_quartiles(cfg, &ns)),
-        (
-            System::Vroom.label().to_string(),
-            plt_quartiles(cfg, &ns, System::Vroom),
-        ),
-        (
-            System::PushAllFetchAsap.label().to_string(),
-            plt_quartiles(cfg, &ns, System::PushAllFetchAsap),
-        ),
-        (
-            "No Push, No Hints".to_string(),
-            plt_quartiles(cfg, &ns, System::Http2),
-        ),
-    ];
+    let rows = bound_and_plt_quartiles(
+        cfg,
+        [
+            cold_row(System::Vroom),
+            cold_row(System::PushAllFetchAsap),
+            ("No Push, No Hints".to_string(), Run::Cold(System::Http2)),
+        ],
+    );
     let table = render_quartile_table(
         "Figure 19: Utility of cooperative scheduling",
         &rows
@@ -746,24 +725,14 @@ pub fn fig20(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles, Quartiles)>, St
         "{:<14} {:>8} {:>8} {:>8}   {:>8} {:>8} {:>8} {:>10}\n",
         "scenario", "v.p25", "v.p50", "v.p75", "h2.p25", "h2.p50", "h2.p75", "Δmedian"
     ));
-    for (name, age) in scenarios {
-        let collect = |system: System| {
-            let values = cfg.for_each_site(&ns, |i, site| {
-                run_load_warm(
-                    site,
-                    &cfg.site_ctx(i),
-                    &cfg.profile,
-                    system,
-                    cfg.server_seed,
-                    age,
-                )
-                .plt
-                .as_secs_f64()
-            });
-            quartiles(&values)
-        };
-        let v = collect(System::Vroom);
-        let h = collect(System::Http2);
+    // Columns in scenario order, Vroom then HTTP/2 within each.
+    let runs = std::array::from_fn(|k| {
+        let system = [System::Vroom, System::Http2][k % 2];
+        Run::Warm(system, scenarios[k / 2].1)
+    });
+    let columns: [Vec<f64>; 6] = cfg.site_columns(&ns, runs, plt_s);
+    for ((name, _), pair) in scenarios.into_iter().zip(columns.chunks(2)) {
+        let (v, h) = (quartiles(&pair[0]), quartiles(&pair[1]));
         table.push_str(&format!(
             "{name:<14} {:>8.3} {:>8.3} {:>8.3}   {:>8.3} {:>8.3} {:>8.3} {:>10.3}\n",
             v.p25,
@@ -814,9 +783,10 @@ pub fn fig21(cfg: &ExperimentConfig) -> (Fig21, String) {
             user_id: user,
             ..cfg.site_ctx(i)
         };
+        let input = ResolverInput::new(site, ctx.hours, ctx.device, cfg.server_seed);
         strategies
             .iter()
-            .map(|(_, strategy)| evaluate(site, &ctx, *strategy, cfg.server_seed))
+            .map(|(_, strategy)| evaluate_with(&input, &ctx, None, *strategy))
             .collect::<Vec<_>>()
     });
     for accs in per_site {
@@ -879,9 +849,8 @@ pub fn fig21(cfg: &ExperimentConfig) -> (Fig21, String) {
 /// §6.1: incremental deployment — first-party-only Vroom.
 pub fn incremental_deployment(cfg: &ExperimentConfig) -> (f64, f64, f64, String) {
     let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let full = plt_cdf(cfg, &ns, System::Vroom).median();
-    let fp = plt_cdf(cfg, &ns, System::VroomFirstPartyOnly).median();
-    let h2 = plt_cdf(cfg, &ns, System::Http2).median();
+    let systems = [System::Vroom, System::VroomFirstPartyOnly, System::Http2];
+    let [full, fp, h2] = plt_cdfs(cfg, &ns, systems).map(|c| c.median());
     let table = format!(
         "# Incremental deployment (News+Sports, median PLT seconds)\n\
          Universal Vroom:        {full:.2}\n\
@@ -895,8 +864,7 @@ pub fn incremental_deployment(cfg: &ExperimentConfig) -> (f64, f64, f64, String)
 /// §6.1: the Top-400 sample.
 pub fn top400_sample(cfg: &ExperimentConfig) -> (f64, f64, String) {
     let corpus = Corpus::top400_sample_capped(cfg.corpus_seed, cfg.max_sites);
-    let h2 = plt_cdf(cfg, &corpus, System::Http2).median();
-    let vroom = plt_cdf(cfg, &corpus, System::Vroom).median();
+    let [h2, vroom] = plt_cdfs(cfg, &corpus, [System::Http2, System::Vroom]).map(|c| c.median());
     let table = format!(
         "# 100 random sites from the Alexa Top 400 (median PLT seconds)\n\
          HTTP/2 baseline: {h2:.2}\n\

@@ -39,7 +39,7 @@ pub mod policy;
 pub mod stats;
 
 pub use experiment::ExperimentConfig;
-pub use load::{lower_bound_plt, run_load, run_load_faulted, run_load_warm};
+pub use load::{lower_bound_plt, run_load, run_load_faulted, run_load_warm, SiteLoad};
 pub use policy::{
     apply_fault_plan, build_config, cache_from_prior_load, System, HINT_DISCARD_THRESHOLD,
 };

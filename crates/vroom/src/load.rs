@@ -4,7 +4,69 @@
 use crate::policy::{apply_fault_plan, build_config, cache_from_prior_load, System};
 use vroom_browser::{BrowserEngine, LoadResult};
 use vroom_net::{FaultPlan, NetworkProfile};
-use vroom_pages::{LoadContext, PageGenerator};
+use vroom_pages::{LoadContext, Page, PageGenerator};
+use vroom_server::resolve::ResolverInput;
+
+/// One site's page as loaded in one context, ready to be loaded under any
+/// number of systems. It holds the page and the [`ResolverInput`] whose
+/// crawls every resolving system reads, so a caller comparing systems on
+/// one page builds each page once. Sharing is unobservable: every load
+/// equals the same load through a fresh `SiteLoad`.
+pub struct SiteLoad<'g> {
+    ctx: LoadContext,
+    page: Page,
+    input: ResolverInput<'g>,
+}
+
+impl<'g> SiteLoad<'g> {
+    /// `generator`'s page in `ctx`, served by a resolver seeded with
+    /// `server_seed`.
+    pub fn new(generator: &'g PageGenerator, ctx: &LoadContext, server_seed: u64) -> Self {
+        SiteLoad {
+            ctx: *ctx,
+            page: generator.snapshot(ctx),
+            input: ResolverInput::new(generator, ctx.hours, ctx.device, server_seed),
+        }
+    }
+
+    /// The page every load of this `SiteLoad` fetches.
+    pub fn page(&self) -> &Page {
+        &self.page
+    }
+
+    /// Load the page under `system` on `profile`.
+    pub fn run(&self, profile: &NetworkProfile, system: System) -> LoadResult {
+        self.run_faulted(profile, system, &FaultPlan::none())
+    }
+
+    /// Load under `system` with an injected fault plan threaded through
+    /// every layer: link capacity schedule, connection drops, body
+    /// truncations (network), retry/backoff (client scheduler), and hint
+    /// corruption with the discard threshold (policy). Passing an inactive
+    /// plan is exactly [`run`](Self::run).
+    pub fn run_faulted(
+        &self,
+        profile: &NetworkProfile,
+        system: System,
+        plan: &FaultPlan,
+    ) -> LoadResult {
+        let mut cfg = build_config(system, &self.input, &self.page, &self.ctx);
+        apply_fault_plan(&mut cfg, plan);
+        BrowserEngine::load(&self.page, profile, &cfg)
+    }
+
+    /// Load with a warm cache seeded by a prior load `age_hours` earlier.
+    pub fn run_warm(&self, profile: &NetworkProfile, system: System, age_hours: f64) -> LoadResult {
+        let prior = self.input.generator().snapshot(&LoadContext {
+            hours: self.ctx.hours - age_hours,
+            nonce: self.ctx.nonce ^ 0xCAC4E,
+            ..self.ctx
+        });
+        let mut cfg = build_config(system, &self.input, &self.page, &self.ctx);
+        cfg.warm_cache = cache_from_prior_load(&prior, age_hours);
+        BrowserEngine::load(&self.page, profile, &cfg)
+    }
+}
 
 /// Load a site's page under `system` on `profile`.
 pub fn run_load(
@@ -14,9 +76,7 @@ pub fn run_load(
     system: System,
     server_seed: u64,
 ) -> LoadResult {
-    let page = generator.snapshot_arc(ctx);
-    let cfg = build_config(system, generator, &page, ctx, server_seed);
-    BrowserEngine::load(&page, profile, &cfg)
+    SiteLoad::new(generator, ctx, server_seed).run(profile, system)
 }
 
 /// Load with a warm cache seeded by a prior load `age_hours` earlier.
@@ -28,23 +88,10 @@ pub fn run_load_warm(
     server_seed: u64,
     age_hours: f64,
 ) -> LoadResult {
-    let prior_ctx = LoadContext {
-        hours: ctx.hours - age_hours,
-        nonce: ctx.nonce ^ 0xCAC4E,
-        ..*ctx
-    };
-    let prior = generator.snapshot_arc(&prior_ctx);
-    let page = generator.snapshot_arc(ctx);
-    let mut cfg = build_config(system, generator, &page, ctx, server_seed);
-    cfg.warm_cache = cache_from_prior_load(&prior, age_hours);
-    BrowserEngine::load(&page, profile, &cfg)
+    SiteLoad::new(generator, ctx, server_seed).run_warm(profile, system, age_hours)
 }
 
-/// Load under `system` with an injected fault plan threaded through every
-/// layer: link capacity schedule, connection drops, body truncations
-/// (network), retry/backoff (client scheduler), and hint corruption with
-/// the discard threshold (policy). Passing an inactive plan is exactly
-/// [`run_load`].
+/// [`SiteLoad::run_faulted`] on a fresh `SiteLoad`.
 pub fn run_load_faulted(
     generator: &PageGenerator,
     ctx: &LoadContext,
@@ -53,10 +100,7 @@ pub fn run_load_faulted(
     server_seed: u64,
     plan: &FaultPlan,
 ) -> LoadResult {
-    let page = generator.snapshot_arc(ctx);
-    let mut cfg = build_config(system, generator, &page, ctx, server_seed);
-    apply_fault_plan(&mut cfg, plan);
-    BrowserEngine::load(&page, profile, &cfg)
+    SiteLoad::new(generator, ctx, server_seed).run_faulted(profile, system, plan)
 }
 
 /// The combined lower bound of §2: the max of the CPU-bound and
@@ -67,8 +111,9 @@ pub fn lower_bound_plt(
     profile: &NetworkProfile,
     server_seed: u64,
 ) -> vroom_sim::SimDuration {
-    let cpu = run_load(generator, ctx, profile, System::CpuBound, server_seed).plt;
-    let net = run_load(generator, ctx, profile, System::NetworkBound, server_seed).plt;
+    let load = SiteLoad::new(generator, ctx, server_seed);
+    let cpu = load.run(profile, System::CpuBound).plt;
+    let net = load.run(profile, System::NetworkBound).plt;
     cpu.max(net)
 }
 

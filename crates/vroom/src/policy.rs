@@ -12,7 +12,7 @@ use vroom_browser::config::{CacheEntry, FetchPolicy, HttpVersion, LoadConfig, Se
 use vroom_html::Url;
 use vroom_intern::UrlTable;
 use vroom_net::FaultPlan;
-use vroom_pages::{LoadContext, Page, PageGenerator};
+use vroom_pages::{LoadContext, Page};
 use vroom_server::push_policy::{select_pushes, PushPolicy};
 use vroom_server::resolve::{resolve, ResolverInput, Strategy};
 
@@ -90,13 +90,13 @@ impl System {
 }
 
 /// Build the browser configuration for loading `page` under `system` on
-/// the device `ctx` names.
+/// the device `ctx` names, resolving hints (if `system` uses them) through
+/// `input`.
 pub fn build_config(
     system: System,
-    generator: &PageGenerator,
+    input: &ResolverInput,
     page: &Page,
     ctx: &LoadContext,
-    server_seed: u64,
 ) -> LoadConfig {
     let mut cfg = LoadConfig {
         cpu_factor: ctx.device.cpu_factor(),
@@ -129,11 +129,10 @@ pub fn build_config(
     } else {
         Strategy::Vroom
     };
-    let input = ResolverInput::new(generator, ctx.hours, ctx.device, server_seed);
     let mut urls = UrlTable::new();
-    let resolved = resolve(&input, page, strategy, &mut urls);
+    let resolved = resolve(input, page, strategy, &mut urls);
 
-    let first_party = Url::parse(&format!("https://{}/", generator.first_party()))
+    let first_party = Url::parse(&format!("https://{}/", input.generator().first_party()))
         .expect("valid first-party url");
 
     let mut server = ServerModel::default();
@@ -275,7 +274,7 @@ fn stale_url(host: &str, index: usize) -> Url {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vroom_pages::SiteProfile;
+    use vroom_pages::{PageGenerator, SiteProfile};
 
     fn setup() -> (PageGenerator, LoadContext, Page) {
         let generator = PageGenerator::new(SiteProfile::news(), 2024);
@@ -284,11 +283,16 @@ mod tests {
         (generator, ctx, page)
     }
 
+    fn input<'g>(generator: &'g PageGenerator, ctx: &LoadContext) -> ResolverInput<'g> {
+        ResolverInput::new(generator, ctx.hours, ctx.device, 1)
+    }
+
     #[test]
     fn baselines_have_no_server_aid() {
         let (generator, ctx, page) = setup();
+        let input = input(&generator, &ctx);
         for system in [System::Http1, System::Http2, System::PolarisLike] {
-            let cfg = build_config(system, &generator, &page, &ctx, 1);
+            let cfg = build_config(system, &input, &page, &ctx);
             assert!(cfg.server.hints.is_empty(), "{system:?}");
             assert!(cfg.server.pushes.is_empty(), "{system:?}");
         }
@@ -297,7 +301,7 @@ mod tests {
     #[test]
     fn vroom_has_hints_and_same_domain_pushes() {
         let (generator, ctx, page) = setup();
-        let cfg = build_config(System::Vroom, &generator, &page, &ctx, 1);
+        let cfg = build_config(System::Vroom, &input(&generator, &ctx), &page, &ctx);
         assert!(!cfg.server.hints.is_empty());
         assert!(cfg.ordered_responses);
         assert_eq!(cfg.fetch_policy, FetchPolicy::VroomStaged);
@@ -316,13 +320,14 @@ mod tests {
     #[test]
     fn push_only_variants_have_no_hints() {
         let (generator, ctx, page) = setup();
+        let input = input(&generator, &ctx);
         for system in [System::PushHighPriorityNoHints, System::PushAllNoHints] {
-            let cfg = build_config(system, &generator, &page, &ctx, 1);
+            let cfg = build_config(system, &input, &page, &ctx);
             assert!(cfg.server.hints.is_empty(), "{system:?}");
             assert!(!cfg.server.pushes.is_empty(), "{system:?}");
         }
-        let all = build_config(System::PushAllNoHints, &generator, &page, &ctx, 1);
-        let hi = build_config(System::PushHighPriorityNoHints, &generator, &page, &ctx, 1);
+        let all = build_config(System::PushAllNoHints, &input, &page, &ctx);
+        let hi = build_config(System::PushHighPriorityNoHints, &input, &page, &ctx);
         let count = |c: &LoadConfig| c.server.pushes.values().map(|v| v.len()).sum::<usize>();
         assert!(
             count(&all) > count(&hi),
@@ -333,8 +338,9 @@ mod tests {
     #[test]
     fn first_party_only_drops_third_party_hints() {
         let (generator, ctx, page) = setup();
-        let full = build_config(System::Vroom, &generator, &page, &ctx, 1);
-        let partial = build_config(System::VroomFirstPartyOnly, &generator, &page, &ctx, 1);
+        let input = input(&generator, &ctx);
+        let full = build_config(System::Vroom, &input, &page, &ctx);
+        let partial = build_config(System::VroomFirstPartyOnly, &input, &page, &ctx);
         assert!(partial.server.hints.len() <= full.server.hints.len());
         let fp = generator.first_party().to_string();
         for &id in partial.server.hints.keys() {
@@ -352,7 +358,12 @@ mod tests {
     #[test]
     fn stale_deps_hint_urls_not_in_current_load() {
         let (generator, ctx, page) = setup();
-        let cfg = build_config(System::VroomStaleDeps, &generator, &page, &ctx, 1);
+        let cfg = build_config(
+            System::VroomStaleDeps,
+            &input(&generator, &ctx),
+            &page,
+            &ctx,
+        );
         let current = page.url_set();
         let stale = cfg
             .server
@@ -378,9 +389,10 @@ mod tests {
     #[test]
     fn lower_bound_configs() {
         let (generator, ctx, page) = setup();
-        let net = build_config(System::NetworkBound, &generator, &page, &ctx, 1);
+        let input = input(&generator, &ctx);
+        let net = build_config(System::NetworkBound, &input, &page, &ctx);
         assert!(net.network_bound);
-        let cpu = build_config(System::CpuBound, &generator, &page, &ctx, 1);
+        let cpu = build_config(System::CpuBound, &input, &page, &ctx);
         assert!(cpu.zero_network);
     }
 }

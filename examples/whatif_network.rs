@@ -9,14 +9,28 @@
 
 #![forbid(unsafe_code)]
 
-use vroom::{run_load, System};
+use vroom::{build_config, System};
+use vroom_browser::BrowserEngine;
 use vroom_net::NetworkProfile;
 use vroom_pages::{LoadContext, PageGenerator, SiteProfile};
+use vroom_server::resolve::ResolverInput;
 use vroom_sim::SimDuration;
 
 fn main() {
     let site = PageGenerator::new(SiteProfile::news(), 4242);
     let ctx = LoadContext::reference();
+    // One page and one resolver input serve every load below.
+    let page = site.snapshot(&ctx);
+    let input = ResolverInput::new(&site, ctx.hours, ctx.device, 7);
+    // PLT seconds under `system` on `profile`, on the context device's CPU
+    // unless `cpu_factor` overrides it.
+    let plt = |system, profile: &NetworkProfile, cpu_factor: Option<f64>| {
+        let mut cfg = build_config(system, &input, &page, &ctx);
+        if let Some(factor) = cpu_factor {
+            cfg.cpu_factor = factor;
+        }
+        BrowserEngine::load(&page, profile, &cfg).plt.as_secs_f64()
+    };
 
     println!("=== Named profiles ===");
     println!(
@@ -31,12 +45,8 @@ fn main() {
         NetworkProfile::three_g(),
         NetworkProfile::two_g(),
     ] {
-        let h2 = run_load(&site, &ctx, &profile, System::Http2, 7)
-            .plt
-            .as_secs_f64();
-        let vr = run_load(&site, &ctx, &profile, System::Vroom, 7)
-            .plt
-            .as_secs_f64();
+        let h2 = plt(System::Http2, &profile, None);
+        let vr = plt(System::Vroom, &profile, None);
         println!(
             "{:<14} {:>10.1} {:>9} | {:>9.2} {:>9.2} {:>7.0}%",
             profile.name,
@@ -55,12 +65,8 @@ fn main() {
     );
     for mbps in [1, 2, 5, 10, 20, 50] {
         let profile = NetworkProfile::lte().with_downlink(mbps * 1_000_000);
-        let h2 = run_load(&site, &ctx, &profile, System::Http2, 7)
-            .plt
-            .as_secs_f64();
-        let vr = run_load(&site, &ctx, &profile, System::Vroom, 7)
-            .plt
-            .as_secs_f64();
+        let h2 = plt(System::Http2, &profile, None);
+        let vr = plt(System::Vroom, &profile, None);
         println!(
             "{mbps:>10} | {h2:>9.2} {vr:>9.2} {:>7.0}%",
             (1.0 - vr / h2) * 100.0
@@ -74,12 +80,8 @@ fn main() {
     );
     for rtt_ms in [20u64, 50, 100, 200, 400, 800] {
         let profile = NetworkProfile::lte().with_cellular_rtt(SimDuration::from_millis(rtt_ms));
-        let h2 = run_load(&site, &ctx, &profile, System::Http2, 7)
-            .plt
-            .as_secs_f64();
-        let vr = run_load(&site, &ctx, &profile, System::Vroom, 7)
-            .plt
-            .as_secs_f64();
+        let h2 = plt(System::Http2, &profile, None);
+        let vr = plt(System::Vroom, &profile, None);
         println!(
             "{rtt_ms:>10} | {h2:>9.2} {vr:>9.2} {:>7.0}%",
             (1.0 - vr / h2) * 100.0
@@ -92,20 +94,9 @@ fn main() {
         "cpu slow×", "HTTP/2 s", "Vroom s", "gain"
     );
     for factor in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        // build_config sets the context device's CPU factor; override it
-        // with the swept one.
-        let page = site.snapshot(&ctx);
-        let mut base = vroom::build_config(System::Http2, &site, &page, &ctx, 7);
-        base.cpu_factor = factor;
-        let mut vroomc = vroom::build_config(System::Vroom, &site, &page, &ctx, 7);
-        vroomc.cpu_factor = factor;
         let lte = NetworkProfile::lte();
-        let h2 = vroom_browser::BrowserEngine::load(&page, &lte, &base)
-            .plt
-            .as_secs_f64();
-        let vr = vroom_browser::BrowserEngine::load(&page, &lte, &vroomc)
-            .plt
-            .as_secs_f64();
+        let h2 = plt(System::Http2, &lte, Some(factor));
+        let vr = plt(System::Vroom, &lte, Some(factor));
         println!(
             "{factor:>10.2} | {h2:>9.2} {vr:>9.2} {:>7.0}%",
             (1.0 - vr / h2) * 100.0

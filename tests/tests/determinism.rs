@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use vroom::{run_load, run_load_faulted, run_load_warm, System};
+use vroom::{run_load, run_load_faulted, run_load_warm, SiteLoad, System};
 use vroom_html::ResourceKind;
 use vroom_net::{FaultPlan, NetworkProfile, RecordedResponse, ReplayStore};
 use vroom_pages::{render_html, Corpus, LoadContext, PageGenerator, SiteProfile};
@@ -133,6 +133,66 @@ fn faulted_loads_are_deterministic() {
             assert_eq!(
                 a.resources, b.resources,
                 "{system:?} sev {severity}: faulted traces diverged"
+            );
+        }
+    }
+}
+
+/// Every system in the evaluation.
+const ALL_SYSTEMS: [System; 13] = [
+    System::Http1,
+    System::Http2,
+    System::PushAllStatic,
+    System::PolarisLike,
+    System::Vroom,
+    System::VroomFirstPartyOnly,
+    System::VroomStaleDeps,
+    System::PushHighPriorityNoHints,
+    System::PushAllNoHints,
+    System::PushAllFetchAsap,
+    System::VroomPolarisHybrid,
+    System::NetworkBound,
+    System::CpuBound,
+];
+
+/// A `SiteLoad` builds its page and its resolver's crawls once and shares
+/// them across every load made through it. The sharing must not show: a
+/// load through a `SiteLoad` that has already run every other system
+/// equals, byte for byte, the same load through a fresh one on a cloned
+/// generator, for cold, faulted and warm loads alike.
+#[test]
+fn loads_through_a_shared_site_load_equal_fresh_loads() {
+    let site = PageGenerator::new(SiteProfile::news(), 2718);
+    let ctx = LoadContext::reference();
+    let lte = NetworkProfile::lte();
+    let shared = SiteLoad::new(&site, &ctx, 7);
+    let first: Vec<String> = ALL_SYSTEMS
+        .iter()
+        .map(|&system| shared.run(&lte, system).to_json())
+        .collect();
+    for (system, first) in ALL_SYSTEMS.into_iter().zip(first) {
+        let fresh = run_load(&site.clone(), &ctx, &lte, system, 7).to_json();
+        assert_eq!(first, fresh, "{system:?}: first shared load");
+        assert_eq!(
+            shared.run(&lte, system).to_json(),
+            fresh,
+            "{system:?}: shared load after every other system"
+        );
+    }
+    let plan = FaultPlan::hint_corruption_only(0x5EED, 0.3);
+    for system in ALL_SYSTEMS {
+        assert_eq!(
+            shared.run_faulted(&lte, system, &plan).to_json(),
+            run_load_faulted(&site.clone(), &ctx, &lte, system, 7, &plan).to_json(),
+            "{system:?}: faulted"
+        );
+    }
+    for age_hours in [0.003, 24.0] {
+        for system in ALL_SYSTEMS {
+            assert_eq!(
+                shared.run_warm(&lte, system, age_hours).to_json(),
+                run_load_warm(&site.clone(), &ctx, &lte, system, 7, age_hours).to_json(),
+                "{system:?}: warm at {age_hours} h"
             );
         }
     }
