@@ -75,8 +75,10 @@ pub struct LoadResult {
 }
 
 impl LoadResult {
-    /// Fraction of the load spent CPU-idle waiting on the network
-    /// (paper Fig. 4's critical-path metric).
+    /// Fraction of the load spent CPU-idle waiting on the network, summed
+    /// over the whole load (DESIGN.md §3). Paper Fig. 4 measures this wait
+    /// along the load's critical path instead, which is not modelled yet
+    /// (ROADMAP.md item 3).
     pub fn network_wait_frac(&self) -> f64 {
         if self.plt == SimDuration::ZERO {
             return 0.0;

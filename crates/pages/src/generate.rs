@@ -189,21 +189,6 @@ impl PageGenerator {
         Builder::new(profile, seed).build()
     }
 
-    /// A structural fingerprint: two generators with equal fingerprints
-    /// materialize identical snapshots for every context (the structure is
-    /// a pure function of the profile and seed, both folded in here).
-    /// Stable within a process, not across runs — intended as a memo key.
-    pub fn fingerprint(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.site_seed.hash(&mut h);
-        // The profile holds floats, so it cannot derive Hash; its Debug
-        // rendering covers every field.
-        format!("{:?}", self.profile).hash(&mut h);
-        h.finish()
-    }
-
     /// The site's first-party domain, lower-cased like every URL host.
     pub fn first_party(&self) -> &str {
         &self.domains[0]

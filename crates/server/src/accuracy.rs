@@ -10,7 +10,7 @@ use crate::resolve::{resolve, ResolverInput, Strategy, CRAWLER_USER};
 use std::collections::BTreeSet;
 use vroom_html::Url;
 use vroom_intern::UrlTable;
-use vroom_pages::{LoadContext, Page, PageGenerator};
+use vroom_pages::{LoadContext, Page, PageGenerator, Resource};
 
 /// Accuracy of one strategy on one page load.
 #[derive(Debug, Clone, Copy)]
@@ -25,40 +25,72 @@ pub struct Accuracy {
     pub predictable_bytes_frac: f64,
 }
 
-/// Scope: resources derived from the root HTML minus iframe-derived ones.
-fn scope(page: &Page) -> Vec<&vroom_pages::Resource> {
-    page.resources
-        .iter()
-        .filter(|r| r.id != 0 && r.iframe_root.is_none())
-        .collect()
+/// Whether `r` is in scope: derived from the root HTML, not from an
+/// iframe.
+fn in_scope(r: &Resource) -> bool {
+    r.id != 0 && r.iframe_root.is_none()
 }
 
-/// Score a server-side URL set against the predictable subset of one load.
-fn score(
-    scope_a: &[&vroom_pages::Resource],
-    predictable: &BTreeSet<&Url>,
-    server_set: &BTreeSet<&Url>,
-) -> Accuracy {
-    let total_bytes: u64 = scope_a.iter().map(|r| r.size).sum();
-    let predictable_bytes: u64 = scope_a
-        .iter()
-        .filter(|r| predictable.contains(&r.url))
-        .map(|r| r.size)
-        .sum();
-    let fn_count = predictable
-        .iter()
-        .filter(|u| !server_set.contains(*u))
-        .count();
-    let fp_count = server_set
-        .iter()
-        .filter(|u| !predictable.contains(*u))
-        .count();
-    let denom = predictable.len().max(1) as f64;
-    Accuracy {
-        false_negative: fn_count as f64 / denom,
-        false_positive: fp_count as f64 / denom,
-        predictable_count_frac: predictable.len() as f64 / scope_a.len().max(1) as f64,
-        predictable_bytes_frac: predictable_bytes as f64 / total_bytes.max(1) as f64,
+/// The client side of an accuracy score: the client's load at one context
+/// and the predictable subset of it that a back-to-back repeat defines.
+/// Neither depends on the strategy scored or on when its hints were
+/// resolved, so one truth scores any number of them.
+pub struct ClientTruth {
+    ctx: LoadContext,
+    load: Page,
+    predictable: BTreeSet<Url>,
+    predictable_count_frac: f64,
+    predictable_bytes_frac: f64,
+}
+
+impl ClientTruth {
+    /// The truth of `generator`'s page as a client loads it at `ctx`.
+    pub fn new(generator: &PageGenerator, ctx: &LoadContext) -> Self {
+        let load = generator.snapshot(ctx);
+        let repeat = generator.snapshot(&ctx.back_to_back(ctx.nonce ^ 0xB2B));
+        let scope: Vec<&Resource> = load.resources.iter().filter(|r| in_scope(r)).collect();
+        let scope_urls: BTreeSet<&Url> = scope.iter().map(|r| &r.url).collect();
+        let predictable: BTreeSet<Url> = repeat
+            .resources
+            .into_iter()
+            .filter(|r| in_scope(r) && scope_urls.contains(&r.url))
+            .map(|r| r.url)
+            .collect();
+        let total_bytes: u64 = scope.iter().map(|r| r.size).sum();
+        let predictable_bytes: u64 = scope
+            .iter()
+            .filter(|r| predictable.contains(&r.url))
+            .map(|r| r.size)
+            .sum();
+        let predictable_count_frac = predictable.len() as f64 / scope.len().max(1) as f64;
+        let predictable_bytes_frac = predictable_bytes as f64 / total_bytes.max(1) as f64;
+        ClientTruth {
+            ctx: *ctx,
+            load,
+            predictable,
+            predictable_count_frac,
+            predictable_bytes_frac,
+        }
+    }
+
+    /// Score a server-side URL set against the predictable subset.
+    fn score(&self, server_set: &BTreeSet<&Url>) -> Accuracy {
+        let fn_count = self
+            .predictable
+            .iter()
+            .filter(|u| !server_set.contains(u))
+            .count();
+        let fp_count = server_set
+            .iter()
+            .filter(|u| !self.predictable.contains(**u))
+            .count();
+        let denom = self.predictable.len().max(1) as f64;
+        Accuracy {
+            false_negative: fn_count as f64 / denom,
+            false_positive: fp_count as f64 / denom,
+            predictable_count_frac: self.predictable_count_frac,
+            predictable_bytes_frac: self.predictable_bytes_frac,
+        }
     }
 }
 
@@ -71,25 +103,26 @@ pub fn evaluate(
     server_seed: u64,
 ) -> Accuracy {
     let input = ResolverInput::new(generator, ctx.hours, ctx.device, server_seed);
-    evaluate_with(&input, ctx, None, strategy)
+    evaluate_with(&input, &ClientTruth::new(generator, ctx), None, strategy)
 }
 
 /// Evaluate hints that were resolved `age_hours` before the client's load:
 /// the resolver runs against the *server's own* render at the older hour
 /// (crawler identity, the copy a shared store is keyed on — exactly what
 /// [`crate::batch::run_pass`] serves), while the predictable subset is
-/// still defined by the client's load at `ctx.hours`. `age_hours == 0` is
+/// still `truth`'s, the client's load at its own hour. `age_hours == 0` is
 /// the freshest a shared store can be; growing ages trace the
 /// accuracy-vs-staleness frontier.
 pub fn evaluate_aged(
     generator: &PageGenerator,
-    ctx: &LoadContext,
+    truth: &ClientTruth,
     strategy: Strategy,
     server_seed: u64,
     age_hours: u64,
 ) -> Accuracy {
     // The server's copy at resolution time, quantized the way the batch
     // path quantizes passes (same bucket, same crawler nonce derivation).
+    let ctx = &truth.ctx;
     let bucket = crate::batch::hour_bucket(ctx.hours - age_hours as f64) as f64;
     let server_page = generator.snapshot(&LoadContext {
         hours: bucket,
@@ -98,33 +131,20 @@ pub fn evaluate_aged(
         nonce: vroom_sim::mix(server_seed, 0xBA7C4 ^ bucket as u64),
     });
     let input = ResolverInput::new(generator, bucket, ctx.device, server_seed);
-    evaluate_with(&input, ctx, Some(&server_page), strategy)
+    evaluate_with(&input, truth, Some(&server_page), strategy)
 }
 
 /// The scorer behind [`evaluate`] and [`evaluate_aged`], for callers that
-/// tune the resolver (e.g. its crawl window): resolve the root-HTML hints
-/// of `served` (`None` = the client's own load at `ctx`) with `input`, and
-/// score them against the predictable subset of the client's load.
+/// tune the resolver (e.g. its crawl window) or score several strategies
+/// against one truth: resolve the root-HTML hints of `served` (`None` =
+/// the client's own load) with `input`, and score them against `truth`.
 pub fn evaluate_with(
     input: &ResolverInput,
-    ctx: &LoadContext,
+    truth: &ClientTruth,
     served: Option<&Page>,
     strategy: Strategy,
 ) -> Accuracy {
-    let load_a = input.generator().snapshot(ctx);
-    let load_b = input
-        .generator()
-        .snapshot(&ctx.back_to_back(ctx.nonce ^ 0xB2B));
-
-    let scope_a = scope(&load_a);
-    let urls_b: BTreeSet<&Url> = scope(&load_b).iter().map(|r| &r.url).collect();
-    let predictable: BTreeSet<&Url> = scope_a
-        .iter()
-        .filter(|r| urls_b.contains(&r.url))
-        .map(|r| &r.url)
-        .collect();
-
-    let served = served.unwrap_or(&load_a);
+    let served = served.unwrap_or(&truth.load);
     let mut urls = UrlTable::new();
     let deps = resolve(input, served, strategy, &mut urls);
     let server_set: BTreeSet<&Url> = urls
@@ -132,8 +152,7 @@ pub fn evaluate_with(
         .and_then(|id| deps.hints.get(&id))
         .map(|hs| hs.iter().map(|h| urls.get(h.url)).collect())
         .unwrap_or_default();
-
-    score(&scope_a, &predictable, &server_set)
+    truth.score(&server_set)
 }
 
 #[cfg(test)]

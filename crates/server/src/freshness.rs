@@ -21,7 +21,7 @@
 use vroom_browser::LoadResult;
 use vroom_pages::{LoadContext, Page, PageGenerator};
 
-use crate::accuracy::{evaluate_aged, Accuracy};
+use crate::accuracy::{evaluate_aged, Accuracy, ClientTruth};
 use crate::batch::{PassHint, PassOutput};
 use crate::resolve::{embedded_htmls, Strategy};
 
@@ -84,18 +84,20 @@ pub fn observed_pass(page: &Page, result: &LoadResult) -> PassOutput {
 /// Vroom hint quality as a function of hint age: `(age, accuracy)` for
 /// every age in `0..=max_age_hours`, with the resolver pinned to the hour
 /// the hints were (hypothetically) resolved and the client load pinned to
-/// `ctx.hours` — the per-site curve behind the freshness exhibit.
+/// `ctx.hours` — the per-site curve behind the freshness exhibit. Every
+/// age is scored against one [`ClientTruth`].
 pub fn hint_quality_by_age(
     generator: &PageGenerator,
     ctx: &LoadContext,
     server_seed: u64,
     max_age_hours: u64,
 ) -> Vec<(u64, Accuracy)> {
+    let truth = ClientTruth::new(generator, ctx);
     (0..=max_age_hours)
         .map(|age| {
             (
                 age,
-                evaluate_aged(generator, ctx, Strategy::Vroom, server_seed, age),
+                evaluate_aged(generator, &truth, Strategy::Vroom, server_seed, age),
             )
         })
         .collect()

@@ -40,7 +40,7 @@ pub mod wire;
 #[cfg(test)]
 mod resolve_tests;
 
-pub use accuracy::{evaluate, evaluate_aged, Accuracy};
+pub use accuracy::{evaluate, evaluate_aged, Accuracy, ClientTruth};
 pub use batch::{commit_pass_at, hour_bucket, run_pass, PassOutput};
 pub use freshness::{
     hint_quality_by_age, observed_pass, CALIBRATED_TTL_HOURS, PERSISTENCE_1H, PERSISTENCE_1WEEK,

@@ -4,13 +4,13 @@
 //! necessary"), device CPU speed, the offline crawl window, and the
 //! Vroom+Polaris hybrid (§6.1's future-work note).
 
-use crate::experiment::{ExperimentConfig, Run};
+use crate::experiment::{plt_cdfs, ExperimentConfig};
 use crate::policy::{build_config, System};
 use crate::stats::Cdf;
 use vroom_browser::BrowserEngine;
 use vroom_net::NetworkProfile;
 use vroom_pages::{Corpus, LoadContext};
-use vroom_server::accuracy::evaluate_with;
+use vroom_server::accuracy::{evaluate_with, ClientTruth};
 use vroom_server::resolve::{ResolverInput, Strategy};
 use vroom_sim::SimDuration;
 
@@ -25,8 +25,7 @@ fn median_plts<const N: usize>(
         profile: profile.clone(),
         ..cfg.clone()
     };
-    cfg.site_columns(corpus, systems.map(Run::Cold), |r| r.plt.as_secs_f64())
-        .map(|plts| Cdf::new(plts).median())
+    plt_cdfs(&cfg, corpus, systems).map(|plts| plts.median())
 }
 
 /// Sweep the downlink bandwidth: where does Vroom's edge over HTTP/2 peak?
@@ -136,15 +135,23 @@ pub fn ablation_history_window(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)
         "{:>24} {:>10} {:>10}\n",
         "window (hours ago)", "median FN", "median FP"
     ));
+    let sites = &corpus.sites[..n];
+    let client_ctx = |i: usize| LoadContext {
+        hours: cfg.ctx.hours + i as f64 * 0.01,
+        user_id: 100 + (i as u64 % 4) * 101,
+        ..cfg.ctx
+    };
+    // The client side of each site's score is the same for every window.
+    let truths: Vec<ClientTruth> = sites
+        .iter()
+        .enumerate()
+        .map(|(i, site)| ClientTruth::new(site, &client_ctx(i)))
+        .collect();
     for window in windows {
         let mut fns = Vec::new();
         let mut fps = Vec::new();
-        for (i, site) in corpus.sites[..n].iter().enumerate() {
-            let ctx = LoadContext {
-                hours: cfg.ctx.hours + i as f64 * 0.01,
-                user_id: 100 + (i as u64 % 4) * 101,
-                ..cfg.ctx
-            };
+        for (i, (site, truth)) in sites.iter().zip(&truths).enumerate() {
+            let ctx = client_ctx(i);
             let input = ResolverInput::with_crawl_offsets(
                 site,
                 ctx.hours,
@@ -152,7 +159,7 @@ pub fn ablation_history_window(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)
                 cfg.server_seed,
                 window.to_vec(),
             );
-            let acc = evaluate_with(&input, &ctx, None, Strategy::Vroom);
+            let acc = evaluate_with(&input, truth, None, Strategy::Vroom);
             fns.push(acc.false_negative);
             fps.push(acc.false_positive);
         }

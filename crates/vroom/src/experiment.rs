@@ -6,9 +6,12 @@
 //! a deterministic parallel map (`vroom_exec::par_map_indexed`): per-site
 //! loads are pure functions of `(site, ctx, seeds)` and results are
 //! collected by input index, so tables are byte-identical for any worker
-//! count (DESIGN.md §2d). Figures that compare systems on one corpus go
-//! through `ExperimentConfig::site_columns`, which builds each site's
-//! page and crawls once (one [`SiteLoad`]) for all of its systems.
+//! count (DESIGN.md §2d). The News+Sports loads the comparison sections
+//! read are planned once per report: each section lists the `Run`s it
+//! reads, and one `ExperimentConfig::site_columns` pass computes their
+//! union, with one [`SiteLoad`] per site (`Plan`, DESIGN.md §2q).
+
+use std::sync::OnceLock;
 
 use crate::load::SiteLoad;
 use crate::policy::System;
@@ -16,9 +19,10 @@ use crate::stats::{quartiles, render_cdf_table, render_quartile_table, Cdf, Quar
 use vroom_browser::LoadResult;
 use vroom_net::{FaultPlan, NetworkProfile};
 use vroom_pages::{Corpus, DeviceClass, LoadContext, PageGenerator};
-use vroom_server::accuracy::evaluate_with;
+use vroom_server::accuracy::{evaluate_with, ClientTruth};
 use vroom_server::device::{iou, stable_set};
 use vroom_server::resolve::{ResolverInput, Strategy};
+use vroom_sim::SimDuration;
 
 /// Shared experiment parameters.
 #[derive(Debug, Clone)]
@@ -89,20 +93,43 @@ impl ExperimentConfig {
         vroom_exec::par_map_indexed(self.sites(corpus), self.workers, f)
     }
 
-    /// `metric` of each of `runs` on every configured site of `corpus`:
-    /// one column per run, each in site order. A site's page and crawls
-    /// are built once, in one [`SiteLoad`] that serves all of its runs.
-    pub(crate) fn site_columns<T: Send, const N: usize>(
-        &self,
-        corpus: &Corpus,
-        runs: [Run; N],
-        metric: impl Fn(&LoadResult) -> T + Sync,
-    ) -> [Vec<T>; N] {
+    /// The [`LoadSummary`] of each of `runs` on every configured site of
+    /// `corpus`: one column per run, each in site order. A site's page and
+    /// crawls are built once, in one [`SiteLoad`] that serves all of its
+    /// runs.
+    fn site_columns(&self, corpus: &Corpus, runs: &[Run]) -> Vec<Vec<LoadSummary>> {
+        let mut ages: Vec<f64> = Vec::new();
+        for run in runs {
+            if let Run::Warm(_, age) = *run {
+                if !ages.contains(&age) {
+                    ages.push(age);
+                }
+            }
+        }
         let rows = self.for_each_site(corpus, |i, generator| {
             let site = SiteLoad::new(generator, &self.site_ctx(i), self.server_seed);
-            runs.map(|run| metric(&run.load(&site, self, i)))
+            // A prior visit's cache depends on its age alone, so one per
+            // age serves every system warmed at that age.
+            let caches: Vec<_> = ages.iter().map(|&age| site.warm_cache(age)).collect();
+            let row = runs.iter().map(|&run| match run {
+                Run::Cold(system) => site.run(&self.profile, system),
+                Run::Corrupted(system, fraction) => {
+                    let plan =
+                        FaultPlan::hint_corruption_only(self.server_seed ^ (i as u64), fraction);
+                    site.run_faulted(&self.profile, system, &plan)
+                }
+                Run::Warm(system, age) => {
+                    let k = ages
+                        .iter()
+                        .position(|&a| a == age)
+                        .expect("a cache per age");
+                    site.run_warm(&self.profile, system, &caches[k])
+                }
+            });
+            row.map(|result| LoadSummary::of(&result))
+                .collect::<Vec<_>>()
         });
-        let mut columns: [Vec<T>; N] = std::array::from_fn(|_| Vec::with_capacity(rows.len()));
+        let mut columns = vec![Vec::with_capacity(rows.len()); runs.len()];
         for row in rows {
             for (column, value) in columns.iter_mut().zip(row) {
                 column.push(value);
@@ -114,8 +141,8 @@ impl ExperimentConfig {
 
 /// One column of [`ExperimentConfig::site_columns`]: which load of each
 /// site it measures.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Run {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Run {
     /// A cold load under the system.
     Cold(System),
     /// A cold load whose hints the fault layer corrupts at this rate, with
@@ -125,33 +152,163 @@ pub(crate) enum Run {
     Warm(System, f64),
 }
 
-impl Run {
-    /// This run's load of `site`, the `i`th site of the corpus.
-    fn load(self, site: &SiteLoad, cfg: &ExperimentConfig, i: usize) -> LoadResult {
-        match self {
-            Run::Cold(system) => site.run(&cfg.profile, system),
-            Run::Corrupted(system, fraction) => {
-                let plan = FaultPlan::hint_corruption_only(cfg.server_seed ^ (i as u64), fraction);
-                site.run_faulted(&cfg.profile, system, &plan)
-            }
-            Run::Warm(system, age_hours) => site.run_warm(&cfg.profile, system, age_hours),
+/// What the tables print of one load: its [`LoadResult`] without the
+/// per-resource timings, small enough to keep every load of a report.
+#[derive(Debug, Clone, Copy)]
+struct LoadSummary {
+    plt: SimDuration,
+    aft: SimDuration,
+    speed_index: f64,
+    network_wait_frac: f64,
+    discovery_all: SimDuration,
+    discovery_high: SimDuration,
+    fetch_all: SimDuration,
+    fetch_high: SimDuration,
+}
+
+impl LoadSummary {
+    fn of(r: &LoadResult) -> Self {
+        LoadSummary {
+            plt: r.plt,
+            aft: r.aft,
+            speed_index: r.speed_index,
+            network_wait_frac: r.network_wait_frac(),
+            discovery_all: r.discovery_all,
+            discovery_high: r.discovery_high,
+            fetch_all: r.fetch_all,
+            fetch_high: r.fetch_high,
         }
+    }
+
+    /// The load's PLT in seconds.
+    fn plt_s(&self) -> f64 {
+        self.plt.as_secs_f64()
     }
 }
 
-/// A load's PLT in seconds.
-fn plt_s(r: &LoadResult) -> f64 {
-    r.plt.as_secs_f64()
+/// A PLT CDF (seconds) of one column.
+fn plt_cdf(column: &[LoadSummary]) -> Cdf {
+    Cdf::new(column.iter().map(LoadSummary::plt_s).collect())
 }
 
-/// One PLT CDF (seconds) per system over a corpus, in the order given.
-fn plt_cdfs<const N: usize>(
+/// One PLT CDF (seconds) per system over a corpus, in the order given,
+/// from a `site_columns` pass of its own: for corpora and networks outside
+/// a report's plan.
+pub(crate) fn plt_cdfs<const N: usize>(
     cfg: &ExperimentConfig,
     corpus: &Corpus,
     systems: [System; N],
 ) -> [Cdf; N] {
-    cfg.site_columns(corpus, systems.map(Run::Cold), plt_s)
-        .map(Cdf::new)
+    let columns = cfg.site_columns(corpus, &systems.map(Run::Cold));
+    std::array::from_fn(|k| plt_cdf(&columns[k]))
+}
+
+/// The cold loads of `systems`, in order.
+fn cold(systems: &[System]) -> Vec<Run> {
+    systems.iter().map(|&system| Run::Cold(system)).collect()
+}
+
+/// The two loads of the §2 lower bound: network-bound, then CPU-bound.
+const BOUND: [Run; 2] = [Run::Cold(System::NetworkBound), Run::Cold(System::CpuBound)];
+
+/// The bound's two loads, then `runs`.
+fn with_bound(runs: impl IntoIterator<Item = Run>) -> Vec<Run> {
+    BOUND.into_iter().chain(runs).collect()
+}
+
+/// What one report computes once for all of its sections: each corpus,
+/// built on first use, and one [`LoadSummary`] column per distinct
+/// News+Sports [`Run`] its sections read, from one
+/// [`ExperimentConfig::site_columns`] pass. A runner called alone plans
+/// its own section, so it computes only the runs it reads.
+struct Plan<'a> {
+    cfg: &'a ExperimentConfig,
+    top100: OnceLock<Corpus>,
+    news_sports: OnceLock<Corpus>,
+    top400: OnceLock<Corpus>,
+    accuracy: OnceLock<Corpus>,
+    runs: Vec<Run>,
+    columns: Vec<Vec<LoadSummary>>,
+}
+
+impl<'a> Plan<'a> {
+    /// The plan of the sections `ids`.
+    fn new(cfg: &'a ExperimentConfig, ids: &[&str]) -> Self {
+        let mut plan = Plan {
+            cfg,
+            top100: OnceLock::new(),
+            news_sports: OnceLock::new(),
+            top400: OnceLock::new(),
+            accuracy: OnceLock::new(),
+            runs: planned_runs(ids),
+            columns: Vec::new(),
+        };
+        if !plan.runs.is_empty() {
+            plan.columns = cfg.site_columns(plan.news_sports(), &plan.runs);
+        }
+        plan
+    }
+
+    fn corpus<'p>(
+        &'p self,
+        cell: &'p OnceLock<Corpus>,
+        build: fn(u64, Option<usize>) -> Corpus,
+    ) -> &'p Corpus {
+        cell.get_or_init(|| build(self.cfg.corpus_seed, self.cfg.max_sites))
+    }
+
+    fn top100(&self) -> &Corpus {
+        self.corpus(&self.top100, Corpus::top100_capped)
+    }
+
+    fn news_sports(&self) -> &Corpus {
+        self.corpus(&self.news_sports, Corpus::news_and_sports_capped)
+    }
+
+    fn top400(&self) -> &Corpus {
+        self.corpus(&self.top400, Corpus::top400_sample_capped)
+    }
+
+    fn accuracy(&self) -> &Corpus {
+        self.corpus(&self.accuracy, Corpus::accuracy_pages_capped)
+    }
+
+    /// `run`'s column over News+Sports, in site order.
+    fn column(&self, run: Run) -> &[LoadSummary] {
+        let k = self
+            .runs
+            .iter()
+            .position(|planned| *planned == run)
+            .unwrap_or_else(|| panic!("{run:?} is not planned"));
+        &self.columns[k]
+    }
+
+    /// `run`'s PLT CDF (seconds) over News+Sports.
+    fn plt_cdf(&self, run: Run) -> Cdf {
+        plt_cdf(self.column(run))
+    }
+
+    /// The §2 lower bound of each News+Sports site, in seconds: the max of
+    /// its network-bound and CPU-bound loads (both must be paid).
+    fn lower_bound(&self) -> Vec<f64> {
+        let [net, cpu] = BOUND.map(|run| self.column(run));
+        net.iter()
+            .zip(cpu)
+            .map(|(net, cpu)| cpu.plt_s().max(net.plt_s()))
+            .collect()
+    }
+}
+
+/// The union of the News+Sports runs that sections `ids` read, without
+/// duplicates, in first-use order.
+fn planned_runs(ids: &[&str]) -> Vec<Run> {
+    let mut runs: Vec<Run> = Vec::new();
+    for run in ids.iter().filter_map(|id| section(id)).flat_map(|s| s.runs) {
+        if !runs.contains(&run) {
+            runs.push(run);
+        }
+    }
+    runs
 }
 
 /// A CDF per system over a corpus.
@@ -169,64 +326,29 @@ impl SystemCdfs {
             .map(|(_, c)| c.median())
             .expect("system present")
     }
-}
 
-/// Entries retained in the bound-load memo: enough for every corpus a
-/// `run_all` touches plus test configs, without letting sweeps grow it
-/// unboundedly.
-const BOUND_MEMO_CAP: usize = 16;
-
-/// Per-site `(network-bound, CPU-bound)` PLT seconds over a corpus,
-/// memoized process-wide. Five exhibits (Figs 2, 13, 17, 18, 19) need the
-/// §2 lower bound over News+Sports with identical arguments, and the
-/// network-bound load is the most expensive system to simulate (its
-/// upfront flood maximizes link contention): recomputing the bound in
-/// each exhibit made `run_all --workers 2` about 5 % slower on a 2-vCPU
-/// VM (1.375 s against 1.310 s). The values are pure functions of the
-/// key, so a hit returns exactly what recomputation would — tables never
-/// depend on cache state or on which section warmed it.
-fn bound_plts(cfg: &ExperimentConfig, corpus: &Corpus) -> Vec<(f64, f64)> {
-    use std::collections::hash_map::DefaultHasher;
-    use std::collections::BTreeMap;
-    use std::hash::{Hash, Hasher};
-    use std::sync::{Mutex, OnceLock};
-
-    type Memo = Mutex<BTreeMap<(Vec<u64>, u64), Vec<(f64, f64)>>>;
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-
-    // The loads depend on the site structures, the measurement context,
-    // the network, and the server seed — fingerprint all four. Context
-    // and profile hold floats; their Debug renderings cover every field.
-    let sites: Vec<u64> = cfg.sites(corpus).iter().map(|s| s.fingerprint()).collect();
-    let mut h = DefaultHasher::new();
-    cfg.server_seed.hash(&mut h);
-    format!("{:?} {:?}", cfg.ctx, cfg.profile).hash(&mut h);
-    let key = (sites, h.finish());
-
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    if let Some(hit) = memo.lock().expect("bound memo poisoned").get(&key) {
-        return hit.clone();
+    /// The cold-load PLT CDF of each of `systems` in `plan`.
+    fn of(plan: &Plan, systems: &[System]) -> Self {
+        SystemCdfs {
+            series: systems
+                .iter()
+                .map(|&system| (system, plan.plt_cdf(Run::Cold(system))))
+                .collect(),
+        }
     }
-    // Compute outside the lock so parallel sections don't serialize on a
-    // miss; a racing duplicate computes the identical vector.
-    let bounds = [System::NetworkBound, System::CpuBound].map(Run::Cold);
-    let [net, cpu] = cfg.site_columns(corpus, bounds, plt_s);
-    let pairs: Vec<(f64, f64)> = net.into_iter().zip(cpu).collect();
-    let mut cache = memo.lock().expect("bound memo poisoned");
-    if cache.len() >= BOUND_MEMO_CAP {
-        cache.pop_first();
-    }
-    cache.insert(key, pairs.clone());
-    pairs
-}
 
-fn lower_bound_cdf(cfg: &ExperimentConfig, corpus: &Corpus) -> Cdf {
-    Cdf::new(
-        bound_plts(cfg, corpus)
-            .iter()
-            .map(|&(net, cpu)| cpu.max(net))
-            .collect(),
-    )
+    /// The series as a CDF table.
+    fn render(&self, title: &str) -> String {
+        render_cdf_table(
+            title,
+            &self
+                .series
+                .iter()
+                .map(|(s, c)| (s.label(), c))
+                .collect::<Vec<_>>(),
+            "seconds",
+        )
+    }
 }
 
 // --------------------------------------------------------------- Figure 1
@@ -234,10 +356,12 @@ fn lower_bound_cdf(cfg: &ExperimentConfig, corpus: &Corpus) -> Cdf {
 /// Fig 1: PLT CDFs on today's mobile web (HTTP/1.1): Top-100 overall vs
 /// News+Sports.
 pub fn fig01(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
-    let top = Corpus::top100_capped(cfg.corpus_seed, cfg.max_sites);
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let [top_cdf] = plt_cdfs(cfg, &top, [System::Http1]);
-    let [ns_cdf] = plt_cdfs(cfg, &ns, [System::Http1]);
+    fig01_of(&Plan::new(cfg, &["fig01"]))
+}
+
+fn fig01_of(plan: &Plan) -> (Cdf, Cdf, String) {
+    let [top_cdf] = plt_cdfs(plan.cfg, plan.top100(), [System::Http1]);
+    let ns_cdf = plan.plt_cdf(Run::Cold(System::Http1));
     let table = render_cdf_table(
         "Figure 1: Page load times on today's mobile web",
         &[("Top 100 Overall", &top_cdf), ("News+Sports", &ns_cdf)],
@@ -250,15 +374,13 @@ pub fn fig01(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
 
 /// Fig 2: lower bounds vs status quo on News+Sports.
 pub fn fig02(cfg: &ExperimentConfig) -> (Vec<(String, Cdf)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    // One bound pass yields all three non-web series: the per-site
-    // network/CPU loads and their max are the same numbers plt_cdf /
-    // lower_bound_cdf would recompute.
-    let pairs = bound_plts(cfg, &ns);
-    let net = Cdf::new(pairs.iter().map(|&(net, _)| net).collect());
-    let cpu = Cdf::new(pairs.iter().map(|&(_, cpu)| cpu).collect());
-    let bound = Cdf::new(pairs.iter().map(|&(net, cpu)| cpu.max(net)).collect());
-    let [web] = plt_cdfs(cfg, &ns, [System::Http1]);
+    fig02_of(&Plan::new(cfg, &["fig02"]))
+}
+
+fn fig02_of(plan: &Plan) -> (Vec<(String, Cdf)>, String) {
+    let [net, cpu] = BOUND.map(|run| plan.plt_cdf(run));
+    let bound = Cdf::new(plan.lower_bound());
+    let web = plan.plt_cdf(Run::Cold(System::Http1));
     let table = render_cdf_table(
         "Figure 2: Potential from full CPU/network utilization",
         &[
@@ -282,35 +404,36 @@ pub fn fig02(cfg: &ExperimentConfig) -> (Vec<(String, Cdf)>, String) {
 
 // --------------------------------------------------------------- Figure 3
 
+/// Fig 3's systems, in legend order.
+const FIG03: [System; 3] = [System::Http2, System::PushAllStatic, System::Http1];
+
 /// Fig 3: what universal HTTP/2 adoption would buy.
 pub fn fig03(cfg: &ExperimentConfig) -> (SystemCdfs, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let systems = [System::Http2, System::PushAllStatic, System::Http1];
-    let series: Vec<(System, Cdf)> = systems
-        .into_iter()
-        .zip(plt_cdfs(cfg, &ns, systems))
-        .collect();
-    let table = render_cdf_table(
-        "Figure 3: Estimated benefit of global HTTP/2 adoption",
-        &series
-            .iter()
-            .map(|(s, c)| (s.label(), c))
-            .collect::<Vec<_>>(),
-        "seconds",
-    );
-    (SystemCdfs { series }, table)
+    fig03_of(&Plan::new(cfg, &["fig03"]))
+}
+
+fn fig03_of(plan: &Plan) -> (SystemCdfs, String) {
+    let cdfs = SystemCdfs::of(plan, &FIG03);
+    let table = cdfs.render("Figure 3: Estimated benefit of global HTTP/2 adoption");
+    (cdfs, table)
 }
 
 // --------------------------------------------------------------- Figure 4
 
+/// Fig 4's systems: the HTTP/2 baseline, then Vroom.
+const FIG04: [System; 2] = [System::Http2, System::Vroom];
+
 /// Fig 4: fraction of the load spent CPU-idle waiting on the network under
 /// HTTP/2 (plus Vroom's reduction, §6.1).
 pub fn fig04(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let runs = [System::Http2, System::Vroom].map(Run::Cold);
-    let [h2, vroom] = cfg
-        .site_columns(&ns, runs, LoadResult::network_wait_frac)
-        .map(Cdf::new);
+    fig04_of(&Plan::new(cfg, &["fig04"]))
+}
+
+fn fig04_of(plan: &Plan) -> (Cdf, Cdf, String) {
+    let [h2, vroom] = FIG04.map(|system| {
+        let column = plan.column(Run::Cold(system));
+        Cdf::new(column.iter().map(|s| s.network_wait_frac).collect())
+    });
     let mut table = render_cdf_table(
         "Figure 4: Fraction of load spent waiting on network (HTTP/2)",
         &[("HTTP/2 Baseline", &h2), ("Vroom", &vroom)],
@@ -328,11 +451,15 @@ pub fn fig04(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
 /// Fig 7: fraction of a page's resources that persist over an hour, a day,
 /// and a week (Top-100 corpus).
 pub fn fig07(cfg: &ExperimentConfig) -> (Vec<(String, Cdf)>, String) {
-    let top = Corpus::top100_capped(cfg.corpus_seed, cfg.max_sites);
+    fig07_of(&Plan::new(cfg, &["fig07"]))
+}
+
+fn fig07_of(plan: &Plan) -> (Vec<(String, Cdf)>, String) {
+    let cfg = plan.cfg;
     let windows = [("One Hour", 1.0), ("One Day", 24.0), ("One Week", 168.0)];
     let mut out = Vec::new();
     for (name, dh) in windows {
-        let values = cfg.for_each_site(&top, |i, site| {
+        let values = cfg.for_each_site(plan.top100(), |i, site| {
             let ctx = cfg.site_ctx(i);
             let before = site.snapshot(&ctx).url_set();
             let after = site.snapshot(&ctx.later(dh, ctx.nonce ^ 0x1A7E4)).url_set();
@@ -353,9 +480,13 @@ pub fn fig07(cfg: &ExperimentConfig) -> (Vec<(String, Cdf)>, String) {
 /// Fig 9: stable-set IoU vs a Nexus-6-class phone, for another phone and a
 /// tablet.
 pub fn fig09(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
-    let top = Corpus::top100_capped(cfg.corpus_seed, cfg.max_sites);
+    fig09_of(&Plan::new(cfg, &["fig09"]))
+}
+
+fn fig09_of(plan: &Plan) -> (Cdf, Cdf, String) {
+    let cfg = plan.cfg;
     let (phone, tablet): (Vec<f64>, Vec<f64>) = cfg
-        .for_each_site(&top, |i, site| {
+        .for_each_site(plan.top100(), |i, site| {
             let h = cfg.site_ctx(i).hours;
             let reference = stable_set(site, h, DeviceClass::PhoneLarge, cfg.server_seed);
             let oneplus = stable_set(site, h, DeviceClass::PhoneSmall, cfg.server_seed);
@@ -380,8 +511,12 @@ pub fn fig09(cfg: &ExperimentConfig) -> (Cdf, Cdf, String) {
 /// one News site, relative to the HTTP/2 baseline, for "Push All, Fetch
 /// ASAP" and Vroom. Negative = earlier than baseline.
 pub fn fig11(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let site = &ns.sites[0]; // a eurosport-like popular sports/news page
+    fig11_of(&Plan::new(cfg, &["fig11"]))
+}
+
+fn fig11_of(plan: &Plan) -> (Vec<(usize, f64, f64)>, String) {
+    let cfg = plan.cfg;
+    let site = &plan.news_sports().sites[0]; // a eurosport-like popular sports/news page
     let load = SiteLoad::new(site, &cfg.site_ctx(0), cfg.server_seed);
     let page = load.page();
     // One site, three systems: fan the independent loads over the pool.
@@ -443,29 +578,28 @@ pub struct Fig13 {
     pub speed_index: Vec<(String, Cdf)>,
 }
 
+/// Fig 13's systems after the lower bound, in legend order.
+const FIG13: [System; 3] = [System::Vroom, System::Http2, System::Http1];
+
 /// Fig 13: PLT / AFT / Speed Index CDFs for Lower Bound, Vroom, HTTP/2,
 /// HTTP/1.1 on News+Sports.
 pub fn fig13(cfg: &ExperimentConfig) -> (Fig13, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let systems = [System::Vroom, System::Http2, System::Http1];
-    let mut plt: Vec<(String, Cdf)> = vec![("Lower Bound".into(), lower_bound_cdf(cfg, &ns))];
+    fig13_of(&Plan::new(cfg, &["fig13"]))
+}
+
+fn fig13_of(plan: &Plan) -> (Fig13, String) {
+    let mut plt: Vec<(String, Cdf)> = vec![("Lower Bound".into(), Cdf::new(plan.lower_bound()))];
     let mut aft: Vec<(String, Cdf)> = Vec::new();
     let mut si: Vec<(String, Cdf)> = Vec::new();
-    let columns = cfg.site_columns(&ns, systems.map(Run::Cold), |r| {
-        (r.plt.as_secs_f64(), r.aft.as_secs_f64(), r.speed_index)
-    });
-    for (system, column) in systems.iter().zip(columns) {
-        let mut plts = Vec::new();
-        let mut afts = Vec::new();
-        let mut sis = Vec::new();
-        for (p, a, s) in column {
-            plts.push(p);
-            afts.push(a);
-            sis.push(s);
-        }
-        plt.push((system.label().into(), Cdf::new(plts)));
-        aft.push((system.label().into(), Cdf::new(afts)));
-        si.push((system.label().into(), Cdf::new(sis)));
+    for system in FIG13 {
+        let column = plan.column(Run::Cold(system));
+        let series = |metric: fn(&LoadSummary) -> f64| {
+            let values = column.iter().map(metric).collect();
+            (system.label().to_string(), Cdf::new(values))
+        };
+        plt.push(series(LoadSummary::plt_s));
+        aft.push(series(|s| s.aft.as_secs_f64()));
+        si.push(series(|s| s.speed_index));
     }
     let mut table = render_cdf_table(
         "Figure 13(a): Page Load Time",
@@ -496,31 +630,31 @@ pub fn fig13(cfg: &ExperimentConfig) -> (Fig13, String) {
 
 // -------------------------------------------------------------- Figure 14
 
+/// Fig 14's systems.
+const FIG14: [System; 2] = [System::Vroom, System::PolarisLike];
+
 /// Fig 14: Vroom vs Polaris.
 pub fn fig14(cfg: &ExperimentConfig) -> (SystemCdfs, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let systems = [System::Vroom, System::PolarisLike];
-    let series: Vec<(System, Cdf)> = systems
-        .into_iter()
-        .zip(plt_cdfs(cfg, &ns, systems))
-        .collect();
-    let table = render_cdf_table(
-        "Figure 14: Vroom vs Polaris",
-        &series
-            .iter()
-            .map(|(s, c)| (s.label(), c))
-            .collect::<Vec<_>>(),
-        "seconds",
-    );
-    (SystemCdfs { series }, table)
+    fig14_of(&Plan::new(cfg, &["fig14"]))
+}
+
+fn fig14_of(plan: &Plan) -> (SystemCdfs, String) {
+    let cdfs = SystemCdfs::of(plan, &FIG14);
+    let table = cdfs.render("Figure 14: Vroom vs Polaris");
+    (cdfs, table)
 }
 
 // -------------------------------------------------------------- Figure 15
 
 /// Fig 15: above-the-fold completion on one Fox-News-like page.
 pub fn fig15(cfg: &ExperimentConfig) -> (f64, f64, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let load = SiteLoad::new(&ns.sites[1], &cfg.site_ctx(1), cfg.server_seed);
+    fig15_of(&Plan::new(cfg, &["fig15"]))
+}
+
+fn fig15_of(plan: &Plan) -> (f64, f64, String) {
+    let cfg = plan.cfg;
+    let site = &plan.news_sports().sites[1];
+    let load = SiteLoad::new(site, &cfg.site_ctx(1), cfg.server_seed);
     let vroom = load.run(&cfg.profile, System::Vroom);
     let h2 = load.run(&cfg.profile, System::Http2);
     let (v, h) = (vroom.aft.as_secs_f64(), h2.aft.as_secs_f64());
@@ -548,38 +682,30 @@ pub struct Fig16 {
     pub fetch_high: Cdf,
 }
 
+/// Fig 16's systems: the HTTP/2 baseline, then Vroom.
+const FIG16: [System; 2] = [System::Http2, System::Vroom];
+
 /// Fig 16: how much sooner Vroom discovers and finishes fetching resources.
 pub fn fig16(cfg: &ExperimentConfig) -> (Fig16, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let mut da = Vec::new();
-    let mut dh = Vec::new();
-    let mut fa = Vec::new();
-    let mut fh = Vec::new();
-    let per_site = cfg.for_each_site(&ns, |i, site| {
-        let load = SiteLoad::new(site, &cfg.site_ctx(i), cfg.server_seed);
-        let base = load.run(&cfg.profile, System::Http2);
-        let vroom = load.run(&cfg.profile, System::Vroom);
-        let imp = |v: vroom_sim::SimDuration, b: vroom_sim::SimDuration| {
-            1.0 - v.as_secs_f64() / b.as_secs_f64().max(1e-9)
-        };
-        (
-            imp(vroom.discovery_all, base.discovery_all),
-            imp(vroom.discovery_high, base.discovery_high),
-            imp(vroom.fetch_all, base.fetch_all),
-            imp(vroom.fetch_high, base.fetch_high),
-        )
-    });
-    for (d_all, d_high, f_all, f_high) in per_site {
-        da.push(d_all);
-        dh.push(d_high);
-        fa.push(f_all);
-        fh.push(f_high);
-    }
+    fig16_of(&Plan::new(cfg, &["fig16"]))
+}
+
+fn fig16_of(plan: &Plan) -> (Fig16, String) {
+    let [base, vroom] = FIG16.map(|system| plan.column(Run::Cold(system)));
+    // Per site, Vroom's fractional improvement over the baseline.
+    let improvement = |time: fn(&LoadSummary) -> SimDuration| {
+        let values = vroom
+            .iter()
+            .zip(base)
+            .map(|(v, b)| 1.0 - time(v).as_secs_f64() / time(b).as_secs_f64().max(1e-9))
+            .collect();
+        Cdf::new(values)
+    };
     let data = Fig16 {
-        discovery_all: Cdf::new(da),
-        discovery_high: Cdf::new(dh),
-        fetch_all: Cdf::new(fa),
-        fetch_high: Cdf::new(fh),
+        discovery_all: improvement(|s| s.discovery_all),
+        discovery_high: improvement(|s| s.discovery_high),
+        fetch_all: improvement(|s| s.fetch_all),
+        fetch_high: improvement(|s| s.fetch_high),
     };
     let mut table = render_cdf_table(
         "Figure 16(a): Discovery-time improvement over HTTP/2",
@@ -603,30 +729,20 @@ pub fn fig16(cfg: &ExperimentConfig) -> (Fig16, String) {
 
 // ---------------------------------------------------- Figures 17, 18, 19
 
-fn lower_bound_quartiles(cfg: &ExperimentConfig, corpus: &Corpus) -> Quartiles {
-    let values: Vec<f64> = bound_plts(cfg, corpus)
-        .iter()
-        .map(|&(net, cpu)| cpu.max(net))
-        .collect();
-    quartiles(&values)
+/// The rows of a Fig 17–19 table over News+Sports: the §2 lower bound,
+/// then the PLT quartiles of each `(label, run)` of `series`.
+fn bound_and_plt_quartiles(plan: &Plan, series: Vec<(String, Run)>) -> Vec<(String, Quartiles)> {
+    let mut rows = vec![("Lower Bound".to_string(), quartiles(&plan.lower_bound()))];
+    rows.extend(series.into_iter().map(|(label, run)| {
+        let plts: Vec<f64> = plan.column(run).iter().map(LoadSummary::plt_s).collect();
+        (label, quartiles(&plts))
+    }));
+    rows
 }
 
-/// The rows of a Fig 17–19 table over News+Sports: the §2 lower bound,
-/// then the PLT quartiles of each `(label, run)`.
-fn bound_and_plt_quartiles<const N: usize>(
-    cfg: &ExperimentConfig,
-    series: [(String, Run); N],
-) -> Vec<(String, Quartiles)> {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let columns = cfg.site_columns(&ns, series.each_ref().map(|(_, run)| *run), plt_s);
-    let mut rows = vec![("Lower Bound".to_string(), lower_bound_quartiles(cfg, &ns))];
-    rows.extend(
-        series
-            .into_iter()
-            .zip(columns)
-            .map(|((label, _), column)| (label, quartiles(&column))),
-    );
-    rows
+/// The runs a Fig 17–19 table reads: the bound's, then its series'.
+fn bound_and_series_runs(series: Vec<(String, Run)>) -> Vec<Run> {
+    with_bound(series.into_iter().map(|(_, run)| run))
 }
 
 /// A system's label and its cold load, as one Fig 17–19 row.
@@ -639,23 +755,29 @@ fn cold_row(system: System) -> (String, Run) {
 /// (partially wrong) metadata, exactly like trusting an aged crawl.
 pub const FIG17_CORRUPTION: f64 = 0.30;
 
+/// Fig 17's rows after the lower bound.
+fn fig17_series() -> Vec<(String, Run)> {
+    vec![
+        cold_row(System::Vroom),
+        cold_row(System::VroomStaleDeps),
+        (
+            format!("Vroom ({:.0}% Corrupted Hints)", FIG17_CORRUPTION * 100.0),
+            Run::Corrupted(System::Vroom, FIG17_CORRUPTION),
+        ),
+        cold_row(System::Http2),
+    ]
+}
+
 /// Fig 17: the cost of inaccurate dependencies. Two staleness models side
 /// by side: hints from a whole prior crawl (the paper's setup) and hints
 /// corrupted in place by the fault layer's knob (same trust, aged data),
 /// with a per-site plan.
 pub fn fig17(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
-    let rows = bound_and_plt_quartiles(
-        cfg,
-        [
-            cold_row(System::Vroom),
-            cold_row(System::VroomStaleDeps),
-            (
-                format!("Vroom ({:.0}% Corrupted Hints)", FIG17_CORRUPTION * 100.0),
-                Run::Corrupted(System::Vroom, FIG17_CORRUPTION),
-            ),
-            cold_row(System::Http2),
-        ],
-    );
+    fig17_of(&Plan::new(cfg, &["fig17"]))
+}
+
+fn fig17_of(plan: &Plan) -> (Vec<(String, Quartiles)>, String) {
+    let rows = bound_and_plt_quartiles(plan, fig17_series());
     let table = render_quartile_table(
         "Figure 17: Utility of accurate dependency inference",
         &rows
@@ -667,16 +789,22 @@ pub fn fig17(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
     (rows, table)
 }
 
+/// Fig 18's rows after the lower bound.
+fn fig18_series() -> Vec<(String, Run)> {
+    vec![
+        cold_row(System::Vroom),
+        cold_row(System::PushHighPriorityNoHints),
+        cold_row(System::PushAllNoHints),
+    ]
+}
+
 /// Fig 18: push alone is not enough.
 pub fn fig18(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
-    let rows = bound_and_plt_quartiles(
-        cfg,
-        [
-            cold_row(System::Vroom),
-            cold_row(System::PushHighPriorityNoHints),
-            cold_row(System::PushAllNoHints),
-        ],
-    );
+    fig18_of(&Plan::new(cfg, &["fig18"]))
+}
+
+fn fig18_of(plan: &Plan) -> (Vec<(String, Quartiles)>, String) {
+    let rows = bound_and_plt_quartiles(plan, fig18_series());
     let table = render_quartile_table(
         "Figure 18: Combining PUSH with dependency hints",
         &rows
@@ -688,16 +816,22 @@ pub fn fig18(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
     (rows, table)
 }
 
+/// Fig 19's rows after the lower bound.
+fn fig19_series() -> Vec<(String, Run)> {
+    vec![
+        cold_row(System::Vroom),
+        cold_row(System::PushAllFetchAsap),
+        ("No Push, No Hints".to_string(), Run::Cold(System::Http2)),
+    ]
+}
+
 /// Fig 19: scheduling matters.
 pub fn fig19(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
-    let rows = bound_and_plt_quartiles(
-        cfg,
-        [
-            cold_row(System::Vroom),
-            cold_row(System::PushAllFetchAsap),
-            ("No Push, No Hints".to_string(), Run::Cold(System::Http2)),
-        ],
-    );
+    fig19_of(&Plan::new(cfg, &["fig19"]))
+}
+
+fn fig19_of(plan: &Plan) -> (Vec<(String, Quartiles)>, String) {
+    let rows = bound_and_plt_quartiles(plan, fig19_series());
     let table = render_quartile_table(
         "Figure 19: Utility of cooperative scheduling",
         &rows
@@ -711,28 +845,46 @@ pub fn fig19(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles)>, String) {
 
 // -------------------------------------------------------------- Figure 20
 
+/// Fig 20's scenarios: a name and the age of the visit that warmed the
+/// cache, in hours.
+const FIG20_SCENARIOS: [(&str, f64); 3] = [
+    ("Back-to-back", 0.003),
+    ("1 Day Later", 24.0),
+    ("1 Week Later", 168.0),
+];
+
+/// Fig 20's systems within each scenario: Vroom, then HTTP/2.
+const FIG20: [System; 2] = [System::Vroom, System::Http2];
+
+/// The warm loads Fig 20 reads, in scenario order.
+fn fig20_runs() -> Vec<Run> {
+    FIG20_SCENARIOS
+        .iter()
+        .flat_map(|&(_, age)| FIG20.map(|system| Run::Warm(system, age)))
+        .collect()
+}
+
 /// Fig 20: warm-cache loads at three staleness levels.
 pub fn fig20(cfg: &ExperimentConfig) -> (Vec<(String, Quartiles, Quartiles)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let scenarios = [
-        ("Back-to-back", 0.003),
-        ("1 Day Later", 24.0),
-        ("1 Week Later", 168.0),
-    ];
+    fig20_of(&Plan::new(cfg, &["fig20"]))
+}
+
+fn fig20_of(plan: &Plan) -> (Vec<(String, Quartiles, Quartiles)>, String) {
     let mut rows = Vec::new();
     let mut table = String::from("# Figure 20: Page load times with warm caches (seconds)\n");
     table.push_str(&format!(
         "{:<14} {:>8} {:>8} {:>8}   {:>8} {:>8} {:>8} {:>10}\n",
         "scenario", "v.p25", "v.p50", "v.p75", "h2.p25", "h2.p50", "h2.p75", "Δmedian"
     ));
-    // Columns in scenario order, Vroom then HTTP/2 within each.
-    let runs = std::array::from_fn(|k| {
-        let system = [System::Vroom, System::Http2][k % 2];
-        Run::Warm(system, scenarios[k / 2].1)
-    });
-    let columns: [Vec<f64>; 6] = cfg.site_columns(&ns, runs, plt_s);
-    for ((name, _), pair) in scenarios.into_iter().zip(columns.chunks(2)) {
-        let (v, h) = (quartiles(&pair[0]), quartiles(&pair[1]));
+    for (name, age) in FIG20_SCENARIOS {
+        let [v, h] = FIG20.map(|system| {
+            let plts: Vec<f64> = plan
+                .column(Run::Warm(system, age))
+                .iter()
+                .map(LoadSummary::plt_s)
+                .collect();
+            quartiles(&plts)
+        });
         table.push_str(&format!(
             "{name:<14} {:>8.3} {:>8.3} {:>8.3}   {:>8.3} {:>8.3} {:>8.3} {:>10.3}\n",
             v.p25,
@@ -765,7 +917,11 @@ pub struct Fig21 {
 /// Fig 21: accuracy of server-side dependency resolution on the 265-page
 /// News/Sports corpus across four user profiles.
 pub fn fig21(cfg: &ExperimentConfig) -> (Fig21, String) {
-    let corpus = Corpus::accuracy_pages_capped(cfg.corpus_seed, cfg.max_sites);
+    fig21_of(&Plan::new(cfg, &["fig21"]))
+}
+
+fn fig21_of(plan: &Plan) -> (Fig21, String) {
+    let cfg = plan.cfg;
     let strategies = [
         ("Vroom", Strategy::Vroom),
         ("Offline Only", Strategy::OfflineOnly),
@@ -777,16 +933,18 @@ pub fn fig21(cfg: &ExperimentConfig) -> (Fig21, String) {
     let mut pb = Vec::new();
     let mut fns: Vec<Vec<f64>> = vec![Vec::new(); strategies.len()];
     let mut fps: Vec<Vec<f64>> = vec![Vec::new(); strategies.len()];
-    let per_site = cfg.for_each_site(&corpus, |i, site| {
+    let per_site = cfg.for_each_site(plan.accuracy(), |i, site| {
         let user = users[i % users.len()];
         let ctx = LoadContext {
             user_id: user,
             ..cfg.site_ctx(i)
         };
+        // One resolver input and one client truth score every strategy.
         let input = ResolverInput::new(site, ctx.hours, ctx.device, cfg.server_seed);
+        let truth = ClientTruth::new(site, &ctx);
         strategies
             .iter()
-            .map(|(_, strategy)| evaluate_with(&input, &ctx, None, *strategy))
+            .map(|(_, strategy)| evaluate_with(&input, &truth, None, *strategy))
             .collect::<Vec<_>>()
     });
     for accs in per_site {
@@ -846,11 +1004,17 @@ pub fn fig21(cfg: &ExperimentConfig) -> (Fig21, String) {
 
 // ------------------------------------------------------- text experiments
 
+/// The incremental-deployment systems: universal Vroom, first-party-only
+/// Vroom, the HTTP/2 baseline.
+const INCR: [System; 3] = [System::Vroom, System::VroomFirstPartyOnly, System::Http2];
+
 /// §6.1: incremental deployment — first-party-only Vroom.
 pub fn incremental_deployment(cfg: &ExperimentConfig) -> (f64, f64, f64, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
-    let systems = [System::Vroom, System::VroomFirstPartyOnly, System::Http2];
-    let [full, fp, h2] = plt_cdfs(cfg, &ns, systems).map(|c| c.median());
+    incremental_deployment_of(&Plan::new(cfg, &["incr"]))
+}
+
+fn incremental_deployment_of(plan: &Plan) -> (f64, f64, f64, String) {
+    let [full, fp, h2] = INCR.map(|system| plan.plt_cdf(Run::Cold(system)).median());
     let table = format!(
         "# Incremental deployment (News+Sports, median PLT seconds)\n\
          Universal Vroom:        {full:.2}\n\
@@ -863,8 +1027,12 @@ pub fn incremental_deployment(cfg: &ExperimentConfig) -> (f64, f64, f64, String)
 
 /// §6.1: the Top-400 sample.
 pub fn top400_sample(cfg: &ExperimentConfig) -> (f64, f64, String) {
-    let corpus = Corpus::top400_sample_capped(cfg.corpus_seed, cfg.max_sites);
-    let [h2, vroom] = plt_cdfs(cfg, &corpus, [System::Http2, System::Vroom]).map(|c| c.median());
+    top400_sample_of(&Plan::new(cfg, &["t100"]))
+}
+
+fn top400_sample_of(plan: &Plan) -> (f64, f64, String) {
+    let [h2, vroom] =
+        plt_cdfs(plan.cfg, plan.top400(), [System::Http2, System::Vroom]).map(|c| c.median());
     let table = format!(
         "# 100 random sites from the Alexa Top 400 (median PLT seconds)\n\
          HTTP/2 baseline: {h2:.2}\n\
@@ -893,34 +1061,44 @@ pub const ABLATION_SECTIONS: [&str; 5] = [
     "ablation_hybrid",
 ];
 
-/// One section's rendered table.
-fn run_section(cfg: &ExperimentConfig, id: &str) -> String {
-    match id {
-        "fig01" => fig01(cfg).2,
-        "fig02" => fig02(cfg).1,
-        "fig03" => fig03(cfg).1,
-        "fig04" => fig04(cfg).2,
-        "fig07" => fig07(cfg).1,
-        "fig09" => fig09(cfg).2,
-        "fig11" => fig11(cfg).1,
-        "fig13" => fig13(cfg).1,
-        "fig14" => fig14(cfg).1,
-        "fig15" => fig15(cfg).2,
-        "fig16" => fig16(cfg).1,
-        "fig17" => fig17(cfg).1,
-        "fig18" => fig18(cfg).1,
-        "fig19" => fig19(cfg).1,
-        "fig20" => fig20(cfg).1,
-        "fig21" => fig21(cfg).1,
-        "incr" => incremental_deployment(cfg).3,
-        "t100" => top400_sample(cfg).2,
-        "ablation_bandwidth" => crate::ablation::ablation_bandwidth(cfg).1,
-        "ablation_rtt" => crate::ablation::ablation_rtt(cfg).1,
-        "ablation_cpu" => crate::ablation::ablation_cpu(cfg).1,
-        "ablation_history" => crate::ablation::ablation_history_window(cfg).1,
-        "ablation_hybrid" => crate::ablation::ablation_hybrid(cfg).3,
-        other => format!("unknown section {other}\n"),
-    }
+/// One report section: the News+Sports runs it reads, and its table,
+/// rendered from a [`Plan`] that holds them.
+struct Section {
+    runs: Vec<Run>,
+    table: fn(&Plan) -> String,
+}
+
+/// Section `id`, or `None` if there is no such section.
+fn section(id: &str) -> Option<Section> {
+    let (runs, table): (Vec<Run>, fn(&Plan) -> String) = match id {
+        "fig01" => (cold(&[System::Http1]), |p| fig01_of(p).2),
+        "fig02" => (with_bound(cold(&[System::Http1])), |p| fig02_of(p).1),
+        "fig03" => (cold(&FIG03), |p| fig03_of(p).1),
+        "fig04" => (cold(&FIG04), |p| fig04_of(p).2),
+        "fig07" => (Vec::new(), |p| fig07_of(p).1),
+        "fig09" => (Vec::new(), |p| fig09_of(p).2),
+        "fig11" => (Vec::new(), |p| fig11_of(p).1),
+        "fig13" => (with_bound(cold(&FIG13)), |p| fig13_of(p).1),
+        "fig14" => (cold(&FIG14), |p| fig14_of(p).1),
+        "fig15" => (Vec::new(), |p| fig15_of(p).2),
+        "fig16" => (cold(&FIG16), |p| fig16_of(p).1),
+        "fig17" => (bound_and_series_runs(fig17_series()), |p| fig17_of(p).1),
+        "fig18" => (bound_and_series_runs(fig18_series()), |p| fig18_of(p).1),
+        "fig19" => (bound_and_series_runs(fig19_series()), |p| fig19_of(p).1),
+        "fig20" => (fig20_runs(), |p| fig20_of(p).1),
+        "fig21" => (Vec::new(), |p| fig21_of(p).1),
+        "incr" => (cold(&INCR), |p| incremental_deployment_of(p).3),
+        "t100" => (Vec::new(), |p| top400_sample_of(p).2),
+        "ablation_bandwidth" => (Vec::new(), |p| crate::ablation::ablation_bandwidth(p.cfg).1),
+        "ablation_rtt" => (Vec::new(), |p| crate::ablation::ablation_rtt(p.cfg).1),
+        "ablation_cpu" => (Vec::new(), |p| crate::ablation::ablation_cpu(p.cfg).1),
+        "ablation_history" => (Vec::new(), |p| {
+            crate::ablation::ablation_history_window(p.cfg).1
+        }),
+        "ablation_hybrid" => (Vec::new(), |p| crate::ablation::ablation_hybrid(p.cfg).3),
+        _ => return None,
+    };
+    Some(Section { runs, table })
 }
 
 /// Every table and figure in one string — the contents of
@@ -931,12 +1109,17 @@ pub fn run_all_report(cfg: &ExperimentConfig) -> String {
 
 /// The sections `ids` (from [`RUN_ALL_SECTIONS`] and
 /// [`ABLATION_SECTIONS`]), each framed by a `==== id ====` line, in the
-/// order given. Independent sections are evaluated concurrently through the
-/// same executor as the per-site maps (each section additionally
-/// parallelizes across its own sites) and concatenated in input order, so
-/// the output is byte-identical for every worker count.
+/// order given. The sections share one `Plan`: its News+Sports loads run
+/// first, in one pass across sites, and then the sections render
+/// concurrently through the same executor (each additionally parallelizes
+/// across its own sites) and are concatenated in input order, so the
+/// output is byte-identical for every worker count.
 pub fn run_sections(cfg: &ExperimentConfig, ids: &[&str]) -> String {
-    let tables = vroom_exec::par_map_indexed(ids, cfg.workers, |_, id| run_section(cfg, id));
+    let plan = Plan::new(cfg, ids);
+    let tables = vroom_exec::par_map_indexed(ids, cfg.workers, |_, id| match section(id) {
+        Some(section) => (section.table)(&plan),
+        None => format!("unknown section {id}\n"),
+    });
     let mut out = String::new();
     for (id, table) in ids.iter().zip(tables) {
         out.push_str(&format!("==== {id} ====\n{table}\n"));
@@ -1104,6 +1287,49 @@ mod tests {
         assert!(full <= fp + 0.15 && fp < h2, "{table}");
         let (h2_400, vroom_400, t) = top400_sample(&quick());
         assert!(vroom_400 < h2_400, "{t}");
+    }
+
+    /// The full report computes each distinct News+Sports load once:
+    /// every run any section reads is planned, and none twice.
+    #[test]
+    fn full_report_plans_each_distinct_news_sports_run_once() {
+        let runs = planned_runs(&RUN_ALL_SECTIONS);
+        assert_eq!(runs.len(), 19, "{runs:?}");
+        for (k, run) in runs.iter().enumerate() {
+            assert!(!runs[..k].contains(run), "{run:?} is planned twice");
+        }
+        for id in RUN_ALL_SECTIONS {
+            for run in section(id).expect("a report section").runs {
+                assert!(
+                    runs.contains(&run),
+                    "{id} reads {run:?}, which is not planned"
+                );
+            }
+        }
+    }
+
+    /// A section run alone plans nothing it does not read: it renders
+    /// from its own plan, and fails to render from that plan less any
+    /// one of its runs.
+    #[test]
+    fn a_section_alone_plans_only_the_runs_it_reads() {
+        let cfg = ExperimentConfig::quick(2);
+        for id in RUN_ALL_SECTIONS {
+            let table = section(id).expect("a report section").table;
+            let runs = planned_runs(&[id]);
+            table(&Plan::new(&cfg, &[id]));
+            for (k, run) in runs.iter().enumerate() {
+                let mut fewer = Plan::new(&cfg, &[id]);
+                fewer.runs.remove(k);
+                fewer.columns.remove(k);
+                let rendered =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| table(&fewer)));
+                assert!(
+                    rendered.is_err(),
+                    "{id} plans {run:?} but renders without it"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! paper's metrics.
 
 use crate::policy::{apply_fault_plan, build_config, cache_from_prior_load, System};
+use std::collections::BTreeMap;
+use vroom_browser::config::CacheEntry;
 use vroom_browser::{BrowserEngine, LoadResult};
+use vroom_html::Url;
 use vroom_net::{FaultPlan, NetworkProfile};
 use vroom_pages::{LoadContext, Page, PageGenerator};
 use vroom_server::resolve::ResolverInput;
@@ -55,15 +58,28 @@ impl<'g> SiteLoad<'g> {
         BrowserEngine::load(&self.page, profile, &cfg)
     }
 
-    /// Load with a warm cache seeded by a prior load `age_hours` earlier.
-    pub fn run_warm(&self, profile: &NetworkProfile, system: System, age_hours: f64) -> LoadResult {
+    /// The HTTP cache a visit `age_hours` before this load leaves behind.
+    /// It depends on the age alone, so one serves every system's warm
+    /// load at that age.
+    pub fn warm_cache(&self, age_hours: f64) -> BTreeMap<Url, CacheEntry> {
         let prior = self.input.generator().snapshot(&LoadContext {
             hours: self.ctx.hours - age_hours,
             nonce: self.ctx.nonce ^ 0xCAC4E,
             ..self.ctx
         });
+        cache_from_prior_load(&prior, age_hours)
+    }
+
+    /// Load with the HTTP cache holding `warm_cache`, a prior visit's
+    /// [`warm_cache`](Self::warm_cache).
+    pub fn run_warm(
+        &self,
+        profile: &NetworkProfile,
+        system: System,
+        warm_cache: &BTreeMap<Url, CacheEntry>,
+    ) -> LoadResult {
         let mut cfg = build_config(system, &self.input, &self.page, &self.ctx);
-        cfg.warm_cache = cache_from_prior_load(&prior, age_hours);
+        cfg.warm_cache = warm_cache.clone();
         BrowserEngine::load(&self.page, profile, &cfg)
     }
 }
@@ -88,7 +104,8 @@ pub fn run_load_warm(
     server_seed: u64,
     age_hours: f64,
 ) -> LoadResult {
-    SiteLoad::new(generator, ctx, server_seed).run_warm(profile, system, age_hours)
+    let site = SiteLoad::new(generator, ctx, server_seed);
+    site.run_warm(profile, system, &site.warm_cache(age_hours))
 }
 
 /// [`SiteLoad::run_faulted`] on a fresh `SiteLoad`.

@@ -159,7 +159,8 @@ const ALL_SYSTEMS: [System; 13] = [
 /// them across every load made through it. The sharing must not show: a
 /// load through a `SiteLoad` that has already run every other system
 /// equals, byte for byte, the same load through a fresh one on a cloned
-/// generator, for cold, faulted and warm loads alike.
+/// generator, for cold, faulted and warm loads alike (every system's warm
+/// load at one age starts from one shared `warm_cache`).
 #[test]
 fn loads_through_a_shared_site_load_equal_fresh_loads() {
     let site = PageGenerator::new(SiteProfile::news(), 2718);
@@ -188,9 +189,10 @@ fn loads_through_a_shared_site_load_equal_fresh_loads() {
         );
     }
     for age_hours in [0.003, 24.0] {
+        let warm_cache = shared.warm_cache(age_hours);
         for system in ALL_SYSTEMS {
             assert_eq!(
-                shared.run_warm(&lte, system, age_hours).to_json(),
+                shared.run_warm(&lte, system, &warm_cache).to_json(),
                 run_load_warm(&site.clone(), &ctx, &lte, system, 7, age_hours).to_json(),
                 "{system:?}: warm at {age_hours} h"
             );

@@ -6,7 +6,7 @@
 #![forbid(unsafe_code)]
 
 use proptest::prelude::*;
-use vroom::experiment::{run_all_report, ExperimentConfig};
+use vroom::experiment::{run_all_report, run_sections, ExperimentConfig, RUN_ALL_SECTIONS};
 use vroom_exec::{par_map_indexed, Pool};
 
 fn cfg(workers: usize) -> ExperimentConfig {
@@ -30,6 +30,31 @@ fn run_all_report_is_byte_identical_across_worker_counts() {
         assert_eq!(
             sequential, parallel,
             "run_all output diverged at workers={workers}"
+        );
+    }
+}
+
+/// A report's sections share one plan of News+Sports loads. The sharing
+/// must not show: each section run alone prints exactly its block of the
+/// full report, at one worker and at three.
+#[test]
+fn each_section_alone_prints_its_block_of_the_full_report() {
+    for workers in [1, 3] {
+        let mut cfg = ExperimentConfig::quick(6);
+        cfg.workers = workers;
+        let full = run_sections(&cfg, &RUN_ALL_SECTIONS);
+        let mut rest = full.as_str();
+        for id in RUN_ALL_SECTIONS {
+            let alone = run_sections(&cfg, &[id]);
+            assert!(
+                rest.starts_with(&alone),
+                "section {id} alone differs from its block of the full report at workers={workers}"
+            );
+            rest = &rest[alone.len()..];
+        }
+        assert!(
+            rest.is_empty(),
+            "the full report has more than its sections"
         );
     }
 }
