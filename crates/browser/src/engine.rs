@@ -9,80 +9,30 @@
 //!   its parent has been fetched and processed far enough, unless a hint or
 //!   push promise reveals it earlier;
 //! * **parser blocking** — synchronous scripts halt HTML parsing until they
-//!   are fetched and executed, and scripts wait on earlier stylesheets;
-//! * **a shared access link** — all responses contend for the one cellular
-//!   downlink, each in-flight response taking an equal fluid share;
-//!   HTTP/1.1 connections and Vroom's modified server (the paper's modified
-//!   Mahimahi, §5.1) return complete responses in request order per
-//!   connection, while stock HTTP/2 servers multiplex them;
-//! * **connection realism** — DNS/TCP/TLS setup per domain,
-//!   six-connections-per-domain HTTP/1.1 vs one multiplexed HTTP/2
-//!   connection, HTTP/2 server push.
+//!   are fetched and executed, and scripts wait on earlier stylesheets.
+//!
+//! This module is the browser half. Everything between a request and its
+//! response — connections, ordered vs multiplexed serving, the shared
+//! access link, injected faults — belongs to the crate-private
+//! `transport` module; the two share one event queue and meet at one
+//! narrow seam (DESIGN §2r).
 
-use crate::config::{FetchPolicy, Hint, HttpVersion, LoadConfig};
+use crate::config::{FetchPolicy, Hint, LoadConfig};
 use crate::metrics::{LoadResult, ResourceTiming};
+use crate::transport::{Buffers, Heard, NetEv, Req, Target, Transport};
 use std::collections::{BTreeMap, VecDeque};
 use vroom_html::{ExecMode, ResourceKind};
-use vroom_intern::{SharedStr, UrlId};
+use vroom_intern::UrlId;
 use vroom_net::fault::RetryBudget;
-use vroom_net::link::{SharedLink, TransferId};
 use vroom_net::profiles::NetworkProfile;
 use vroom_pages::{Page, ResourceId};
 use vroom_sim::{EventQueue, SimDuration, SimTime};
 
-/// What a fetch is for. Three machine words and `Copy`: waste targets carry
-/// an interned [`UrlId`] (resolved against `cfg.urls`), not an owned URL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Target {
-    /// A real page resource.
-    Real(ResourceId),
-    /// A false-positive hint/push: bytes downloaded and discarded.
-    Waste { url: UrlId, size: u64 },
-}
-
-impl Target {
-    fn size(&self, page: &Page) -> u64 {
-        match self {
-            Target::Real(id) => page.resources[*id].size,
-            Target::Waste { size, .. } => *size,
-        }
-    }
-}
-
-/// Simulation events.
-///
-/// Connection events carry the connection's `epoch` (incremented each time
-/// an injected drop resets the socket) so events addressed to a dead
-/// incarnation are discarded instead of corrupting its replacement. On
-/// fault-free loads every epoch is zero and the guards are no-ops.
-///
-/// Domains are referenced by their dense index into `Sim::domains` (`dom`),
-/// never by name: events stay `Copy`-sized, move through the heap without
-/// refcount traffic, and handlers index a vector instead of searching an
-/// ordered map by string.
+/// Simulation events: the transport's own, and the browser's.
 #[derive(Debug)]
-enum Ev {
-    /// A connection to a domain finished its handshake.
-    ConnReady { dom: usize, conn: usize, epoch: u32 },
-    /// A request reached the server.
-    ServerArrival {
-        dom: usize,
-        conn: usize,
-        epoch: u32,
-        target: Target,
-    },
-    /// The shared link predicts its next transfer completion here.
-    LinkTick,
-    /// Response headers reached the client (hints become visible).
-    HeadersArrive { target: Target },
-    /// A response's last byte reached the client.
-    ResponseDelivered { target: Target },
-    /// A response died mid-body: the server sent a well-formed RST_STREAM
-    /// after a truncated payload, and the client just noticed.
-    ResponseFailed { target: Target },
-    /// An injected fault kills a connection (GOAWAY semantics): every
-    /// stream it carried is lost; the client reconnects and retries.
-    ConnDropped { dom: usize, conn: usize, epoch: u32 },
+pub(crate) enum Ev {
+    /// Connections, the server and the link (see [`NetEv`]).
+    Net(NetEv),
     /// Per-request timeout: attempt `attempt` at fetching `id` has run out
     /// of patience; the client resets the stream and backs off.
     FetchTimeout { id: ResourceId, attempt: u32 },
@@ -94,9 +44,6 @@ enum Ev {
     Discover { id: ResourceId },
     /// The Vroom scheduler's response handler opens the next fetch stage.
     StageOpen { tier: u8 },
-    /// A connection finished its slow-start tail and can carry the next
-    /// response.
-    ConnFree { dom: usize, conn: usize, epoch: u32 },
     /// An image/font/media resource finished decoding (off the main
     /// thread — raster/compositor work does not contend with JS).
     DecodeDone { id: ResourceId },
@@ -108,6 +55,16 @@ const CLASS_CSS: u8 = 1;
 const CLASS_DEFER: u8 = 3;
 const CLASS_ASYNC: u8 = 4;
 const CLASS_DECODE: u8 = 5;
+
+/// The root document's parser runs ahead of everything; iframe documents
+/// run as deferred work.
+fn parser_class(html_id: ResourceId) -> u8 {
+    if html_id == 0 {
+        CLASS_PARSER
+    } else {
+        CLASS_DEFER
+    }
+}
 
 #[derive(Debug, Clone, PartialEq)]
 enum Task {
@@ -176,12 +133,6 @@ struct RState {
     settled: bool,
 }
 
-/// TCP initial congestion window (10 MSS, RFC 6928).
-const INITIAL_CWND: f64 = 14_600.0;
-
-/// HTTP/1.1 browser connection pool size per domain.
-const H1_CONNS_PER_DOMAIN: usize = 6;
-
 /// Client CPU cost of one scheduler stage transition — the JavaScript
 /// `response_handler` of §5.2 runs on the single JS thread.
 const STAGE_TRANSITION_COST: SimDuration = SimDuration::from_millis(5);
@@ -190,64 +141,6 @@ const STAGE_TRANSITION_COST: SimDuration = SimDuration::from_millis(5);
 /// while a fault plan is active: the simulated network cannot fail
 /// spontaneously, so fault-free loads never time out by construction.
 const RETRY: RetryBudget = RetryBudget::standard();
-
-struct Conn {
-    ready: bool,
-    /// HTTP/1.1: the one response this connection is carrying.
-    busy: bool,
-    /// Server-side FIFO of responses awaiting/using the link.
-    response_queue: VecDeque<Target>,
-    /// Whether the head of the queue is on the link.
-    sending: bool,
-    /// Slow-start state: bytes deliverable in one round trip. Doubles as the
-    /// connection warms; fresh connections pay extra round trips on large
-    /// responses — the classic HTTP/1.1 tax that HTTP/2's single long-lived
-    /// connection amortizes away.
-    cwnd: f64,
-    /// Incarnation counter; bumped when an injected drop resets the socket.
-    epoch: u32,
-}
-
-impl Conn {
-    fn new() -> Conn {
-        Conn {
-            ready: false,
-            busy: false,
-            response_queue: VecDeque::new(),
-            sending: false,
-            cwnd: INITIAL_CWND,
-            epoch: 0,
-        }
-    }
-
-    /// Extra delivery delay for a response of `size` bytes, and warm the
-    /// window. Each doubling of the window costs one round trip.
-    fn slow_start_penalty(
-        &mut self,
-        size: u64,
-        rtt: vroom_sim::SimDuration,
-    ) -> vroom_sim::SimDuration {
-        let mut rounds = 0u32;
-        while self.cwnd < size as f64 && rounds < 16 {
-            self.cwnd *= 2.0;
-            rounds += 1;
-        }
-        // Window also grows from simply carrying traffic.
-        self.cwnd = (self.cwnd + size as f64 / 2.0).min(4_000_000.0);
-        rtt * rounds as u64
-    }
-}
-
-struct DomainState {
-    /// The domain's host name — kept here so events and flights can carry
-    /// the dense index and resolve the name only when latency/fault models
-    /// need it.
-    name: SharedStr,
-    conns: Vec<Conn>,
-    /// Requests waiting for a connection (H1) or for handshake (H2).
-    pending: VecDeque<Target>,
-    dns_started: bool,
-}
 
 struct Cpu {
     running: Option<(Task, SimTime)>,
@@ -268,19 +161,26 @@ impl Cpu {
     }
 }
 
-/// One response currently occupying the shared link.
-#[derive(Debug)]
-struct Flight {
-    dom: usize,
-    conn: usize,
-    /// Multiplexed serving: the target delivered on completion. `None`
-    /// under ordered serving, where the connection queue's head is the
-    /// target.
-    direct: Option<Target>,
-    /// Slow-start tail added to the delivery.
-    penalty: SimDuration,
-    /// Injected fault: the body stops early and the stream is reset.
-    truncated: bool,
+/// The parse span `[start, end)` of a document whose whole parse takes
+/// `total`, revealing `discoveries` (document positions) at their fractions
+/// of the span.
+fn parse_span(
+    total: SimDuration,
+    start: f64,
+    end: f64,
+    discoveries: Vec<(ResourceId, f64)>,
+) -> Segment {
+    let at = |f: f64| {
+        if end > start {
+            ((f - start) / (end - start)).clamp(0.0, 1.0)
+        } else {
+            1.0
+        }
+    };
+    Segment::Parse {
+        duration: total.mul_f64(end - start),
+        discoveries: discoveries.into_iter().map(|(id, f)| (id, at(f))).collect(),
+    }
 }
 
 /// Build the page's children index into the recycled `start`/`ids`
@@ -346,8 +246,8 @@ impl BrowserEngine {
 }
 
 /// Reusable per-worker buffers for back-to-back loads — the event queue,
-/// the shared-link transfer vector, and every per-resource side table the
-/// simulation rebuilds at construction. See
+/// the transport's link and per-resource tables, and every per-resource
+/// side table the simulation rebuilds at construction. See
 /// [`BrowserEngine::load_with_scratch`] for the safety argument.
 impl EngineScratch {
     /// Events the most recent load scheduled — diagnostic only.
@@ -358,32 +258,28 @@ impl EngineScratch {
 
 #[derive(Default)]
 pub struct EngineScratch {
-    res_uid: Vec<Option<UrlId>>,
     uid_to_res: Vec<(UrlId, ResourceId)>,
     child_start: Vec<usize>,
     child_ids: Vec<ResourceId>,
     warm: Vec<Option<crate::config::CacheEntry>>,
-    res_domains: Vec<SharedStr>,
     rstate: Vec<RState>,
     staged: [VecDeque<Target>; 3],
     stage_outstanding: Vec<Target>,
     cpu_ready: VecDeque<(u8, u64, Task)>,
     paints: Vec<(SimTime, f64)>,
     queue: EventQueue<Ev>,
-    link: Option<SharedLink>,
+    pub(crate) net: Buffers,
 }
 
+/// The browser half of a load: discovery, the parse plan, the CPU queue,
+/// paint and settle. Everything between a request and its response is the
+/// [`Transport`]'s.
 struct Sim<'a> {
     page: &'a Page,
     cfg: &'a LoadConfig,
-    profile: &'a NetworkProfile,
     now: SimTime,
     queue: EventQueue<Ev>,
-    link: SharedLink,
-    link_tick_at: Option<SimTime>,
-    /// Interned id of each resource's URL in `cfg.urls` (`None` when the
-    /// config never interned it — baselines with no hints or pushes).
-    res_uid: Vec<Option<UrlId>>,
+    net: Transport<'a>,
     /// Reverse map: the page's resolved `(interned id, resource)` pairs,
     /// sorted, looked up by binary search in [`Sim::res_of`]. Sized by the
     /// page, not by the shared intern table, so a load's setup cost does not
@@ -397,19 +293,7 @@ struct Sim<'a> {
     child_ids: Vec<ResourceId>,
     /// Warm-cache entry per resource, resolved once at construction.
     warm: Vec<Option<crate::config::CacheEntry>>,
-    /// Each resource's host, deduplicated at construction so domain keys
-    /// and connection events are refcount bumps, never string copies.
-    res_domains: Vec<SharedStr>,
     rstate: Vec<RState>,
-    /// Domains in first-contact order; events address them by index.
-    domains: Vec<DomainState>,
-    /// Host name → index into `domains`. Touched once per *request*; the
-    /// per-*event* paths go straight through the index.
-    domain_index: BTreeMap<SharedStr, usize>,
-    /// In-flight link transfers, sorted by id. `TransferId`s are handed out
-    /// monotonically by the link, so insertion is a push and lookup a
-    /// binary search; iteration order matches the old `BTreeMap`'s.
-    transfers: Vec<(TransferId, Flight)>,
     cpu: Cpu,
     html: BTreeMap<ResourceId, HtmlParse>,
     /// Hinted URLs by tier, in arrival order, not yet requested.
@@ -419,13 +303,6 @@ struct Sim<'a> {
     stage_outstanding: Vec<Target>,
     current_stage: u8,
     stage_kick_queued: bool,
-    /// Whether the configured fault plan can inject anything; caches
-    /// `cfg.fault.is_active()` so the fault-free fast path stays cheap.
-    fault_active: bool,
-    /// Whether each connection returns complete responses in request order
-    /// (HTTP/1.1, or Vroom's modified server) rather than multiplexing
-    /// them. Fixed for the whole load.
-    ordered: bool,
     /// Discovered resources so far — with `settled_cnt`, the onload gate
     /// (see [`Sim::check_done`]).
     discovered_cnt: usize,
@@ -434,14 +311,11 @@ struct Sim<'a> {
     settled_cnt: usize,
     /// Accounting.
     last_event: SimTime,
-    network_pending: usize,
     cpu_busy: SimDuration,
     network_wait: SimDuration,
     useful_bytes: u64,
     wasted_bytes: u64,
     cache_hits: usize,
-    rst_streams: usize,
-    goaways: usize,
     retries: usize,
     timeouts: usize,
     paints: Vec<(SimTime, f64)>,
@@ -464,13 +338,11 @@ impl<'a> Sim<'a> {
         cfg: &'a LoadConfig,
         scratch: &mut EngineScratch,
     ) -> Self {
-        let mut res_uid = std::mem::take(&mut scratch.res_uid);
-        res_uid.clear();
-        res_uid.extend(page.resources.iter().map(|r| cfg.urls.lookup(&r.url)));
+        let net = Transport::new_in(page, profile, cfg, &mut scratch.net);
         let mut uid_to_res = std::mem::take(&mut scratch.uid_to_res);
         uid_to_res.clear();
         uid_to_res.extend(
-            res_uid
+            net.res_uid
                 .iter()
                 .enumerate()
                 .filter_map(|(id, uid)| uid.map(|uid| (uid, id))),
@@ -490,31 +362,11 @@ impl<'a> Sim<'a> {
                 .iter()
                 .map(|r| cfg.warm_cache.get(&r.url).copied()),
         );
-        let mut host_index: BTreeMap<&str, SharedStr> = BTreeMap::new();
-        let mut res_domains = std::mem::take(&mut scratch.res_domains);
-        res_domains.clear();
-        res_domains.extend(page.resources.iter().map(|r| {
-            host_index
-                .entry(r.url.host.as_str())
-                .or_insert_with(|| SharedStr::from(r.url.host.as_str()))
-                .share()
-        }));
         let mut rstate = std::mem::take(&mut scratch.rstate);
         rstate.clear();
         rstate.resize(page.len(), RState::default());
         let mut queue = std::mem::take(&mut scratch.queue);
         queue.recycle();
-        let fault_active = cfg.fault.is_active();
-        let mut link = match scratch.link.take() {
-            Some(mut l) => {
-                l.reset(profile.downlink_bps);
-                l
-            }
-            None => SharedLink::new(profile.downlink_bps),
-        };
-        if fault_active {
-            link.set_capacity_schedule(cfg.fault.capacity_windows());
-        }
         let mut staged = std::mem::take(&mut scratch.staged);
         for tier in &mut staged {
             tier.clear();
@@ -528,21 +380,14 @@ impl<'a> Sim<'a> {
         Sim {
             page,
             cfg,
-            profile,
             now: SimTime::ZERO,
             queue,
-            link,
-            link_tick_at: None,
-            res_uid,
+            net,
             uid_to_res,
             child_start,
             child_ids,
             warm,
-            res_domains,
             rstate,
-            domains: Vec::new(),
-            domain_index: BTreeMap::new(),
-            transfers: Vec::new(),
             cpu: Cpu {
                 running: None,
                 ready: cpu_ready,
@@ -553,19 +398,14 @@ impl<'a> Sim<'a> {
             stage_outstanding,
             current_stage: 0,
             stage_kick_queued: false,
-            fault_active,
-            ordered: cfg.ordered_responses || cfg.http == HttpVersion::H1,
             discovered_cnt: 0,
             settled_cnt: 0,
             last_event: SimTime::ZERO,
-            network_pending: 0,
             cpu_busy: SimDuration::ZERO,
             network_wait: SimDuration::ZERO,
             useful_bytes: 0,
             wasted_bytes: 0,
             cache_hits: 0,
-            rst_streams: 0,
-            goaways: 0,
             retries: 0,
             timeouts: 0,
             paints,
@@ -635,19 +475,17 @@ impl<'a> Sim<'a> {
     /// after [`Sim::result`] so nothing the metrics read is disturbed; the
     /// buffers are cleared on the way back in at the next `new_in`.
     fn stash(&mut self, scratch: &mut EngineScratch) {
-        scratch.res_uid = std::mem::take(&mut self.res_uid);
         scratch.uid_to_res = std::mem::take(&mut self.uid_to_res);
         scratch.child_start = std::mem::take(&mut self.child_start);
         scratch.child_ids = std::mem::take(&mut self.child_ids);
         scratch.warm = std::mem::take(&mut self.warm);
-        scratch.res_domains = std::mem::take(&mut self.res_domains);
         scratch.rstate = std::mem::take(&mut self.rstate);
         scratch.staged = std::mem::take(&mut self.staged);
         scratch.stage_outstanding = std::mem::take(&mut self.stage_outstanding);
         scratch.cpu_ready = std::mem::take(&mut self.cpu.ready);
         scratch.paints = std::mem::take(&mut self.paints);
         scratch.queue = std::mem::take(&mut self.queue);
-        scratch.link = Some(std::mem::replace(&mut self.link, SharedLink::new(1)));
+        self.net.stash(&mut scratch.net);
     }
 
     // ------------------------------------------------------------ accounting
@@ -657,20 +495,11 @@ impl<'a> Sim<'a> {
         if dt > SimDuration::ZERO && !self.finished {
             if self.cpu.running.is_some() {
                 self.cpu_busy += dt;
-            } else if self.network_pending > 0 {
+            } else if self.net.outstanding > 0 {
                 self.network_wait += dt;
             }
         }
         self.last_event = upto;
-    }
-
-    /// The target's domain from the per-resource / per-URL host caches:
-    /// a refcount bump, never a string copy.
-    fn domain_of(&self, t: &Target) -> SharedStr {
-        match t {
-            Target::Real(id) => self.res_domains[*id].share(),
-            Target::Waste { url, .. } => self.cfg.urls.host(*url).share(),
-        }
     }
 
     // ------------------------------------------------------------- discovery
@@ -811,159 +640,50 @@ impl<'a> Sim<'a> {
                 let st = &self.rstate[*id];
                 st.fetched.is_some() || st.failed || st.retrying
             }
-            // Waste fetches: fetched when no longer in flight. We track them
-            // by absence: a waste target is outstanding only while a
-            // transfer carries it; simplest is to consider it fetched when
-            // it is no longer pending anywhere.
-            Target::Waste { url, .. } => !self.waste_in_flight(*url),
-        }
-    }
-
-    fn waste_in_flight(&self, url: UrlId) -> bool {
-        let queued = self.domains.iter().any(|d| {
-            d.pending
-                .iter()
-                .chain(d.conns.iter().flat_map(|c| c.response_queue.iter()))
-                .any(|t| matches!(t, Target::Waste { url: u, .. } if *u == url))
-        });
-        queued
-            || self
-                .transfers
-                .iter()
-                .any(|(_, f)| matches!(&f.direct, Some(Target::Waste { url: u, .. }) if *u == url))
-    }
-
-    /// Whether delivering `HeadersArrive { target }` would do anything:
-    /// only real resources with a server hint list react to their headers.
-    /// Pure no-op arrivals are never scheduled at all — removing an event
-    /// shifts later sequence numbers uniformly, which preserves the
-    /// same-instant FIFO order among the events that remain.
-    fn headers_carry_hints(&self, target: &Target) -> bool {
-        match target {
-            Target::Real(id) => {
-                self.res_uid[*id].is_some_and(|uid| self.cfg.server.hints.contains_key(&uid))
-            }
-            Target::Waste { .. } => false,
-        }
-    }
-
-    /// Remove a transfer's flight record by id (binary search on the
-    /// monotonically-assigned ids).
-    fn remove_transfer(&mut self, tid: TransferId) -> Option<Flight> {
-        match self.transfers.binary_search_by_key(&tid, |(t, _)| *t) {
-            Ok(pos) => Some(self.transfers.remove(pos).1),
-            Err(_) => None,
+            // A waste fetch drains once the transport no longer carries it.
+            Target::Waste { url, .. } => !self.net.carries_waste(*url),
         }
     }
 
     // -------------------------------------------------------------- fetching
 
     fn request(&mut self, target: Target) {
-        if let Target::Real(id) = target {
-            let st = &mut self.rstate[id];
-            if st.requested.is_some() || st.fetched.is_some() || st.failed {
-                return;
-            }
-            // Cache?
-            if let Some(entry) = &self.warm[id] {
-                if entry.fresh() {
-                    st.from_cache = true;
-                    st.requested = None;
-                    self.cache_hits += 1;
+        let attempt = match target {
+            Target::Real(id) => {
+                let st = &mut self.rstate[id];
+                if st.requested.is_some() || st.fetched.is_some() || st.failed {
+                    return;
+                }
+                // Cache?
+                if let Some(entry) = &self.warm[id] {
+                    if entry.fresh() {
+                        st.from_cache = true;
+                        st.requested = None;
+                        self.cache_hits += 1;
+                        self.finish_fetch(Target::Real(id));
+                        return;
+                    }
+                }
+                st.requested = Some(self.now);
+                if self.cfg.zero_network {
                     self.finish_fetch(Target::Real(id));
                     return;
                 }
+                self.start_attempt(id);
+                self.rstate[id].attempts
             }
-            st.requested = Some(self.now);
-            if self.cfg.zero_network {
-                self.finish_fetch(Target::Real(id));
-                return;
-            }
-            self.start_attempt(id);
-        } else if self.cfg.zero_network {
-            return; // nothing to waste when the network is free
-        }
-
-        let domain = self.domain_of(&target);
-        let dom = match self.domain_index.get(&domain) {
-            Some(&i) => i,
-            None => {
-                let i = self.domains.len();
-                self.domains.push(DomainState {
-                    name: domain.share(),
-                    conns: Vec::new(),
-                    pending: VecDeque::new(),
-                    dns_started: false,
-                });
-                self.domain_index.insert(domain.share(), i);
-                i
-            }
+            // Nothing to waste when the network is free.
+            Target::Waste { .. } if self.cfg.zero_network => return,
+            Target::Waste { .. } => 0,
         };
-        let setup = self
-            .profile
-            .latency
-            .connection_setup(&domain, self.domains[dom].dns_started);
-        let ds = &mut self.domains[dom];
-        ds.dns_started = true;
-        self.network_pending += 1;
-
-        match self.cfg.http {
-            HttpVersion::H2 => {
-                // HTTP/2: one connection per domain.
-                if ds.conns.is_empty() {
-                    ds.conns.push(Conn::new());
-                    ds.pending.push_back(target);
-                    self.queue.schedule(
-                        self.now + setup,
-                        Ev::ConnReady {
-                            dom,
-                            conn: 0,
-                            epoch: 0,
-                        },
-                    );
-                } else if !ds.conns[0].ready {
-                    ds.pending.push_back(target);
-                } else {
-                    let epoch = ds.conns[0].epoch;
-                    let ow = self.profile.latency.one_way(&domain);
-                    self.queue.schedule(
-                        self.now + ow,
-                        Ev::ServerArrival {
-                            dom,
-                            conn: 0,
-                            epoch,
-                            target,
-                        },
-                    );
-                }
-            }
-            HttpVersion::H1 => {
-                ds.pending.push_back(target);
-                // Open another connection if all are busy/unready and we
-                // have headroom.
-                let free = ds.conns.iter().any(|c| c.ready && !c.busy);
-                if !free && ds.conns.len() < H1_CONNS_PER_DOMAIN {
-                    ds.conns.push(Conn::new());
-                    let conn = ds.conns.len() - 1;
-                    self.queue.schedule(
-                        self.now + setup,
-                        Ev::ConnReady {
-                            dom,
-                            conn,
-                            epoch: 0,
-                        },
-                    );
-                } else if free {
-                    self.h1_dispatch(dom);
-                }
-            }
-        }
+        let req = Req { target, attempt };
+        self.net.fetch(&mut self.queue, self.now, req);
     }
 
     /// Under an active fault plan, count a new fetch attempt for `id` and
     /// arm its timeout.
     fn start_attempt(&mut self, id: ResourceId) {
-        if !self.fault_active {
+        if !self.net.fault_active {
             return;
         }
         let st = &mut self.rstate[id];
@@ -971,32 +691,6 @@ impl<'a> Sim<'a> {
         let attempt = st.attempts;
         self.queue
             .schedule(self.now + RETRY.timeout, Ev::FetchTimeout { id, attempt });
-    }
-
-    /// H1: move pending requests onto free connections in request order.
-    fn h1_dispatch(&mut self, dom: usize) {
-        let name = self.domains[dom].name.share();
-        loop {
-            let ds = &mut self.domains[dom];
-            let Some(conn_idx) = ds.conns.iter().position(|c| c.ready && !c.busy) else {
-                return;
-            };
-            let Some(target) = ds.pending.pop_front() else {
-                return;
-            };
-            ds.conns[conn_idx].busy = true;
-            let epoch = ds.conns[conn_idx].epoch;
-            let ow = self.profile.latency.one_way(&name);
-            self.queue.schedule(
-                self.now + ow,
-                Ev::ServerArrival {
-                    dom,
-                    conn: conn_idx,
-                    epoch,
-                    target,
-                },
-            );
-        }
     }
 
     fn finish_fetch(&mut self, target: Target) {
@@ -1113,24 +807,8 @@ impl<'a> Sim<'a> {
             if is_blocking_script {
                 // Close the current parse span at the script's position.
                 let frac = c.discovery_frac.max(span_start);
-                let duration = total.mul_f64(frac - span_start);
-                let discoveries = std::mem::take(&mut span_discoveries)
-                    .into_iter()
-                    .map(|(id, f)| {
-                        (
-                            id,
-                            if frac > span_start {
-                                ((f - span_start) / (frac - span_start)).clamp(0.0, 1.0)
-                            } else {
-                                1.0
-                            },
-                        )
-                    })
-                    .collect();
-                plan.push(Segment::Parse {
-                    duration,
-                    discoveries,
-                });
+                let discoveries = std::mem::take(&mut span_discoveries);
+                plan.push(parse_span(total, span_start, frac, discoveries));
                 plan.push(Segment::AwaitScript {
                     js: c.id,
                     // vroom-lint: allow(hot-path-alloc) -- plan construction runs once per HTML parse; css_deps is a handful of ids
@@ -1144,24 +822,7 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        let duration = total.mul_f64(1.0 - span_start);
-        let discoveries = span_discoveries
-            .into_iter()
-            .map(|(id, f)| {
-                (
-                    id,
-                    if span_start < 1.0 {
-                        ((f - span_start) / (1.0 - span_start)).clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    },
-                )
-            })
-            .collect();
-        plan.push(Segment::Parse {
-            duration,
-            discoveries,
-        });
+        plan.push(parse_span(total, span_start, 1.0, span_discoveries));
         self.html.insert(
             html_id,
             HtmlParse {
@@ -1182,12 +843,8 @@ impl<'a> Sim<'a> {
                 return;
             }
         }
-        let class = if html_id == 0 {
-            CLASS_PARSER
-        } else {
-            CLASS_DEFER
-        };
-        self.cpu.push(class, Task::HtmlSegment { html: html_id });
+        self.cpu
+            .push(parser_class(html_id), Task::HtmlSegment { html: html_id });
         self.try_run_cpu();
     }
 
@@ -1245,17 +902,9 @@ impl<'a> Sim<'a> {
             return;
         }
         self.html.get_mut(&html_id).expect("exists").blocked = false;
-        self.cpu.push(
-            if html_id == 0 {
-                CLASS_PARSER
-            } else {
-                CLASS_DEFER
-            },
-            Task::ExecJs {
-                id: js,
-                resumes: Some(html_id),
-            },
-        );
+        let resumes = Some(html_id);
+        self.cpu
+            .push(parser_class(html_id), Task::ExecJs { id: js, resumes });
         self.try_run_cpu();
     }
 
@@ -1296,12 +945,8 @@ impl<'a> Sim<'a> {
         }
         match &parse.plan[parse.next] {
             Segment::Parse { .. } => {
-                let class = if html_id == 0 {
-                    CLASS_PARSER
-                } else {
-                    CLASS_DEFER
-                };
-                self.cpu.push(class, Task::HtmlSegment { html: html_id });
+                self.cpu
+                    .push(parser_class(html_id), Task::HtmlSegment { html: html_id });
             }
             Segment::AwaitScript { js, .. } => {
                 // The parser discovers the script tag at this position.
@@ -1343,12 +988,11 @@ impl<'a> Sim<'a> {
                     }
                 }
             }
-            Task::ExecJs { id, .. } => self.page.resources[*id]
-                .cpu_cost
-                .mul_f64(self.cfg.cpu_factor),
-            Task::ParseCss { id } | Task::Decode { id } => self.page.resources[*id]
-                .cpu_cost
-                .mul_f64(self.cfg.cpu_factor),
+            Task::ExecJs { id, .. } | Task::ParseCss { id } | Task::Decode { id } => {
+                self.page.resources[*id]
+                    .cpu_cost
+                    .mul_f64(self.cfg.cpu_factor)
+            }
         };
         let end = self.now + duration;
         self.cpu.running = Some((task, end));
@@ -1365,32 +1009,36 @@ impl<'a> Sim<'a> {
                 self.continue_parse(html);
             }
             Task::ExecJs { id, resumes } => {
-                self.rstate[id].processed = Some(self.now);
-                self.note_settled(id);
                 // Children of scripts are discovered when execution finishes.
-                self.discover_children(id);
+                self.processed(id);
                 if let Some(html) = resumes {
                     self.continue_parse(html);
                 }
                 self.check_done();
             }
             Task::ParseCss { id } => {
-                self.rstate[id].processed = Some(self.now);
-                self.note_settled(id);
-                self.discover_children(id);
+                self.processed(id);
                 self.paint(id);
                 self.on_css_processed();
                 self.check_done();
             }
-            Task::Decode { id } => {
-                self.rstate[id].processed = Some(self.now);
-                self.note_settled(id);
-                self.discover_children(id);
-                self.paint(id);
-                self.check_done();
-            }
+            Task::Decode { id } => self.decoded(id),
         }
         self.try_run_cpu();
+    }
+
+    /// `id` finished processing: settle it and discover its children.
+    fn processed(&mut self, id: ResourceId) {
+        self.rstate[id].processed = Some(self.now);
+        self.note_settled(id);
+        self.discover_children(id);
+    }
+
+    /// A leaf resource finished decoding and paints.
+    fn decoded(&mut self, id: ResourceId) {
+        self.processed(id);
+        self.paint(id);
+        self.check_done();
     }
 
     fn on_stage_open(&mut self, tier: u8) {
@@ -1478,163 +1126,7 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn reschedule_link_tick(&mut self) {
-        let next = self.link.next_completion(self.now);
-        match next {
-            Some(at) => {
-                if self.link_tick_at != Some(at) {
-                    self.link_tick_at = Some(at);
-                    self.queue.schedule(at, Ev::LinkTick);
-                }
-            }
-            None => self.link_tick_at = None,
-        }
-    }
-
-    /// Injected truncation: how many bytes of `target` actually cross the
-    /// link on this attempt, and whether the stream dies after them.
-    fn faulted_size(&self, target: &Target) -> (u64, bool) {
-        let full = target.size(self.page);
-        if !self.fault_active {
-            return (full, false);
-        }
-        let (url, attempt) = match target {
-            Target::Real(id) => {
-                let attempt = self.rstate[*id].attempts.max(1);
-                match self.res_uid[*id] {
-                    Some(uid) => (self.cfg.urls.full_url(uid).share(), attempt),
-                    None => (
-                        // vroom-lint: allow(hot-path-alloc) -- fault-injection fallback for resources the config never interned
-                        SharedStr::from(self.page.resources[*id].url.to_string()),
-                        attempt,
-                    ),
-                }
-            }
-            Target::Waste { url, .. } => (self.cfg.urls.full_url(*url).share(), 1),
-        };
-        match self.cfg.fault.truncation(&url, attempt) {
-            Some(frac) => (((full as f64 * frac) as u64).max(1), true),
-            None => (full, false),
-        }
-    }
-
-    /// The server has `target`'s response ready on `conn`. Ordered serving
-    /// queues it behind the connection's earlier responses (the caller
-    /// then calls [`Sim::start_next_response`]); multiplexed serving — stock
-    /// HTTP/2 — puts it on the link at once as a transfer of its own.
-    fn enqueue_response(&mut self, dom: usize, conn: usize, target: Target) {
-        if self.ordered {
-            self.domains[dom].conns[conn]
-                .response_queue
-                .push_back(target);
-        } else {
-            self.start_response(dom, conn, target);
-        }
-    }
-
-    /// Ordered serving: put the connection's queue head on the link unless
-    /// a response is already sending.
-    fn start_next_response(&mut self, dom: usize, conn: usize) {
-        let c = &mut self.domains[dom].conns[conn];
-        if c.sending {
-            return;
-        }
-        let Some(&head) = c.response_queue.front() else {
-            return;
-        };
-        c.sending = true;
-        self.start_response(dom, conn, head);
-    }
-
-    /// Start `target`'s response on the link: injected truncation, the
-    /// connection's slow-start tail, and the header hints one propagation
-    /// delay later.
-    fn start_response(&mut self, dom: usize, conn: usize, target: Target) {
-        let (size, truncated) = self.faulted_size(&target);
-        let name = self.domains[dom].name.share();
-        let rtt = self.profile.latency.rtt(&name);
-        let penalty = self.domains[dom].conns[conn].slow_start_penalty(size, rtt);
-        let (tid, completed) = self.link.start(self.now, size);
-        self.transfers.push((
-            tid,
-            Flight {
-                dom,
-                conn,
-                direct: (!self.ordered).then_some(target),
-                penalty,
-                truncated,
-            },
-        ));
-        if self.headers_carry_hints(&target) {
-            let ow = self.profile.latency.one_way(&name);
-            self.queue
-                .schedule(self.now + ow, Ev::HeadersArrive { target });
-        }
-        self.on_link_completions(completed);
-        self.reschedule_link_tick();
-    }
-
-    fn on_link_completions(&mut self, completed: Vec<TransferId>) {
-        for tid in completed {
-            let Some(flight) = self.remove_transfer(tid) else {
-                continue;
-            };
-            let Flight {
-                dom,
-                conn,
-                direct,
-                penalty,
-                truncated,
-            } = flight;
-            let ow = self.profile.latency.one_way(&self.domains[dom].name) + penalty;
-            let deliver = |target: Target| {
-                if truncated {
-                    // The body stopped early; the server's RST_STREAM
-                    // reaches the client one propagation delay later.
-                    Ev::ResponseFailed { target }
-                } else {
-                    Ev::ResponseDelivered { target }
-                }
-            };
-            if let Some(target) = direct {
-                // Multiplexed: nothing queued on the connection.
-                self.queue.schedule(self.now + ow, deliver(target));
-                continue;
-            }
-            let c = &mut self.domains[dom].conns[conn];
-            let epoch = c.epoch;
-            let target = c.response_queue.pop_front().expect("head existed");
-            self.queue.schedule(self.now + ow, deliver(target));
-            // The connection stays occupied through its slow-start tail:
-            // a cold connection genuinely cannot carry the next response
-            // until the extra round trips have elapsed.
-            self.queue
-                .schedule(self.now + penalty, Ev::ConnFree { dom, conn, epoch });
-        }
-    }
-
-    fn on_conn_free(&mut self, dom: usize, conn: usize, epoch: u32) {
-        let c = &mut self.domains[dom].conns[conn];
-        if c.epoch != epoch {
-            return; // addressed to a dead incarnation
-        }
-        c.sending = false;
-        c.busy = false;
-        if self.cfg.http == HttpVersion::H1 {
-            self.h1_dispatch(dom);
-        } else {
-            self.start_next_response(dom, conn);
-        }
-    }
-
     // ------------------------------------------------------ fault recovery
-
-    /// Credit link progress up to `now` (delivering anything that made it)
-    /// before surgery on in-flight transfers. Idempotent at one instant.
-    fn sync_link(&mut self) {
-        let completed = self.link.advance(self.now);
-        self.on_link_completions(completed);
-    }
 
     /// A fetch attempt for `id` died (RST_STREAM, GOAWAY, or timeout).
     /// Back off and retry while the budget allows; degrade otherwise.
@@ -1680,18 +1172,21 @@ impl<'a> Sim<'a> {
         self.check_done();
     }
 
-    /// A target riding a killed connection (queued response, in-flight
-    /// stream, or request that arrived after the GOAWAY) is lost.
-    fn fail_inflight_target(&mut self, target: Target) {
-        self.network_pending = self.network_pending.saturating_sub(1);
+    /// A response the browser was waiting on was delivered, or died (a
+    /// truncated body, a dropped connection, or a request that reached a
+    /// dead one).
+    fn on_response(&mut self, target: Target, delivered: bool) {
         match target {
             Target::Real(id) => {
                 self.rstate[id].in_flight = false;
-                self.retry_or_fail(id);
+                match delivered {
+                    true => self.finish_fetch(target),
+                    false => self.retry_or_fail(id),
+                }
             }
+            // A wasted (false-positive) fetch is abandoned either way, never
+            // retried.
             Target::Waste { size, .. } => {
-                // Degradation: a wasted (false-positive) fetch is simply
-                // abandoned — never retried.
                 self.wasted_bytes += size;
                 if self.cfg.fetch_policy == FetchPolicy::VroomStaged {
                     self.maybe_kick_stage();
@@ -1700,77 +1195,17 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Injected connection drop: GOAWAY semantics. Every stream the
-    /// connection carried is lost; the socket re-handshakes with a bumped
-    /// epoch (replacement connections are never re-dropped, so every load
-    /// terminates).
-    fn on_conn_dropped(&mut self, dom: usize, conn: usize, epoch: u32) {
-        {
-            let c = &mut self.domains[dom].conns[conn];
-            if c.epoch != epoch || !c.ready {
-                return;
-            }
-        }
-        self.goaways += 1;
-        self.sync_link();
-        // Cancel whatever this connection still has on the link.
-        let tids: Vec<TransferId> = self
-            .transfers
-            .iter()
-            .filter(|(_, f)| f.dom == dom && f.conn == conn)
-            .map(|(tid, _)| *tid)
-            .collect();
-        let mut lost: Vec<Target> = Vec::new();
-        for tid in tids {
-            let flight = self.remove_transfer(tid).expect("collected above");
-            self.link.cancel(tid);
-            if let Some(target) = flight.direct {
-                lost.push(target);
-            }
-            // direct == None: the ordered head — drained with the queue below.
-        }
-        let c = &mut self.domains[dom].conns[conn];
-        lost.extend(c.response_queue.drain(..));
-        c.epoch += 1;
-        c.ready = false;
-        c.busy = false;
-        c.sending = false;
-        c.cwnd = INITIAL_CWND;
-        let new_epoch = c.epoch;
-        for target in lost {
-            self.fail_inflight_target(target);
-        }
-        // Reconnect: DNS is warm, only transport setup is paid again.
-        let name = self.domains[dom].name.share();
-        let setup = self.profile.latency.connection_setup(&name, true);
-        self.queue.schedule(
-            self.now + setup,
-            Ev::ConnReady {
-                dom,
-                conn,
-                epoch: new_epoch,
-            },
-        );
-        self.reschedule_link_tick();
-    }
-
-    /// Per-request timeout. If the attempt's artifact is somewhere we can
-    /// abort (a queue or the link), reset it and back off. If it is mid-
-    /// propagation (request or response in flight between structures),
-    /// re-check shortly — it must land in a structure or deliver.
+    /// Per-request timeout. If the transport can reset the attempt's
+    /// stream, back off. If the request or response is propagating between
+    /// places a reset reaches, re-check shortly — it must land somewhere
+    /// or deliver.
     fn on_fetch_timeout(&mut self, id: ResourceId, attempt: u32) {
         let st = &self.rstate[id];
         if st.fetched.is_some() || st.failed || st.attempts != attempt || st.requested.is_none() {
             return;
         }
-        self.sync_link();
-        if self.rstate[id].fetched.is_some() {
-            return; // delivery beat the timeout at this very instant
-        }
-        if self.abort_real_target(id) {
+        if self.net.abort(&mut self.queue, self.now, id) {
             self.timeouts += 1;
-            self.rst_streams += 1;
-            self.network_pending = self.network_pending.saturating_sub(1);
             self.retry_or_fail(id);
         } else {
             self.queue.schedule(
@@ -1780,216 +1215,65 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Find and remove the in-flight artifact of `id`'s current attempt.
-    /// Returns whether anything was removed (the caller settles accounting).
-    fn abort_real_target(&mut self, id: ResourceId) -> bool {
-        let is_me = |t: &Target| matches!(t, Target::Real(i) if *i == id);
-        // 1. Waiting for a connection (H1 pool / H2 handshake).
-        for ds in &mut self.domains {
-            if let Some(pos) = ds.pending.iter().position(is_me) {
-                ds.pending.remove(pos);
-                return true;
-            }
+    /// The server promised a push of `p`. Accept it unless the client
+    /// already has, awaits or caches the resource; an accepted push reveals
+    /// its URL (recording no discovery time) and counts as a fetch attempt.
+    fn claim_push(&mut self, p: &Hint) -> Option<Req> {
+        let Some(id) = self.res_of(p.url) else {
+            let (url, size) = (p.url, p.size_hint);
+            let target = Target::Waste { url, size };
+            return Some(Req { target, attempt: 0 });
+        };
+        let st = &self.rstate[id];
+        if st.fetched.is_some() || st.in_flight || st.requested.is_some() {
+            return None; // client already has/requested it
         }
-        // 2. Queued or sending on a connection (ordered path).
-        let mut found: Option<(usize, usize, usize, bool)> = None;
-        'outer: for (di, ds) in self.domains.iter().enumerate() {
-            for (ci, c) in ds.conns.iter().enumerate() {
-                if let Some(pos) = c.response_queue.iter().position(is_me) {
-                    found = Some((di, ci, pos, pos == 0 && c.sending));
-                    break 'outer;
+        // Cached at client: servers skip these pushes.
+        if self.warm[id].is_some_and(|e| e.fresh()) {
+            return None;
+        }
+        self.mark_discovered(id, false);
+        let st = &mut self.rstate[id];
+        st.in_flight = true;
+        st.pushed = true;
+        st.requested = Some(self.now);
+        self.start_attempt(id);
+        let attempt = self.rstate[id].attempts;
+        Some(Req {
+            target: Target::Real(id),
+            attempt,
+        })
+    }
+
+    /// Act on what the transport reports for one of its events.
+    fn on_net(&mut self, ev: NetEv) {
+        match self.net.handle(&mut self.queue, self.now, ev) {
+            Heard::Nothing => {}
+            Heard::Hints(hints) => self.on_hints(hints),
+            Heard::Delivered(target) => self.on_response(target, true),
+            Heard::Failed(target) => self.on_response(target, false),
+            Heard::Promised(pushes, then) => {
+                for p in pushes {
+                    if let Some(req) = self.claim_push(p) {
+                        self.net.push(&mut self.queue, self.now, then, req);
+                    }
                 }
+                self.net.finish(&mut self.queue, self.now, then);
             }
-        }
-        if let Some((di, ci, pos, on_link)) = found {
-            if on_link {
-                // The head is mid-transfer: cancel its stream on the link.
-                let tid = self
-                    .transfers
-                    .iter()
-                    .find(|(_, f)| f.dom == di && f.conn == ci && f.direct.is_none())
-                    .map(|(tid, _)| *tid);
-                if let Some(tid) = tid {
-                    self.remove_transfer(tid);
-                    self.link.cancel(tid);
+            Heard::Dropped(lost, then) => {
+                for target in lost {
+                    self.on_response(target, false);
                 }
-                let c = &mut self.domains[di].conns[ci];
-                c.response_queue.pop_front();
-                c.sending = false;
-                let epoch = c.epoch;
-                // The connection is free for the next response immediately:
-                // the client's RST releases the stream.
-                self.on_conn_free(di, ci, epoch);
-                self.reschedule_link_tick();
-            } else {
-                self.domains[di].conns[ci].response_queue.remove(pos);
+                self.net.finish(&mut self.queue, self.now, then);
             }
-            return true;
         }
-        // 3. A multiplexed transfer of its own.
-        let tid = self
-            .transfers
-            .iter()
-            .find(|(_, f)| f.direct.as_ref().is_some_and(is_me))
-            .map(|(tid, _)| *tid);
-        if let Some(tid) = tid {
-            self.remove_transfer(tid);
-            self.link.cancel(tid);
-            self.reschedule_link_tick();
-            return true;
-        }
-        false
     }
 
     // ----------------------------------------------------------------- events
 
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::ConnReady { dom, conn, epoch } => {
-                if self.domains[dom].conns[conn].epoch != epoch {
-                    return; // superseded incarnation
-                }
-                self.domains[dom].conns[conn].ready = true;
-                // Fate the connection at handshake time: only first
-                // incarnations may drop, so reconnects always survive.
-                if self.fault_active && epoch == 0 {
-                    let name = self.domains[dom].name.share();
-                    if let Some(delay) = self.cfg.fault.conn_drop(&name, conn) {
-                        self.queue
-                            .schedule(self.now + delay, Ev::ConnDropped { dom, conn, epoch });
-                    }
-                }
-                match self.cfg.http {
-                    HttpVersion::H2 => {
-                        let name = self.domains[dom].name.share();
-                        let pending: Vec<Target> = self.domains[dom].pending.drain(..).collect();
-                        let ow = self.profile.latency.one_way(&name);
-                        for target in pending {
-                            self.queue.schedule(
-                                self.now + ow,
-                                Ev::ServerArrival {
-                                    dom,
-                                    conn,
-                                    epoch,
-                                    target,
-                                },
-                            );
-                        }
-                    }
-                    HttpVersion::H1 => {
-                        self.h1_dispatch(dom);
-                    }
-                }
-            }
-            Ev::ServerArrival {
-                dom,
-                conn,
-                epoch,
-                target,
-            } => {
-                // The request rode a connection that has since been torn
-                // down: it died with the socket.
-                let alive = {
-                    let c = &self.domains[dom].conns[conn];
-                    c.epoch == epoch && c.ready
-                };
-                if !alive {
-                    self.fail_inflight_target(target);
-                    return;
-                }
-                // The server enqueues the response — and, for HTML under
-                // HTTP/2, pushes same-domain dependencies right behind it.
-                let mut to_push: Vec<Hint> = Vec::new();
-                if matches!(self.cfg.http, HttpVersion::H2) {
-                    if let Target::Real(id) = &target {
-                        if let Some(uid) = self.res_uid[*id] {
-                            if let Some(pushes) = self.cfg.server.pushes.get(&uid) {
-                                // vroom-lint: allow(hot-path-alloc) -- one small Vec of Copy hints per pushed HTML document
-                                to_push = pushes.clone();
-                            }
-                        }
-                    }
-                }
-                self.enqueue_response(dom, conn, target);
-                for p in to_push {
-                    debug_assert_eq!(
-                        self.cfg.urls.get(p.url).host,
-                        self.domains[dom].name,
-                        "push must be same-domain"
-                    );
-                    let push_target = match self.res_of(p.url) {
-                        Some(id) => {
-                            if self.rstate[id].fetched.is_some()
-                                || self.rstate[id].in_flight
-                                || self.rstate[id].requested.is_some()
-                            {
-                                continue; // client already has/requested it
-                            }
-                            // Cached at client: servers skip these pushes.
-                            if self.warm[id].map(|e| e.fresh()).unwrap_or(false) {
-                                continue;
-                            }
-                            // A push reveals the URL but records no
-                            // discovery time.
-                            self.mark_discovered(id, false);
-                            let st = &mut self.rstate[id];
-                            st.in_flight = true;
-                            st.pushed = true;
-                            st.requested = Some(self.now);
-                            self.start_attempt(id);
-                            Target::Real(id)
-                        }
-                        None => Target::Waste {
-                            url: p.url,
-                            size: p.size_hint,
-                        },
-                    };
-                    self.network_pending += 1;
-                    self.enqueue_response(dom, conn, push_target);
-                }
-                self.start_next_response(dom, conn);
-            }
-            Ev::LinkTick => {
-                // Only the tracked tick is consumed; a stale tick (an old
-                // prediction) must leave `link_tick_at` alone, or its
-                // reschedule re-creates the still-live tracked tick as a
-                // same-instant duplicate — and every duplicate propagates
-                // another one forward, an event storm of arithmetic no-ops
-                // (an `advance` at an already-advanced instant is zero-dt).
-                if self.link_tick_at == Some(self.now) {
-                    self.link_tick_at = None;
-                }
-                let completed = self.link.advance(self.now);
-                self.on_link_completions(completed);
-                self.reschedule_link_tick();
-            }
-            Ev::HeadersArrive { target } => {
-                if let Target::Real(id) = target {
-                    // `cfg` outlives `self`, so hint lists are borrowed
-                    // straight from the config — no per-arrival clone.
-                    let cfg = self.cfg;
-                    if let Some(uid) = self.res_uid[id] {
-                        if let Some(hints) = cfg.server.hints.get(&uid) {
-                            self.on_hints(hints);
-                        }
-                    }
-                }
-            }
-            Ev::ResponseDelivered { target } => {
-                self.network_pending = self.network_pending.saturating_sub(1);
-                match target {
-                    Target::Real(id) => {
-                        self.rstate[id].in_flight = false;
-                        self.finish_fetch(Target::Real(id));
-                    }
-                    Target::Waste { size, .. } => {
-                        self.wasted_bytes += size;
-                        if self.cfg.fetch_policy == FetchPolicy::VroomStaged {
-                            self.maybe_kick_stage();
-                        }
-                    }
-                }
-            }
+            Ev::Net(ev) => self.on_net(ev),
             Ev::CpuDone => self.on_cpu_done(),
             Ev::Discover { id } => {
                 if self.rstate[id].discovered.is_some() {
@@ -1999,14 +1283,6 @@ impl<'a> Sim<'a> {
                 }
             }
             Ev::StageOpen { tier } => self.on_stage_open(tier),
-            Ev::ConnFree { dom, conn, epoch } => self.on_conn_free(dom, conn, epoch),
-            Ev::ResponseFailed { target } => {
-                // The stream died mid-body: RST_STREAM semantics. The
-                // partial bytes were delivered by the link but are useless.
-                self.rst_streams += 1;
-                self.fail_inflight_target(target);
-            }
-            Ev::ConnDropped { dom, conn, epoch } => self.on_conn_dropped(dom, conn, epoch),
             Ev::FetchTimeout { id, attempt } => self.on_fetch_timeout(id, attempt),
             Ev::Retry { id } => {
                 let st = &mut self.rstate[id];
@@ -2016,13 +1292,7 @@ impl<'a> Sim<'a> {
                 st.retrying = false;
                 self.request(Target::Real(id));
             }
-            Ev::DecodeDone { id } => {
-                self.rstate[id].processed = Some(self.now);
-                self.note_settled(id);
-                self.discover_children(id);
-                self.paint(id);
-                self.check_done();
-            }
+            Ev::DecodeDone { id } => self.decoded(id),
         }
     }
 
@@ -2089,8 +1359,8 @@ impl<'a> Sim<'a> {
             useful_bytes: self.useful_bytes,
             wasted_bytes: self.wasted_bytes,
             cache_hits: self.cache_hits,
-            rst_streams: self.rst_streams,
-            goaways: self.goaways,
+            rst_streams: self.net.rst_streams,
+            goaways: self.net.goaways,
             retries: self.retries,
             timeouts: self.timeouts,
             failed_resources,

@@ -12,6 +12,7 @@
 pub mod config;
 pub mod engine;
 pub mod metrics;
+mod transport;
 
 pub use config::{CacheEntry, FetchPolicy, Hint, HttpVersion, LoadConfig, ServerModel};
 pub use engine::{BrowserEngine, EngineScratch};
@@ -19,3 +20,5 @@ pub use metrics::{quartiles, LoadResult, Quartiles, ResourceTiming};
 
 #[cfg(test)]
 mod engine_tests;
+#[cfg(test)]
+mod transport_tests;

@@ -5,7 +5,9 @@
 //! over-approximation — when in doubt, an edge is added:
 //!
 //! * free calls resolve by name, preferring candidates in the caller's own
-//!   crate, else falling back to every function with that name;
+//!   crate, else falling back to every function with that name; a call
+//!   through a `let`-bound local closure is no call site at all, since the
+//!   parser already attributes the closure's body to the enclosing fn;
 //! * method calls resolve by name + arity over every method in the
 //!   workspace (trait dispatch collapses to "same name, same shape"); when
 //!   no candidate matches exactly, lower-arity candidates are linked —
@@ -329,6 +331,27 @@ mod tests {
         let g = Graph::build(&s);
         let entry = find(&g, "entry");
         assert_eq!(g.edges[entry].len(), 1, "same-crate helper wins");
+    }
+
+    #[test]
+    fn free_call_to_local_closure_adds_no_edge() {
+        // `load(run)` calls the closure bound just above it, not the
+        // unrelated `load` in another crate; a same-named fn called before
+        // the binding still links.
+        let s = graph_of(&[
+            (
+                "crates/vroom/src/a.rs",
+                "pub fn entry(run: u32) -> u32 { let load = |run: u32| run; load(run) }\n\
+                 pub fn early(run: u32) { store(run); let mut store = move |r: u32| r; store(run); }\n",
+            ),
+            (
+                "crates/net/src/b.rs",
+                "pub fn load(path: &str) {}\npub fn store(path: &str) {}\n",
+            ),
+        ]);
+        let g = Graph::build(&s);
+        assert!(g.edges[find(&g, "entry")].is_empty(), "closure call linked");
+        assert_eq!(g.edges[find(&g, "early")], vec![find(&g, "store")]);
     }
 
     #[test]

@@ -1402,10 +1402,14 @@ const CALL_KEYWORDS: [&str; 22] = [
     "ref", "mut", "use", "pub", "impl", "where", "break", "continue", "await", "box",
 ];
 
-/// All call sites in `code[start..end]`.
+/// All call sites in `code[start..end]`. A free call through a local
+/// closure binding (`let load = |..| ..; load(x)`) is not a call site: the
+/// closure's body is this fn's own code, already summarized here, and the
+/// name says nothing about workspace fns that happen to share it.
 fn call_sites(code: &str, start: usize, end: usize, lines: &LineMap) -> Vec<CallSite> {
     let mut out = Vec::new();
     let body = &code[start..end];
+    let closures = local_closures(body);
     let bytes = body.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -1458,6 +1462,10 @@ fn call_sites(code: &str, start: usize, end: usize, lines: &LineMap) -> Vec<Call
         } else {
             (CallKind::Free, None, None)
         };
+        let bound = |&(n, at): &(&str, usize)| n == name && at <= id_start;
+        if kind == CallKind::Free && closures.iter().any(bound) {
+            continue;
+        }
         out.push(CallSite {
             name: name.to_string(),
             qualifier,
@@ -1466,6 +1474,31 @@ fn call_sites(code: &str, start: usize, end: usize, lines: &LineMap) -> Vec<Call
             line: lines.line(abs),
             recv,
         });
+    }
+    out
+}
+
+/// The closures `body` binds to a local name (`let f = |..|`, `let mut f =
+/// move |..|`), each with the offset just past the name: calls by that name
+/// after it reach the closure.
+fn local_closures(body: &str) -> Vec<(&str, usize)> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    for (at, _) in body.match_indices("let ") {
+        if body[..at].ends_with(is_ident) {
+            continue;
+        }
+        let rest = body[at + 4..].trim_start();
+        let rest = rest.strip_prefix("mut ").map_or(rest, str::trim_start);
+        let (name, tail) = rest.split_at(rest.find(|c| !is_ident(c)).unwrap_or(rest.len()));
+        let Some(value) = tail.trim_start().strip_prefix('=') else {
+            continue;
+        };
+        let value = value.trim_start();
+        let value = value.strip_prefix("move").map_or(value, str::trim_start);
+        if !name.is_empty() && value.starts_with('|') {
+            out.push((name, body.len() - tail.len()));
+        }
     }
     out
 }

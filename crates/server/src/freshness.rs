@@ -1,5 +1,5 @@
 //! The hint-freshness loop: observed-load feedback and the
-//! accuracy-vs-staleness calibration (ROADMAP item 3).
+//! accuracy-vs-staleness calibration.
 //!
 //! Crawler passes ([`crate::batch::run_pass`]) are the *push* half of
 //! keeping a shared [`crate::store::HintStore`] fresh; this module adds the

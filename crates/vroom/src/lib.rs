@@ -10,9 +10,10 @@
 //! decoupling the client's CPU from its network.
 //!
 //! This crate is the top of the workspace: it combines the substrates
-//! (`vroom-http2`, `vroom-html`, `vroom-net`, `vroom-pages`,
-//! `vroom-browser`, `vroom-server`) into the paper's systems and
-//! experiments.
+//! (`vroom-html`, `vroom-net`, `vroom-pages`, `vroom-browser`,
+//! `vroom-server`) into the paper's systems and experiments. The real
+//! HTTP/2 stack (`vroom-hpack`, `vroom-http2`) serves the wire path in
+//! `vroom-server`; no simulated load passes through it.
 //!
 //! # Quickstart
 //!
