@@ -799,8 +799,10 @@ fn run_micro(samples: u64) -> Vec<BenchStats> {
     // the Vroom system — the unit the experiment suite repeats thousands
     // of times, so this is the number that moves when hot paths improve.
     // The page and its crawls are built once, outside the timed closure,
-    // as the suite builds them once per site for all of its systems: each
-    // sample times hint resolution and the engine run.
+    // and the page is resolved once, in the first iteration, as the suite
+    // builds and resolves them once per site for all of its systems: each
+    // later iteration times building the config from that resolution and
+    // the engine run.
     let site = PageGenerator::new(SiteProfile::news(), 42);
     let load = SiteLoad::new(&site, &LoadContext::reference(), 7);
     let net = NetworkProfile::lte();

@@ -15,6 +15,9 @@
 //!   a URL, so a hit costs one URL comparison, however large the table.
 //!   Each URL is stored once, in id order. [`UrlTable::intern_ref`] clones
 //!   a borrowed URL only when it is new.
+//! * [`UrlSet`] — the same hash and probe over borrowed URLs, for code
+//!   that only asks whether it has seen a URL (the resolver's crawl
+//!   intersection, accuracy scoring) and needs no ids.
 //! * [`SharedBytes`] / [`SharedStr`] — `Arc`-backed immutable buffers in the
 //!   style of the `bytes` crate: cloning is a reference-count bump, never a
 //!   byte copy.
@@ -146,17 +149,27 @@ fn tag_of(url: &Url) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
-/// Put `slot` in the first empty slot at or after its home position.
-/// Total: `get_mut` ends the walk on an empty index instead of panicking.
-fn place(index: &mut [Slot], slot: Slot) {
+/// The first slot `stop` accepts, and its position, walking `index` (a
+/// power of two long, never full) by linear probing from `tag`'s home
+/// slot. The one probe of [`UrlTable`] and [`UrlSet`]; total: an empty
+/// index ends the walk at once.
+fn probe<S>(index: &[S], tag: u32, mut stop: impl FnMut(&S) -> bool) -> Option<(usize, &S)> {
     let mask = index.len().wrapping_sub(1);
-    let mut pos = slot.tag as usize & mask;
-    while let Some(s) = index.get_mut(pos) {
-        if s.id().is_none() {
-            *s = slot;
-            return;
+    let mut pos = tag as usize & mask;
+    loop {
+        let slot = index.get(pos)?;
+        if stop(slot) {
+            return Some((pos, slot));
         }
         pos = (pos + 1) & mask;
+    }
+}
+
+/// Put `slot` in the first empty slot at or after its home position.
+fn place(index: &mut [Slot], slot: Slot) {
+    let free = probe(index, slot.tag, |s| s.id().is_none()).map(|(p, _)| p);
+    if let Some(s) = free.and_then(|p| index.get_mut(p)) {
+        *s = slot;
     }
 }
 
@@ -190,16 +203,11 @@ impl UrlTable {
     /// Walk the probe sequence of `tag` to the slot holding `url`, or to
     /// the first empty slot (a miss).
     fn find(&self, url: &Url, tag: u32) -> Option<UrlId> {
-        let mask = self.index.len().wrapping_sub(1);
-        let mut pos = tag as usize & mask;
-        loop {
-            let slot = self.index.get(pos)?;
-            let id = slot.id()?;
-            if slot.tag == tag && self.url(id) == Some(url) {
-                return Some(id);
-            }
-            pos = (pos + 1) & mask;
-        }
+        let (_, slot) = probe(&self.index, tag, |s| {
+            s.id()
+                .is_none_or(|id| s.tag == tag && self.url(id) == Some(url))
+        })?;
+        slot.id()
     }
 
     /// Append a URL known to be absent, growing the index first if the new
@@ -305,6 +313,87 @@ impl PartialEq for UrlTable {
 impl fmt::Debug for UrlTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter().map(|(_, u)| u)).finish()
+    }
+}
+
+/// A membership-only set of borrowed URLs: [`UrlTable`]'s fixed-key hash
+/// and linear probe, with each slot holding the URL's tag and a reference
+/// to it instead of an id. It answers `insert` and `contains` and nothing
+/// else; nothing iterates it, so its layout cannot reach an output.
+#[derive(Default)]
+pub struct UrlSet<'u> {
+    /// A power of two long and at most half full, as `UrlTable::index`.
+    slots: Vec<SetSlot<'u>>,
+    /// URLs in the set.
+    len: usize,
+}
+
+/// One `UrlSet` slot: empty, or a URL with its tag.
+type SetSlot<'u> = Option<(u32, &'u Url)>;
+
+impl<'u> UrlSet<'u> {
+    /// An empty set that holds `n` URLs without growing.
+    pub fn with_capacity(n: usize) -> Self {
+        UrlSet {
+            slots: vec![None; (n * 2).next_power_of_two().max(MIN_SLOTS)],
+            len: 0,
+        }
+    }
+
+    /// Add `url`; `true` if it was not in the set.
+    pub fn insert(&mut self, url: &'u Url) -> bool {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.widen();
+        }
+        let tag = tag_of(url);
+        let Some((free, None)) = self.slot(url, tag) else {
+            return false;
+        };
+        match self.slots.get_mut(free) {
+            Some(slot) => {
+                *slot = Some((tag, url));
+                self.len += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Whether `url` is in the set.
+    pub fn contains(&self, url: &Url) -> bool {
+        self.slot(url, tag_of(url))
+            .is_some_and(|(_, slot)| slot.is_some())
+    }
+
+    /// The slot holding `url`, or the empty slot its insert would fill,
+    /// with its position.
+    fn slot(&self, url: &Url, tag: u32) -> Option<(usize, &SetSlot<'u>)> {
+        probe(&self.slots, tag, |s| {
+            s.is_none_or(|(t, u)| t == tag && u == url)
+        })
+    }
+
+    /// Double the slots and re-place every URL by its stored tag.
+    fn widen(&mut self) {
+        let mut slots = vec![None; (self.slots.len() * 2).max(MIN_SLOTS)];
+        for (tag, url) in self.slots.iter().flatten() {
+            let free = probe(&slots, *tag, Option::is_none).map(|(p, _)| p);
+            if let Some(s) = free.and_then(|p| slots.get_mut(p)) {
+                *s = Some((*tag, *url));
+            }
+        }
+        self.slots = slots;
+    }
+}
+
+impl<'u> FromIterator<&'u Url> for UrlSet<'u> {
+    fn from_iter<I: IntoIterator<Item = &'u Url>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut set = UrlSet::with_capacity(iter.size_hint().0);
+        for url in iter {
+            set.insert(url);
+        }
+        set
     }
 }
 
@@ -607,6 +696,54 @@ mod tests {
             t.intern(Url::https(format!("host{i}.com"), "/y"));
         }
         assert_eq!(first.shard(16), before);
+    }
+
+    #[test]
+    fn url_set_tells_apart_urls_that_differ_in_one_field_or_byte() {
+        let urls = [
+            Url::https("a.com", "/x/y.js"),
+            Url::new("http", "a.com", "/x/y.js"),
+            Url::https("b.com", "/x/y.js"),
+            Url::https("a.com", "/x/y.jt"),
+            Url::https("a.com", "/x/y.j"),
+        ];
+        let copies = urls.clone();
+        let mut set = UrlSet::default();
+        for (k, (url, copy)) in urls.iter().zip(&copies).enumerate() {
+            assert!(!set.contains(url), "{url} before its insert");
+            assert!(set.insert(url), "{url} is new");
+            assert!(!set.insert(copy), "{url} again, by an equal copy");
+            for (j, other) in urls.iter().enumerate() {
+                assert_eq!(set.contains(other), j <= k, "{other} after {url}");
+            }
+        }
+        // Growing from the default re-places every URL.
+        let many: Vec<Url> = (0..100)
+            .map(|i| Url::https("a.com", format!("/{i}")))
+            .collect();
+        let mut grown = UrlSet::default();
+        assert!(many.iter().chain(&urls).all(|u| grown.insert(u)));
+        assert!(many.iter().chain(&urls).all(|u| grown.contains(u)));
+        assert!(!grown.contains(&Url::https("a.com", "/100")));
+    }
+
+    #[test]
+    fn url_set_keeps_apart_two_urls_with_one_tag() {
+        // Birthday search over the fixed-key hash: a 32-bit tag collides
+        // within about 80,000 URLs.
+        let mut seen = std::collections::HashMap::new();
+        let url = |i: u32| Url::https("a.com", format!("/p/{i}"));
+        let (a, b) = (0..1u32 << 22)
+            .find_map(|i| seen.insert(tag_of(&url(i)), i).map(|j| (url(j), url(i))))
+            .expect("a tag collision among 4M URLs");
+        assert_ne!(a, b);
+        assert_eq!(tag_of(&a), tag_of(&b));
+        let mut set = UrlSet::with_capacity(2);
+        assert!(set.insert(&a));
+        assert!(!set.contains(&b), "one tag, different URLs");
+        assert!(set.insert(&b));
+        assert!(!set.insert(&a) && !set.insert(&b));
+        assert!(set.contains(&a) && set.contains(&b));
     }
 
     #[test]

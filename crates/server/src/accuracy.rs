@@ -6,10 +6,10 @@
 //! from the root HTML excluding those derived from embedded HTMLs (the
 //! scope a root-HTML response can legitimately cover).
 
-use crate::resolve::{resolve, ResolverInput, Strategy, CRAWLER_USER};
+use crate::resolve::{resolve, ResolverInput, Strategy, UrlHint};
 use std::collections::BTreeSet;
 use vroom_html::Url;
-use vroom_intern::UrlTable;
+use vroom_intern::UrlSet;
 use vroom_pages::{LoadContext, Page, PageGenerator, Resource};
 
 /// Accuracy of one strategy on one page load.
@@ -73,16 +73,18 @@ impl ClientTruth {
         }
     }
 
-    /// Score a server-side URL set against the predictable subset.
-    fn score(&self, server_set: &BTreeSet<&Url>) -> Accuracy {
+    /// Score the URLs of a server's hint list against the predictable
+    /// subset, each distinct URL once.
+    fn score(&self, hints: &[UrlHint]) -> Accuracy {
+        let mut server_set = UrlSet::with_capacity(hints.len());
+        let fp_count = hints
+            .iter()
+            .filter(|h| server_set.insert(h.url) && !self.predictable.contains(h.url))
+            .count();
         let fn_count = self
             .predictable
             .iter()
             .filter(|u| !server_set.contains(u))
-            .count();
-        let fp_count = server_set
-            .iter()
-            .filter(|u| !self.predictable.contains(**u))
             .count();
         let denom = self.predictable.len().max(1) as f64;
         Accuracy {
@@ -124,12 +126,7 @@ pub fn evaluate_aged(
     // path quantizes passes (same bucket, same crawler nonce derivation).
     let ctx = &truth.ctx;
     let bucket = crate::batch::hour_bucket(ctx.hours - age_hours as f64) as f64;
-    let server_page = generator.snapshot(&LoadContext {
-        hours: bucket,
-        user_id: CRAWLER_USER,
-        device: ctx.device,
-        nonce: vroom_sim::mix(server_seed, 0xBA7C4 ^ bucket as u64),
-    });
+    let server_page = crate::batch::server_page(generator, bucket, ctx.device, server_seed);
     let input = ResolverInput::new(generator, bucket, ctx.device, server_seed);
     evaluate_with(&input, truth, Some(&server_page), strategy)
 }
@@ -145,14 +142,8 @@ pub fn evaluate_with(
     strategy: Strategy,
 ) -> Accuracy {
     let served = served.unwrap_or(&truth.load);
-    let mut urls = UrlTable::new();
-    let deps = resolve(input, served, strategy, &mut urls);
-    let server_set: BTreeSet<&Url> = urls
-        .lookup(&served.url)
-        .and_then(|id| deps.hints.get(&id))
-        .map(|hs| hs.iter().map(|h| urls.get(h.url)).collect())
-        .unwrap_or_default();
-    truth.score(&server_set)
+    let resolution = resolve(input, served, strategy);
+    truth.score(resolution.hints_for(&served.url).unwrap_or_default())
 }
 
 #[cfg(test)]

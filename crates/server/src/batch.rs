@@ -28,7 +28,7 @@ use vroom_intern::{UrlId, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator};
 use vroom_sim::mix;
 
-use crate::resolve::{resolve, ResolvedDeps, ResolverInput, Strategy, CRAWLER_USER};
+use crate::resolve::{resolve, Resolution, ResolverInput, Strategy, CRAWLER_USER};
 use crate::store::HintStore;
 
 /// One resolved hint target, table-free: `(url, tier, size_hint)`.
@@ -69,9 +69,7 @@ pub fn run_pass(
     let bucket = hour_bucket(hours) as f64;
     let page = server_page(generator, bucket, device, server_seed);
     let input = ResolverInput::new(generator, bucket, device, server_seed);
-    let mut scratch = UrlTable::new();
-    let resolved = resolve(&input, &page, Strategy::Vroom, &mut scratch);
-    pass_output(&page, &resolved, &scratch)
+    pass_of(&resolve(&input, &page, Strategy::Vroom))
 }
 
 /// The server's own current copy of the page: crawler cookie jar, a nonce
@@ -91,37 +89,25 @@ pub(crate) fn server_page(
     })
 }
 
-/// The table-free form of `resolved`, whose ids resolve against `scratch`:
-/// entries in document order (root, then iframes by resource id), not id
-/// order, so the commit sequence is independent of intern history.
-pub(crate) fn pass_output(page: &Page, resolved: &ResolvedDeps, scratch: &UrlTable) -> PassOutput {
-    let mut order: Vec<UrlId> = Vec::with_capacity(resolved.hints.len());
-    if let Some(root) = scratch.lookup(&page.url) {
-        if resolved.hints.contains_key(&root) {
-            order.push(root);
-        }
-    }
-    for r in &page.resources {
-        if let Some(id) = scratch.lookup(&r.url) {
-            if resolved.hints.contains_key(&id) && !order.contains(&id) {
-                order.push(id);
-            }
-        }
-    }
-    let entries = order
-        .into_iter()
-        .filter_map(|id| {
-            let hints = resolved.hints.get(&id)?;
+/// The owned form of `resolution`: one entry per distinct document URL,
+/// at the position of its first document and with the hints of its last,
+/// the lists an interned resolution keys by that URL. Entries stay in
+/// document order (the root, then iframes by resource id), so the commit
+/// sequence is independent of intern history.
+pub(crate) fn pass_of(resolution: &Resolution) -> PassOutput {
+    let mut entries: Vec<(Url, Vec<PassHint>)> = Vec::with_capacity(resolution.docs.len());
+    for (html, hints) in &resolution.docs {
+        let targets = hints
+            .iter()
             // vroom-lint: allow(hot-path-alloc) -- the pass output owns its URLs: once per (site, hour) pass, amortized across every client it serves
-            let html = scratch.url(id)?.clone();
-            let targets = hints
-                .iter()
-                // vroom-lint: allow(hot-path-alloc) -- the pass output owns its URLs: once per (site, hour) pass, amortized across every client it serves
-                .filter_map(|h| Some((scratch.url(h.url)?.clone(), h.tier, h.size_hint)))
-                .collect();
-            Some((html, targets))
-        })
-        .collect();
+            .map(|h| (h.url.clone(), h.tier, h.size_hint))
+            .collect();
+        match entries.iter_mut().find(|(url, _)| url == *html) {
+            Some(entry) => entry.1 = targets,
+            // vroom-lint: allow(hot-path-alloc) -- the pass output owns its URLs: once per (site, hour) pass, amortized across every client it serves
+            None => entries.push(((*html).clone(), targets)),
+        }
+    }
     PassOutput { entries }
 }
 

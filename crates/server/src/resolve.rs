@@ -12,12 +12,16 @@
 //! server would see — its own page loads (with its own crawler cookie jar
 //! and fresh nonces) and the response bytes it is about to serve. It never
 //! peeks at the client's load or at the generator's stability labels.
+//!
+//! A [`Resolution`] borrows every URL from the pages it was read from (the
+//! served page and the input's own loads), so resolving allocates no URL;
+//! only callers that need ids intern it ([`Resolution::intern`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use vroom_browser::config::Hint;
 use vroom_html::Url;
-use vroom_intern::{UrlId, UrlTable};
+use vroom_intern::{UrlId, UrlSet, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator, ResourceId};
 use vroom_sim::mix;
 
@@ -41,8 +45,8 @@ pub enum Strategy {
 /// itself), the wall-clock time, and the client's device class (from the
 /// user agent). It does *not* know the client's nonce or cookie contents.
 ///
-/// The input owns the crawls it resolves against: they are built on the
-/// first call that needs them and dropped with the input, so every
+/// The input owns the pages it resolves against: each is built on the
+/// first call that needs it and dropped with the input, so every
 /// resolution through one input reads the same pages. Its fields are fixed
 /// at construction for that reason.
 pub struct ResolverInput<'g> {
@@ -58,6 +62,10 @@ pub struct ResolverInput<'g> {
     crawl_offsets: Vec<u64>,
     /// The crawls, one per offset, built by the first `offline_loads`.
     crawls: OnceLock<Vec<Page>>,
+    /// The crawl an hour back, when the window does not start there.
+    previous: OnceLock<Page>,
+    /// `OnlineOnly`'s on-the-fly server-side load.
+    fresh: OnceLock<Page>,
 }
 
 impl<'g> ResolverInput<'g> {
@@ -89,6 +97,8 @@ impl<'g> ResolverInput<'g> {
             server_seed,
             crawl_offsets,
             crawls: OnceLock::new(),
+            previous: OnceLock::new(),
+            fresh: OnceLock::new(),
         }
     }
 
@@ -129,11 +139,84 @@ impl<'g> ResolverInput<'g> {
                 .collect()
         })
     }
+
+    /// The crawl an hour before the request, which `PreviousLoad` hints
+    /// wholesale: the first offline load when the window starts an hour
+    /// back (as the default `[1, 2, 3]` does), else a crawl of its own.
+    pub(crate) fn previous_load(&self) -> &Page {
+        let first = (self.crawl_offsets.first() == Some(&1))
+            .then(|| self.offline_loads().first())
+            .flatten();
+        first.unwrap_or_else(|| {
+            self.previous
+                .get_or_init(|| self.generator.snapshot(&self.crawl_ctx(1)))
+        })
+    }
+
+    /// `OnlineOnly`'s fresh server-side load, built on the first call.
+    fn fresh_load(&self) -> &Page {
+        self.fresh
+            .get_or_init(|| self.generator.snapshot(&self.fresh_ctx()))
+    }
 }
 
-/// The dependency lists a deployment returns, keyed by the interned URL of
-/// the HTML whose response carries them. Ids resolve against the `UrlTable`
-/// passed to [`resolve`].
+/// One hint before interning: a [`Hint`] whose URL is borrowed from the
+/// page it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UrlHint<'p> {
+    /// The URL the client should fetch.
+    pub url: &'p Url,
+    /// Priority tier: 0 = preload, 1 = semi-important, 2 = unimportant.
+    pub tier: u8,
+    /// Size the server would serve for this URL.
+    pub size_hint: u64,
+}
+
+/// The hint lists a deployment returns for one served page: one per HTML
+/// document it resolved, in resolution order (the root, then each iframe
+/// in document order), each in processing order. Every URL is borrowed
+/// from the served page or the [`ResolverInput`]'s own loads.
+#[derive(Debug, Clone, Default)]
+pub struct Resolution<'p> {
+    /// `(html url, hints)` per resolved document.
+    pub(crate) docs: Vec<(&'p Url, Vec<UrlHint<'p>>)>,
+}
+
+impl<'p> Resolution<'p> {
+    /// The hints of the response served at `url`: the last document
+    /// resolved there, as a table keyed by URL would hold.
+    pub fn hints_for(&self, url: &Url) -> Option<&[UrlHint<'p>]> {
+        self.docs
+            .iter()
+            .rev()
+            .find(|(html, _)| *html == url)
+            .map(|(_, hints)| hints.as_slice())
+    }
+
+    /// Intern every URL into `urls`, each document's and then its hints',
+    /// in resolution order, and key each hint list by its document's id: a
+    /// later document at an earlier one's URL replaces its hints.
+    pub fn intern(&self, urls: &mut UrlTable) -> ResolvedDeps {
+        let mut out = ResolvedDeps::default();
+        for (html, hints) in &self.docs {
+            let key = urls.intern_ref(html);
+            let hints = hints
+                .iter()
+                .map(|h| Hint {
+                    url: urls.intern_ref(h.url),
+                    tier: h.tier,
+                    size_hint: h.size_hint,
+                })
+                .collect();
+            out.hints.insert(key, hints);
+        }
+        out
+    }
+}
+
+/// A [`Resolution`] interned into a table: the dependency lists keyed by
+/// the id of the HTML whose response carries them. Ids resolve against the
+/// `UrlTable` passed to [`Resolution::intern`].
 #[derive(Debug, Clone, Default)]
 pub struct ResolvedDeps {
     /// Hints per HTML response, in processing order.
@@ -147,17 +230,17 @@ pub struct ResolvedDeps {
 /// HTML — exactly what [`vroom_html::scan_html`] extracts from the rendered
 /// document (see `vroom_pages::render`).
 ///
-/// Every URL in the result — HTML keys and hint targets — is interned into
-/// `urls`; resolution works on borrowed URLs internally (the offline
-/// intersection is set algebra over crawled URLs) and converts to ids only
-/// once, when the final ordered hint lists are emitted.
-pub fn resolve(
-    input: &ResolverInput<'_>,
-    client_page: &Page,
+/// Resolution works on borrowed URLs throughout: the offline intersection
+/// is set algebra over crawled URLs, and the result borrows from
+/// `client_page` and from the pages `input` holds.
+pub fn resolve<'p>(
+    input: &'p ResolverInput<'_>,
+    client_page: &'p Page,
     strategy: Strategy,
-    urls: &mut UrlTable,
-) -> ResolvedDeps {
-    let mut out = ResolvedDeps::default();
+) -> Resolution<'p> {
+    let mut out = Resolution::default();
+    let frames = embedded_htmls(client_page);
+    let frame_url = |frame: ResourceId| &client_page.resources[frame].url;
     match strategy {
         Strategy::Vroom | Strategy::OfflineOnly => {
             let online = strategy == Strategy::Vroom;
@@ -167,50 +250,40 @@ pub fn resolve(
             if online {
                 merge_online(&mut hints, client_page, 0);
             }
-            out.hints
-                .insert(urls.intern_ref(&client_page.url), finish(hints, urls));
+            out.docs.push((&client_page.url, finish(hints)));
 
             // Each iframe HTML: its own domain resolves its subtree the same
             // way (paper Fig 10: the ad server returns the red envelope).
-            for frame in embedded_htmls(client_page) {
+            for frame in frames {
                 let mut fh = crawls.intersection(|r| r.iframe_root == Some(frame));
                 if online {
                     merge_online(&mut fh, client_page, frame);
                 }
-                out.hints.insert(
-                    urls.intern_ref(&client_page.resources[frame].url),
-                    finish(fh, urls),
-                );
+                out.docs.push((frame_url(frame), finish(fh)));
             }
         }
         Strategy::OnlineOnly => {
             // One fresh server-side load right now, with the crawler's own
             // cookies and nonce.
-            let fresh = input.generator.snapshot(&input.fresh_ctx());
-            let hints = candidates(&fresh.resources, |r| r.iframe_root.is_none() && r.id != 0);
-            out.hints
-                .insert(urls.intern_ref(&client_page.url), finish(hints, urls));
-            for frame in embedded_htmls(client_page) {
-                let fh = candidates(&fresh.resources, |r| r.iframe_root == Some(frame));
-                out.hints.insert(
-                    urls.intern_ref(&client_page.resources[frame].url),
-                    finish(fh, urls),
-                );
+            let fresh = &input.fresh_load().resources;
+            let hints = candidates(fresh, |r| r.iframe_root.is_none() && r.id != 0);
+            out.docs.push((&client_page.url, finish(hints)));
+            for frame in frames {
+                let fh = candidates(fresh, |r| r.iframe_root == Some(frame));
+                out.docs.push((frame_url(frame), finish(fh)));
             }
         }
         Strategy::PreviousLoad => {
             // Everything from a single load an hour ago — including
             // iframe-derived and per-load-random URLs. The Fig 17 strawman.
-            let prev = input.generator.snapshot(&input.crawl_ctx(1));
-            let hints = candidates(&prev.resources, |r| r.id != 0);
-            out.hints
-                .insert(urls.intern_ref(&client_page.url), finish(hints, urls));
+            let hints = candidates(&input.previous_load().resources, |r| r.id != 0);
+            out.docs.push((&client_page.url, finish(hints)));
         }
     }
     out
 }
 
-/// One hint candidate before interning: `(tier, url, size, document
+/// One hint candidate before ordering: `(tier, url, size, document
 /// position)`, borrowing its URL from the page it was read from.
 type Candidate<'p> = (u8, &'p Url, u64, ResourceId);
 
@@ -237,7 +310,7 @@ fn candidates(
 pub(crate) struct Crawls<'p> {
     /// The first crawl's resources: the candidates, in document order.
     first: &'p [vroom_pages::Resource],
-    later: Vec<BTreeSet<&'p Url>>,
+    later: Vec<UrlSet<'p>>,
 }
 
 impl<'p> Crawls<'p> {
@@ -272,7 +345,7 @@ impl<'p> Crawls<'p> {
 /// Add the markup-visible children of `html_id` from the served bytes,
 /// skipping URLs already hinted.
 fn merge_online<'p>(hints: &mut Vec<Candidate<'p>>, client_page: &'p Page, html_id: ResourceId) {
-    let mut seen: BTreeSet<&Url> = hints.iter().map(|h| h.1).collect();
+    let mut seen: UrlSet = hints.iter().map(|h| h.1).collect();
     for child in client_page.children(html_id) {
         if child.via_markup && seen.insert(&child.url) {
             hints.push(candidate(child));
@@ -281,18 +354,18 @@ fn merge_online<'p>(hints: &mut Vec<Candidate<'p>>, client_page: &'p Page, html_
 }
 
 /// Order by (tier, document position) — the order the client must process
-/// them (§5.1) — and convert to wire hints. Sorting and dedup happen on the
-/// real URLs *before* interning, so the emitted order (and therefore the
-/// client's staged fetch order) does not depend on intern history.
-fn finish(mut hints: Vec<Candidate<'_>>, urls: &mut UrlTable) -> Vec<Hint> {
+/// them (§5.1) — and drop repeats of a URL. Sorting and dedup happen on the
+/// real URLs, so the emitted order (and therefore the client's staged fetch
+/// order) does not depend on intern history.
+fn finish(mut hints: Vec<Candidate<'_>>) -> Vec<UrlHint<'_>> {
     hints.sort_by(|a, b| a.0.cmp(&b.0).then(a.3.cmp(&b.3)).then(a.1.cmp(b.1)));
     hints.dedup_by(|a, b| a.1 == b.1);
     hints
         .into_iter()
-        .map(|(tier, url, size, _)| Hint {
-            url: urls.intern_ref(url),
+        .map(|(tier, url, size_hint, _)| UrlHint {
+            url,
             tier,
-            size_hint: size,
+            size_hint,
         })
         .collect()
 }
@@ -309,6 +382,7 @@ pub fn embedded_htmls(page: &Page) -> Vec<ResourceId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use vroom_pages::{SiteProfile, Stability};
 
     fn setup() -> (PageGenerator, LoadContext, Page) {
@@ -334,7 +408,7 @@ mod tests {
         strategy: Strategy,
     ) -> (UrlTable, ResolvedDeps) {
         let mut urls = UrlTable::new();
-        let deps = resolve(&input(generator, ctx), page, strategy, &mut urls);
+        let deps = resolve(&input(generator, ctx), page, strategy).intern(&mut urls);
         (urls, deps)
     }
 
@@ -513,6 +587,30 @@ mod tests {
             3,
             "the default window is the hourly crawls 1, 2 and 3 hours back"
         );
+    }
+
+    /// `PreviousLoad` hints the crawl an hour back, reusing the window's
+    /// first crawl when the window starts there.
+    #[test]
+    fn previous_load_hints_the_crawl_an_hour_back_for_any_window() {
+        let (generator, ctx, page) = setup();
+        let crawl = generator.snapshot(&LoadContext {
+            hours: ctx.hours - 1.0,
+            user_id: CRAWLER_USER,
+            device: ctx.device,
+            nonce: mix(555, 0x0F_F11E ^ 1),
+        });
+        let want = finish(candidates(&crawl.resources, |r| r.id != 0));
+        assert!(!want.is_empty());
+        for window in [vec![1, 2, 3], vec![2, 3]] {
+            let input =
+                ResolverInput::with_crawl_offsets(&generator, ctx.hours, ctx.device, 555, window);
+            let resolution = resolve(&input, &page, Strategy::PreviousLoad);
+            let got = resolution.hints_for(&page.url).expect("root hints");
+            assert_eq!(got, want, "window {:?}", input.crawl_offsets);
+            let reused = std::ptr::eq(input.previous_load(), &input.offline_loads()[0]);
+            assert_eq!(reused, input.crawl_offsets[0] == 1);
+        }
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! `reference_resolve` is the resolver as it was written before the crawl
 //! sets were shared: each scope builds its own `BTreeSet` of every later
-//! crawl's URLs, and the online merge dedups by a linear scan per child.
+//! crawl's URLs, the online merge dedups by a linear scan per child, and
+//! every URL is interned into the caller's table as it is emitted.
+//! `pass_output` is the pass as it was built from that table, and
 //! `reference_commit` interns owned clones of every URL. The production
-//! path must agree with both on every hint list, its order, and every id
-//! minted into the caller's table.
+//! path must agree with all three on every hint list, its order, and
+//! every id minted into the caller's table.
 
 use std::collections::BTreeSet;
 
@@ -14,7 +16,7 @@ use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator, ResourceId, SiteProfile};
 
-use crate::batch::{commit_pass_at, hour_bucket, pass_output, run_pass, server_page, PassOutput};
+use crate::batch::{commit_pass_at, hour_bucket, pass_of, run_pass, server_page, PassOutput};
 use crate::resolve::{embedded_htmls, resolve, ResolvedDeps, ResolverInput, Strategy};
 use crate::store::{HintStore, ShardedStore};
 
@@ -136,6 +138,39 @@ fn finish(mut hints: Vec<(u8, Url, u64, ResourceId)>, urls: &mut UrlTable) -> Ve
         .collect()
 }
 
+/// The table-free form of `resolved`, whose ids resolve against `scratch`:
+/// entries in document order (root, then iframes by resource id), not id
+/// order. A URL two documents share keys one entry, at its first position
+/// in the page, with the hints resolved last for it.
+fn pass_output(page: &Page, resolved: &ResolvedDeps, scratch: &UrlTable) -> PassOutput {
+    let mut order: Vec<UrlId> = Vec::with_capacity(resolved.hints.len());
+    if let Some(root) = scratch.lookup(&page.url) {
+        if resolved.hints.contains_key(&root) {
+            order.push(root);
+        }
+    }
+    for r in &page.resources {
+        if let Some(id) = scratch.lookup(&r.url) {
+            if resolved.hints.contains_key(&id) && !order.contains(&id) {
+                order.push(id);
+            }
+        }
+    }
+    let entries = order
+        .into_iter()
+        .filter_map(|id| {
+            let hints = resolved.hints.get(&id)?;
+            let html = scratch.url(id)?.clone();
+            let targets = hints
+                .iter()
+                .filter_map(|h| Some((scratch.url(h.url)?.clone(), h.tier, h.size_hint)))
+                .collect();
+            Some((html, targets))
+        })
+        .collect();
+    PassOutput { entries }
+}
+
 /// `commit_pass_at` as it was: one owned clone per URL, one store write
 /// per HTML.
 fn reference_commit(
@@ -215,7 +250,7 @@ fn resolve_matches_the_per_scope_btreeset_reference() {
                 let input = ResolverInput::new(&generator, hours, device, 555);
                 for (ci, client) in [markup_moved_last(&client), client].iter().enumerate() {
                     for strategy in STRATEGIES {
-                        let got = resolve(&input, client, strategy, &mut urls);
+                        let got = resolve(&input, client, strategy).intern(&mut urls);
                         let want = reference_resolve(&input, client, strategy, &mut ref_urls);
                         let at = format!("{pi} {hours} {device:?} client {ci} {strategy:?}");
                         assert_eq!(got.hints, want.hints, "hints at {at}");
@@ -253,4 +288,57 @@ fn pass_commit_keys_match_the_reference() {
     }
     assert!(urls == ref_urls);
     assert_eq!(store.snapshot_versioned(), ref_store.snapshot_versioned());
+}
+
+/// `page` with the URL of HTML document `from` given to document `to`.
+fn with_shared_url(page: &Page, from: ResourceId, to: ResourceId) -> Page {
+    let mut shared = page.clone();
+    shared.resources[to].url = page.resources[from].url.clone();
+    shared
+}
+
+/// Two HTML documents at one URL: the pass keeps one entry for it, at the
+/// first document's position with the last document's hints, as the
+/// table-keyed reference does; interning and scoring agree with it too.
+#[test]
+fn documents_sharing_a_url_match_the_reference() {
+    let generator = PageGenerator::new(SiteProfile::news(), 4242);
+    let (hours, device) = (2000.0, DeviceClass::PhoneLarge);
+    let page = server_page(&generator, hours, device, 9);
+    let frames = embedded_htmls(&page);
+    assert!(frames.len() >= 3, "a news page embeds several iframes");
+    let input = ResolverInput::new(&generator, hours, device, 9);
+    let variants = [
+        with_shared_url(&page, frames[0], frames[2]),
+        with_shared_url(&page, 0, frames[1]),
+        page.clone(),
+    ];
+    for (k, page) in variants.iter().enumerate() {
+        let (mut urls, mut ref_urls) = (seeded_table(), seeded_table());
+        let resolution = resolve(&input, page, Strategy::Vroom);
+        let want = reference_resolve(&input, page, Strategy::Vroom, &mut ref_urls);
+        assert_eq!(
+            resolution.intern(&mut urls).hints,
+            want.hints,
+            "variant {k}"
+        );
+        assert!(urls == ref_urls, "table of variant {k}");
+
+        let pass = pass_of(&resolution);
+        let ref_pass = pass_output(page, &want, &ref_urls);
+        assert_eq!(pass.entries, ref_pass.entries, "pass of variant {k}");
+        assert_eq!(pass.entries.len(), frames.len() + usize::from(k == 2));
+
+        let root = resolution.hints_for(&page.url).expect("root hints");
+        let ref_root = &want.hints[&ref_urls.lookup(&page.url).expect("root interned")];
+        let ids: Vec<Hint> = root
+            .iter()
+            .map(|h| Hint {
+                url: ref_urls.lookup(h.url).expect("hinted url interned"),
+                tier: h.tier,
+                size_hint: h.size_hint,
+            })
+            .collect();
+        assert_eq!(&ids, ref_root, "root hints of variant {k}");
+    }
 }

@@ -4,8 +4,9 @@
 //! necessary"), device CPU speed, the offline crawl window, and the
 //! Vroom+Polaris hybrid (§6.1's future-work note).
 
-use crate::experiment::{plt_cdfs, ExperimentConfig};
-use crate::policy::{build_config, System};
+use crate::experiment::{plt_cdfs, ExperimentConfig, Plan};
+use crate::load::SiteLoad;
+use crate::policy::System;
 use crate::stats::Cdf;
 use vroom_browser::BrowserEngine;
 use vroom_net::NetworkProfile;
@@ -30,7 +31,12 @@ fn median_plts<const N: usize>(
 
 /// Sweep the downlink bandwidth: where does Vroom's edge over HTTP/2 peak?
 pub fn ablation_bandwidth(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
+    bandwidth_of(&Plan::new(cfg, &["ablation_bandwidth"]))
+}
+
+/// [`ablation_bandwidth`] over `plan`'s News+Sports corpus.
+pub(crate) fn bandwidth_of(plan: &Plan) -> (Vec<(u64, f64, f64)>, String) {
+    let (cfg, ns) = (plan.cfg, plan.news_sports());
     let mut rows = Vec::new();
     let mut table =
         String::from("# Ablation: Vroom vs HTTP/2 across downlink bandwidths (News+Sports)\n");
@@ -40,7 +46,7 @@ pub fn ablation_bandwidth(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, Stri
     ));
     for mbps in [1u64, 2, 5, 10, 20, 50] {
         let profile = NetworkProfile::lte().with_downlink(mbps * 1_000_000);
-        let [h2, vr] = median_plts(cfg, &ns, &profile, [System::Http2, System::Vroom]);
+        let [h2, vr] = median_plts(cfg, ns, &profile, [System::Http2, System::Vroom]);
         table.push_str(&format!(
             "{mbps:>10} {h2:>10.2} {vr:>10.2} {:>7.0}%\n",
             (1.0 - vr / h2) * 100.0
@@ -52,7 +58,12 @@ pub fn ablation_bandwidth(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, Stri
 
 /// Sweep the cellular RTT (2G/3G-like regimes).
 pub fn ablation_rtt(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
+    rtt_of(&Plan::new(cfg, &["ablation_rtt"]))
+}
+
+/// [`ablation_rtt`] over `plan`'s News+Sports corpus.
+pub(crate) fn rtt_of(plan: &Plan) -> (Vec<(u64, f64, f64)>, String) {
+    let (cfg, ns) = (plan.cfg, plan.news_sports());
     let mut rows = Vec::new();
     let mut table =
         String::from("# Ablation: Vroom vs HTTP/2 across cellular RTTs (News+Sports)\n");
@@ -62,7 +73,7 @@ pub fn ablation_rtt(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, String) {
     ));
     for rtt in [20u64, 50, 100, 200, 400] {
         let profile = NetworkProfile::lte().with_cellular_rtt(SimDuration::from_millis(rtt));
-        let [h2, vr] = median_plts(cfg, &ns, &profile, [System::Http2, System::Vroom]);
+        let [h2, vr] = median_plts(cfg, ns, &profile, [System::Http2, System::Vroom]);
         table.push_str(&format!(
             "{rtt:>10} {h2:>10.2} {vr:>10.2} {:>7.0}%\n",
             (1.0 - vr / h2) * 100.0
@@ -75,7 +86,12 @@ pub fn ablation_rtt(cfg: &ExperimentConfig) -> (Vec<(u64, f64, f64)>, String) {
 /// Sweep the device CPU speed: Vroom's edge shrinks as the CPU stops being
 /// the bottleneck.
 pub fn ablation_cpu(cfg: &ExperimentConfig) -> (Vec<(f64, f64, f64)>, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
+    cpu_of(&Plan::new(cfg, &["ablation_cpu"]))
+}
+
+/// [`ablation_cpu`] over `plan`'s News+Sports corpus.
+pub(crate) fn cpu_of(plan: &Plan) -> (Vec<(f64, f64, f64)>, String) {
+    let cfg = plan.cfg;
     let mut rows = Vec::new();
     let mut table = String::from(
         "# Ablation: Vroom vs HTTP/2 across device CPU speeds (1.0 = Nexus-6-class)\n",
@@ -85,19 +101,18 @@ pub fn ablation_cpu(cfg: &ExperimentConfig) -> (Vec<(f64, f64, f64)>, String) {
         "slowdown", "HTTP/2 s", "Vroom s", "gain"
     ));
     let factors = [0.25, 0.5, 1.0, 2.0, 4.0];
-    // One page and one resolver input per site serve every factor.
-    let per_site = cfg.for_each_site(&ns, |i, site| {
+    // One page and one resolution per site serve every factor.
+    let per_site = cfg.for_each_site(plan.news_sports(), |i, site| {
         let ctx = LoadContext {
             hours: cfg.ctx.hours + i as f64 * 0.01,
             ..cfg.ctx
         };
-        let page = site.snapshot(&ctx);
-        let input = ResolverInput::new(site, ctx.hours, ctx.device, cfg.server_seed);
+        let load = SiteLoad::new(site, &ctx, cfg.server_seed);
         factors.map(|factor| {
             let plt = |system| {
-                let mut lc = build_config(system, &input, &page, &ctx);
+                let mut lc = load.config(system);
                 lc.cpu_factor = factor;
-                BrowserEngine::load(&page, &cfg.profile, &lc)
+                BrowserEngine::load(load.page(), &cfg.profile, &lc)
                     .plt
                     .as_secs_f64()
             };
@@ -117,11 +132,22 @@ pub fn ablation_cpu(cfg: &ExperimentConfig) -> (Vec<(f64, f64, f64)>, String) {
     (rows, table)
 }
 
+/// Sites the history-window ablation scores, from the start of the
+/// accuracy corpus: 40, or `max_sites` when a cap is set.
+pub(crate) fn history_sites(cfg: &ExperimentConfig) -> usize {
+    cfg.max_sites.unwrap_or(40)
+}
+
 /// Sweep the offline crawl window: deeper history trades false negatives
 /// for staleness.
 pub fn ablation_history_window(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)>, String) {
-    let corpus = Corpus::accuracy_pages_capped(cfg.corpus_seed, cfg.max_sites);
-    let n = cfg.max_sites.unwrap_or(40).min(corpus.len());
+    history_window_of(&Plan::new(cfg, &["ablation_history"]))
+}
+
+/// [`ablation_history_window`] over `plan`'s accuracy corpus.
+pub(crate) fn history_window_of(plan: &Plan) -> (Vec<(usize, f64, f64)>, String) {
+    let (cfg, corpus) = (plan.cfg, plan.accuracy());
+    let n = history_sites(cfg).min(corpus.len());
     let windows: [&[u64]; 4] = [
         &[1],
         &[1, 2, 3],
@@ -176,13 +202,18 @@ pub fn ablation_history_window(cfg: &ExperimentConfig) -> (Vec<(usize, f64, f64)
 /// The §6.1 future-work hybrid: Vroom + Polaris-style fine-grained client
 /// dependency tracking.
 pub fn ablation_hybrid(cfg: &ExperimentConfig) -> (f64, f64, f64, String) {
-    let ns = Corpus::news_and_sports_capped(cfg.corpus_seed, cfg.max_sites);
+    hybrid_of(&Plan::new(cfg, &["ablation_hybrid"]))
+}
+
+/// [`ablation_hybrid`] over `plan`'s News+Sports corpus.
+pub(crate) fn hybrid_of(plan: &Plan) -> (f64, f64, f64, String) {
+    let cfg = plan.cfg;
     let systems = [
         System::Vroom,
         System::PolarisLike,
         System::VroomPolarisHybrid,
     ];
-    let [vroom, polaris, hybrid] = median_plts(cfg, &ns, &cfg.profile, systems);
+    let [vroom, polaris, hybrid] = median_plts(cfg, plan.news_sports(), &cfg.profile, systems);
     let table = format!(
         "# Future work (§6.1): combining Vroom and Polaris\n\
          Polaris:          {polaris:.2}s median PLT\n\

@@ -13,7 +13,7 @@
 
 #![forbid(unsafe_code)]
 
-use vroom::{lower_bound_plt, run_load, System};
+use vroom::{run_load, SiteLoad, System};
 use vroom_net::NetworkProfile;
 use vroom_pages::{LoadContext, PageGenerator, SiteProfile};
 use vroom_server::resolve::{resolve, ResolverInput, Strategy};
@@ -136,6 +136,8 @@ fn main() {
             );
         }
         "compare" => {
+            // One page and one resolution serve every system.
+            let load = SiteLoad::new(&site, &ctx, 7);
             println!(
                 "{:<30} {:>9} {:>9} {:>11}",
                 "system", "PLT (s)", "AFT (s)", "SpeedIdx"
@@ -148,7 +150,7 @@ fn main() {
                 System::Vroom,
                 System::VroomPolarisHybrid,
             ] {
-                let r = run_load(&site, &ctx, &net, system, 7);
+                let r = load.run(&net, system);
                 println!(
                     "{:<30} {:>9.2} {:>9.2} {:>11.0}",
                     system.label(),
@@ -157,7 +159,9 @@ fn main() {
                     r.speed_index
                 );
             }
-            let bound = lower_bound_plt(&site, &ctx, &net, 7);
+            let [net_bound, cpu_bound] =
+                [System::NetworkBound, System::CpuBound].map(|system| load.run(&net, system).plt);
+            let bound = net_bound.max(cpu_bound);
             println!("{:<30} {:>9.2}", "Lower Bound", bound.as_secs_f64());
         }
         "page" => {
@@ -187,7 +191,7 @@ fn main() {
             let page = site.snapshot(&ctx);
             let input = ResolverInput::new(&site, ctx.hours, ctx.device, 7);
             let mut urls = vroom_intern::UrlTable::new();
-            let deps = resolve(&input, &page, Strategy::Vroom, &mut urls);
+            let deps = resolve(&input, &page, Strategy::Vroom).intern(&mut urls);
             for (&html, hints) in &deps.hints {
                 println!("{} returns {} hints:", urls.get(html), hints.len());
                 for h in hints {

@@ -221,25 +221,34 @@ fn with_bound(runs: impl IntoIterator<Item = Run>) -> Vec<Run> {
 /// News+Sports [`Run`] its sections read, from one
 /// [`ExperimentConfig::site_columns`] pass. A runner called alone plans
 /// its own section, so it computes only the runs it reads.
-struct Plan<'a> {
-    cfg: &'a ExperimentConfig,
+pub(crate) struct Plan<'a> {
+    pub(crate) cfg: &'a ExperimentConfig,
     top100: OnceLock<Corpus>,
     news_sports: OnceLock<Corpus>,
     top400: OnceLock<Corpus>,
     accuracy: OnceLock<Corpus>,
+    /// Sites of the accuracy corpus the sections read: every site Fig 21
+    /// reads, or only the history ablation's when Fig 21 is not planned.
+    accuracy_sites: Option<usize>,
     runs: Vec<Run>,
     columns: Vec<Vec<LoadSummary>>,
 }
 
 impl<'a> Plan<'a> {
     /// The plan of the sections `ids`.
-    fn new(cfg: &'a ExperimentConfig, ids: &[&str]) -> Self {
+    pub(crate) fn new(cfg: &'a ExperimentConfig, ids: &[&str]) -> Self {
+        let accuracy_sites = if ids.contains(&"fig21") {
+            cfg.max_sites
+        } else {
+            Some(crate::ablation::history_sites(cfg))
+        };
         let mut plan = Plan {
             cfg,
             top100: OnceLock::new(),
             news_sports: OnceLock::new(),
             top400: OnceLock::new(),
             accuracy: OnceLock::new(),
+            accuracy_sites,
             runs: planned_runs(ids),
             columns: Vec::new(),
         };
@@ -261,7 +270,7 @@ impl<'a> Plan<'a> {
         self.corpus(&self.top100, Corpus::top100_capped)
     }
 
-    fn news_sports(&self) -> &Corpus {
+    pub(crate) fn news_sports(&self) -> &Corpus {
         self.corpus(&self.news_sports, Corpus::news_and_sports_capped)
     }
 
@@ -269,8 +278,10 @@ impl<'a> Plan<'a> {
         self.corpus(&self.top400, Corpus::top400_sample_capped)
     }
 
-    fn accuracy(&self) -> &Corpus {
-        self.corpus(&self.accuracy, Corpus::accuracy_pages_capped)
+    pub(crate) fn accuracy(&self) -> &Corpus {
+        self.accuracy.get_or_init(|| {
+            Corpus::accuracy_pages_capped(self.cfg.corpus_seed, self.accuracy_sites)
+        })
     }
 
     /// `run`'s column over News+Sports, in site order.
@@ -1089,13 +1100,11 @@ fn section(id: &str) -> Option<Section> {
         "fig21" => (Vec::new(), |p| fig21_of(p).1),
         "incr" => (cold(&INCR), |p| incremental_deployment_of(p).3),
         "t100" => (Vec::new(), |p| top400_sample_of(p).2),
-        "ablation_bandwidth" => (Vec::new(), |p| crate::ablation::ablation_bandwidth(p.cfg).1),
-        "ablation_rtt" => (Vec::new(), |p| crate::ablation::ablation_rtt(p.cfg).1),
-        "ablation_cpu" => (Vec::new(), |p| crate::ablation::ablation_cpu(p.cfg).1),
-        "ablation_history" => (Vec::new(), |p| {
-            crate::ablation::ablation_history_window(p.cfg).1
-        }),
-        "ablation_hybrid" => (Vec::new(), |p| crate::ablation::ablation_hybrid(p.cfg).3),
+        "ablation_bandwidth" => (Vec::new(), |p| crate::ablation::bandwidth_of(p).1),
+        "ablation_rtt" => (Vec::new(), |p| crate::ablation::rtt_of(p).1),
+        "ablation_cpu" => (Vec::new(), |p| crate::ablation::cpu_of(p).1),
+        "ablation_history" => (Vec::new(), |p| crate::ablation::history_window_of(p).1),
+        "ablation_hybrid" => (Vec::new(), |p| crate::ablation::hybrid_of(p).3),
         _ => return None,
     };
     Some(Section { runs, table })

@@ -41,7 +41,5 @@ pub mod stats;
 
 pub use experiment::ExperimentConfig;
 pub use load::{lower_bound_plt, run_load, run_load_faulted, run_load_warm, SiteLoad};
-pub use policy::{
-    apply_fault_plan, build_config, cache_from_prior_load, System, HINT_DISCARD_THRESHOLD,
-};
+pub use policy::{apply_fault_plan, cache_from_prior_load, System, HINT_DISCARD_THRESHOLD};
 pub use stats::Cdf;

@@ -8,13 +8,14 @@
 //! figures.
 
 use std::collections::BTreeMap;
-use vroom_browser::config::{CacheEntry, FetchPolicy, HttpVersion, LoadConfig, ServerModel};
+use std::sync::Arc;
+use vroom_browser::config::{CacheEntry, FetchPolicy, Hint, HttpVersion, LoadConfig, ServerModel};
 use vroom_html::Url;
-use vroom_intern::UrlTable;
+use vroom_intern::{UrlId, UrlTable};
 use vroom_net::FaultPlan;
 use vroom_pages::{LoadContext, Page};
 use vroom_server::push_policy::{select_pushes, PushPolicy};
-use vroom_server::resolve::{resolve, ResolverInput, Strategy};
+use vroom_server::resolve::{Resolution, Strategy};
 
 /// Every system in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,6 +55,23 @@ pub enum System {
 }
 
 impl System {
+    /// Every system, in declaration order.
+    pub const ALL: [System; 13] = [
+        System::Http1,
+        System::Http2,
+        System::PushAllStatic,
+        System::PolarisLike,
+        System::Vroom,
+        System::VroomFirstPartyOnly,
+        System::VroomStaleDeps,
+        System::PushHighPriorityNoHints,
+        System::PushAllNoHints,
+        System::PushAllFetchAsap,
+        System::VroomPolarisHybrid,
+        System::NetworkBound,
+        System::CpuBound,
+    ];
+
     /// Display label matching the paper's legends.
     pub fn label(self) -> &'static str {
         match self {
@@ -73,104 +91,114 @@ impl System {
         }
     }
 
-    /// Whether this system needs server-side dependency resolution.
-    fn needs_resolver(self) -> bool {
-        matches!(
-            self,
+    /// The strategy whose resolution this system's servers hint and push
+    /// from, or `None` for the systems without server-side dependency
+    /// resolution.
+    pub(crate) fn strategy(self) -> Option<Strategy> {
+        match self {
+            System::VroomStaleDeps => Some(Strategy::PreviousLoad),
             System::Vroom
-                | System::VroomFirstPartyOnly
-                | System::VroomStaleDeps
-                | System::VroomPolarisHybrid
-                | System::PushAllStatic
-                | System::PushHighPriorityNoHints
-                | System::PushAllNoHints
-                | System::PushAllFetchAsap
-        )
+            | System::VroomFirstPartyOnly
+            | System::VroomPolarisHybrid
+            | System::PushAllStatic
+            | System::PushHighPriorityNoHints
+            | System::PushAllNoHints
+            | System::PushAllFetchAsap => Some(Strategy::Vroom),
+            System::Http1
+            | System::Http2
+            | System::PolarisLike
+            | System::NetworkBound
+            | System::CpuBound => None,
+        }
     }
 }
 
-/// Build the browser configuration for loading `page` under `system` on
-/// the device `ctx` names, resolving hints (if `system` uses them) through
-/// `input`.
-pub fn build_config(
+/// One strategy's resolution of a page, interned once into a table of its
+/// own. Every config built from it shares the table and the hint lists by
+/// `Arc`; [`apply_fault_plan`] copies them on write, so no load can change
+/// what another load reads.
+#[derive(Debug)]
+pub(crate) struct SharedResolution {
+    urls: Arc<UrlTable>,
+    hints: BTreeMap<UrlId, Arc<Vec<Hint>>>,
+}
+
+impl SharedResolution {
+    /// Intern `resolution` into a fresh table.
+    pub(crate) fn new(resolution: &Resolution) -> Self {
+        let mut urls = UrlTable::new();
+        let hints = resolution.intern(&mut urls).hints;
+        SharedResolution {
+            urls: Arc::new(urls),
+            hints: hints.into_iter().map(|(id, h)| (id, Arc::new(h))).collect(),
+        }
+    }
+}
+
+/// Build the browser configuration for loading under `system` on the
+/// device `ctx` names. A system with a [`System::strategy`] hints and
+/// pushes from `resolved(strategy)`, the page's resolution under it;
+/// `first_party` is the site's first-party domain.
+pub(crate) fn build_config<'r>(
     system: System,
-    input: &ResolverInput,
-    page: &Page,
     ctx: &LoadContext,
+    first_party: &str,
+    resolved: impl FnOnce(Strategy) -> &'r SharedResolution,
 ) -> LoadConfig {
     let mut cfg = LoadConfig {
         cpu_factor: ctx.device.cpu_factor(),
         ..LoadConfig::http2_baseline()
     };
-    match system {
-        System::Http1 => {
-            cfg.http = HttpVersion::H1;
-            return cfg;
+    let Some(strategy) = system.strategy() else {
+        match system {
+            System::Http1 => cfg.http = HttpVersion::H1,
+            System::PolarisLike => cfg.fine_grained_dependencies = true,
+            System::NetworkBound => cfg.network_bound = true,
+            System::CpuBound => cfg.zero_network = true,
+            _ => {}
         }
-        System::Http2 => return cfg,
-        System::PolarisLike => {
-            cfg.fine_grained_dependencies = true;
-            return cfg;
-        }
-        System::NetworkBound => {
-            cfg.network_bound = true;
-            return cfg;
-        }
-        System::CpuBound => {
-            cfg.zero_network = true;
-            return cfg;
-        }
-        _ => {}
-    }
-    debug_assert!(system.needs_resolver());
-
-    let strategy = if system == System::VroomStaleDeps {
-        Strategy::PreviousLoad
-    } else {
-        Strategy::Vroom
+        return cfg;
     };
-    let mut urls = UrlTable::new();
-    let resolved = resolve(input, page, strategy, &mut urls);
+    let resolved = resolved(strategy);
 
-    let first_party = Url::parse(&format!("https://{}/", input.generator().first_party()))
-        .expect("valid first-party url");
-
+    // First-party-only Vroom serves hints and pushes from the first
+    // party's own documents alone.
+    let first_party = (system == System::VroomFirstPartyOnly)
+        .then(|| Url::parse(&format!("https://{first_party}/")).expect("valid first-party url"));
+    let push_policy = match system {
+        System::Vroom
+        | System::VroomFirstPartyOnly
+        | System::VroomStaleDeps
+        | System::VroomPolarisHybrid
+        | System::PushHighPriorityNoHints => PushPolicy::HighPriorityLocal,
+        System::PushAllNoHints | System::PushAllFetchAsap | System::PushAllStatic => {
+            PushPolicy::AllLocal
+        }
+        _ => PushPolicy::None,
+    };
+    let hints_enabled = !matches!(
+        system,
+        System::PushAllStatic | System::PushHighPriorityNoHints | System::PushAllNoHints
+    );
+    let urls = &resolved.urls;
     let mut server = ServerModel::default();
     for (&html_id, hints) in &resolved.hints {
         let html_url = urls.get(html_id);
-        let vroom_compliant = match system {
-            System::VroomFirstPartyOnly => html_url.same_site(&first_party),
-            _ => true,
-        };
-        if !vroom_compliant {
+        if first_party
+            .as_ref()
+            .is_some_and(|fp| !html_url.same_site(fp))
+        {
             continue;
         }
-        let push_policy = match system {
-            System::Vroom
-            | System::VroomFirstPartyOnly
-            | System::VroomStaleDeps
-            | System::VroomPolarisHybrid => PushPolicy::HighPriorityLocal,
-            System::PushHighPriorityNoHints => PushPolicy::HighPriorityLocal,
-            System::PushAllNoHints | System::PushAllFetchAsap | System::PushAllStatic => {
-                PushPolicy::AllLocal
-            }
-            _ => PushPolicy::None,
-        };
-        let pushes = select_pushes(push_policy, &html_url.host, hints, &urls);
+        let pushes = select_pushes(push_policy, &html_url.host, hints, urls);
         if !pushes.is_empty() {
             server.pushes.insert(html_id, pushes);
         }
-        let hints_enabled = !matches!(
-            system,
-            System::PushAllStatic | System::PushHighPriorityNoHints | System::PushAllNoHints
-        );
         if hints_enabled {
-            server
-                .hints
-                .insert(html_id, std::sync::Arc::new(hints.clone()));
+            server.hints.insert(html_id, Arc::clone(hints));
         }
     }
-    cfg.urls = std::sync::Arc::new(urls);
+    cfg.urls = Arc::clone(urls);
     cfg.server = server;
     cfg.fetch_policy = match system {
         System::Vroom
@@ -234,13 +262,14 @@ pub fn apply_fault_plan(cfg: &mut LoadConfig, plan: &FaultPlan) {
         // disjoint fields, and corrupted entries must intern their stale
         // replacement URLs into the same table the config resolves against.
         // The table may be shared (fleet loads resolve against the
-        // server's one table), so corruption pays a copy-on-write clone —
-        // only faulted loads take this branch.
-        let urls = std::sync::Arc::make_mut(&mut cfg.urls);
+        // server's one table, a `SiteLoad`'s configs against its
+        // resolution's), so corruption pays a copy-on-write clone — only
+        // faulted loads take this branch.
+        let urls = Arc::make_mut(&mut cfg.urls);
         for (&html_id, hints) in cfg.server.hints.iter_mut() {
-            // Hint lists may be shared with a fleet's store: corrupt a
-            // private copy.
-            let hints = std::sync::Arc::make_mut(hints);
+            // Hint lists may be shared with a fleet's store or a
+            // `SiteLoad`'s resolution: corrupt a private copy.
+            let hints = Arc::make_mut(hints);
             let html = urls.get(html_id).to_string();
             for (i, h) in hints.iter_mut().enumerate() {
                 if plan.corrupt_hint(&html, i) {
@@ -274,25 +303,23 @@ fn stale_url(host: &str, index: usize) -> Url {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::SiteLoad;
     use vroom_pages::{PageGenerator, SiteProfile};
 
-    fn setup() -> (PageGenerator, LoadContext, Page) {
-        let generator = PageGenerator::new(SiteProfile::news(), 2024);
-        let ctx = LoadContext::reference();
-        let page = generator.snapshot(&ctx);
-        (generator, ctx, page)
+    fn generator() -> PageGenerator {
+        PageGenerator::new(SiteProfile::news(), 2024)
     }
 
-    fn input<'g>(generator: &'g PageGenerator, ctx: &LoadContext) -> ResolverInput<'g> {
-        ResolverInput::new(generator, ctx.hours, ctx.device, 1)
+    fn load(generator: &PageGenerator) -> SiteLoad<'_> {
+        SiteLoad::new(generator, &LoadContext::reference(), 1)
     }
 
     #[test]
     fn baselines_have_no_server_aid() {
-        let (generator, ctx, page) = setup();
-        let input = input(&generator, &ctx);
+        let generator = generator();
+        let load = load(&generator);
         for system in [System::Http1, System::Http2, System::PolarisLike] {
-            let cfg = build_config(system, &input, &page, &ctx);
+            let cfg = load.config(system);
             assert!(cfg.server.hints.is_empty(), "{system:?}");
             assert!(cfg.server.pushes.is_empty(), "{system:?}");
         }
@@ -300,8 +327,8 @@ mod tests {
 
     #[test]
     fn vroom_has_hints_and_same_domain_pushes() {
-        let (generator, ctx, page) = setup();
-        let cfg = build_config(System::Vroom, &input(&generator, &ctx), &page, &ctx);
+        let generator = generator();
+        let cfg = load(&generator).config(System::Vroom);
         assert!(!cfg.server.hints.is_empty());
         assert!(cfg.ordered_responses);
         assert_eq!(cfg.fetch_policy, FetchPolicy::VroomStaged);
@@ -319,15 +346,15 @@ mod tests {
 
     #[test]
     fn push_only_variants_have_no_hints() {
-        let (generator, ctx, page) = setup();
-        let input = input(&generator, &ctx);
+        let generator = generator();
+        let load = load(&generator);
         for system in [System::PushHighPriorityNoHints, System::PushAllNoHints] {
-            let cfg = build_config(system, &input, &page, &ctx);
+            let cfg = load.config(system);
             assert!(cfg.server.hints.is_empty(), "{system:?}");
             assert!(!cfg.server.pushes.is_empty(), "{system:?}");
         }
-        let all = build_config(System::PushAllNoHints, &input, &page, &ctx);
-        let hi = build_config(System::PushHighPriorityNoHints, &input, &page, &ctx);
+        let all = load.config(System::PushAllNoHints);
+        let hi = load.config(System::PushHighPriorityNoHints);
         let count = |c: &LoadConfig| c.server.pushes.values().map(|v| v.len()).sum::<usize>();
         assert!(
             count(&all) > count(&hi),
@@ -337,10 +364,10 @@ mod tests {
 
     #[test]
     fn first_party_only_drops_third_party_hints() {
-        let (generator, ctx, page) = setup();
-        let input = input(&generator, &ctx);
-        let full = build_config(System::Vroom, &input, &page, &ctx);
-        let partial = build_config(System::VroomFirstPartyOnly, &input, &page, &ctx);
+        let generator = generator();
+        let load = load(&generator);
+        let full = load.config(System::Vroom);
+        let partial = load.config(System::VroomFirstPartyOnly);
         assert!(partial.server.hints.len() <= full.server.hints.len());
         let fp = generator.first_party().to_string();
         for &id in partial.server.hints.keys() {
@@ -357,14 +384,10 @@ mod tests {
 
     #[test]
     fn stale_deps_hint_urls_not_in_current_load() {
-        let (generator, ctx, page) = setup();
-        let cfg = build_config(
-            System::VroomStaleDeps,
-            &input(&generator, &ctx),
-            &page,
-            &ctx,
-        );
-        let current = page.url_set();
+        let generator = generator();
+        let load = load(&generator);
+        let cfg = load.config(System::VroomStaleDeps);
+        let current = load.page().url_set();
         let stale = cfg
             .server
             .hints
@@ -377,7 +400,7 @@ mod tests {
 
     #[test]
     fn warm_cache_reflects_max_age() {
-        let (_generator, _ctx, page) = setup();
+        let page = generator().snapshot(&LoadContext::reference());
         let cache = cache_from_prior_load(&page, 24.0);
         assert!(!cache.is_empty());
         let fresh = cache.values().filter(|e| e.fresh()).count();
@@ -388,11 +411,11 @@ mod tests {
 
     #[test]
     fn lower_bound_configs() {
-        let (generator, ctx, page) = setup();
-        let input = input(&generator, &ctx);
-        let net = build_config(System::NetworkBound, &input, &page, &ctx);
+        let generator = generator();
+        let load = load(&generator);
+        let net = load.config(System::NetworkBound);
         assert!(net.network_bound);
-        let cpu = build_config(System::CpuBound, &input, &page, &ctx);
+        let cpu = load.config(System::CpuBound);
         assert!(cpu.zero_network);
     }
 }

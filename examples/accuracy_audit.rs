@@ -44,13 +44,9 @@ fn main() {
 
     // Detail for Vroom: which URLs were missed / extraneous and why.
     let input = ResolverInput::new(&site, ctx.hours, ctx.device, 77);
-    let mut urls = vroom_intern::UrlTable::new();
-    let deps = resolve(&input, &page, Strategy::Vroom, &mut urls);
-    let root_id = urls.lookup(&page.url).expect("root html interned");
-    let server_set: HashSet<&Url> = deps.hints[&root_id]
-        .iter()
-        .map(|h| urls.get(h.url))
-        .collect();
+    let resolution = resolve(&input, &page, Strategy::Vroom);
+    let root_hints = resolution.hints_for(&page.url).expect("root html resolved");
+    let server_set: HashSet<&Url> = root_hints.iter().map(|h| h.url).collect();
     let b2b_urls: HashSet<&Url> = b2b.resources.iter().map(|r| &r.url).collect();
 
     println!("\n--- Vroom detail (root HTML scope) ---");
@@ -72,8 +68,8 @@ fn main() {
     }
     let page_urls: HashSet<&Url> = page.resources.iter().map(|r| &r.url).collect();
     let mut extraneous = 0;
-    for h in &deps.hints[&root_id] {
-        let hurl = urls.get(h.url);
+    for h in root_hints {
+        let hurl = h.url;
         if !page_urls.contains(hurl) {
             println!(
                 "  EXTRANEOUS {:<60} (stale crawl artifact)",
@@ -87,7 +83,7 @@ fn main() {
     }
     println!(
         "\nhints on root response: {} | unpredictable (left to the client): {}",
-        deps.hints[&root_id].len(),
+        root_hints.len(),
         page.resources
             .iter()
             .filter(|r| r.id != 0 && r.iframe_root.is_none())

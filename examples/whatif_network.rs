@@ -9,27 +9,26 @@
 
 #![forbid(unsafe_code)]
 
-use vroom::{build_config, System};
+use vroom::{SiteLoad, System};
 use vroom_browser::BrowserEngine;
 use vroom_net::NetworkProfile;
 use vroom_pages::{LoadContext, PageGenerator, SiteProfile};
-use vroom_server::resolve::ResolverInput;
 use vroom_sim::SimDuration;
 
 fn main() {
     let site = PageGenerator::new(SiteProfile::news(), 4242);
-    let ctx = LoadContext::reference();
-    // One page and one resolver input serve every load below.
-    let page = site.snapshot(&ctx);
-    let input = ResolverInput::new(&site, ctx.hours, ctx.device, 7);
+    // One page and one resolution serve every load below.
+    let load = SiteLoad::new(&site, &LoadContext::reference(), 7);
     // PLT seconds under `system` on `profile`, on the context device's CPU
     // unless `cpu_factor` overrides it.
     let plt = |system, profile: &NetworkProfile, cpu_factor: Option<f64>| {
-        let mut cfg = build_config(system, &input, &page, &ctx);
+        let mut cfg = load.config(system);
         if let Some(factor) = cpu_factor {
             cfg.cpu_factor = factor;
         }
-        BrowserEngine::load(&page, profile, &cfg).plt.as_secs_f64()
+        BrowserEngine::load(load.page(), profile, &cfg)
+            .plt
+            .as_secs_f64()
     };
 
     println!("=== Named profiles ===");

@@ -138,25 +138,8 @@ fn faulted_loads_are_deterministic() {
     }
 }
 
-/// Every system in the evaluation.
-const ALL_SYSTEMS: [System; 13] = [
-    System::Http1,
-    System::Http2,
-    System::PushAllStatic,
-    System::PolarisLike,
-    System::Vroom,
-    System::VroomFirstPartyOnly,
-    System::VroomStaleDeps,
-    System::PushHighPriorityNoHints,
-    System::PushAllNoHints,
-    System::PushAllFetchAsap,
-    System::VroomPolarisHybrid,
-    System::NetworkBound,
-    System::CpuBound,
-];
-
-/// A `SiteLoad` builds its page and its resolver's crawls once and shares
-/// them across every load made through it. The sharing must not show: a
+/// A `SiteLoad` builds its page, its resolver's crawls and one resolution
+/// per strategy once and shares them across every load made through it. The sharing must not show: a
 /// load through a `SiteLoad` that has already run every other system
 /// equals, byte for byte, the same load through a fresh one on a cloned
 /// generator, for cold, faulted and warm loads alike (every system's warm
@@ -167,11 +150,11 @@ fn loads_through_a_shared_site_load_equal_fresh_loads() {
     let ctx = LoadContext::reference();
     let lte = NetworkProfile::lte();
     let shared = SiteLoad::new(&site, &ctx, 7);
-    let first: Vec<String> = ALL_SYSTEMS
+    let first: Vec<String> = System::ALL
         .iter()
         .map(|&system| shared.run(&lte, system).to_json())
         .collect();
-    for (system, first) in ALL_SYSTEMS.into_iter().zip(first) {
+    for (system, first) in System::ALL.into_iter().zip(first) {
         let fresh = run_load(&site.clone(), &ctx, &lte, system, 7).to_json();
         assert_eq!(first, fresh, "{system:?}: first shared load");
         assert_eq!(
@@ -181,7 +164,7 @@ fn loads_through_a_shared_site_load_equal_fresh_loads() {
         );
     }
     let plan = FaultPlan::hint_corruption_only(0x5EED, 0.3);
-    for system in ALL_SYSTEMS {
+    for system in System::ALL {
         assert_eq!(
             shared.run_faulted(&lte, system, &plan).to_json(),
             run_load_faulted(&site.clone(), &ctx, &lte, system, 7, &plan).to_json(),
@@ -190,7 +173,7 @@ fn loads_through_a_shared_site_load_equal_fresh_loads() {
     }
     for age_hours in [0.003, 24.0] {
         let warm_cache = shared.warm_cache(age_hours);
-        for system in ALL_SYSTEMS {
+        for system in System::ALL {
             assert_eq!(
                 shared.run_warm(&lte, system, &warm_cache).to_json(),
                 run_load_warm(&site.clone(), &ctx, &lte, system, 7, age_hours).to_json(),
