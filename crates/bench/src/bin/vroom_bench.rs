@@ -759,15 +759,12 @@ fn run_micro(samples: u64) -> Vec<BenchStats> {
     }));
 
     // Event-queue churn: the simulator's core data structure under the
-    // schedule / cancel / pop mix a loaded page produces. Half the events
-    // are cancelled, exercising the id-liveness path rather than a drain.
+    // schedule / pop mix a loaded page produces: 1024 events at colliding
+    // timestamps scheduled, then drained in (time, schedule) order.
     out.push(bench("event_queue_churn", samples, 50, || {
         let mut q: EventQueue<u32> = EventQueue::new();
-        let ids: Vec<_> = (0..1024u64)
-            .map(|i| q.schedule(SimTime::from_micros(i * 7 % 911), i as u32))
-            .collect();
-        for id in ids.iter().step_by(2) {
-            q.cancel(*id);
+        for i in 0..1024u64 {
+            q.schedule(SimTime::from_micros(i * 7 % 911), i as u32);
         }
         let mut popped = 0usize;
         while q.pop().is_some() {

@@ -12,7 +12,8 @@
 use crate::config::{Hint, HttpVersion, LoadConfig};
 use crate::engine::Ev;
 use std::collections::{BTreeMap, VecDeque};
-use vroom_intern::{SharedStr, UrlId};
+use std::sync::Arc;
+use vroom_intern::UrlId;
 use vroom_net::link::{SharedLink, TransferId};
 use vroom_net::profiles::NetworkProfile;
 use vroom_pages::{Page, ResourceId};
@@ -164,7 +165,7 @@ struct Domain {
     /// The domain's host name — kept here so events and flights can carry
     /// the dense index and resolve the name only when latency/fault models
     /// need it.
-    name: SharedStr,
+    name: Arc<str>,
     conns: Vec<Conn>,
     /// Requests waiting for a connection (H1) or for handshake (H2).
     pending: VecDeque<Req>,
@@ -186,7 +187,7 @@ struct Flight {
 #[derive(Default)]
 pub(crate) struct Buffers {
     res_uid: Vec<Option<UrlId>>,
-    res_domains: Vec<SharedStr>,
+    res_domains: Vec<Arc<str>>,
     link: Option<SharedLink>,
     #[cfg(test)]
     pub(crate) ledger: Vec<Trace>,
@@ -208,12 +209,12 @@ pub(crate) struct Transport<'a> {
     pub(crate) res_uid: Vec<Option<UrlId>>,
     /// Each resource's host, deduplicated at construction so domain keys
     /// and connection events are refcount bumps, never string copies.
-    res_domains: Vec<SharedStr>,
+    res_domains: Vec<Arc<str>>,
     /// Domains in first-contact order; events address them by index.
     domains: Vec<Domain>,
     /// Host name → index into `domains`. Touched once per *request*; the
     /// per-*event* paths go straight through the index.
-    domain_index: BTreeMap<SharedStr, usize>,
+    domain_index: BTreeMap<Arc<str>, usize>,
     link: SharedLink,
     link_tick_at: Option<SimTime>,
     /// Responses on the link, sorted by transfer id. `TransferId`s are
@@ -243,14 +244,15 @@ impl<'a> Transport<'a> {
         let mut res_uid = std::mem::take(&mut buffers.res_uid);
         res_uid.clear();
         res_uid.extend(page.resources.iter().map(|r| cfg.urls.lookup(&r.url)));
-        let mut host_index: BTreeMap<&str, SharedStr> = BTreeMap::new();
+        let mut host_index: BTreeMap<&str, Arc<str>> = BTreeMap::new();
         let mut res_domains = std::mem::take(&mut buffers.res_domains);
         res_domains.clear();
         res_domains.extend(page.resources.iter().map(|r| {
-            host_index
-                .entry(r.url.host.as_str())
-                .or_insert_with(|| SharedStr::from(r.url.host.as_str()))
-                .share()
+            Arc::clone(
+                host_index
+                    .entry(r.url.host.as_str())
+                    .or_insert_with(|| Arc::from(r.url.host.as_str())),
+            )
         }));
         let fault_active = cfg.fault.is_active();
         let mut link = match buffers.link.take() {
@@ -315,7 +317,7 @@ impl<'a> Transport<'a> {
     }
 
     /// The host connection `a` talks to.
-    fn host(&self, a: Addr) -> &SharedStr {
+    fn host(&self, a: Addr) -> &Arc<str> {
         &self.domains[a.dom as usize].name
     }
 
@@ -332,17 +334,17 @@ impl<'a> Transport<'a> {
     pub(crate) fn fetch(&mut self, q: &mut Queue, now: SimTime, req: Req) {
         #[cfg(test)]
         self.ledger.push(Trace::Requested(req, now));
-        let domain = self.domain_of(&req.target).share();
+        let domain = Arc::clone(self.domain_of(&req.target));
         let dom = match self.domain_index.get(&domain) {
             Some(&i) => i,
             None => {
                 let i = self.domains.len();
                 self.domains.push(Domain {
-                    name: domain.share(),
+                    name: Arc::clone(&domain),
                     conns: Vec::new(),
                     pending: VecDeque::new(),
                 });
-                self.domain_index.insert(domain.share(), i);
+                self.domain_index.insert(Arc::clone(&domain), i);
                 i
             }
         };
@@ -384,7 +386,7 @@ impl<'a> Transport<'a> {
     }
 
     /// The target's domain from the per-resource / per-URL host caches.
-    fn domain_of(&self, target: &Target) -> &SharedStr {
+    fn domain_of(&self, target: &Target) -> &Arc<str> {
         match target {
             Target::Real(id) => &self.res_domains[*id],
             Target::Waste { url, .. } => self.cfg.urls.host(*url),
@@ -562,9 +564,9 @@ impl<'a> Transport<'a> {
             return (full, false);
         }
         let url = match url {
-            Ok(uid) => self.cfg.urls.full_url(uid).share(),
+            Ok(uid) => Arc::clone(self.cfg.urls.full_url(uid)),
             // vroom-lint: allow(hot-path-alloc) -- fault-injection fallback for resources the config never interned
-            Err(id) => SharedStr::from(self.page.resources[id].url.to_string()),
+            Err(id) => Arc::from(self.page.resources[id].url.to_string()),
         };
         match self.cfg.fault.truncation(&url, attempt) {
             Some(frac) => (((full as f64 * frac) as u64).max(1), true),

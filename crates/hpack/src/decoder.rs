@@ -6,7 +6,7 @@ use crate::huffman;
 use crate::integer;
 use crate::table::{self, DynamicTable};
 use crate::{Error, HeaderField};
-use vroom_intern::SharedStr;
+use std::sync::Arc;
 
 /// Default cap on the decoded header list (name + value + 32 per field),
 /// mirroring `SETTINGS_MAX_HEADER_LIST_SIZE` semantics.
@@ -19,7 +19,7 @@ pub struct Decoder {
     max_header_list_size: usize,
     /// Reused string-decode workspace: Huffman expansion and plain copies
     /// land here, so each literal string costs exactly one allocation (the
-    /// final [`SharedStr`]) once the buffer has warmed up.
+    /// final `Arc<str>`) once the buffer has warmed up.
     scratch: Vec<u8>,
 }
 
@@ -81,7 +81,7 @@ impl Decoder {
                 // Literal with incremental indexing; the table insert shares
                 // the freshly decoded strings.
                 let (name, value) = self.read_literal(&mut buf, 6)?;
-                self.table.insert(name.share(), value.share());
+                self.table.insert(Arc::clone(&name), Arc::clone(&value));
                 seen_field = true;
                 HeaderField::new(name, value)
             } else if first & 0b0010_0000 != 0 {
@@ -116,11 +116,7 @@ impl Decoder {
     /// Read a literal field body: optional name index (at `prefix` bits),
     /// then name string if index was 0, then value string. An indexed name
     /// is a refcounted handle to the table's bytes.
-    fn read_literal(
-        &mut self,
-        buf: &mut &[u8],
-        prefix: u8,
-    ) -> Result<(SharedStr, SharedStr), Error> {
+    fn read_literal(&mut self, buf: &mut &[u8], prefix: u8) -> Result<(Arc<str>, Arc<str>), Error> {
         let (name_idx, used) = integer::decode(buf, prefix)?;
         *buf = buf.get(used..).ok_or(Error::Truncated)?;
         let name = if name_idx == 0 {
@@ -135,8 +131,8 @@ impl Decoder {
     }
 
     /// Decode one string literal via the reused scratch buffer: the only
-    /// allocation is the returned [`SharedStr`].
-    fn read_string(&mut self, buf: &mut &[u8]) -> Result<SharedStr, Error> {
+    /// allocation is the returned `Arc<str>`.
+    fn read_string(&mut self, buf: &mut &[u8]) -> Result<Arc<str>, Error> {
         let first = *buf.first().ok_or(Error::Truncated)?;
         let huffman_coded = first & 0b1000_0000 != 0;
         let (len, used) = integer::decode(buf, 7)?;
@@ -154,7 +150,7 @@ impl Decoder {
             self.scratch.extend_from_slice(body);
         }
         let s = std::str::from_utf8(&self.scratch).map_err(|_| Error::InvalidString)?;
-        Ok(SharedStr::from(s))
+        Ok(Arc::from(s))
     }
 }
 
@@ -170,10 +166,7 @@ mod tests {
 
     fn assert_decodes(dec: &mut Decoder, bytes: &[u8], expect: &[(&str, &str)]) {
         let got = dec.decode(bytes).unwrap();
-        let got_pairs: Vec<(&str, &str)> = got
-            .iter()
-            .map(|f| (f.name.as_str(), f.value.as_str()))
-            .collect();
+        let got_pairs: Vec<(&str, &str)> = got.iter().map(|f| (&*f.name, &*f.value)).collect();
         assert_eq!(got_pairs, expect.to_vec());
     }
 
@@ -210,8 +203,8 @@ mod tests {
         ];
         let got = dec.decode(&bytes).unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].name, "password");
-        assert_eq!(got[0].value, "secret");
+        assert_eq!(&*got[0].name, "password");
+        assert_eq!(&*got[0].value, "secret");
         assert!(got[0].sensitive);
         assert!(dec.table().is_empty());
     }
@@ -261,7 +254,7 @@ mod tests {
             ],
         );
         assert_eq!(dec.table().size(), 222);
-        assert_eq!(dec.table().get(1).unwrap().value, "307");
+        assert_eq!(&*dec.table().get(1).unwrap().value, "307");
     }
 
     /// Roundtrip through our encoder with table state carried across blocks.

@@ -11,6 +11,7 @@ use crate::huffman;
 use crate::integer;
 use crate::table::{self, DynamicTable};
 use crate::HeaderField;
+use std::sync::Arc;
 
 /// A stateful HPACK encoder for one connection direction.
 #[derive(Debug)]
@@ -103,7 +104,7 @@ impl Encoder {
         }
         self.encode_string(&h.value, out);
         // Refcount bumps: the table entry shares the field's bytes.
-        self.table.insert(h.name.share(), h.value.share());
+        self.table.insert(Arc::clone(&h.name), Arc::clone(&h.value));
     }
 
     fn encode_string(&self, s: &str, out: &mut Vec<u8>) {

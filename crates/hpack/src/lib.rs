@@ -18,6 +18,10 @@
 //! * a stateful [`Encoder`]/[`Decoder`] pair whose outputs are verified
 //!   byte-for-byte against the RFC's Appendix C examples.
 //!
+//! The crate has no dependencies. Header names and values are std
+//! `Arc<str>`s, so a decoded field, a table entry and the caller's copy
+//! share one allocation.
+//!
 //! # Example
 //!
 //! ```
@@ -45,26 +49,26 @@ pub use decoder::Decoder;
 pub use encoder::Encoder;
 
 use core::fmt;
-use vroom_intern::SharedStr;
+use std::sync::Arc;
 
 /// One HTTP header field as seen by HPACK.
 ///
-/// Name and value are refcounted [`SharedStr`]s: handing a field from the
+/// Name and value are refcounted `Arc<str>`s: handing a field from the
 /// decoder to the connection to the application — or from a table hit back
 /// to the caller — bumps a count instead of copying header bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HeaderField {
     /// Field name (lower-case by HTTP/2 convention; not enforced here).
-    pub name: SharedStr,
+    pub name: Arc<str>,
     /// Field value.
-    pub value: SharedStr,
+    pub value: Arc<str>,
     /// Whether the field must never be indexed (RFC 7541 §7.1.3).
     pub sensitive: bool,
 }
 
 impl HeaderField {
     /// A regular (indexable) field.
-    pub fn new(name: impl Into<SharedStr>, value: impl Into<SharedStr>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, value: impl Into<Arc<str>>) -> Self {
         HeaderField {
             name: name.into(),
             value: value.into(),
@@ -73,7 +77,7 @@ impl HeaderField {
     }
 
     /// A field that must be encoded never-indexed (e.g. credentials).
-    pub fn sensitive(name: impl Into<SharedStr>, value: impl Into<SharedStr>) -> Self {
+    pub fn sensitive(name: impl Into<Arc<str>>, value: impl Into<Arc<str>>) -> Self {
         HeaderField {
             name: name.into(),
             value: value.into(),

@@ -2,8 +2,7 @@
 //! bounded FIFO dynamic table with size-based eviction.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
-use vroom_intern::SharedStr;
+use std::sync::{Arc, OnceLock};
 
 /// The static table, RFC 7541 Appendix A. Index 1 is `STATIC_TABLE[0]`.
 pub const STATIC_TABLE: [(&str, &str); 61] = [
@@ -80,8 +79,8 @@ pub const DEFAULT_MAX_SIZE: usize = 4096;
 /// encoded header shares its bytes with the caller instead of copying them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
-    pub name: SharedStr,
-    pub value: SharedStr,
+    pub name: Arc<str>,
+    pub value: Arc<str>,
 }
 
 impl Entry {
@@ -166,7 +165,7 @@ impl DynamicTable {
 
     /// Insert at the head, evicting from the tail as needed (RFC 7541 §4.4).
     /// An entry larger than the whole table empties the table.
-    pub fn insert(&mut self, name: SharedStr, value: SharedStr) {
+    pub fn insert(&mut self, name: Arc<str>, value: Arc<str>) {
         let entry = Entry { name, value };
         let esize = entry.size();
         if esize > self.max_size {
@@ -203,7 +202,7 @@ impl DynamicTable {
     pub fn find(&self, name: &str, value: &str) -> Option<usize> {
         self.entries
             .iter()
-            .position(|e| e.name == name && e.value == value)
+            .position(|e| &*e.name == name && &*e.value == value)
             .map(|i| i + 1)
     }
 
@@ -211,19 +210,19 @@ impl DynamicTable {
     pub fn find_name(&self, name: &str) -> Option<usize> {
         self.entries
             .iter()
-            .position(|e| e.name == name)
+            .position(|e| &*e.name == name)
             .map(|i| i + 1)
     }
 }
 
-/// The static table as `SharedStr`s, built once per process so indexed
+/// The static table as `Arc<str>`s, built once per process so indexed
 /// fields resolve to refcount bumps rather than fresh allocations.
-fn static_shared() -> &'static [(SharedStr, SharedStr)] {
-    static SHARED: OnceLock<Vec<(SharedStr, SharedStr)>> = OnceLock::new();
+fn static_shared() -> &'static [(Arc<str>, Arc<str>)] {
+    static SHARED: OnceLock<Vec<(Arc<str>, Arc<str>)>> = OnceLock::new();
     SHARED.get_or_init(|| {
         STATIC_TABLE
             .iter()
-            .map(|&(n, v)| (SharedStr::from(n), SharedStr::from(v)))
+            .map(|&(n, v)| (Arc::from(n), Arc::from(v)))
             .collect()
     })
 }
@@ -231,16 +230,16 @@ fn static_shared() -> &'static [(SharedStr, SharedStr)] {
 /// Resolve a combined 1-based HPACK index against static + dynamic tables,
 /// as owned handles sharing the table's storage: no header bytes are copied
 /// on either the static or the dynamic path.
-pub fn resolve_shared(table: &DynamicTable, index: usize) -> Option<(SharedStr, SharedStr)> {
+pub fn resolve_shared(table: &DynamicTable, index: usize) -> Option<(Arc<str>, Arc<str>)> {
     if index == 0 {
         return None;
     }
     if let Some((n, v)) = static_shared().get(index - 1) {
-        return Some((n.share(), v.share()));
+        return Some((Arc::clone(n), Arc::clone(v)));
     }
     table
         .get(index - STATIC_TABLE.len())
-        .map(|e| (e.name.share(), e.value.share()))
+        .map(|e| (Arc::clone(&e.name), Arc::clone(&e.value)))
 }
 
 /// Search static then dynamic table for an exact match; returns the combined
@@ -281,8 +280,8 @@ mod tests {
         let mut t = DynamicTable::new(4096);
         t.insert("a".into(), "1".into());
         t.insert("b".into(), "2".into());
-        assert_eq!(t.get(1).unwrap().name, "b");
-        assert_eq!(t.get(2).unwrap().name, "a");
+        assert_eq!(&*t.get(1).unwrap().name, "b");
+        assert_eq!(&*t.get(2).unwrap().name, "a");
         assert_eq!(t.get(3), None);
         assert_eq!(t.size(), 2 * (1 + 1 + 32));
     }
@@ -295,8 +294,8 @@ mod tests {
         t.insert("b".into(), "2".into());
         t.insert("c".into(), "3".into());
         assert_eq!(t.len(), 2);
-        assert_eq!(t.get(1).unwrap().name, "c");
-        assert_eq!(t.get(2).unwrap().name, "b");
+        assert_eq!(&*t.get(1).unwrap().name, "c");
+        assert_eq!(&*t.get(2).unwrap().name, "b");
     }
 
     #[test]
@@ -333,15 +332,13 @@ mod tests {
         let mut t = DynamicTable::new(4096);
         t.insert("x-vroom".into(), "1".into());
         let (n, v) = resolve_shared(&t, 62).unwrap();
-        assert_eq!(n, "x-vroom");
-        assert_eq!(v, "1");
-        assert_eq!(
-            n.as_str().as_ptr(),
-            t.get(1).unwrap().name.as_str().as_ptr(),
+        assert_eq!((&*n, &*v), ("x-vroom", "1"));
+        assert!(
+            Arc::ptr_eq(&n, &t.get(1).unwrap().name),
             "dynamic hit shares the entry's bytes"
         );
         let (n, v) = resolve_shared(&t, 2).unwrap();
-        assert_eq!((n.as_str(), v.as_str()), (":method", "GET"));
+        assert_eq!((&*n, &*v), (":method", "GET"));
         assert_eq!(resolve_shared(&t, 0), None);
         assert_eq!(resolve_shared(&t, 63), None);
     }

@@ -72,8 +72,8 @@ fn simple_get_roundtrip() {
             _ => None,
         })
         .expect("request received");
-    assert_eq!(req.path, "/index.html");
-    assert_eq!(req.authority, "a.com");
+    assert_eq!(&*req.path, "/index.html");
+    assert_eq!(&*req.authority, "a.com");
 
     server
         .send_response(req_stream, &Response::ok(), false)
@@ -145,7 +145,7 @@ fn server_push_roundtrip() {
         })
         .expect("push promise");
     assert_eq!(promise.0, 2);
-    assert_eq!(promise.1.path, "/app.js");
+    assert_eq!(&*promise.1.path, "/app.js");
     let pushed_body: Vec<u8> = cev
         .iter()
         .filter_map(|e| match e {

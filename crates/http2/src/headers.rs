@@ -1,11 +1,11 @@
 //! Typed request/response header lists over raw HPACK fields, including the
 //! pseudo-header rules of RFC 7540 §8.1.2 and the Vroom hint headers the
-//! paper adds (Table 1).
+//! paper adds (Table 1). Every string is an `Arc<str>` shared with the
+//! HPACK fields it came from or goes to (`Arc::clone`, never a copy).
 
 use crate::error::ConnectionError;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use vroom_hpack::HeaderField;
-use vroom_intern::SharedStr;
 
 /// Vroom's dependency-hint header names (paper Table 1), in decreasing
 /// priority order. `link` carries `rel=preload` entries for resources that
@@ -24,25 +24,25 @@ pub mod hint_headers {
 
 /// An HTTP request as carried over HTTP/2.
 ///
-/// Pseudo-header values are refcounted [`SharedStr`]s, so serializing to
+/// Pseudo-header values are refcounted `Arc<str>`s, so serializing to
 /// HPACK fields and parsing back shares bytes instead of copying them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// `:method`.
-    pub method: SharedStr,
+    pub method: Arc<str>,
     /// `:scheme`.
-    pub scheme: SharedStr,
+    pub scheme: Arc<str>,
     /// `:authority` (the domain).
-    pub authority: SharedStr,
+    pub authority: Arc<str>,
     /// `:path`.
-    pub path: SharedStr,
+    pub path: Arc<str>,
     /// Regular header fields, in order.
     pub headers: Vec<HeaderField>,
 }
 
 impl Request {
     /// A GET request for `https://{authority}{path}`.
-    pub fn get(authority: impl Into<SharedStr>, path: impl Into<SharedStr>) -> Self {
+    pub fn get(authority: impl Into<Arc<str>>, path: impl Into<Arc<str>>) -> Self {
         Request {
             method: "GET".into(),
             scheme: "https".into(),
@@ -54,7 +54,7 @@ impl Request {
 
     /// Attach a cookie header (Vroom: only ever for the request's own
     /// domain — the client never shares cross-domain cookies).
-    pub fn with_cookie(mut self, cookie: impl Into<SharedStr>) -> Self {
+    pub fn with_cookie(mut self, cookie: impl Into<Arc<str>>) -> Self {
         self.headers
             .push(HeaderField::sensitive("cookie", cookie.into()));
         self
@@ -70,10 +70,10 @@ impl Request {
     /// Every field shares this request's bytes.
     pub fn to_fields(&self) -> Vec<HeaderField> {
         let mut out = vec![
-            HeaderField::new(":method", self.method.share()),
-            HeaderField::new(":scheme", self.scheme.share()),
-            HeaderField::new(":authority", self.authority.share()),
-            HeaderField::new(":path", self.path.share()),
+            HeaderField::new(":method", Arc::clone(&self.method)),
+            HeaderField::new(":scheme", Arc::clone(&self.scheme)),
+            HeaderField::new(":authority", Arc::clone(&self.authority)),
+            HeaderField::new(":path", Arc::clone(&self.path)),
         ];
         // vroom-lint: allow(hot-path-alloc) -- HeaderField::clone is two refcount bumps and a flag, never a byte copy
         out.extend(self.headers.iter().cloned());
@@ -88,7 +88,7 @@ impl Request {
         let mut authority = None;
         let mut path = None;
         for f in pseudo {
-            let slot = match f.name.as_str() {
+            let slot = match &*f.name {
                 ":method" => &mut method,
                 ":scheme" => &mut scheme,
                 ":authority" => &mut authority,
@@ -100,7 +100,7 @@ impl Request {
                     )));
                 }
             };
-            if slot.replace(f.value.share()).is_some() {
+            if slot.replace(Arc::clone(&f.value)).is_some() {
                 // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected block
                 return Err(ConnectionError::protocol(format!(
                     "duplicate pseudo-header {}",
@@ -154,8 +154,8 @@ impl Response {
     pub fn header_values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
         self.headers
             .iter()
-            .filter(move |f| f.name == name)
-            .map(|f| f.value.as_str())
+            .filter(move |f| &*f.name == name)
+            .map(|f| &*f.value)
     }
 
     /// Serialize to an HPACK field list.
@@ -171,7 +171,7 @@ impl Response {
         let (pseudo, regular) = split_pseudo(fields)?;
         let mut status = None;
         for f in pseudo {
-            if f.name != ":status" {
+            if &*f.name != ":status" {
                 // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected block
                 return Err(ConnectionError::protocol(format!(
                     "unknown response pseudo-header {}",
@@ -197,8 +197,8 @@ impl Response {
 
 /// `:status` rendering without a per-response allocation for the codes the
 /// HPACK static table also carries; anything rarer is rendered per call.
-fn status_text(status: u16) -> SharedStr {
-    static COMMON: OnceLock<[(u16, SharedStr); 7]> = OnceLock::new();
+fn status_text(status: u16) -> Arc<str> {
+    static COMMON: OnceLock<[(u16, Arc<str>); 7]> = OnceLock::new();
     let common = COMMON.get_or_init(|| {
         [
             (200, "200".into()),
@@ -211,9 +211,9 @@ fn status_text(status: u16) -> SharedStr {
         ]
     });
     match common.iter().find(|(c, _)| *c == status) {
-        Some((_, s)) => s.share(),
+        Some((_, s)) => Arc::clone(s),
         // vroom-lint: allow(hot-path-alloc) -- uncommon status code: rendered once per response, off the cached fast path
-        None => SharedStr::from(status.to_string()),
+        None => Arc::from(status.to_string()),
     }
 }
 
@@ -260,7 +260,7 @@ mod tests {
             .with_cookie("session=abc")
             .with_header("user-agent", "vroom/0.1");
         let fields = req.to_fields();
-        assert_eq!(fields[0].name, ":method");
+        assert_eq!(&*fields[0].name, ":method");
         let back = Request::from_fields(&fields).unwrap();
         assert_eq!(back, req);
     }
@@ -292,7 +292,7 @@ mod tests {
         assert!(req
             .to_fields()
             .iter()
-            .any(|f| f.name == "cookie" && f.sensitive));
+            .any(|f| &*f.name == "cookie" && f.sensitive));
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! * request/response header typing with pseudo-header validation and the
 //!   Vroom hint headers ([`headers`]).
 //!
+//! Its one dependency is `vroom-hpack`; header strings are std `Arc<str>`s.
+//!
 //! # Example: request/response over an in-memory wire
 //!
 //! ```

@@ -1,26 +1,20 @@
-//! URL interning and shared immutable buffers.
+//! URL interning.
 //!
 //! The replay store, the browser engine, and the server-side resolver all
 //! key their hot-path structures by URL. A [`Url`] is three owned `String`s,
 //! so every map lookup walks string comparisons and every hand-off clones
-//! three heap allocations. This crate replaces those with:
-//!
-//! * [`UrlTable`] — an append-only intern table mapping `Url ↔ UrlId`.
-//!   Ids are dense `u32`s handed out in insertion order, so two runs that
-//!   intern the same URLs in the same order assign identical ids: the table
-//!   is as deterministic as the code that fills it. Resolution (`id → Url`)
-//!   is a `Vec` index. Interning and reverse lookup hash the URL once with a
-//!   fixed-key hash and probe an open-addressing index whose slots hold an
-//!   id and a 32-bit hash tag; only a slot whose tag matches is compared as
-//!   a URL, so a hit costs one URL comparison, however large the table.
-//!   Each URL is stored once, in id order. [`UrlTable::intern_ref`] clones
-//!   a borrowed URL only when it is new.
-//! * [`UrlSet`] — the same hash and probe over borrowed URLs, for code
-//!   that only asks whether it has seen a URL (the resolver's crawl
-//!   intersection, accuracy scoring) and needs no ids.
-//! * [`SharedBytes`] / [`SharedStr`] — `Arc`-backed immutable buffers in the
-//!   style of the `bytes` crate: cloning is a reference-count bump, never a
-//!   byte copy.
+//! three heap allocations. [`UrlTable`] replaces those with an append-only
+//! intern table mapping `Url ↔ UrlId`. Ids are dense `u32`s handed out in
+//! insertion order, so two runs that intern the same URLs in the same order
+//! assign identical ids: the table is as deterministic as the code that
+//! fills it. Resolution (`id → Url`) is a `Vec` index. Interning and reverse
+//! lookup hash the URL once with a fixed-key hash and probe an
+//! open-addressing index whose slots hold an id and a 32-bit hash tag; only
+//! a slot whose tag matches is compared as a URL, so a hit costs one URL
+//! comparison, however large the table. Each URL is stored once, in id
+//! order. [`UrlTable::intern_ref`] clones a borrowed URL only when it is
+//! new. Hosts and full renderings are handed out as `Arc<str>`, so callers
+//! share them with `Arc::clone` instead of copying bytes.
 //!
 //! No external dependencies; the only workspace dependency is `vroom-html`
 //! for the `Url` type itself.
@@ -30,7 +24,6 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 pub use vroom_html::Url;
@@ -95,7 +88,7 @@ pub struct UrlTable {
     /// Every interned URL, in id order.
     entries: Vec<Entry>,
     /// Distinct hosts seen so far, for the dedup in `push`.
-    hosts: BTreeSet<SharedStr>,
+    hosts: BTreeSet<Arc<str>>,
     /// Open-addressing index over `entries` with linear probing: a power of
     /// two long and at most half full, so every probe ends at an empty slot.
     index: Vec<Slot>,
@@ -106,9 +99,9 @@ pub struct UrlTable {
 struct Entry {
     url: Url,
     /// The URL's host, shared by every URL on the domain.
-    host: SharedStr,
+    host: Arc<str>,
     /// The full rendering, built on the first `full_url` call.
-    full: OnceLock<SharedStr>,
+    full: OnceLock<Arc<str>>,
 }
 
 /// One index slot: empty, or an id with the tag of its URL's hash.
@@ -151,13 +144,12 @@ fn tag_of(url: &Url) -> u32 {
 
 /// The first slot `stop` accepts, and its position, walking `index` (a
 /// power of two long, never full) by linear probing from `tag`'s home
-/// slot. The one probe of [`UrlTable`] and [`UrlSet`]; total: an empty
-/// index ends the walk at once.
-fn probe<S>(index: &[S], tag: u32, mut stop: impl FnMut(&S) -> bool) -> Option<(usize, &S)> {
+/// slot. Total: an empty index ends the walk at once.
+fn probe(index: &[Slot], tag: u32, mut stop: impl FnMut(Slot) -> bool) -> Option<(usize, Slot)> {
     let mask = index.len().wrapping_sub(1);
     let mut pos = tag as usize & mask;
     loop {
-        let slot = index.get(pos)?;
+        let slot = *index.get(pos)?;
         if stop(slot) {
             return Some((pos, slot));
         }
@@ -219,10 +211,10 @@ impl UrlTable {
         }
         place(&mut self.index, Slot::new(id, tag));
         let host = match self.hosts.get(url.host.as_str()) {
-            Some(host) => host.share(),
+            Some(host) => Arc::clone(host),
             None => {
-                let host = SharedStr::from(url.host.as_str());
-                self.hosts.insert(host.share());
+                let host: Arc<str> = Arc::from(url.host.as_str());
+                self.hosts.insert(Arc::clone(&host));
                 host
             }
         };
@@ -258,20 +250,18 @@ impl UrlTable {
 
     /// The full rendering of an interned URL — equal to
     /// `self.get(id).to_string()`, rendered on the first call and shared
-    /// after. Returns the shared string so callers can
-    /// [`SharedStr::share`] it into headers without copying.
-    pub fn full_url(&self, id: UrlId) -> &SharedStr {
+    /// after. Returns the shared string so callers can `Arc::clone` it
+    /// into headers without copying.
+    pub fn full_url(&self, id: UrlId) -> &Arc<str> {
         // vroom-lint: allow(panic-reachable) -- documented contract: panics only on a foreign id; wire paths use the total `url` API
         let entry = &self.entries[id.index()];
-        entry
-            .full
-            .get_or_init(|| SharedStr::from(entry.url.to_string()))
+        entry.full.get_or_init(|| Arc::from(entry.url.to_string()))
     }
 
     /// The cached host of an interned URL. Every URL on a domain shares one
-    /// allocation, so callers can [`SharedStr::share`] it into per-domain
-    /// maps and events without copying.
-    pub fn host(&self, id: UrlId) -> &SharedStr {
+    /// allocation, so callers can `Arc::clone` it into per-domain maps and
+    /// events without copying.
+    pub fn host(&self, id: UrlId) -> &Arc<str> {
         // vroom-lint: allow(panic-reachable) -- documented contract: panics only on a foreign id; wire paths use the total `url` API
         &self.entries[id.index()].host
     }
@@ -316,298 +306,6 @@ impl fmt::Debug for UrlTable {
     }
 }
 
-/// A membership-only set of borrowed URLs: [`UrlTable`]'s fixed-key hash
-/// and linear probe, with each slot holding the URL's tag and a reference
-/// to it instead of an id. It answers `insert` and `contains` and nothing
-/// else; nothing iterates it, so its layout cannot reach an output.
-#[derive(Default)]
-pub struct UrlSet<'u> {
-    /// A power of two long and at most half full, as `UrlTable::index`.
-    slots: Vec<SetSlot<'u>>,
-    /// URLs in the set.
-    len: usize,
-}
-
-/// One `UrlSet` slot: empty, or a URL with its tag.
-type SetSlot<'u> = Option<(u32, &'u Url)>;
-
-impl<'u> UrlSet<'u> {
-    /// An empty set that holds `n` URLs without growing.
-    pub fn with_capacity(n: usize) -> Self {
-        UrlSet {
-            slots: vec![None; (n * 2).next_power_of_two().max(MIN_SLOTS)],
-            len: 0,
-        }
-    }
-
-    /// Add `url`; `true` if it was not in the set.
-    pub fn insert(&mut self, url: &'u Url) -> bool {
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.widen();
-        }
-        let tag = tag_of(url);
-        let Some((free, None)) = self.slot(url, tag) else {
-            return false;
-        };
-        match self.slots.get_mut(free) {
-            Some(slot) => {
-                *slot = Some((tag, url));
-                self.len += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether `url` is in the set.
-    pub fn contains(&self, url: &Url) -> bool {
-        self.slot(url, tag_of(url))
-            .is_some_and(|(_, slot)| slot.is_some())
-    }
-
-    /// The slot holding `url`, or the empty slot its insert would fill,
-    /// with its position.
-    fn slot(&self, url: &Url, tag: u32) -> Option<(usize, &SetSlot<'u>)> {
-        probe(&self.slots, tag, |s| {
-            s.is_none_or(|(t, u)| t == tag && u == url)
-        })
-    }
-
-    /// Double the slots and re-place every URL by its stored tag.
-    fn widen(&mut self) {
-        let mut slots = vec![None; (self.slots.len() * 2).max(MIN_SLOTS)];
-        for (tag, url) in self.slots.iter().flatten() {
-            let free = probe(&slots, *tag, Option::is_none).map(|(p, _)| p);
-            if let Some(s) = free.and_then(|p| slots.get_mut(p)) {
-                *s = Some((*tag, *url));
-            }
-        }
-        self.slots = slots;
-    }
-}
-
-impl<'u> FromIterator<&'u Url> for UrlSet<'u> {
-    fn from_iter<I: IntoIterator<Item = &'u Url>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut set = UrlSet::with_capacity(iter.size_hint().0);
-        for url in iter {
-            set.insert(url);
-        }
-        set
-    }
-}
-
-/// Immutable shared byte buffer: cloning bumps a reference count.
-#[derive(Clone, Default)]
-pub struct SharedBytes(Arc<[u8]>);
-
-impl SharedBytes {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Another handle to the same buffer — a reference-count bump, never a
-    /// byte copy. Spelled `share` (not `clone`) on hot paths so allocation
-    /// audits can tell the two apart syntactically.
-    pub fn share(&self) -> SharedBytes {
-        SharedBytes(Arc::clone(&self.0))
-    }
-}
-
-impl Deref for SharedBytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl AsRef<[u8]> for SharedBytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl From<Vec<u8>> for SharedBytes {
-    fn from(v: Vec<u8>) -> Self {
-        SharedBytes(v.into())
-    }
-}
-
-impl From<&[u8]> for SharedBytes {
-    fn from(v: &[u8]) -> Self {
-        SharedBytes(v.into())
-    }
-}
-
-impl From<String> for SharedBytes {
-    fn from(s: String) -> Self {
-        SharedBytes(s.into_bytes().into())
-    }
-}
-
-impl From<&SharedStr> for SharedBytes {
-    /// Zero-copy: reuses the string's allocation, bumping its refcount.
-    fn from(s: &SharedStr) -> Self {
-        SharedBytes(Arc::from(s.0.clone()))
-    }
-}
-
-impl PartialEq for SharedBytes {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for SharedBytes {}
-
-impl fmt::Debug for SharedBytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SharedBytes({} bytes)", self.len())
-    }
-}
-
-/// Immutable shared string: cloning bumps a reference count.
-#[derive(Clone)]
-pub struct SharedStr(Arc<str>);
-
-impl SharedStr {
-    /// The string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// Another handle to the same string — a reference-count bump, never a
-    /// byte copy. Spelled `share` (not `clone`) on hot paths so allocation
-    /// audits can tell the two apart syntactically.
-    pub fn share(&self) -> SharedStr {
-        SharedStr(Arc::clone(&self.0))
-    }
-}
-
-impl Default for SharedStr {
-    fn default() -> Self {
-        SharedStr(Arc::from(""))
-    }
-}
-
-impl Deref for SharedStr {
-    type Target = str;
-    fn deref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl AsRef<str> for SharedStr {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl std::borrow::Borrow<str> for SharedStr {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
-impl From<String> for SharedStr {
-    fn from(s: String) -> Self {
-        SharedStr(s.into())
-    }
-}
-
-impl From<&str> for SharedStr {
-    fn from(s: &str) -> Self {
-        SharedStr(s.into())
-    }
-}
-
-impl PartialEq for SharedStr {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-impl Eq for SharedStr {}
-
-impl PartialEq<str> for SharedStr {
-    fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
-    }
-}
-
-impl PartialEq<&str> for SharedStr {
-    fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
-    }
-}
-
-impl PartialEq<String> for SharedStr {
-    fn eq(&self, other: &String) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl PartialEq<SharedStr> for String {
-    fn eq(&self, other: &SharedStr) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl PartialEq<SharedStr> for str {
-    fn eq(&self, other: &SharedStr) -> bool {
-        self == &*other.0
-    }
-}
-
-impl PartialEq<SharedStr> for &str {
-    fn eq(&self, other: &SharedStr) -> bool {
-        *self == &*other.0
-    }
-}
-
-impl std::hash::Hash for SharedStr {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        (*self.0).hash(state)
-    }
-}
-
-impl PartialOrd for SharedStr {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SharedStr {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-impl fmt::Debug for SharedStr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
-    }
-}
-
-impl fmt::Display for SharedStr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,45 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_bytes_clone_shares_storage() {
-        let b = SharedBytes::from(vec![1u8, 2, 3]);
-        let c = b.clone();
-        assert_eq!(&*b, &[1, 2, 3]);
-        assert_eq!(b, c);
-        assert_eq!(b.as_slice().as_ptr(), c.as_slice().as_ptr());
-    }
-
-    #[test]
-    fn shared_str_clone_shares_storage() {
-        let s = SharedStr::from("hello".to_string());
-        let t = s.clone();
-        assert_eq!(s.as_str(), "hello");
-        assert_eq!(s.as_str().as_ptr(), t.as_str().as_ptr());
-        assert_eq!(s, t);
-    }
-
-    #[test]
-    fn share_is_a_refcount_bump() {
-        let s = SharedStr::from("hot");
-        let t = s.share();
-        assert_eq!(s.as_str().as_ptr(), t.as_str().as_ptr());
-        let b = SharedBytes::from(&s);
-        let c = b.share();
-        assert_eq!(b.as_slice().as_ptr(), c.as_slice().as_ptr());
-    }
-
-    #[test]
-    fn shared_str_compares_and_hashes_like_str() {
-        let s = SharedStr::from("abc");
-        assert!(s == "abc");
-        assert!(s == *"abc");
-        assert!("abc" == s);
-        let mut set = std::collections::HashSet::new();
-        set.insert(SharedStr::from("x"));
-        assert!(set.contains(&SharedStr::from("x")));
-    }
-
-    #[test]
     fn shard_routing_is_total_and_stable() {
         for id in [0usize, 1, 2, 17, 4096, u32::MAX as usize] {
             let id = UrlId::from_index(id.min(u32::MAX as usize));
@@ -699,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn url_set_tells_apart_urls_that_differ_in_one_field_or_byte() {
+    fn url_table_tells_apart_urls_that_differ_in_one_field_or_byte() {
         let urls = [
             Url::https("a.com", "/x/y.js"),
             Url::new("http", "a.com", "/x/y.js"),
@@ -707,28 +366,33 @@ mod tests {
             Url::https("a.com", "/x/y.jt"),
             Url::https("a.com", "/x/y.j"),
         ];
-        let copies = urls.clone();
-        let mut set = UrlSet::default();
-        for (k, (url, copy)) in urls.iter().zip(&copies).enumerate() {
-            assert!(!set.contains(url), "{url} before its insert");
-            assert!(set.insert(url), "{url} is new");
-            assert!(!set.insert(copy), "{url} again, by an equal copy");
+        let mut t = UrlTable::new();
+        for (k, url) in urls.iter().enumerate() {
+            assert_eq!(t.lookup(url), None, "{url} before its intern");
+            let id = t.intern(url.clone());
+            assert_eq!(id.index(), k, "{url} is new");
+            assert_eq!(
+                t.intern_ref(&url.clone()),
+                id,
+                "{url} again, by an equal copy"
+            );
             for (j, other) in urls.iter().enumerate() {
-                assert_eq!(set.contains(other), j <= k, "{other} after {url}");
+                let want = (j <= k).then(|| UrlId::from_index(j));
+                assert_eq!(t.lookup(other), want, "{other} after {url}");
             }
         }
-        // Growing from the default re-places every URL.
-        let many: Vec<Url> = (0..100)
-            .map(|i| Url::https("a.com", format!("/{i}")))
-            .collect();
-        let mut grown = UrlSet::default();
-        assert!(many.iter().chain(&urls).all(|u| grown.insert(u)));
-        assert!(many.iter().chain(&urls).all(|u| grown.contains(u)));
-        assert!(!grown.contains(&Url::https("a.com", "/100")));
+        // Growing past the first index re-places every id.
+        for i in 0..100 {
+            t.intern(Url::https("a.com", format!("/{i}")));
+        }
+        for (id, url) in t.iter() {
+            assert_eq!(t.lookup(url), Some(id));
+        }
+        assert_eq!(t.lookup(&Url::https("a.com", "/100")), None);
     }
 
     #[test]
-    fn url_set_keeps_apart_two_urls_with_one_tag() {
+    fn url_table_keeps_apart_two_urls_with_one_tag() {
         // Birthday search over the fixed-key hash: a 32-bit tag collides
         // within about 80,000 URLs.
         let mut seen = std::collections::HashMap::new();
@@ -738,21 +402,20 @@ mod tests {
             .expect("a tag collision among 4M URLs");
         assert_ne!(a, b);
         assert_eq!(tag_of(&a), tag_of(&b));
-        let mut set = UrlSet::with_capacity(2);
-        assert!(set.insert(&a));
-        assert!(!set.contains(&b), "one tag, different URLs");
-        assert!(set.insert(&b));
-        assert!(!set.insert(&a) && !set.insert(&b));
-        assert!(set.contains(&a) && set.contains(&b));
+        let mut t = UrlTable::new();
+        let ia = t.intern_ref(&a);
+        assert_eq!(t.lookup(&b), None, "one tag, different URLs");
+        let ib = t.intern_ref(&b);
+        assert_ne!(ia, ib);
+        assert_eq!((t.intern_ref(&a), t.intern_ref(&b)), (ia, ib));
+        assert_eq!((t.get(ia), t.get(ib)), (&a, &b));
     }
 
     #[test]
     fn full_url_is_cached_and_matches_display() {
         let mut t = UrlTable::new();
         let id = t.intern(Url::https("a.com", "/x?q=1"));
-        assert_eq!(t.full_url(id).as_str(), t.get(id).to_string());
-        let p1 = t.full_url(id).as_str().as_ptr();
-        let p2 = t.full_url(id).as_str().as_ptr();
-        assert_eq!(p1, p2);
+        assert_eq!(t.full_url(id).to_string(), t.get(id).to_string());
+        assert!(Arc::ptr_eq(t.full_url(id), t.full_url(id)));
     }
 }

@@ -116,7 +116,8 @@ impl<'a> Graph<'a> {
                     }
                     CallKind::Qualified => {
                         let qual = call.qualifier.as_deref().unwrap_or("");
-                        let type_qualified = qual.chars().next().is_some_and(|c| c.is_uppercase());
+                        let type_qualified = qual.chars().next().is_some_and(|c| c.is_uppercase())
+                            || PRIMITIVE_TYPES.contains(&qual);
                         if type_qualified {
                             let ty = if qual == "Self" {
                                 caller.self_type.as_deref().unwrap_or(qual)
@@ -264,6 +265,13 @@ impl<'a> Graph<'a> {
         chain
     }
 }
+
+/// Lower-case qualifiers that name a type, not a module: `u64::from(x)`
+/// resolves like `Type::from(x)`, never to every workspace `from`.
+const PRIMITIVE_TYPES: [&str; 17] = [
+    "bool", "char", "str", "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64",
+    "i128", "isize", "f32", "f64",
+];
 
 #[allow(clippy::too_many_arguments)]
 fn resolve_free(
@@ -429,6 +437,26 @@ mod tests {
         let g = Graph::build(&s);
         let entry = find(&g, "entry");
         assert!(g.edges[entry].is_empty(), "no edge into Rng::new");
+    }
+
+    #[test]
+    fn qualified_call_on_a_primitive_type_adds_no_edge() {
+        // `u64::from(x)` names the primitive's own `From` impl; it must not
+        // fall back to the module-path rule and link to another crate's
+        // `from` when the caller's crate defines none.
+        let s = graph_of(&[
+            (
+                "crates/intern/src/a.rs",
+                "pub fn entry(x: u32) -> u64 { u64::from(x) }\n",
+            ),
+            (
+                "crates/http2/src/b.rs",
+                "struct E;\nimpl From<u8> for E { fn from(x: u8) -> E { E } }\n",
+            ),
+        ]);
+        let g = Graph::build(&s);
+        let entry = find(&g, "entry");
+        assert!(g.edges[entry].is_empty(), "no edge into E::from");
     }
 
     #[test]

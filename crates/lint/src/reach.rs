@@ -220,7 +220,7 @@ fn hot_path_alloc(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) 
             line: fd.line,
             message: format!(
                 "hot-path alloc ({}) reachable from `{}`{}; loop depth {}, rank {} of {total} — \
-                 the wire path stays zero-copy: share via SharedBytes/SharedStr or reuse a \
+                 the wire path stays zero-copy: share via `Arc::clone` or reuse a \
                  scratch buffer instead of allocating per item",
                 fd.detail,
                 fd.root,

@@ -16,13 +16,11 @@
 //!    so two identically seeded loads stay byte-identical no matter how
 //!    their event interleavings explore the plan.
 //!
-//! All probabilities are quantized to parts-per-million so the canonical
-//! JSON round-trip ([`FaultPlan::to_json`] / [`FaultPlan::from_json`]) is
-//! exact.
+//! All probabilities are quantized to parts-per-million. The quantization
+//! is part of what a `(seed, severity)` pair names: every committed faulted
+//! result was drawn from quantized plans, so dropping it would change them.
 
-use crate::json::{Error, Value};
 use crate::link::CapacityWindow;
-use std::collections::BTreeMap;
 use vroom_sim::{Rng, SimDuration, SimTime};
 
 /// One window during which the shared link degrades.
@@ -140,7 +138,7 @@ impl FaultPlan {
 
     /// Draw a plan from `vroom-sim`'s RNG. `severity` in `[0, 1]` scales
     /// every knob: 0 is calm weather, 1 is a very bad day on the train.
-    pub fn from_rng(rng: &mut Rng, severity: f64) -> Self {
+    fn from_rng(rng: &mut Rng, severity: f64) -> Self {
         let severity = severity.clamp(0.0, 1.0);
         let seed = rng.next_u64();
         // Outages: up to three, drawn sequentially with gaps so they are
@@ -269,106 +267,11 @@ impl FaultPlan {
         self.hint_corruption > 0.0
             && self.roll(STREAM_HINT, html_url, index as u64) < self.hint_corruption
     }
-
-    // ------------------------------------------------------------ canonical
-
-    /// Canonical JSON encoding (byte-identical across runs).
-    pub fn to_json(&self) -> String {
-        let mut m = BTreeMap::new();
-        m.insert("seed".to_string(), Value::Int(self.seed));
-        m.insert(
-            "outages".to_string(),
-            Value::Array(
-                self.outages
-                    .iter()
-                    .map(|o| {
-                        let mut w = BTreeMap::new();
-                        w.insert("start_ns".to_string(), Value::Int(o.start.as_nanos()));
-                        w.insert("duration_ns".to_string(), Value::Int(o.duration.as_nanos()));
-                        w.insert("factor_ppm".to_string(), Value::Int(to_ppm(o.factor)));
-                        Value::Object(w)
-                    })
-                    .collect(),
-            ),
-        );
-        m.insert(
-            "conn_drop_rate_ppm".to_string(),
-            Value::Int(to_ppm(self.conn_drop_rate)),
-        );
-        m.insert(
-            "conn_drop_delay_ns".to_string(),
-            Value::Array(vec![
-                Value::Int(self.conn_drop_delay.0.as_nanos()),
-                Value::Int(self.conn_drop_delay.1.as_nanos()),
-            ]),
-        );
-        m.insert(
-            "truncate_rate_ppm".to_string(),
-            Value::Int(to_ppm(self.truncate_rate)),
-        );
-        m.insert(
-            "hint_corruption_ppm".to_string(),
-            Value::Int(to_ppm(self.hint_corruption)),
-        );
-        Value::Object(m).to_pretty()
-    }
-
-    /// Parse a plan back from [`FaultPlan::to_json`] output.
-    pub fn from_json(input: &str) -> Result<Self, Error> {
-        let v = Value::parse(input)?;
-        let int = |key: &str| -> Result<u64, Error> {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| Error::custom(format!("missing integer field `{key}`")))
-        };
-        let outages = match v.get("outages") {
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(|o| {
-                    let field = |key: &str| {
-                        o.get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| Error::custom(format!("bad outage field `{key}`")))
-                    };
-                    Ok(Outage {
-                        start: SimTime::from_nanos(field("start_ns")?),
-                        duration: SimDuration::from_nanos(field("duration_ns")?),
-                        factor: from_ppm(field("factor_ppm")?),
-                    })
-                })
-                .collect::<Result<Vec<_>, Error>>()?,
-            _ => return Err(Error::custom("missing `outages` array")),
-        };
-        let delay = match v.get("conn_drop_delay_ns") {
-            Some(Value::Array(d)) if d.len() == 2 => (
-                SimDuration::from_nanos(d[0].as_u64().unwrap_or(0)),
-                SimDuration::from_nanos(d[1].as_u64().unwrap_or(0)),
-            ),
-            _ => return Err(Error::custom("missing `conn_drop_delay_ns`")),
-        };
-        Ok(FaultPlan {
-            seed: int("seed")?,
-            outages,
-            conn_drop_rate: from_ppm(int("conn_drop_rate_ppm")?),
-            conn_drop_delay: delay,
-            truncate_rate: from_ppm(int("truncate_rate_ppm")?),
-            hint_corruption: from_ppm(int("hint_corruption_ppm")?),
-        })
-    }
 }
 
-/// Quantize a probability/fraction to parts-per-million so JSON
-/// round-trips are exact.
+/// Quantize a probability/fraction in `[0, 1]` to parts-per-million.
 fn ppm(x: f64) -> f64 {
-    from_ppm(to_ppm(x))
-}
-
-fn to_ppm(x: f64) -> u64 {
-    (x.clamp(0.0, 1.0) * 1e6).round() as u64
-}
-
-fn from_ppm(n: u64) -> f64 {
-    n as f64 / 1e6
+    ((x.clamp(0.0, 1.0) * 1e6).round() as u64) as f64 / 1e6
 }
 
 #[cfg(test)]
@@ -414,16 +317,6 @@ mod tests {
                 assert!(o.duration > SimDuration::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn json_roundtrip_is_exact() {
-        let plan = FaultPlan::from_seed(99, 0.8);
-        let json = plan.to_json();
-        assert_eq!(json, plan.to_json(), "serialization must be stable");
-        let back = FaultPlan::from_json(&json).expect("parse");
-        assert_eq!(back, plan, "ppm quantization makes the roundtrip exact");
-        assert_eq!(back.to_json(), json);
     }
 
     #[test]

@@ -9,17 +9,20 @@
 //! dense `Vec` indexed by [`UrlId`], so the hot replay `lookup` is one
 //! intern-table probe (or, via [`ReplayStore::lookup_id`], a bare index)
 //! instead of a `BTreeMap<Url, _>` walk over three-string keys. Bodies are
-//! [`SharedStr`]s — cloning a recorded body is a refcount bump, never a byte
-//! copy. Serialization still iterates in URL sort order, so corpus JSON is
-//! byte-identical to the pre-interning format.
+//! `Arc<str>`s and are served as `Arc<[u8]>` views of the same allocation
+//! ([`RecordedResponse::body_bytes`]): cloning or serving a recorded body
+//! is a refcount bump, never a byte copy. Serialization still iterates in
+//! URL sort order, so corpus JSON is byte-identical to the pre-interning
+//! format.
 
 use crate::json::{self, Value};
 use crate::latency::LatencyModel;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 use vroom_html::{ResourceKind, Url};
-use vroom_intern::{SharedBytes, SharedStr, UrlId, UrlTable};
+use vroom_intern::{UrlId, UrlTable};
 use vroom_sim::SimDuration;
 
 /// One recorded HTTP exchange.
@@ -36,7 +39,7 @@ pub struct RecordedResponse {
     /// Literal body, if the recording kept one (HTML usually does, so the
     /// online analyzer can re-scan it; images usually don't). Shared:
     /// cloning the response shares the body storage.
-    pub body: Option<SharedStr>,
+    pub body: Option<Arc<str>>,
 }
 
 impl RecordedResponse {
@@ -59,7 +62,7 @@ impl RecordedResponse {
             size: body.len() as u64,
             status: 200,
             max_age: Some(SimDuration::from_secs(3600)),
-            body: Some(SharedStr::from(body)),
+            body: Some(Arc::from(body)),
         }
     }
 
@@ -72,9 +75,9 @@ impl RecordedResponse {
     /// The body to serve: the literal one (zero-copy — the returned buffer
     /// shares the recorded allocation), or a deterministic synthetic body of
     /// the recorded size (for wire demos serving non-HTML content).
-    pub fn body_bytes(&self) -> SharedBytes {
+    pub fn body_bytes(&self) -> Arc<[u8]> {
         match &self.body {
-            Some(b) => SharedBytes::from(b),
+            Some(b) => Arc::from(Arc::clone(b)),
             None => {
                 let mut out = Vec::with_capacity(self.size as usize);
                 let pattern = b"vroom-replay-filler.";
@@ -85,7 +88,7 @@ impl RecordedResponse {
                     };
                     out.extend_from_slice(chunk);
                 }
-                SharedBytes::from(out)
+                Arc::from(out)
             }
         }
     }
@@ -280,7 +283,7 @@ fn encode_response(r: &RecordedResponse) -> Value {
     obj.insert(
         "body".to_string(),
         match &r.body {
-            Some(b) => Value::Str(b.as_str().to_string()),
+            Some(b) => Value::Str(b.to_string()),
             None => Value::Null,
         },
     );
@@ -311,7 +314,7 @@ fn decode_response(v: &Value) -> Result<RecordedResponse, json::Error> {
     };
     let body = match field("body")? {
         Value::Null => None,
-        other => Some(SharedStr::from(other.as_str().ok_or_else(|| {
+        other => Some(Arc::from(other.as_str().ok_or_else(|| {
             json::Error::custom("\"body\" must be null or a string")
         })?)),
     };
@@ -417,14 +420,10 @@ mod tests {
         let r = RecordedResponse::with_body(ResourceKind::Html, "<html></html>");
         let a = r.body_bytes();
         let b = r.body_bytes();
+        assert!(Arc::ptr_eq(&a, &b), "same allocation");
         assert_eq!(
-            a.as_slice().as_ptr(),
-            b.as_slice().as_ptr(),
-            "same allocation"
-        );
-        assert_eq!(
-            a.as_slice().as_ptr(),
-            r.body.as_ref().unwrap().as_str().as_ptr(),
+            a.as_ptr(),
+            r.body.as_ref().unwrap().as_ptr(),
             "shares the recorded body's storage"
         );
     }

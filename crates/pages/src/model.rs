@@ -154,17 +154,6 @@ impl Page {
         self.resources.iter().map(|r| r.url.clone()).collect()
     }
 
-    /// Depth of a resource in the discovery tree (root = 0).
-    pub fn depth(&self, id: ResourceId) -> usize {
-        let mut d = 0;
-        let mut cur = self.resources[id].parent;
-        while let Some(p) = cur {
-            d += 1;
-            cur = self.resources[p].parent;
-        }
-        d
-    }
-
     /// Sanity-check structural invariants; used by generator tests.
     pub fn validate(&self) -> Result<(), String> {
         if self.resources.is_empty() {
@@ -278,7 +267,6 @@ mod tests {
         p.validate().expect("valid page");
         assert_eq!(p.len(), 6);
         assert_eq!(p.children(0).count(), 3);
-        assert_eq!(p.depth(5), 2);
         assert_eq!(p.total_bytes(), 6000);
         assert_eq!(p.total_cpu().as_millis(), 60);
         assert_eq!(p.domains(), vec!["a.com", "b.com", "c.com"]);

@@ -7,9 +7,8 @@
 //! scope a root-HTML response can legitimately cover).
 
 use crate::resolve::{resolve, ResolverInput, Strategy, UrlHint};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use vroom_html::Url;
-use vroom_intern::UrlSet;
 use vroom_pages::{LoadContext, Page, PageGenerator, Resource};
 
 /// Accuracy of one strategy on one page load.
@@ -76,7 +75,7 @@ impl ClientTruth {
     /// Score the URLs of a server's hint list against the predictable
     /// subset, each distinct URL once.
     fn score(&self, hints: &[UrlHint]) -> Accuracy {
-        let mut server_set = UrlSet::with_capacity(hints.len());
+        let mut server_set = HashSet::with_capacity(hints.len());
         let fp_count = hints
             .iter()
             .filter(|h| server_set.insert(h.url) && !self.predictable.contains(h.url))

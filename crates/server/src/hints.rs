@@ -5,6 +5,7 @@
 //! response also exposes the custom headers to cross-origin JS schedulers
 //! via `Access-Control-Expose-Headers` (§5.2, footnote 7).
 
+use std::sync::Arc;
 use vroom_browser::config::Hint;
 use vroom_html::{ResourceKind, Url};
 use vroom_http2::headers::hint_headers as names;
@@ -41,13 +42,13 @@ pub fn attach_hints(mut response: Response, hints: &[Hint], urls: &UrlTable) -> 
             1 => {
                 response.headers.push(vroom_hpack::HeaderField::new(
                     names::SEMI_IMPORTANT,
-                    urls.full_url(h.url).share(),
+                    Arc::clone(urls.full_url(h.url)),
                 ));
             }
             _ => {
                 response.headers.push(vroom_hpack::HeaderField::new(
                     names::UNIMPORTANT,
-                    urls.full_url(h.url).share(),
+                    Arc::clone(urls.full_url(h.url)),
                 ));
             }
         }
@@ -64,7 +65,7 @@ pub fn attach_hints(mut response: Response, hints: &[Hint], urls: &UrlTable) -> 
 pub fn parse_hints(response: &Response, urls: &mut UrlTable) -> Vec<Hint> {
     let mut out = Vec::new();
     for f in &response.headers {
-        match f.name.as_str() {
+        match &*f.name {
             n if n == names::LINK => {
                 if let Some(url) = parse_link_preload(&f.value) {
                     out.push(Hint {

@@ -47,8 +47,6 @@ pub use freshness::{
 };
 pub use hints::{attach_hints, parse_hints};
 pub use push_policy::{select_pushes, PushPolicy};
-pub use resolve::{
-    resolve, Resolution, ResolvedDeps, ResolverInput, Strategy, UrlHint, CRAWLER_USER,
-};
+pub use resolve::{resolve, Resolution, ResolverInput, Strategy, UrlHint, CRAWLER_USER};
 pub use store::{EvictionPolicy, FreshRead, FreshnessStats, HintStore, ShardStats, ShardedStore};
 pub use wire::{MonotonicClock, WireClient, WireClock, WireFaults, WireServer, WireSite};

@@ -17,11 +17,11 @@
 //! served page and the input's own loads), so resolving allocates no URL;
 //! only callers that need ids intern it ([`Resolution::intern`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::OnceLock;
 use vroom_browser::config::Hint;
 use vroom_html::Url;
-use vroom_intern::{UrlId, UrlSet, UrlTable};
+use vroom_intern::{UrlId, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator, ResourceId};
 use vroom_sim::mix;
 
@@ -194,10 +194,11 @@ impl<'p> Resolution<'p> {
     }
 
     /// Intern every URL into `urls`, each document's and then its hints',
-    /// in resolution order, and key each hint list by its document's id: a
-    /// later document at an earlier one's URL replaces its hints.
-    pub fn intern(&self, urls: &mut UrlTable) -> ResolvedDeps {
-        let mut out = ResolvedDeps::default();
+    /// in resolution order, and key each hint list (in processing order)
+    /// by its document's id: a later document at an earlier one's URL
+    /// replaces its hints.
+    pub fn intern(&self, urls: &mut UrlTable) -> BTreeMap<UrlId, Vec<Hint>> {
+        let mut out = BTreeMap::new();
         for (html, hints) in &self.docs {
             let key = urls.intern_ref(html);
             let hints = hints
@@ -208,19 +209,10 @@ impl<'p> Resolution<'p> {
                     size_hint: h.size_hint,
                 })
                 .collect();
-            out.hints.insert(key, hints);
+            out.insert(key, hints);
         }
         out
     }
-}
-
-/// A [`Resolution`] interned into a table: the dependency lists keyed by
-/// the id of the HTML whose response carries them. Ids resolve against the
-/// `UrlTable` passed to [`Resolution::intern`].
-#[derive(Debug, Clone, Default)]
-pub struct ResolvedDeps {
-    /// Hints per HTML response, in processing order.
-    pub hints: BTreeMap<UrlId, Vec<Hint>>,
 }
 
 /// Resolve dependencies for the given client load.
@@ -310,7 +302,7 @@ fn candidates(
 pub(crate) struct Crawls<'p> {
     /// The first crawl's resources: the candidates, in document order.
     first: &'p [vroom_pages::Resource],
-    later: Vec<UrlSet<'p>>,
+    later: Vec<HashSet<&'p Url>>,
 }
 
 impl<'p> Crawls<'p> {
@@ -345,7 +337,7 @@ impl<'p> Crawls<'p> {
 /// Add the markup-visible children of `html_id` from the served bytes,
 /// skipping URLs already hinted.
 fn merge_online<'p>(hints: &mut Vec<Candidate<'p>>, client_page: &'p Page, html_id: ResourceId) {
-    let mut seen: UrlSet = hints.iter().map(|h| h.1).collect();
+    let mut seen: HashSet<&Url> = hints.iter().map(|h| h.1).collect();
     for child in client_page.children(html_id) {
         if child.via_markup && seen.insert(&child.url) {
             hints.push(candidate(child));
@@ -406,14 +398,18 @@ mod tests {
         ctx: &LoadContext,
         page: &Page,
         strategy: Strategy,
-    ) -> (UrlTable, ResolvedDeps) {
+    ) -> (UrlTable, BTreeMap<UrlId, Vec<Hint>>) {
         let mut urls = UrlTable::new();
         let deps = resolve(&input(generator, ctx), page, strategy).intern(&mut urls);
         (urls, deps)
     }
 
-    fn hints_for<'a>(urls: &UrlTable, deps: &'a ResolvedDeps, url: &Url) -> &'a [Hint] {
-        &deps.hints[&urls.lookup(url).expect("html url interned")]
+    fn hints_for<'a>(
+        urls: &UrlTable,
+        deps: &'a BTreeMap<UrlId, Vec<Hint>>,
+        url: &Url,
+    ) -> &'a [Hint] {
+        &deps[&urls.lookup(url).expect("html url interned")]
     }
 
     #[test]
@@ -459,7 +455,7 @@ mod tests {
         assert!(!frames.is_empty());
         let covered = frames.iter().any(|&f| {
             urls.lookup(&page.resources[f].url)
-                .and_then(|id| deps.hints.get(&id))
+                .and_then(|id| deps.get(&id))
                 .map(|hs| !hs.is_empty())
                 .unwrap_or(false)
         });
@@ -470,7 +466,7 @@ mod tests {
     fn vroom_never_hints_perload_urls_it_cannot_know() {
         let (generator, ctx, page) = setup();
         let (urls, deps) = run(&generator, &ctx, &page, Strategy::Vroom);
-        let all_hinted: Vec<&Hint> = deps.hints.values().flatten().collect();
+        let all_hinted: Vec<&Hint> = deps.values().flatten().collect();
         for r in &page.resources {
             if r.stability == Stability::PerLoadRandom {
                 assert!(

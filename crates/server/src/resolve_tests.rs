@@ -9,7 +9,7 @@
 //! path must agree with all three on every hint list, its order, and
 //! every id minted into the caller's table.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vroom_browser::config::Hint;
 use vroom_html::Url;
@@ -17,7 +17,7 @@ use vroom_intern::{UrlId, UrlTable};
 use vroom_pages::{DeviceClass, LoadContext, Page, PageGenerator, ResourceId, SiteProfile};
 
 use crate::batch::{commit_pass_at, hour_bucket, pass_of, run_pass, server_page, PassOutput};
-use crate::resolve::{embedded_htmls, resolve, ResolvedDeps, ResolverInput, Strategy};
+use crate::resolve::{embedded_htmls, resolve, ResolverInput, Strategy};
 use crate::store::{HintStore, ShardedStore};
 
 fn reference_resolve(
@@ -25,20 +25,19 @@ fn reference_resolve(
     client_page: &Page,
     strategy: Strategy,
     urls: &mut UrlTable,
-) -> ResolvedDeps {
-    let mut out = ResolvedDeps::default();
+) -> BTreeMap<UrlId, Vec<Hint>> {
+    let mut out = BTreeMap::new();
     match strategy {
         Strategy::Vroom => {
             let offline = input.offline_loads();
             let mut hints =
                 offline_intersection_scoped(offline, |r| r.iframe_root.is_none() && r.id != 0);
             merge_online(&mut hints, client_page, 0);
-            out.hints
-                .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
+            out.insert(urls.intern(client_page.url.clone()), finish(hints, urls));
             for frame in embedded_htmls(client_page) {
                 let mut fh = offline_intersection_scoped(offline, |r| r.iframe_root == Some(frame));
                 merge_online(&mut fh, client_page, frame);
-                out.hints.insert(
+                out.insert(
                     urls.intern(client_page.resources[frame].url.clone()),
                     finish(fh, urls),
                 );
@@ -48,11 +47,10 @@ fn reference_resolve(
             let offline = input.offline_loads();
             let hints =
                 offline_intersection_scoped(offline, |r| r.iframe_root.is_none() && r.id != 0);
-            out.hints
-                .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
+            out.insert(urls.intern(client_page.url.clone()), finish(hints, urls));
             for frame in embedded_htmls(client_page) {
                 let fh = offline_intersection_scoped(offline, |r| r.iframe_root == Some(frame));
-                out.hints.insert(
+                out.insert(
                     urls.intern(client_page.resources[frame].url.clone()),
                     finish(fh, urls),
                 );
@@ -66,8 +64,7 @@ fn reference_resolve(
                 .filter(|r| r.iframe_root.is_none() && r.id != 0)
                 .map(|r| (r.hint_tier(), r.url.clone(), r.size, r.id))
                 .collect();
-            out.hints
-                .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
+            out.insert(urls.intern(client_page.url.clone()), finish(hints, urls));
             for frame in embedded_htmls(client_page) {
                 let fh: Vec<(u8, Url, u64, ResourceId)> = fresh
                     .resources
@@ -75,7 +72,7 @@ fn reference_resolve(
                     .filter(|r| r.iframe_root == Some(frame))
                     .map(|r| (r.hint_tier(), r.url.clone(), r.size, r.id))
                     .collect();
-                out.hints.insert(
+                out.insert(
                     urls.intern(client_page.resources[frame].url.clone()),
                     finish(fh, urls),
                 );
@@ -89,8 +86,7 @@ fn reference_resolve(
                 .filter(|r| r.id != 0)
                 .map(|r| (r.hint_tier(), r.url.clone(), r.size, r.id))
                 .collect();
-            out.hints
-                .insert(urls.intern(client_page.url.clone()), finish(hints, urls));
+            out.insert(urls.intern(client_page.url.clone()), finish(hints, urls));
         }
     }
     out
@@ -142,16 +138,20 @@ fn finish(mut hints: Vec<(u8, Url, u64, ResourceId)>, urls: &mut UrlTable) -> Ve
 /// entries in document order (root, then iframes by resource id), not id
 /// order. A URL two documents share keys one entry, at its first position
 /// in the page, with the hints resolved last for it.
-fn pass_output(page: &Page, resolved: &ResolvedDeps, scratch: &UrlTable) -> PassOutput {
-    let mut order: Vec<UrlId> = Vec::with_capacity(resolved.hints.len());
+fn pass_output(
+    page: &Page,
+    resolved: &BTreeMap<UrlId, Vec<Hint>>,
+    scratch: &UrlTable,
+) -> PassOutput {
+    let mut order: Vec<UrlId> = Vec::with_capacity(resolved.len());
     if let Some(root) = scratch.lookup(&page.url) {
-        if resolved.hints.contains_key(&root) {
+        if resolved.contains_key(&root) {
             order.push(root);
         }
     }
     for r in &page.resources {
         if let Some(id) = scratch.lookup(&r.url) {
-            if resolved.hints.contains_key(&id) && !order.contains(&id) {
+            if resolved.contains_key(&id) && !order.contains(&id) {
                 order.push(id);
             }
         }
@@ -159,7 +159,7 @@ fn pass_output(page: &Page, resolved: &ResolvedDeps, scratch: &UrlTable) -> Pass
     let entries = order
         .into_iter()
         .filter_map(|id| {
-            let hints = resolved.hints.get(&id)?;
+            let hints = resolved.get(&id)?;
             let html = scratch.url(id)?.clone();
             let targets = hints
                 .iter()
@@ -253,7 +253,7 @@ fn resolve_matches_the_per_scope_btreeset_reference() {
                         let got = resolve(&input, client, strategy).intern(&mut urls);
                         let want = reference_resolve(&input, client, strategy, &mut ref_urls);
                         let at = format!("{pi} {hours} {device:?} client {ci} {strategy:?}");
-                        assert_eq!(got.hints, want.hints, "hints at {at}");
+                        assert_eq!(got, want, "hints at {at}");
                         assert!(urls == ref_urls, "table at {at}");
                     }
                 }
@@ -317,11 +317,7 @@ fn documents_sharing_a_url_match_the_reference() {
         let (mut urls, mut ref_urls) = (seeded_table(), seeded_table());
         let resolution = resolve(&input, page, Strategy::Vroom);
         let want = reference_resolve(&input, page, Strategy::Vroom, &mut ref_urls);
-        assert_eq!(
-            resolution.intern(&mut urls).hints,
-            want.hints,
-            "variant {k}"
-        );
+        assert_eq!(resolution.intern(&mut urls), want, "variant {k}");
         assert!(urls == ref_urls, "table of variant {k}");
 
         let pass = pass_of(&resolution);
@@ -330,7 +326,7 @@ fn documents_sharing_a_url_match_the_reference() {
         assert_eq!(pass.entries.len(), frames.len() + usize::from(k == 2));
 
         let root = resolution.hints_for(&page.url).expect("root hints");
-        let ref_root = &want.hints[&ref_urls.lookup(&page.url).expect("root interned")];
+        let ref_root = &want[&ref_urls.lookup(&page.url).expect("root interned")];
         let ids: Vec<Hint> = root
             .iter()
             .map(|h| Hint {

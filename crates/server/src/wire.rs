@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use vroom_browser::config::Hint;
 use vroom_html::Url;
 use vroom_http2::{Connection, ErrorCode, Event, Request, Response, Settings};
-use vroom_intern::{SharedBytes, UrlId};
+use vroom_intern::UrlId;
 use vroom_net::{ReplayStore, RetryBudget};
 
 /// Injectable wall clock for the wire path's timeout logic.
@@ -176,7 +176,7 @@ impl Drop for WireServer {
 /// Body bytes still waiting for flow-control credit on a stream. Holds a
 /// refcounted view of the recorded body — no copy per blocked stream.
 struct PendingBody {
-    data: SharedBytes,
+    data: Arc<[u8]>,
     offset: usize,
     /// When the stream's credit last fell to zero; `None` while it has
     /// credit.
@@ -184,7 +184,7 @@ struct PendingBody {
 }
 
 impl PendingBody {
-    fn new(data: SharedBytes, offset: usize) -> PendingBody {
+    fn new(data: Arc<[u8]>, offset: usize) -> PendingBody {
         PendingBody {
             data,
             offset,
@@ -315,7 +315,7 @@ fn handle_request(
     req: &Request,
     pending: &mut BTreeMap<u32, PendingBody>,
 ) {
-    let url = Url::https(req.authority.as_str(), req.path.as_str());
+    let url = Url::https(&*req.authority, &*req.path);
     let Some((uid, record)) = site
         .store
         .id_of(&url)
@@ -573,7 +573,7 @@ impl WireClient {
                     } => {
                         let url = Request::from_fields(&fields)
                             .ok()
-                            .map(|r| Url::https(r.authority.as_str(), r.path.as_str()));
+                            .map(|r| Url::https(&*r.authority, &*r.path));
                         self.streams.insert(
                             promised_stream_id,
                             StreamAcc {

@@ -22,6 +22,6 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use queue::{EventId, EventQueue};
+pub use queue::EventQueue;
 pub use rng::{mix, Rng};
 pub use time::{SimDuration, SimTime};

@@ -4,7 +4,7 @@
 //! upgrades, so the simulator carries its own small PRNG (xoshiro256**
 //! seeded through SplitMix64) instead of depending on any external generator's
 //! stream stability. The API mirrors the pieces of `rand` the workspace needs:
-//! uniform ints/floats, ranges, Bernoulli draws, shuffles, and a handful of
+//! uniform ints/floats, ranges, Bernoulli draws, and a handful of
 //! heavy-tailed distributions used by the page-corpus generator.
 
 /// A seeded, splittable PRNG (xoshiro256**).
@@ -124,14 +124,6 @@ impl Rng {
         &xs[self.range_usize(0, xs.len())]
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.range_usize(0, i + 1);
-            xs.swap(i, j);
-        }
-    }
-
     /// Standard normal via Box–Muller (one value per call; the pair's second
     /// value is discarded to keep the stream position simple to reason about).
     pub fn normal(&mut self) -> f64 {
@@ -219,16 +211,6 @@ mod tests {
             assert!(!rng.chance(0.0));
             assert!(rng.chance(1.0));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::new(4);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -192,7 +192,7 @@ fn main() {
             let input = ResolverInput::new(&site, ctx.hours, ctx.device, 7);
             let mut urls = vroom_intern::UrlTable::new();
             let deps = resolve(&input, &page, Strategy::Vroom).intern(&mut urls);
-            for (&html, hints) in &deps.hints {
+            for (&html, hints) in &deps {
                 println!("{} returns {} hints:", urls.get(html), hints.len());
                 for h in hints {
                     println!("  tier{} {:>8}B {}", h.tier, h.size_hint, urls.get(h.url));

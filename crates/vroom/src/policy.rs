@@ -127,7 +127,7 @@ impl SharedResolution {
     /// Intern `resolution` into a fresh table.
     pub(crate) fn new(resolution: &Resolution) -> Self {
         let mut urls = UrlTable::new();
-        let hints = resolution.intern(&mut urls).hints;
+        let hints = resolution.intern(&mut urls);
         SharedResolution {
             urls: Arc::new(urls),
             hints: hints.into_iter().map(|(id, h)| (id, Arc::new(h))).collect(),

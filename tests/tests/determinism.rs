@@ -183,19 +183,13 @@ fn loads_through_a_shared_site_load_equal_fresh_loads() {
     }
 }
 
-/// Fault plans themselves are reproducible artifacts: derivation from a
-/// seed is stable and the canonical JSON encoding is a byte-identical
-/// fixed point (plans can be stored next to replay JSON and re-run later).
+/// Fault plans themselves are reproducible: a `(seed, severity)` pair
+/// derives the same plan every time.
 #[test]
 fn fault_plans_are_canonical() {
     let a = FaultPlan::from_seed(0xC0FFEE, 0.8);
     let b = FaultPlan::from_seed(0xC0FFEE, 0.8);
     assert_eq!(a, b, "same seed must derive the same plan");
-    let ja = a.to_json();
-    assert_eq!(ja, b.to_json(), "plan JSON must be byte-identical");
-    let reparsed = FaultPlan::from_json(&ja).expect("roundtrip");
-    assert_eq!(reparsed, a, "parse must invert encode exactly");
-    assert_eq!(reparsed.to_json(), ja, "parse → encode is a fixed point");
 }
 
 /// A whole small corpus is reproducible: per-site PLTs agree run-to-run.

@@ -317,7 +317,7 @@ fn default_window_peer_gets_every_body_without_resets() {
                 ..
             } => {
                 let req = Request::from_fields(fields).expect("promised request");
-                let url = Url::https(req.authority.as_str(), req.path.as_str());
+                let url = Url::https(&*req.authority, &*req.path);
                 bodies.insert(*promised_stream_id, (url, Vec::new()));
                 open.insert(*promised_stream_id);
             }
