@@ -100,10 +100,15 @@ pub struct Connection {
     codec: FrameCodec,
     hpack_enc: vroom_hpack::Encoder,
     hpack_dec: vroom_hpack::Decoder,
-    /// Received bytes not yet decoded: the incomplete tail of the last
-    /// `recv`.
+    /// The incomplete frame the last `recv` ended in, if any. Complete
+    /// frames are decoded from the caller's slice and never land here.
     recv_buf: Vec<u8>,
+    /// Frames queued for the transport; [`Connection::take_output`] hands
+    /// them over.
     out: Vec<u8>,
+    /// An empty buffer with capacity, handed back by
+    /// [`Connection::recycle_output`]; the next `take_output` makes it `out`.
+    spare: Vec<u8>,
     /// Streams not yet closed. A stream is dropped from the map when it
     /// closes; [`Connection::forgotten`] still knows it from the id
     /// high-water marks below, so a closed stream costs no memory.
@@ -122,8 +127,12 @@ pub struct Connection {
     preface_remaining: usize,
     cont: Option<ContState>,
     /// Reused accumulator for header blocks split across CONTINUATION
-    /// frames — no per-block allocation once warmed up.
+    /// frames — no per-block allocation once warmed up. Bounded by
+    /// `header_block_limit`.
     cont_buf: Vec<u8>,
+    /// The most octets an open header block may buffer: our
+    /// `max_header_list_size` (the HPACK decoder's limit when unset).
+    header_block_limit: usize,
     /// Reused HPACK encode scratch: header blocks are encoded here, then
     /// framed directly into `out` from slices of this buffer.
     enc_buf: Vec<u8>,
@@ -153,9 +162,14 @@ impl Connection {
         let codec = FrameCodec {
             max_frame_size: local.max_frame_size,
         };
+        let header_block_limit = local
+            .max_header_list_size
+            .map_or(vroom_hpack::decoder::DEFAULT_MAX_HEADER_LIST_SIZE, |n| {
+                n as usize
+            });
         let hpack_dec = vroom_hpack::Decoder::new()
             .with_max_table_size(local.header_table_size as usize)
-            .with_max_header_list_size(local.max_header_list_size.unwrap_or(64 * 1024) as usize);
+            .with_max_header_list_size(header_block_limit);
         Connection {
             role,
             peer: Settings::default(),
@@ -164,19 +178,19 @@ impl Connection {
             hpack_dec,
             recv_buf: Vec::new(),
             out: Vec::new(),
+            spare: Vec::new(),
             streams: HashMap::new(),
             next_local_stream: if role == Role::Client { 1 } else { 2 },
             highest_peer_stream: 0,
             highest_promised: 0,
             open_peer_streams: 0,
             conn_send: crate::flow::FlowWindow::new(DEFAULT_INITIAL_WINDOW_SIZE),
-            conn_recv: crate::flow::FlowWindow::new(
-                local.initial_window_size.max(DEFAULT_INITIAL_WINDOW_SIZE),
-            ),
+            conn_recv: crate::flow::FlowWindow::new(connection_window(&local)),
             events: VecDeque::new(),
             preface_remaining: 0,
             cont: None,
             cont_buf: Vec::new(),
+            header_block_limit,
             enc_buf: Vec::new(),
             local_settings_acked: false,
             goaway_sent: false,
@@ -305,9 +319,32 @@ impl Connection {
         stream.min(self.conn_send.sendable())
     }
 
-    /// Drain bytes to write to the transport.
+    /// Drain bytes to write to the transport. The frames that follow go
+    /// into the buffer last handed to
+    /// [`recycle_output`](Self::recycle_output), if any.
     pub fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out)
+        if self.out.is_empty() {
+            return Vec::new();
+        }
+        let next = std::mem::take(&mut self.spare);
+        std::mem::replace(&mut self.out, next)
+    }
+
+    /// Hand back a buffer `take_output` returned, once its bytes are
+    /// written: it is cleared and kept for the output that follows, at once
+    /// if nothing is queued yet. A caller that recycles each flush's buffer
+    /// keeps reusing at most two allocations, instead of growing a fresh
+    /// buffer from empty after every flush.
+    pub fn recycle_output(&mut self, mut spent: Vec<u8>) {
+        spent.clear();
+        let slot = if self.out.is_empty() {
+            &mut self.out
+        } else {
+            &mut self.spare
+        };
+        if spent.capacity() > slot.capacity() {
+            *slot = spent;
+        }
     }
 
     /// Pop the next protocol event.
@@ -315,25 +352,57 @@ impl Connection {
         self.events.pop_front()
     }
 
-    /// Feed received transport bytes. On a connection error, a GOAWAY is
-    /// queued in the output buffer and the error returned; the connection
-    /// is then unusable except for draining output.
+    /// Feed received transport bytes. Frames are decoded straight from
+    /// `data`; only a frame cut off at its end is copied aside, and the
+    /// next call completes that one first. On a connection error, a GOAWAY
+    /// is queued in the output buffer and the error returned; the
+    /// connection is then unusable except for draining output.
     pub fn recv(&mut self, data: &[u8]) -> Result<(), ConnectionError> {
-        // The buffer leaves `self` while its frames are handled, so the
-        // decoder reads it in place; the consumed prefix is drained once.
-        let mut buf = std::mem::take(&mut self.recv_buf);
-        buf.extend_from_slice(data);
-        let mut rest = buf.as_slice();
-        let res = self.process(&mut rest);
-        let consumed = buf.len() - rest.len();
-        buf.drain(..consumed);
-        self.recv_buf = buf;
+        let mut rest = data;
+        let res = self
+            .finish_tail(&mut rest)
+            .and_then(|()| self.process(&mut rest));
         match res {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.recv_buf.extend_from_slice(rest);
+                Ok(())
+            }
             Err(e) => {
                 self.queue_goaway(e.code, &e.reason);
                 Err(e)
             }
+        }
+    }
+
+    /// Complete the frame the last `recv` left in `recv_buf` from the front
+    /// of `data`: top it up to its 9-octet header, then to the length that
+    /// header names, and handle it. `recv_buf` is empty afterwards unless
+    /// `data` ran out first.
+    fn finish_tail(&mut self, data: &mut &[u8]) -> Result<(), ConnectionError> {
+        if self.recv_buf.is_empty() {
+            return Ok(());
+        }
+        loop {
+            let need = self
+                .codec
+                .frame_len(&self.recv_buf)?
+                .unwrap_or(frame::HEADER_LEN);
+            let missing = need.saturating_sub(self.recv_buf.len());
+            if missing == 0 {
+                break;
+            }
+            if data.is_empty() {
+                return Ok(());
+            }
+            let (head, rest) = data.split_at(missing.min(data.len()));
+            self.recv_buf.extend_from_slice(head);
+            *data = rest;
+        }
+        let (_, frame) = self.codec.decode(&self.recv_buf)?;
+        self.recv_buf.clear();
+        match frame {
+            Some(frame) => self.handle_frame(frame),
+            None => Ok(()),
         }
     }
 
@@ -475,7 +544,7 @@ impl Connection {
                     self.finish_header_block(stream_id, None, end_stream, &fragment)?;
                 } else {
                     self.cont_buf.clear();
-                    self.cont_buf.extend_from_slice(&fragment);
+                    self.buffer_fragment(&fragment)?;
                     self.cont = Some(ContState {
                         stream_id,
                         promised: None,
@@ -504,7 +573,7 @@ impl Connection {
                     )?;
                 } else {
                     self.cont_buf.clear();
-                    self.cont_buf.extend_from_slice(&fragment);
+                    self.buffer_fragment(&fragment)?;
                     self.cont = Some(ContState {
                         stream_id,
                         promised: Some(promised_stream_id),
@@ -521,7 +590,7 @@ impl Connection {
                     return Err(ConnectionError::protocol("CONTINUATION without HEADERS"));
                 };
                 debug_assert_eq!(cont.stream_id, stream_id);
-                self.cont_buf.extend_from_slice(&fragment);
+                self.buffer_fragment(&fragment)?;
                 if end_headers {
                     if let Some(cont) = self.cont.take() {
                         // Move the accumulator out for the duration of the
@@ -540,6 +609,23 @@ impl Connection {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Append a fragment to the open header block. A block that would pass
+    /// `header_block_limit` ends the connection with ENHANCE_YOUR_CALM
+    /// before it is buffered: an encoder never needs more octets for a
+    /// block than the header list it decodes to, and our decoder refuses a
+    /// list past that size anyway, so a longer block is a CONTINUATION
+    /// flood.
+    fn buffer_fragment(&mut self, fragment: &[u8]) -> Result<(), ConnectionError> {
+        if self.cont_buf.len() + fragment.len() > self.header_block_limit {
+            return Err(ConnectionError::new(
+                ErrorCode::EnhanceYourCalm,
+                "header block exceeds the header list size limit",
+            ));
+        }
+        self.cont_buf.extend_from_slice(fragment);
         Ok(())
     }
 
@@ -566,28 +652,28 @@ impl Connection {
                 return Err(ConnectionError::protocol("DATA on idle stream"));
             }
             // Closed-and-forgotten stream: replenish and reset.
-            self.replenish_connection(flow_len);
+            self.replenish_connection();
             self.queue_rst(stream_id, ErrorCode::StreamClosed);
             return Ok(());
         };
         if !s.recv_data_allowed() {
-            self.replenish_connection(flow_len);
+            self.replenish_connection();
             self.queue_rst(stream_id, ErrorCode::StreamClosed);
             return Ok(());
         }
         s.recv_window.try_consume(flow_len)?;
         if end_stream {
             s.on_recv_end_stream()?;
-        } else {
-            // Replenish the stream window so the sender keeps flowing.
-            s.recv_window.expand(flow_len)?;
+        } else if let Some(increment) = s.recv_window.refill(self.local.initial_window_size) {
+            // Half the stream window is spent: restore it so the sender
+            // keeps flowing.
             Frame::WindowUpdate {
                 stream_id,
-                increment: flow_len,
+                increment,
             }
             .encode(&mut self.out);
         }
-        self.replenish_connection(flow_len);
+        self.replenish_connection();
         self.forget_if_closed(stream_id);
         self.events.push_back(Event::Data {
             stream_id,
@@ -597,20 +683,15 @@ impl Connection {
         Ok(())
     }
 
-    fn replenish_connection(&mut self, n: u32) {
-        if n == 0 {
-            return;
+    /// Restore the connection's receive window once half of it is spent.
+    fn replenish_connection(&mut self) {
+        if let Some(increment) = self.conn_recv.refill(connection_window(&self.local)) {
+            Frame::WindowUpdate {
+                stream_id: 0,
+                increment,
+            }
+            .encode(&mut self.out);
         }
-        if self.conn_recv.expand(n).is_err() {
-            // Window already at the RFC maximum; skip the update rather
-            // than tearing the connection down over bookkeeping.
-            return;
-        }
-        Frame::WindowUpdate {
-            stream_id: 0,
-            increment: n,
-        }
-        .encode(&mut self.out);
     }
 
     fn finish_header_block(
@@ -890,6 +971,12 @@ impl Connection {
     pub fn priority(&mut self, stream_id: u32, spec: PrioritySpec) {
         Frame::Priority { stream_id, spec }.encode(&mut self.out);
     }
+}
+
+/// The connection receive window a side with `local` settings opens: its
+/// initial stream window, never below the RFC's 65,535.
+fn connection_window(local: &Settings) -> u32 {
+    local.initial_window_size.max(DEFAULT_INITIAL_WINDOW_SIZE)
 }
 
 impl std::fmt::Debug for Connection {

@@ -609,3 +609,365 @@ fn closed_streams_are_forgotten_on_a_long_lived_connection() {
     let err = server.recv(&late_headers).unwrap_err();
     assert_eq!(err.code, ErrorCode::StreamClosed);
 }
+
+/// Every frame in `bytes`, in order.
+fn frames_of(bytes: &[u8]) -> Vec<Frame> {
+    let codec = FrameCodec {
+        max_frame_size: settings::MAX_MAX_FRAME_SIZE,
+    };
+    let (mut rest, mut frames) = (bytes, Vec::new());
+    loop {
+        let (used, f) = codec.decode(rest).expect("well-formed output");
+        if used == 0 {
+            break;
+        }
+        rest = &rest[used..];
+        frames.extend(f);
+    }
+    assert!(rest.is_empty(), "output ends on a frame boundary");
+    frames
+}
+
+fn window_updates(frames: &[Frame]) -> Vec<(u32, u32)> {
+    frames
+        .iter()
+        .filter_map(|f| match *f {
+            Frame::WindowUpdate {
+                stream_id,
+                increment,
+            } => Some((stream_id, increment)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn vroom_client_receiving_a_mib_queues_no_window_update() {
+    let (mut client, mut server) = handshake();
+    drain(&mut client);
+    drain(&mut server);
+    let sid = client
+        .send_request(&Request::get("a.com", "/big"), true)
+        .unwrap();
+    pump(&mut client, &mut server);
+    drain(&mut server);
+    server.send_response(sid, &Response::ok(), false).unwrap();
+    let body = vec![0x5au8; 1 << 20];
+    assert_eq!(server.send_data(sid, &body, true).unwrap(), body.len());
+    client.recv(&server.take_output()).unwrap();
+    let got: usize = drain(&mut client)
+        .iter()
+        .filter_map(|e| match e {
+            Event::Data { data, .. } => Some(data.len()),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(got, body.len());
+    assert_eq!(client.take_output(), Vec::<u8>::new(), "nothing to send");
+}
+
+#[test]
+fn window_updates_wait_for_half_the_window_and_restore_it_whole() {
+    let mut client = Connection::client(Settings::default());
+    let mut server = Connection::server(Settings::default());
+    pump(&mut client, &mut server);
+    let sid = client
+        .send_request(&Request::get("a.com", "/big"), true)
+        .unwrap();
+    pump(&mut client, &mut server);
+    drain(&mut client);
+    drain(&mut server);
+    server.send_response(sid, &Response::ok(), false).unwrap();
+
+    // 30,000 of 65,535 bytes leave more than half of both windows.
+    assert_eq!(server.send_data(sid, &[7; 30_000], false).unwrap(), 30_000);
+    client.recv(&server.take_output()).unwrap();
+    assert!(window_updates(&frames_of(&client.take_output())).is_empty());
+
+    // 5,000 more cross half: one update per window, each restoring all
+    // 35,000 consumed bytes.
+    assert_eq!(server.send_data(sid, &[7; 5_000], false).unwrap(), 5_000);
+    client.recv(&server.take_output()).unwrap();
+    let updates = window_updates(&frames_of(&client.take_output()));
+    assert_eq!(updates, vec![(sid, 35_000), (0, 35_000)]);
+    let mut credit = Vec::new();
+    for (stream_id, increment) in updates {
+        Frame::WindowUpdate {
+            stream_id,
+            increment,
+        }
+        .encode(&mut credit);
+    }
+    server.recv(&credit).unwrap();
+    assert_eq!(server.send_capacity(sid), 65_535, "both windows whole");
+}
+
+#[test]
+fn recycled_output_buffers_keep_their_capacity() {
+    let (mut client, mut server) = handshake();
+    drain(&mut client);
+    drain(&mut server);
+    let sid = client
+        .send_request(&Request::get("a.com", "/"), true)
+        .unwrap();
+    pump(&mut client, &mut server);
+    server.send_response(sid, &Response::ok(), false).unwrap();
+    server.send_data(sid, &[1; 100_000], false).unwrap();
+    let first = server.take_output();
+    let (ptr, cap) = (first.as_ptr(), first.capacity());
+    server.recycle_output(first);
+    server.send_data(sid, &[2; 10], true).unwrap();
+    let second = server.take_output();
+    assert_eq!(second.as_ptr(), ptr, "the recycled allocation is reused");
+    assert_eq!(second.capacity(), cap);
+    assert_eq!(second.len(), 9 + 10, "holding only the new frame");
+    assert!(server.take_output().is_empty());
+    // Handed back while output is queued, a buffer waits as the spare.
+    server.ping([3; 8]);
+    server.recycle_output(second);
+    let third = server.take_output();
+    assert_ne!(third.as_ptr(), ptr);
+    server.ping([4; 8]);
+    let fourth = server.take_output();
+    assert_eq!(fourth.as_ptr(), ptr, "the spare follows");
+}
+
+#[test]
+fn continuation_flood_ends_the_connection_at_the_header_list_limit() {
+    // A HEADERS frame without END_HEADERS, then 16 KiB CONTINUATION
+    // frames up to 4 MiB, one frame per `recv`. The server must refuse the
+    // block with a GOAWAY before it buffers more than its header list
+    // limit, whether that is the decoder's default or advertised.
+    for (advertised, limit) in [
+        (None, vroom_hpack::decoder::DEFAULT_MAX_HEADER_LIST_SIZE),
+        (Some(1 << 20), 1 << 20),
+    ] {
+        let mut server = Connection::server(Settings {
+            max_header_list_size: advertised,
+            ..Settings::default()
+        });
+        let mut client = Connection::client(Settings::vroom_client());
+        pump(&mut client, &mut server);
+        drain(&mut server);
+        let mut wire = Vec::new();
+        frame::encode_headers_raw(&mut wire, 1, &[0x82], true, false);
+        server.recv(&wire).unwrap();
+        let fragment = vec![0u8; 16_384];
+        let mut continuation = Vec::new();
+        frame::encode_continuation_raw(&mut continuation, 1, &fragment, false);
+        let mut accepted = 1;
+        let err = loop {
+            assert!(accepted <= 4 << 20, "a 4 MiB block was never refused");
+            match server.recv(&continuation) {
+                Ok(()) => accepted += fragment.len(),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err.code, ErrorCode::EnhanceYourCalm);
+        assert!(accepted <= limit, "{accepted} buffered past {limit}");
+        assert!(accepted + fragment.len() > limit, "refused early");
+        let goaway = frames_of(&server.take_output());
+        assert!(
+            matches!(
+                goaway.as_slice(),
+                [Frame::Goaway {
+                    code: ErrorCode::EnhanceYourCalm,
+                    ..
+                }]
+            ),
+            "{goaway:?}"
+        );
+        assert!(drain(&mut server).is_empty(), "no request surfaced");
+    }
+}
+
+#[test]
+fn a_block_at_the_limit_still_decodes() {
+    // The bound refuses only what the decoder would refuse anyway: a
+    // request whose block spans CONTINUATIONs and stays under the header
+    // list limit arrives whole.
+    let mut server = Connection::server(Settings::default());
+    let mut client = Connection::client(Settings::vroom_client());
+    pump(&mut client, &mut server);
+    drain(&mut server);
+    let value: String = (0..60_000)
+        .map(|i| (b'a' + (i * 7 % 26) as u8) as char)
+        .collect();
+    let req = Request::get("a.com", "/").with_header("x-big", &value);
+    client.send_request(&req, true).unwrap();
+    let wire = client.take_output();
+    assert!(frames_of(&wire).len() >= 3, "HEADERS and CONTINUATIONs");
+    server.recv(&wire).unwrap();
+    let got = drain(&mut server)
+        .iter()
+        .find_map(|e| match e {
+            Event::Headers { fields, .. } => Some(Request::from_fields(fields).unwrap()),
+            _ => None,
+        })
+        .expect("request decoded");
+    assert_eq!(got, req);
+}
+
+/// One step of the client byte stream the cut-invariance property feeds.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A request carrying a header of `filler` bytes: past the server's
+    /// 32 KiB frame size the block continues in CONTINUATION frames.
+    Request {
+        filler: usize,
+        end_stream: bool,
+    },
+    /// `len` body bytes on the `stream`-th request (modulo those opened),
+    /// in frames of up to 32 KiB.
+    Data {
+        stream: usize,
+        len: usize,
+        end_stream: bool,
+    },
+    /// A padded DATA frame on the `stream`-th request.
+    Padded {
+        stream: usize,
+        len: usize,
+        pad: u8,
+    },
+    Ping([u8; 8]),
+    /// A frame of an unknown type, which the server skips.
+    Unknown {
+        len: usize,
+    },
+}
+
+fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
+    use proptest::prelude::*;
+    prop_oneof![
+        (0usize..120_000, any::<bool>())
+            .prop_map(|(filler, end_stream)| Step::Request { filler, end_stream }),
+        (0usize..8, 0usize..70_000, any::<bool>()).prop_map(|(stream, len, end_stream)| {
+            Step::Data {
+                stream,
+                len,
+                end_stream,
+            }
+        }),
+        (0usize..8, 0usize..2_000, any::<u8>()).prop_map(|(stream, len, pad)| Step::Padded {
+            stream,
+            len,
+            pad
+        }),
+        any::<[u8; 8]>().prop_map(Step::Ping),
+        (0usize..100).prop_map(|len| Step::Unknown { len }),
+    ]
+}
+
+/// The server side of the property: 32 KiB frames, open windows, and a
+/// header list limit that admits the largest generated request.
+fn roomy_server_settings() -> Settings {
+    Settings {
+        max_frame_size: 1 << 15,
+        initial_window_size: settings::MAX_WINDOW_SIZE,
+        max_header_list_size: Some(1 << 20),
+        ..Settings::default()
+    }
+}
+
+/// The bytes a client sends for `steps`, after learning the server's
+/// settings.
+fn client_stream(steps: &[Step]) -> Vec<u8> {
+    let mut client = Connection::client(Settings::vroom_client());
+    client
+        .recv(&Connection::server(roomy_server_settings()).take_output())
+        .unwrap();
+    let mut wire = client.take_output();
+    let mut opened = Vec::new();
+    for step in steps {
+        match step {
+            Step::Request { filler, end_stream } => {
+                let value: String = (0..*filler)
+                    .map(|i| (b'a' + (i * 11 % 26) as u8) as char)
+                    .collect();
+                let req = Request::get("a.com", format!("/r{}", opened.len()))
+                    .with_header("x-filler", &value);
+                opened.push(client.send_request(&req, *end_stream).unwrap());
+            }
+            Step::Data {
+                stream,
+                len,
+                end_stream,
+            } => {
+                if let Some(&sid) = opened.get(stream % opened.len().max(1)) {
+                    let body: Vec<u8> = (0..*len).map(|i| (i % 251) as u8).collect();
+                    let _ = client.send_data(sid, &body, *end_stream);
+                }
+            }
+            Step::Padded { stream, len, pad } => {
+                if let Some(&sid) = opened.get(stream % opened.len().max(1)) {
+                    wire.extend(client.take_output());
+                    let payload = 1 + len + *pad as usize;
+                    wire.extend_from_slice(&(payload as u32).to_be_bytes()[1..]);
+                    wire.extend_from_slice(&[0x0, frame::flags::PADDED]);
+                    wire.extend_from_slice(&sid.to_be_bytes());
+                    wire.push(*pad);
+                    wire.extend((0..*len).map(|i| i as u8));
+                    wire.extend(std::iter::repeat_n(0, *pad as usize));
+                }
+            }
+            Step::Ping(payload) => client.ping(*payload),
+            Step::Unknown { len } => {
+                wire.extend(client.take_output());
+                wire.extend_from_slice(&(*len as u32).to_be_bytes()[1..]);
+                wire.extend_from_slice(&[0xbe, 0, 0, 0, 0, 1]);
+                wire.extend(std::iter::repeat_n(0x5a, *len));
+            }
+        }
+    }
+    wire.extend(client.take_output());
+    wire
+}
+
+/// Feed `wire` to a fresh server in pieces of the given lengths (cycled),
+/// stopping at the first error; return its events, its output, and the
+/// error.
+fn feed(wire: &[u8], pieces: &[usize]) -> (Vec<Event>, Vec<u8>, Option<ConnectionError>) {
+    let mut server = Connection::server(roomy_server_settings());
+    let mut out = server.take_output();
+    let mut events = Vec::new();
+    let mut rest = wire;
+    let mut error = None;
+    for &n in pieces.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (head, tail) = rest.split_at(n.clamp(1, rest.len()));
+        rest = tail;
+        let res = server.recv(head);
+        events.extend(drain(&mut server));
+        out.extend(server.take_output());
+        if let Err(e) = res {
+            error = Some(e);
+            break;
+        }
+    }
+    (events, out, error)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    /// `recv` gives the same events, the same output and the same error
+    /// whether a byte stream arrives in one call or cut anywhere: frames
+    /// decoded from the caller's slice and frames completed from a
+    /// buffered tail are handled alike.
+    #[test]
+    fn recv_is_the_same_however_the_bytes_are_cut(
+        steps in proptest::collection::vec(arb_step(), 1..12),
+        cuts in proptest::collection::vec(
+            proptest::prop_oneof![1usize..24, 1usize..80_000],
+            1..10,
+        ),
+    ) {
+        let wire = client_stream(&steps);
+        let whole = feed(&wire, &[wire.len()]);
+        proptest::prop_assert!(whole.2.is_none(), "a valid stream: {:?}", whole.2);
+        proptest::prop_assert_eq!(feed(&wire, &cuts), whole);
+    }
+}

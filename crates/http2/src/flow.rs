@@ -74,6 +74,20 @@ impl FlowWindow {
         Ok(())
     }
 
+    /// Receiver-side refill, the rule nghttp2 follows: once the window has
+    /// fallen below half of `initial`, restore it to `initial` in full and
+    /// return the increment to announce in one WINDOW_UPDATE; `None` while
+    /// at least half is left. RFC 9113 §5.2 leaves the timing to the
+    /// receiver.
+    pub fn refill(&mut self, initial: u32) -> Option<u32> {
+        if self.available * 2 >= initial as i64 {
+            return None;
+        }
+        let increment = (initial as i64 - self.available) as u32;
+        self.available = initial as i64;
+        Some(increment)
+    }
+
     /// Apply a change of `SETTINGS_INITIAL_WINDOW_SIZE` (§6.9.2): adjust by
     /// the delta, which may drive the window negative.
     pub fn adjust_initial(&mut self, old: u32, new: u32) -> Result<(), ConnectionError> {
@@ -123,6 +137,22 @@ mod tests {
         assert!(w.expand(1).is_err());
         let mut w2 = FlowWindow::new(0);
         assert!(w2.expand(MAX_WINDOW_SIZE).is_ok());
+    }
+
+    #[test]
+    fn refill_waits_for_half_the_window_then_restores_it_whole() {
+        let mut w = FlowWindow::new(100);
+        w.try_consume(50).unwrap();
+        assert_eq!(w.refill(100), None, "half is left");
+        w.try_consume(1).unwrap();
+        assert_eq!(w.refill(100), Some(51));
+        assert_eq!(w.available(), 100);
+        // A one-byte window still refills once it is spent.
+        let mut tiny = FlowWindow::new(1);
+        tiny.try_consume(1).unwrap();
+        assert_eq!(tiny.refill(1), Some(1));
+        // A zero window never asks for credit.
+        assert_eq!(FlowWindow::new(0).refill(0), None);
     }
 
     #[test]

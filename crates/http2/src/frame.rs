@@ -356,6 +356,9 @@ fn put_priority(out: &mut Vec<u8>, p: &PrioritySpec) {
     out.push((p.weight - 1) as u8);
 }
 
+/// Octets in every frame header (RFC 7540 §4.1).
+pub(crate) const HEADER_LEN: usize = 9;
+
 /// Incremental frame decoder with a configurable max frame size.
 #[derive(Debug)]
 pub struct FrameCodec {
@@ -372,18 +375,13 @@ impl Default for FrameCodec {
 }
 
 impl FrameCodec {
-    /// Try to decode a single frame from the front of `buf`.
-    ///
-    /// Returns how many bytes of `buf` the frame took, and the frame:
-    /// `(0, None)` when `buf` does not yet hold a complete frame. A frame
-    /// of unknown type is consumed and discarded (RFC 7540 §4.1: "ignored
-    /// and discarded") as `(n, None)` with `n > 0`. Callers loop, advancing
-    /// past the consumed bytes, until the count is 0. Each payload field
-    /// is one copy of its slice of `buf`.
-    pub fn decode(&self, buf: &[u8]) -> Result<(usize, Option<Frame>), ConnectionError> {
-        let Some((&[l0, l1, l2, ty, fl, s0, s1, s2, s3], rest)) = buf.split_first_chunk::<9>()
-        else {
-            return Ok((0, None)); // incomplete 9-byte header
+    /// The whole length, header included, of the frame at the front of
+    /// `buf`: `None` until its 9-octet header is there. A payload longer
+    /// than `max_frame_size` is an error as soon as the header shows it,
+    /// so no caller buffers one.
+    pub(crate) fn frame_len(&self, buf: &[u8]) -> Result<Option<usize>, ConnectionError> {
+        let Some(&[l0, l1, l2, ..]) = buf.first_chunk::<HEADER_LEN>() else {
+            return Ok(None);
         };
         let len = u32::from_be_bytes([0, l0, l1, l2]);
         if len > self.max_frame_size {
@@ -393,11 +391,28 @@ impl FrameCodec {
                 self.max_frame_size
             )));
         }
-        let len = len as usize;
+        Ok(Some(HEADER_LEN + len as usize))
+    }
+
+    /// Try to decode a single frame from the front of `buf`.
+    ///
+    /// Returns how many bytes of `buf` the frame took, and the frame:
+    /// `(0, None)` when `buf` does not yet hold a complete frame. A frame
+    /// of unknown type is consumed and discarded (RFC 7540 §4.1: "ignored
+    /// and discarded") as `(n, None)` with `n > 0`. Callers loop, advancing
+    /// past the consumed bytes, until the count is 0. Each payload field
+    /// is one copy of its slice of `buf`.
+    pub fn decode(&self, buf: &[u8]) -> Result<(usize, Option<Frame>), ConnectionError> {
+        let Some(consumed) = self.frame_len(buf)? else {
+            return Ok((0, None)); // incomplete 9-byte header
+        };
+        let Some((&[_, _, _, ty, fl, s0, s1, s2, s3], rest)) = buf.split_first_chunk::<9>() else {
+            return Ok((0, None));
+        };
+        let len = consumed - HEADER_LEN;
         let Some(payload) = rest.get(..len) else {
             return Ok((0, None));
         };
-        let consumed = 9 + len;
         let stream_id = u32::from_be_bytes([s0, s1, s2, s3]) & 0x7fff_ffff;
 
         let frame = match ty {

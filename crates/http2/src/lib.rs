@@ -13,7 +13,10 @@
 //!   a connection's receive window starts equal to its local initial
 //!   stream window (never below the RFC's 65,535), opened by a stream-0
 //!   WINDOW_UPDATE queued right after SETTINGS, so a large stream window
-//!   is not capped by a 64 KiB connection window shared by every stream,
+//!   is not capped by a 64 KiB connection window shared by every stream;
+//!   a receiver announces credit only once a window is below half its
+//!   initial size, and then restores it whole in one WINDOW_UPDATE, as
+//!   nghttp2 does,
 //! * typed settings ([`settings`]),
 //! * the per-stream state machine ([`stream`]),
 //! * a sans-IO [`Connection`] that pairs a byte-in/byte-out interface with

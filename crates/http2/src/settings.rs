@@ -74,6 +74,18 @@ impl Settings {
         }
     }
 
+    /// Settings for a Vroom server: the defaults, plus a
+    /// `SETTINGS_MAX_CONCURRENT_STREAMS` of 100, the fewest RFC 9113
+    /// §6.5.2 recommends, so a client opening more streams at once gets
+    /// REFUSED_STREAM for each one past the limit instead of unbounded
+    /// per-stream state.
+    pub fn vroom_server() -> Self {
+        Settings {
+            max_concurrent_streams: Some(100),
+            ..Settings::default()
+        }
+    }
+
     /// Apply a received (id, value) list in order. Unknown ids are ignored
     /// (RFC 7540 §6.5.2). Invalid values are connection errors.
     pub fn apply(&mut self, entries: &[(u16, u32)]) -> Result<(), ConnectionError> {

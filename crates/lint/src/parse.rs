@@ -622,6 +622,31 @@ fn strip_leading_generics(header: &str) -> &str {
     t
 }
 
+/// `Arc::<str>` → `Arc`: drop a turbofish from the end of a path, so the
+/// segment before its generic arguments names the qualifier. A path without
+/// one comes back unchanged.
+fn strip_trailing_generics(path: &str) -> &str {
+    let Some(inner) = path.strip_suffix('>') else {
+        return path;
+    };
+    let bytes = inner.as_bytes();
+    let mut depth = 1;
+    for i in (0..bytes.len()).rev() {
+        match bytes[i] {
+            b'>' if i > 0 && bytes[i - 1] == b'-' => {} // `->` in Fn bounds
+            b'>' => depth += 1,
+            b'<' => {
+                depth -= 1;
+                if depth == 0 {
+                    return inner[..i].trim_end().trim_end_matches("::").trim_end();
+                }
+            }
+            _ => {}
+        }
+    }
+    path
+}
+
 fn first_ident(text: &str) -> Option<String> {
     let t = text.trim_start();
     let ident: String = t
@@ -1453,8 +1478,8 @@ fn call_sites(code: &str, start: usize, end: usize, lines: &LineMap) -> Vec<Call
         let (kind, qualifier, recv) = if before.ends_with('.') {
             let recv = rules_trailing_word(before[..before.len() - 1].trim_end());
             (CallKind::Method, None, recv)
-        } else if before.ends_with("::") {
-            let qual = rules_trailing_word(before[..before.len() - 2].trim_end());
+        } else if let Some(path) = before.strip_suffix("::") {
+            let qual = rules_trailing_word(strip_trailing_generics(path.trim_end()));
             match qual {
                 Some(q) => (CallKind::Qualified, Some(q), None),
                 None => (CallKind::Free, None, None),
@@ -1957,6 +1982,28 @@ mod tests {
         assert_eq!(calls[1].args, 2);
         assert_eq!(calls[2].qualifier.as_deref(), Some("module"));
         assert_eq!(calls[3].qualifier.as_deref(), Some("Self"));
+    }
+
+    #[test]
+    fn turbofish_qualified_calls_keep_their_qualifier() {
+        let src = "fn f(x: &str) {\n\
+                   \u{20}   let a = Arc::<str>::from(x);\n\
+                   \u{20}   let m = HashMap::<u32, Vec<u8>>::with_capacity(4);\n\
+                   \u{20}   let b = Box::<dyn Fn() -> u8>::new(g);\n\
+                   \u{20}   let v = iter.collect::<Vec<_>>();\n\
+                   }\n";
+        let s = summ(src);
+        let call = |name: &str| {
+            let c = s.fns[0].calls.iter().find(|c| c.name == name).unwrap();
+            (c.kind, c.qualifier.as_deref())
+        };
+        assert_eq!(call("from"), (CallKind::Qualified, Some("Arc")));
+        assert_eq!(
+            call("with_capacity"),
+            (CallKind::Qualified, Some("HashMap"))
+        );
+        assert_eq!(call("new"), (CallKind::Qualified, Some("Box")));
+        assert_eq!(call("collect"), (CallKind::Method, None));
     }
 
     #[test]

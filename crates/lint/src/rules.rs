@@ -769,6 +769,24 @@ mod tests {
     }
 
     #[test]
+    fn retry_budget_flags_while_but_not_a_bounded_for_over_pieces() {
+        // A `for` over a finite iterator of body pieces ends with the body;
+        // a `while` around `send_data` can spin on a stalled peer.
+        let bounded = "#![forbid(unsafe_code)]\n\
+                       fn f(c: &mut Conn, r: &Rec) {\n\
+                       \u{20}   for piece in r.body_pieces(0, n) { c.send_data(1, piece, false); }\n\
+                       }\n";
+        assert!(check("crates/server/src/wire.rs", bounded).is_empty());
+        let spinning = "#![forbid(unsafe_code)]\n\
+                        fn f(c: &mut Conn, r: &Rec) {\n\
+                        \u{20}   while at < n { at += c.send_data(1, r.body_from(at), false); }\n\
+                        }\n";
+        let v = check("crates/server/src/wire.rs", spinning);
+        assert_eq!(rules_of(&v), vec!["retry-budget"]);
+        assert_eq!(v[0].line, 3);
+    }
+
+    #[test]
     fn retry_budget_blames_the_innermost_loop() {
         // The outer dispatch loop is fine; only the inner bare send loop
         // must carry the budget — and here it does.

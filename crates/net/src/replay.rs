@@ -8,10 +8,14 @@
 //! URLs are interned: the store owns a [`UrlTable`] and keeps responses in a
 //! dense `Vec` indexed by [`UrlId`], so the hot replay `lookup` is one
 //! intern-table probe (or, via [`ReplayStore::lookup_id`], a bare index)
-//! instead of a `BTreeMap<Url, _>` walk over three-string keys. Bodies are
-//! `Arc<str>`s and are served as `Arc<[u8]>` views of the same allocation
-//! ([`RecordedResponse::body_bytes`]): cloning or serving a recorded body
-//! is a refcount bump, never a byte copy. Serialization still iterates in
+//! instead of a `BTreeMap<Url, _>` walk over three-string keys.
+//!
+//! A body is served from borrowed views ([`RecordedResponse::body_pieces`]):
+//! a literal body is an `Arc<str>` read in place, and a synthetic one is a
+//! size whose bytes are slices of one static filler table. Serving either
+//! allocates nothing and copies nothing before the framer's one copy into
+//! its send buffer. [`RecordedResponse::body_bytes`] assembles a whole body
+//! for callers that compare or keep it. Serialization still iterates in
 //! URL sort order, so corpus JSON is byte-identical to the pre-interning
 //! format.
 
@@ -25,12 +29,38 @@ use vroom_html::{ResourceKind, Url};
 use vroom_intern::{UrlId, UrlTable};
 use vroom_sim::SimDuration;
 
+/// The period of every synthetic body: the body is this string repeated
+/// and cut to the recorded size.
+const FILLER_PERIOD: &[u8; 20] = b"vroom-replay-filler.";
+
+/// The most bytes of a synthetic body one borrowed view carries: one
+/// default-size HTTP/2 DATA frame.
+const FILLER_SPAN: usize = 16 * 1024;
+
+/// The synthetic filler, laid out once: [`FILLER_SPAN`] bytes plus one
+/// period, so a view of up to `FILLER_SPAN` bytes at any offset into a
+/// synthetic body is one slice of this table, starting at the offset's
+/// phase in the period.
+static FILLER: [u8; FILLER_SPAN + FILLER_PERIOD.len()] = filler();
+
+const fn filler() -> [u8; FILLER_SPAN + FILLER_PERIOD.len()] {
+    let mut table = [0u8; FILLER_SPAN + FILLER_PERIOD.len()];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = FILLER_PERIOD[i % FILLER_PERIOD.len()];
+        i += 1;
+    }
+    table
+}
+
 /// One recorded HTTP exchange.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordedResponse {
     /// The response's content class.
     pub kind: ResourceKind,
-    /// Body size in bytes (synthetic bodies are regenerated on demand).
+    /// Body size in bytes. A response without a literal body is synthetic:
+    /// its bytes are `vroom-replay-filler.` repeated to this size, read
+    /// from a static table by offset and never stored.
     pub size: u64,
     /// Status code.
     pub status: u16,
@@ -72,24 +102,54 @@ impl RecordedResponse {
         self
     }
 
-    /// The body to serve: the literal one (zero-copy — the returned buffer
-    /// shares the recorded allocation), or a deterministic synthetic body of
-    /// the recorded size (for wire demos serving non-HTML content).
+    /// Length of the body served: the literal body's, or the recorded size
+    /// of a synthetic one.
+    pub fn body_len(&self) -> usize {
+        match &self.body {
+            Some(b) => b.len(),
+            None => self.size as usize,
+        }
+    }
+
+    /// The body's bytes from `offset` on, borrowed: the rest of a literal
+    /// body, or at most `FILLER_SPAN` bytes of a synthetic one, sliced from
+    /// the filler table. Empty at or past the end.
+    fn body_from(&self, offset: usize) -> &[u8] {
+        match &self.body {
+            Some(b) => b.as_bytes().get(offset..).unwrap_or_default(),
+            None => {
+                let len = self.body_len().saturating_sub(offset).min(FILLER_SPAN);
+                let phase = offset % FILLER_PERIOD.len();
+                FILLER.get(phase..phase + len).unwrap_or_default()
+            }
+        }
+    }
+
+    /// The body's bytes in `start..end` (cut to the body), as borrowed
+    /// views in order: a literal body's range is one piece of the recorded
+    /// string, and a synthetic one's is pieces of up to 16 KiB, each one
+    /// slice of the filler table.
+    pub fn body_pieces(&self, start: usize, end: usize) -> impl Iterator<Item = &[u8]> {
+        let end = end.min(self.body_len());
+        let mut at = start;
+        std::iter::from_fn(move || {
+            let piece = self.body_from(at);
+            let piece = piece.get(..end.saturating_sub(at).min(piece.len()))?;
+            at += piece.len();
+            (!piece.is_empty()).then_some(piece)
+        })
+    }
+
+    /// The whole body in one buffer: the literal one shares the recorded
+    /// allocation; a synthetic one is assembled from the filler table.
     pub fn body_bytes(&self) -> Arc<[u8]> {
         match &self.body {
             Some(b) => Arc::from(Arc::clone(b)),
-            None => {
-                let mut out = Vec::with_capacity(self.size as usize);
-                let pattern = b"vroom-replay-filler.";
-                while out.len() < self.size as usize {
-                    let take = pattern.len().min(self.size as usize - out.len());
-                    let Some(chunk) = pattern.get(..take) else {
-                        break;
-                    };
-                    out.extend_from_slice(chunk);
-                }
-                Arc::from(out)
-            }
+            None => self
+                .body_pieces(0, self.body_len())
+                .collect::<Vec<_>>()
+                .concat()
+                .into(),
         }
     }
 }
@@ -413,6 +473,52 @@ mod tests {
         assert_eq!(r.body_bytes().len(), 12_345);
         let r0 = RecordedResponse::synthetic(ResourceKind::Image, 0);
         assert!(r0.body_bytes().is_empty());
+        assert!(r0.body_from(0).is_empty());
+        assert_eq!(r0.body_pieces(0, 10).count(), 0);
+    }
+
+    #[test]
+    fn synthetic_views_repeat_the_period_at_every_offset() {
+        let span = FILLER_SPAN;
+        for size in [1, 19, 20, 21, span - 1, span, span + 1, 3 * span + 7] {
+            let r = RecordedResponse::synthetic(ResourceKind::Image, size as u64);
+            let whole = r.body_bytes();
+            assert_eq!(whole.len(), size);
+            assert!(whole
+                .iter()
+                .enumerate()
+                .all(|(i, &b)| b == FILLER_PERIOD[i % FILLER_PERIOD.len()]));
+            for offset in [0, 1, 19, 20, 21, span - 1, span, span + 1, size - 1, size] {
+                let offset = offset.min(size);
+                let view = r.body_from(offset);
+                assert_eq!(view.len(), (size - offset).min(span), "{size} @ {offset}");
+                assert_eq!(view, &whole[offset..offset + view.len()]);
+                for end in [offset, offset + 1, offset + span + 3, size] {
+                    let pieces: Vec<&[u8]> = r.body_pieces(offset, end).collect();
+                    assert!(pieces.iter().all(|p| !p.is_empty() && p.len() <= span));
+                    let end = end.clamp(offset, size);
+                    assert_eq!(
+                        pieces.concat(),
+                        &whole[offset..end],
+                        "{size} {offset}..{end}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn literal_bodies_are_one_piece_read_in_place() {
+        let r = RecordedResponse::with_body(ResourceKind::Html, "<html></html>");
+        assert_eq!(r.body_len(), 13);
+        assert_eq!(r.body_from(6), b"</html>");
+        let pieces: Vec<&[u8]> = r.body_pieces(1, 100).collect();
+        assert_eq!(pieces, vec![&b"html></html>"[..]]);
+        assert_eq!(
+            pieces[0].as_ptr(),
+            r.body.as_ref().unwrap()[1..].as_ptr(),
+            "borrowed from the recorded body"
+        );
     }
 
     #[test]

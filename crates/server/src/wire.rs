@@ -19,9 +19,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use vroom_browser::config::Hint;
 use vroom_html::Url;
-use vroom_http2::{Connection, ErrorCode, Event, Request, Response, Settings};
+use vroom_http2::{Connection, ConnectionError, ErrorCode, Event, Request, Response, Settings};
 use vroom_intern::UrlId;
-use vroom_net::{ReplayStore, RetryBudget};
+use vroom_net::{RecordedResponse, ReplayStore, RetryBudget};
 
 /// Injectable wall clock for the wire path's timeout logic.
 ///
@@ -173,24 +173,38 @@ impl Drop for WireServer {
     }
 }
 
-/// Body bytes still waiting for flow-control credit on a stream. Holds a
-/// refcounted view of the recorded body — no copy per blocked stream.
+/// A body still waiting for flow-control credit on a stream: which
+/// recording, and how far into its body framing has got. The rest is
+/// framed from the recording itself, so a blocked stream holds no bytes.
 struct PendingBody {
-    data: Arc<[u8]>,
+    url: UrlId,
     offset: usize,
     /// When the stream's credit last fell to zero; `None` while it has
     /// credit.
     blocked_since: Option<Duration>,
 }
 
-impl PendingBody {
-    fn new(data: Arc<[u8]>, offset: usize) -> PendingBody {
-        PendingBody {
-            data,
-            offset,
-            blocked_since: None,
+/// Frame `record`'s body on stream `id` from byte `offset` to byte `end`,
+/// as far as flow-control credit allows: each DATA frame is copied once,
+/// from a borrowed view of the recording into the connection's output.
+/// END_STREAM rides on the body's last byte. Returns the offset reached.
+fn send_body(
+    conn: &mut Connection,
+    id: u32,
+    record: &RecordedResponse,
+    offset: usize,
+    end: usize,
+) -> Result<usize, ConnectionError> {
+    let mut at = offset;
+    for piece in record.body_pieces(offset, end) {
+        let last = at + piece.len() == record.body_len();
+        let sent = conn.send_data(id, piece, last)?;
+        at += sent;
+        if sent < piece.len() {
+            break;
         }
     }
+    Ok(at)
 }
 
 fn serve_connection(
@@ -211,11 +225,13 @@ fn serve_connection(
             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
         )
     };
-    let mut conn = Connection::server(Settings::default());
+    let mut conn = Connection::server(Settings::vroom_server());
     let retry = RetryBudget::standard();
     let mut pending: BTreeMap<u32, PendingBody> = BTreeMap::new();
-    // Output the socket has not taken yet; it goes out before newer frames.
+    // Output the socket has not taken yet (`unsent` from `written` on); it
+    // goes out before newer frames.
     let mut unsent = conn.take_output();
+    let mut written = 0;
     let mut buf = [0u8; 16 * 1024];
     let idle_limit = Duration::from_secs(10);
     let mut last_activity = clock.elapsed();
@@ -228,13 +244,16 @@ fn serve_connection(
             break;
         }
         // Flush output until the socket stops taking it.
-        if unsent.is_empty() {
-            unsent = conn.take_output();
+        if written == unsent.len() {
+            let spent = std::mem::replace(&mut unsent, conn.take_output());
+            conn.recycle_output(spent);
+            written = 0;
         }
-        while !unsent.is_empty() {
-            match stream.write(&unsent) {
+        while let Some(rest) = unsent.get(written..).filter(|r| !r.is_empty()) {
+            match stream.write(rest) {
+                Ok(0) => return Ok(()), // peer closed
                 Ok(n) => {
-                    unsent.drain(..n);
+                    written += n;
                     last_activity = clock.elapsed();
                 }
                 Err(ref e) if timed_out(e) => break,
@@ -290,11 +309,13 @@ fn serve_connection(
                 return false;
             }
             body.blocked_since = None;
-            let rest = body.data.get(body.offset..).unwrap_or_default();
-            match conn.send_data(id, rest, true) {
-                Ok(sent) => {
-                    body.offset += sent;
-                    body.offset < body.data.len()
+            let Some(record) = site.store.lookup_id(body.url) else {
+                return false;
+            };
+            match send_body(&mut conn, id, record, body.offset, record.body_len()) {
+                Ok(at) => {
+                    body.offset = at;
+                    at < record.body_len()
                 }
                 Err(_) => false,
             }
@@ -302,7 +323,10 @@ fn serve_connection(
     }
     // Best effort on the way out: the untaken output, then the final
     // frames (a GOAWAY).
-    if stream.write_all(&unsent).is_ok() {
+    if stream
+        .write_all(unsent.get(written..).unwrap_or_default())
+        .is_ok()
+    {
         let _ = stream.write_all(&conn.take_output());
     }
     Ok(())
@@ -327,12 +351,12 @@ fn handle_request(
     };
     let urls = site.store.urls();
 
-    let hints = site.hints.get(&uid).cloned().unwrap_or_default();
+    let hints = site.hints.get(&uid).map(Vec::as_slice).unwrap_or_default();
     // Push first (PUSH_PROMISE must precede the response data referencing
     // the pushed resources).
     let mut pushed_streams: Vec<(u32, UrlId)> = Vec::new();
     if !hints.is_empty() {
-        for push in select_pushes(site.push, &site.domain, &hints, urls) {
+        for push in select_pushes(site.push, &site.domain, hints, urls) {
             if site.store.lookup_id(push.url).is_none() {
                 continue;
             }
@@ -350,30 +374,20 @@ fn handle_request(
     let mut resp =
         Response::with_status(record.status).with_header("content-type", content_type(record.kind));
     if !hints.is_empty() {
-        resp = attach_hints(resp, &hints, urls);
+        resp = attach_hints(resp, hints, urls);
     }
-    let body = record.body_bytes();
-    if !body.is_empty() && site.faults.take(&url) {
+    let len = record.body_len();
+    if len > 0 && site.faults.take(&url) {
         // Injected truncation: serve a prefix of the body, leave the
         // stream open, then abort it — the client sees partial DATA
         // followed by a well-formed RST_STREAM.
         if conn.send_response(stream_id, &resp, false).is_ok() {
-            let half = body.get(..body.len() / 2).unwrap_or_default();
-            let _ = conn.send_data(stream_id, half, false);
+            let _ = send_body(conn, stream_id, record, 0, len / 2);
         }
         conn.reset_stream(stream_id, ErrorCode::InternalError);
         return;
     }
-    if conn
-        .send_response(stream_id, &resp, body.is_empty())
-        .is_ok()
-        && !body.is_empty()
-    {
-        let sent = conn.send_data(stream_id, &body, true).unwrap_or(0);
-        if sent < body.len() {
-            pending.insert(stream_id, PendingBody::new(body, sent));
-        }
-    }
+    respond(conn, stream_id, &resp, uid, record, pending);
 
     // Pushed response bodies follow.
     for (pid, puid) in pushed_streams {
@@ -381,12 +395,32 @@ fn handle_request(
             continue;
         };
         let presp = Response::ok().with_header("content-type", content_type(rec.kind));
-        let pbody = rec.body_bytes();
-        if conn.send_response(pid, &presp, pbody.is_empty()).is_ok() && !pbody.is_empty() {
-            let sent = conn.send_data(pid, &pbody, true).unwrap_or(0);
-            if sent < pbody.len() {
-                pending.insert(pid, PendingBody::new(pbody, sent));
-            }
+        respond(conn, pid, &presp, puid, rec, pending);
+    }
+}
+
+/// Send `resp` on stream `id`, then as much of `record`'s body as credit
+/// allows; the rest waits in `pending` as `(url, offset)`.
+fn respond(
+    conn: &mut Connection,
+    id: u32,
+    resp: &Response,
+    url: UrlId,
+    record: &RecordedResponse,
+    pending: &mut BTreeMap<u32, PendingBody>,
+) {
+    let len = record.body_len();
+    if conn.send_response(id, resp, len == 0).is_err() || len == 0 {
+        return;
+    }
+    if let Ok(sent) = send_body(conn, id, record, 0, len) {
+        if sent < len {
+            let body = PendingBody {
+                url,
+                offset: sent,
+                blocked_since: None,
+            };
+            pending.insert(id, body);
         }
     }
 }
@@ -426,10 +460,17 @@ struct StreamAcc {
     url: Option<Url>,
 }
 
+/// Bytes the wire client asks the socket for per read: four
+/// default-size DATA frames, so a staged page's bodies arrive in few reads.
+const CLIENT_READ_SIZE: usize = 64 * 1024;
+
 /// A blocking HTTP/2 client for the wire server.
 pub struct WireClient {
     stream: TcpStream,
     conn: Connection,
+    /// Socket reads land here; the connection decodes frames from it in
+    /// place. One allocation per client, reused by every read.
+    read_buf: Box<[u8]>,
     streams: BTreeMap<u32, StreamAcc>,
     clock: Arc<dyn WireClock>,
     /// Per-request retry policy applied when a stream is reset.
@@ -450,6 +491,7 @@ impl WireClient {
         Ok(WireClient {
             stream,
             conn: Connection::client(Settings::vroom_client()),
+            read_buf: vec![0; CLIENT_READ_SIZE].into_boxed_slice(),
             streams: BTreeMap::new(),
             clock: Arc::new(MonotonicClock),
             retry: RetryBudget::standard(),
@@ -499,6 +541,7 @@ impl WireClient {
         if !out.is_empty() {
             self.stream.write_all(&out)?;
         }
+        self.conn.recycle_output(out);
         Ok(())
     }
 
@@ -506,7 +549,6 @@ impl WireClient {
     /// Returns all completed exchanges (requested and pushed).
     pub fn run(&mut self, deadline: Duration) -> std::io::Result<Vec<FetchedResponse>> {
         let start = self.clock.elapsed();
-        let mut buf = [0u8; 16 * 1024];
         while self.clock.elapsed().saturating_sub(start) < deadline {
             // Issue any backed-off retries that have come due. The budget
             // was already charged when the retry was queued.
@@ -521,10 +563,14 @@ impl WireClient {
                 let _ = self.fetch(&url)?;
             }
             self.flush()?;
-            match self.stream.read(&mut buf) {
+            match self.stream.read(&mut self.read_buf) {
                 Ok(0) => break,
                 Ok(n) => {
-                    if self.conn.recv(buf.get(..n).unwrap_or_default()).is_err() {
+                    if self
+                        .conn
+                        .recv(self.read_buf.get(..n).unwrap_or_default())
+                        .is_err()
+                    {
                         break;
                     }
                 }
@@ -560,7 +606,12 @@ impl WireClient {
                         end_stream,
                     } => {
                         if let Some(acc) = self.streams.get_mut(&stream_id) {
-                            acc.body.extend_from_slice(&data);
+                            // Moving the first payload in saves copying it.
+                            if acc.body.is_empty() {
+                                acc.body = data;
+                            } else {
+                                acc.body.extend_from_slice(&data);
+                            }
                             if end_stream {
                                 acc.done = true;
                             }

@@ -481,3 +481,202 @@ fn stop_returns_while_a_peer_has_stopped_reading() {
     );
     drop(sock);
 }
+
+/// The body sizes that sit on the filler table's edges: its 20-byte period
+/// and its 16 KiB span, and a body of 64 such spans.
+const EDGE_SIZES: [u64; 9] = [0, 1, 19, 20, 21, 16_383, 16_384, 16_385, 1 << 20];
+
+/// A site whose root HTML hints one synthetic resource per edge size at
+/// tier 0, so the root pushes every one of them under `AllLocal`.
+fn edge_site(push: PushPolicy) -> (WireSite, Vec<Url>) {
+    let mut store = ReplayStore::new();
+    let root = Url::https("edge.example", "/");
+    store.record(
+        root.clone(),
+        RecordedResponse::with_body(ResourceKind::Html, "<html></html>"),
+    );
+    let mut urls = vec![root.clone()];
+    let mut hints = Vec::new();
+    for size in EDGE_SIZES {
+        let url = Url::https("edge.example", format!("/body-{size}.bin"));
+        store.record(
+            url.clone(),
+            RecordedResponse::synthetic(ResourceKind::Other, size),
+        );
+        hints.push(Hint {
+            url: store.urls_mut().intern(url.clone()),
+            tier: 0,
+            size_hint: size,
+        });
+        urls.push(url);
+    }
+    let root_id = store.urls_mut().intern(root);
+    let site = WireSite {
+        store: Arc::new(store),
+        hints: Arc::new(BTreeMap::from([(root_id, hints)])),
+        push,
+        domain: "edge.example".into(),
+        faults: Default::default(),
+    };
+    (site, urls)
+}
+
+#[test]
+fn synthetic_bodies_arrive_byte_equal_requested_and_pushed() {
+    let (site, urls) = edge_site(PushPolicy::AllLocal);
+    let store = Arc::clone(&site.store);
+    let server = WireServer::start(site).expect("bind");
+    let want = |url: &Url| store.lookup(url).map(RecordedResponse::body_bytes);
+    // The recorded bytes built without the store's filler table.
+    let filler = |len: usize| -> Vec<u8> {
+        b"vroom-replay-filler."
+            .iter()
+            .copied()
+            .cycle()
+            .take(len)
+            .collect()
+    };
+
+    // Pushed: the root's response promises every edge body.
+    let mut client = WireClient::connect(server.addr()).expect("connect");
+    client.fetch(&urls[0]).expect("request root");
+    let pushed = client.run(Duration::from_secs(10)).expect("io");
+    assert_eq!(pushed.len(), urls.len(), "the root and every push");
+    // Requested: each edge body by its own GET, on the same connection.
+    for url in &urls[1..] {
+        client.fetch(url).expect("request");
+    }
+    let requested = client.run(Duration::from_secs(10)).expect("io");
+    assert_eq!(requested.len(), urls.len() - 1);
+    assert_eq!(client.resets_seen(), 0);
+
+    for (got, how) in [(&pushed, true), (&requested, false)] {
+        for r in got.iter().filter(|r| r.url != urls[0]) {
+            assert_eq!(r.pushed, how, "{}", r.url);
+            assert_eq!(r.response.status, 200);
+            assert_eq!(
+                want(&r.url).as_deref(),
+                Some(r.body.as_slice()),
+                "{}",
+                r.url
+            );
+            assert_eq!(r.body, filler(r.body.len()), "{}", r.url);
+        }
+    }
+    let sizes: BTreeSet<u64> = requested.iter().map(|r| r.body.len() as u64).collect();
+    assert_eq!(sizes, EDGE_SIZES.into_iter().collect(), "every size served");
+    server.stop();
+}
+
+#[test]
+fn synthetic_bodies_resume_byte_equal_at_any_credit_offset() {
+    // A default-window peer takes the edge bodies in 64 KiB of connection
+    // credit at a time, so framing stops and resumes at offsets that fall
+    // anywhere in the filler's period.
+    let (site, urls) = edge_site(PushPolicy::None);
+    let store = Arc::clone(&site.store);
+    let server = WireServer::start(site).expect("bind");
+    let mut sock = TcpStream::connect(server.addr()).expect("connect");
+    let mut conn = Connection::client(Settings::default());
+    let mut bodies: BTreeMap<u32, (Url, Vec<u8>)> = BTreeMap::new();
+    for url in &urls[1..] {
+        let req = Request::get(url.host.as_str(), url.path.as_str());
+        let sid = conn.send_request(&req, true).expect("request");
+        bodies.insert(sid, (url.clone(), Vec::new()));
+    }
+    let mut open: BTreeSet<u32> = bodies.keys().copied().collect();
+    pump_until(&mut sock, &mut conn, |ev| {
+        match ev {
+            Event::Headers {
+                stream_id,
+                end_stream: true,
+                ..
+            } => {
+                open.remove(stream_id);
+            }
+            Event::Data {
+                stream_id,
+                data,
+                end_stream,
+            } => {
+                if let Some((_, body)) = bodies.get_mut(stream_id) {
+                    body.extend_from_slice(data);
+                }
+                if *end_stream {
+                    open.remove(stream_id);
+                }
+            }
+            Event::StreamReset { stream_id, .. } => panic!("stream {stream_id} was reset"),
+            _ => {}
+        }
+        open.is_empty()
+    });
+    for (url, body) in bodies.values() {
+        let want = store.lookup(url).map(RecordedResponse::body_bytes);
+        assert_eq!(want.as_deref(), Some(body.as_slice()), "{url}");
+    }
+    server.stop();
+}
+
+#[test]
+fn the_stream_past_the_server_limit_is_refused_and_the_rest_answered() {
+    // The requests leave their half of each stream open, so every answered
+    // stream stays open on the server however its reads split the bytes:
+    // the stream one past the advertised limit is refused, and no other.
+    let limit = Settings::vroom_server()
+        .max_concurrent_streams
+        .expect("the server advertises a limit") as usize;
+    let mut store = ReplayStore::new();
+    let urls: Vec<Url> = (0..=limit)
+        .map(|i| Url::https("busy.example", format!("/r{i}.js")))
+        .collect();
+    for url in &urls {
+        store.record(
+            url.clone(),
+            RecordedResponse::synthetic(ResourceKind::Js, 100),
+        );
+    }
+    let site = WireSite {
+        store: Arc::new(store),
+        hints: Arc::new(BTreeMap::new()),
+        push: PushPolicy::None,
+        domain: "busy.example".into(),
+        faults: Default::default(),
+    };
+    let server = WireServer::start(site).expect("bind");
+    let mut sock = TcpStream::connect(server.addr()).expect("connect");
+    let mut conn = Connection::client(Settings::vroom_client());
+    let sids: Vec<u32> = urls
+        .iter()
+        .map(|u| {
+            let req = Request::get(u.host.as_str(), u.path.as_str());
+            conn.send_request(&req, false).expect("request")
+        })
+        .collect();
+    let (&refused, answered) = sids.split_last().expect("streams");
+    let mut done: BTreeSet<u32> = BTreeSet::new();
+    let mut resets = Vec::new();
+    let mut peer_limit = None;
+    let events = pump_until(&mut sock, &mut conn, |ev| {
+        match ev {
+            Event::PeerSettings(s) => peer_limit = s.max_concurrent_streams,
+            Event::Data {
+                stream_id,
+                end_stream: true,
+                ..
+            } => {
+                done.insert(*stream_id);
+            }
+            Event::StreamReset { stream_id, code } => resets.push((*stream_id, *code)),
+            _ => {}
+        }
+        done.len() == answered.len() && !resets.is_empty()
+    });
+    assert_eq!(peer_limit, Some(limit as u32), "the server advertises it");
+    assert_eq!(resets, vec![(refused, ErrorCode::RefusedStream)]);
+    assert_eq!(done, answered.iter().copied().collect());
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e, Event::Headers { stream_id, .. } if *stream_id == refused)));
+    server.stop();
+}
