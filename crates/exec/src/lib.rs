@@ -65,7 +65,7 @@ where
     let chunk = claim_chunk(n, workers);
     let next = AtomicUsize::new(0);
     let (tx, rx) = channel::<(usize, T)>();
-    // vroom-lint: allow(sim-purity) -- the workspace's single sanctioned thread pool: workers race only for *indices*; results land in input-index slots, so output is schedule-invariant
+    // vroom-lint: allow(sim-purity) -- one of the workspace's two sanctioned spawn sites (the other starts `Pool`'s workers): workers race only for *indices*; results land in input-index slots, so output is schedule-invariant
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();

@@ -27,6 +27,7 @@
 //! [`crate::reach`] can miss nothing that a precise graph would flag.
 
 use crate::parse::{CallKind, FileSummary};
+use crate::source::crate_of;
 use std::collections::BTreeMap;
 
 /// One call-graph node: fn `item` of file `file` in `summaries`.
@@ -75,13 +76,6 @@ impl<'a> Graph<'a> {
                 by_type.entry((ty.as_str(), &f.name)).or_default().push(id);
             }
         }
-
-        let crate_of = |path: &str| -> String {
-            path.strip_prefix("crates/")
-                .and_then(|p| p.split('/').next())
-                .unwrap_or("")
-                .to_string()
-        };
 
         let mut edges = vec![Vec::new(); nodes.len()];
         let mut site_edges = vec![Vec::new(); nodes.len()];
@@ -141,15 +135,7 @@ impl<'a> Graph<'a> {
                         } else {
                             // Module-qualified: same resolution as a free
                             // call (the module path is not tracked).
-                            resolve_free(
-                                name,
-                                &caller_crate,
-                                summaries,
-                                &nodes,
-                                &by_name,
-                                &mut out,
-                                &crate_of,
-                            );
+                            resolve_free(name, caller_crate, summaries, &nodes, &by_name, &mut out);
                         }
                     }
                     CallKind::Free => {
@@ -160,15 +146,7 @@ impl<'a> Graph<'a> {
                         // every explicit guard release look like a call
                         // made while the lock is held.
                         if name != "drop" {
-                            resolve_free(
-                                name,
-                                &caller_crate,
-                                summaries,
-                                &nodes,
-                                &by_name,
-                                &mut out,
-                                &crate_of,
-                            );
+                            resolve_free(name, caller_crate, summaries, &nodes, &by_name, &mut out);
                         }
                     }
                 }
@@ -236,11 +214,7 @@ impl<'a> Graph<'a> {
         let n = self.nodes[id];
         let file = &self.summaries[n.file];
         let f = &file.fns[n.item];
-        let krate = file
-            .path
-            .strip_prefix("crates/")
-            .and_then(|p| p.split('/').next())
-            .unwrap_or("workspace");
+        let krate = crate_of(&file.path).unwrap_or("workspace");
         match &f.self_type {
             Some(ty) => format!("{krate}::{ty}::{}", f.name),
             None => format!("{krate}::{}", f.name),
@@ -273,15 +247,13 @@ const PRIMITIVE_TYPES: [&str; 17] = [
     "i128", "isize", "f32", "f64",
 ];
 
-#[allow(clippy::too_many_arguments)]
 fn resolve_free(
     name: &str,
-    caller_crate: &str,
+    caller_crate: Option<&str>,
     summaries: &[FileSummary],
     nodes: &[NodeRef],
     by_name: &BTreeMap<&str, Vec<usize>>,
     out: &mut Vec<usize>,
-    crate_of: &dyn Fn(&str) -> String,
 ) {
     let Some(all) = by_name.get(name) else { return };
     let same_crate: Vec<usize> = all

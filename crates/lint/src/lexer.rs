@@ -4,7 +4,10 @@
 //!
 //! The output preserves byte positions — every stripped character becomes a
 //! space (newlines are kept) — so line numbers computed against the stripped
-//! text match the original source exactly.
+//! text match the original source exactly. Lexing also finds the file's
+//! spans (`Spans`: line starts, `#[cfg(test)]` lines, loop bodies) once,
+//! with the one bracket matcher and header-to-body finder every scanner
+//! shares.
 
 /// One waiver comment: `// vroom-lint: allow(rule-a, rule-b) -- reason`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,6 +41,8 @@ pub struct Lexed {
     pub waivers: Vec<Waiver>,
     /// Malformed waiver comments.
     pub waiver_errors: Vec<WaiverError>,
+    /// Spans of `code`, computed once.
+    pub(crate) spans: Spans,
 }
 
 impl Lexed {
@@ -224,8 +229,10 @@ pub fn lex(source: &str) -> Lexed {
         i += 1;
     }
 
+    let code = String::from_utf8_lossy(&code).into_owned();
     Lexed {
-        code: String::from_utf8_lossy(&code).into_owned(),
+        spans: Spans::of(&code),
+        code,
         waivers,
         waiver_errors,
     }
@@ -317,6 +324,264 @@ fn parse_waiver(
         reason,
         own_line,
     });
+}
+
+// ---------------------------------------------------------------------------
+// Spans: how a span is found, decided once for every scanner.
+//
+// Three primitives locate every span the rules read: `close_of` matches a
+// bracket, `header_end` finds where a header (a fn signature, a loop or
+// `match` head, an attributed item) gives way to its body, and `group_end`
+// finds where a statement or expression ends. On top of them, `Spans::of`
+// computes each file's line map, `#[cfg(test)]` lines and loop bodies once,
+// as part of lexing; the per-file rules, the effect scanner and the lock
+// scanner all read that one copy. Everything here works on lexed code, so
+// brackets in strings and comments never count.
+// ---------------------------------------------------------------------------
+
+/// Byte → line mapping.
+#[derive(Debug, Clone)]
+pub(crate) struct LineMap {
+    /// Byte offset of the start of each line.
+    pub starts: Vec<usize>,
+}
+
+impl LineMap {
+    pub fn new(code: &str) -> LineMap {
+        let breaks = code.match_indices('\n').map(|(i, _)| i + 1);
+        LineMap {
+            starts: std::iter::once(0).chain(breaks).collect(),
+        }
+    }
+
+    /// 1-based line containing byte offset `pos`.
+    pub fn line(&self, pos: usize) -> usize {
+        self.starts.partition_point(|&s| s <= pos)
+    }
+}
+
+/// Offset of the bracket closing the `(`, `[` or `{` at `open`, counting
+/// only brackets of that kind; `None` if it never closes.
+pub(crate) fn close_of(code: &str, open: usize) -> Option<usize> {
+    let (o, c) = match code.as_bytes()[open] {
+        b'(' => (b'(', b')'),
+        b'[' => (b'[', b']'),
+        _ => (b'{', b'}'),
+    };
+    let mut depth = 0usize;
+    for (i, b) in code[open..].bytes().enumerate() {
+        if b == o {
+            depth += 1;
+        } else if b == c {
+            depth -= 1;
+            if depth == 0 {
+                return Some(open + i);
+            }
+        }
+    }
+    None
+}
+
+/// One past the `}` closing the `{` at `open` (`code.len()` if unbalanced).
+pub(crate) fn brace_span(code: &str, open: usize) -> usize {
+    close_of(code, open).map_or(code.len(), |c| c + 1)
+}
+
+/// Where the header starting at `from` ends: the first `{` (its body) or
+/// byte of `stops` at zero paren/bracket depth, so return types, `where`
+/// clauses, conditions and array types are skipped. `None` if neither
+/// appears.
+pub(crate) fn header_end(code: &str, from: usize, stops: &[u8]) -> Option<usize> {
+    let mut depth = 0i32;
+    for (i, b) in code[from..].bytes().enumerate() {
+        match b {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth -= 1,
+            b'{' if depth == 0 => return Some(from + i),
+            b if depth == 0 && stops.contains(&b) => return Some(from + i),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Where the expression at `pos` ends: the first byte of `stops` at zero
+/// depth (a statement's `;`, a match arm's `,`), or the bracket closing the
+/// group `pos` sits in (`code.len()` if neither).
+pub(crate) fn group_end(code: &str, pos: usize, stops: &[u8]) -> usize {
+    let mut depth = 0i32;
+    for (i, b) in code[pos..].bytes().enumerate() {
+        match b {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' => {
+                depth -= 1;
+                if depth < 0 {
+                    return pos + i;
+                }
+            }
+            b if depth == 0 && stops.contains(&b) => return pos + i,
+            _ => {}
+        }
+    }
+    code.len()
+}
+
+/// The `{` opening the body of the header at `from`, unless a `;` ends the
+/// header first.
+pub(crate) fn body_open(code: &str, from: usize) -> Option<usize> {
+    header_end(code, from, b";").filter(|&at| code.as_bytes()[at] == b'{')
+}
+
+/// One syntactic loop: `loop { .. }`, `while cond { .. }` or
+/// `for pat in expr { .. }`.
+#[derive(Debug, Clone)]
+pub(crate) struct LoopSpan {
+    /// Offset of the keyword.
+    pub kw: usize,
+    /// The loop is a `for` (bounded by its iterator).
+    pub is_for: bool,
+    /// Body span: the `{` .. one past its `}`.
+    pub body: (usize, usize),
+}
+
+/// The per-file facts every scanner reads, computed once per file.
+#[derive(Debug, Clone)]
+pub(crate) struct Spans {
+    pub lines: LineMap,
+    /// Per 0-based line: inside an item annotated `#[cfg(test)]`.
+    pub test_lines: Vec<bool>,
+    /// Every loop, sorted by body span; one entry per body.
+    pub loops: Vec<LoopSpan>,
+}
+
+impl Spans {
+    pub fn of(code: &str) -> Spans {
+        let lines = LineMap::new(code);
+        Spans {
+            test_lines: test_lines(code, &lines),
+            loops: loop_spans(code),
+            lines,
+        }
+    }
+
+    /// Whether 1-based `line` is test code.
+    pub fn in_test(&self, line: usize) -> bool {
+        self.test_lines.get(line - 1).copied().unwrap_or(false)
+    }
+
+    /// Loop bodies enclosing byte `pos` — the loop-depth ranking weight.
+    /// Closures passed to iterator adapters are not loops: the weight is a
+    /// syntactic under-approximation (DESIGN.md §2f), and a depth-0 site is
+    /// still reported, just ranked lower.
+    pub fn loop_depth(&self, pos: usize) -> usize {
+        self.loops
+            .iter()
+            .filter(|l| l.body.0 < pos && pos < l.body.1)
+            .count()
+    }
+}
+
+/// Map each 0-based line to whether it falls inside an item annotated
+/// `#[cfg(test)]`. The region runs from the attribute to the item's end:
+/// the close of its block, or its `;` or `,` at zero depth (a `use`, a
+/// field, a statement), or the `}` closing the enclosing block.
+fn test_lines(code: &str, lines: &LineMap) -> Vec<bool> {
+    const ATTR: &str = "#[cfg(test)]";
+    let mut in_test = vec![false; code.lines().count()];
+    let mut from = 0;
+    while let Some(rel) = code[from..].find(ATTR) {
+        let attr_at = from + rel;
+        let item = attr_at + ATTR.len();
+        let end = match header_end(code, item, b";,}") {
+            Some(at) if code.as_bytes()[at] == b'{' => close_of(code, at).unwrap_or(code.len()),
+            Some(at) => at,
+            None => code.len(),
+        };
+        let (first, last) = (lines.line(attr_at), lines.line(end));
+        for flag in in_test.iter_mut().take(last).skip(first - 1) {
+            *flag = true;
+        }
+        from = end.max(item);
+    }
+    in_test
+}
+
+/// Every loop body in `code`. A `for` header must contain `in` at zero
+/// depth: `impl Trait for Type {` and `for<'a>` bounds are not loops.
+fn loop_spans(code: &str) -> Vec<LoopSpan> {
+    let mut out = Vec::new();
+    for kw in ["loop", "while", "for"] {
+        for at in find_word(code, kw) {
+            let head = at + kw.len();
+            let Some(open) = body_open(code, head) else {
+                continue;
+            };
+            let is_for = kw == "for";
+            if is_for && find_word(&code[head..open], "in").is_empty() {
+                continue;
+            }
+            out.push(LoopSpan {
+                kw: at,
+                is_for,
+                body: (open, brace_span(code, open)),
+            });
+        }
+    }
+    out.sort_by_key(|l| l.body);
+    out.dedup_by_key(|l| l.body);
+    out
+}
+
+/// All positions where `word` occurs with non-identifier characters (or
+/// boundaries) on both sides.
+pub(crate) fn find_word(text: &str, word: &str) -> Vec<usize> {
+    text.match_indices(word)
+        .map(|(at, _)| at)
+        .filter(|&at| {
+            !text[..at].ends_with(is_ident_char)
+                && !text[at + word.len()..].starts_with(is_ident_char)
+        })
+        .collect()
+}
+
+/// Offsets of `needle` in `code`, with an identifier boundary on the left
+/// unless the needle itself starts mid-token (`.unwrap()`):
+/// `MyInstant::now` is no hit for `Instant::now`.
+pub(crate) fn needle_hits<'c>(code: &'c str, needle: &'c str) -> impl Iterator<Item = usize> + 'c {
+    let bounded = needle.starts_with(|c: char| c.is_alphanumeric());
+    code.match_indices(needle)
+        .map(|(at, _)| at)
+        .filter(move |&at| !(bounded && code[..at].ends_with(is_ident_char)))
+}
+
+pub(crate) fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// The identifier characters at the end of `before` (`None` if there are
+/// none). A tuple index such as `0` counts.
+pub(crate) fn trailing_word(before: &str) -> Option<String> {
+    let start = before
+        .char_indices()
+        .rev()
+        .take_while(|&(_, c)| is_ident_char(c))
+        .last()
+        .map(|(i, _)| i)?;
+    Some(before[start..].to_string())
+}
+
+/// [`trailing_word`], unless it starts with a digit.
+pub(crate) fn trailing_ident(before: &str) -> Option<String> {
+    trailing_word(before).filter(|w| !w.starts_with(|c: char| c.is_numeric()))
+}
+
+/// The identifier at the start of `text` (after whitespace), unless it
+/// starts with a digit.
+pub(crate) fn first_ident(text: &str) -> Option<String> {
+    let t = text.trim_start();
+    let end = t.find(|c| !is_ident_char(c)).unwrap_or(t.len());
+    let ident = &t[..end];
+    (!ident.is_empty() && !ident.starts_with(|c: char| c.is_numeric())).then(|| ident.to_string())
 }
 
 #[cfg(test)]

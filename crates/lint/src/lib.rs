@@ -14,7 +14,8 @@
 //!    positions, and collects per-line waivers;
 //! 2. [`parse`] builds one [`parse::FileSummary`] per file, from source on
 //!    every run — fns with their call and effect sites, enums, and protocol
-//!    matches — plus the per-file rule findings ([`rules`]);
+//!    matches — plus the per-file rule findings ([`rules`]); both read the
+//!    file's spans (test lines, loop bodies), computed once while lexing;
 //! 3. [`callgraph`] links the summaries into a conservative workspace call
 //!    graph (over-approximating on every ambiguity);
 //! 4. [`reach`] walks it for the interprocedural rule families —
@@ -24,9 +25,9 @@
 //! 5. findings from both merge into one list sorted by (path, line,
 //!    rule), and [`sarif`] renders it as canonical SARIF JSON.
 //!
-//! The roots of `hot-path-alloc` and `lock-in-hot-loop` come from the
-//! checked-in `lint-hotpaths.toml`, compiled in by [`hotpaths`], so a run
-//! reads nothing but the workspace's source files.
+//! The roots of `hot-path-alloc` and `lock-in-hot-loop` are the `const`
+//! tables in [`hotpaths`], so a run reads nothing but the workspace's
+//! source files.
 //!
 //! Every finding fails the run. The one escape hatch is explicit and
 //! audited: a line can carry `// vroom-lint: allow(<rule>) -- <reason>`
@@ -43,7 +44,6 @@ pub mod rules;
 pub mod sarif;
 pub mod source;
 
-use hotpaths::HotPathConfig;
 use parse::FileSummary;
 use rules::Violation;
 use source::SourceFile;
@@ -68,8 +68,8 @@ impl Report {
 /// Why a lint run produced no report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// A `lint-hotpaths.toml` root names no fn in its file — a usage
-    /// error, like a bad flag.
+    /// A [`hotpaths`] root names no fn in its file — a usage error, like a
+    /// bad flag.
     Config(String),
     /// The workspace could not be found or read.
     Run(String),
@@ -88,12 +88,12 @@ impl std::fmt::Display for Error {
 /// returns all violations sorted by (path, line, rule).
 pub fn analyze_sources(files: &[SourceFile]) -> Vec<Violation> {
     let summaries: Vec<FileSummary> = files.iter().map(parse::summarize).collect();
-    violations_of(&summaries, &HotPathConfig::default())
+    violations_of(&summaries)
 }
 
-fn violations_of(summaries: &[FileSummary], hot: &HotPathConfig) -> Vec<Violation> {
+fn violations_of(summaries: &[FileSummary]) -> Vec<Violation> {
     let mut out: Vec<Violation> = summaries.iter().flat_map(|s| s.local.clone()).collect();
-    out.extend(reach::semantic_violations(summaries, hot));
+    out.extend(reach::semantic_violations(summaries));
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out
 }
@@ -106,11 +106,10 @@ pub fn analyze(start: &Path) -> Result<Report, Error> {
         .ok_or_else(|| Error::Run(format!("no workspace Cargo.toml above {}", start.display())))?;
     let files = source::collect_sources(&root)
         .map_err(|e| Error::Run(format!("walking workspace: {e}")))?;
-    let hot = HotPathConfig::default();
     let summaries: Vec<FileSummary> = files.iter().map(parse::summarize).collect();
-    hot.check_roots(&summaries).map_err(Error::Config)?;
+    hotpaths::check_roots(&summaries).map_err(Error::Config)?;
     Ok(Report {
-        violations: violations_of(&summaries, &hot),
+        violations: violations_of(&summaries),
         files_scanned: files.len(),
     })
 }

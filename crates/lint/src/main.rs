@@ -6,7 +6,8 @@
 //!
 //! Exit 0 when clean, 1 on any finding (or a workspace that cannot be
 //! read), 2 on a usage or configuration error: an unknown flag, or a
-//! `lint-hotpaths.toml` root naming a fn that does not exist.
+//! hot-path root (`crates/lint/src/hotpaths.rs`) naming a fn that does not
+//! exist.
 
 #![forbid(unsafe_code)]
 

@@ -15,7 +15,10 @@
 //! and the scanners below are all simple substring/byte scans over lexed
 //! code (comments and literals blanked) for exactly that reason.
 
-use crate::lexer;
+use crate::lexer::{
+    self, body_open, brace_span, close_of, find_word, first_ident, group_end, header_end,
+    needle_hits, trailing_word, LineMap, Spans,
+};
 use crate::rules::{self, Violation};
 use crate::source::SourceFile;
 
@@ -355,27 +358,21 @@ pub fn summarize(file: &SourceFile) -> FileSummary {
     rules::check_file(file, &lexed, &mut local);
 
     let code = lexed.code.as_str();
-    let lines = LineMap::new(code);
-    let test_lines = rules::test_region_lines(code);
+    let spans = &lexed.spans;
+    let lines = &spans.lines;
+
     let is_test_file = file.is_test_file();
-    let in_test = |line: usize| is_test_file || test_lines.get(line - 1).copied().unwrap_or(false);
-    let snippet_of = |line: usize| -> String {
-        file.source
-            .lines()
-            .nth(line - 1)
-            .unwrap_or("")
-            .trim()
-            .to_string()
-    };
+    let in_test = |line: usize| is_test_file || spans.in_test(line);
+    let snippet_of = |line: usize| file.snippet(line);
 
     let impls = impl_ranges(code);
-    let mut fns = fn_items(code, &lines, &impls, &in_test);
+    let mut fns = fn_items(code, lines, &impls, &in_test);
 
     // Effects: scan the whole file once per family, then attribute each
     // site to its innermost enclosing fn. Sites outside any fn body
     // (consts, statics) cannot execute at runtime on the simulated path
     // and are dropped.
-    for site in effect_sites(code, &lines) {
+    for site in effect_sites(code, spans) {
         let waived = lexed.is_waived(site.kind.rule(), site.line);
         let waived_blocking = lexed.is_waived("blocking-under-lock", site.line);
         if let Some(idx) = innermost_fn(&fns, site.pos) {
@@ -393,7 +390,7 @@ pub fn summarize(file: &SourceFile) -> FileSummary {
 
     // Lock acquisitions, attributed like effects. Sites outside any fn
     // (statics) cannot produce a live guard at runtime and are dropped.
-    for site in lock_sites(code, &lines) {
+    for site in lock_sites(code, spans) {
         if let Some(idx) = innermost_fn(&fns, site.pos) {
             fns[idx].item.locks.push(LockSite {
                 op: site.op,
@@ -417,11 +414,11 @@ pub fn summarize(file: &SourceFile) -> FileSummary {
     // nested calls too; diagnostics dedup by (rule, path, line) downstream.
     for i in 0..fns.len() {
         let (start, end) = fns[i].body;
-        fns[i].item.calls = call_sites(code, start, end, &lines);
+        fns[i].item.calls = call_sites(code, start, end, lines);
     }
 
     let enums = enum_defs(code);
-    let matches = match_sites(code, &lines, &in_test)
+    let matches = match_sites(code, lines, &in_test)
         .into_iter()
         .map(|m| MatchSite {
             snippet: snippet_of(m.line),
@@ -448,11 +445,11 @@ pub fn summarize(file: &SourceFile) -> FileSummary {
 /// (`use x::{A as B, C as D};`).
 fn use_aliases(code: &str) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for at in rules::find_word(code, "use") {
+    for at in find_word(code, "use") {
         let stmt_end = code[at..].find(';').map(|i| at + i).unwrap_or(code.len());
         let stmt = &code[at..stmt_end];
-        for as_at in rules::find_word(stmt, "as") {
-            let Some(real) = rules_trailing_word(stmt[..as_at].trim_end()) else {
+        for as_at in find_word(stmt, "as") {
+            let Some(real) = trailing_word(stmt[..as_at].trim_end()) else {
                 continue;
             };
             let Some(alias) = first_ident(&stmt[as_at + 2..]) else {
@@ -478,32 +475,6 @@ pub fn summarize_source(path: &str, source: &str) -> FileSummary {
 }
 
 // ---------------------------------------------------------------------------
-// Byte → line mapping
-// ---------------------------------------------------------------------------
-
-struct LineMap {
-    /// Byte offset of the start of each line.
-    starts: Vec<usize>,
-}
-
-impl LineMap {
-    fn new(code: &str) -> LineMap {
-        let mut starts = vec![0];
-        for (i, b) in code.bytes().enumerate() {
-            if b == b'\n' {
-                starts.push(i + 1);
-            }
-        }
-        LineMap { starts }
-    }
-
-    /// 1-based line containing byte offset `pos`.
-    fn line(&self, pos: usize) -> usize {
-        self.starts.partition_point(|&s| s <= pos)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Items: impl blocks, fns, enums
 // ---------------------------------------------------------------------------
 
@@ -511,25 +482,6 @@ struct ImplRange {
     start: usize,
     end: usize,
     self_type: String,
-}
-
-/// Brace-matched span starting at the `{` at `open`. Returns the offset one
-/// past the closing `}` (or `code.len()` if unbalanced).
-fn brace_span(code: &str, open: usize) -> usize {
-    let mut depth = 0usize;
-    for (i, b) in code[open..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return open + i + 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    code.len()
 }
 
 /// `impl` and `trait` block ranges with the type (or trait) name that
@@ -540,7 +492,7 @@ fn brace_span(code: &str, open: usize) -> usize {
 fn impl_ranges(code: &str) -> Vec<ImplRange> {
     let mut out = Vec::new();
     for kw in ["impl", "trait"] {
-        for at in rules::find_word(code, kw) {
+        for at in find_word(code, kw) {
             let prev = code[..at].trim_end().bytes().next_back();
             if !matches!(
                 prev,
@@ -548,18 +500,14 @@ fn impl_ranges(code: &str) -> Vec<ImplRange> {
             ) {
                 continue;
             }
-            let Some(open_rel) = code[at..].find('{') else {
+            // A `;` before the body means this wasn't a block after all
+            // (e.g. `trait alias = ...;` — not used here, but cheap to guard).
+            let Some(open) = body_open(code, at + kw.len()) else {
                 continue;
             };
             // `trait` objects (`dyn trait`) can't appear item-level; for
             // `impl`, the header between the keyword and `{` names the type.
-            let open = at + open_rel;
             let header = &code[at + kw.len()..open];
-            // A `;` in the header means this wasn't a block after all
-            // (e.g. `trait alias = ...;` — not used here, but cheap to guard).
-            if header.contains(';') {
-                continue;
-            }
             let name = if kw == "impl" {
                 impl_self_type(header)
             } else {
@@ -592,7 +540,7 @@ fn impl_self_type(header: &str) -> Option<String> {
 
 /// Split `text` at the first word-boundary occurrence of `word`.
 fn split_at_word<'a>(text: &'a str, word: &str) -> Option<(&'a str, &'a str)> {
-    let at = *rules::find_word(text, word).first()?;
+    let at = *find_word(text, word).first()?;
     Some((&text[..at], &text[at + word.len()..]))
 }
 
@@ -647,15 +595,6 @@ fn strip_trailing_generics(path: &str) -> &str {
     path
 }
 
-fn first_ident(text: &str) -> Option<String> {
-    let t = text.trim_start();
-    let ident: String = t
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    (!ident.is_empty() && !ident.chars().next().unwrap().is_numeric()).then_some(ident)
-}
-
 struct ParsedFn {
     item: FnItem,
     /// Body byte range (open brace .. one past close), or `pos..pos` for
@@ -671,7 +610,7 @@ fn fn_items(
     in_test: &dyn Fn(usize) -> bool,
 ) -> Vec<ParsedFn> {
     let mut out = Vec::new();
-    for at in rules::find_word(code, "fn") {
+    for at in find_word(code, "fn") {
         let after = code[at + 2..].trim_start();
         // `fn(` is a fn-pointer type, not an item.
         let Some(name) = first_ident(after) else {
@@ -694,32 +633,18 @@ fn fn_items(
             continue;
         }
         let popen = cursor + (code[cursor..].len() - rest.len());
-        let Some(pclose) = matching_paren(code, popen) else {
+        let Some(pclose) = close_of(code, popen) else {
             continue;
         };
         let (has_self, arity) = parse_params(&code[popen + 1..pclose]);
-        // Body: first `{` or `;` at paren/bracket depth 0 after the params
-        // (skips return types and where clauses — neither can hold a bare
-        // brace).
-        let mut depth = 0i32;
-        let mut body = None;
-        for (i, b) in code[pclose + 1..].bytes().enumerate() {
-            match b {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' => depth -= 1,
-                b'{' if depth == 0 => {
-                    let open = pclose + 1 + i;
-                    body = Some((open, brace_span(code, open)));
-                    break;
-                }
-                b';' if depth == 0 => {
-                    body = Some((pclose + 1 + i, pclose + 1 + i));
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let Some(body) = body else { continue };
+        // Body: the header ends at a `{` or, for a declaration, a `;`.
+        let Some(end) = header_end(code, pclose + 1, b";") else {
+            continue;
+        };
+        let body = match code.as_bytes()[end] {
+            b'{' => (end, brace_span(code, end)),
+            _ => (end, end),
+        };
         let line = lines.line(at);
         let self_type = impls
             .iter()
@@ -743,24 +668,6 @@ fn fn_items(
         });
     }
     out
-}
-
-/// Matching `)` for the `(` at `open`, tracking nested parens/brackets.
-fn matching_paren(code: &str, open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, b) in code[open..].bytes().enumerate() {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(open + i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// `(has_self, arity-excluding-self)` from a parameter list's inner text.
@@ -833,14 +740,13 @@ fn innermost_fn(fns: &[ParsedFn], pos: usize) -> Option<usize> {
 /// All enum declarations with their variant names.
 fn enum_defs(code: &str) -> Vec<EnumDef> {
     let mut out = Vec::new();
-    for at in rules::find_word(code, "enum") {
+    for at in find_word(code, "enum") {
         let Some(name) = first_ident(&code[at + 4..]) else {
             continue;
         };
-        let Some(open_rel) = code[at..].find('{') else {
+        let Some(open) = body_open(code, at + 4) else {
             continue;
         };
-        let open = at + open_rel;
         let end = brace_span(code, open);
         let body = &code[open + 1..end.saturating_sub(1).max(open + 1)];
         let mut variants = Vec::new();
@@ -883,7 +789,8 @@ struct RawEffect {
 /// with an identifier boundary on the left (`MyInstant::now` is not a hit);
 /// `fs::` also covers `std::fs::` paths.
 const WALL_CLOCK_NEEDLES: [&str; 2] = ["Instant::now", "SystemTime"];
-const RANDOM_NEEDLES: [&str; 4] = ["thread_rng", "rand::random", "fastrand::", "getrandom"];
+pub(crate) const RANDOM_NEEDLES: [&str; 4] =
+    ["thread_rng", "rand::random", "fastrand::", "getrandom"];
 const FS_NEEDLES: [&str; 3] = ["fs::", "File::", "OpenOptions"];
 const NET_NEEDLES: [&str; 3] = ["TcpStream", "TcpListener", "UdpSocket"];
 const THREAD_NEEDLES: [&str; 2] = ["thread::spawn", "thread::scope"];
@@ -899,7 +806,7 @@ const BLOCKING_NEEDLES: [(&str, BlockKind); 5] = [
     (".send(", BlockKind::ChannelSend),
     (".join()", BlockKind::ThreadJoin),
 ];
-const PANIC_NEEDLES: [&str; 6] = [
+pub(crate) const PANIC_NEEDLES: [&str; 6] = [
     "panic!",
     "unreachable!",
     "todo!",
@@ -931,61 +838,43 @@ const NON_INDEX_WORDS: [&str; 9] = [
     "mut", "ref", "as", "dyn", "in", "return", "const", "static", "let",
 ];
 
-fn effect_sites(code: &str, lines: &LineMap) -> Vec<RawEffect> {
-    let loops = loop_spans(code);
-    let depth_at = |pos: usize| loops.iter().filter(|&&(o, c)| o < pos && pos < c).count();
+fn effect_sites(code: &str, spans: &Spans) -> Vec<RawEffect> {
+    let lines = &spans.lines;
     let mut out = Vec::new();
-    let push_needles = |needles: &[&str], kind: EffectKind, out: &mut Vec<RawEffect>| {
-        for needle in needles {
-            let mut from = 0;
-            while let Some(pos) = code[from..].find(needle) {
-                let at = from + pos;
-                from = at + needle.len();
-                // Identifier boundary on the left unless the needle itself
-                // starts mid-token (`.unwrap()`).
-                if needle.starts_with(|c: char| c.is_alphanumeric()) {
-                    let prev = code[..at].chars().next_back();
-                    if prev.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                        continue;
-                    }
-                }
-                out.push(RawEffect {
-                    kind,
-                    pos: at,
-                    line: lines.line(at),
-                    detail: needle
-                        .trim_end_matches('(')
-                        .trim_end_matches("::")
-                        .to_string(),
-                    loop_depth: depth_at(at),
-                });
-            }
+    let families: [(&[&str], EffectKind); 6] = [
+        (&WALL_CLOCK_NEEDLES, EffectKind::WallClock),
+        (&RANDOM_NEEDLES, EffectKind::Randomness),
+        (&FS_NEEDLES, EffectKind::Fs),
+        (&NET_NEEDLES, EffectKind::Net),
+        (&THREAD_NEEDLES, EffectKind::ThreadSpawn),
+        (&PANIC_NEEDLES, EffectKind::Panic),
+    ];
+    let plain = families
+        .iter()
+        .flat_map(|&(needles, kind)| needles.iter().map(move |&n| (n, kind)));
+    let blocking = BLOCKING_NEEDLES
+        .iter()
+        .map(|&(n, bk)| (n, EffectKind::Blocking(bk)));
+    for (needle, kind) in plain.chain(blocking) {
+        for at in needle_hits(code, needle) {
+            out.push(RawEffect {
+                kind,
+                pos: at,
+                line: lines.line(at),
+                detail: needle
+                    .trim_end_matches('(')
+                    .trim_end_matches("::")
+                    .to_string(),
+                loop_depth: spans.loop_depth(at),
+            });
         }
-    };
-    push_needles(&WALL_CLOCK_NEEDLES, EffectKind::WallClock, &mut out);
-    push_needles(&RANDOM_NEEDLES, EffectKind::Randomness, &mut out);
-    push_needles(&FS_NEEDLES, EffectKind::Fs, &mut out);
-    push_needles(&NET_NEEDLES, EffectKind::Net, &mut out);
-    push_needles(&THREAD_NEEDLES, EffectKind::ThreadSpawn, &mut out);
-    push_needles(&PANIC_NEEDLES, EffectKind::Panic, &mut out);
-    for (needle, bk) in BLOCKING_NEEDLES {
-        push_needles(&[needle], EffectKind::Blocking(bk), &mut out);
     }
 
-    // Allocation/copy sites (`hot-path-alloc`). Same boundary rules as
-    // above; the container constructors are only effects inside a loop.
+    // Allocation/copy sites (`hot-path-alloc`): the container
+    // constructors are only effects inside a loop.
     for (needle, ak) in ALLOC_NEEDLES {
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(needle) {
-            let at = from + pos;
-            from = at + needle.len();
-            if needle.starts_with(|c: char| c.is_alphanumeric()) {
-                let prev = code[..at].chars().next_back();
-                if prev.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-                    continue;
-                }
-            }
-            let depth = depth_at(at);
+        for at in needle_hits(code, needle) {
+            let depth = spans.loop_depth(at);
             if depth == 0 && matches!(ak, AllocKind::VecNew | AllocKind::WithCapacity) {
                 continue;
             }
@@ -1014,7 +903,7 @@ fn effect_sites(code: &str, lines: &LineMap) -> Vec<RawEffect> {
         if !is_expr_end {
             continue;
         }
-        if let Some(word) = rules_trailing_word(before) {
+        if let Some(word) = trailing_word(before) {
             if NON_INDEX_WORDS.contains(&word.as_str()) {
                 continue;
             }
@@ -1024,7 +913,7 @@ fn effect_sites(code: &str, lines: &LineMap) -> Vec<RawEffect> {
             pos: i,
             line: lines.line(i),
             detail: index_detail(before, code, i),
-            loop_depth: depth_at(i),
+            loop_depth: spans.loop_depth(i),
         });
     }
 
@@ -1037,53 +926,12 @@ fn effect_sites(code: &str, lines: &LineMap) -> Vec<RawEffect> {
             pos,
             line,
             detail: format!("`{name}` {how}"),
-            loop_depth: depth_at(pos),
+            loop_depth: spans.loop_depth(pos),
         });
     }
 
     out.sort_by(|a, b| (a.pos, a.kind.name()).cmp(&(b.pos, b.kind.name())));
     out.dedup_by(|a, b| a.pos == b.pos && a.kind == b.kind);
-    out
-}
-
-/// Byte spans (open brace .. one past close) of every syntactic loop body:
-/// `loop { .. }`, `while cond { .. }`, `for pat in expr { .. }`. Closures
-/// passed to iterator adapters are *not* counted — the loop-depth weight is
-/// deliberately a syntactic under-approximation (documented in DESIGN.md
-/// §2f); a depth-0 alloc is still reported, just ranked lower.
-fn loop_spans(code: &str) -> Vec<(usize, usize)> {
-    let bytes = code.as_bytes();
-    let mut out = Vec::new();
-    for kw in ["loop", "while", "for"] {
-        for at in rules::find_word(code, kw) {
-            // Find the body's `{` at zero paren/bracket depth. A `;` first
-            // means no body here (`for` in a type position, etc.).
-            let mut depth = 0i32;
-            let mut open = None;
-            let head_start = at + kw.len();
-            for (i, &b) in bytes.iter().enumerate().skip(head_start) {
-                match b {
-                    b'(' | b'[' => depth += 1,
-                    b')' | b']' => depth -= 1,
-                    b'{' if depth == 0 => {
-                        open = Some(i);
-                        break;
-                    }
-                    b';' if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            let Some(open) = open else { continue };
-            // `impl Trait for Type {` and `for<'a>` bounds also start with
-            // the word `for`; a loop header must contain ` in ` at depth 0.
-            if kw == "for" && rules::find_word(&code[head_start..open], "in").is_empty() {
-                continue;
-            }
-            out.push((open, brace_span(code, open)));
-        }
-    }
-    out.sort();
-    out.dedup();
     out
 }
 
@@ -1114,7 +962,7 @@ const LOCK_WRAPPERS: [&str; 6] = ["Arc<", "Box<", "Rc<", "Arc::new(", "Box::new(
 fn lock_symbols(code: &str) -> Vec<String> {
     let mut out = Vec::new();
     for ty in ["Mutex", "RwLock"] {
-        for at in rules::find_word(code, ty) {
+        for at in find_word(code, ty) {
             // Only type/constructor positions: `Mutex<` or `Mutex::new(`.
             let after = &code[at + ty.len()..];
             if !(after.starts_with('<') || after.starts_with("::new(")) {
@@ -1128,13 +976,12 @@ fn lock_symbols(code: &str) -> Vec<String> {
                 };
                 before = stripped.trim_end();
             }
-            let ident = if before.ends_with(':') && !before.ends_with("::") {
-                rules_trailing_word(before[..before.len() - 1].trim_end())
-            } else if before.ends_with('=') {
-                rules_trailing_word(before[..before.len() - 1].trim_end())
-            } else {
-                None
-            };
+            // `name: Mutex<..>` (not a `path::` segment) or `name = ..`.
+            let ident = before
+                .strip_suffix(':')
+                .filter(|b| !b.ends_with(':'))
+                .or_else(|| before.strip_suffix('='))
+                .and_then(|b| trailing_word(b.trim_end()));
             if let Some(id) = ident {
                 if !id.starts_with(|c: char| c.is_numeric()) && id != "mut" {
                     out.push(id);
@@ -1197,7 +1044,7 @@ fn guard_chain_end(code: &str, mut k: usize) -> (bool, usize) {
             || rest.starts_with(".expect_err(")
         {
             let popen = off + rest.find('(').unwrap_or(0);
-            match matching_paren(code, popen) {
+            match close_of(code, popen) {
                 Some(close) => k = close + 1,
                 None => return (false, off),
             }
@@ -1219,50 +1066,16 @@ fn stmt_keyword(stmt: &str) -> Option<&str> {
         })
 }
 
-/// End offset of the enclosing block: the `}` that closes the block the
-/// position sits in (first `}` that takes brace depth negative).
-fn enclosing_block_end(code: &str, pos: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, b) in code[pos..].bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return pos + i;
-                }
-            }
-            _ => {}
-        }
-    }
-    code.len()
-}
-
-/// Statement end for a chained temporary: the first `;` at zero depth, or
-/// the point where paren/bracket/brace depth goes negative (the temporary
-/// is embedded in a larger expression and dies with it).
+/// Statement end for a chained temporary: its `;`, or the bracket closing
+/// the larger expression it is embedded in (it dies with that).
 fn stmt_end(code: &str, pos: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, b) in code[pos..].bytes().enumerate() {
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return pos + i;
-                }
-            }
-            b';' if depth == 0 => return pos + i,
-            _ => {}
-        }
-    }
-    code.len()
+    group_end(code, pos, b";")
 }
 
 /// `drop(ident)` sites: `(pos, ident)` pairs for explicit guard releases.
 fn drop_sites(code: &str) -> Vec<(usize, String)> {
     let mut out = Vec::new();
-    for at in rules::find_word(code, "drop") {
+    for at in find_word(code, "drop") {
         let after = code[at + 4..].trim_start();
         if !after.starts_with('(') {
             continue;
@@ -1278,21 +1091,17 @@ fn drop_sites(code: &str) -> Vec<(usize, String)> {
 /// on any identifier-rooted receiver; `.read()`/`.write()` additionally
 /// require the receiver symbol to be declared as a `Mutex`/`RwLock` in this
 /// file, since those names are common on non-lock types.
-fn lock_sites(code: &str, lines: &LineMap) -> Vec<RawLock> {
+fn lock_sites(code: &str, spans: &Spans) -> Vec<RawLock> {
+    let lines = &spans.lines;
     let symbols = lock_symbols(code);
     let drops = drop_sites(code);
-    let loops = loop_spans(code);
-    let depth_at = |pos: usize| loops.iter().filter(|&&(o, c)| o < pos && pos < c).count();
     let mut out = Vec::new();
     for (needle, op) in [
         (".lock()", LockOp::Lock),
         (".read()", LockOp::Read),
         (".write()", LockOp::Write),
     ] {
-        let mut from = 0;
-        while let Some(rel) = code[from..].find(needle) {
-            let at = from + rel;
-            from = at + needle.len();
+        for (at, _) in code.match_indices(needle) {
             let Some(sym) = receiver_symbol(code, at) else {
                 continue;
             };
@@ -1313,7 +1122,7 @@ fn lock_sites(code: &str, lines: &LineMap) -> Vec<RawLock> {
                         binding = first_ident(after_mut);
                         escapes = false;
                         stmt_temp = false;
-                        let block_end = enclosing_block_end(code, chain_end);
+                        let block_end = group_end(code, chain_end, b"");
                         // An explicit `drop(binding)` inside the block ends
                         // the guard early.
                         let dropped = binding.as_ref().and_then(|b| {
@@ -1359,7 +1168,7 @@ fn lock_sites(code: &str, lines: &LineMap) -> Vec<RawLock> {
                 id: sym,
                 pos: at,
                 line,
-                loop_depth: depth_at(at),
+                loop_depth: spans.loop_depth(at),
                 span: (
                     line,
                     lines.line(span_end_pos.min(code.len().saturating_sub(1))),
@@ -1378,37 +1187,15 @@ fn lock_sites(code: &str, lines: &LineMap) -> Vec<RawLock> {
 /// whose statement starts at `ss` (falls back to the statement end when no
 /// body brace is found).
 fn construct_body_end(code: &str, ss: usize, at: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, b) in code[ss..].bytes().enumerate() {
-        match b {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b'{' if depth == 0 => {
-                let open = ss + i;
-                return brace_span(code, open).saturating_sub(1);
-            }
-            b';' if depth == 0 => break,
-            _ => {}
-        }
+    match body_open(code, ss) {
+        Some(open) => brace_span(code, open) - 1,
+        None => stmt_end(code, at),
     }
-    stmt_end(code, at)
-}
-
-fn rules_trailing_word(before: &str) -> Option<String> {
-    let w: String = before
-        .chars()
-        .rev()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect::<String>()
-        .chars()
-        .rev()
-        .collect();
-    (!w.is_empty()).then_some(w)
 }
 
 /// `buf[..n]` → `` `buf[..]` `` — short display of an index expression.
 fn index_detail(before: &str, code: &str, open: usize) -> String {
-    let base = rules_trailing_word(before).unwrap_or_else(|| "expr".to_string());
+    let base = trailing_word(before).unwrap_or_else(|| "expr".to_string());
     let inner: String = code[open + 1..]
         .chars()
         .take_while(|&c| c != ']' && c != '\n')
@@ -1469,17 +1256,17 @@ fn call_sites(code: &str, start: usize, end: usize, lines: &LineMap) -> Vec<Call
             continue;
         }
         let popen = j + (body[j..].len() - after.len());
-        let Some(pclose) = matching_paren(body, popen) else {
+        let Some(pclose) = close_of(body, popen) else {
             continue;
         };
         let args = count_args(&body[popen + 1..pclose]);
         let abs = start + id_start;
         let before = code[..abs].trim_end();
-        let (kind, qualifier, recv) = if before.ends_with('.') {
-            let recv = rules_trailing_word(before[..before.len() - 1].trim_end());
+        let (kind, qualifier, recv) = if let Some(receiver) = before.strip_suffix('.') {
+            let recv = trailing_word(receiver.trim_end());
             (CallKind::Method, None, recv)
         } else if let Some(path) = before.strip_suffix("::") {
-            let qual = rules_trailing_word(strip_trailing_generics(path.trim_end()));
+            let qual = trailing_word(strip_trailing_generics(path.trim_end()));
             match qual {
                 Some(q) => (CallKind::Qualified, Some(q), None),
                 None => (CallKind::Free, None, None),
@@ -1554,28 +1341,16 @@ struct RawMatch {
 
 fn match_sites(code: &str, lines: &LineMap, in_test: &dyn Fn(usize) -> bool) -> Vec<RawMatch> {
     let mut out = Vec::new();
-    for at in rules::find_word(code, "match") {
+    for at in find_word(code, "match") {
         let line = lines.line(at);
         if in_test(line) {
             continue;
         }
-        // Body opens at the first `{` at zero paren/bracket depth after the
-        // scrutinee (struct literals are not allowed in match scrutinees).
-        let mut depth = 0i32;
-        let mut open = None;
-        for (i, b) in code[at + 5..].bytes().enumerate() {
-            match b {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' => depth -= 1,
-                b'{' if depth == 0 => {
-                    open = Some(at + 5 + i);
-                    break;
-                }
-                b';' if depth == 0 => break,
-                _ => {}
-            }
-        }
-        let Some(open) = open else { continue };
+        // Struct literals are not allowed in match scrutinees, so the
+        // header's first `{` opens the arms.
+        let Some(open) = body_open(code, at + 5) else {
+            continue;
+        };
         let end = brace_span(code, open);
         let body = &code[open + 1..end.saturating_sub(1).max(open + 1)];
         let arms = match_arms(body);
@@ -1641,25 +1416,11 @@ fn match_arms(body: &str) -> Vec<&str> {
                 i += 2;
                 let after = body[i..].trim_start();
                 let off = i + (body[i..].len() - after.len());
-                if after.starts_with('{') {
-                    i = brace_span(body, off);
+                i = if after.starts_with('{') {
+                    brace_span(body, off)
                 } else {
-                    let mut d = 0i32;
-                    while i < bytes.len() {
-                        match bytes[i] {
-                            b'(' | b'[' | b'{' => d += 1,
-                            b')' | b']' | b'}' => {
-                                if d == 0 {
-                                    break;
-                                }
-                                d -= 1;
-                            }
-                            b',' if d == 0 => break,
-                            _ => {}
-                        }
-                        i += 1;
-                    }
-                }
+                    group_end(body, i, b",")
+                };
                 // Skip a trailing comma.
                 while i < bytes.len() && (bytes[i] == b',' || (bytes[i] as char).is_whitespace()) {
                     i += 1;
@@ -1701,11 +1462,8 @@ fn is_catch_all(pat: &str) -> bool {
 
 /// Collect `Enum::Variant` references in a pattern.
 fn collect_variant_refs(pat: &str, out: &mut Vec<(String, String)>) {
-    let mut from = 0;
-    while let Some(pos) = pat[from..].find("::") {
-        let at = from + pos;
-        from = at + 2;
-        let Some(enum_name) = rules_trailing_word(pat[..at].trim_end()) else {
+    for (at, _) in pat.match_indices("::") {
+        let Some(enum_name) = trailing_word(pat[..at].trim_end()) else {
             continue;
         };
         let Some(variant) = first_ident(&pat[at + 2..]) else {
@@ -2222,5 +1980,29 @@ mod tests {
         let s = summ(src);
         assert!(!s.fns.iter().find(|f| f.name == "prod").unwrap().is_test);
         assert!(s.fns.iter().find(|f| f.name == "helper").unwrap().is_test);
+    }
+
+    #[test]
+    fn cfg_test_covers_only_the_annotated_item() {
+        // On a `use`, a field or a statement the attribute ends at the
+        // item's `;` or `,`; on a fn, at the close of its body.
+        let src = "#[cfg(test)]\n\
+                   use std::time::Instant;\n\
+                   struct S {\n\
+                       #[cfg(test)]\n\
+                       log: Vec<u8>,\n\
+                   }\n\
+                   fn prod(s: &mut S) {\n\
+                       #[cfg(test)]\n\
+                       s.log.push(1);\n\
+                   }\n\
+                   fn after() {}\n\
+                   #[cfg(test)]\n\
+                   fn helper() {}\n\
+                   fn last() {}\n";
+        let s = summ(src);
+        let is_test = |name: &str| s.fns.iter().find(|f| f.name == name).unwrap().is_test;
+        assert!(!is_test("prod") && !is_test("after") && !is_test("last"));
+        assert!(is_test("helper"));
     }
 }

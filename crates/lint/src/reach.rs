@@ -11,9 +11,10 @@
 //! waivers.
 
 use crate::callgraph::Graph;
-use crate::hotpaths::HotPathConfig;
-use crate::parse::{CallKind, CallSite, EffectKind, FileSummary};
+use crate::hotpaths::{self, Roots};
+use crate::parse::{CallKind, CallSite, EffectKind, EffectSite, FileSummary, FnItem, LockSite};
 use crate::rules::Violation;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Simulation entrypoint crates: every non-test fn defined under these
@@ -41,10 +42,11 @@ const PROTOCOL_ENUMS: [&str; 5] = ["FrameType", "Frame", "StreamState", "ErrorCo
 const PROTOCOL_PREFIX: &str = "crates/http2/";
 
 /// Effect families the sim-purity rule bans. Thread spawning counts: a
-/// stray thread makes completion order observable. The one sanctioned
-/// site is `vroom_exec::par_map_indexed`, whose pool is waived in place
-/// because it collects results by input index (closures passed through it
-/// are still analyzed like any other code).
+/// stray thread makes completion order observable. The two sanctioned
+/// sites are `vroom_exec::par_map_indexed` and the persistent pool behind
+/// `Pool::dispatch` (`Pool::new` spawns its workers), each waived in place
+/// because it collects results by input index (closures passed through
+/// them are still analyzed like any other code).
 const PURITY_KINDS: [EffectKind; 6] = [
     EffectKind::WallClock,
     EffectKind::Randomness,
@@ -55,14 +57,15 @@ const PURITY_KINDS: [EffectKind; 6] = [
 ];
 
 /// Run all interprocedural rules over the workspace summaries.
-pub fn semantic_violations(summaries: &[FileSummary], hot: &HotPathConfig) -> Vec<Violation> {
+pub fn semantic_violations(summaries: &[FileSummary]) -> Vec<Violation> {
     let graph = Graph::build(summaries);
     let mut out = Vec::new();
     sim_purity(&graph, &mut out);
     panic_reachable(&graph, &mut out);
-    hot_path_alloc(&graph, hot, &mut out);
+    hot_path_alloc(&graph, &mut out);
     protocol_exhaustive(summaries, &mut out);
-    lock_safety(&graph, hot, &mut out);
+    lock_safety(&graph, &mut out);
+    lock_in_hot_loop(&graph, &mut out);
     // Nested fns are scanned by both themselves and their parent, and a
     // node can be reached from several roots; keep one diagnostic per
     // (rule, site).
@@ -73,141 +76,134 @@ pub fn semantic_violations(summaries: &[FileSummary], hot: &HotPathConfig) -> Ve
     out
 }
 
-fn sim_purity(graph: &Graph, out: &mut Vec<Violation>) {
-    let roots = graph.select(|path, _| {
-        SIM_ROOT_PREFIXES.iter().any(|p| path.starts_with(p)) && !path.contains("/bin/")
-    });
-    let pred = graph.reachable(&roots);
-    for id in 0..graph.nodes.len() {
-        if pred[id].is_none() {
-            continue;
-        }
-        let n = graph.nodes[id];
-        let file = &graph.summaries[n.file];
-        if SIM_PURITY_EXEMPT_PREFIXES
-            .iter()
-            .any(|p| file.path.starts_with(p))
-        {
-            continue;
-        }
-        let f = &file.fns[n.item];
-        for e in &f.effects {
-            if !PURITY_KINDS.contains(&e.kind) || e.waived {
-                continue;
-            }
-            let chain = graph.chain(&pred, id);
-            let root = graph.display(chain[0]);
-            let via = via_text(graph, &chain);
-            out.push(Violation {
-                rule: "sim-purity",
-                path: file.path.clone(),
-                line: e.line,
-                message: format!(
-                    "{} ({}) is reachable from simulation entrypoint `{root}`{via}; \
-                     the deterministic path must take time from the engine, randomness \
-                     from the seeded Rng, iterate ordered containers, and parallelize \
-                     only through `vroom_exec::par_map_indexed`",
-                    e.detail,
-                    e.kind.name(),
-                ),
-                snippet: e.snippet.clone(),
-            });
-        }
-    }
+/// One site a root-driven rule reports, with the BFS call chain from a root
+/// to the fn holding it.
+struct Hit<'a, S> {
+    path: &'a str,
+    site: &'a S,
+    root: String,
+    /// [`via_text`] of the chain.
+    via: String,
 }
 
-fn panic_reachable(graph: &Graph, out: &mut Vec<Violation>) {
-    let roots = graph.select(|path, _| path == WIRE_ROOT_FILE);
-    let pred = graph.reachable(&roots);
-    for id in 0..graph.nodes.len() {
-        if pred[id].is_none() {
-            continue;
-        }
+/// The one reachability walk of `sim-purity`, `panic-reachable`,
+/// `hot-path-alloc` and `lock-in-hot-loop`: every site of `sites` that
+/// `keep`s (the rule's unwaived sites of its kind) in each fn reachable
+/// from the fns `is_root` selects, skipping files under `exempt`.
+fn reachable_sites<'a, S>(
+    graph: &Graph<'a>,
+    is_root: impl FnMut(&str, &FnItem) -> bool,
+    exempt: &[&str],
+    sites: fn(&FnItem) -> &[S],
+    keep: impl Fn(&S) -> bool,
+) -> Vec<Hit<'a, S>> {
+    let pred = graph.reachable(&graph.select(is_root));
+    let mut out = Vec::new();
+    for id in (0..graph.nodes.len()).filter(|&id| pred[id].is_some()) {
         let n = graph.nodes[id];
         let file = &graph.summaries[n.file];
-        let f = &file.fns[n.item];
-        for e in &f.effects {
-            if e.kind != EffectKind::Panic || e.waived {
-                continue;
-            }
-            let chain = graph.chain(&pred, id);
-            let root = graph.display(chain[0]);
-            let via = via_text(graph, &chain);
-            out.push(Violation {
-                rule: "panic-reachable",
-                path: file.path.clone(),
-                line: e.line,
-                message: format!(
-                    "{} can panic and is reachable from the wire server accept path \
-                     (`{root}`{via}); return a typed error instead",
-                    e.detail,
-                ),
-                snippet: e.snippet.clone(),
-            });
-        }
-    }
-}
-
-fn hot_path_alloc(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) {
-    let roots = graph.select(|path, f| {
-        cfg.roots
-            .iter()
-            .any(|(p, fns)| p == path && fns.iter().any(|n| n == &f.name))
-    });
-    if roots.is_empty() {
-        return;
-    }
-    let pred = graph.reachable(&roots);
-    struct Finding {
-        weight: usize,
-        path: String,
-        line: usize,
-        detail: String,
-        snippet: String,
-        root: String,
-        via: String,
-    }
-    let mut found: Vec<Finding> = Vec::new();
-    for id in 0..graph.nodes.len() {
-        if pred[id].is_none() {
+        if exempt.iter().any(|p| file.path.starts_with(p)) {
             continue;
         }
-        let n = graph.nodes[id];
-        let file = &graph.summaries[n.file];
-        if cfg.exempt.iter().any(|p| file.path.starts_with(p)) {
-            continue;
-        }
-        let f = &file.fns[n.item];
-        for e in &f.effects {
-            if !matches!(e.kind, EffectKind::Alloc(_)) || e.waived {
-                continue;
-            }
+        for site in sites(&file.fns[n.item]).iter().filter(|s| keep(s)) {
             let chain = graph.chain(&pred, id);
-            found.push(Finding {
-                weight: e.loop_depth,
-                path: file.path.clone(),
-                line: e.line,
-                detail: e.detail.clone(),
-                snippet: e.snippet.clone(),
+            out.push(Hit {
+                path: &file.path,
+                site,
                 root: graph.display(chain[0]),
                 via: via_text(graph, &chain),
             });
         }
     }
-    // Nested fns are scanned by both themselves and their parent, and a
-    // site may be reached from several roots; keep one finding per site,
-    // preferring the shortest chain, so ranks count distinct sites.
+    out
+}
+
+/// Root selector for a [`hotpaths`] table.
+fn listed(roots: Roots) -> impl Fn(&str, &FnItem) -> bool {
+    move |path, f| {
+        roots
+            .iter()
+            .any(|(p, fns)| *p == path && fns.contains(&f.name.as_str()))
+    }
+}
+
+fn sim_purity(graph: &Graph, out: &mut Vec<Violation>) {
+    let is_root = |path: &str, _: &FnItem| {
+        SIM_ROOT_PREFIXES.iter().any(|p| path.starts_with(p)) && !path.contains("/bin/")
+    };
+    let impure = |e: &EffectSite| PURITY_KINDS.contains(&e.kind) && !e.waived;
+    let exempt = &SIM_PURITY_EXEMPT_PREFIXES;
+    for h in reachable_sites(graph, is_root, exempt, |f| &f.effects, impure) {
+        out.push(Violation {
+            rule: "sim-purity",
+            path: h.path.to_string(),
+            line: h.site.line,
+            message: format!(
+                "{} ({}) is reachable from simulation entrypoint `{}`{}; \
+                 the deterministic path must take time from the engine, randomness \
+                 from the seeded Rng, iterate ordered containers, and parallelize \
+                 only through `vroom_exec::par_map_indexed` or `Pool::dispatch`",
+                h.site.detail,
+                h.site.kind.name(),
+                h.root,
+                h.via,
+            ),
+            snippet: h.site.snippet.clone(),
+        });
+    }
+}
+
+fn panic_reachable(graph: &Graph, out: &mut Vec<Violation>) {
+    let is_root = |path: &str, _: &FnItem| path == WIRE_ROOT_FILE;
+    let panics = |e: &EffectSite| e.kind == EffectKind::Panic && !e.waived;
+    for h in reachable_sites(graph, is_root, &[], |f| &f.effects, panics) {
+        out.push(Violation {
+            rule: "panic-reachable",
+            path: h.path.to_string(),
+            line: h.site.line,
+            message: format!(
+                "{} can panic and is reachable from the wire server accept path \
+                 (`{}`{}); return a typed error instead",
+                h.site.detail, h.root, h.via,
+            ),
+            snippet: h.site.snippet.clone(),
+        });
+    }
+}
+
+/// A hot-path site before ranking.
+struct Ranked<'a> {
+    /// Enclosing loop depth: the ranking weight.
+    weight: usize,
+    detail: String,
+    line: usize,
+    snippet: &'a str,
+    path: &'a str,
+    root: String,
+    via: String,
+}
+
+/// The two hot-path rules' report. One finding per site, preferring the
+/// shortest chain (nested fns and several roots can reach one site), so
+/// ranks count distinct sites; then ranked by loop depth, so a site inside
+/// a per-frame loop outranks a once-per-load one. Ties break on (path,
+/// line, detail), so the ordering — and thus every message — is
+/// deterministic. `lead` renders the message head from the site's detail.
+fn rank_hot(
+    rule: &'static str,
+    lead: impl Fn(&str) -> String,
+    advice: &str,
+    mut found: Vec<Ranked>,
+    out: &mut Vec<Violation>,
+) {
     found.sort_by(|a, b| {
-        (&a.path, a.line, &a.detail, a.via.len()).cmp(&(&b.path, b.line, &b.detail, b.via.len()))
+        (a.path, a.line, &a.detail, a.via.len()).cmp(&(b.path, b.line, &b.detail, b.via.len()))
     });
     found.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.detail == b.detail);
-    // Rank by loop depth: an alloc inside a per-frame loop outranks a
-    // once-per-load alloc. Ties break on (path, line, detail) so the
-    // ordering — and thus every message — is deterministic.
     found.sort_by(|a, b| {
-        (std::cmp::Reverse(a.weight), &a.path, a.line, &a.detail).cmp(&(
-            std::cmp::Reverse(b.weight),
-            &b.path,
+        (Reverse(a.weight), a.path, a.line, &a.detail).cmp(&(
+            Reverse(b.weight),
+            b.path,
             b.line,
             &b.detail,
         ))
@@ -215,22 +211,73 @@ fn hot_path_alloc(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) 
     let total = found.len();
     for (i, fd) in found.iter().enumerate() {
         out.push(Violation {
-            rule: "hot-path-alloc",
-            path: fd.path.clone(),
+            rule,
+            path: fd.path.to_string(),
             line: fd.line,
             message: format!(
-                "hot-path alloc ({}) reachable from `{}`{}; loop depth {}, rank {} of {total} — \
-                 the wire path stays zero-copy: share via `Arc::clone` or reuse a \
-                 scratch buffer instead of allocating per item",
-                fd.detail,
+                "{} reachable from `{}`{}; loop depth {}, rank {} of {total} — {advice}",
+                lead(&fd.detail),
                 fd.root,
                 fd.via,
                 fd.weight,
                 i + 1,
             ),
-            snippet: fd.snippet.clone(),
+            snippet: fd.snippet.to_string(),
         });
     }
+}
+
+fn hot_path_alloc(graph: &Graph, out: &mut Vec<Violation>) {
+    let allocs = |e: &EffectSite| matches!(e.kind, EffectKind::Alloc(_)) && !e.waived;
+    let roots = listed(hotpaths::ROOTS);
+    let hits = reachable_sites(graph, roots, hotpaths::EXEMPT, |f| &f.effects, allocs);
+    let found = hits
+        .into_iter()
+        .map(|h| Ranked {
+            weight: h.site.loop_depth,
+            detail: h.site.detail.clone(),
+            line: h.site.line,
+            snippet: &h.site.snippet,
+            path: h.path,
+            root: h.root,
+            via: h.via,
+        })
+        .collect();
+    rank_hot(
+        "hot-path-alloc",
+        |detail| format!("hot-path alloc ({detail})"),
+        "the wire path stays zero-copy: share via `Arc::clone` or reuse a \
+         scratch buffer instead of allocating per item",
+        found,
+        out,
+    );
+}
+
+/// `lock-in-hot-loop`: loop-carried acquisitions on hot paths.
+fn lock_in_hot_loop(graph: &Graph, out: &mut Vec<Violation>) {
+    let in_loops = |lk: &LockSite| lk.loop_depth > 0 && !lk.waived_hot;
+    let roots = listed(hotpaths::LOCK_ROOTS);
+    let hits = reachable_sites(graph, roots, hotpaths::EXEMPT, |f| &f.locks, in_loops);
+    let found = hits
+        .into_iter()
+        .map(|h| Ranked {
+            weight: h.site.loop_depth,
+            detail: format!("`{}::{}`.{}()", h.path, h.site.id, h.site.op.label()),
+            line: h.site.line,
+            snippet: &h.site.snippet,
+            path: h.path,
+            root: h.root,
+            via: h.via,
+        })
+        .collect();
+    rank_hot(
+        "lock-in-hot-loop",
+        |detail| format!("lock acquisition ({detail}) inside a loop"),
+        "hoist the acquisition out of the loop or batch the guarded work \
+         (`get_fresh_many`/`put_many_at`) so the lock is taken once per pass",
+        found,
+        out,
+    );
 }
 
 /// A lock guard that may be live somewhere inside one fn: either one of the
@@ -289,7 +336,7 @@ fn on_guard(g: &GuardView, call: &CallSite) -> bool {
 /// every call site (a may-hold lattice of `(lock identity, origin)` pairs,
 /// DESIGN.md §2h), then report acquisition-order cycles, blocking work
 /// under a live guard, and loop-carried acquisitions on hot paths.
-fn lock_safety(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) {
+fn lock_safety(graph: &Graph, out: &mut Vec<Violation>) {
     let n = graph.nodes.len();
     let file_fn = |id: usize| {
         let nr = graph.nodes[id];
@@ -372,23 +419,13 @@ fn lock_safety(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) {
     }
 
     let held_text = |o: &Origin| -> String {
-        let binding = o
-            .binding
-            .as_ref()
-            .map(|b| format!(" as `{b}`"))
-            .unwrap_or_default();
         let hops: Vec<String> = o
             .chain
             .iter()
             .map(|&id| format!("`{}`", graph.display(id)))
             .collect();
-        format!(
-            " (guard bound at {}:{}{}, held via {})",
-            o.path,
-            o.line,
-            binding,
-            hops.join(" -> "),
-        )
+        let held_via = format!(", held via {}", hops.join(" -> "));
+        bound_at(&o.path, o.line, &o.binding, &held_via)
     };
 
     // --- blocking-under-lock: blocking effects with a live guard ---------
@@ -402,12 +439,7 @@ fn lock_safety(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) {
                 .iter()
                 .find(|g| g.span.0 <= e.line && e.line <= g.span.1);
             let witness = if let Some(g) = local {
-                let binding = g
-                    .binding
-                    .as_ref()
-                    .map(|b| format!(" as `{b}`"))
-                    .unwrap_or_default();
-                format!(" (guard bound at {}:{}{})", file.path, g.line, binding)
+                bound_at(&file.path, g.line, &g.binding, "")
             } else if let Some((_, o)) = entry[id].iter().next() {
                 held_text(o)
             } else {
@@ -464,15 +496,7 @@ fn lock_safety(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) {
                 let covers = g.span.0 <= inner.line && inner.line <= g.span.1;
                 let before = g.line < inner.line || (g.line == inner.line && j < i);
                 if covers && before {
-                    let binding = g
-                        .binding
-                        .as_ref()
-                        .map(|b| format!(" as `{b}`"))
-                        .unwrap_or_default();
-                    outers.push((
-                        g.id.clone(),
-                        format!(" (guard bound at {}:{}{})", file.path, g.line, binding),
-                    ));
+                    outers.push((g.id.clone(), bound_at(&file.path, g.line, &g.binding, "")));
                 }
             }
             for (gid, o) in &entry[id] {
@@ -569,82 +593,17 @@ fn lock_safety(graph: &Graph, cfg: &HotPathConfig, out: &mut Vec<Violation>) {
             snippet: w_min.2.clone(),
         });
     }
+}
 
-    // --- lock-in-hot-loop: loop-carried acquisitions on hot paths --------
-    let roots = graph.select(|path, f| {
-        cfg.lock_roots
-            .iter()
-            .any(|(p, fns)| p == path && fns.iter().any(|nm| nm == &f.name))
-    });
-    if roots.is_empty() {
-        return;
-    }
-    let pred = graph.reachable(&roots);
-    struct Finding {
-        weight: usize,
-        path: String,
-        line: usize,
-        detail: String,
-        snippet: String,
-        root: String,
-        via: String,
-    }
-    let mut found: Vec<Finding> = Vec::new();
-    for id in 0..n {
-        if pred[id].is_none() {
-            continue;
-        }
-        let (file, f) = file_fn(id);
-        if cfg.exempt.iter().any(|p| file.path.starts_with(p)) {
-            continue;
-        }
-        for lk in &f.locks {
-            if lk.loop_depth == 0 || lk.waived_hot {
-                continue;
-            }
-            let chain = graph.chain(&pred, id);
-            found.push(Finding {
-                weight: lk.loop_depth,
-                path: file.path.clone(),
-                line: lk.line,
-                detail: format!("`{}`.{}()", qualify(&file.path, &lk.id), lk.op.label()),
-                snippet: lk.snippet.clone(),
-                root: graph.display(chain[0]),
-                via: via_text(graph, &chain),
-            });
-        }
-    }
-    found.sort_by(|a, b| {
-        (&a.path, a.line, &a.detail, a.via.len()).cmp(&(&b.path, b.line, &b.detail, b.via.len()))
-    });
-    found.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.detail == b.detail);
-    found.sort_by(|a, b| {
-        (std::cmp::Reverse(a.weight), &a.path, a.line, &a.detail).cmp(&(
-            std::cmp::Reverse(b.weight),
-            &b.path,
-            b.line,
-            &b.detail,
-        ))
-    });
-    let total = found.len();
-    for (i, fd) in found.iter().enumerate() {
-        out.push(Violation {
-            rule: "lock-in-hot-loop",
-            path: fd.path.clone(),
-            line: fd.line,
-            message: format!(
-                "lock acquisition ({}) inside a loop reachable from `{}`{}; loop depth {}, \
-                 rank {} of {total} — hoist the acquisition out of the loop or batch the \
-                 guarded work (`get_fresh_many`/`put_many_at`) so the lock is taken once per pass",
-                fd.detail,
-                fd.root,
-                fd.via,
-                fd.weight,
-                i + 1,
-            ),
-            snippet: fd.snippet.clone(),
-        });
-    }
+/// ` (guard bound at path:line as `g`…)` — the witness every lock-safety
+/// message carries; `held_via` names the call chain when the guard was
+/// taken in a caller.
+fn bound_at(path: &str, line: usize, binding: &Option<String>, held_via: &str) -> String {
+    let binding = binding
+        .as_ref()
+        .map(|b| format!(" as `{b}`"))
+        .unwrap_or_default();
+    format!(" (guard bound at {path}:{line}{binding}{held_via})")
 }
 
 /// `, via \`a\` -> \`b\`` — the BFS shortest call chain, elided when the
@@ -738,7 +697,7 @@ mod tests {
     fn analyze(files: &[(&str, &str)]) -> Vec<Violation> {
         let summaries: Vec<FileSummary> =
             files.iter().map(|(p, s)| summarize_source(p, s)).collect();
-        semantic_violations(&summaries, &HotPathConfig::default())
+        semantic_violations(&summaries)
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! `protocol-exhaustive`) live in [`crate::reach`]; this module only hosts
 //! the rules that are decidable from one file in isolation.
 
-use crate::lexer::Lexed;
+use crate::lexer::{close_of, find_word, needle_hits, trailing_ident, Lexed, LoopSpan};
+use crate::parse::{PANIC_NEEDLES, RANDOM_NEEDLES};
 use crate::source::SourceFile;
 
 /// One diagnostic.
@@ -62,7 +63,7 @@ pub fn rule_description(rule: &str) -> &'static str {
         }
         "hot-path-alloc" => {
             "allocation/copy sites reachable from a declared hot-path root \
-             (lint-hotpaths.toml), ranked by enclosing loop depth; the wire \
+             (crates/lint/src/hotpaths.rs), ranked by enclosing loop depth; the wire \
              path must stay zero-copy"
         }
         "lock-order" => {
@@ -77,7 +78,7 @@ pub fn rule_description(rule: &str) -> &'static str {
         }
         "lock-in-hot-loop" => {
             "lock acquisitions inside a loop reachable from a declared \
-             hot-path root (lint-hotpaths.toml [lock_roots]), ranked by \
+             hot-path root (crates/lint/src/hotpaths.rs LOCK_ROOTS), ranked by \
              enclosing loop depth; acquisitions amortize per batch or hoist"
         }
         "ambient-randomness" => "randomness must come from the seeded vroom_sim::Rng",
@@ -108,13 +109,7 @@ pub fn check_file(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Violation>) {
             path: file.path.clone(),
             line: err.line,
             message: err.message.clone(),
-            snippet: file
-                .source
-                .lines()
-                .nth(err.line - 1)
-                .unwrap_or("")
-                .trim()
-                .to_string(),
+            snippet: file.snippet(err.line),
         });
     }
 
@@ -127,13 +122,7 @@ pub fn check_file(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Violation>) {
             path: file.path.clone(),
             line,
             message,
-            snippet: file
-                .source
-                .lines()
-                .nth(line - 1)
-                .unwrap_or("")
-                .trim()
-                .to_string(),
+            snippet: file.snippet(line),
         });
     };
 
@@ -149,21 +138,20 @@ pub fn check_file(file: &SourceFile, lexed: &Lexed, out: &mut Vec<Violation>) {
         }
     }
 
-    let test_lines = test_region_lines(&lexed.code);
     let crate_name = file.crate_name();
 
     ambient_randomness(file, lexed, &mut report);
     forbid_unsafe(file, lexed, &mut report);
     if crate_name.is_some_and(|c| PROTOCOL_CRATES.contains(&c)) && !file.is_test_file() {
-        unwrap_in_protocol_code(lexed, &test_lines, &mut report);
+        unwrap_in_protocol_code(lexed, &mut report);
     }
     if crate_name.is_some_and(|c| PROTOCOL_CRATES.contains(&c) || SIM_PATH_CRATES.contains(&c))
         && !file.is_test_file()
     {
-        retry_budget(lexed, &test_lines, &mut report);
+        retry_budget(lexed, &mut report);
     }
     if file.is_metrics_code() && !file.is_test_file() {
-        float_eq(lexed, &test_lines, &mut report);
+        float_eq(lexed, &mut report);
     }
     // Applies everywhere, tests included: a NaN-panicking comparator in a
     // test is a flake waiting for one bad sample.
@@ -186,29 +174,12 @@ fn sort_partial_cmp(lexed: &Lexed, report: &mut impl FnMut(&'static str, usize, 
     ];
     let code = &lexed.code;
     for m in METHODS {
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(m) {
-            let at = from + pos;
-            from = at + m.len();
+        for (at, _) in code.match_indices(m) {
             // Paren-match the argument list from the method's `(`.
             let open = at + m.len() - 1;
-            let mut depth = 0usize;
-            let mut end = code.len();
-            for (i, b) in code[open..].bytes().enumerate() {
-                match b {
-                    b'(' => depth += 1,
-                    b')' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = open + i;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
+            let end = close_of(code, open).unwrap_or(code.len());
             if let Some(rel) = code[open..end].find("partial_cmp") {
-                let line = code[..open + rel].bytes().filter(|&b| b == b'\n').count() + 1;
+                let line = lexed.spans.lines.line(open + rel);
                 let method = m.trim_start_matches('.').trim_end_matches('(');
                 report(
                     "sort-partial-cmp",
@@ -235,7 +206,7 @@ fn ambient_randomness(
         return;
     }
     for (line, text) in lines(&lexed.code) {
-        for needle in ["thread_rng", "rand::random", "fastrand::", "getrandom"] {
+        for needle in RANDOM_NEEDLES {
             if text.contains(needle) {
                 report(
                     "ambient-randomness",
@@ -283,16 +254,14 @@ fn forbid_unsafe(
 }
 
 /// Rule `unwrap`: no `.unwrap()` / `.expect(` in non-test protocol code.
-fn unwrap_in_protocol_code(
-    lexed: &Lexed,
-    test_lines: &[bool],
-    report: &mut impl FnMut(&'static str, usize, String),
-) {
+fn unwrap_in_protocol_code(lexed: &Lexed, report: &mut impl FnMut(&'static str, usize, String)) {
+    // The method-call panic needles; the macros are `panic-reachable`'s.
+    let needles = PANIC_NEEDLES.iter().filter(|n| n.starts_with('.'));
     for (line, text) in lines(&lexed.code) {
-        if test_lines.get(line - 1).copied().unwrap_or(false) {
+        if lexed.spans.in_test(line) {
             continue;
         }
-        for needle in [".unwrap()", ".expect("] {
+        for needle in needles.clone() {
             if text.contains(needle) {
                 report(
                     "unwrap",
@@ -311,27 +280,33 @@ fn unwrap_in_protocol_code(
 /// frames must reference a retry budget or backoff. A bare retry loop spins
 /// forever on a faulted peer; `vroom_net::RetryBudget` bounds attempts and
 /// spaces them out.
-fn retry_budget(
-    lexed: &Lexed,
-    test_lines: &[bool],
-    report: &mut impl FnMut(&'static str, usize, String),
-) {
+fn retry_budget(lexed: &Lexed, report: &mut impl FnMut(&'static str, usize, String)) {
     const FETCH_NEEDLES: [&str; 2] = ["send_request(", "send_data("];
     const BUDGET_NEEDLES: [&str; 3] = ["RetryBudget", "backoff", ".allows("];
-    for (start_line, body) in loop_bodies(&lexed.code) {
-        if test_lines.get(start_line - 1).copied().unwrap_or(false) {
+    // Each `loop`/`while` is read as the text from its keyword through its
+    // body's close: including the `while` condition lets a loop gated on
+    // `budget.allows(n)` count as budgeted.
+    let (code, spans) = (lexed.code.as_str(), &lexed.spans);
+    let unbounded = || spans.loops.iter().filter(|lp| !lp.is_for);
+    let text = |lp: &LoopSpan| &code[lp.kw..lp.body.1];
+    let fetches_in = |text: &str| FETCH_NEEDLES.iter().find(|n| text.contains(*n));
+    for lp in unbounded() {
+        let start_line = spans.lines.line(lp.kw);
+        if spans.in_test(start_line) {
             continue;
         }
         // Innermost-only: if a nested loop inside this body holds the fetch
         // call, the inner block is the one that must carry the budget.
-        let past_open = body.find('{').map(|i| i + 1).unwrap_or(0);
-        if loop_bodies(&body[past_open..])
-            .iter()
-            .any(|(_, inner)| FETCH_NEEDLES.iter().any(|n| inner.contains(n)))
+        let (open, end) = lp.body;
+        let nested = |inner: &&LoopSpan| open < inner.kw && inner.kw < end;
+        if unbounded()
+            .filter(nested)
+            .any(|inner| fetches_in(text(inner)).is_some())
         {
             continue;
         }
-        let fetches = FETCH_NEEDLES.iter().find(|n| body.contains(*n));
+        let body = text(lp);
+        let fetches = fetches_in(body);
         let budgeted = BUDGET_NEEDLES.iter().any(|n| body.contains(n));
         if let (Some(needle), false) = (fetches, budgeted) {
             report(
@@ -348,59 +323,14 @@ fn retry_budget(
     }
 }
 
-/// Every `loop { .. }` / `while cond { .. }` in `code`, as
-/// `(1-based line of the keyword, text from the keyword through the
-/// brace-matched close)`. Including the `while` condition lets a loop
-/// gated on `budget.allows(n)` count as budgeted.
-fn loop_bodies(code: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    for kw in ["loop", "while"] {
-        for at in find_word(code, kw) {
-            // The body opens at the first `{` after the keyword (and, for
-            // `while`, after its condition — Rust conditions cannot contain
-            // a bare `{`, so the first one is the body).
-            let Some(open_rel) = code[at..].find('{') else {
-                continue;
-            };
-            let open = at + open_rel;
-            let mut depth = 0usize;
-            let mut end = code.len();
-            for (i, b) in code[open..].bytes().enumerate() {
-                match b {
-                    b'{' => depth += 1,
-                    b'}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = open + i + 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let line = code[..at].bytes().filter(|&b| b == b'\n').count() + 1;
-            out.push((line, &code[at..end]));
-        }
-    }
-    out.sort_by_key(|(l, _)| *l);
-    out
-}
-
 /// Rule `float-eq`: exact float comparison in metrics/stats code.
-fn float_eq(
-    lexed: &Lexed,
-    test_lines: &[bool],
-    report: &mut impl FnMut(&'static str, usize, String),
-) {
+fn float_eq(lexed: &Lexed, report: &mut impl FnMut(&'static str, usize, String)) {
     for (line, text) in lines(&lexed.code) {
-        if test_lines.get(line - 1).copied().unwrap_or(false) {
+        if lexed.spans.in_test(line) {
             continue;
         }
         for op in ["==", "!="] {
-            let mut from = 0;
-            while let Some(pos) = text[from..].find(op) {
-                let at = from + pos;
-                from = at + op.len();
+            for (at, _) in text.match_indices(op) {
                 // Skip `<=`, `>=`, `!=` seen as `=`-suffix, and pattern arms.
                 if op == "==" && at > 0 && matches!(&text[at - 1..at], "<" | ">" | "!" | "=") {
                     continue;
@@ -441,11 +371,8 @@ pub(crate) fn unordered_iter_sites(code: &str) -> Vec<(usize, String, String)> {
     let mut out = Vec::new();
     for (line, text) in lines(code) {
         for m in ITER_METHODS {
-            let mut from = 0;
-            while let Some(pos) = text[from..].find(m) {
-                let at = from + pos;
-                from = at + m.len();
-                if let Some(name) = receiver_ident(&text[..at]) {
+            for (at, _) in text.match_indices(m) {
+                if let Some(name) = trailing_ident(text[..at].trim_end()) {
                     if symbols.contains(&name) {
                         out.push((line, name, m.to_string()));
                     }
@@ -477,18 +404,8 @@ pub(crate) fn unordered_iter_sites(code: &str) -> Vec<(usize, String, String)> {
 fn hash_container_symbols(code: &str) -> Vec<String> {
     let mut symbols = Vec::new();
     for container in ["HashMap", "HashSet"] {
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(container) {
-            let at = from + pos;
-            from = at + container.len();
-            // Reject identifier continuations (e.g. `MyHashMapLike`).
-            if code[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_')
-            {
-                continue;
-            }
+        // `MyHashMapLike` is no hit.
+        for at in needle_hits(code, container) {
             let after = &code[at + container.len()..];
             if !(after.starts_with('<') || after.starts_with("::")) {
                 continue;
@@ -527,93 +444,8 @@ fn annotated_ident(before: &str) -> Option<String> {
     trailing_ident(t.trim_end())
 }
 
-/// The identifier at the end of `t`, if any.
-fn trailing_ident(t: &str) -> Option<String> {
-    let ident: String = t
-        .chars()
-        .rev()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect::<String>()
-        .chars()
-        .rev()
-        .collect();
-    (!ident.is_empty() && !ident.chars().next().unwrap().is_numeric()).then_some(ident)
-}
-
-/// The receiver identifier of a method call, from text ending at the `.`:
-/// `self.streams` → `streams`, `map` → `map`.
-fn receiver_ident(before: &str) -> Option<String> {
-    trailing_ident(before.trim_end())
-}
-
-/// Map each 0-based line to whether it falls inside a `#[cfg(test)]`-gated
-/// block (brace-matched on stripped code).
-pub(crate) fn test_region_lines(code: &str) -> Vec<bool> {
-    let n_lines = code.lines().count();
-    let mut in_test = vec![false; n_lines];
-    let mut search = 0;
-    while let Some(pos) = code[search..].find("#[cfg(test)]") {
-        let attr_at = search + pos;
-        // The block starts at the first `{` after the attribute.
-        let Some(open_rel) = code[attr_at..].find('{') else {
-            break;
-        };
-        let open = attr_at + open_rel;
-        let mut depth = 0usize;
-        let mut end = code.len();
-        for (i, b) in code[open..].bytes().enumerate() {
-            match b {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + i;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let start_line = code[..attr_at].bytes().filter(|&b| b == b'\n').count();
-        let end_line = code[..end].bytes().filter(|&b| b == b'\n').count();
-        for flag in in_test
-            .iter_mut()
-            .take((end_line + 1).min(n_lines))
-            .skip(start_line)
-        {
-            *flag = true;
-        }
-        search = end.max(attr_at + 1);
-    }
-    in_test
-}
-
-pub(crate) fn lines(code: &str) -> impl Iterator<Item = (usize, &str)> {
+fn lines(code: &str) -> impl Iterator<Item = (usize, &str)> {
     code.lines().enumerate().map(|(i, l)| (i + 1, l))
-}
-
-/// All positions where `word` occurs with non-identifier characters (or
-/// boundaries) on both sides.
-pub(crate) fn find_word(text: &str, word: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(word) {
-        let at = from + pos;
-        from = at + word.len();
-        let before_ok = at == 0
-            || !text[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after_ok = !text[at + word.len()..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            out.push(at);
-        }
-    }
-    out
 }
 
 fn ends_with_float(left: &str) -> bool {

@@ -14,7 +14,7 @@ pub struct SourceFile {
 impl SourceFile {
     /// The crate under `crates/<name>/` owning this file, if any.
     pub fn crate_name(&self) -> Option<&str> {
-        self.path.strip_prefix("crates/")?.split('/').next()
+        crate_of(&self.path)
     }
 
     /// Crate roots must carry `#![forbid(unsafe_code)]`: every `lib.rs`,
@@ -37,6 +37,16 @@ impl SourceFile {
             || self.path.ends_with("_tests.rs")
     }
 
+    /// Source line `line` (1-based), trimmed: a diagnostic's snippet.
+    pub(crate) fn snippet(&self, line: usize) -> String {
+        self.source
+            .lines()
+            .nth(line - 1)
+            .unwrap_or("")
+            .trim()
+            .to_string()
+    }
+
     /// Files holding metric/statistics computations, where the float-eq
     /// rule applies.
     pub fn is_metrics_code(&self) -> bool {
@@ -50,6 +60,11 @@ impl SourceFile {
             .iter()
             .any(|k| stem.contains(k))
     }
+}
+
+/// The crate under `crates/<name>/` owning `path`, if any.
+pub(crate) fn crate_of(path: &str) -> Option<&str> {
+    path.strip_prefix("crates/")?.split('/').next()
 }
 
 /// Find the workspace root by walking up from `start` until a `Cargo.toml`

@@ -147,8 +147,8 @@ fn cli_exit_codes() {
     let _ = fs::remove_dir_all(&empty);
     assert_eq!(dangling.status.code(), Some(2), "dangling roots exit 2");
     assert!(
-        String::from_utf8_lossy(&dangling.stderr).contains("lint-hotpaths.toml"),
-        "config error names the file"
+        String::from_utf8_lossy(&dangling.stderr).contains("hotpaths.rs"),
+        "config error names the file holding the roots"
     );
 
     let ok = run(&root, &[]);

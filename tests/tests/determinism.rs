@@ -222,3 +222,21 @@ fn run_all_sites3_report_matches_committed_golden() {
         "run_all --sites 3 diverged from results/run_all_sites3.txt"
     );
 }
+
+/// Tier-1 pin of the ablation sweeps (DESIGN.md §5), which neither
+/// committed report holds: the five `ABLATION_SECTIONS` at `--sites 3`
+/// equal `results/ablations_sites3.txt` byte for byte, at one worker and at
+/// three.
+#[test]
+fn ablation_sections_sites3_match_committed_golden() {
+    let golden = include_str!("../../results/ablations_sites3.txt");
+    for workers in [1, 3] {
+        let mut cfg = vroom::experiment::ExperimentConfig::quick(3);
+        cfg.workers = workers;
+        let report = vroom::experiment::run_sections(&cfg, &vroom::experiment::ABLATION_SECTIONS);
+        assert!(
+            report == golden,
+            "ablation sections at {workers} worker(s) diverged from results/ablations_sites3.txt"
+        );
+    }
+}
