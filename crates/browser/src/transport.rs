@@ -350,8 +350,7 @@ impl<'a> Transport<'a> {
         };
         // The domain's first connection pays the DNS lookup.
         let ds = &mut self.domains[dom];
-        let latency = &self.profile.latency;
-        let setup = latency.connection_setup(&domain, !ds.conns.is_empty());
+        let setup = self.profile.connection_setup(!ds.conns.is_empty());
         self.outstanding += 1;
 
         match self.cfg.http {
@@ -396,7 +395,7 @@ impl<'a> Transport<'a> {
     /// Send `req` up connection `a`; it reaches the server one propagation
     /// delay later.
     fn to_server(&self, q: &mut Queue, now: SimTime, a: Addr, req: Req) {
-        let ow = self.profile.latency.one_way(self.host(a));
+        let ow = self.profile.one_way();
         q.schedule(now + ow, Ev::Net(NetEv::ServerArrival(a, req)));
     }
 
@@ -436,8 +435,7 @@ impl<'a> Transport<'a> {
             return self.start_next_response(q, now, a);
         }
         // DNS is warm, only transport setup is paid again.
-        let name = self.host(a);
-        let setup = self.profile.latency.connection_setup(name, true);
+        let setup = self.profile.connection_setup(true);
         let a = self.addr(a.dom as usize, a.conn as usize);
         q.schedule(now + setup, Ev::Net(NetEv::ConnReady(a)));
         self.reschedule_link_tick(q, now);
@@ -518,7 +516,7 @@ impl<'a> Transport<'a> {
     /// delay later.
     fn start_response(&mut self, q: &mut Queue, now: SimTime, a: Addr, req: Req) {
         let (size, truncated) = self.faulted_size(&req);
-        let rtt = self.profile.latency.rtt(self.host(a));
+        let rtt = self.profile.rtt();
         let penalty = self.conn(a).slow_start_penalty(size, rtt);
         let (tid, completed) = self.link.start(now, size);
         #[cfg(test)]
@@ -531,7 +529,7 @@ impl<'a> Transport<'a> {
         };
         self.flights.push((tid, flight));
         if self.hints_of(&req.target).is_some() {
-            let ow = self.profile.latency.one_way(self.host(a));
+            let ow = self.profile.one_way();
             q.schedule(now + ow, Ev::Net(NetEv::HeadersArrive(req.target)));
         }
         self.on_link_completions(q, now, completed);
@@ -583,7 +581,7 @@ impl<'a> Transport<'a> {
             let (_, f) = self.flights.remove(pos);
             #[cfg(test)]
             self.ledger.push(Trace::Ended(tid.0, !f.truncated));
-            let ow = self.profile.latency.one_way(self.host(f.via)) + f.penalty;
+            let ow = self.profile.one_way() + f.penalty;
             // A truncated body stops early; the server's RST_STREAM reaches
             // the client one propagation delay later.
             let ev = match f.truncated {

@@ -289,7 +289,7 @@ pub fn run_freshness(cfg: &FreshnessConfig) -> FreshnessReport {
         server_seed: cfg.server_seed,
         shards: cfg.shards,
         workers: cfg.workers,
-        profile: cfg.profile.clone(),
+        profile: cfg.profile,
         ..FleetConfig::default()
     };
     let specs: Vec<ClientSpec> = (0..cfg.clients)

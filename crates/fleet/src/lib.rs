@@ -975,8 +975,7 @@ fn fan_out(
     prefetched: &mut BTreeMap<(usize, i64), PassOutput>,
 ) -> Vec<(ClientOutcome, Option<Page>)> {
     let (corpus, urls, store) = (Arc::clone(corpus), Arc::clone(urls), Arc::clone(store));
-    // vroom-lint: allow(hot-path-alloc) -- one profile clone per fan-out for the 'static closure
-    let profile = cfg.profile.clone();
+    let profile = cfg.profile;
     let (policy, faults, server_seed) = (cfg.policy, cfg.faults, cfg.server_seed);
     let done = pool.dispatch(work, move |scratch, _, item| match *item {
         FleetWork::Pass((site, bucket)) => FleetDone::Pass(

@@ -51,12 +51,6 @@ impl Decoder {
         self
     }
 
-    /// Announce a new protocol ceiling for the dynamic table
-    /// (from our `SETTINGS_HEADER_TABLE_SIZE`).
-    pub fn set_capacity_limit(&mut self, limit: usize) {
-        self.table.set_capacity_limit(limit);
-    }
-
     /// Decoder-side view of the dynamic table (for tests/diagnostics).
     pub fn table(&self) -> &DynamicTable {
         &self.table

@@ -44,12 +44,6 @@ impl Encoder {
         self
     }
 
-    /// Start from a specific dynamic-table size (e.g. from peer SETTINGS).
-    pub fn with_max_table_size(mut self, size: usize) -> Self {
-        self.table = DynamicTable::new(size);
-        self
-    }
-
     /// Request a dynamic table size change; emitted at the start of the next
     /// header block (RFC 7541 §4.2).
     pub fn set_max_table_size(&mut self, size: usize) {

@@ -9,7 +9,7 @@
 //! types only).
 
 use crate::error::{ConnectionError, ErrorCode};
-use crate::frame::{self, Frame, FrameCodec, PrioritySpec};
+use crate::frame::{self, Frame, FrameCodec};
 use crate::headers::{Request, Response};
 use crate::settings::{Settings, DEFAULT_INITIAL_WINDOW_SIZE};
 use crate::stream::{Stream, StreamState};
@@ -965,11 +965,6 @@ impl Connection {
     /// Initiate graceful shutdown.
     pub fn goaway(&mut self, code: ErrorCode, reason: &str) {
         self.queue_goaway(code, reason);
-    }
-
-    /// Send a PRIORITY frame (advisory).
-    pub fn priority(&mut self, stream_id: u32, spec: PrioritySpec) {
-        Frame::Priority { stream_id, spec }.encode(&mut self.out);
     }
 }
 

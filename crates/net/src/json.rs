@@ -1,9 +1,10 @@
-//! A minimal, dependency-free JSON codec for replay corpora.
+//! A minimal, dependency-free JSON codec for the workspace's reports.
 //!
-//! The workspace builds offline, so instead of `serde_json` the replay
-//! store serializes through this hand-rolled [`Value`] tree. Objects are
-//! backed by `BTreeMap`, which makes every serialization byte-identical
-//! regardless of insertion order or hash seed — corpora diff cleanly.
+//! The workspace builds offline, so instead of `serde_json` the load and
+//! fleet reports, the `BENCH_*.json` files and the lint's SARIF output
+//! serialize through this hand-rolled [`Value`] tree. Objects are backed by
+//! `BTreeMap`, which makes every serialization byte-identical regardless of
+//! insertion order or hash seed — reports diff cleanly.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -161,16 +162,6 @@ pub struct Error {
     offset: usize,
 }
 
-impl Error {
-    /// A schema-level error (not tied to a byte offset).
-    pub fn custom(msg: impl Into<String>) -> Self {
-        Error {
-            msg: msg.into(),
-            offset: 0,
-        }
-    }
-}
-
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "json error at byte {}: {}", self.offset, self.msg)
@@ -187,7 +178,7 @@ struct Parser<'a> {
 impl Parser<'_> {
     fn err(&self, msg: &str) -> Error {
         Error {
-            // vroom-lint: allow(hot-path-alloc) -- cold parse-error path: renders the message once for malformed replay JSON
+            // vroom-lint: allow(hot-path-alloc) -- cold parse-error path: renders the message once for malformed JSON
             msg: msg.to_string(),
             offset: self.pos,
         }
@@ -212,7 +203,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            // vroom-lint: allow(hot-path-alloc) -- cold parse-error path: renders the message once for malformed replay JSON
+            // vroom-lint: allow(hot-path-alloc) -- cold parse-error path: renders the message once for malformed JSON
             Err(self.err(&format!("expected {:?}", b as char)))
         }
     }

@@ -5,21 +5,24 @@
 //!
 //! * [`link`] — a fluid-flow model of the shared cellular downlink; the
 //!   bandwidth-contention mechanism behind the paper's scheduling results,
-//! * [`latency`] — cellular + per-domain wired RTTs and handshake costs,
-//! * [`profiles`] — named presets (LTE, 3G, 2G, WiFi, USB-tether),
-//! * [`replay`] — a Mahimahi-style serializable record/replay store.
+//! * [`profiles`] — named presets (LTE, 3G, 2G, WiFi, USB-tether), each
+//!   one cellular and one server RTT, and the handshake costs they charge,
+//! * [`fault`] — pre-drawn fault schedules and the retry budget,
+//! * [`replay`] — a Mahimahi-style replay store, the recorded page the
+//!   real-wire server serves.
+//!
+//! [`json`] is the workspace's canonical JSON codec; the reports, the
+//! `BENCH_*.json` files and the lint's SARIF output are written through it.
 
 #![forbid(unsafe_code)]
 
 pub mod fault;
 pub mod json;
-pub mod latency;
 pub mod link;
 pub mod profiles;
 pub mod replay;
 
 pub use fault::{FaultPlan, Outage, RetryBudget};
-pub use latency::LatencyModel;
 pub use link::{CapacityWindow, SharedLink, TransferId};
 pub use profiles::NetworkProfile;
 pub use replay::{RecordedResponse, ReplayStore};

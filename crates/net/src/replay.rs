@@ -1,9 +1,12 @@
-//! A Mahimahi-style record/replay store (paper §5, §6.1).
+//! A Mahimahi-style replay store (paper §5, §6.1): the recorded page the
+//! real-wire server (`vroom-server::wire`) serves.
 //!
 //! Mahimahi records every HTTP response during a live page load and replays
-//! them from local shells, shaping traffic with the recorded per-server RTTs.
-//! Our equivalent stores one [`RecordedResponse`] per URL, serializable to
-//! JSON so corpora can be saved, inspected, and replayed bit-identically.
+//! them from local shells. Our equivalent keeps one [`RecordedResponse`] per
+//! URL: its content class and its body, which is either the recorded text
+//! (HTML, so the online analyzer can re-scan it) or a synthetic length.
+//! Simulated loads read no store: each loads a `vroom-pages` snapshot over
+//! its profile's RTT.
 //!
 //! URLs are interned: the store owns a [`UrlTable`] and keeps responses in a
 //! dense `Vec` indexed by [`UrlId`], so the hot replay `lookup` is one
@@ -15,19 +18,11 @@
 //! size whose bytes are slices of one static filler table. Serving either
 //! allocates nothing and copies nothing before the framer's one copy into
 //! its send buffer. [`RecordedResponse::body_bytes`] assembles a whole body
-//! for callers that compare or keep it. Serialization still iterates in
-//! URL sort order, so corpus JSON is byte-identical to the pre-interning
-//! format.
+//! for callers that compare or keep it.
 
-use crate::json::{self, Value};
-use crate::latency::LatencyModel;
-use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 use vroom_html::{ResourceKind, Url};
 use vroom_intern::{UrlId, UrlTable};
-use vroom_sim::SimDuration;
 
 /// The period of every synthetic body: the body is this string repeated
 /// and cut to the recorded size.
@@ -53,61 +48,49 @@ const fn filler() -> [u8; FILLER_SPAN + FILLER_PERIOD.len()] {
     table
 }
 
-/// One recorded HTTP exchange.
+/// A recorded body.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Body {
+    /// The recorded text (HTML keeps it, so the online analyzer can
+    /// re-scan it). Shared: cloning the response shares the storage.
+    Literal(Arc<str>),
+    /// A body of this many bytes: `vroom-replay-filler.` repeated, read
+    /// from a static table by offset and never stored.
+    Synthetic(u64),
+}
+
+/// One recorded HTTP exchange: a 200 of `kind` carrying `body`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordedResponse {
     /// The response's content class.
     pub kind: ResourceKind,
-    /// Body size in bytes. A response without a literal body is synthetic:
-    /// its bytes are `vroom-replay-filler.` repeated to this size, read
-    /// from a static table by offset and never stored.
-    pub size: u64,
-    /// Status code.
-    pub status: u16,
-    /// Freshness lifetime; `None` means uncacheable.
-    pub max_age: Option<SimDuration>,
-    /// Literal body, if the recording kept one (HTML usually does, so the
-    /// online analyzer can re-scan it; images usually don't). Shared:
-    /// cloning the response shares the body storage.
-    pub body: Option<Arc<str>>,
+    /// The response's body.
+    pub body: Body,
 }
 
 impl RecordedResponse {
-    /// A cacheable 200 of the given kind and size, no stored body.
+    /// A response of the given kind and size, no stored body.
     pub fn synthetic(kind: ResourceKind, size: u64) -> Self {
         RecordedResponse {
             kind,
-            size,
-            status: 200,
-            max_age: Some(SimDuration::from_secs(3600)),
-            body: None,
+            body: Body::Synthetic(size),
         }
     }
 
-    /// A 200 with a literal body (size derived from it).
+    /// A response with a literal body.
     pub fn with_body(kind: ResourceKind, body: impl Into<String>) -> Self {
-        let body = body.into();
         RecordedResponse {
             kind,
-            size: body.len() as u64,
-            status: 200,
-            max_age: Some(SimDuration::from_secs(3600)),
-            body: Some(Arc::from(body)),
+            body: Body::Literal(Arc::from(body.into())),
         }
-    }
-
-    /// Mark the response uncacheable.
-    pub fn uncacheable(mut self) -> Self {
-        self.max_age = None;
-        self
     }
 
     /// Length of the body served: the literal body's, or the recorded size
     /// of a synthetic one.
     pub fn body_len(&self) -> usize {
-        match &self.body {
-            Some(b) => b.len(),
-            None => self.size as usize,
+        match self.body {
+            Body::Literal(ref text) => text.len(),
+            Body::Synthetic(size) => size as usize,
         }
     }
 
@@ -116,8 +99,8 @@ impl RecordedResponse {
     /// the filler table. Empty at or past the end.
     fn body_from(&self, offset: usize) -> &[u8] {
         match &self.body {
-            Some(b) => b.as_bytes().get(offset..).unwrap_or_default(),
-            None => {
+            Body::Literal(text) => text.as_bytes().get(offset..).unwrap_or_default(),
+            Body::Synthetic(_) => {
                 let len = self.body_len().saturating_sub(offset).min(FILLER_SPAN);
                 let phase = offset % FILLER_PERIOD.len();
                 FILLER.get(phase..phase + len).unwrap_or_default()
@@ -144,8 +127,8 @@ impl RecordedResponse {
     /// allocation; a synthetic one is assembled from the filler table.
     pub fn body_bytes(&self) -> Arc<[u8]> {
         match &self.body {
-            Some(b) => Arc::from(Arc::clone(b)),
-            None => self
+            Body::Literal(text) => Arc::from(Arc::clone(text)),
+            Body::Synthetic(_) => self
                 .body_pieces(0, self.body_len())
                 .collect::<Vec<_>>()
                 .concat()
@@ -154,8 +137,7 @@ impl RecordedResponse {
     }
 }
 
-/// A recorded page-load corpus: URL → response, plus the latency environment
-/// observed at record time.
+/// A recorded page-load corpus: URL → response.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayStore {
     /// Intern table over every recorded URL (and any URL a caller interns
@@ -165,8 +147,6 @@ pub struct ReplayStore {
     /// Responses indexed by `UrlId`. `None` for ids interned without a
     /// recording.
     responses: Vec<Option<RecordedResponse>>,
-    /// Per-domain wired RTTs observed while recording, ordered.
-    pub server_rtts: BTreeMap<String, SimDuration>,
 }
 
 impl ReplayStore {
@@ -182,11 +162,6 @@ impl ReplayStore {
             self.responses.resize(id.index() + 1, None);
         }
         self.responses[id.index()] = Some(response);
-    }
-
-    /// Record the wired RTT to a domain.
-    pub fn record_rtt(&mut self, domain: impl Into<String>, rtt: SimDuration) {
-        self.server_rtts.insert(domain.into(), rtt);
     }
 
     /// Look up a response by URL: one intern-table probe, then an index.
@@ -226,165 +201,6 @@ impl ReplayStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Overlay the recorded RTTs onto a latency model (the paper's replay
-    /// shaping: cellular delay + recorded per-server RTT).
-    pub fn apply_rtts(&self, latency: &mut LatencyModel) {
-        for (domain, rtt) in &self.server_rtts {
-            latency.set_server_rtt(domain.clone(), *rtt);
-        }
-    }
-
-    /// Serialize to pretty JSON. Output is canonical: keys are sorted (by
-    /// URL, not intern order), so the same corpus always produces the same
-    /// bytes regardless of recording order.
-    pub fn to_json(&self) -> String {
-        let responses = self
-            .urls
-            .iter_sorted()
-            .filter_map(|(url, id)| {
-                self.lookup_id(id)
-                    .map(|r| (url.to_string(), encode_response(r)))
-            })
-            .collect();
-        let rtts = self
-            .server_rtts
-            .iter()
-            .map(|(domain, rtt)| (domain.clone(), Value::Int(rtt.as_nanos())))
-            .collect();
-        let mut root = BTreeMap::new();
-        root.insert("responses".to_string(), Value::Object(responses));
-        root.insert("server_rtts".to_string(), Value::Object(rtts));
-        let mut out = Value::Object(root).to_pretty();
-        out.push('\n');
-        out
-    }
-
-    /// Parse from JSON.
-    pub fn from_json(s: &str) -> Result<Self, json::Error> {
-        let root = Value::parse(s)?;
-        let mut store = ReplayStore::new();
-        let responses = root
-            .get("responses")
-            .and_then(Value::as_object)
-            .ok_or_else(|| json::Error::custom("missing \"responses\" object"))?;
-        for (url, v) in responses {
-            let url = Url::parse(url)
-                .ok_or_else(|| json::Error::custom(format!("invalid url {url:?}")))?;
-            store.record(url, decode_response(v)?);
-        }
-        let rtts = root
-            .get("server_rtts")
-            .and_then(Value::as_object)
-            .ok_or_else(|| json::Error::custom("missing \"server_rtts\" object"))?;
-        for (domain, v) in rtts {
-            let nanos = v
-                .as_u64()
-                .ok_or_else(|| json::Error::custom(format!("bad rtt for {domain:?}")))?;
-            store.record_rtt(domain.clone(), SimDuration::from_nanos(nanos));
-        }
-        Ok(store)
-    }
-
-    /// Save to a file.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Load from a file.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let s = std::fs::read_to_string(path)?;
-        Self::from_json(&s).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-}
-
-fn kind_name(kind: ResourceKind) -> &'static str {
-    match kind {
-        ResourceKind::Html => "Html",
-        ResourceKind::Css => "Css",
-        ResourceKind::Js => "Js",
-        ResourceKind::Image => "Image",
-        ResourceKind::Font => "Font",
-        ResourceKind::Media => "Media",
-        ResourceKind::Xhr => "Xhr",
-        ResourceKind::Other => "Other",
-    }
-}
-
-fn kind_from_name(name: &str) -> Option<ResourceKind> {
-    Some(match name {
-        "Html" => ResourceKind::Html,
-        "Css" => ResourceKind::Css,
-        "Js" => ResourceKind::Js,
-        "Image" => ResourceKind::Image,
-        "Font" => ResourceKind::Font,
-        "Media" => ResourceKind::Media,
-        "Xhr" => ResourceKind::Xhr,
-        "Other" => ResourceKind::Other,
-        _ => return None,
-    })
-}
-
-fn encode_response(r: &RecordedResponse) -> Value {
-    let mut obj = std::collections::BTreeMap::new();
-    obj.insert(
-        "kind".to_string(),
-        Value::Str(kind_name(r.kind).to_string()),
-    );
-    obj.insert("size".to_string(), Value::Int(r.size));
-    obj.insert("status".to_string(), Value::Int(r.status as u64));
-    obj.insert(
-        "max_age".to_string(),
-        match r.max_age {
-            Some(d) => Value::Int(d.as_nanos()),
-            None => Value::Null,
-        },
-    );
-    obj.insert(
-        "body".to_string(),
-        match &r.body {
-            Some(b) => Value::Str(b.to_string()),
-            None => Value::Null,
-        },
-    );
-    Value::Object(obj)
-}
-
-fn decode_response(v: &Value) -> Result<RecordedResponse, json::Error> {
-    let field = |name: &str| {
-        v.get(name)
-            .ok_or_else(|| json::Error::custom(format!("response missing {name:?}")))
-    };
-    let kind_str = field("kind")?
-        .as_str()
-        .ok_or_else(|| json::Error::custom("\"kind\" must be a string"))?;
-    let kind = kind_from_name(kind_str)
-        .ok_or_else(|| json::Error::custom(format!("unknown kind {kind_str:?}")))?;
-    let size = field("size")?
-        .as_u64()
-        .ok_or_else(|| json::Error::custom("\"size\" must be an integer"))?;
-    let status = field("status")?
-        .as_u64()
-        .ok_or_else(|| json::Error::custom("\"status\" must be an integer"))?;
-    let max_age = match field("max_age")? {
-        Value::Null => None,
-        other => Some(SimDuration::from_nanos(other.as_u64().ok_or_else(
-            || json::Error::custom("\"max_age\" must be null or an integer"),
-        )?)),
-    };
-    let body = match field("body")? {
-        Value::Null => None,
-        other => Some(Arc::from(other.as_str().ok_or_else(|| {
-            json::Error::custom("\"body\" must be null or a string")
-        })?)),
-    };
-    Ok(RecordedResponse {
-        kind,
-        size,
-        status: status as u16,
-        max_age,
-        body,
-    })
 }
 
 #[cfg(test)]
@@ -406,10 +222,8 @@ mod tests {
         );
         store.record(
             Url::https("cdn.net", "/hero.jpg"),
-            RecordedResponse::synthetic(ResourceKind::Image, 300_000).uncacheable(),
+            RecordedResponse::synthetic(ResourceKind::Image, 300_000),
         );
-        store.record_rtt("news.com", SimDuration::from_millis(25));
-        store.record_rtt("cdn.net", SimDuration::from_millis(5));
         store
     }
 
@@ -419,7 +233,7 @@ mod tests {
         assert_eq!(store.len(), 3);
         let html = store.lookup(&Url::https("news.com", "/")).unwrap();
         assert_eq!(html.kind, ResourceKind::Html);
-        assert!(html.body.is_some());
+        assert!(matches!(html.body, Body::Literal(_)));
         assert!(store.lookup(&Url::https("news.com", "/missing")).is_none());
     }
 
@@ -439,32 +253,6 @@ mod tests {
         let extra = store.urls_mut().intern(Url::https("news.com", "/hinted"));
         assert!(store.lookup_id(extra).is_none());
         assert_eq!(store.len(), 3, "unrecorded ids don't count");
-        assert!(!store.to_json().contains("/hinted"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let store = sample();
-        let json = store.to_json();
-        let back = ReplayStore::from_json(&json).unwrap();
-        assert_eq!(back.len(), store.len());
-        assert_eq!(
-            back.lookup(&Url::https("cdn.net", "/hero.jpg")),
-            store.lookup(&Url::https("cdn.net", "/hero.jpg"))
-        );
-        assert_eq!(back.server_rtts, store.server_rtts);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let store = sample();
-        let dir = std::env::temp_dir().join("vroom-replay-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corpus.json");
-        store.save(&path).unwrap();
-        let back = ReplayStore::load(&path).unwrap();
-        assert_eq!(back.len(), 3);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -510,13 +298,16 @@ mod tests {
     #[test]
     fn literal_bodies_are_one_piece_read_in_place() {
         let r = RecordedResponse::with_body(ResourceKind::Html, "<html></html>");
+        let Body::Literal(text) = &r.body else {
+            panic!("a literal body")
+        };
         assert_eq!(r.body_len(), 13);
         assert_eq!(r.body_from(6), b"</html>");
         let pieces: Vec<&[u8]> = r.body_pieces(1, 100).collect();
         assert_eq!(pieces, vec![&b"html></html>"[..]]);
         assert_eq!(
             pieces[0].as_ptr(),
-            r.body.as_ref().unwrap()[1..].as_ptr(),
+            text[1..].as_ptr(),
             "borrowed from the recorded body"
         );
     }
@@ -524,24 +315,16 @@ mod tests {
     #[test]
     fn literal_bodies_are_shared_not_copied() {
         let r = RecordedResponse::with_body(ResourceKind::Html, "<html></html>");
+        let Body::Literal(text) = &r.body else {
+            panic!("a literal body")
+        };
         let a = r.body_bytes();
         let b = r.body_bytes();
         assert!(Arc::ptr_eq(&a, &b), "same allocation");
         assert_eq!(
             a.as_ptr(),
-            r.body.as_ref().unwrap().as_ptr(),
+            text.as_ptr(),
             "shares the recorded body's storage"
         );
-    }
-
-    #[test]
-    fn rtts_overlay_latency_model() {
-        let store = sample();
-        let mut latency =
-            LatencyModel::uniform(SimDuration::from_millis(60), SimDuration::from_millis(99));
-        store.apply_rtts(&mut latency);
-        assert_eq!(latency.rtt("news.com").as_millis(), 85);
-        assert_eq!(latency.rtt("cdn.net").as_millis(), 65);
-        assert_eq!(latency.rtt("other.org").as_millis(), 159, "default");
     }
 }

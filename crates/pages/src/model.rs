@@ -55,7 +55,7 @@ pub struct Resource {
     pub above_fold: bool,
     /// Relative share of above-the-fold pixels this resource paints.
     pub visual_weight: f64,
-    /// Freshness lifetime; `None` = uncacheable.
+    /// Freshness lifetime; `None` = not cacheable.
     pub max_age: Option<SimDuration>,
     /// URL-variation class.
     pub stability: Stability,

@@ -3,7 +3,9 @@
 //! Rather than crawling every page on every device model, a Vroom server
 //! bins device types into equivalence classes by comparing the stable sets
 //! their loads produce: devices whose stable sets have high
-//! intersection-over-union share one class (and one crawl).
+//! intersection-over-union can share one class (and one crawl). Fig 9
+//! reports that IoU across device pairs; the resolver crawls on the device
+//! class its caller names.
 
 use crate::resolve::{Crawls, ResolverInput};
 use std::collections::BTreeSet;
@@ -36,29 +38,6 @@ pub fn iou(a: &BTreeSet<Url>, b: &BTreeSet<Url>) -> f64 {
     inter / union
 }
 
-/// Group device classes whose stable sets agree above `threshold` IoU.
-/// Greedy agglomeration against class representatives — cheap and adequate
-/// for the handful of device buckets in practice.
-pub fn equivalence_classes(
-    generator: &PageGenerator,
-    hours: f64,
-    server_seed: u64,
-    threshold: f64,
-) -> Vec<Vec<DeviceClass>> {
-    let mut classes: Vec<(BTreeSet<Url>, Vec<DeviceClass>)> = Vec::new();
-    for device in DeviceClass::all() {
-        let set = stable_set(generator, hours, device, server_seed);
-        match classes
-            .iter_mut()
-            .find(|(rep, _)| iou(rep, &set) >= threshold)
-        {
-            Some((_, members)) => members.push(device),
-            None => classes.push((set, vec![device])),
-        }
-    }
-    classes.into_iter().map(|(_, members)| members).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,21 +65,6 @@ mod tests {
         );
         assert!(pp > 0.85, "phones nearly identical, got {pp}");
         assert!(pt < 0.97, "tablets diverge, got {pt}");
-    }
-
-    #[test]
-    fn equivalence_classes_reflect_buckets() {
-        // With a threshold between the two IoU regimes, phones share a class.
-        let g = PageGenerator::new(SiteProfile::news(), 4242);
-        let classes = equivalence_classes(&g, 1500.0, 3, 0.9);
-        let phone_class = classes
-            .iter()
-            .find(|c| c.contains(&DeviceClass::PhoneLarge))
-            .unwrap();
-        assert!(
-            phone_class.contains(&DeviceClass::PhoneSmall),
-            "phones must share a class: {classes:?}"
-        );
     }
 
     #[test]

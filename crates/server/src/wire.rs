@@ -371,8 +371,7 @@ fn handle_request(
     }
 
     // The main response, hint headers attached.
-    let mut resp =
-        Response::with_status(record.status).with_header("content-type", content_type(record.kind));
+    let mut resp = Response::ok().with_header("content-type", content_type(record.kind));
     if !hints.is_empty() {
         resp = attach_hints(resp, hints, urls);
     }

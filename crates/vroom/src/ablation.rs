@@ -23,7 +23,7 @@ fn median_plts<const N: usize>(
     systems: [System; N],
 ) -> [f64; N] {
     let cfg = ExperimentConfig {
-        profile: profile.clone(),
+        profile: *profile,
         ..cfg.clone()
     };
     plt_cdfs(&cfg, corpus, systems).map(|plts| plts.median())

@@ -50,7 +50,7 @@ fn main() {
             "{:<14} {:>10.1} {:>9} | {:>9.2} {:>9.2} {:>7.0}%",
             profile.name,
             profile.downlink_bps as f64 / 1e6,
-            profile.latency.cellular_rtt.as_millis(),
+            profile.cellular_rtt.as_millis(),
             h2,
             vr,
             (1.0 - vr / h2) * 100.0

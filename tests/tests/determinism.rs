@@ -1,16 +1,13 @@
 //! The workspace's headline invariant, asserted end to end: the same seed
-//! produces byte-identical results — full per-resource event traces, all
-//! scalar metrics, and serialized replay stores. This is what the
-//! `vroom-lint` rules (no wall clock, no hash-order iteration, no ambient
-//! randomness) exist to protect.
+//! produces byte-identical results — full per-resource event traces and all
+//! scalar metrics. This is what the `vroom-lint` rules (no wall clock, no
+//! hash-order iteration, no ambient randomness) exist to protect.
 
 #![forbid(unsafe_code)]
 
 use vroom::{run_load, run_load_faulted, run_load_warm, SiteLoad, System};
-use vroom_html::ResourceKind;
-use vroom_net::{FaultPlan, NetworkProfile, RecordedResponse, ReplayStore};
-use vroom_pages::{render_html, Corpus, LoadContext, PageGenerator, SiteProfile};
-use vroom_sim::SimDuration;
+use vroom_net::{FaultPlan, NetworkProfile};
+use vroom_pages::{Corpus, LoadContext, PageGenerator, SiteProfile};
 
 /// Two identically seeded cold loads must agree on every metric and on the
 /// entire per-resource timing trace, for every system under test.
@@ -83,34 +80,6 @@ fn different_seeds_differ() {
         7,
     );
     assert_ne!(a, b, "seeds 1 and 2 produced identical loads");
-}
-
-/// Serialized replay stores are byte-identical across runs: recorded maps
-/// are ordered and the JSON encoder is canonical.
-#[test]
-fn replay_store_serialization_is_canonical() {
-    let record = || {
-        let page =
-            PageGenerator::new(SiteProfile::news(), 31337).snapshot(&LoadContext::reference());
-        let mut store = ReplayStore::new();
-        for r in &page.resources {
-            let rec = if r.kind == ResourceKind::Html {
-                RecordedResponse::with_body(ResourceKind::Html, render_html(&page, r.id))
-            } else {
-                RecordedResponse::synthetic(r.kind, r.size)
-            };
-            store.record(r.url.clone(), rec);
-        }
-        for (i, domain) in page.domains().iter().enumerate() {
-            store.record_rtt(domain.clone(), SimDuration::from_millis(5 + i as u64));
-        }
-        store.to_json()
-    };
-    let a = record();
-    let b = record();
-    assert_eq!(a, b, "replay JSON must be byte-identical across runs");
-    let reparsed = ReplayStore::from_json(&a).expect("roundtrip");
-    assert_eq!(reparsed.to_json(), a, "parse → serialize is a fixed point");
 }
 
 /// Fault injection preserves the headline invariant: the same (seed, plan)

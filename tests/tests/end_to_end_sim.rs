@@ -4,9 +4,9 @@
 
 #![forbid(unsafe_code)]
 
-use vroom::{lower_bound_plt, run_load, run_load_warm, System};
+use vroom::{lower_bound_plt, run_load, run_load_warm, SiteLoad, System};
 use vroom_net::NetworkProfile;
-use vroom_pages::{Corpus, LoadContext};
+use vroom_pages::{Corpus, LoadContext, PageGenerator, SiteProfile};
 use vroom_sim::SimDuration;
 
 fn lte() -> NetworkProfile {
@@ -176,4 +176,55 @@ fn degraded_networks_shift_the_bottleneck() {
         avg(&lte_gains),
         avg(&two_g_gains)
     );
+}
+
+/// Every network preset, and LTE under each sweep's override, pinned: the
+/// PLT in nanoseconds of HTTP/1.1, HTTP/2 and Vroom on one News page. The
+/// report pins LTE and its sweeps, and the chaos tier runs 2G; this is the
+/// test that loads 3G, WiFi, USB tether and congested LTE. A change to how
+/// a profile charges its round trips, handshakes or DNS lookups moves
+/// these.
+#[test]
+fn every_network_preset_keeps_its_plts() {
+    let site = PageGenerator::new(SiteProfile::news(), 4242);
+    let load = SiteLoad::new(&site, &LoadContext::reference(), 5);
+    let pinned: [(NetworkProfile, [u64; 3]); 8] = [
+        (
+            NetworkProfile::lte(),
+            [8_018_265_583, 7_833_001_484, 5_541_317_567],
+        ),
+        (
+            NetworkProfile::lte_congested(),
+            [19_182_438_522, 18_743_779_958, 17_573_170_531],
+        ),
+        (
+            NetworkProfile::three_g(),
+            [23_942_345_762, 23_416_223_420, 21_217_205_002],
+        ),
+        (
+            NetworkProfile::two_g(),
+            [139_634_191_045, 137_621_130_565, 137_420_773_337],
+        ),
+        (
+            NetworkProfile::wifi(),
+            [5_239_203_380, 5_170_652_952, 4_774_551_807],
+        ),
+        (
+            NetworkProfile::usb_tether(),
+            [4_631_334_736, 4_631_334_736, 4_617_896_992],
+        ),
+        (
+            lte().with_cellular_rtt(SimDuration::from_millis(200)),
+            [11_947_023_799, 11_275_705_277, 6_634_053_939],
+        ),
+        (
+            lte().with_downlink(2_000_000),
+            [18_694_719_601, 18_168_249_118, 16_756_124_003],
+        ),
+    ];
+    for (row, (profile, want)) in pinned.into_iter().enumerate() {
+        let got = [System::Http1, System::Http2, System::Vroom]
+            .map(|system| load.run(&profile, system).plt.as_nanos());
+        assert_eq!(got, want, "row {row}: {}", profile.name);
+    }
 }

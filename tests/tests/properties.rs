@@ -279,8 +279,8 @@ proptest! {
 
     /// The hash-indexed `UrlTable` agrees with a `BTreeMap` oracle on every
     /// step of an interleaved intern, intern-by-reference and lookup
-    /// sequence: the same ids, the same hits and misses, and the same
-    /// sorted iteration; its rendered strings equal the URL's own. The
+    /// sequence: the same ids, the same hits and misses, and iteration over
+    /// the same `(url, id)` pairs; its rendered strings equal the URL's own. The
     /// longest sequences intern about 700 distinct URLs, which grows the
     /// index from 16 to 2048 slots.
     #[test]
@@ -306,9 +306,12 @@ proptest! {
                 }
             }
         }
-        let sorted: Vec<(&vroom_html::Url, UrlId)> = table.iter_sorted().collect();
-        let want: Vec<(&vroom_html::Url, UrlId)> = oracle.iter().map(|(u, &id)| (u, id)).collect();
-        prop_assert_eq!(sorted, want);
+        let got: std::collections::BTreeMap<&vroom_html::Url, UrlId> =
+            table.iter().map(|(id, u)| (u, id)).collect();
+        let want: std::collections::BTreeMap<&vroom_html::Url, UrlId> =
+            oracle.iter().map(|(u, &id)| (u, id)).collect();
+        prop_assert_eq!(table.iter().count(), oracle.len());
+        prop_assert_eq!(got, want);
         for (u, &id) in &oracle {
             prop_assert_eq!(table.get(id), u);
             prop_assert_eq!(&**table.full_url(id), u.to_string());
