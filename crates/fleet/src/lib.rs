@@ -24,11 +24,14 @@
 //!   simulated load itself).
 //! * **Parallel execution** — batches fan resolver passes and client loads
 //!   over a persistent [`vroom_exec::Pool`], so the report is
-//!   byte-identical at any worker count.
+//!   byte-identical at any worker count. Consecutive batches whose loads
+//!   commute with the writes between them share one load fan-out (a
+//!   *wave*, DESIGN §2w).
 //! * **Bounded memory** — the run keeps a compact arrival index (one `u32`
 //!   per client) and derives each batch's clients from it when the batch
 //!   is due. Each client's outcome is folded into the report's running
-//!   tally when its batch ends, handed to the caller's sink
+//!   tally when its batch is accounted, at the end of its wave (at most
+//!   a fixed number of loads per worker), handed to the caller's sink
 //!   ([`run_fleet_observed`]), and dropped. What stays per client is the
 //!   index entry and one `f64` onload sample.
 //!
@@ -36,7 +39,9 @@
 //! functions of the seed; resolver passes are pure and committed in a fixed
 //! order between batches (so shared-table ids are deterministic); client
 //! loads within a batch read a frozen store snapshot-equivalent (no writes
-//! happen during the load phase) and land in input-index slots; the shard
+//! happen during the load phase) and land in input-index slots; a load
+//! runs ahead of an earlier batch's commits only when those commits touch
+//! no URL of its site's domains (a wave); the shard
 //! counters are *logical* — one bump per operation — so their totals depend
 //! on the workload, never on scheduling. Everything in [`FleetReport`] is
 //! therefore identical for any `workers`, which `tests/tests/fleet.rs` pins
@@ -58,7 +63,7 @@ use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::json::Value;
 use vroom_net::{FaultPlan, NetworkProfile};
-use vroom_pages::{Corpus, DeviceClass, LoadContext, Page};
+use vroom_pages::{Corpus, DeviceClass, LoadContext, Page, PageGenerator};
 use vroom_server::batch::{commit_pass_at, run_pass, PassOutput};
 use vroom_server::freshness::observed_pass;
 use vroom_server::push_policy::{select_pushes, PushPolicy};
@@ -539,33 +544,34 @@ pub struct FleetRun {
 /// zeros otherwise. Purely diagnostic: none of it feeds the report.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetStageTiming {
-    /// Dedicated resolver-pass fan-outs: cold-start passes (first batch)
-    /// and refresh admissions that could not be overlapped.
+    /// Dedicated resolver-pass fan-outs: the passes a wave head needs that
+    /// no earlier fan-out ran (the cold start), and one fan-out per wave
+    /// for the refresh passes its loads admit.
     pub pass_s: f64,
     /// Sequential store commits between fan-outs.
     pub commit_s: f64,
-    /// The combined fan-outs: client loads overlapped with the *next*
-    /// batch's arrival-driven resolver passes.
+    /// The combined fan-outs: a wave's client loads overlapped with the
+    /// *next* wave's arrival-driven resolver passes.
     pub load_s: f64,
     /// Sequential post-batch accounting (origin pool, learning commits).
     pub account_s: f64,
 }
 
-/// One unit of work in a fan-out: a client load of the current batch, or a
+/// One unit of work in a fan-out: a client load of the current wave, or a
 /// resolver pass for `(site, bucket)`.
 enum FleetWork {
-    /// A client load. `keep_page` hands the load's page back to the caller:
+    /// A client load. `learn` builds the load's observed pass on the worker:
     /// set for each site's first load of a batch when the fleet learns from
-    /// loads. Every other page is freed on its worker.
+    /// loads. The page is freed on its worker either way.
     Load {
         spec: ClientSpec,
-        keep_page: bool,
+        learn: bool,
     },
     Pass((usize, i64)),
 }
 
 enum FleetDone {
-    Load(Box<(ClientOutcome, Option<Page>)>),
+    Load(Box<(ClientOutcome, Option<PassOutput>)>),
     Pass((usize, i64), PassOutput),
 }
 
@@ -679,39 +685,62 @@ impl FleetAccum {
         needed
     }
 
-    /// Record one committed pass.
-    fn committed(&mut self, site: usize, bucket: i64) {
-        let prior = self.last_pass.insert(site, bucket);
-        self.resolver_passes += 1;
-        self.refresh_passes += prior.is_some() as u64;
+    /// Admission for one batch: its arrivals' passes plus the refresh
+    /// passes the previous batch's stale serves admitted, at the batch's
+    /// first hour bucket.
+    fn admit(&mut self, batch: &[ClientSpec], policy: EvictionPolicy) -> BTreeSet<(usize, i64)> {
+        let bucket = batch_bucket(batch);
+        let mut needed = self.arrivals_needed(batch, policy);
+        needed.extend(self.pending_refresh.iter().map(|&site| (site, bucket)));
+        self.pending_refresh.clear();
+        needed
+    }
+
+    /// Commit the admitted passes, taken out of `passes`, in deterministic
+    /// `(site, bucket)` order. The pool's ack barrier guarantees every
+    /// worker dropped its table `Arc`, so `get_mut` is exclusive access,
+    /// not a copy.
+    fn commit(
+        &mut self,
+        needed: &BTreeSet<(usize, i64)>,
+        passes: &mut BTreeMap<(usize, i64), PassOutput>,
+        store: &ShardedStore,
+        urls: &mut Arc<UrlTable>,
+    ) {
+        for &(site, bucket) in needed {
+            let pass = passes
+                .remove(&(site, bucket))
+                .expect("admitted pass was run before its commit");
+            let table = Arc::get_mut(urls).expect("no table refs outstanding between fan-outs");
+            commit_pass_at(&pass, store, table, bucket);
+            let prior = self.last_pass.insert(site, bucket);
+            self.resolver_passes += 1;
+            self.refresh_passes += prior.is_some() as u64;
+        }
     }
 
     /// Sequential post-batch accounting, in arrival order: the origin
     /// pool models per-origin connection reuse across the fleet, stale
-    /// serves admit refresh passes, and each load that came back with its
-    /// page (a site's first load of the batch, when learning) is committed
-    /// back to the store. Then the outcome is folded into the tally and
-    /// handed to `on_outcome`, which owns it from there.
+    /// serves admit refresh passes, and each load that came back with an
+    /// observed pass (a site's first load of the batch, when learning) is
+    /// committed to the store. Then the outcome is folded into the tally
+    /// and handed to `on_outcome`, which owns it from there.
     fn account_batch(
         &mut self,
         store: &ShardedStore,
         urls: &mut Arc<UrlTable>,
         batch: &[ClientSpec],
-        batch_outcomes: Vec<(ClientOutcome, Option<Page>)>,
+        batch_outcomes: impl Iterator<Item = (ClientOutcome, Option<PassOutput>)>,
         on_outcome: &mut dyn FnMut(ClientOutcome),
     ) {
-        for (spec, (outcome, page)) in batch.iter().zip(batch_outcomes) {
+        for (spec, (outcome, observed)) in batch.iter().zip(batch_outcomes) {
             if outcome.hint_stale > 0 {
                 self.pending_refresh.insert(outcome.site);
             }
-            if let Some(page) = page {
-                let observed = observed_pass(&page, &outcome.result);
-                if !observed.entries.is_empty() {
-                    let table =
-                        Arc::get_mut(urls).expect("no table refs outstanding between fan-outs");
-                    commit_pass_at(&observed, store, table, spec.bucket());
-                    self.observed_commits += 1;
-                }
+            if let Some(observed) = observed {
+                let table = Arc::get_mut(urls).expect("no table refs outstanding between fan-outs");
+                commit_pass_at(&observed, store, table, spec.bucket());
+                self.observed_commits += 1;
             }
             for origin in &outcome.origins {
                 if self.warm_origins.contains(origin) {
@@ -787,6 +816,122 @@ impl FleetAccum {
     }
 }
 
+/// The hour bucket a batch's admissions are made at: its earliest client's.
+fn batch_bucket(batch: &[ClientSpec]) -> i64 {
+    batch
+        .iter()
+        .map(ClientSpec::bucket)
+        .min()
+        .unwrap_or(FLEET_BASE_HOURS as i64)
+}
+
+/// Loads a wave may hold per worker. A wave keeps each load's outcome (and,
+/// when learning, its observed pass) until its batches are accounted, so
+/// the cap bounds the loop's memory by the worker count, never by the
+/// client count. DESIGN §2w gives the measurements behind the value.
+const WAVE_LOADS_PER_WORKER: usize = 16;
+
+/// The conflict class of each site: sites whose [`PageGenerator::domains`]
+/// share a host, closed transitively, form one class, named by its smallest
+/// site index. Every URL a site's pages, passes and observed passes hold
+/// lies on that site's domains, so a load of one class reads no table or
+/// store entry that a commit for another class writes.
+fn conflict_classes(sites: &[PageGenerator]) -> Vec<usize> {
+    // Union-find whose root is the smallest index of its class.
+    fn root(class: &mut [usize], mut site: usize) -> usize {
+        while class[site] != site {
+            class[site] = class[class[site]];
+            site = class[site];
+        }
+        site
+    }
+    let mut class: Vec<usize> = (0..sites.len()).collect();
+    let mut first_on: BTreeMap<&str, usize> = BTreeMap::new();
+    for (site, generator) in sites.iter().enumerate() {
+        // Type-qualified: `Page::domains`, which copies, shares the name.
+        for host in PageGenerator::domains(generator) {
+            let other = *first_on.entry(host).or_insert(site);
+            let (a, b) = (root(&mut class, site), root(&mut class, other));
+            class[a.max(b)] = a.min(b);
+        }
+    }
+    (0..sites.len())
+        .map(|site| root(&mut class, site))
+        .collect()
+}
+
+/// Consecutive batches whose loads run in one fan-out (DESIGN §2w). A wave
+/// starts at a head batch, whose passes are committed before any load runs,
+/// and takes the next batch while that batch's loads commute with every
+/// write the sequential loop would make before them.
+struct Wave {
+    /// The conflict class of each site ([`conflict_classes`]).
+    class: Vec<usize>,
+    /// Whether a load can write before the next batch's loads: it commits
+    /// an observed pass when learning, and under `RefreshOnMiss` a stale
+    /// serve admits a refresh pass.
+    loads_write: bool,
+    /// Most loads a wave may hold. `0` when waves are their head alone:
+    /// without prefetch, and under TTL, whose sweeps and expiry passes
+    /// write for every site.
+    cap: usize,
+    batches: Vec<Vec<ClientSpec>>,
+    loads: usize,
+    /// `writing[c]`: the wave holds a load of class `c` that can write.
+    writing: Vec<bool>,
+}
+
+impl Wave {
+    fn new(cfg: &FleetConfig, corpus: &Corpus, prefetch: bool) -> Wave {
+        let class = conflict_classes(&corpus.sites);
+        let extends = prefetch && !matches!(cfg.policy, EvictionPolicy::Ttl(_));
+        Wave {
+            writing: vec![false; class.len()],
+            class,
+            loads_write: cfg.learn_from_loads
+                || matches!(cfg.policy, EvictionPolicy::RefreshOnMiss(_)),
+            cap: if extends {
+                WAVE_LOADS_PER_WORKER * cfg.workers.max(1)
+            } else {
+                0
+            },
+            batches: Vec::new(),
+            loads: 0,
+        }
+    }
+
+    /// Empty the wave and start it at `head`.
+    fn start(&mut self, head: Vec<ClientSpec>) {
+        self.batches.clear();
+        self.loads = 0;
+        self.writing.fill(false);
+        self.push(head);
+    }
+
+    fn push(&mut self, batch: Vec<ClientSpec>) {
+        self.loads += batch.len();
+        if self.loads_write {
+            for spec in &batch {
+                self.writing[self.class[spec.site]] = true;
+            }
+        }
+        self.batches.push(batch);
+    }
+
+    /// Whether `batch` may join: the wave stays under its cap, the batch
+    /// admits no arrival pass, and none of its loads is in the class of a
+    /// writing load already in the wave. Outside TTL, `arrivals_needed`
+    /// reads only which sites were ever passed, which no commit inside a
+    /// wave changes.
+    fn admits(&self, batch: &[ClientSpec], accum: &FleetAccum, policy: EvictionPolicy) -> bool {
+        self.loads + batch.len() <= self.cap
+            && batch
+                .iter()
+                .all(|spec| !self.writing[self.class[spec.site]])
+            && accum.arrivals_needed(batch, policy).is_empty()
+    }
+}
+
 /// Client ids sorted by `(arrival_total_ms, id)`: the fleet's arrival
 /// order in four bytes per client. A batch's [`ClientSpec`]s are derived
 /// again from these ids when the batch is due. The sort re-derives its key
@@ -810,12 +955,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetRun {
 /// results must be a pure function of the config, and the caller's clock
 /// reads only bracket stages, never feed them.
 ///
-/// Execution is *pipelined*: each batch's fan-out combines the batch's
-/// client loads with the **next** batch's arrival-driven resolver passes
+/// Execution is *pipelined*: each wave's fan-out combines the client loads
+/// of its batches with the **next** wave's arrival-driven resolver passes
 /// (both pure in the frozen shared state), so resolver work hides behind
 /// load work instead of serializing with it. Commits stay sequential, in
 /// batch order, between fan-outs; refresh admissions (which depend on the
-/// previous batch's outcomes) are never prefetched.
+/// previous batch's outcomes) run in one fan-out after the wave's loads.
 pub fn run_fleet_instrumented(
     cfg: &FleetConfig,
     clock: Option<&dyn Fn() -> f64>,
@@ -832,19 +977,21 @@ pub fn run_fleet_observed(
     clock: Option<&dyn Fn() -> f64>,
     on_outcome: &mut dyn FnMut(ClientOutcome),
 ) -> (FleetRun, FleetStageTiming) {
-    run_fleet_loop(cfg, clock, true, on_outcome)
+    let (run, timing, _waves) = run_fleet_loop(cfg, clock, true, on_outcome);
+    (run, timing)
 }
 
-/// The fleet loop. With `prefetch` off, no pass is overlapped with the
-/// previous batch's loads: every admitted pass runs in the batch's own
-/// dedicated pass fan-out. That is the unpipelined reference the crate's
-/// proptest pins byte-identical to the prefetching loop.
+/// The fleet loop; it also returns how many waves it ran. With `prefetch`
+/// off, no pass is overlapped with the previous batch's loads and every
+/// wave is one batch: every admitted pass runs in its batch's own pass
+/// fan-out, before its loads. That is the sequential reference the crate's
+/// proptest pins byte-identical to the prefetching, wave-forming loop.
 fn run_fleet_loop(
     cfg: &FleetConfig,
     clock: Option<&dyn Fn() -> f64>,
     prefetch: bool,
     on_outcome: &mut dyn FnMut(ClientOutcome),
-) -> (FleetRun, FleetStageTiming) {
+) -> (FleetRun, FleetStageTiming, u64) {
     let (cfg, clamped_from) = cfg.validated();
     let cfg = &cfg;
     let now = || clock.map_or(0.0, |c| c());
@@ -861,18 +1008,20 @@ fn run_fleet_loop(
     // byte-identical results to a fresh one (pinned by the browser engine's
     // scratch-reuse test).
     let pool: Pool<EngineScratch> = Pool::new(cfg.workers);
+    let mut wave = Wave::new(cfg, &corpus, prefetch);
 
     let mut accum = FleetAccum {
         tally: OutcomeTally::with_clients(cfg.clients),
         ..FleetAccum::default()
     };
     let mut timing = FleetStageTiming::default();
-    // Passes computed ahead of their batch by a previous combined fan-out.
-    let mut prefetched: BTreeMap<(usize, i64), PassOutput> = BTreeMap::new();
+    // Passes run ahead of their commit: the next wave's arrival passes,
+    // prefetched by a combined fan-out, and a wave's refresh passes.
+    let mut passes: BTreeMap<(usize, i64), PassOutput> = BTreeMap::new();
 
     // Batch windows are over total arrival time, so a span across hour
     // buckets yields per-bucket arrival clusters. Each batch is derived
-    // once: peeking for the prefetch derives the next batch, and the next
+    // once: peeking at the next batch derives it, and the wave or the next
     // iteration takes that same `Vec`.
     let derive = |id: &u32| ClientSpec::derive(cfg, *id as usize);
     let window_of = |id: &u32| derive(id).arrival_total_ms() / window;
@@ -880,61 +1029,46 @@ fn run_fleet_loop(
         .chunk_by(|a, b| window_of(a) == window_of(b))
         .map(|ids| ids.iter().map(derive).collect::<Vec<_>>())
         .peekable();
-    let mut batch_count = 0;
-    while let Some(batch) = batches.next() {
-        batch_count += 1;
-        let batch_bucket = batch
-            .iter()
-            .map(|s| s.bucket())
-            .min()
-            .unwrap_or(FLEET_BASE_HOURS as i64);
-
-        // TTL policy: a sequential eviction sweep between batches — reads
-        // never mutate the maps, so the parallel load phase stays pure.
+    let (mut batch_count, mut waves) = (0, 0);
+    while let Some(head) = batches.next() {
+        // TTL policy: a sequential eviction sweep before the head's passes
+        // — reads never mutate the maps, so the parallel load phase stays
+        // pure. Under TTL a wave is its head alone, so every batch is swept.
         if let EvictionPolicy::Ttl(h) = cfg.policy {
-            store.evict_resolved_before(batch_bucket - h as i64);
+            store.evict_resolved_before(batch_bucket(&head) - h as i64);
         }
+        let needed = accum.admit(&head, cfg.policy);
 
-        let mut needed = accum.arrivals_needed(&batch, cfg.policy);
-        for &site in &accum.pending_refresh {
-            needed.insert((site, batch_bucket));
-        }
-        accum.pending_refresh.clear();
-
-        // Run whatever this batch needs that no previous fan-out prefetched:
-        // the cold start (first batch) and refresh admissions.
+        // Run whatever the head needs that no earlier fan-out ran: the cold
+        // start, and without prefetch every pass the head admits.
         let t0 = now();
         let missing: Vec<FleetWork> = needed
             .iter()
-            .filter(|key| !prefetched.contains_key(key))
+            .filter(|key| !passes.contains_key(key))
             .map(|&key| FleetWork::Pass(key))
             .collect();
-        fan_out(&pool, cfg, &corpus, &urls, &store, missing, &mut prefetched);
+        fan_out(&pool, cfg, &corpus, &urls, &store, missing, &mut passes);
         let t1 = now();
         timing.pass_s += t1 - t0;
-
-        // Sequential commits, in deterministic (site, bucket) order. The
-        // pool's ack barrier guarantees every worker dropped its table Arc,
-        // so `get_mut` is exclusive access, not a copy.
-        for &(site, bucket) in &needed {
-            let pass = prefetched
-                .remove(&(site, bucket))
-                .expect("admitted pass was just run or prefetched");
-            let table =
-                Arc::get_mut(&mut urls).expect("no table refs outstanding between fan-outs");
-            commit_pass_at(&pass, store.as_ref(), table, bucket);
-            accum.committed(site, bucket);
-        }
+        accum.commit(&needed, &mut passes, &store, &mut urls);
         let t2 = now();
         timing.commit_s += t2 - t1;
 
-        // The combined fan-out: this batch's loads (against the store
-        // frozen above) plus the next batch's arrival-driven passes (pure —
-        // they read neither store nor table). Passes lead so the expensive
-        // items never straggle behind the claim counter.
-        // vroom-lint: allow(hot-path-alloc) -- one work list per batch, amortized across its items
-        let mut work: Vec<FleetWork> = Vec::with_capacity(batch.len());
-        if let Some(next) = batches.peek().filter(|_| prefetch) {
+        // The wave: the head, then each following batch whose loads commute
+        // with every write the sequential loop would make before them.
+        wave.start(head);
+        while let Some(batch) = batches.next_if(|b| wave.admits(b, &accum, cfg.policy)) {
+            wave.push(batch);
+        }
+        let next_head = batches.peek().filter(|_| prefetch);
+
+        // The combined fan-out: the wave's loads (against the store frozen
+        // above) plus the next wave's arrival-driven passes (pure — they
+        // read neither store nor table). Passes lead so the expensive items
+        // never straggle behind the claim counter.
+        // vroom-lint: allow(hot-path-alloc) -- one work list per wave, amortized across its loads
+        let mut work: Vec<FleetWork> = Vec::with_capacity(wave.loads);
+        if let Some(next) = next_head {
             work.extend(
                 accum
                     .arrivals_needed(next, cfg.policy)
@@ -942,29 +1076,72 @@ fn run_fleet_loop(
                     .map(FleetWork::Pass),
             );
         }
-        // Learning reads each site's first load of the batch, so exactly
-        // those loads keep their pages.
-        let mut learned: BTreeSet<usize> = BTreeSet::new();
-        work.extend(batch.iter().map(|&spec| FleetWork::Load {
-            spec,
-            keep_page: cfg.learn_from_loads && learned.insert(spec.site),
-        }));
-        let batch_outcomes = fan_out(&pool, cfg, &corpus, &urls, &store, work, &mut prefetched);
+        for batch in &wave.batches {
+            // Learning reads each site's first load of the batch, so
+            // exactly those loads build an observed pass.
+            let mut learned = BTreeSet::new();
+            work.extend(batch.iter().map(|&spec| FleetWork::Load {
+                spec,
+                learn: cfg.learn_from_loads && learned.insert(spec.site),
+            }));
+        }
+        let outcomes = fan_out(&pool, cfg, &corpus, &urls, &store, work, &mut passes);
         let t3 = now();
         timing.load_s += t3 - t2;
 
-        accum.account_batch(&store, &mut urls, &batch, batch_outcomes, on_outcome);
-        timing.account_s += now() - t3;
+        // The refresh passes the wave's loads admit: a batch's are the sites
+        // the batch before it served stale, so the outcomes name them all
+        // now, the next head's included. One fan-out runs them; each commits
+        // with its own batch. Without prefetch, the next head runs its own.
+        let mut refresh = BTreeSet::new();
+        let mut served = outcomes.iter();
+        for (batch, next) in wave
+            .batches
+            .iter()
+            .zip(wave.batches[1..].iter().chain(next_head))
+        {
+            let bucket = batch_bucket(next);
+            refresh.extend(
+                served
+                    .by_ref()
+                    .take(batch.len())
+                    .filter(|(o, _)| o.hint_stale > 0)
+                    .map(|(o, _)| (o.site, bucket)),
+            );
+        }
+        let refresh = refresh.into_iter().map(FleetWork::Pass).collect();
+        fan_out(&pool, cfg, &corpus, &urls, &store, refresh, &mut passes);
+        let t4 = now();
+        timing.pass_s += t4 - t3;
+
+        // Batch by batch, in arrival order, the writes the sequential loop
+        // makes: each later batch's admitted passes, then the batch's
+        // accounting and learning commits.
+        let mut outcomes = outcomes.into_iter();
+        for (i, batch) in wave.batches.iter().enumerate() {
+            let t5 = now();
+            if i > 0 {
+                let needed = accum.admit(batch, cfg.policy);
+                accum.commit(&needed, &mut passes, &store, &mut urls);
+            }
+            let t6 = now();
+            timing.commit_s += t6 - t5;
+            let batch_outcomes = outcomes.by_ref().take(batch.len());
+            accum.account_batch(&store, &mut urls, batch, batch_outcomes, on_outcome);
+            timing.account_s += now() - t6;
+        }
+        batch_count += wave.batches.len() as u64;
+        waves += 1;
     }
-    debug_assert!(prefetched.is_empty(), "every prefetched pass is consumed");
+    debug_assert!(passes.is_empty(), "every pass run ahead is committed");
 
     let run = accum.finish(cfg, clamped_from, &store, window, batch_count);
-    (run, timing)
+    (run, timing, waves)
 }
 
 /// Fan `work` out over the pool. Resolver passes are pure and land in
-/// `prefetched` under their `(site, bucket)` key; client outcomes come back
-/// in input order, each with its page if the work item kept it.
+/// `passes` under their `(site, bucket)` key; client outcomes come back in
+/// input order, each with its observed pass if the work item learns.
 fn fan_out(
     pool: &Pool<EngineScratch>,
     cfg: &FleetConfig,
@@ -972,8 +1149,8 @@ fn fan_out(
     urls: &Arc<UrlTable>,
     store: &Arc<ShardedStore>,
     work: Vec<FleetWork>,
-    prefetched: &mut BTreeMap<(usize, i64), PassOutput>,
-) -> Vec<(ClientOutcome, Option<Page>)> {
+    passes: &mut BTreeMap<(usize, i64), PassOutput>,
+) -> Vec<(ClientOutcome, Option<PassOutput>)> {
     let (corpus, urls, store) = (Arc::clone(corpus), Arc::clone(urls), Arc::clone(store));
     let profile = cfg.profile;
     let (policy, faults, server_seed) = (cfg.policy, cfg.faults, cfg.server_seed);
@@ -987,10 +1164,7 @@ fn fan_out(
                 server_seed,
             ),
         ),
-        FleetWork::Load {
-            ref spec,
-            keep_page,
-        } => {
+        FleetWork::Load { ref spec, learn } => {
             let plan = match &faults {
                 Some(f) => f.plan_for(spec.id as u64),
                 None => FaultPlan::none(),
@@ -999,14 +1173,19 @@ fn fan_out(
             // it: the page is built for this load alone and freed after it.
             let page = corpus.sites[spec.site].snapshot(&spec.ctx());
             let outcome = load_client(&profile, policy, spec, &page, &urls, &store, &plan, scratch);
-            FleetDone::Load(Box::new((outcome, keep_page.then_some(page))))
+            // Learning reads what the load fetched, so its observed pass is
+            // built here, beside the page. An empty pass commits nothing.
+            let observed = learn
+                .then(|| observed_pass(&page, &outcome.result))
+                .filter(|pass| !pass.entries.is_empty());
+            FleetDone::Load(Box::new((outcome, observed)))
         }
     });
     let mut outcomes = Vec::with_capacity(done.len());
     for d in done {
         match d {
             FleetDone::Pass(key, out) => {
-                prefetched.insert(key, out);
+                passes.insert(key, out);
             }
             FleetDone::Load(done) => outcomes.push(*done),
         }
@@ -1262,6 +1441,128 @@ mod tests {
         }
     }
 
+    /// A News+Sports corpus seed whose sites 0 and 3 share a third-party
+    /// host (`tp2-8fae.net`); no two of its first 16 sites share another.
+    const SHARED_HOST_CORPUS: u64 = 1184;
+
+    #[test]
+    fn sites_sharing_a_host_fall_in_one_conflict_class() {
+        let shared = Corpus::news_and_sports_capped(SHARED_HOST_CORPUS, Some(16));
+        let host = |s: usize| {
+            shared.sites[s]
+                .domains()
+                .contains(&"tp2-8fae.net".to_string())
+        };
+        assert!(host(0) && host(3));
+        let mut want: Vec<usize> = (0..16).collect();
+        want[3] = 0;
+        assert_eq!(conflict_classes(&shared.sites), want);
+        // The committed corpus shares no host: every site is its own class.
+        let own = Corpus::news_and_sports_capped(7, Some(64));
+        assert_eq!(conflict_classes(&own.sites), (0..64).collect::<Vec<_>>());
+        // Classes close transitively, and are named by their smallest site.
+        let chain = [SHARED_HOST_CORPUS, SHARED_HOST_CORPUS + 0x10000, 3]
+            .map(|seed| PageGenerator::new(vroom_pages::SiteProfile::news(), seed));
+        assert_eq!(conflict_classes(&chain), vec![0, 0, 2]);
+    }
+
+    /// One client of `site`, in the base hour bucket.
+    fn spec_of(site: usize) -> ClientSpec {
+        ClientSpec {
+            site,
+            ..ClientSpec::derive(&FleetConfig::quick(1, 1), 0)
+        }
+    }
+
+    #[test]
+    fn a_wave_takes_no_load_of_a_class_after_a_writing_load_of_it() {
+        let corpus = Corpus::news_and_sports_capped(SHARED_HOST_CORPUS, Some(4));
+        let mut accum = FleetAccum::default();
+        accum
+            .last_pass
+            .extend((0..4).map(|site| (site, FLEET_BASE_HOURS as i64)));
+        for (policy, learn, writes) in [
+            (EvictionPolicy::Never, false, false),
+            (EvictionPolicy::Never, true, true),
+            (EvictionPolicy::RefreshOnMiss(1), false, true),
+        ] {
+            let cfg = FleetConfig {
+                policy,
+                learn_from_loads: learn,
+                workers: 2,
+                ..FleetConfig::quick(8, 4)
+            };
+            let mut wave = Wave::new(&cfg, &corpus, true);
+            wave.start(vec![spec_of(0)]);
+            // Site 3 shares site 0's class, so it waits for the writes of
+            // site 0's load; site 1 has a class of its own.
+            assert_eq!(wave.admits(&[spec_of(3)], &accum, policy), !writes);
+            assert_eq!(wave.admits(&[spec_of(0)], &accum, policy), !writes);
+            assert!(wave.admits(&[spec_of(1), spec_of(2)], &accum, policy));
+            wave.push(vec![spec_of(1)]);
+            assert_eq!(
+                wave.admits(&[spec_of(2), spec_of(1)], &accum, policy),
+                !writes
+            );
+            // A site never passed needs an arrival pass: it starts a wave.
+            accum.last_pass.remove(&2);
+            assert!(!wave.admits(&[spec_of(2)], &accum, policy));
+            accum.last_pass.insert(2, FLEET_BASE_HOURS as i64);
+            // The cap counts the head: two workers, two loads already.
+            let full = vec![spec_of(2); 2 * WAVE_LOADS_PER_WORKER - 1];
+            assert!(!wave.admits(&full, &accum, policy));
+            assert!(wave.admits(&full[1..], &accum, policy));
+        }
+        // TTL and the sequential reference keep every wave to its head.
+        let ttl = FleetConfig {
+            policy: EvictionPolicy::Ttl(1),
+            ..FleetConfig::quick(8, 4)
+        };
+        let never = FleetConfig::quick(8, 4);
+        for (cfg, prefetch) in [(&ttl, true), (&never, false)] {
+            let mut wave = Wave::new(cfg, &corpus, prefetch);
+            wave.start(vec![spec_of(0)]);
+            assert!(!wave.admits(&[spec_of(1)], &accum, cfg.policy));
+        }
+    }
+
+    #[test]
+    fn waves_span_several_batches_under_every_writer_rule() {
+        for (policy, learn) in [
+            (EvictionPolicy::Never, false),
+            (EvictionPolicy::Never, true),
+            (EvictionPolicy::RefreshOnMiss(1), false),
+            (EvictionPolicy::RefreshOnMiss(1), true),
+            (EvictionPolicy::Ttl(1), true),
+        ] {
+            let cfg = FleetConfig {
+                span_hours: 5,
+                policy,
+                learn_from_loads: learn,
+                workers: 2,
+                ..FleetConfig::quick(120, 16)
+            };
+            let (mut on_seen, mut off_seen) = (Vec::new(), Vec::new());
+            let (on, _, waves) = run_fleet_loop(&cfg, None, true, &mut |o| on_seen.push(o));
+            let off = run_fleet_loop(&cfg, None, false, &mut |o| off_seen.push(o)).0;
+            assert_eq!(
+                fingerprints(&on),
+                fingerprints(&off),
+                "{policy:?} learn={learn}"
+            );
+            assert_eq!(on_seen, off_seen, "{policy:?} learn={learn}");
+            let batches = on.report.batches;
+            if matches!(policy, EvictionPolicy::Ttl(_)) {
+                assert_eq!(waves, batches, "a TTL wave is one batch");
+            } else {
+                assert!(
+                    waves < batches,
+                    "{policy:?} learn={learn}: {waves} waves of {batches} batches"
+                );
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -1305,16 +1606,23 @@ mod tests {
             }
         }
 
-        /// Prefetching batch k+1's resolver passes during batch k's loads
-        /// is byte-identical to running every pass in its own batch's pass
-        /// fan-out, at every worker count, with and without fault
-        /// injection, under every eviction policy.
+        /// The wave-forming loop, which prefetches the next wave's passes
+        /// during a wave's loads, is byte-identical to the sequential loop
+        /// (one batch at a time, every pass in its batch's own fan-out), at
+        /// every worker count, under every writer rule: `Never` and
+        /// `RefreshOnMiss`, each with and without learning, and `Ttl`, which
+        /// keeps each wave to one batch. Arrivals spread over up to 24 hour
+        /// buckets, so waves of several batches form; half the cases serve
+        /// a corpus in which two sites share a host.
         #[test]
         fn prefetch_on_equals_prefetch_off(
             clients in 1usize..=50,
-            sites in 1usize..=4,
+            sites in 1usize..=16,
             seed in any::<u64>(),
             policy_sel in 0u8..3,
+            span_hours in 0u64..=23,
+            learn in any::<bool>(),
+            shared_host in any::<bool>(),
             faulted in any::<bool>(),
             fault_seed in any::<u64>(),
             fault_one_in in 1u64..4,
@@ -1322,9 +1630,10 @@ mod tests {
             let mut cfg = FleetConfig::quick(clients, sites);
             cfg.seed = seed;
             cfg.policy = policy_of(policy_sel);
-            if cfg.policy != EvictionPolicy::Never {
-                cfg.span_hours = 3;
-                cfg.learn_from_loads = true;
+            cfg.span_hours = span_hours;
+            cfg.learn_from_loads = learn;
+            if shared_host {
+                cfg.corpus_seed = SHARED_HOST_CORPUS;
             }
             cfg.faults = faulted.then_some(FleetFaults {
                 seed: fault_seed,
@@ -1334,8 +1643,8 @@ mod tests {
             for workers in [1usize, 2, 8] {
                 cfg.workers = workers;
                 let (mut on_seen, mut off_seen) = (Vec::new(), Vec::new());
-                let on = run_fleet_observed(&cfg, None, &mut |o| on_seen.push(o)).0;
-                let off = run_fleet_loop(&cfg, None, false, &mut |o| off_seen.push(o)).0;
+                let (on, _, on_waves) = run_fleet_loop(&cfg, None, true, &mut |o| on_seen.push(o));
+                let (off, _, off_waves) = run_fleet_loop(&cfg, None, false, &mut |o| off_seen.push(o));
                 prop_assert_eq!(
                     fingerprints(&on),
                     fingerprints(&off),
@@ -1348,6 +1657,11 @@ mod tests {
                     "outcomes diverged at workers={}",
                     workers
                 );
+                prop_assert_eq!(off_waves, off.report.batches, "one batch per reference wave");
+                prop_assert!(on_waves <= on.report.batches);
+                if matches!(cfg.policy, EvictionPolicy::Ttl(_)) {
+                    prop_assert_eq!(on_waves, on.report.batches, "a TTL wave is one batch");
+                }
             }
         }
     }

@@ -15,7 +15,10 @@
 //!   under-count them, so the true target is never above the count;
 //! * `Type::assoc` resolves through the impl self-type, with `Self::`
 //!   mapped to the caller's own impl block and `use .. as ..` renames
-//!   mapped back to the defining type.
+//!   mapped back to the defining type;
+//! * a fn of an inherent impl that is not `pub` is a candidate for either
+//!   form only from its own crate, which alone can name it. Trait methods
+//!   and trait-impl methods stay candidates everywhere.
 //!
 //! A type-qualified call whose type is *not* defined in the workspace
 //! (`Vec::new`, `BTreeMap::from`, a vendored type) produces no edge: the
@@ -83,13 +86,25 @@ impl<'a> Graph<'a> {
             let file = &summaries[n.file];
             let caller = &file.fns[n.item];
             let caller_crate = crate_of(&file.path);
+            // A private inherent fn cannot be named outside its crate.
+            let visible = |c: usize| {
+                let nf = nodes[c];
+                let f = &summaries[nf.file].fns[nf.item];
+                f.is_pub || !f.inherent || crate_of(&summaries[nf.file].path) == caller_crate
+            };
             let mut sites: Vec<(usize, usize)> = Vec::new();
             for (call_idx, call) in caller.calls.iter().enumerate() {
                 let name = call.name.as_str();
                 let mut out: Vec<usize> = Vec::new();
                 match call.kind {
                     CallKind::Method => {
-                        let all = methods.get(name).map(Vec::as_slice).unwrap_or(&[]);
+                        let all: Vec<usize> = methods
+                            .get(name)
+                            .map_or(&[][..], Vec::as_slice)
+                            .iter()
+                            .copied()
+                            .filter(|&c| visible(c))
+                            .collect();
                         let arity_of = |c: usize| {
                             let nf = nodes[c];
                             summaries[nf.file].fns[nf.item].arity
@@ -125,7 +140,7 @@ impl<'a> Graph<'a> {
                                     .unwrap_or(qual)
                             };
                             if let Some(c) = by_type.get(&(ty, name)) {
-                                out.extend_from_slice(c);
+                                out.extend(c.iter().copied().filter(|&c| visible(c)));
                             }
                             // else: the type is not defined in the workspace
                             // (std or vendored) — its associated fns cannot
@@ -364,6 +379,49 @@ mod tests {
         let entry = find(&g, "entry");
         // Only the 1-arg `go` matches; B::go has arity 2.
         assert_eq!(g.edges[entry], vec![find(&g, "go")]);
+    }
+
+    #[test]
+    fn private_inherent_fns_link_only_within_their_crate() {
+        // `expect` is private to `Parser`'s inherent impl in `net`, so the
+        // `Option::expect` call in `fleet` cannot reach it; `net`'s own call
+        // and the `pub` and trait-impl methods of the same name still link.
+        let s = graph_of(&[
+            (
+                "crates/net/src/json.rs",
+                "struct Parser;\n\
+                 impl Parser {\n\
+                     fn expect(&self, b: u8) {}\n\
+                     fn peek() {}\n\
+                     pub fn parse(&self) { self.expect(1); Parser::peek(); }\n\
+                 }\n",
+            ),
+            (
+                "crates/exec/src/a.rs",
+                "pub struct Cursor;\n\
+                 impl Cursor { pub fn expect(&self, what: &str) {} }\n\
+                 impl Check for Slot { fn expect(&self, b: u8) {} }\n",
+            ),
+            (
+                "crates/fleet/src/lib.rs",
+                "pub fn run(pass: Option<u8>) { pass.expect(\"ran\"); Parser::peek(); }\n",
+            ),
+        ]);
+        let g = Graph::build(&s);
+        let named = |ids: &[usize]| -> Vec<String> { ids.iter().map(|&c| g.display(c)).collect() };
+        assert_eq!(
+            named(&g.edges[find(&g, "run")]),
+            ["exec::Cursor::expect", "exec::Slot::expect"]
+        );
+        assert_eq!(
+            named(&g.edges[find(&g, "parse")]),
+            [
+                "net::Parser::expect",
+                "net::Parser::peek",
+                "exec::Cursor::expect",
+                "exec::Slot::expect"
+            ]
+        );
     }
 
     #[test]

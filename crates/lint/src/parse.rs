@@ -296,6 +296,11 @@ pub struct FnItem {
     pub self_type: Option<String>,
     /// Takes a `self` receiver (method-call resolution candidate).
     pub has_self: bool,
+    /// Declared `pub` in any form (`pub`, `pub(crate)`, `pub(in path)`).
+    pub is_pub: bool,
+    /// Sits in an inherent `impl Type` block, not a trait impl or a trait:
+    /// unless it is `pub`, only its own crate can call it.
+    pub inherent: bool,
     /// Parameter count, excluding `self`.
     pub arity: usize,
     /// 1-based line of the `fn` keyword.
@@ -482,6 +487,8 @@ struct ImplRange {
     start: usize,
     end: usize,
     self_type: String,
+    /// An `impl Type` block; `false` for `impl Trait for Type` and `trait`.
+    inherent: bool,
 }
 
 /// `impl` and `trait` block ranges with the type (or trait) name that
@@ -518,6 +525,7 @@ fn impl_ranges(code: &str) -> Vec<ImplRange> {
                 start: open,
                 end: brace_span(code, open),
                 self_type: name,
+                inherent: kw == "impl" && split_at_word(header, "for").is_none(),
             });
         }
     }
@@ -646,16 +654,17 @@ fn fn_items(
             _ => (end, end),
         };
         let line = lines.line(at);
-        let self_type = impls
+        let owner = impls
             .iter()
             .filter(|r| r.start <= at && at < r.end)
-            .min_by_key(|r| r.end - r.start)
-            .map(|r| r.self_type.clone());
+            .min_by_key(|r| r.end - r.start);
         out.push(ParsedFn {
             item: FnItem {
                 name,
-                self_type,
+                self_type: owner.map(|r| r.self_type.clone()),
                 has_self,
+                is_pub: declared_pub(code, at),
+                inherent: owner.is_some_and(|r| r.inherent),
                 arity,
                 line,
                 is_test: in_test(line),
@@ -668,6 +677,34 @@ fn fn_items(
         });
     }
     out
+}
+
+/// Whether the `fn` keyword at `at` is declared `pub` in any form (`pub`,
+/// `pub(crate)`, `pub(in path)`), looking back over the qualifiers that can
+/// stand between the two (`const`, `async`, `unsafe`, `extern "abi"`).
+fn declared_pub(code: &str, at: usize) -> bool {
+    let mut head = code[..at].trim_end();
+    loop {
+        if let Some(abi) = head
+            .strip_suffix('"')
+            .and_then(|h| h.rfind('"').map(|q| &h[..q]))
+        {
+            head = abi.trim_end();
+            continue;
+        }
+        match trailing_word(head).as_deref() {
+            Some(q @ ("const" | "async" | "unsafe" | "extern" | "default")) => {
+                head = head[..head.len() - q.len()].trim_end();
+            }
+            _ => break,
+        }
+    }
+    if let Some(scope) = head.strip_suffix(')') {
+        head = scope
+            .rfind('(')
+            .map_or(head, |open| scope[..open].trim_end());
+    }
+    trailing_word(head).as_deref() == Some("pub")
 }
 
 /// `(has_self, arity-excluding-self)` from a parameter list's inner text.
@@ -1513,6 +1550,45 @@ mod tests {
         assert_eq!(call.name, "check");
         assert_eq!(call.kind, CallKind::Method);
         assert_eq!(call.args, 1);
+    }
+
+    #[test]
+    fn records_visibility_and_impl_kind() {
+        let src = "struct P;\n\
+                   impl P {\n\
+                       fn private(&self) {}\n\
+                       pub fn open(&self) {}\n\
+                       pub(crate) const fn scoped() -> u8 { 0 }\n\
+                       pub(in crate::json) unsafe fn inner(&self) {}\n\
+                       pub async fn later(&self) {}\n\
+                       #[inline]\n\
+                       fn attributed(&self) {}\n\
+                   }\n\
+                   impl Clone for P { fn clone(&self) -> P { P } }\n\
+                   trait T { fn tick(&self); }\n\
+                   pub extern \"C\" fn exported() {}\n\
+                   fn free() {}\n";
+        let s = summ(src);
+        let facts: Vec<(&str, bool, bool)> = s
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_pub, f.inherent))
+            .collect();
+        assert_eq!(
+            facts,
+            [
+                ("private", false, true),
+                ("open", true, true),
+                ("scoped", true, true),
+                ("inner", true, true),
+                ("later", true, true),
+                ("attributed", false, true),
+                ("clone", false, false),
+                ("tick", false, false),
+                ("exported", true, false),
+                ("free", false, false),
+            ]
+        );
     }
 
     #[test]

@@ -178,7 +178,6 @@ struct Parser<'a> {
 impl Parser<'_> {
     fn err(&self, msg: &str) -> Error {
         Error {
-            // vroom-lint: allow(hot-path-alloc) -- cold parse-error path: renders the message once for malformed JSON
             msg: msg.to_string(),
             offset: self.pos,
         }
@@ -203,7 +202,6 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            // vroom-lint: allow(hot-path-alloc) -- cold parse-error path: renders the message once for malformed JSON
             Err(self.err(&format!("expected {:?}", b as char)))
         }
     }

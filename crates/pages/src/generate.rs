@@ -194,6 +194,13 @@ impl PageGenerator {
         &self.domains[0]
     }
 
+    /// Every host the site's pages use, lower-cased: the first party, its
+    /// CDN, then the third parties. Each URL of every snapshot has one of
+    /// them as its host.
+    pub fn domains(&self) -> &[String] {
+        &self.domains
+    }
+
     /// Number of resources in every snapshot.
     pub fn len(&self) -> usize {
         self.nodes.len()

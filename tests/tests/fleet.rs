@@ -10,7 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vroom_browser::config::Hint;
+use vroom_browser::config::{Hint, LoadConfig};
+use vroom_browser::BrowserEngine;
 use vroom_fleet::{
     run_fleet, run_fleet_observed, run_freshness, ClientOutcome, FleetConfig, FleetRun,
     FreshnessConfig,
@@ -18,7 +19,12 @@ use vroom_fleet::{
 use vroom_html::Url;
 use vroom_intern::{UrlId, UrlTable};
 use vroom_net::json::Value;
+use vroom_net::NetworkProfile;
+use vroom_pages::{Corpus, DeviceClass, LoadContext};
+use vroom_server::batch::run_pass;
+use vroom_server::freshness::observed_pass;
 use vroom_server::store::{EvictionPolicy, FreshRead, HintStore, ShardedStore};
+use vroom_sim::mix;
 
 /// The two byte-comparable projections of a run: the text report and the
 /// deterministic metrics tree of `BENCH_fleet.json` (timings excluded by
@@ -78,6 +84,63 @@ fn thousand_client_fleet_is_byte_identical() {
     let cfg = FleetConfig::default();
     assert!(cfg.clients >= 1000);
     assert_identical_at_all_widths(cfg);
+}
+
+/// The churn shape at acceptance scale: 64 sites over 24 hour buckets
+/// with refresh-on-miss(1) and learning, so about 400 resolver passes and
+/// 1000 learning commits land between waves of loads that each span
+/// several batches. Release-only; CI runs it.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "1000-client churn fleet is release-only; CI runs it"
+)]
+fn thousand_client_churn_fleet_is_byte_identical() {
+    let cfg = FleetConfig {
+        sites: 64,
+        span_hours: 23,
+        policy: EvictionPolicy::RefreshOnMiss(1),
+        learn_from_loads: true,
+        ..FleetConfig::default()
+    };
+    assert!(cfg.clients >= 1000);
+    assert_identical_at_all_widths(cfg);
+}
+
+/// The fact the fleet's wave rule rests on (DESIGN §2w): every URL in a
+/// site's resolver passes and observed passes has a host among that
+/// site's generator domains. So a commit for one site touches another
+/// site's table and store entries only when their domains meet.
+#[test]
+fn every_pass_url_lies_on_its_sites_domains() {
+    let corpus = Corpus::news_and_sports_capped(7, Some(64));
+    let profile = NetworkProfile::lte();
+    let mut observed_entries = 0;
+    for (s, site) in corpus.sites.iter().enumerate() {
+        let on_site = |url: &Url| site.domains().contains(&url.host);
+        for bucket in [2000u64, 2011, 2023] {
+            for device in [DeviceClass::PhoneLarge, DeviceClass::PhoneSmall] {
+                let pass = run_pass(site, bucket as f64, device, 77);
+                let ctx = LoadContext {
+                    hours: bucket as f64 + 0.5,
+                    user_id: mix(bucket, s as u64),
+                    device,
+                    nonce: mix(s as u64, bucket),
+                };
+                let page = site.snapshot(&ctx);
+                let result = BrowserEngine::load(&page, &profile, &LoadConfig::http2_baseline());
+                let observed = observed_pass(&page, &result);
+                observed_entries += observed.entries.len();
+                for (html, hints) in pass.entries.iter().chain(&observed.entries) {
+                    assert!(on_site(html), "site {s}: {html:?} is off its domains");
+                    for (url, _, _) in hints {
+                        assert!(on_site(url), "site {s}: {url:?} is off its domains");
+                    }
+                }
+            }
+        }
+    }
+    assert!(observed_entries > 0, "loads were observed");
 }
 
 #[test]
