@@ -59,7 +59,7 @@ use vroom_html::Url;
 use vroom_intern::UrlTable;
 use vroom_net::json::Value;
 use vroom_net::{NetworkProfile, RecordedResponse, ReplayStore};
-use vroom_pages::{LoadContext, PageGenerator, SiteProfile};
+use vroom_pages::{Corpus, LoadContext, PageGenerator, SiteProfile};
 use vroom_sim::{EventQueue, SimTime};
 
 /// Medians measured on this repo immediately *before* the interning /
@@ -205,6 +205,16 @@ fn parse_u64(flag: &str, value: Option<&str>) -> Result<u64, CliError> {
         .ok_or_else(|| format!("{flag} takes a number").into())
 }
 
+/// A `--sites` value: a number from 1 to the size of the News+Sports
+/// corpus the sites are drawn from (0 counts as 1).
+fn parse_sites(value: Option<&str>) -> Result<usize, CliError> {
+    let max = Corpus::NEWS_AND_SPORTS_SITES;
+    match parse_u64("--sites", value)? {
+        n if n > max as u64 => Err(format!("--sites takes at most {max}, got {n}").into()),
+        n => Ok(n.max(1) as usize),
+    }
+}
+
 /// The number at `keys` below `root`. An integral float in a committed
 /// file parses back as `Int`, so both count.
 fn number_at(root: &Value, keys: &[&str]) -> Option<f64> {
@@ -236,7 +246,7 @@ fn fleet_flags(args: &[String]) -> Result<(vroom_fleet::FleetConfig, Gate), CliE
         let number = || parse_u64(flag, value);
         match flag {
             "--clients" => cfg.clients = number()?.max(1) as usize,
-            "--sites" => cfg.sites = number()?.max(1) as usize,
+            "--sites" => cfg.sites = parse_sites(value)?,
             "--shards" => cfg.shards = number()?.max(1) as usize,
             "--seed" => cfg.seed = number()?,
             "--window" => cfg.batch_window_ms = number()?.max(1),
@@ -323,12 +333,7 @@ fn fleet_json(
         ("batch_window_ms", Value::Int(cfg.batch_window_ms)),
         ("arrival_span_ms", Value::Int(cfg.arrival_span_ms)),
     ];
-    // Freshness keys appear only when the freshness machinery is in play,
-    // so a legacy run's file stays byte-identical to the pre-freshness one.
-    if cfg.policy != vroom_server::EvictionPolicy::Never
-        || cfg.span_hours > 0
-        || cfg.learn_from_loads
-    {
+    if cfg.freshness_in_play() {
         config.extend([
             ("span_hours", Value::Int(cfg.span_hours)),
             ("policy", Value::Str(cfg.policy.label())),
@@ -387,7 +392,7 @@ fn freshness_cmd(args: &[String]) -> Result<(), CliError> {
         let number = || parse_u64(flag, value);
         match flag {
             "--clients" => cfg.clients = number()?.max(1) as usize,
-            "--sites" => cfg.sites = number()?.max(1) as usize,
+            "--sites" => cfg.sites = parse_sites(value)?,
             "--shards" => cfg.shards = number()?.max(1) as usize,
             "--seed" => cfg.seed = number()?,
             "--ages" => cfg.max_age_hours = number()?,
@@ -1062,6 +1067,9 @@ mod tests {
         assert!(run(&args(&["fleet", "--tolerance", "-5"])).is_err());
         assert!(run(&args(&["fleet", "--bogus"])).is_err());
         assert!(run(&args(&["fleet", "--policy", "hourly"])).is_err());
+        // More sites than the corpus holds is a bad argument, not a panic.
+        let err = run(&args(&["fleet", "--sites", "150", "--clients", "40"])).unwrap_err();
+        assert_eq!(err.exit_code, 1);
         // Missing baseline fails fast with exit 2, before the run starts.
         let err = run(&args(&["fleet", "--check-against", "/nonexistent/f.json"])).unwrap_err();
         assert_eq!(err.exit_code, 2);
@@ -1087,6 +1095,8 @@ mod tests {
         assert!(run(&args(&["freshness", "--corruption", "0.6"])).is_err());
         assert!(run(&args(&["freshness", "--corruption", "-0.1"])).is_err());
         assert!(run(&args(&["freshness", "--bogus"])).is_err());
+        let err = run(&args(&["freshness", "--sites", "101", "--ages", "1"])).unwrap_err();
+        assert_eq!(err.exit_code, 1);
         let err = run(&args(&[
             "freshness",
             "--check-against",

@@ -49,10 +49,6 @@ pub struct FreshnessConfig {
     pub sites: usize,
     /// Sweep seed: client derivation and per-client corruption plans.
     pub seed: u64,
-    /// Corpus seed (site structures).
-    pub corpus_seed: u64,
-    /// Seed for the server's crawler passes.
-    pub server_seed: u64,
     /// Hint-store shard count (each cell gets a fresh store).
     pub shards: usize,
     /// Hint ages swept: `0..=max_age_hours` hour buckets.
@@ -66,8 +62,6 @@ pub struct FreshnessConfig {
     pub hint_corruption: f64,
     /// Worker threads; the report is byte-identical for every value.
     pub workers: usize,
-    /// The access network every client loads over.
-    pub profile: NetworkProfile,
 }
 
 impl Default for FreshnessConfig {
@@ -76,8 +70,6 @@ impl Default for FreshnessConfig {
             clients: 120,
             sites: 6,
             seed: 0xF8E5,
-            corpus_seed: 7,
-            server_seed: 77,
             shards: 8,
             max_age_hours: 6,
             ttl_hours: CALIBRATED_TTL_HOURS,
@@ -86,7 +78,6 @@ impl Default for FreshnessConfig {
             // loads *slower* than hintless, so Ttl(1) overtakes Never.
             hint_corruption: 0.40,
             workers: 1,
-            profile: NetworkProfile::lte(),
         }
     }
 }
@@ -278,20 +269,19 @@ fn policies(ttl: u64) -> [EvictionPolicy; 3] {
 /// Run the sweep. Deterministic: byte-identical for any `cfg.workers`.
 pub fn run_freshness(cfg: &FreshnessConfig) -> FreshnessReport {
     let sites = cfg.sites.max(1);
-    let corpus = Corpus::news_and_sports_capped(cfg.corpus_seed, Some(sites));
     // The client population: derived exactly like a span-0 fleet's, so the
-    // sweep measures store policy differences over identical loads.
+    // sweep measures store policy differences over identical loads. The
+    // corpus, the crawls and the access network are the fleet's defaults.
     let fleet_cfg = FleetConfig {
         clients: cfg.clients,
         seed: cfg.seed,
         sites,
-        corpus_seed: cfg.corpus_seed,
-        server_seed: cfg.server_seed,
         shards: cfg.shards,
         workers: cfg.workers,
-        profile: cfg.profile,
         ..FleetConfig::default()
     };
+    let server_seed = fleet_cfg.server_seed;
+    let corpus = Corpus::news_and_sports_capped(fleet_cfg.corpus_seed, Some(sites));
     let specs: Vec<ClientSpec> = (0..cfg.clients)
         .map(|id| ClientSpec::derive(&fleet_cfg, id))
         .collect();
@@ -311,17 +301,19 @@ pub fn run_freshness(cfg: &FreshnessConfig) -> FreshnessReport {
                     site,
                     resolved_at as f64,
                     DeviceClass::PhoneLarge,
-                    cfg.server_seed,
+                    server_seed,
                 )
             })
         })
         .collect();
 
-    let baseline = run_cell(cfg, &specs, &pages, &passes, None);
+    let profile = &fleet_cfg.profile;
+    let baseline = run_cell(cfg, profile, &specs, &pages, &passes, None);
     let mut cells = Vec::new();
     for age in 0..=cfg.max_age_hours {
         for policy in policies(cfg.ttl_hours) {
-            let mut cell = run_cell(cfg, &specs, &pages, &passes, Some((policy, age)));
+            let setup = Some((policy, age));
+            let mut cell = run_cell(cfg, profile, &specs, &pages, &passes, setup);
             cell.speedup_p50 = baseline.onload_p50_ms / cell.onload_p50_ms;
             cell.speedup_p99 = baseline.onload_p99_ms / cell.onload_p99_ms;
             cells.push(cell);
@@ -341,7 +333,7 @@ pub fn run_freshness(cfg: &FreshnessConfig) -> FreshnessReport {
                 device: DeviceClass::PhoneLarge,
                 nonce: mix(cfg.seed ^ 0xACC1, s as u64),
             };
-            hint_quality_by_age(g, &ctx, cfg.server_seed, cfg.max_age_hours)
+            hint_quality_by_age(g, &ctx, server_seed, cfg.max_age_hours)
         })
         .collect();
     let median = |mut v: Vec<f64>| {
@@ -386,6 +378,7 @@ pub fn run_freshness(cfg: &FreshnessConfig) -> FreshnessReport {
 /// caller fills them in from the baseline.
 fn run_cell(
     cfg: &FreshnessConfig,
+    profile: &NetworkProfile,
     specs: &[ClientSpec],
     pages: &[Page],
     passes: &[Vec<PassOutput>],
@@ -442,7 +435,7 @@ fn run_cell(
         };
         let mut scratch = EngineScratch::default();
         load_client(
-            &cfg.profile,
+            profile,
             policy,
             spec,
             &pages[i],

@@ -126,7 +126,8 @@ pub struct FleetConfig {
     /// Fleet seed; every per-client parameter derives from it.
     pub seed: u64,
     /// Number of distinct sites the clients are spread over (a prefix of
-    /// the News+Sports corpus).
+    /// the News+Sports corpus, so at most
+    /// [`Corpus::NEWS_AND_SPORTS_SITES`]).
     pub sites: usize,
     /// Corpus seed (site structures).
     pub corpus_seed: u64,
@@ -189,6 +190,14 @@ impl FleetConfig {
             sites,
             ..Default::default()
         }
+    }
+
+    /// Whether the freshness machinery is in play: an eviction policy, an
+    /// hour span or learning. Without it, a run's report and its
+    /// `BENCH_fleet.json` config are byte-identical to the pre-freshness
+    /// fleet's.
+    pub fn freshness_in_play(&self) -> bool {
+        self.policy != EvictionPolicy::Never || self.span_hours > 0 || self.learn_from_loads
     }
 
     /// The configuration with `arrival_span_ms` clamped to
@@ -767,25 +776,20 @@ impl FleetAccum {
     ) -> FleetRun {
         let (onload_p50_ms, onload_p99_ms) = self.tally.onload_p50_p99();
         let t = &self.tally;
-        // The freshness section only exists when the freshness machinery
-        // was in play: a legacy run's report stays byte-identical.
-        let freshness = (cfg.policy != EvictionPolicy::Never
-            || cfg.span_hours > 0
-            || cfg.learn_from_loads
-            || clamped_from > 0)
-            .then(|| {
-                let fresh = store.freshness_stats();
-                FleetFreshness {
-                    policy: cfg.policy.label(),
-                    span_hours: cfg.span_hours,
-                    stale_reads: fresh.iter().map(|f| f.stale).sum(),
-                    stale_served: t.hint_stale,
-                    evictions: fresh.iter().map(|f| f.evictions).sum(),
-                    refresh_passes: self.refresh_passes,
-                    observed_commits: self.observed_commits,
-                    arrival_span_clamped_from_ms: clamped_from,
-                }
-            });
+        // The freshness section also reports a clamped arrival span.
+        let freshness = (cfg.freshness_in_play() || clamped_from > 0).then(|| {
+            let fresh = store.freshness_stats();
+            FleetFreshness {
+                policy: cfg.policy.label(),
+                span_hours: cfg.span_hours,
+                stale_reads: fresh.iter().map(|f| f.stale).sum(),
+                stale_served: t.hint_stale,
+                evictions: fresh.iter().map(|f| f.evictions).sum(),
+                refresh_passes: self.refresh_passes,
+                observed_commits: self.observed_commits,
+                arrival_span_clamped_from_ms: clamped_from,
+            }
+        });
         let report = FleetReport {
             clients: cfg.clients as u64,
             sites: cfg.sites.max(1) as u64,

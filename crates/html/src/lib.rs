@@ -7,8 +7,9 @@
 //!
 //! * [`Url`] — a minimal absolute-URL type with reference resolution,
 //!   origin/site comparisons, and extension-based typing,
-//! * [`tokenizer`] — a pragmatic WHATWG-ish HTML tokenizer (tags,
-//!   attributes, comments, raw-text `script`/`style` handling),
+//! * [`tokenizer`] — a pragmatic WHATWG-ish HTML tokenizer that borrows
+//!   start tags, their attributes and raw `script`/`style` text from the
+//!   input and skips everything else,
 //! * [`scanner`] — extraction of sub-resource references from HTML and CSS,
 //!   with the [`ResourceKind`] and [`ExecMode`] taxonomy that drives Vroom's
 //!   priority tiers.
@@ -19,8 +20,6 @@ pub mod scanner;
 pub mod tokenizer;
 pub mod url;
 
-pub use scanner::{
-    extract_absolute_urls, scan_css, scan_html, Discovered, DiscoveryVia, ExecMode, ResourceKind,
-};
+pub use scanner::{scan_html, Discovered, ExecMode, ResourceKind};
 pub use tokenizer::{Token, Tokenizer};
 pub use url::Url;

@@ -67,27 +67,6 @@ impl ResourceKind {
     }
 }
 
-/// How a reference was found in the document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DiscoveryVia {
-    /// `<script src>`.
-    ScriptSrc,
-    /// `<link rel=stylesheet>`.
-    Stylesheet,
-    /// `<link rel=preload|prefetch>`.
-    LinkPreload,
-    /// `<img src>` / `srcset` / `<picture><source>`.
-    Img,
-    /// `<iframe src>` — an embedded document.
-    Iframe,
-    /// `<video>/<audio>/<source>/<track>`.
-    Media,
-    /// `url(...)` or `@import` inside CSS.
-    CssUrl,
-    /// Absolute URL spotted inside an inline script.
-    InlineScript,
-}
-
 /// Script execution mode, which decides Vroom's priority tier
 /// (sync scripts are `Link preload`; async/defer are `x-semi-important`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,183 +86,107 @@ pub struct Discovered {
     pub url: Url,
     /// Content class.
     pub kind: ResourceKind,
-    /// Where in the markup it was found.
-    pub via: DiscoveryVia,
     /// Execution mode (scripts only; `Sync` otherwise).
     pub exec: ExecMode,
 }
+
+/// What a tag's `src` attribute loads, for each tag whose `src` is a
+/// sub-resource.
+const SRC_TAGS: [(&str, ResourceKind); 8] = [
+    ("script", ResourceKind::Js),
+    ("img", ResourceKind::Image),
+    ("iframe", ResourceKind::Html),
+    ("video", ResourceKind::Media),
+    ("audio", ResourceKind::Media),
+    ("source", ResourceKind::Media),
+    ("track", ResourceKind::Media),
+    ("embed", ResourceKind::Media),
+];
 
 /// Scan an HTML document for sub-resource references.
 ///
 /// Duplicate URLs are collapsed (first mention wins), matching how a browser
 /// only fetches each URL once.
 pub fn scan_html(base: &Url, html: &str) -> Vec<Discovered> {
-    let mut out: Vec<Discovered> = Vec::new();
-    let push = |d: Discovered, out: &mut Vec<Discovered>| {
-        if !out.iter().any(|e| e.url == d.url) {
-            out.push(d);
-        }
-    };
-
+    let mut out = Vec::new();
     for token in Tokenizer::new(html) {
-        match token {
-            Token::StartTag { name, attrs, .. } => match name.as_str() {
-                "script" => {
-                    if let Some(src) = attr(&attrs, "src") {
-                        if let Some(url) = base.join(src) {
-                            let exec = if attr(&attrs, "async").is_some() {
-                                ExecMode::Async
-                            } else if attr(&attrs, "defer").is_some() {
-                                ExecMode::Defer
-                            } else {
-                                ExecMode::Sync
-                            };
-                            push(
-                                Discovered {
-                                    url,
-                                    kind: ResourceKind::Js,
-                                    via: DiscoveryVia::ScriptSrc,
-                                    exec,
-                                },
-                                &mut out,
-                            );
-                        }
-                    }
-                }
-                "link" => {
-                    let rel = attr(&attrs, "rel").unwrap_or("").to_ascii_lowercase();
-                    let href = attr(&attrs, "href");
-                    let Some(href) = href else { continue };
-                    let Some(url) = base.join(href) else { continue };
-                    if rel.split_whitespace().any(|r| r == "stylesheet") {
-                        push(
-                            Discovered {
-                                url,
-                                kind: ResourceKind::Css,
-                                via: DiscoveryVia::Stylesheet,
-                                exec: ExecMode::Sync,
-                            },
-                            &mut out,
-                        );
-                    } else if rel
-                        .split_whitespace()
-                        .any(|r| r == "preload" || r == "prefetch")
-                    {
-                        let kind = match attr(&attrs, "as") {
-                            Some("script") => ResourceKind::Js,
-                            Some("style") => ResourceKind::Css,
-                            Some("image") => ResourceKind::Image,
-                            Some("font") => ResourceKind::Font,
-                            Some("document") => ResourceKind::Html,
-                            _ => ResourceKind::from_url(&url),
-                        };
-                        push(
-                            Discovered {
-                                url,
-                                kind,
-                                via: DiscoveryVia::LinkPreload,
-                                exec: ExecMode::Sync,
-                            },
-                            &mut out,
-                        );
-                    }
-                }
-                "img" => {
-                    if let Some(src) = attr(&attrs, "src") {
-                        if let Some(url) = base.join(src) {
-                            push(
-                                Discovered {
-                                    url,
-                                    kind: ResourceKind::Image,
-                                    via: DiscoveryVia::Img,
-                                    exec: ExecMode::Sync,
-                                },
-                                &mut out,
-                            );
-                        }
-                    }
-                    if let Some(srcset) = attr(&attrs, "srcset") {
-                        for candidate in srcset.split(',') {
-                            if let Some(u) = candidate.split_whitespace().next() {
-                                if let Some(url) = base.join(u) {
-                                    push(
-                                        Discovered {
-                                            url,
-                                            kind: ResourceKind::Image,
-                                            via: DiscoveryVia::Img,
-                                            exec: ExecMode::Sync,
-                                        },
-                                        &mut out,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                "iframe" => {
-                    if let Some(src) = attr(&attrs, "src") {
-                        if let Some(url) = base.join(src) {
-                            push(
-                                Discovered {
-                                    url,
-                                    kind: ResourceKind::Html,
-                                    via: DiscoveryVia::Iframe,
-                                    exec: ExecMode::Sync,
-                                },
-                                &mut out,
-                            );
-                        }
-                    }
-                }
-                "video" | "audio" | "source" | "track" | "embed" => {
-                    if let Some(src) = attr(&attrs, "src") {
-                        if let Some(url) = base.join(src) {
-                            push(
-                                Discovered {
-                                    url,
-                                    kind: ResourceKind::Media,
-                                    via: DiscoveryVia::Media,
-                                    exec: ExecMode::Sync,
-                                },
-                                &mut out,
-                            );
-                        }
-                    }
-                }
-                _ => {}
-            },
-            Token::StyleText(css) => {
-                for d in scan_css(base, &css) {
-                    push(d, &mut out);
+        let (name, attrs) = match token {
+            Token::StartTag { name, attrs } => (name, attrs),
+            Token::RawText {
+                element: "style",
+                text,
+            } => {
+                scan_css(base, text, &mut out);
+                continue;
+            }
+            Token::RawText { text, .. } => {
+                scan_inline_script(text, &mut out);
+                continue;
+            }
+        };
+        let get = |a: &str| attr(&attrs, a);
+        if name.eq_ignore_ascii_case("link") {
+            let Some(url) = get("href").and_then(|h| base.join(h)) else {
+                continue;
+            };
+            let rels = get("rel").unwrap_or("");
+            let rel = |r: &str| rels.split_whitespace().any(|v| v.eq_ignore_ascii_case(r));
+            if rel("stylesheet") {
+                found(&mut out, url, ResourceKind::Css, ExecMode::Sync);
+            } else if rel("preload") || rel("prefetch") {
+                let kind = match get("as") {
+                    Some("script") => ResourceKind::Js,
+                    Some("style") => ResourceKind::Css,
+                    Some("image") => ResourceKind::Image,
+                    Some("font") => ResourceKind::Font,
+                    Some("document") => ResourceKind::Html,
+                    _ => ResourceKind::from_url(&url),
+                };
+                found(&mut out, url, kind, ExecMode::Sync);
+            }
+            continue;
+        }
+        let Some(&(_, kind)) = SRC_TAGS.iter().find(|(t, _)| name.eq_ignore_ascii_case(t)) else {
+            continue;
+        };
+        let exec = match kind {
+            ResourceKind::Js if get("async").is_some() => ExecMode::Async,
+            ResourceKind::Js if get("defer").is_some() => ExecMode::Defer,
+            _ => ExecMode::Sync,
+        };
+        if let Some(url) = get("src").and_then(|s| base.join(s)) {
+            found(&mut out, url, kind, exec);
+        }
+        if kind == ResourceKind::Image {
+            for candidate in get("srcset").unwrap_or("").split(',') {
+                if let Some(url) = candidate
+                    .split_whitespace()
+                    .next()
+                    .and_then(|u| base.join(u))
+                {
+                    found(&mut out, url, kind, exec);
                 }
             }
-            Token::ScriptText(js) => {
-                for url in extract_absolute_urls(&js) {
-                    push(
-                        Discovered {
-                            kind: ResourceKind::from_url(&url),
-                            url,
-                            via: DiscoveryVia::InlineScript,
-                            exec: ExecMode::Sync,
-                        },
-                        &mut out,
-                    );
-                }
-            }
-            _ => {}
         }
     }
     out
 }
 
-/// Scan a CSS document (or inline style text) for `url(...)` and `@import`
-/// references.
-pub fn scan_css(base: &Url, css: &str) -> Vec<Discovered> {
-    let mut out: Vec<Discovered> = Vec::new();
+/// Record `url` unless the document already mentioned it.
+fn found(out: &mut Vec<Discovered>, url: Url, kind: ResourceKind, exec: ExecMode) {
+    if !out.iter().any(|d| d.url == url) {
+        out.push(Discovered { url, kind, exec });
+    }
+}
+
+/// Scan CSS (inline style text) for `url(...)` and `@import` references.
+fn scan_css(base: &Url, css: &str, out: &mut Vec<Discovered>) {
     let bytes = css.as_bytes();
     let mut i = 0;
+    // Walk bytes, not chars: a match starts with an ASCII byte, which is
+    // always a char boundary, so every slice below is too.
     while i < bytes.len() {
-        if css[i..].starts_with("url(") {
+        if bytes[i..].starts_with(b"url(") {
             let start = i + 4;
             if let Some(close) = css[start..].find(')') {
                 let raw = css[start..start + close].trim().trim_matches(['"', '\'']);
@@ -292,51 +195,35 @@ pub fn scan_css(base: &Url, css: &str) -> Vec<Discovered> {
                         ResourceKind::Other => ResourceKind::Image, // CSS urls default to images
                         k => k,
                     };
-                    if !out.iter().any(|e: &Discovered| e.url == url) {
-                        out.push(Discovered {
-                            url,
-                            kind,
-                            via: DiscoveryVia::CssUrl,
-                            exec: ExecMode::Sync,
-                        });
-                    }
+                    found(out, url, kind, ExecMode::Sync);
                 }
                 i = start + close;
                 continue;
             }
-        } else if css[i..].starts_with("@import") {
+        } else if bytes[i..].starts_with(b"@import") {
             let rest = &css[i + 7..];
             let end = rest.find(';').unwrap_or(rest.len());
-            let spec = rest[..end].trim();
-            let raw = spec
+            let raw = rest[..end]
+                .trim()
                 .trim_start_matches("url(")
                 .trim_end_matches(')')
                 .trim()
                 .trim_matches(['"', '\'']);
             if let Some(url) = base.join(raw) {
-                if !out.iter().any(|e: &Discovered| e.url == url) {
-                    out.push(Discovered {
-                        url,
-                        kind: ResourceKind::Css,
-                        via: DiscoveryVia::CssUrl,
-                        exec: ExecMode::Sync,
-                    });
-                }
+                found(out, url, ResourceKind::Css, ExecMode::Sync);
             }
             i += 7 + end;
             continue;
         }
         i += 1;
     }
-    out
 }
 
-/// Heuristically pull absolute http(s) URLs out of free text (inline
-/// scripts). This mirrors what a server can cheaply do online; URLs built
-/// dynamically by string concatenation are exactly the "unpredictable"
-/// resources Vroom leaves to the client.
-pub fn extract_absolute_urls(text: &str) -> Vec<Url> {
-    let mut out = Vec::new();
+/// Heuristically pull absolute http(s) URLs out of an inline script. This
+/// mirrors what a server can cheaply do online; URLs built dynamically by
+/// string concatenation are exactly the "unpredictable" resources Vroom
+/// leaves to the client.
+fn scan_inline_script(text: &str, out: &mut Vec<Discovered>) {
     let mut search = text;
     while let Some(idx) = search.find("http") {
         let candidate = &search[idx..];
@@ -348,17 +235,15 @@ pub fn extract_absolute_urls(text: &str) -> Vec<Url> {
                 })
                 .unwrap_or(candidate.len());
             let raw = candidate[..end].trim_end_matches([',', ';', '.']);
-            if let Some(url) = Url::parse(raw) {
-                if url.path.len() > 1 && !out.contains(&url) {
-                    out.push(url);
-                }
+            if let Some(url) = Url::parse(raw).filter(|u| u.path.len() > 1) {
+                let kind = ResourceKind::from_url(&url);
+                found(out, url, kind, ExecMode::Sync);
             }
             search = &search[idx + end.max(4)..];
         } else {
             search = &search[idx + 4..];
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -402,7 +287,6 @@ mod tests {
         assert_eq!(found.len(), 3, "canonical must be ignored: {found:?}");
         assert_eq!(found[0].kind, ResourceKind::Css);
         assert_eq!(found[1].kind, ResourceKind::Image);
-        assert_eq!(found[1].via, DiscoveryVia::LinkPreload);
         assert_eq!(found[2].kind, ResourceKind::Font);
     }
 
@@ -426,7 +310,6 @@ mod tests {
         let html = r#"<iframe src="https://ads.net/frame.html"></iframe>"#;
         let found = scan_html(&base(), html);
         assert_eq!(found[0].kind, ResourceKind::Html);
-        assert_eq!(found[0].via, DiscoveryVia::Iframe);
     }
 
     #[test]
@@ -446,13 +329,16 @@ mod tests {
 
     #[test]
     fn scan_css_standalone() {
-        let css = r#"@import "extra.css"; .x { background-image: url(img/dot.gif) }"#;
-        let found = scan_css(&Url::https("a.com", "/styles/main.css"), css);
+        // Multi-byte text before, between and inside references.
+        let css = r#"p { font-family: "Café" } @import "extra.css"; .x { background-image: url(img/dot.gif) } .日 { background: url(ß.png) }"#;
+        let mut found = Vec::new();
+        scan_css(&Url::https("a.com", "/styles/main.css"), css, &mut found);
         assert_eq!(
             urls(&found),
             vec![
                 "https://a.com/styles/extra.css",
-                "https://a.com/styles/img/dot.gif"
+                "https://a.com/styles/img/dot.gif",
+                "https://a.com/styles/ß.png"
             ]
         );
     }
@@ -532,7 +418,7 @@ mod tests {
         assert_eq!(
             found
                 .iter()
-                .filter(|d| d.via == DiscoveryVia::Iframe)
+                .filter(|d| d.kind == ResourceKind::Html)
                 .count(),
             1
         );

@@ -423,7 +423,7 @@ impl FrameCodec {
                 let (data, pad_len) = strip_padding(payload, fl)?;
                 Frame::Data {
                     stream_id,
-                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
                     data: data.to_vec(),
                     end_stream: fl & flags::END_STREAM != 0,
                     pad_len,
@@ -444,7 +444,7 @@ impl FrameCodec {
                 };
                 Frame::Headers {
                     stream_id,
-                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
                     fragment: fragment.to_vec(),
                     end_stream: fl & flags::END_STREAM != 0,
                     end_headers: fl & flags::END_HEADERS != 0,
@@ -510,7 +510,7 @@ impl FrameCodec {
                 Frame::PushPromise {
                     stream_id,
                     promised_stream_id: u32::from_be_bytes(*promised) & 0x7fff_ffff,
-                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
                     fragment: fragment.to_vec(),
                     end_headers: fl & flags::END_HEADERS != 0,
                 }
@@ -539,7 +539,7 @@ impl FrameCodec {
                 Frame::Goaway {
                     last_stream_id: u32::from_be_bytes([a0, a1, a2, a3]) & 0x7fff_ffff,
                     code: ErrorCode::from_wire(u32::from_be_bytes([c0, c1, c2, c3])),
-                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
                     debug: debug.to_vec(),
                 }
             }
@@ -562,7 +562,7 @@ impl FrameCodec {
                 }
                 Frame::Continuation {
                     stream_id,
-                    // vroom-lint: allow(hot-path-alloc) -- the frame owns its payload: one copy per decoded frame, the copy `BytesMut::freeze` made unscanned inside `vendor/bytes` before this codec read slices
+                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
                     fragment: payload.to_vec(),
                     end_headers: fl & flags::END_HEADERS != 0,
                 }

@@ -39,9 +39,11 @@ pub(crate) const ROOTS: Roots = &[
 /// Paths never reported even when name-based call resolution makes them
 /// look reachable: the bench harness and the linter are off the wire path
 /// by definition, crates/vroom is the experiment/reporting frontend,
-/// crates/html is the parser (owned tokens are its contract, and its `next`
-/// method collides with iterator adaptors under name-based resolution), and
-/// crates/intern is the allocation machinery the rule steers callers
+/// crates/html is the parser and the URL type (`Tokenizer::next` collides
+/// with every iterator `next` call under name-based resolution; the one
+/// site the entry hides today is `Url::origin`'s `format!`, which
+/// `fleet::load_client` does call, once per distinct origin of a load),
+/// and crates/intern is the allocation machinery the rule steers callers
 /// toward. server/resolve.rs is the offline resolver pass: batch-side work
 /// amortized across every client of a bucket, not the per-load serving
 /// path. crates/pages is not exempt: every fleet client materializes its

@@ -17,13 +17,17 @@ pub struct Corpus {
 }
 
 impl Corpus {
+    /// Sites in the News+Sports corpus: the most any capped build holds.
+    pub const NEWS_AND_SPORTS_SITES: usize = 100;
+
     /// Top 50 News + Top 50 Sports landing pages, or only the first `cap`
     /// of them (`None` builds all). Per-site seeds are independent, so a
     /// capped corpus is exactly the prefix of the full one — experiment
     /// configurations that only read `max_sites` sites skip constructing
     /// the other ~96. The other corpora cap the same way.
     pub fn news_and_sports_capped(seed: u64, cap: Option<usize>) -> Corpus {
-        let n = cap.unwrap_or(100).min(100) as u64;
+        let full = Self::NEWS_AND_SPORTS_SITES;
+        let n = cap.unwrap_or(full).min(full) as u64;
         let mut sites = Vec::new();
         for i in 0..n.min(50) {
             sites.push(PageGenerator::new(SiteProfile::news(), seed ^ (0x1000 + i)));

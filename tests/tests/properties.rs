@@ -172,11 +172,23 @@ proptest! {
         while server.poll_event().is_some() {}
     }
 
-    /// The HTML tokenizer terminates on arbitrary text.
+    /// Resource discovery terminates on arbitrary markup, multi-byte text
+    /// inside tags, scripts and style blocks included, and finds only
+    /// http(s) URLs.
     #[test]
-    fn tokenizer_is_total(input in "[ -~<>\"'=/!-]{0,600}") {
-        let tokens: Vec<_> = vroom_html::Tokenizer::new(&input).collect();
-        prop_assert!(tokens.len() <= input.len() + 1);
+    fn scan_html_is_total(pieces in proptest::collection::vec(prop_oneof![
+        "[ -~éß日]{0,8}",
+        Just("<style>".to_string()),
+        Just("<script>".to_string()),
+        Just("<img src=".to_string()),
+        Just("url(".to_string()),
+        Just("@import ".to_string()),
+    ], 0..48)) {
+        let markup = pieces.concat();
+        let base = vroom_html::Url::https("a.com", "/d/index.html");
+        for d in vroom_html::scan_html(&base, &markup) {
+            prop_assert!(d.url.scheme.starts_with("http"), "{} in {markup:?}", d.url);
+        }
     }
 }
 
