@@ -56,6 +56,7 @@ use vroom::{ExperimentConfig, SiteLoad, System};
 use vroom_browser::metrics::quartiles;
 use vroom_hpack::{Decoder, Encoder, HeaderField};
 use vroom_html::Url;
+use vroom_http2::Frame;
 use vroom_intern::UrlTable;
 use vroom_net::json::Value;
 use vroom_net::{NetworkProfile, RecordedResponse, ReplayStore};
@@ -748,17 +749,30 @@ fn run_micro(samples: u64) -> Vec<BenchStats> {
         black_box(Decoder::new().decode(&wire).expect("valid block"))
     }));
 
-    // HTTP/2 frame assembly through the raw emitters: one HEADERS plus
-    // sixteen 1 KiB DATA frames written into a reused output buffer — the
-    // per-response framing work of the zero-copy wire path.
+    // HTTP/2 frame assembly through `Frame::encode`: one HEADERS plus
+    // sixteen 1 KiB DATA frames, each borrowing its payload, written into a
+    // reused output buffer — the per-response framing work of the
+    // zero-copy wire path.
     let fragment = Encoder::new().encode(&headers);
     let payload = [0xa5u8; 1024];
     let mut buf = Vec::with_capacity(32 * 1024);
     out.push(bench("h2_frame_assemble", samples, 1_000, || {
         buf.clear();
-        vroom_http2::frame::encode_headers_raw(&mut buf, 1, &fragment, false, true);
+        Frame::Headers {
+            stream_id: 1,
+            fragment: &fragment,
+            end_stream: false,
+            end_headers: true,
+        }
+        .encode(&mut buf);
         for i in 0..16 {
-            vroom_http2::frame::encode_data_raw(&mut buf, 1, &payload, i == 15);
+            Frame::Data {
+                stream_id: 1,
+                data: &payload,
+                end_stream: i == 15,
+                pad_len: 0,
+            }
+            .encode(&mut buf);
         }
         black_box(buf.len())
     }));

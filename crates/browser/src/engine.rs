@@ -432,7 +432,7 @@ impl<'a> Sim<'a> {
         while let Some((at, ev)) = self.queue.pop() {
             guard += 1;
             assert!(guard < 50_000_000, "runaway simulation");
-            debug_assert!(at >= self.now);
+            assert!(at >= self.now, "event scheduled in the past");
             self.account_interval(at);
             self.now = at;
             self.handle(ev);

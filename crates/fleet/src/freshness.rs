@@ -45,7 +45,8 @@ use crate::{load_client, ClientSpec, FleetConfig, OutcomeTally, FLEET_BASE_HOURS
 pub struct FreshnessConfig {
     /// Clients loaded per cell (the same derived population every cell).
     pub clients: usize,
-    /// Distinct sites (a prefix of the News+Sports corpus).
+    /// Distinct sites: a prefix of the News+Sports corpus, clamped to
+    /// `1..=`[`Corpus::NEWS_AND_SPORTS_SITES`].
     pub sites: usize,
     /// Sweep seed: client derivation and per-client corruption plans.
     pub seed: u64,
@@ -268,7 +269,7 @@ fn policies(ttl: u64) -> [EvictionPolicy; 3] {
 
 /// Run the sweep. Deterministic: byte-identical for any `cfg.workers`.
 pub fn run_freshness(cfg: &FreshnessConfig) -> FreshnessReport {
-    let sites = cfg.sites.max(1);
+    let sites = cfg.sites.clamp(1, Corpus::NEWS_AND_SPORTS_SITES);
     // The client population: derived exactly like a span-0 fleet's, so the
     // sweep measures store policy differences over identical loads. The
     // corpus, the crawls and the access network are the fleet's defaults.

@@ -125,9 +125,9 @@ pub struct FleetConfig {
     pub clients: usize,
     /// Fleet seed; every per-client parameter derives from it.
     pub seed: u64,
-    /// Number of distinct sites the clients are spread over (a prefix of
-    /// the News+Sports corpus, so at most
-    /// [`Corpus::NEWS_AND_SPORTS_SITES`]).
+    /// Number of distinct sites the clients are spread over: a prefix of
+    /// the News+Sports corpus, so [`FleetConfig::validated`] clamps it to
+    /// `1..=`[`Corpus::NEWS_AND_SPORTS_SITES`].
     pub sites: usize,
     /// Corpus seed (site structures).
     pub corpus_seed: u64,
@@ -200,20 +200,23 @@ impl FleetConfig {
         self.policy != EvictionPolicy::Never || self.span_hours > 0 || self.learn_from_loads
     }
 
-    /// The configuration with `arrival_span_ms` clamped to
-    /// [`MAX_ARRIVAL_SPAN_MS`], plus the original (over-limit) value when a
-    /// clamp happened (`0` otherwise) — rendered as a warning counter in
-    /// the report's freshness section rather than silently ignored.
+    /// The configuration with `sites` clamped to
+    /// `1..=`[`Corpus::NEWS_AND_SPORTS_SITES`], the sites the corpus holds,
+    /// and `arrival_span_ms` to [`MAX_ARRIVAL_SPAN_MS`]; plus the original
+    /// (over-limit) span when that clamp happened (`0` otherwise) —
+    /// rendered as a warning counter in the report's freshness section
+    /// rather than silently ignored.
     pub fn validated(&self) -> (FleetConfig, u64) {
-        if self.arrival_span_ms > MAX_ARRIVAL_SPAN_MS {
-            // vroom-lint: allow(hot-path-alloc) -- one config clone per run, before any client is served
-            let mut cfg = self.clone();
-            cfg.arrival_span_ms = MAX_ARRIVAL_SPAN_MS;
-            (cfg, self.arrival_span_ms)
+        // vroom-lint: allow(hot-path-alloc) -- one config clone per run, before any client is served
+        let mut cfg = self.clone();
+        cfg.sites = self.sites.clamp(1, Corpus::NEWS_AND_SPORTS_SITES);
+        cfg.arrival_span_ms = self.arrival_span_ms.min(MAX_ARRIVAL_SPAN_MS);
+        let clamped_from = if self.arrival_span_ms > MAX_ARRIVAL_SPAN_MS {
+            self.arrival_span_ms
         } else {
-            // vroom-lint: allow(hot-path-alloc) -- one config clone per run, before any client is served
-            (self.clone(), 0)
-        }
+            0
+        };
+        (cfg, clamped_from)
     }
 }
 
@@ -792,7 +795,7 @@ impl FleetAccum {
         });
         let report = FleetReport {
             clients: cfg.clients as u64,
-            sites: cfg.sites.max(1) as u64,
+            sites: cfg.sites as u64,
             shards: store.shard_count() as u64,
             batch_window_ms: window,
             batches,
@@ -1001,7 +1004,7 @@ fn run_fleet_loop(
     let now = || clock.map_or(0.0, |c| c());
     let corpus = Arc::new(Corpus::news_and_sports_capped(
         cfg.corpus_seed,
-        Some(cfg.sites.max(1)),
+        Some(cfg.sites),
     ));
     let store = Arc::new(ShardedStore::new(cfg.shards));
     let mut urls = Arc::new(UrlTable::new());

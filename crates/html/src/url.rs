@@ -113,6 +113,7 @@ impl Url {
 
     /// The origin string, `scheme://host`.
     pub fn origin(&self) -> String {
+        // vroom-lint: allow(hot-path-alloc) -- `fleet::load_client` lists a load's origins for the origin-reuse pool: one string per distinct origin of a load, not per resource
         format!("{}://{}", self.scheme, self.host)
     }
 

@@ -300,7 +300,6 @@ impl Connection {
             self.open_peer_streams += 1;
         }
         let s = Stream::new(
-            id,
             state,
             self.peer.initial_window_size,
             self.local.initial_window_size,
@@ -368,7 +367,7 @@ impl Connection {
                 Ok(())
             }
             Err(e) => {
-                self.queue_goaway(e.code, &e.reason);
+                self.queue_goaway(e.code, e.reason);
                 Err(e)
             }
         }
@@ -398,12 +397,17 @@ impl Connection {
             self.recv_buf.extend_from_slice(head);
             *data = rest;
         }
-        let (_, frame) = self.codec.decode(&self.recv_buf)?;
-        self.recv_buf.clear();
-        match frame {
-            Some(frame) => self.handle_frame(frame),
-            None => Ok(()),
-        }
+        // The frame borrows the tail, so move the buffer out for the call
+        // (handle_frame needs `&mut self`), then put it back emptied so its
+        // capacity is reused.
+        let mut tail = std::mem::take(&mut self.recv_buf);
+        let res = self
+            .codec
+            .decode(&tail)
+            .and_then(|(_, frame)| self.handle_frame(frame));
+        tail.clear();
+        self.recv_buf = tail;
+        res
     }
 
     /// Consume the preface, then every complete frame, from the front of
@@ -427,19 +431,20 @@ impl Connection {
                 return Ok(());
             }
             *rest = rest.get(used..).unwrap_or_default();
-            if let Some(frame) = frame {
-                self.handle_frame(frame)?;
-            }
+            self.handle_frame(frame)?;
         }
     }
 
-    fn handle_frame(&mut self, frame: Frame) -> Result<(), ConnectionError> {
+    /// Handle one consumed frame: `None` is a frame the codec checked and
+    /// dropped (PRIORITY, or an unknown type).
+    fn handle_frame(&mut self, frame: Option<Frame<'_>>) -> Result<(), ConnectionError> {
         // While a header block is open, only CONTINUATION on the same stream
-        // is legal (RFC 7540 §6.2).
+        // is legal (RFC 7540 §6.2), and a dropped frame is no exception
+        // (RFC 9113 §5.5).
         if let Some(cont) = &self.cont {
             // vroom-lint: allow(protocol-exhaustive) -- rejection guard: every frame except same-stream CONTINUATION is a protocol error here, and future frame types must hit the error arm too
             match &frame {
-                Frame::Continuation { stream_id, .. } if *stream_id == cont.stream_id => {}
+                Some(Frame::Continuation { stream_id, .. }) if *stream_id == cont.stream_id => {}
                 _ => {
                     return Err(ConnectionError::protocol(
                         "frame interleaved inside header block",
@@ -447,6 +452,9 @@ impl Connection {
                 }
             }
         }
+        let Some(frame) = frame else {
+            return Ok(());
+        };
         match frame {
             Frame::Settings { ack: true, .. } => {
                 self.local_settings_acked = true;
@@ -500,9 +508,6 @@ impl Connection {
                 }
                 // Updates for unknown/closed streams are ignored.
             }
-            Frame::Priority { .. } => {
-                // Advisory only; the Vroom stack schedules at a higher layer.
-            }
             Frame::RstStream { stream_id, code } => {
                 if self.idle_peer_stream(stream_id) {
                     return Err(ConnectionError::protocol("RST_STREAM on idle stream"));
@@ -538,13 +543,12 @@ impl Connection {
                 fragment,
                 end_stream,
                 end_headers,
-                priority: _,
             } => {
                 if end_headers {
-                    self.finish_header_block(stream_id, None, end_stream, &fragment)?;
+                    self.finish_header_block(stream_id, None, end_stream, fragment)?;
                 } else {
                     self.cont_buf.clear();
-                    self.buffer_fragment(&fragment)?;
+                    self.buffer_fragment(fragment)?;
                     self.cont = Some(ContState {
                         stream_id,
                         promised: None,
@@ -565,15 +569,10 @@ impl Connection {
                     return Err(ConnectionError::protocol("push is disabled"));
                 }
                 if end_headers {
-                    self.finish_header_block(
-                        stream_id,
-                        Some(promised_stream_id),
-                        false,
-                        &fragment,
-                    )?;
+                    self.finish_header_block(stream_id, Some(promised_stream_id), false, fragment)?;
                 } else {
                     self.cont_buf.clear();
-                    self.buffer_fragment(&fragment)?;
+                    self.buffer_fragment(fragment)?;
                     self.cont = Some(ContState {
                         stream_id,
                         promised: Some(promised_stream_id),
@@ -590,7 +589,7 @@ impl Connection {
                     return Err(ConnectionError::protocol("CONTINUATION without HEADERS"));
                 };
                 debug_assert_eq!(cont.stream_id, stream_id);
-                self.buffer_fragment(&fragment)?;
+                self.buffer_fragment(fragment)?;
                 if end_headers {
                     if let Some(cont) = self.cont.take() {
                         // Move the accumulator out for the duration of the
@@ -639,7 +638,7 @@ impl Connection {
     fn handle_data(
         &mut self,
         stream_id: u32,
-        data: Vec<u8>,
+        data: &[u8],
         end_stream: bool,
         pad_len: u32,
     ) -> Result<(), ConnectionError> {
@@ -677,7 +676,8 @@ impl Connection {
         self.forget_if_closed(stream_id);
         self.events.push_back(Event::Data {
             stream_id,
-            data,
+            // vroom-lint: allow(hot-path-alloc) -- the event owns its body: the one copy of each received DATA payload, out of bytes only borrowed for the `recv` call
+            data: data.to_vec(),
             end_stream,
         });
         Ok(())
@@ -722,18 +722,16 @@ impl Connection {
         if self.forgotten(stream_id) {
             return Err(ConnectionError::new(
                 ErrorCode::StreamClosed,
-                // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                format!("HEADERS on closed stream {stream_id}"),
+                "HEADERS on closed stream",
             ));
         }
         let s = match self.streams.get_mut(&stream_id) {
             Some(s) => s,
             None => {
                 if self.is_local_stream(stream_id) {
-                    // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                    return Err(ConnectionError::protocol(format!(
-                        "peer opened stream {stream_id} with our parity"
-                    )));
+                    return Err(ConnectionError::protocol(
+                        "peer opened a stream with our parity",
+                    ));
                 }
                 if self.role == Role::Client {
                     return Err(ConnectionError::protocol("server opened a non-push stream"));
@@ -772,8 +770,7 @@ impl Connection {
         Frame::Goaway {
             last_stream_id: self.highest_peer_stream,
             code,
-            // vroom-lint: allow(hot-path-alloc) -- cold shutdown path: at most one GOAWAY per connection lifetime
-            debug: reason.as_bytes().to_vec(),
+            debug: reason.as_bytes(),
         }
         .encode(&mut self.out);
     }
@@ -861,27 +858,37 @@ impl Connection {
         self.enc_buf.clear();
         self.hpack_enc.encode_into(&fields, &mut self.enc_buf);
         // PUSH_PROMISE fragments are small; we do not split them.
-        frame::encode_push_promise_raw(&mut self.out, stream_id, promised, &self.enc_buf, true);
+        Frame::PushPromise {
+            stream_id,
+            promised_stream_id: promised,
+            fragment: &self.enc_buf,
+            end_headers: true,
+        }
+        .encode(&mut self.out);
         Ok(promised)
     }
 
     fn send_header_block(&mut self, stream_id: u32, fields: &[HeaderField], end_stream: bool) {
         // Encode into the reused scratch, then frame directly from its
-        // slices — the only copy is into the output buffer itself.
+        // slices — the only copy is into the output buffer itself. A block
+        // past the peer's max frame size continues in CONTINUATION frames.
         self.enc_buf.clear();
         self.hpack_enc.encode_into(fields, &mut self.enc_buf);
-        let max = self.peer.max_frame_size as usize;
-        if self.enc_buf.len() <= max {
-            frame::encode_headers_raw(&mut self.out, stream_id, &self.enc_buf, end_stream, true);
-            return;
+        let mut chunks = self.enc_buf.chunks(self.peer.max_frame_size as usize);
+        Frame::Headers {
+            stream_id,
+            fragment: chunks.next().unwrap_or_default(),
+            end_stream,
+            end_headers: chunks.len() == 0,
         }
-        let last = self.enc_buf.len().div_ceil(max) - 1;
-        for (i, chunk) in self.enc_buf.chunks(max).enumerate() {
-            if i == 0 {
-                frame::encode_headers_raw(&mut self.out, stream_id, chunk, end_stream, false);
-            } else {
-                frame::encode_continuation_raw(&mut self.out, stream_id, chunk, i == last);
+        .encode(&mut self.out);
+        while let Some(fragment) = chunks.next() {
+            Frame::Continuation {
+                stream_id,
+                fragment,
+                end_headers: chunks.len() == 0,
             }
+            .encode(&mut self.out);
         }
     }
 
@@ -914,7 +921,13 @@ impl Connection {
 
         if data.is_empty() {
             if end_stream {
-                frame::encode_data_raw(&mut self.out, stream_id, &[], true);
+                Frame::Data {
+                    stream_id,
+                    data,
+                    end_stream: true,
+                    pad_len: 0,
+                }
+                .encode(&mut self.out);
                 s.on_send_end_stream();
                 self.forget_if_closed(stream_id);
             }
@@ -927,12 +940,13 @@ impl Connection {
             let last_byte = sent + n == data.len();
             let fin = end_stream && last_byte;
             // One copy, caller's slice straight into the output buffer.
-            frame::encode_data_raw(
-                &mut self.out,
+            Frame::Data {
                 stream_id,
-                data.get(sent..sent + n).unwrap_or_default(),
-                fin,
-            );
+                data: data.get(sent..sent + n).unwrap_or_default(),
+                end_stream: fin,
+                pad_len: 0,
+            }
+            .encode(&mut self.out);
             s.send_window.consume(n as u32);
             self.conn_send.consume(n as u32);
             sent += n;
@@ -982,5 +996,40 @@ impl std::fmt::Debug for Connection {
             .field("events", &self.events.len())
             .field("goaway_sent", &self.goaway_sent)
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl Connection {
+    /// The bytes this connection holds for its peer: the open header block,
+    /// the partial frame, output not yet taken, each queued event (its
+    /// in-memory size plus the bytes it owns), the stream map's entries and
+    /// the HPACK decoder's dynamic table (its RFC 7541 §4.1 size). The
+    /// capacity a buffer keeps for reuse is not counted.
+    pub(crate) fn footprint(&self) -> usize {
+        let events: usize = self
+            .events
+            .iter()
+            .map(|e| {
+                std::mem::size_of::<Event>()
+                    + match e {
+                        Event::Headers { fields, .. } | Event::PushPromise { fields, .. } => {
+                            fields.iter().map(|f| f.name.len() + f.value.len()).sum()
+                        }
+                        Event::Data { data, .. } => data.len(),
+                        Event::StreamReset { .. }
+                        | Event::PeerSettings(_)
+                        | Event::SettingsAcked
+                        | Event::PingAcked(_)
+                        | Event::Goaway { .. } => 0,
+                    }
+            })
+            .sum();
+        self.cont_buf.len()
+            + self.recv_buf.len()
+            + self.out.len()
+            + events
+            + self.streams.len() * std::mem::size_of::<(u32, Stream)>()
+            + self.hpack_dec.table().size()
     }
 }

@@ -340,10 +340,9 @@ fn interleaved_frame_inside_header_block_is_protocol_error() {
     let mut buf = Vec::new();
     Frame::Headers {
         stream_id: 1,
-        fragment: vec![0x82],
+        fragment: &[0x82],
         end_stream: false,
         end_headers: false,
-        priority: None,
     }
     .encode(&mut buf);
     Frame::Ping {
@@ -360,6 +359,82 @@ fn interleaved_frame_inside_header_block_is_protocol_error() {
     assert!(drain(&mut client)
         .iter()
         .any(|e| matches!(e, Event::Goaway { .. })));
+}
+
+/// One frame's wire bytes, built by hand.
+fn raw_frame(ty: u8, flags: u8, stream_id: u32, payload: &[u8]) -> Vec<u8> {
+    let mut buf = (payload.len() as u32).to_be_bytes()[1..].to_vec();
+    buf.extend_from_slice(&[ty, flags]);
+    buf.extend_from_slice(&stream_id.to_be_bytes());
+    buf.extend_from_slice(payload);
+    buf
+}
+
+#[test]
+fn peer_priority_is_parsed_and_dropped() {
+    use frame::flags::{END_HEADERS, END_STREAM, PRIORITY};
+    let block = vroom_hpack::Encoder::new().encode(&Request::get("a.com", "/").to_fields());
+    // The same request on stream 1, once plain and once carrying priority
+    // fields (exclusive dependency on stream 0, weight 32).
+    let plain = raw_frame(0x1, END_STREAM | END_HEADERS, 1, &block);
+    let prioritized = raw_frame(
+        0x1,
+        END_STREAM | END_HEADERS | PRIORITY,
+        1,
+        &[&[0x80, 0, 0, 0, 31], block.as_slice()].concat(),
+    );
+    let priority = |len: usize, stream_id: u32| raw_frame(0x2, 0, stream_id, &vec![0; len]);
+    let serve = |wire: &[u8]| {
+        let (_, mut server) = handshake();
+        drain(&mut server);
+        let res = server.recv(wire);
+        (
+            res,
+            drain(&mut server),
+            frames_of(&server.take_output()).len(),
+        )
+    };
+
+    let (res, opened, _) = serve(&plain);
+    res.unwrap();
+    assert!(matches!(
+        opened.as_slice(),
+        [Event::Headers {
+            stream_id: 1,
+            end_stream: true,
+            ..
+        }]
+    ));
+    assert_eq!(serve(&prioritized).1, opened);
+    // PRIORITY frames on an idle and on an open stream raise no event and
+    // send nothing.
+    let wire = [priority(5, 3), plain.clone(), priority(5, 1)].concat();
+    let (res, events, sent) = serve(&wire);
+    res.unwrap();
+    assert_eq!(events, opened);
+    assert_eq!(sent, 0);
+    // A malformed PRIORITY frame still ends the connection, and so does a
+    // PRIORITY or unknown-type frame inside an open header block (RFC 9113
+    // §5.5).
+    let open_block = raw_frame(0x1, 0, 1, &block);
+    let unknown = raw_frame(0xbe, 0, 1, &[]);
+    for (wire, code) in [
+        (priority(4, 3), ErrorCode::FrameSizeError),
+        (priority(5, 0), ErrorCode::ProtocolError),
+        (
+            [open_block.as_slice(), &priority(5, 3)].concat(),
+            ErrorCode::ProtocolError,
+        ),
+        (
+            [open_block.as_slice(), &unknown].concat(),
+            ErrorCode::ProtocolError,
+        ),
+    ] {
+        let (res, events, sent) = serve(&wire);
+        assert_eq!(res.unwrap_err().code, code);
+        assert!(events.is_empty());
+        assert_eq!(sent, 1, "one GOAWAY");
+    }
 }
 
 #[test]
@@ -585,7 +660,13 @@ fn closed_streams_are_forgotten_on_a_long_lived_connection() {
         "an unused id is unknown"
     );
     let mut late_data = Vec::new();
-    frame::encode_data_raw(&mut late_data, 1, b"late", false);
+    Frame::Data {
+        stream_id: 1,
+        data: b"late",
+        end_stream: false,
+        pad_len: 0,
+    }
+    .encode(&mut late_data);
     server.recv(&late_data).unwrap();
     let out = server.take_output();
     let (mut rest, mut frames) = (out.as_slice(), Vec::new());
@@ -605,13 +686,19 @@ fn closed_streams_are_forgotten_on_a_long_lived_connection() {
         }
     )));
     let mut late_headers = Vec::new();
-    frame::encode_headers_raw(&mut late_headers, 1, &[], true, true);
+    Frame::Headers {
+        stream_id: 1,
+        fragment: &[],
+        end_stream: true,
+        end_headers: true,
+    }
+    .encode(&mut late_headers);
     let err = server.recv(&late_headers).unwrap_err();
     assert_eq!(err.code, ErrorCode::StreamClosed);
 }
 
 /// Every frame in `bytes`, in order.
-fn frames_of(bytes: &[u8]) -> Vec<Frame> {
+fn frames_of(bytes: &[u8]) -> Vec<Frame<'_>> {
     let codec = FrameCodec {
         max_frame_size: settings::MAX_MAX_FRAME_SIZE,
     };
@@ -750,11 +837,22 @@ fn continuation_flood_ends_the_connection_at_the_header_list_limit() {
         pump(&mut client, &mut server);
         drain(&mut server);
         let mut wire = Vec::new();
-        frame::encode_headers_raw(&mut wire, 1, &[0x82], true, false);
+        Frame::Headers {
+            stream_id: 1,
+            fragment: &[0x82],
+            end_stream: true,
+            end_headers: false,
+        }
+        .encode(&mut wire);
         server.recv(&wire).unwrap();
         let fragment = vec![0u8; 16_384];
         let mut continuation = Vec::new();
-        frame::encode_continuation_raw(&mut continuation, 1, &fragment, false);
+        Frame::Continuation {
+            stream_id: 1,
+            fragment: &fragment,
+            end_headers: false,
+        }
+        .encode(&mut continuation);
         let mut accepted = 1;
         let err = loop {
             assert!(accepted <= 4 << 20, "a 4 MiB block was never refused");
@@ -766,7 +864,8 @@ fn continuation_flood_ends_the_connection_at_the_header_list_limit() {
         assert_eq!(err.code, ErrorCode::EnhanceYourCalm);
         assert!(accepted <= limit, "{accepted} buffered past {limit}");
         assert!(accepted + fragment.len() > limit, "refused early");
-        let goaway = frames_of(&server.take_output());
+        let out = server.take_output();
+        let goaway = frames_of(&out);
         assert!(
             matches!(
                 goaway.as_slice(),
@@ -969,5 +1068,168 @@ proptest::proptest! {
         let whole = feed(&wire, &[wire.len()]);
         proptest::prop_assert!(whole.2.is_none(), "a valid stream: {:?}", whole.2);
         proptest::prop_assert_eq!(feed(&wire, &cuts), whole);
+    }
+}
+
+/// A flood of well-formed frames from a hostile client.
+#[derive(Debug, Clone)]
+enum Flood {
+    /// Requests, each reset as soon as it is sent: the "rapid reset" shape.
+    RapidReset(usize),
+    /// Empty SETTINGS frames, each acknowledged.
+    Settings(usize),
+    /// PINGs, each answered.
+    Ping(usize),
+    /// One-octet WINDOW_UPDATEs, alternately on the connection and on a
+    /// stream that never opened.
+    WindowUpdate(usize),
+}
+
+fn arb_flood() -> impl proptest::strategy::Strategy<Value = Flood> {
+    use proptest::prelude::*;
+    prop_oneof![
+        (1usize..3_000).prop_map(Flood::RapidReset),
+        (1usize..3_000).prop_map(Flood::Settings),
+        (1usize..3_000).prop_map(Flood::Ping),
+        (1usize..3_000).prop_map(Flood::WindowUpdate),
+    ]
+}
+
+/// The client bytes for `floods`, then, if `continuation` names a fragment
+/// size, a HEADERS frame without END_HEADERS continued by CONTINUATION
+/// frames of that size until the block passes `limit`.
+fn hostile_stream(floods: &[Flood], continuation: Option<usize>, limit: usize) -> Vec<u8> {
+    let mut wire = PREFACE.to_vec();
+    Frame::Settings {
+        ack: false,
+        entries: vec![],
+    }
+    .encode(&mut wire);
+    let mut hpack = vroom_hpack::Encoder::new();
+    let request = Request::get("a.com", "/").to_fields();
+    let mut next_stream = 1;
+    for flood in floods {
+        match *flood {
+            Flood::RapidReset(n) => {
+                for _ in 0..n {
+                    let fragment = hpack.encode(&request);
+                    Frame::Headers {
+                        stream_id: next_stream,
+                        fragment: &fragment,
+                        end_stream: true,
+                        end_headers: true,
+                    }
+                    .encode(&mut wire);
+                    Frame::RstStream {
+                        stream_id: next_stream,
+                        code: ErrorCode::Cancel,
+                    }
+                    .encode(&mut wire);
+                    next_stream += 2;
+                }
+            }
+            Flood::Settings(n) => {
+                for _ in 0..n {
+                    Frame::Settings {
+                        ack: false,
+                        entries: vec![],
+                    }
+                    .encode(&mut wire);
+                }
+            }
+            Flood::Ping(n) => {
+                for i in 0..n {
+                    Frame::Ping {
+                        ack: false,
+                        payload: (i as u64).to_be_bytes(),
+                    }
+                    .encode(&mut wire);
+                }
+            }
+            Flood::WindowUpdate(n) => {
+                for i in 0..n {
+                    Frame::WindowUpdate {
+                        stream_id: if i % 2 == 0 { 0 } else { next_stream },
+                        increment: 1,
+                    }
+                    .encode(&mut wire);
+                }
+            }
+        }
+    }
+    if let Some(size) = continuation {
+        Frame::Headers {
+            stream_id: next_stream,
+            fragment: &[0x82],
+            end_stream: true,
+            end_headers: false,
+        }
+        .encode(&mut wire);
+        let filler = vec![0u8; size];
+        for _ in 0..limit / size + 2 {
+            Frame::Continuation {
+                stream_id: next_stream,
+                fragment: &filler,
+                end_headers: false,
+            }
+            .encode(&mut wire);
+        }
+    }
+    wire
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    /// A server on `Settings::vroom_server()`, read 16 KiB at a time at
+    /// most as `server::wire` reads its socket, and drained after each
+    /// `recv` as `server::wire` drains it, holds no more than its local
+    /// settings allow under any flood of well-formed frames: one open
+    /// header block, one partial frame, the stream limit's map entries and
+    /// the HPACK table. A CONTINUATION flood ends in ENHANCE_YOUR_CALM.
+    #[test]
+    fn floods_stay_within_the_footprint_the_settings_allow(
+        floods in proptest::collection::vec(arb_flood(), 0..5),
+        continuation_flood in proptest::prelude::any::<bool>(),
+        fragment in 512usize..=16_384,
+        cuts in proptest::collection::vec(
+            proptest::prop_oneof![1usize..64, 4_096usize..=16_384],
+            1..6,
+        ),
+    ) {
+        let continuation = continuation_flood.then_some(fragment);
+        let local = Settings::vroom_server();
+        let limit = local
+            .max_header_list_size
+            .map_or(vroom_hpack::decoder::DEFAULT_MAX_HEADER_LIST_SIZE, |n| n as usize);
+        let budget = limit
+            + frame::HEADER_LEN
+            + local.max_frame_size as usize
+            + local.max_concurrent_streams.unwrap_or(0) as usize
+                * std::mem::size_of::<(u32, Stream)>()
+            + local.header_table_size as usize;
+        let wire = hostile_stream(&floods, continuation, limit);
+        let mut server = Connection::server(local);
+        let mut rest = wire.as_slice();
+        let mut error = None;
+        for &n in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at(n.min(rest.len()));
+            rest = tail;
+            let res = server.recv(head);
+            drain(&mut server);
+            let out = server.take_output();
+            server.recycle_output(out);
+            let held = server.footprint();
+            proptest::prop_assert!(held <= budget, "{held} bytes held, budget {budget}");
+            if let Err(e) = res {
+                error = Some(e.code);
+                break;
+            }
+        }
+        let want = continuation.map(|_| ErrorCode::EnhanceYourCalm);
+        proptest::prop_assert_eq!(error, want);
     }
 }

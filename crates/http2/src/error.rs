@@ -67,40 +67,33 @@ impl fmt::Display for ErrorCode {
 }
 
 /// A fatal, connection-level error: the connection must emit GOAWAY and stop.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionError {
     /// Code to report in GOAWAY.
     pub code: ErrorCode,
-    /// Human-readable diagnostic (also sent as GOAWAY debug data).
-    pub reason: String,
+    /// Fixed diagnostic text, also sent as GOAWAY debug data (diagnostic
+    /// only, RFC 9113 §6.8).
+    pub reason: &'static str,
 }
 
 impl ConnectionError {
     /// Construct a connection error.
-    pub fn new(code: ErrorCode, reason: impl Into<String>) -> Self {
-        ConnectionError {
-            code,
-            reason: reason.into(),
-        }
+    pub fn new(code: ErrorCode, reason: &'static str) -> Self {
+        ConnectionError { code, reason }
     }
 
     /// Shorthand for PROTOCOL_ERROR.
-    pub fn protocol(reason: impl Into<String>) -> Self {
+    pub fn protocol(reason: &'static str) -> Self {
         Self::new(ErrorCode::ProtocolError, reason)
     }
 
     /// Shorthand for FRAME_SIZE_ERROR.
-    pub fn frame_size(reason: impl Into<String>) -> Self {
+    pub fn frame_size(reason: &'static str) -> Self {
         Self::new(ErrorCode::FrameSizeError, reason)
     }
 
-    /// Shorthand for COMPRESSION_ERROR.
-    pub fn compression(reason: impl Into<String>) -> Self {
-        Self::new(ErrorCode::CompressionError, reason)
-    }
-
     /// Shorthand for FLOW_CONTROL_ERROR.
-    pub fn flow_control(reason: impl Into<String>) -> Self {
+    pub fn flow_control(reason: &'static str) -> Self {
         Self::new(ErrorCode::FlowControlError, reason)
     }
 }
@@ -114,8 +107,20 @@ impl fmt::Display for ConnectionError {
 impl std::error::Error for ConnectionError {}
 
 impl From<vroom_hpack::Error> for ConnectionError {
+    /// A COMPRESSION_ERROR with one fixed text per HPACK error.
     fn from(e: vroom_hpack::Error) -> Self {
-        ConnectionError::compression(e.to_string())
+        use vroom_hpack::Error;
+        let reason = match e {
+            Error::Truncated => "header block truncated",
+            Error::IntegerOverflow => "prefix integer too large",
+            Error::HuffmanDecode => "invalid huffman coding",
+            Error::InvalidIndex(_) => "invalid table index",
+            Error::SizeUpdateTooLarge(_) => "table size update above limit",
+            Error::SizeUpdateNotAtStart => "table size update after first field",
+            Error::HeaderListTooLarge => "header list exceeds size limit",
+            Error::InvalidString => "header string is not valid utf-8",
+        };
+        Self::new(ErrorCode::CompressionError, reason)
     }
 }
 

@@ -50,11 +50,9 @@ impl FlowWindow {
     /// overran the window we advertised.
     pub fn try_consume(&mut self, n: u32) -> Result<(), ConnectionError> {
         if (n as i64) > self.available {
-            // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-            return Err(ConnectionError::flow_control(format!(
-                "peer sent {n} bytes with only {} window",
-                self.available
-            )));
+            return Err(ConnectionError::flow_control(
+                "peer sent more than the window allows",
+            ));
         }
         self.available -= n as i64;
         Ok(())
@@ -65,10 +63,7 @@ impl FlowWindow {
     pub fn expand(&mut self, n: u32) -> Result<(), ConnectionError> {
         let next = self.available + n as i64;
         if next > MAX_WINDOW_SIZE as i64 {
-            // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-            return Err(ConnectionError::flow_control(format!(
-                "window would reach {next}"
-            )));
+            return Err(ConnectionError::flow_control("window would pass 2^31-1"));
         }
         self.available = next;
         Ok(())

@@ -1,13 +1,20 @@
-//! HTTP/2 frame layer (RFC 7540 §4, §6): the 9-octet frame header, all ten
-//! frame types, padding, and priority fields.
+//! HTTP/2 frame layer (RFC 7540 §4, §6): the 9-octet frame header, the
+//! codec for all ten frame types, and padding.
 //!
 //! The codec is sans-IO: [`FrameCodec::decode`] reads at most one frame
 //! from the front of a byte slice and reports how many bytes it consumed;
-//! [`encode`](Frame::encode) appends wire bytes to a send buffer.
+//! [`encode`](Frame::encode) appends wire bytes to a send buffer. A
+//! [`Frame`] borrows what it carries, from the decoded input or from the
+//! sender's buffers, so neither direction copies a payload into a frame.
+//! PRIORITY frames and the priority fields of HEADERS are checked and
+//! dropped: priority is advisory (RFC 9113 §5.3.2 deprecates it), the
+//! Vroom client schedules with its own staged fetcher, and this stack never
+//! sends it.
 
 use crate::error::{ConnectionError, ErrorCode};
 
-/// Frame type codes (RFC 7540 §6).
+/// Type codes of the frames the encoder writes (RFC 7540 §6). PRIORITY
+/// (0x2) is only parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameType {
@@ -15,8 +22,6 @@ pub enum FrameType {
     Data = 0x0,
     /// Opens a stream with a header block fragment.
     Headers = 0x1,
-    /// Advises stream priority.
-    Priority = 0x2,
     /// Terminates a stream abnormally.
     RstStream = 0x3,
     /// Connection configuration.
@@ -47,63 +52,34 @@ pub mod flags {
     pub const PRIORITY: u8 = 0x20;
 }
 
-/// Priority fields carried by PRIORITY frames and prioritized HEADERS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrioritySpec {
-    /// Stream this one depends on.
-    pub depends_on: u32,
-    /// Whether the dependency is exclusive.
-    pub exclusive: bool,
-    /// Weight 1..=256 (wire value + 1).
-    pub weight: u16,
-}
-
-impl Default for PrioritySpec {
-    fn default() -> Self {
-        // RFC 7540 §5.3.5 defaults.
-        PrioritySpec {
-            depends_on: 0,
-            exclusive: false,
-            weight: 16,
-        }
-    }
-}
-
-/// A decoded HTTP/2 frame.
+/// An HTTP/2 frame of one of the nine types this stack sends, borrowing
+/// its payload for `'a`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub enum Frame<'a> {
     /// DATA (§6.1). `pad_len` octets of padding were present and stripped —
     /// retained because padding still counts against flow control.
     Data {
         /// Stream the data belongs to.
         stream_id: u32,
         /// Body bytes, padding removed.
-        data: Vec<u8>,
+        data: &'a [u8],
         /// Whether END_STREAM was set.
         end_stream: bool,
         /// Number of padding octets (0 when the frame was not padded);
         /// includes the pad-length octet itself when padding was present.
         pad_len: u32,
     },
-    /// HEADERS (§6.2) — one header block *fragment*.
+    /// HEADERS (§6.2) — one header block *fragment*, any priority fields
+    /// dropped.
     Headers {
         /// Stream being opened / continued.
         stream_id: u32,
         /// HPACK fragment.
-        fragment: Vec<u8>,
+        fragment: &'a [u8],
         /// Whether END_STREAM was set.
         end_stream: bool,
         /// Whether END_HEADERS was set.
         end_headers: bool,
-        /// Priority fields, if the PRIORITY flag was set.
-        priority: Option<PrioritySpec>,
-    },
-    /// PRIORITY (§6.3).
-    Priority {
-        /// Stream being re-prioritized.
-        stream_id: u32,
-        /// New priority.
-        spec: PrioritySpec,
     },
     /// RST_STREAM (§6.4).
     RstStream {
@@ -127,7 +103,7 @@ pub enum Frame {
         /// Even-numbered stream reserved for the pushed response.
         promised_stream_id: u32,
         /// HPACK fragment of the synthesized request headers.
-        fragment: Vec<u8>,
+        fragment: &'a [u8],
         /// Whether END_HEADERS was set.
         end_headers: bool,
     },
@@ -145,7 +121,7 @@ pub enum Frame {
         /// Reason.
         code: ErrorCode,
         /// Optional debug data.
-        debug: Vec<u8>,
+        debug: &'a [u8],
     },
     /// WINDOW_UPDATE (§6.9). `stream_id` 0 targets the connection window.
     WindowUpdate {
@@ -159,72 +135,45 @@ pub enum Frame {
         /// Stream whose header block continues.
         stream_id: u32,
         /// HPACK fragment.
-        fragment: Vec<u8>,
+        fragment: &'a [u8],
         /// Whether END_HEADERS was set.
         end_headers: bool,
     },
 }
 
-impl Frame {
-    /// The frame's stream id (0 for connection-level frames).
-    pub fn stream_id(&self) -> u32 {
-        match self {
-            Frame::Data { stream_id, .. }
-            | Frame::Headers { stream_id, .. }
-            | Frame::Priority { stream_id, .. }
-            | Frame::RstStream { stream_id, .. }
-            | Frame::PushPromise { stream_id, .. }
-            | Frame::WindowUpdate { stream_id, .. }
-            | Frame::Continuation { stream_id, .. } => *stream_id,
-            Frame::Settings { .. } | Frame::Ping { .. } | Frame::Goaway { .. } => 0,
-        }
-    }
-
-    /// Serialize onto `out`. Frames are emitted unpadded (padding is parsed
-    /// on receive but never generated — same choice as most implementations).
+impl Frame<'_> {
+    /// Serialize onto `out`: the frame header, then each payload field
+    /// copied once, straight from the slice the frame borrows. Frames are
+    /// emitted unpadded (padding is parsed on receive but never generated —
+    /// same choice as most implementations).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
+        match *self {
             Frame::Data {
                 stream_id,
                 data,
                 end_stream,
                 ..
-            } => encode_data_raw(out, *stream_id, data, *end_stream),
-            Frame::Headers {
-                stream_id,
-                fragment,
-                end_stream,
-                end_headers,
-                priority: None,
-            } => encode_headers_raw(out, *stream_id, fragment, *end_stream, *end_headers),
-            Frame::Headers {
-                stream_id,
-                fragment,
-                end_stream,
-                end_headers,
-                priority: Some(p),
             } => {
-                let mut f = flags::PRIORITY;
-                if *end_stream {
-                    f |= flags::END_STREAM;
-                }
-                if *end_headers {
-                    f |= flags::END_HEADERS;
-                }
-                put_header(out, fragment.len() + 5, FrameType::Headers, f, *stream_id);
-                put_priority(out, p);
+                let f = flag(end_stream, flags::END_STREAM);
+                put_header(out, data.len(), FrameType::Data, f, stream_id);
+                out.extend_from_slice(data);
+            }
+            Frame::Headers {
+                stream_id,
+                fragment,
+                end_stream,
+                end_headers,
+            } => {
+                let f = flag(end_stream, flags::END_STREAM) | flag(end_headers, flags::END_HEADERS);
+                put_header(out, fragment.len(), FrameType::Headers, f, stream_id);
                 out.extend_from_slice(fragment);
             }
-            Frame::Priority { stream_id, spec } => {
-                put_header(out, 5, FrameType::Priority, 0, *stream_id);
-                put_priority(out, spec);
-            }
             Frame::RstStream { stream_id, code } => {
-                put_header(out, 4, FrameType::RstStream, 0, *stream_id);
-                out.extend_from_slice(&(*code as u32).to_be_bytes());
+                put_header(out, 4, FrameType::RstStream, 0, stream_id);
+                out.extend_from_slice(&(code as u32).to_be_bytes());
             }
-            Frame::Settings { ack, entries } => {
-                let f = if *ack { flags::ACK } else { 0 };
+            Frame::Settings { ack, ref entries } => {
+                let f = flag(ack, flags::ACK);
                 put_header(out, entries.len() * 6, FrameType::Settings, f, 0);
                 for &(id, value) in entries {
                     out.extend_from_slice(&id.to_be_bytes());
@@ -236,17 +185,21 @@ impl Frame {
                 promised_stream_id,
                 fragment,
                 end_headers,
-            } => encode_push_promise_raw(
-                out,
-                *stream_id,
-                *promised_stream_id,
-                fragment,
-                *end_headers,
-            ),
+            } => {
+                let f = flag(end_headers, flags::END_HEADERS);
+                put_header(
+                    out,
+                    4 + fragment.len(),
+                    FrameType::PushPromise,
+                    f,
+                    stream_id,
+                );
+                out.extend_from_slice(&(promised_stream_id & 0x7fff_ffff).to_be_bytes());
+                out.extend_from_slice(fragment);
+            }
             Frame::Ping { ack, payload } => {
-                let f = if *ack { flags::ACK } else { 0 };
-                put_header(out, 8, FrameType::Ping, f, 0);
-                out.extend_from_slice(payload);
+                put_header(out, 8, FrameType::Ping, flag(ack, flags::ACK), 0);
+                out.extend_from_slice(&payload);
             }
             Frame::Goaway {
                 last_stream_id,
@@ -255,86 +208,36 @@ impl Frame {
             } => {
                 put_header(out, 8 + debug.len(), FrameType::Goaway, 0, 0);
                 out.extend_from_slice(&(last_stream_id & 0x7fff_ffff).to_be_bytes());
-                out.extend_from_slice(&(*code as u32).to_be_bytes());
+                out.extend_from_slice(&(code as u32).to_be_bytes());
                 out.extend_from_slice(debug);
             }
             Frame::WindowUpdate {
                 stream_id,
                 increment,
             } => {
-                put_header(out, 4, FrameType::WindowUpdate, 0, *stream_id);
+                put_header(out, 4, FrameType::WindowUpdate, 0, stream_id);
                 out.extend_from_slice(&(increment & 0x7fff_ffff).to_be_bytes());
             }
             Frame::Continuation {
                 stream_id,
                 fragment,
                 end_headers,
-            } => encode_continuation_raw(out, *stream_id, fragment, *end_headers),
+            } => {
+                let f = flag(end_headers, flags::END_HEADERS);
+                put_header(out, fragment.len(), FrameType::Continuation, f, stream_id);
+                out.extend_from_slice(fragment);
+            }
         }
     }
 }
 
-/// Emit a DATA frame for `data` directly into `out`: one copy into the
-/// send buffer, no intermediate payload allocation. The hot send paths use
-/// these raw emitters, and [`Frame::encode`] calls them for the DATA,
-/// CONTINUATION, PUSH_PROMISE and unprioritized HEADERS layouts, so each
-/// of those layouts has one encoder.
-pub fn encode_data_raw(out: &mut Vec<u8>, stream_id: u32, data: &[u8], end_stream: bool) {
-    let f = if end_stream { flags::END_STREAM } else { 0 };
-    put_header(out, data.len(), FrameType::Data, f, stream_id);
-    out.extend_from_slice(data);
-}
-
-/// Emit a HEADERS frame carrying `fragment` directly into `out` (no
-/// priority fields — we never send prioritized HEADERS).
-pub fn encode_headers_raw(
-    out: &mut Vec<u8>,
-    stream_id: u32,
-    fragment: &[u8],
-    end_stream: bool,
-    end_headers: bool,
-) {
-    let mut f = 0;
-    if end_stream {
-        f |= flags::END_STREAM;
+/// `bit` when `set`, else 0.
+fn flag(set: bool, bit: u8) -> u8 {
+    if set {
+        bit
+    } else {
+        0
     }
-    if end_headers {
-        f |= flags::END_HEADERS;
-    }
-    put_header(out, fragment.len(), FrameType::Headers, f, stream_id);
-    out.extend_from_slice(fragment);
-}
-
-/// Emit a CONTINUATION frame carrying `fragment` directly into `out`.
-pub fn encode_continuation_raw(
-    out: &mut Vec<u8>,
-    stream_id: u32,
-    fragment: &[u8],
-    end_headers: bool,
-) {
-    let f = if end_headers { flags::END_HEADERS } else { 0 };
-    put_header(out, fragment.len(), FrameType::Continuation, f, stream_id);
-    out.extend_from_slice(fragment);
-}
-
-/// Emit a PUSH_PROMISE frame carrying `fragment` directly into `out`.
-pub fn encode_push_promise_raw(
-    out: &mut Vec<u8>,
-    stream_id: u32,
-    promised_stream_id: u32,
-    fragment: &[u8],
-    end_headers: bool,
-) {
-    let f = if end_headers { flags::END_HEADERS } else { 0 };
-    put_header(
-        out,
-        fragment.len() + 4,
-        FrameType::PushPromise,
-        f,
-        stream_id,
-    );
-    out.extend_from_slice(&(promised_stream_id & 0x7fff_ffff).to_be_bytes());
-    out.extend_from_slice(fragment);
 }
 
 fn put_header(out: &mut Vec<u8>, len: usize, ty: FrameType, flags: u8, stream_id: u32) {
@@ -347,13 +250,6 @@ fn put_header(out: &mut Vec<u8>, len: usize, ty: FrameType, flags: u8, stream_id
         flags,
     ]);
     out.extend_from_slice(&(stream_id & 0x7fff_ffff).to_be_bytes());
-}
-
-fn put_priority(out: &mut Vec<u8>, p: &PrioritySpec) {
-    let dep = (p.depends_on & 0x7fff_ffff) | if p.exclusive { 0x8000_0000 } else { 0 };
-    out.extend_from_slice(&dep.to_be_bytes());
-    debug_assert!((1..=256).contains(&p.weight));
-    out.push((p.weight - 1) as u8);
 }
 
 /// Octets in every frame header (RFC 7540 §4.1).
@@ -385,24 +281,20 @@ impl FrameCodec {
         };
         let len = u32::from_be_bytes([0, l0, l1, l2]);
         if len > self.max_frame_size {
-            // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-            return Err(ConnectionError::frame_size(format!(
-                "frame of {len} bytes exceeds max {}",
-                self.max_frame_size
-            )));
+            return Err(ConnectionError::frame_size("frame exceeds max frame size"));
         }
         Ok(Some(HEADER_LEN + len as usize))
     }
 
     /// Try to decode a single frame from the front of `buf`.
     ///
-    /// Returns how many bytes of `buf` the frame took, and the frame:
-    /// `(0, None)` when `buf` does not yet hold a complete frame. A frame
-    /// of unknown type is consumed and discarded (RFC 7540 §4.1: "ignored
-    /// and discarded") as `(n, None)` with `n > 0`. Callers loop, advancing
-    /// past the consumed bytes, until the count is 0. Each payload field
-    /// is one copy of its slice of `buf`.
-    pub fn decode(&self, buf: &[u8]) -> Result<(usize, Option<Frame>), ConnectionError> {
+    /// Returns how many bytes of `buf` the frame took, and the frame, which
+    /// borrows its payload from `buf`: `(0, None)` when `buf` does not yet
+    /// hold a complete frame. A frame of unknown type (RFC 7540 §4.1:
+    /// "ignored and discarded") and a well-formed PRIORITY frame are
+    /// consumed as `(n, None)` with `n > 0`. Callers loop, advancing past
+    /// the consumed bytes, until the count is 0.
+    pub fn decode<'a>(&self, buf: &'a [u8]) -> Result<(usize, Option<Frame<'a>>), ConnectionError> {
         let Some(consumed) = self.frame_len(buf)? else {
             return Ok((0, None)); // incomplete 9-byte header
         };
@@ -423,8 +315,7 @@ impl FrameCodec {
                 let (data, pad_len) = strip_padding(payload, fl)?;
                 Frame::Data {
                     stream_id,
-                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
-                    data: data.to_vec(),
+                    data,
                     end_stream: fl & flags::END_STREAM != 0,
                     pad_len,
                 }
@@ -433,37 +324,30 @@ impl FrameCodec {
                 if stream_id == 0 {
                     return Err(ConnectionError::protocol("HEADERS on stream 0"));
                 }
-                let (block, _) = strip_padding(payload, fl)?;
-                let (priority, fragment) = if fl & flags::PRIORITY != 0 {
-                    let Some((spec, fragment)) = block.split_first_chunk::<5>() else {
+                let (mut fragment, _) = strip_padding(payload, fl)?;
+                if fl & flags::PRIORITY != 0 {
+                    let Some((_, rest)) = fragment.split_first_chunk::<5>() else {
                         return Err(ConnectionError::frame_size("HEADERS priority truncated"));
                     };
-                    (Some(priority_from(spec)), fragment)
-                } else {
-                    (None, block)
-                };
+                    fragment = rest;
+                }
                 Frame::Headers {
                     stream_id,
-                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
-                    fragment: fragment.to_vec(),
+                    fragment,
                     end_stream: fl & flags::END_STREAM != 0,
                     end_headers: fl & flags::END_HEADERS != 0,
-                    priority,
                 }
             }
             0x2 => {
-                let Ok(spec) = <&[u8; 5]>::try_from(payload) else {
+                if len != 5 {
                     // PRIORITY size error is a *stream* error per spec, but
                     // we simplify to connection-level (we never send these).
                     return Err(ConnectionError::frame_size("PRIORITY length != 5"));
-                };
+                }
                 if stream_id == 0 {
                     return Err(ConnectionError::protocol("PRIORITY on stream 0"));
                 }
-                Frame::Priority {
-                    stream_id,
-                    spec: priority_from(spec),
-                }
+                return Ok((consumed, None));
             }
             0x3 => {
                 let Ok(code) = <[u8; 4]>::try_from(payload) else {
@@ -510,8 +394,7 @@ impl FrameCodec {
                 Frame::PushPromise {
                     stream_id,
                     promised_stream_id: u32::from_be_bytes(*promised) & 0x7fff_ffff,
-                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
-                    fragment: fragment.to_vec(),
+                    fragment,
                     end_headers: fl & flags::END_HEADERS != 0,
                 }
             }
@@ -539,8 +422,7 @@ impl FrameCodec {
                 Frame::Goaway {
                     last_stream_id: u32::from_be_bytes([a0, a1, a2, a3]) & 0x7fff_ffff,
                     code: ErrorCode::from_wire(u32::from_be_bytes([c0, c1, c2, c3])),
-                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
-                    debug: debug.to_vec(),
+                    debug,
                 }
             }
             0x8 => {
@@ -562,8 +444,7 @@ impl FrameCodec {
                 }
                 Frame::Continuation {
                     stream_id,
-                    // vroom-lint: allow(hot-path-alloc) -- a decoded frame owns its payload, and `buf` is only borrowed for the call: one copy per decoded frame
-                    fragment: payload.to_vec(),
+                    fragment: payload,
                     end_headers: fl & flags::END_HEADERS != 0,
                 }
             }
@@ -572,15 +453,6 @@ impl FrameCodec {
             _ => return Ok((consumed, None)),
         };
         Ok((consumed, Some(frame)))
-    }
-}
-
-fn priority_from(&[d0, d1, d2, d3, weight]: &[u8; 5]) -> PrioritySpec {
-    let dep = u32::from_be_bytes([d0, d1, d2, d3]);
-    PrioritySpec {
-        depends_on: dep & 0x7fff_ffff,
-        exclusive: dep & 0x8000_0000 != 0,
-        weight: weight as u16 + 1,
     }
 }
 
@@ -610,93 +482,32 @@ fn strip_padding(payload: &[u8], fl: u8) -> Result<(&[u8], u32), ConnectionError
 mod tests {
     use super::*;
 
-    fn roundtrip(frame: Frame) -> Frame {
+    fn assert_roundtrip(frame: &Frame<'_>) {
         let mut buf = Vec::new();
         frame.encode(&mut buf);
         let (used, got) = FrameCodec::default().decode(&buf).unwrap();
         assert_eq!(used, buf.len(), "no leftover bytes");
-        got.expect("complete frame")
-    }
-
-    #[test]
-    fn raw_emitters_match_frame_encode() {
-        let mut via_frame = Vec::new();
-        let mut via_raw = Vec::new();
-
-        Frame::Data {
-            stream_id: 3,
-            data: b"body".to_vec(),
-            end_stream: true,
-            pad_len: 0,
-        }
-        .encode(&mut via_frame);
-        encode_data_raw(&mut via_raw, 3, b"body", true);
-
-        Frame::Headers {
-            stream_id: 5,
-            fragment: vec![0x82, 0x86],
-            end_stream: false,
-            end_headers: true,
-            priority: None,
-        }
-        .encode(&mut via_frame);
-        encode_headers_raw(&mut via_raw, 5, &[0x82, 0x86], false, true);
-
-        Frame::Continuation {
-            stream_id: 5,
-            fragment: vec![0x84],
-            end_headers: false,
-        }
-        .encode(&mut via_frame);
-        encode_continuation_raw(&mut via_raw, 5, &[0x84], false);
-
-        for end_headers in [true, false] {
-            Frame::PushPromise {
-                stream_id: 1,
-                promised_stream_id: 2,
-                fragment: vec![0x82],
-                end_headers,
-            }
-            .encode(&mut via_frame);
-            encode_push_promise_raw(&mut via_raw, 1, 2, &[0x82], end_headers);
-        }
-
-        assert_eq!(via_raw, via_frame);
+        assert_eq!(got.as_ref(), Some(frame));
     }
 
     #[test]
     fn data_roundtrip() {
-        let f = Frame::Data {
+        assert_roundtrip(&Frame::Data {
             stream_id: 3,
-            data: b"hello".to_vec(),
+            data: b"hello",
             end_stream: true,
             pad_len: 0,
-        };
-        assert_eq!(roundtrip(f.clone()), f);
-    }
-
-    #[test]
-    fn headers_roundtrip_with_priority() {
-        let f = Frame::Headers {
-            stream_id: 5,
-            fragment: vec![0x82, 0x86],
-            end_stream: false,
-            end_headers: true,
-            priority: Some(PrioritySpec {
-                depends_on: 3,
-                exclusive: true,
-                weight: 256,
-            }),
-        };
-        assert_eq!(roundtrip(f.clone()), f);
+        });
     }
 
     #[test]
     fn all_control_frames_roundtrip() {
-        let frames = vec![
-            Frame::Priority {
-                stream_id: 7,
-                spec: PrioritySpec::default(),
+        let frames = [
+            Frame::Headers {
+                stream_id: 5,
+                fragment: &[0x82, 0x86],
+                end_stream: false,
+                end_headers: true,
             },
             Frame::RstStream {
                 stream_id: 9,
@@ -713,7 +524,7 @@ mod tests {
             Frame::PushPromise {
                 stream_id: 1,
                 promised_stream_id: 2,
-                fragment: vec![0x82],
+                fragment: &[0x82],
                 end_headers: true,
             },
             Frame::Ping {
@@ -723,7 +534,7 @@ mod tests {
             Frame::Goaway {
                 last_stream_id: 11,
                 code: ErrorCode::NoError,
-                debug: b"bye".to_vec(),
+                debug: b"bye",
             },
             Frame::WindowUpdate {
                 stream_id: 0,
@@ -731,13 +542,62 @@ mod tests {
             },
             Frame::Continuation {
                 stream_id: 3,
-                fragment: vec![0x84],
+                fragment: &[0x84],
                 end_headers: true,
             },
         ];
-        for f in frames {
-            assert_eq!(roundtrip(f.clone()), f, "{f:?}");
+        for f in &frames {
+            assert_roundtrip(f);
         }
+    }
+
+    /// A frame header for `len` payload octets, by hand.
+    fn header(len: u8, ty: u8, flags: u8, stream_id: u32) -> Vec<u8> {
+        let mut buf = vec![0, 0, len, ty, flags];
+        buf.extend_from_slice(&stream_id.to_be_bytes());
+        buf
+    }
+
+    #[test]
+    fn prioritized_headers_decode_to_their_fragment() {
+        // HEADERS on stream 5 with END_HEADERS: once plain, once with the
+        // PRIORITY flag (exclusive dependency on 3, weight 256), once
+        // padded as well. All three decode to the same frame.
+        let plain = [header(2, 0x1, flags::END_HEADERS, 5), vec![0x82, 0x86]].concat();
+        let prioritized = [
+            header(7, 0x1, flags::END_HEADERS | flags::PRIORITY, 5),
+            vec![0x80, 0, 0, 3, 255, 0x82, 0x86],
+        ]
+        .concat();
+        let padded = [
+            header(
+                10,
+                0x1,
+                flags::END_HEADERS | flags::PRIORITY | flags::PADDED,
+                5,
+            ),
+            vec![2, 0x80, 0, 0, 3, 255, 0x82, 0x86, 0, 0],
+        ]
+        .concat();
+        let codec = FrameCodec::default();
+        let want = Frame::Headers {
+            stream_id: 5,
+            fragment: &[0x82, 0x86],
+            end_stream: false,
+            end_headers: true,
+        };
+        for wire in [&plain, &prioritized, &padded] {
+            assert_eq!(
+                codec.decode(wire).unwrap(),
+                (wire.len(), Some(want.clone()))
+            );
+        }
+        // Priority fields cut short are a frame size error.
+        let short = [header(3, 0x1, flags::PRIORITY, 5), vec![0, 0, 3]].concat();
+        assert_eq!(
+            codec.decode(&short).unwrap_err().code,
+            ErrorCode::FrameSizeError
+        );
     }
 
     #[test]
@@ -797,7 +657,7 @@ mod tests {
                     ..
                 }),
             ) => {
-                assert_eq!(&data[..], b"ab");
+                assert_eq!(data, b"ab");
                 assert_eq!(pad_len, 4, "3 pad octets + 1 length octet");
                 assert!(end_stream);
             }

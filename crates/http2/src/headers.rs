@@ -93,19 +93,10 @@ impl Request {
                 ":scheme" => &mut scheme,
                 ":authority" => &mut authority,
                 ":path" => &mut path,
-                other => {
-                    // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected block
-                    return Err(ConnectionError::protocol(format!(
-                        "unknown request pseudo-header {other}"
-                    )));
-                }
+                _ => return Err(ConnectionError::protocol("unknown request pseudo-header")),
             };
             if slot.replace(Arc::clone(&f.value)).is_some() {
-                // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected block
-                return Err(ConnectionError::protocol(format!(
-                    "duplicate pseudo-header {}",
-                    f.name
-                )));
+                return Err(ConnectionError::protocol("duplicate pseudo-header"));
             }
         }
         Ok(Request {
@@ -172,17 +163,14 @@ impl Response {
         let mut status = None;
         for f in pseudo {
             if &*f.name != ":status" {
-                // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected block
-                return Err(ConnectionError::protocol(format!(
-                    "unknown response pseudo-header {}",
-                    f.name
-                )));
+                return Err(ConnectionError::protocol("unknown response pseudo-header"));
             }
             if status
-                .replace(f.value.parse::<u16>().map_err(|_| {
-                    // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected block
-                    ConnectionError::protocol(format!("bad :status {:?}", f.value))
-                })?)
+                .replace(
+                    f.value
+                        .parse::<u16>()
+                        .map_err(|_| ConnectionError::protocol("bad :status"))?,
+                )
                 .is_some()
             {
                 return Err(ConnectionError::protocol("duplicate :status"));
@@ -236,11 +224,7 @@ fn split_pseudo(
             pseudo.push(f);
         } else {
             if f.name.chars().any(|c| c.is_ascii_uppercase()) {
-                // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected block
-                return Err(ConnectionError::protocol(format!(
-                    "upper-case header name {:?}",
-                    f.name
-                )));
+                return Err(ConnectionError::protocol("upper-case header name"));
             }
             seen_regular = true;
             // vroom-lint: allow(hot-path-alloc) -- HeaderField::clone is two refcount bumps and a flag, never a byte copy

@@ -96,30 +96,21 @@ impl Settings {
                     self.enable_push = match value {
                         0 => false,
                         1 => true,
-                        _ => {
-                            // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                            return Err(ConnectionError::protocol(format!(
-                                "ENABLE_PUSH = {value}"
-                            )));
-                        }
+                        _ => return Err(ConnectionError::protocol("ENABLE_PUSH not 0 or 1")),
                     }
                 }
                 ids::MAX_CONCURRENT_STREAMS => self.max_concurrent_streams = Some(value),
                 ids::INITIAL_WINDOW_SIZE => {
                     if value > MAX_WINDOW_SIZE {
-                        // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                        return Err(ConnectionError::flow_control(format!(
-                            "INITIAL_WINDOW_SIZE = {value}"
-                        )));
+                        return Err(ConnectionError::flow_control(
+                            "INITIAL_WINDOW_SIZE above 2^31-1",
+                        ));
                     }
                     self.initial_window_size = value;
                 }
                 ids::MAX_FRAME_SIZE => {
                     if !(DEFAULT_MAX_FRAME_SIZE..=MAX_MAX_FRAME_SIZE).contains(&value) {
-                        // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                        return Err(ConnectionError::protocol(format!(
-                            "MAX_FRAME_SIZE = {value}"
-                        )));
+                        return Err(ConnectionError::protocol("MAX_FRAME_SIZE out of range"));
                     }
                     self.max_frame_size = value;
                 }

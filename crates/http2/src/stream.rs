@@ -25,8 +25,6 @@ pub enum StreamState {
 /// One HTTP/2 stream.
 #[derive(Debug)]
 pub struct Stream {
-    /// The stream identifier.
-    pub id: u32,
     /// Current state.
     pub state: StreamState,
     /// Credit for DATA we send on this stream.
@@ -37,9 +35,8 @@ pub struct Stream {
 
 impl Stream {
     /// A new stream in the given state.
-    pub fn new(id: u32, state: StreamState, send_initial: u32, recv_initial: u32) -> Self {
+    pub fn new(state: StreamState, send_initial: u32, recv_initial: u32) -> Self {
         Stream {
-            id,
             state,
             send_window: FlowWindow::new(send_initial),
             recv_window: FlowWindow::new(recv_initial),
@@ -89,16 +86,13 @@ impl Stream {
             StreamState::Closed | StreamState::HalfClosedRemote => {
                 return Err(ConnectionError::new(
                     ErrorCode::StreamClosed,
-                    // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                    format!("HEADERS on closed stream {}", self.id),
+                    "HEADERS on closed stream",
                 ));
             }
             StreamState::ReservedLocal => {
-                // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                return Err(ConnectionError::protocol(format!(
-                    "peer sent HEADERS on stream {} we reserved",
-                    self.id
-                )));
+                return Err(ConnectionError::protocol(
+                    "peer sent HEADERS on a stream we reserved",
+                ));
             }
         };
         if end_stream {
@@ -136,8 +130,7 @@ impl Stream {
             | StreamState::Closed => {
                 return Err(ConnectionError::new(
                     ErrorCode::StreamClosed,
-                    // vroom-lint: allow(hot-path-alloc) -- cold protocol-error path: renders the message for a rejected peer
-                    format!("END_STREAM in state {:?} on stream {}", self.state, self.id),
+                    "END_STREAM on a stream not open for receiving",
                 ));
             }
         };
@@ -155,7 +148,7 @@ mod tests {
     use super::*;
 
     fn stream(state: StreamState) -> Stream {
-        Stream::new(1, state, 65_535, 65_535)
+        Stream::new(state, 65_535, 65_535)
     }
 
     #[test]

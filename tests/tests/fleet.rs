@@ -253,6 +253,18 @@ fn oversized_arrival_span_is_clamped_and_surfaced() {
 }
 
 #[test]
+fn sites_past_the_corpus_are_clamped_to_it() {
+    // The News+Sports corpus holds 100 sites. Asking for more must not
+    // pick client sites past its end: the fleet and the freshness sweep
+    // both serve the whole corpus.
+    let run = run_fleet(&FleetConfig::quick(40, 150));
+    assert_eq!(run.report.sites, Corpus::NEWS_AND_SPORTS_SITES as u64);
+    assert!(run.report.render().contains("clients 40  sites 100  "));
+    let sweep = run_freshness(&FreshnessConfig::quick(10, 150, 0));
+    assert_eq!(sweep.sites, Corpus::NEWS_AND_SPORTS_SITES as u64);
+}
+
+#[test]
 fn span_hours_spreads_arrivals_and_reruns_passes_per_bucket() {
     let run = run_fleet(&FleetConfig {
         span_hours: 2,
